@@ -166,7 +166,7 @@ func BenchmarkFig5Read(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, rep, err := st.Read(probe)
+				_, rep, err := queryProbe(st, probe)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -416,14 +416,14 @@ func BenchmarkAblationScanVsProbe(b *testing.B) {
 		}
 		b.Run(kind.String()+"/probe", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := st.ReadRegion(ds.Region); err != nil {
+				if _, _, err := queryRegion(st, ds.Region, store.StrategyDefault); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(kind.String()+"/scan", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := st.ReadRegionScan(ds.Region); err != nil {
+				if _, _, err := queryRegion(st, ds.Region, store.StrategyScan); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -471,7 +471,7 @@ func BenchmarkAblationCompact(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, rep, err := st.ReadRegion(ds.Region)
+				_, rep, err := queryRegion(st, ds.Region, store.StrategyDefault)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -596,13 +596,13 @@ func BenchmarkAblationReaderCache(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if _, _, err := st.ReadRegion(ds.Region); err != nil {
+				if _, _, err := queryRegion(st, ds.Region, store.StrategyDefault); err != nil {
 					b.Fatal(err) // priming read: warms the cache when enabled
 				}
 				var ioNs int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, rep, err := st.ReadRegion(ds.Region)
+					_, rep, err := queryRegion(st, ds.Region, store.StrategyDefault)
 					if err != nil {
 						b.Fatal(err)
 					}

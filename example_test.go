@@ -1,6 +1,7 @@
 package sparseart_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func ExampleCreateStoreOn() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, _, err := st.ReadRegion(region)
+	res, _, err := st.Query(context.Background(), sparseart.QueryRequest{Region: &region, AsOf: sparseart.AsOfLatest})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,8 +41,9 @@ func ExampleCreateStoreOn() {
 	// [4 5 6] 2.5
 }
 
-// ExampleStore_ReadPoints probes individual cells with a found mask.
-func ExampleStore_ReadPoints() {
+// ExampleAlignPoints probes individual cells and lays the answer out
+// along the probe, with a found mask.
+func ExampleAlignPoints() {
 	fs := sparseart.NewPerlmutterSim()
 	st, err := sparseart.CreateStoreOn(fs, "demo", sparseart.GCSR, sparseart.Shape{4, 4})
 	if err != nil {
@@ -56,10 +58,11 @@ func ExampleStore_ReadPoints() {
 	probe := sparseart.NewCoords(2, 0)
 	probe.Append(1, 1)
 	probe.Append(2, 2)
-	vals, found, _, err := st.ReadPoints(probe)
+	res, _, err := st.Query(context.Background(), sparseart.QueryRequest{Probe: probe, AsOf: sparseart.AsOfLatest})
 	if err != nil {
 		log.Fatal(err)
 	}
+	vals, found := sparseart.AlignPoints(probe, res)
 	fmt.Println(vals[0], found[0])
 	fmt.Println(vals[1], found[1])
 	// Output:
@@ -151,10 +154,11 @@ func ExampleConvertStore() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	vals, found, _, err := dst.ReadPoints(coords)
+	res, _, err := dst.Query(context.Background(), sparseart.QueryRequest{Probe: coords, AsOf: sparseart.AsOfLatest})
 	if err != nil {
 		log.Fatal(err)
 	}
+	vals, found := sparseart.AlignPoints(coords, res)
 	fmt.Println(dst.Kind(), vals[0], found[0])
 	// Output:
 	// CSF 7 true

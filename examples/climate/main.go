@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -65,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, rrep, err := st.ReadRegion(region)
+	res, rrep, err := st.Query(context.Background(), sparseart.QueryRequest{Region: &region, AsOf: sparseart.AsOfLatest})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, arep, err := flat.ReadRegionAuto(lr)
+		_, arep, err := flat.Query(context.Background(), sparseart.QueryRequest{Region: &lr, AsOf: sparseart.AsOfLatest, Strategy: sparseart.StrategyAuto})
 		if err != nil {
 			log.Fatal(err)
 		}

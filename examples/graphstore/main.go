@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -87,7 +88,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, rep, err := st.ReadRegion(region)
+		res, rep, err := st.Query(context.Background(), sparseart.QueryRequest{Region: &region, AsOf: sparseart.AsOfLatest})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -100,10 +101,11 @@ func main() {
 		for t := uint64(0); t < steps; t++ {
 			probe.Append(t, 10, (10+1+t)%vertices)
 		}
-		_, found, _, err := st.ReadPoints(probe)
+		history, _, err := st.Query(context.Background(), sparseart.QueryRequest{Probe: probe, AsOf: sparseart.AsOfLatest})
 		if err != nil {
 			log.Fatal(err)
 		}
+		_, found := sparseart.AlignPoints(probe, history)
 		hits := 0
 		for _, ok := range found {
 			if ok {

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -89,7 +90,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, rrep, err := st.ReadRegion(region)
+		res, rrep, err := st.Query(context.Background(), sparseart.QueryRequest{Region: &region, AsOf: sparseart.AsOfLatest})
 		if err != nil {
 			log.Fatal(err)
 		}

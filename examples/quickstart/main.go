@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -55,7 +56,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, rrep, err := st.ReadRegion(region)
+		res, rrep, err := st.Query(context.Background(), sparseart.QueryRequest{Region: &region, AsOf: sparseart.AsOfLatest})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -86,10 +87,11 @@ func main() {
 	probe.Append(10, 10, 10) // on the diagonal: present
 	probe.Append(10, 11, 12) // absent
 	probe.Append(33, 33, 32) // in the block: present
-	vals, found, _, err := st.ReadPoints(probe)
+	pres, _, err := st.Query(context.Background(), sparseart.QueryRequest{Probe: probe, AsOf: sparseart.AsOfLatest})
 	if err != nil {
 		log.Fatal(err)
 	}
+	vals, found := sparseart.AlignPoints(probe, pres)
 	fmt.Println()
 	for i := 0; i < probe.Len(); i++ {
 		fmt.Printf("point %v: found=%v value=%g\n", probe.At(i), found[i], vals[i])

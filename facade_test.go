@@ -126,11 +126,11 @@ func TestFacadeCompactAndScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanRes, _, err := st.ReadRegionScan(region)
+	scanRes, _, err := queryRegion(st, region, sparseart.StrategyScan)
 	if err != nil || scanRes.Coords.Len() != 3 {
 		t.Fatalf("scan via facade: %v, %v", scanRes, err)
 	}
-	autoRes, _, err := st.ReadRegionAuto(region)
+	autoRes, _, err := queryRegion(st, region, sparseart.StrategyAuto)
 	if err != nil || autoRes.Coords.Len() != 3 {
 		t.Fatalf("auto via facade: %v, %v", autoRes, err)
 	}

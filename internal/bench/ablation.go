@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -163,15 +164,19 @@ func AblationScanVsProbe(scale gen.Scale, seed uint64) (string, error) {
 		if _, err := st.Write(ds.Data.Coords, ds.Data.Values); err != nil {
 			return "", err
 		}
-		_, prep, err := st.ReadRegion(ds.Region)
+		read := func(strategy store.Strategy) (*store.ReadReport, error) {
+			_, rep, err := st.Query(context.Background(), store.QueryRequest{Region: &ds.Region, AsOf: store.AsOfLatest, Strategy: strategy})
+			return rep, err
+		}
+		prep, err := read(store.StrategyDefault)
 		if err != nil {
 			return "", err
 		}
-		_, srep, err := st.ReadRegionScan(ds.Region)
+		srep, err := read(store.StrategyScan)
 		if err != nil {
 			return "", err
 		}
-		_, arep, err := st.ReadRegionAuto(ds.Region)
+		arep, err := read(store.StrategyAuto)
 		if err != nil {
 			return "", err
 		}
@@ -332,7 +337,7 @@ func AblationReaderCache(scale gen.Scale, seed uint64) (string, error) {
 				}
 			}
 			read := func() (time.Duration, error) {
-				_, rep, err := st.ReadRegion(ds.Region)
+				_, rep, err := st.Query(context.Background(), store.QueryRequest{Region: &ds.Region, AsOf: store.AsOfLatest})
 				if err != nil {
 					return 0, err
 				}

@@ -13,6 +13,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -261,7 +262,7 @@ func (r *Runner) runCell(ds *Dataset, kind core.Kind) (Measurement, error) {
 		scale = float64(probe.Len()) / float64(sampled.Len())
 		probe = sampled
 	}
-	res, rrep, err := st.Read(probe)
+	res, rrep, err := st.Query(context.Background(), store.QueryRequest{Probe: probe, AsOf: store.AsOfLatest})
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -22,7 +22,6 @@ import (
 type Backend interface {
 	Info(ctx context.Context) (*wire.Info, error)
 	Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error)
-	ReadPoints(ctx context.Context, probe *tensor.Coords) ([]float64, []bool, *store.ReadReport, error)
 	Write(ctx context.Context, coords *tensor.Coords, values []float64) (*store.WriteReport, error)
 	WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error)
 	DeleteRegion(ctx context.Context, region tensor.Region) (*store.WriteReport, error)
@@ -49,10 +48,6 @@ func (b storeBackend) Info(context.Context) (*wire.Info, error) {
 
 func (b storeBackend) Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
 	return b.s.Query(ctx, req)
-}
-
-func (b storeBackend) ReadPoints(ctx context.Context, probe *tensor.Coords) ([]float64, []bool, *store.ReadReport, error) {
-	return b.s.QueryPoints(ctx, probe)
 }
 
 func (b storeBackend) Write(ctx context.Context, coords *tensor.Coords, values []float64) (*store.WriteReport, error) {
@@ -103,10 +98,6 @@ func (b chunkedBackend) Query(ctx context.Context, req store.QueryRequest) (*sto
 	return b.c.Query(ctx, req)
 }
 
-func (b chunkedBackend) ReadPoints(ctx context.Context, probe *tensor.Coords) ([]float64, []bool, *store.ReadReport, error) {
-	return alignPoints(ctx, b, probe)
-}
-
 func (b chunkedBackend) Write(ctx context.Context, coords *tensor.Coords, values []float64) (*store.WriteReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -151,40 +142,6 @@ func collectBatch(ctx context.Context, batches []store.Batch, workers int,
 		return reps, err
 	}
 	return reps, nil
-}
-
-// alignPoints implements the ReadPoints contract (values and found
-// marks aligned with the probe order) on top of Query for backends
-// whose probe reads return only the found points in sorted order.
-func alignPoints(ctx context.Context, b Backend, probe *tensor.Coords) ([]float64, []bool, *store.ReadReport, error) {
-	res, rep, err := b.Query(ctx, store.QueryRequest{Probe: probe, AsOf: store.AsOfLatest})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	hits := make(map[string]float64, res.Coords.Len())
-	var key []byte
-	for i := 0; i < res.Coords.Len(); i++ {
-		hits[string(appendCoordKey(key[:0], res.Coords.At(i)))] = res.Values[i]
-	}
-	vals := make([]float64, probe.Len())
-	found := make([]bool, probe.Len())
-	for i := 0; i < probe.Len(); i++ {
-		if v, ok := hits[string(appendCoordKey(key[:0], probe.At(i)))]; ok {
-			vals[i] = v
-			found[i] = true
-		}
-	}
-	return vals, found, rep, nil
-}
-
-// appendCoordKey appends a map key for one coordinate tuple.
-func appendCoordKey(dst []byte, p []uint64) []byte {
-	for _, v := range p {
-		dst = append(dst,
-			byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	return dst
 }
 
 // errUnsupportedOp builds the ErrBadRequest wrap for ops a backend

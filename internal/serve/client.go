@@ -193,24 +193,6 @@ func (c *Client) Query(ctx context.Context, req store.QueryRequest) (*store.Resu
 	return res.Result, res.Report, nil
 }
 
-// ReadPoints answers a probe with values and found marks aligned to
-// the probe order.
-func (c *Client) ReadPoints(ctx context.Context, probe *tensor.Coords) ([]float64, []bool, *store.ReadReport, error) {
-	d, err := deadlineOf(ctx)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	payload, err := c.roundTrip(ctx, wire.MsgReadPoints, (&wire.ReadPoints{Deadline: d, Probe: probe}).Encode())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := wire.DecodePointsResult(payload)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res.Values, res.Found, res.Report, nil
-}
-
 // Write commits one fragment of points.
 func (c *Client) Write(ctx context.Context, coords *tensor.Coords, values []float64) (*store.WriteReport, error) {
 	d, err := deadlineOf(ctx)

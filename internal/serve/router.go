@@ -306,50 +306,35 @@ func (r *Router) Query(ctx context.Context, req store.QueryRequest) (*store.Resu
 
 // queryAt dispatches the routed read under the router.query span.
 func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
+	if (req.Probe == nil) == (req.Region == nil) {
+		return nil, nil, fmt.Errorf("store: %w: exactly one of Probe or Region must be set", store.ErrBadRequest)
+	}
 	if req.AsOf != store.AsOfLatest {
-		if req.Probe == nil && req.Region == nil {
-			return nil, nil, fmt.Errorf("store: %w: exactly one of Probe or Region must be set", store.ErrBadRequest)
-		}
 		return nil, nil, fmt.Errorf("serve: %w: as-of reads are not supported on routed stores", store.ErrBadRequest)
 	}
+	var (
+		shards []int
+		parts  []*pointPart // probe targets: each shard's slice of the probe
+	)
 	if req.Region != nil {
-		if req.Probe != nil {
-			return nil, nil, fmt.Errorf("store: %w: exactly one of Probe or Region must be set", store.ErrBadRequest)
-		}
 		if req.Region.Dims() != r.shape.Dims() {
 			return nil, nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", store.ErrShapeMismatch, req.Region.Dims(), r.shape.Dims())
 		}
-		shards := r.regionShards(*req.Region)
-		results := make([]*store.Result, len(r.clients))
-		reports := make([]*store.ReadReport, len(r.clients))
-		err := r.scatter(ctx, shards, "query", func(ctx context.Context, i int) error {
-			res, rep, err := r.clients[i].Query(ctx, req)
-			results[i], reports[i] = res, rep
-			return err
-		})
-		if err != nil {
-			return nil, nil, err
+		shards = r.regionShards(*req.Region)
+	} else {
+		if req.Probe.Dims() != r.shape.Dims() {
+			return nil, nil, fmt.Errorf("store: %w: %d-dim probe for %d-dim store", store.ErrShapeMismatch, req.Probe.Dims(), r.shape.Dims())
 		}
-		return mergeResults(r.shape.Dims(), len(shards), results, reports)
+		parts = r.partitionPoints(req.Probe, nil)
+		shards = partShards(parts)
 	}
-	if req.Probe == nil {
-		return nil, nil, fmt.Errorf("store: %w: exactly one of Probe or Region must be set", store.ErrBadRequest)
-	}
-	if req.Probe.Dims() != r.shape.Dims() {
-		return nil, nil, fmt.Errorf("store: %w: %d-dim probe for %d-dim store", store.ErrShapeMismatch, req.Probe.Dims(), r.shape.Dims())
-	}
-	parts := r.partitionPoints(req.Probe, nil)
 	results := make([]*store.Result, len(r.clients))
 	reports := make([]*store.ReadReport, len(r.clients))
-	var shards []int
-	for i, part := range parts {
-		if part != nil {
-			shards = append(shards, i)
-		}
-	}
 	err := r.scatter(ctx, shards, "query", func(ctx context.Context, i int) error {
 		sub := req
-		sub.Probe = parts[i].coords
+		if parts != nil {
+			sub.Probe = parts[i].coords
+		}
 		res, rep, err := r.clients[i].Query(ctx, sub)
 		results[i], reports[i] = res, rep
 		return err
@@ -357,14 +342,22 @@ func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	return mergeResults(r.shape.Dims(), len(shards), results, reports)
+	rep := &store.ReadReport{}
+	for _, sub := range reports {
+		if sub != nil {
+			rep.Add(sub)
+		}
+	}
+	rep.Shards = len(shards)
+	// Shard tiles are disjoint, so the row-major merge matches a single
+	// local Chunked read exactly.
+	return store.MergeResults(r.shape.Dims(), results), rep, nil
 }
 
 // pointPart is one shard's slice of a partitioned point set.
 type pointPart struct {
 	coords *tensor.Coords
 	values []float64 // writes only
-	srcIdx []int     // original positions (ReadPoints reassembly)
 }
 
 // partitionPoints splits points (and optionally their values) by
@@ -383,128 +376,19 @@ func (r *Router) partitionPoints(coords *tensor.Coords, values []float64) []*poi
 		if values != nil {
 			part.values = append(part.values, values[i])
 		}
-		part.srcIdx = append(part.srcIdx, i)
 	}
 	return parts
 }
 
-// mergeResults concatenates per-shard sorted results and re-sorts by
-// coordinate tuple (row-major linear order) — tiles are disjoint
-// across shards, so no deduplication is needed and the order matches a
-// single local Chunked read exactly.
-func mergeResults(dims, shards int, results []*store.Result, reports []*store.ReadReport) (*store.Result, *store.ReadReport, error) {
-	total := 0
-	for _, res := range results {
-		if res != nil {
-			total += res.Coords.Len()
-		}
-	}
-	coords := tensor.NewCoords(dims, total)
-	values := make([]float64, 0, total)
-	for _, res := range results {
-		if res == nil {
-			continue
-		}
-		coords.AppendFlat(res.Coords.Flat())
-		values = append(values, res.Values...)
-	}
-	order := make([]int, coords.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := coords.At(order[a]), coords.At(order[b])
-		for d := range pa {
-			if pa[d] != pb[d] {
-				return pa[d] < pb[d]
-			}
-		}
-		return false
-	})
-	out := tensor.NewCoords(dims, coords.Len())
-	vals := make([]float64, 0, coords.Len())
-	for _, i := range order {
-		out.Append(coords.At(i)...)
-		vals = append(vals, values[i])
-	}
-	rep := &store.ReadReport{Shards: shards}
-	for _, sub := range reports {
-		if sub == nil {
-			continue
-		}
-		rep.IO += sub.IO
-		rep.Extract += sub.Extract
-		rep.Probe += sub.Probe
-		rep.Merge += sub.Merge
-		rep.Fragments += sub.Fragments
-		rep.Probed += sub.Probed
-		rep.Found += sub.Found
-		rep.Scans += sub.Scans
-		rep.Candidates += sub.Candidates
-		rep.FilterSkipped += sub.FilterSkipped
-		rep.CacheHits += sub.CacheHits
-		rep.CacheMisses += sub.CacheMisses
-		rep.BytesRead += sub.BytesRead
-		rep.Epoch += sub.Epoch
-	}
-	return &store.Result{Coords: out, Values: vals}, rep, nil
-}
-
-// ReadPoints partitions the probe per shard and reassembles the
-// aligned values and found marks in the original order.
-func (r *Router) ReadPoints(ctx context.Context, probe *tensor.Coords) ([]float64, []bool, *store.ReadReport, error) {
-	if probe.Dims() != r.shape.Dims() {
-		return nil, nil, nil, fmt.Errorf("store: %w: %d-dim probe for %d-dim store", store.ErrShapeMismatch, probe.Dims(), r.shape.Dims())
-	}
-	parts := r.partitionPoints(probe, nil)
+// partShards lists the shards a partition gave any points.
+func partShards(parts []*pointPart) []int {
 	var shards []int
 	for i, part := range parts {
 		if part != nil {
 			shards = append(shards, i)
 		}
 	}
-	vals := make([]float64, probe.Len())
-	found := make([]bool, probe.Len())
-	reports := make([]*store.ReadReport, len(r.clients))
-	var mu sync.Mutex
-	err := r.scatter(ctx, shards, "read_points", func(ctx context.Context, i int) error {
-		v, f, rep, err := r.clients[i].ReadPoints(ctx, parts[i].coords)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		reports[i] = rep
-		for k, src := range parts[i].srcIdx {
-			vals[src] = v[k]
-			found[src] = f[k]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rep := &store.ReadReport{Shards: len(shards)}
-	for _, sub := range reports {
-		if sub == nil {
-			continue
-		}
-		rep.Fragments += sub.Fragments
-		rep.Probed += sub.Probed
-		rep.Found += sub.Found
-		rep.Scans += sub.Scans
-		rep.IO += sub.IO
-		rep.Extract += sub.Extract
-		rep.Probe += sub.Probe
-		rep.Merge += sub.Merge
-		rep.Candidates += sub.Candidates
-		rep.FilterSkipped += sub.FilterSkipped
-		rep.CacheHits += sub.CacheHits
-		rep.CacheMisses += sub.CacheMisses
-		rep.BytesRead += sub.BytesRead
-		rep.Epoch += sub.Epoch
-	}
-	return vals, found, rep, nil
+	return shards
 }
 
 // Write partitions one fragment's points per owning shard and commits
@@ -520,14 +404,8 @@ func (r *Router) Write(ctx context.Context, coords *tensor.Coords, values []floa
 		return nil, fmt.Errorf("store: %w: coordinate outside shape %v", store.ErrShapeMismatch, r.shape)
 	}
 	parts := r.partitionPoints(coords, values)
-	var shards []int
-	for i, part := range parts {
-		if part != nil {
-			shards = append(shards, i)
-		}
-	}
 	reps := make([]*store.WriteReport, len(r.clients))
-	err := r.scatter(ctx, shards, "write", func(ctx context.Context, i int) error {
+	err := r.scatter(ctx, partShards(parts), "write", func(ctx context.Context, i int) error {
 		rep, err := r.clients[i].Write(ctx, parts[i].coords, parts[i].values)
 		reps[i] = rep
 		return err
@@ -538,22 +416,12 @@ func (r *Router) Write(ctx context.Context, coords *tensor.Coords, values []floa
 	return mergeWriteReports(reps), nil
 }
 
-// mergeWriteReports sums per-shard write reports into one.
+// mergeWriteReports folds per-shard write reports into one.
 func mergeWriteReports(reps []*store.WriteReport) *store.WriteReport {
 	out := &store.WriteReport{}
 	for _, rep := range reps {
-		if rep == nil {
-			continue
-		}
-		out.Build += rep.Build
-		out.Reorg += rep.Reorg
-		out.Write += rep.Write
-		out.Others += rep.Others
-		out.Bytes += rep.Bytes
-		out.NNZ += rep.NNZ
-		out.Epoch += rep.Epoch
-		if out.Name == "" {
-			out.Name = rep.Name
+		if rep != nil {
+			out.Add(rep)
 		}
 	}
 	return out
@@ -694,12 +562,7 @@ func (r *Router) kernelAt(ctx context.Context, req store.KernelRequest) (*store.
 				out.Values[k] += v
 			}
 		}
-		out.Report.Fragments += res.Report.Fragments
-		out.Report.Skipped += res.Report.Skipped
-		out.Report.Cells += res.Report.Cells
-		out.Report.Shadowed += res.Report.Shadowed
-		out.Report.Dead += res.Report.Dead
-		out.Report.Epoch += res.Report.Epoch
+		out.Report.Add(res.Report)
 	}
 	return out, nil
 }

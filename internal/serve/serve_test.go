@@ -111,11 +111,13 @@ func TestServerRoundTrip(t *testing.T) {
 		t.Fatalf("after delete found %d points, want 3", res.Coords.Len())
 	}
 
-	// ReadPoints keeps probe alignment.
-	vals, found, _, err := c.ReadPoints(ctx, mustCoords(t, 2, 9, 9, 0, 0, 1, 1))
+	// AlignPoints lays a remote probe result out along its probe.
+	points := mustCoords(t, 2, 9, 9, 0, 0, 1, 1)
+	res, _, err = c.Query(ctx, store.QueryRequest{Probe: points, AsOf: store.AsOfLatest})
 	if err != nil {
 		t.Fatalf("read points: %v", err)
 	}
+	vals, found := store.AlignPoints(points, res)
 	if !reflect.DeepEqual(vals, []float64{4, 0, 1}) || !reflect.DeepEqual(found, []bool{true, false, true}) {
 		t.Fatalf("points: %v %v", vals, found)
 	}
@@ -186,6 +188,81 @@ func TestServerTypedErrors(t *testing.T) {
 	})
 	if !errors.Is(err, store.ErrBadRequest) {
 		t.Fatalf("as-of error = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestWriteSideTypedErrors: validation failures of the mutating ops
+// keep their sentinel and code from a chunked store, through the
+// server, to the client — as the read side's always have.
+func TestWriteSideTypedErrors(t *testing.T) {
+	c, err := store.NewChunked(fsim.NewPerlmutterSim(), "c", core.CSF, tensor.Shape{16, 16}, tensor.Shape{8, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl, _ := startServer(t, serve.ChunkedBackend(c), serve.Config{})
+	ctx := context.Background()
+	_, werr := cl.Write(ctx, mustCoords(t, 3, 1, 1, 1), []float64{1})
+	_, berr := cl.WriteBatch(ctx, []store.Batch{{Coords: mustCoords(t, 3, 1, 1, 1), Values: []float64{1}}}, 1)
+	_, derr := cl.DeleteRegion(ctx, tensor.Region{Start: []uint64{0}, Size: []uint64{4}})
+	_, oerr := cl.DeleteRegion(ctx, tensor.Region{Start: []uint64{8, 8}, Size: []uint64{9, 1}})
+	for name, err := range map[string]error{
+		"3-dim write": werr, "3-dim batch": berr,
+		"1-dim delete": derr, "delete past the shape": oerr,
+	} {
+		if !errors.Is(err, store.ErrShapeMismatch) || wire.CodeOf(err) != wire.CodeShapeMismatch {
+			t.Errorf("%s: err = %v (code %d), want ErrShapeMismatch", name, err, wire.CodeOf(err))
+		}
+	}
+	if c.Fragments() != 0 {
+		t.Fatalf("rejected mutations left %d fragments", c.Fragments())
+	}
+}
+
+// TestRetiredOpcode: a frame of a type the protocol no longer assigns
+// (0x02, the former read-points op) is answered with a typed error and
+// counted, and the connection keeps serving.
+func TestRetiredOpcode(t *testing.T) {
+	st, err := store.Create(fsim.NewPerlmutterSim(), "s", core.COO, tensor.Shape{4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	_, _, addr := startServer(t, serve.StoreBackend(st), serve.Config{Obs: reg})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) // a hang fails the test, not the suite
+
+	if err := wire.WriteFrame(conn, 0x02, 7, wire.EncodeDeadline(0)); err != nil {
+		t.Fatal(err)
+	}
+	typ, id, payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("no reply to the retired opcode: %v", err)
+	}
+	if typ != wire.MsgErr || id != 7 {
+		t.Fatalf("reply type %#x id %d, want MsgErr id 7", typ, id)
+	}
+	if rerr := wire.DecodeError(payload); !errors.Is(rerr, store.ErrBadRequest) || wire.CodeOf(rerr) != wire.CodeBadRequest {
+		t.Fatalf("reply error = %v, want CodeBadRequest", rerr)
+	}
+	var counted int64
+	for name, v := range reg.Snapshot().Counters {
+		if f, _ := obs.ParseName(name); f == "serve.request.errors" {
+			counted += v
+		}
+	}
+	if counted != 1 {
+		t.Fatalf("serve.request.errors = %d, want 1", counted)
+	}
+
+	if err := wire.WriteFrame(conn, wire.MsgPing, 8, wire.EncodeDeadline(0)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, id, _, err = wire.ReadFrame(conn); err != nil || typ != wire.MsgOK || id != 8 {
+		t.Fatalf("ping after the retired opcode: type %#x id %d err %v", typ, id, err)
 	}
 }
 
@@ -466,6 +543,22 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 				t.Fatalf("probe disagreement: got %v want %v", gotRes.Values, wantRes.Values)
 			}
 
+			// AlignPoints is a function of (probe, result) alone: the
+			// same layout from the router's result as from the local
+			// one, over a probe with repeats, points outside the shape,
+			// and cells that are absent.
+			messy := tensor.NewCoords(2, 0)
+			messy.AppendFlat(probe.Flat())
+			messy.AppendFlat(probe.At(0))
+			messy.Append(24, 0)
+			messy.Append(math.MaxUint64, math.MaxUint64)
+			messy.AppendFlat(probe.At(0))
+			checkAligned(t, ctx, messy, router, local)
+			inDeleted := mustCoords(t, 2, 7, 7, 8, 9) // both under the tombstone: an empty result
+			if vals, found := checkAligned(t, ctx, inDeleted, router, local); found[0] || found[1] || vals[0] != 0 {
+				t.Fatalf("deleted cells aligned as %v %v", vals, found)
+			}
+
 			// Additive kernels: exact for counts, tolerance for sums
 			// (per-shard partials associate differently).
 			for _, kreq := range []store.KernelRequest{
@@ -496,6 +589,105 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 				t.Fatalf("spmv on router = %v, want ErrBadRequest", err)
 			}
 		})
+	}
+}
+
+// checkAligned queries probe through the router and the local store
+// and lays both results out with AlignPoints: the layouts must agree
+// with each other and, point by point, with the local result.
+func checkAligned(t *testing.T, ctx context.Context, probe *tensor.Coords, router *serve.Router, local *store.Chunked) ([]float64, []bool) {
+	t.Helper()
+	req := store.QueryRequest{Probe: probe, AsOf: store.AsOfLatest}
+	want, _, err := local.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := router.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, found := store.AlignPoints(probe, got)
+	wantVals, wantFound := store.AlignPoints(probe, want)
+	if !reflect.DeepEqual(vals, wantVals) || !reflect.DeepEqual(found, wantFound) {
+		t.Fatalf("aligned router result %v %v, local %v %v", vals, found, wantVals, wantFound)
+	}
+	if len(vals) != probe.Len() || len(found) != probe.Len() {
+		t.Fatalf("aligned %d values, %d marks for %d probe points", len(vals), len(found), probe.Len())
+	}
+	stored := map[string]float64{}
+	for i := 0; i < want.Coords.Len(); i++ {
+		stored[fmt.Sprint(want.Coords.At(i))] = want.Values[i]
+	}
+	nfound := 0
+	for i := 0; i < probe.Len(); i++ {
+		v, ok := stored[fmt.Sprint(probe.At(i))]
+		if found[i] != ok || vals[i] != v {
+			t.Fatalf("probe point %d %v aligned as (%v, %v), result holds (%v, %v)", i, probe.At(i), vals[i], found[i], v, ok)
+		}
+		if ok {
+			nfound++
+		}
+	}
+	if nfound < want.Coords.Len() {
+		t.Fatalf("aligned %d found points, result has %d", nfound, want.Coords.Len())
+	}
+	return vals, found
+}
+
+// TestRouterMatchesLocalChunked4D repeats the differential on a 4-D
+// shape whose linear address overflows uint64 — only the tiles'
+// addresses fit — where results must still merge in coordinate order
+// and AlignPoints must still key them.
+func TestRouterMatchesLocalChunked4D(t *testing.T) {
+	const m = 1 << 20
+	shape := tensor.Shape{m, m, m, m} // 2^80 cells
+	tile := tensor.Shape{1 << 10, 1 << 10, 1 << 10, 1 << 10}
+	if _, ok := shape.Volume(); ok {
+		t.Fatal("shape volume fits uint64; the test needs one that does not")
+	}
+	addrs := []string{newShard(t, core.CSF, shape, tile), newShard(t, core.CSF, shape, tile)}
+	router, err := serve.NewRouter(addrs, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	local, err := store.NewChunked(fsim.NewPerlmutterSim(), "local", core.CSF, shape, tile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Points spread over far-apart tiles, written in no particular order.
+	coords := mustCoords(t, 4,
+		m-1, m-1, m-1, m-1,
+		0, 0, 0, 1,
+		m/2, 3, m-2, 1<<10,
+		0, 0, 0, 0,
+		5, m-1, 0, 7,
+		m/2, 3, m-2, 1<<10+1,
+	)
+	values := []float64{1, 2, 3, 4, 5, 6}
+	if _, err := router.Write(ctx, coords, values); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.Write(coords, values); err != nil {
+		t.Fatal(err)
+	}
+	probe := tensor.NewCoords(4, 0)
+	probe.AppendFlat(coords.Flat())
+	probe.Append(1, 1, 1, 1)       // absent
+	probe.AppendFlat(coords.At(2)) // repeated
+	probe.Append(m, 0, 0, 0)       // outside the shape
+	vals, found := checkAligned(t, ctx, probe, router, local)
+	if !reflect.DeepEqual(vals, []float64{1, 2, 3, 4, 5, 6, 0, 3, 0}) ||
+		!reflect.DeepEqual(found, []bool{true, true, true, true, true, true, false, true, false}) {
+		t.Fatalf("aligned %v %v", vals, found)
+	}
+	got, _, err := router.Query(ctx, store.QueryRequest{Probe: probe, AsOf: store.AsOfLatest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{4, 2, 5, 3, 6, 1}; !reflect.DeepEqual(got.Values, want) {
+		t.Fatalf("merged order %v, want %v (row-major by coordinate tuple)", got.Values, want)
 	}
 }
 

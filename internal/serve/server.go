@@ -201,7 +201,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		op := opName(typ)
 		if op == "" {
-			cw.reply(wire.MsgErr, id, wire.EncodeError(errUnsupportedOp(fmt.Sprintf("unknown message type %#x", typ))))
+			// Unknown or retired (0x02) opcode: a typed error, counted like
+			// any failed request, and the connection lives on.
+			s.fail(cw, id, "unknown", errUnsupportedOp(fmt.Sprintf("unknown message type %#x", typ)))
 			continue
 		}
 		select {
@@ -240,8 +242,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			sp.End()
 			if err != nil {
-				s.reg.Counter("serve.request.errors", "op", op, "code", fmt.Sprint(uint16(wire.CodeOf(err)))).Inc()
-				cw.reply(wire.MsgErr, id, wire.EncodeError(err))
+				s.fail(cw, id, op, err)
 				return
 			}
 			cw.reply(wire.MsgOK, id, resp)
@@ -249,13 +250,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// fail counts one failed request and answers it with the typed error.
+func (s *Server) fail(cw *connWriter, id uint64, op string, err error) {
+	s.reg.Counter("serve.request.errors", "op", op, "code", fmt.Sprint(uint16(wire.CodeOf(err)))).Inc()
+	cw.reply(wire.MsgErr, id, wire.EncodeError(err))
+}
+
 // opName labels a request type for metrics; "" means unknown.
 func opName(typ uint8) string {
 	switch typ {
 	case wire.MsgQuery:
 		return "query"
-	case wire.MsgReadPoints:
-		return "read_points"
 	case wire.MsgWrite:
 		return "write"
 	case wire.MsgWriteBatch:
@@ -301,19 +306,6 @@ func (s *Server) handle(typ uint8, tc obs.TraceContext, payload []byte) ([]byte,
 			return nil, err
 		}
 		return (&wire.QueryResult{Result: res, Report: rep}).Encode(), nil
-
-	case wire.MsgReadPoints:
-		m, err := wire.DecodeReadPoints(payload)
-		if err != nil {
-			return nil, badPayload(err)
-		}
-		ctx, cancel := s.reqCtx(m.Deadline, tc)
-		defer cancel()
-		vals, found, rep, err := s.backend.ReadPoints(ctx, m.Probe)
-		if err != nil {
-			return nil, err
-		}
-		return (&wire.PointsResult{Values: vals, Found: found, Report: rep}).Encode(), nil
 
 	case wire.MsgWrite:
 		m, err := wire.DecodeWrite(payload)

@@ -1,38 +1,45 @@
 package store
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"sparseart/internal/complexity"
 	"sparseart/internal/core"
 	"sparseart/internal/tensor"
 )
 
-// This file implements the cost-model-driven region read: the Table I
-// complexity model, evaluated per fragment, decides between the paper's
-// probe strategy (one existence query per region cell) and the scan
-// strategy (one pass over the fragment's stored points). Probing wins
-// when the region is small relative to the fragment; scanning wins for
-// the scan-read organizations (COO, LINEAR) on any sizable window.
+// This file holds the scan side of a region read and the choice
+// StrategyAuto makes per fragment (both plugged into Store.read): the
+// Table I complexity model decides between the paper's probe strategy
+// (one existence query per region cell) and the scan strategy (one pass
+// over the fragment's stored points). Probing wins when the region is
+// small relative to the fragment; scanning wins for the scan-read
+// organizations (COO, LINEAR) on any sizable window.
 
-// scanFragment answers a region query from one fragment in scan mode.
-func scanFragment(kind core.Kind, reader core.Reader, region tensor.Region,
+// scanFragment walks one fragment's stored points inside region — all
+// of them when region is nil — in scan mode. CSF prunes a region walk
+// through its tree (core.RegionScanner); the other organizations
+// iterate everything and filter by containment.
+func scanFragment(kind core.Kind, reader core.Reader, region *tensor.Region,
 	visit func(p []uint64, slot int) bool) error {
-	switch r := reader.(type) {
-	case core.RegionScanner:
-		r.ScanRegion(region, visit)
-	case core.Iterator:
-		r.Each(func(p []uint64, slot int) bool {
-			if region.Contains(p) {
-				return visit(p, slot)
-			}
-			return true
-		})
-	default:
+	if rs, ok := reader.(core.RegionScanner); ok && region != nil {
+		rs.ScanRegion(*region, visit)
+		return nil
+	}
+	it, ok := reader.(core.Iterator)
+	if !ok {
 		return fmt.Errorf("store: %v reader cannot scan", kind)
 	}
+	if region == nil {
+		it.Each(visit)
+		return nil
+	}
+	it.Each(func(p []uint64, slot int) bool {
+		if region.Contains(p) {
+			return visit(p, slot)
+		}
+		return true
+	})
 	return nil
 }
 
@@ -72,96 +79,4 @@ func max64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// readRegionAutoAt reads a rectangular region against the first limit
-// fragments of the pinned view v, choosing probe or scan mode per
-// fragment by the Table I cost model. Results are identical to the
-// probe and scan strategies; only the time to produce them differs.
-// The report's Scans field tells how many fragments were scanned.
-// Cancellation is checked once per fragment.
-func (s *Store) readRegionAutoAt(ctx context.Context, v *readView, region tensor.Region, limit int) (*Result, *ReadReport, error) {
-	rep := &ReadReport{Epoch: v.epoch}
-	s.takeCost()
-	reg := s.obsReg()
-	kind := s.curKind().String()
-	root, _ := reg.StartCtx(ctx, obsRead)
-	defer root.End()
-	queryBox := region.BBox()
-	vol, ok := region.Volume()
-	if !ok {
-		return nil, nil, fmt.Errorf("store: %w: region %v", tensor.ErrOverflow, region)
-	}
-
-	var probe *tensor.Coords // materialized lazily, only if some fragment probes
-	var hits []hit
-	cands := v.overlapping(queryBox, limit)
-	rep.Candidates = len(cands)
-	var skipped int64
-	for _, fi := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		fr := v.frags[fi]
-		if fr.nnz == 0 {
-			continue
-		}
-		if v.index != nil && fr.filter != nil && !fr.filter.MayOverlapRegion(region) {
-			skipped++
-			continue
-		}
-		rep.Fragments++
-
-		e, err := s.fetchFragment(root, fr, rep)
-		if err != nil {
-			return nil, nil, err
-		}
-
-		sp := root.Child(obsReadProbe)
-		t := time.Now()
-		if preferScan(s.curKind(), s.shape, fr.nnz, vol) {
-			err := scanFragment(s.curKind(), e.Reader, region, func(p []uint64, slot int) bool {
-				rep.Probed++
-				hits = append(hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
-				return true
-			})
-			if err != nil {
-				sp.End()
-				reg.Counter("store.read.errors", "kind", kind).Inc()
-				return nil, nil, err
-			}
-			rep.Scans++
-		} else {
-			if probe == nil {
-				probe = region.Coords()
-			}
-			for i, n := 0, probe.Len(); i < n; i++ {
-				p := probe.At(i)
-				if !fr.bbox.Contains(p) {
-					continue
-				}
-				rep.Probed++
-				if slot, ok := e.Reader.Lookup(p); ok {
-					hits = append(hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
-				}
-			}
-		}
-		sp.End()
-		rep.Probe += time.Since(t)
-	}
-	if skipped > 0 {
-		reg.Counter("store.filter.skipped", "kind", kind).Add(skipped)
-	}
-	rep.FilterSkipped = int(skipped)
-	sp := root.Child(obsReadMerge)
-	res, mergeDur := mergeHits(s, hits, v.overlapTombs(cands))
-	sp.End()
-	rep.Merge = mergeDur
-	rep.Found = res.Coords.Len()
-	reg.Counter("store.read.count", "kind", kind).Inc()
-	reg.Counter("store.read.fragments", "kind", kind).Add(int64(rep.Fragments))
-	reg.Counter("store.read.scans", "kind", kind).Add(int64(rep.Scans))
-	reg.Counter("store.read.probed", "kind", kind).Add(int64(rep.Probed))
-	reg.Counter("store.read.found", "kind", kind).Add(int64(rep.Found))
-	return res, rep, nil
 }

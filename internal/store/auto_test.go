@@ -29,11 +29,11 @@ func TestReadRegionAutoMatchesBothStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := st.ReadRegion(region)
+			want, _, err := readRegion(st, region, StrategyDefault)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, rep, err := st.ReadRegionAuto(region)
+			got, rep, err := readRegion(st, region, StrategyAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestAutoStrategySelection(t *testing.T) {
 		if _, err := st.Write(coords, vals); err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := st.ReadRegionAuto(tc.region)
+		_, rep, err := readRegion(st, tc.region, StrategyAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestReadRegionAutoValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := tensor.Region{Start: []uint64{0}, Size: []uint64{1}}
-	if _, _, err := st.ReadRegionAuto(bad); err == nil {
+	if _, _, err := readRegion(st, bad, StrategyAuto); err == nil {
 		t.Fatal("rank mismatch accepted")
 	}
 }

@@ -70,7 +70,7 @@ func BenchmarkStoreSpMV(b *testing.B) {
 		b.Run(fmt.Sprintf("frags=%d/pushdown", F), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := st.SpMV(x, 0); err != nil {
+				if _, err := kernel(st, KernelRequest{Op: KernelSpMV, Vec: x}); err != nil {
 					b.Fatal(err)
 				}
 			}

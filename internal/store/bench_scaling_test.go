@@ -81,7 +81,7 @@ func BenchmarkFragmentScaling(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					t0 := time.Now()
-					if _, _, err := st.ReadRegionScan(regions[i%len(regions)]); err != nil {
+					if _, _, err := readRegion(st, regions[i%len(regions)], StrategyScan); err != nil {
 						b.Fatal(err)
 					}
 					lat = append(lat, time.Since(t0))

@@ -79,19 +79,19 @@ func TestCacheConfigurationsIdenticalResults(t *testing.T) {
 				// Each read runs twice — cold then warm — and must agree
 				// with itself before it is compared across configurations.
 				for pass := 0; pass < 2; pass++ {
-					point, _, err := st.Read(probe)
+					point, _, err := readProbe(st, probe)
 					if err != nil {
 						t.Fatal(err)
 					}
-					scan, _, err := st.ReadRegionScan(region)
+					scan, _, err := readRegion(st, region, StrategyScan)
 					if err != nil {
 						t.Fatal(err)
 					}
-					auto, _, err := st.ReadRegionAuto(region)
+					auto, _, err := readRegion(st, region, StrategyAuto)
 					if err != nil {
 						t.Fatal(err)
 					}
-					par, _, err := st.ReadParallel(probe, 4)
+					par, _, err := readPooled(st, probe, 4)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -175,7 +175,7 @@ func TestHeaderOnlyOverlapStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.ResetStats()
-	res, rep, err := st.ReadRegion(region)
+	res, rep, err := readRegion(st, region, StrategyDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestHeaderOnlyOverlapStats(t *testing.T) {
 	// Warm repeat: both fragments are cache-resident, so the identical
 	// read answers with zero file-system traffic of any kind.
 	fs.ResetStats()
-	res2, _, err := st.ReadRegion(region)
+	res2, _, err := readRegion(st, region, StrategyDefault)
 	if err != nil {
 		t.Fatal(err)
 	}

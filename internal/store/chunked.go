@@ -1,8 +1,8 @@
 package store
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -276,7 +276,7 @@ func (c *Chunked) partitionByTile(coords *tensor.Coords, vals []float64) (map[st
 	for i, n := 0, coords.Len(); i < n; i++ {
 		p := coords.At(i)
 		if !c.shape.Contains(p) {
-			return nil, nil, fmt.Errorf("store: point %v outside shape %v", p, c.shape)
+			return nil, nil, fmt.Errorf("store: %w: point %v outside shape %v", ErrShapeMismatch, p, c.shape)
 		}
 		idx := c.tileIndex(p)
 		key := tileKey(idx)
@@ -300,10 +300,10 @@ func (c *Chunked) partitionByTile(coords *tensor.Coords, vals []float64) (map[st
 // address stays within uint64.
 func (c *Chunked) Write(coords *tensor.Coords, vals []float64) (*WriteReport, error) {
 	if coords.Len() != len(vals) {
-		return nil, fmt.Errorf("store: %d points with %d values", coords.Len(), len(vals))
+		return nil, fmt.Errorf("store: %w: %d points with %d values", ErrShapeMismatch, coords.Len(), len(vals))
 	}
 	if coords.Dims() != c.shape.Dims() {
-		return nil, fmt.Errorf("store: %d-dim coords for %d-dim store", coords.Dims(), c.shape.Dims())
+		return nil, fmt.Errorf("store: %w: %d-dim coords for %d-dim store", ErrShapeMismatch, coords.Dims(), c.shape.Dims())
 	}
 	root := c.obsReg().Start(obsChunkedWrite)
 	defer root.End()
@@ -312,7 +312,7 @@ func (c *Chunked) Write(coords *tensor.Coords, vals []float64) (*WriteReport, er
 		return nil, err
 	}
 	sort.Strings(keys) // deterministic tile order
-	total := &WriteReport{NNZ: coords.Len()}
+	total := &WriteReport{}
 	for _, key := range keys {
 		g := groups[key]
 		s, err := c.tileStore(g.idx)
@@ -323,98 +323,72 @@ func (c *Chunked) Write(coords *tensor.Coords, vals []float64) (*WriteReport, er
 		if err != nil {
 			return nil, err
 		}
-		total.Build += rep.Build
-		total.Reorg += rep.Reorg
-		total.Write += rep.Write
-		total.Others += rep.Others
-		total.Bytes += rep.Bytes
+		total.Add(rep)
 	}
 	return total, nil
 }
 
-// Read probes global points across the tiles they fall in and returns
-// the found points sorted by global lexicographic (row-major) order.
-//
-// Deprecated: Read is a thin wrapper; use Query with a Probe target.
-func (c *Chunked) Read(probe *tensor.Coords) (*Result, *ReadReport, error) {
-	return c.Query(context.Background(), QueryRequest{Probe: probe, AsOf: AsOfLatest})
-}
-
-// ReadRegion reads a rectangular global region.
-//
-// Deprecated: ReadRegion is a thin wrapper; use Query with a Region
-// target.
-func (c *Chunked) ReadRegion(region tensor.Region) (*Result, *ReadReport, error) {
-	return c.Query(context.Background(), QueryRequest{Region: &region, AsOf: AsOfLatest})
-}
-
 // DeleteRegion writes tombstones over the region in every existing tile
-// it intersects (tiles with no data need none). The intersecting tiles
-// are found arithmetically — the region's bounding box maps to a
-// hyper-rectangle of tile indices — so a small delete in a store of
-// many tiles touches only the tiles it covers, not every tile the store
-// has ever materialized. Only when the region spans more candidate
-// tiles than exist does the walk fall back to the existing-tile list.
+// it intersects (tiles with no data need none); tilesIn finds them
+// without visiting every tile the store has ever materialized.
 func (c *Chunked) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 	if region.Dims() != c.shape.Dims() {
-		return nil, fmt.Errorf("store: %d-dim region for %d-dim store", region.Dims(), c.shape.Dims())
+		return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), c.shape.Dims())
 	}
-	for d := range region.Start {
-		if region.Size[d] == 0 || region.Start[d] >= c.shape[d] ||
-			region.Start[d]+region.Size[d] > c.shape[d] {
-			return nil, fmt.Errorf("store: region outside shape in dim %d", d)
-		}
+	if _, err := tensor.NewRegion(c.shape, region.Start, region.Size); err != nil {
+		return nil, fmt.Errorf("store: %w: %v", ErrShapeMismatch, err)
 	}
 	root := c.obsReg().Start(obsChunkedDelete)
 	defer root.End()
 	total := &WriteReport{}
-	box := region.BBox()
-
-	// deleteInTile intersects the global region with one tile's frame
-	// and writes the tombstone there.
-	deleteInTile := func(st *Store, idx []uint64) error {
-		tileShape := st.Shape()
-		local := tensor.Region{
-			Start: make([]uint64, len(idx)),
-			Size:  make([]uint64, len(idx)),
-		}
-		for d := range idx {
-			origin := idx[d] * c.tile[d]
-			lo := box.Min[d]
-			if origin > lo {
-				lo = origin
-			}
-			hi := box.Max[d]
-			if end := origin + tileShape[d] - 1; end < hi {
-				hi = end
-			}
-			if lo > hi {
-				return nil // tile frame misses the region
-			}
-			local.Start[d] = lo - origin
-			local.Size[d] = hi - lo + 1
-		}
-		rep, err := st.DeleteRegion(local)
+	for _, t := range c.tilesIn(region) {
+		rep, err := t.store.DeleteRegion(t.clip)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		total.Write += rep.Write
-		total.Others += rep.Others
-		total.Bytes += rep.Bytes
-		return nil
+		total.Add(rep)
 	}
+	return total, nil
+}
 
-	// The candidate tile-index hyper-rectangle, and whether its volume
-	// stays within the number of existing tiles (overflow-safe: the
-	// division test rejects before the product can wrap).
+// tileRef is one materialized tile a request touches, with the tile's
+// share of the target in tile-local coordinates: the region clipped to
+// the tile's frame, or the probe points that fall in it.
+type tileRef struct {
+	key   string
+	idx   []uint64
+	store *Store
+	clip  tensor.Region
+	probe *tensor.Coords
+}
+
+// tilesIn lists the materialized tiles that region intersects, in
+// tile-key order — the order every per-tile fold (float kernel partials
+// among them) has always taken. The tiles are found arithmetically: the
+// region maps to a hyper-rectangle of tile indices, each looked up by
+// key, so a small region in a store of many tiles touches only the
+// tiles it covers. Only when the hyper-rectangle holds more candidates
+// than tiles exist does the walk go over the existing tiles instead.
+// The region may reach past the shape (a query's can); the part outside
+// holds no tiles.
+func (c *Chunked) tilesIn(region tensor.Region) []tileRef {
 	dims := c.shape.Dims()
 	lo := make([]uint64, dims)
 	hi := make([]uint64, dims)
 	span := uint64(1)
-	bounded := true
+	bounded := true // span still counts the hyper-rectangle's tiles
 	for d := 0; d < dims; d++ {
-		lo[d] = box.Min[d] / c.tile[d]
-		hi[d] = box.Max[d] / c.tile[d]
+		if region.Size[d] == 0 || region.Start[d] >= c.shape[d] {
+			return nil
+		}
+		last := region.Start[d] + region.Size[d] - 1
+		if last < region.Start[d] || last >= c.shape[d] {
+			last = c.shape[d] - 1 // start+size overflowed or left the shape; clamp
+		}
+		lo[d] = region.Start[d] / c.tile[d]
+		hi[d] = last / c.tile[d]
+		// Overflow-safe: the division test rejects before the product
+		// can wrap.
 		n := hi[d] - lo[d] + 1
 		if bounded && span > uint64(len(c.stores))/n {
 			bounded = false
@@ -424,50 +398,65 @@ func (c *Chunked) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 		}
 	}
 
+	var out []tileRef
+	add := func(key string, idx []uint64) {
+		st, ok := c.stores[key]
+		if !ok {
+			return
+		}
+		if clip, ok := c.tileClip(region, idx); ok {
+			out = append(out, tileRef{key: key, idx: append([]uint64(nil), idx...), store: st, clip: clip})
+		}
+	}
 	if bounded {
+		// An odometer over [lo, hi], last dimension fastest; d runs below
+		// zero when the first dimension wraps.
 		idx := append([]uint64(nil), lo...)
-		for {
-			if st, ok := c.stores[tileKey(idx)]; ok {
-				if err := deleteInTile(st, idx); err != nil {
-					return nil, err
-				}
-			}
-			d := dims - 1
-			for d >= 0 {
+		for d := 0; d >= 0; {
+			add(tileKey(idx), idx)
+			for d = dims - 1; d >= 0; d-- {
 				idx[d]++
 				if idx[d] <= hi[d] {
 					break
 				}
 				idx[d] = lo[d]
-				d--
-			}
-			if d < 0 {
-				break
 			}
 		}
-		return total, nil
+	} else {
+		for key := range c.stores {
+			if idx := c.tileIndexFromKey(key); idx != nil {
+				add(key, idx)
+			}
+		}
 	}
+	sort.Slice(out, func(a, b int) bool { return out[a].key < out[b].key })
+	return out
+}
 
-	for _, key := range c.sortedTileKeys() {
-		idx := c.tileIndexFromKey(key)
-		if idx == nil {
-			return nil, fmt.Errorf("store: corrupt tile key %q", key)
+// tileClip intersects a global region with the tile at idx and returns
+// the tile-local sub-region; ok is false when they do not overlap.
+func (c *Chunked) tileClip(region tensor.Region, idx []uint64) (tensor.Region, bool) {
+	ext := c.tileShape(idx)
+	lo := make([]uint64, len(idx))
+	size := make([]uint64, len(idx))
+	for d := range idx {
+		origin := idx[d] * c.tile[d]
+		tileEnd := origin + ext[d]
+		regEnd := region.Start[d] + region.Size[d]
+		if regEnd < region.Start[d] {
+			regEnd = math.MaxUint64 // start+size overflowed; clamp
 		}
-		inside := true
-		for d := range idx {
-			if idx[d] < lo[d] || idx[d] > hi[d] {
-				inside = false
-				break
-			}
+		l, h := max64(region.Start[d], origin), tileEnd
+		if regEnd < h {
+			h = regEnd
 		}
-		if !inside {
-			continue
+		if l >= h {
+			return tensor.Region{}, false
 		}
-		if err := deleteInTile(c.stores[key], idx); err != nil {
-			return nil, err
-		}
+		lo[d] = l - origin
+		size[d] = h - l
 	}
-	return total, nil
+	return tensor.Region{Start: lo, Size: size}, true
 }
 
 // tileIndexFromKey parses a "t-1-2-3" tile key back to indices.

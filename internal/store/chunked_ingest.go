@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,32 +37,20 @@ type tileFrag struct {
 	setup time.Duration // tile-store creation cost, charged to the tile's first fragment
 }
 
-// WriteBatchFunc ingests the batches across every tile they touch,
+// WriteBatchContext ingests the batches across every tile they touch,
 // streaming per-fragment reports. A batch spanning k tiles yields k
 // fragments; fn receives each with the batch's index (rep.Name carries
 // the tile prefix), after the fragment is durable in its tile's
 // manifest. Commit order is sorted tile keys outer, batch order inner —
 // a serial per-tile Write loop's order — and the on-disk result is
 // byte-identical to that loop. workers bounds the shared CPU-stage pool
-// (< 1 means the WithIngestWorkers default, or all cores). Error and
-// early-stop semantics match Store.WriteBatchFunc: the committed prefix
-// stays durable, and fn sees at most one non-nil error.
-func (c *Chunked) WriteBatchFunc(batches []Batch, workers int, fn func(i int, rep *WriteReport, err error) error) error {
-	return c.WriteBatchContext(context.Background(), batches, workers, fn)
-}
-
-// WriteBatchContext is the cross-tile WriteBatchFunc under a context,
-// with Store.WriteBatchContext's cancellation semantics: checked
-// before each fragment's commit and by the prepare workers, with the
-// committed prefix staying durable.
+// (< 1 means the WithIngestWorkers default, or all cores). Error,
+// early-stop and cancellation semantics match Store.WriteBatchContext:
+// the committed prefix stays durable, and fn sees at most one non-nil
+// error.
 func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, workers int, fn func(i int, rep *WriteReport, err error) error) error {
-	for i, b := range batches {
-		if b.Coords.Len() != len(b.Values) {
-			return fmt.Errorf("store: batch %d: %d points with %d values", i, b.Coords.Len(), len(b.Values))
-		}
-		if b.Coords.Dims() != c.shape.Dims() {
-			return fmt.Errorf("store: batch %d: %d-dim coords for %d-dim store", i, b.Coords.Dims(), c.shape.Dims())
-		}
+	if err := validateBatches(batches, c.shape.Dims()); err != nil {
+		return err
 	}
 	if len(batches) == 0 {
 		return nil
@@ -205,9 +192,7 @@ func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, worker
 	}
 	wg.Wait()
 	if ic.firstErr != nil {
-		if ic.firstErr != errStopIngest {
-			reg.Counter("store.write.errors", "kind", kind).Inc()
-		}
+		reg.Counter("store.write.errors", "kind", kind).Inc()
 		return ic.firstErr
 	}
 	reg.Counter("store.chunked.ingest.count", "kind", kind).Inc()
@@ -216,47 +201,12 @@ func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, worker
 	return nil
 }
 
-// WriteBatchSeq is the iterator form of the cross-tile ingest, matching
-// Store.WriteBatchSeq: per-fragment reports stream in commit order; a
-// failure arrives as the final pair; breaking out stops the ingest with
-// the committed prefix durable.
-func (c *Chunked) WriteBatchSeq(batches []Batch, workers int) iter.Seq2[*WriteReport, error] {
-	return func(yield func(*WriteReport, error) bool) {
-		err := c.WriteBatchFunc(batches, workers, func(_ int, rep *WriteReport, err error) error {
-			if err != nil {
-				return nil // surfaced by the final yield below
-			}
-			if !yield(rep, nil) {
-				return errStopIngest
-			}
-			return nil
-		})
-		if err != nil && err != errStopIngest {
-			yield(nil, err)
-		}
-	}
-}
-
 // WriteBatch is the collecting form of the cross-tile ingest: the
 // per-fragment reports in commit order (a batch spanning k tiles
-// contributes k reports; rep.Name identifies the tile). New code should
-// prefer the streaming surfaces. On error no report list is returned
-// (the committed prefix is durable regardless).
+// contributes k reports; rep.Name identifies the tile). On error no
+// report list is returned (the committed prefix is durable regardless).
 func (c *Chunked) WriteBatch(batches []Batch, workers int) ([]*WriteReport, error) {
-	if len(batches) == 0 {
-		return nil, nil
-	}
-	reports := make([]*WriteReport, 0, len(batches))
-	err := c.WriteBatchFunc(batches, workers, func(_ int, rep *WriteReport, err error) error {
-		if err == nil {
-			reports = append(reports, rep)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return reports, nil
+	return collectReports(batches, workers, c.WriteBatchContext)
 }
 
 // takeCost drains the backend's modeled cost (zero when the FS has no

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -78,11 +79,11 @@ func TestChunkedWriteBatchMatchesSerialWrites(t *testing.T) {
 						t.Fatalf("%s differs: %d vs %d bytes", n, len(da), len(db))
 					}
 				}
-				resA, _, err := a.ReadRegion(region)
+				resA, _, err := readRegion(a, region, StrategyDefault)
 				if err != nil {
 					t.Fatal(err)
 				}
-				resB, _, err := b.ReadRegion(region)
+				resB, _, err := readRegion(b, region, StrategyDefault)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,7 +124,7 @@ func TestChunkedWriteBatchStreaming(t *testing.T) {
 	batches := []Batch{mk(1), mk(3)}
 	var gotIdx []int
 	var gotTiles []string
-	err = st.WriteBatchFunc(batches, 2, func(i int, rep *WriteReport, err error) error {
+	err = st.WriteBatchContext(context.Background(), batches, 2, func(i int, rep *WriteReport, err error) error {
 		if err != nil {
 			t.Fatalf("streamed error: %v", err)
 		}
@@ -158,10 +159,10 @@ func TestChunkedWriteBatchStreaming(t *testing.T) {
 	}
 }
 
-// TestChunkedWriteBatchSeqEarlyBreak: breaking out of the iterator
-// stops the ingest; what was already delivered stays durable and the
-// store remains usable.
-func TestChunkedWriteBatchSeqEarlyBreak(t *testing.T) {
+// TestChunkedWriteBatchEarlyStop: a consumer error stops the ingest;
+// what was already delivered stays durable and the store remains
+// usable.
+func TestChunkedWriteBatchEarlyStop(t *testing.T) {
 	shape := tensor.Shape{32, 32}
 	tile := tensor.Shape{8, 8}
 	st, err := NewChunked(newSim(t), "s", core.COO, shape, tile)
@@ -171,7 +172,8 @@ func TestChunkedWriteBatchSeqEarlyBreak(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	batches := ingestBatches(rng, shape, 6, 60)
 	var seen int
-	for rep, err := range st.WriteBatchSeq(batches, 2) {
+	stop := errors.New("consumer has seen enough")
+	err = st.WriteBatchContext(context.Background(), batches, 2, func(_ int, rep *WriteReport, err error) error {
 		if err != nil {
 			t.Fatalf("streamed error: %v", err)
 		}
@@ -180,8 +182,12 @@ func TestChunkedWriteBatchSeqEarlyBreak(t *testing.T) {
 		}
 		seen++
 		if seen == 2 {
-			break
+			return stop
 		}
+		return nil
+	})
+	if err != stop {
+		t.Fatalf("ingest returned %v, want the consumer's error", err)
 	}
 	if seen != 2 {
 		t.Fatalf("consumed %d reports, want 2", seen)
@@ -228,7 +234,7 @@ func TestChunkedSharedCacheBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := st.ReadRegion(region); err != nil {
+				if _, _, err := readRegion(st, region, StrategyDefault); err != nil {
 					t.Fatal(err)
 				}
 				if got, budget := shared.SizeBytes(), shared.Budget(); got > budget {
@@ -297,7 +303,7 @@ func TestChunkedGroupCommitAppendCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.WriteBatchFunc(batches, 2, func(int, *WriteReport, error) error { return nil }); err != nil {
+		if err := st.WriteBatchContext(context.Background(), batches, 2, func(int, *WriteReport, error) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
@@ -334,7 +340,7 @@ func TestChunkedGroupAppendFailure(t *testing.T) {
 	batches := ingestBatches(rng, shape, 3, 40)
 	ff.FailOn = manifestLogName
 	var streamedErr error
-	err = st.WriteBatchFunc(batches, 2, func(_ int, rep *WriteReport, err error) error {
+	err = st.WriteBatchContext(context.Background(), batches, 2, func(_ int, rep *WriteReport, err error) error {
 		if err != nil {
 			streamedErr = err
 			return nil
@@ -361,7 +367,7 @@ func TestChunkedGroupAppendFailure(t *testing.T) {
 		}
 	}
 	// The same handles stay writable once the fault clears.
-	if err := st.WriteBatchFunc(batches, 2, func(int, *WriteReport, error) error { return nil }); err != nil {
+	if err := st.WriteBatchContext(context.Background(), batches, 2, func(int, *WriteReport, error) error { return nil }); err != nil {
 		t.Fatalf("retry after fault: %v", err)
 	}
 }

@@ -3,22 +3,21 @@ package store
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"sparseart/internal/tensor"
 )
 
-// The chunked store's unified request surface. Probe targets partition
-// by tile exactly like Chunked.Read always has; region targets
-// intersect the region with each materialized tile and run the
-// tile-local sub-region through the tile store's Query — so scan and
-// auto strategies work per tile, and a region read touches only the
-// tiles it covers instead of materializing every global cell. Results
-// are sorted by global row-major order, which equals linear-address
-// order: byte-identical to the flat store's merge, and the order the
-// router's scatter-gather reproduces across shard processes.
+// The chunked store's request surface. Probe targets partition by
+// tile; region targets intersect the region with each materialized
+// tile and run the tile-local sub-region through the tile store's Query
+// — so scan and auto strategies work per tile, and a region read
+// touches only the tiles it covers instead of materializing every
+// global cell. Results are sorted by global row-major order, which
+// equals linear-address order: byte-identical to the flat store's
+// merge, and the order the router's scatter-gather reproduces across
+// shard processes.
 
 // Query answers one QueryRequest against the chunked store. AsOf is
 // rejected: fragment counts are per tile, so a global version number
@@ -42,78 +41,16 @@ func (c *Chunked) Query(ctx context.Context, req QueryRequest) (*Result, *ReadRe
 	if sp.Sampled() {
 		sp.SetAttrStr("strategy", req.Strategy.String())
 	}
-	var (
-		res *Result
-		rep *ReadReport
-		err error
-	)
-	if req.Region != nil {
-		res, rep, err = c.queryRegion(ctx, *req.Region, req.Strategy, req.Workers)
-	} else {
-		res, rep, err = c.queryProbe(ctx, req.Probe, req.Workers)
-	}
+	res, rep, err := c.queryTiles(ctx, req)
 	FinishRequestSpan(reg, ctx, sp, obsQuery, c.kind.String(), ReadCost(rep), err)
 	return res, rep, err
 }
 
-// globalHit is one found point in global coordinates, collected across
-// tiles before the final row-major sort.
-type globalHit struct {
-	p   []uint64
-	val float64
-}
-
-// finishHits sorts the collected hits into global row-major order —
-// the same order the flat store's linear-address merge produces — and
-// materializes the Result.
-func (c *Chunked) finishHits(hits []globalHit, rep *ReadReport) *Result {
-	t := time.Now()
-	sort.Slice(hits, func(a, b int) bool {
-		pa, pb := hits[a].p, hits[b].p
-		for d := range pa {
-			if pa[d] != pb[d] {
-				return pa[d] < pb[d]
-			}
-		}
-		return false
-	})
-	out := &Result{Coords: tensor.NewCoords(c.shape.Dims(), len(hits))}
-	for _, h := range hits {
-		out.Coords.Append(h.p...)
-		out.Values = append(out.Values, h.val)
-	}
-	rep.Merge += time.Since(t)
-	rep.Found = len(hits)
-	return out
-}
-
-// mergeTileReport folds one tile's read report into the global one.
-func mergeTileReport(rep, r *ReadReport) {
-	rep.IO += r.IO
-	rep.Extract += r.Extract
-	rep.Probe += r.Probe
-	rep.Merge += r.Merge
-	rep.Fragments += r.Fragments
-	rep.Probed += r.Probed
-	rep.Scans += r.Scans
-	rep.Candidates += r.Candidates
-	rep.FilterSkipped += r.FilterSkipped
-	rep.CacheHits += r.CacheHits
-	rep.CacheMisses += r.CacheMisses
-	rep.BytesRead += r.BytesRead
-}
-
-// queryProbe partitions the probe by tile and reads each tile's slice
-// in tile-local coordinates; points outside the global shape or in
-// tiles never written are simply not found.
-func (c *Chunked) queryProbe(ctx context.Context, probe *tensor.Coords, workers int) (*Result, *ReadReport, error) {
-	root, ctx := c.obsReg().StartCtx(ctx, obsChunkedRead)
-	defer root.End()
-	type part struct {
-		idx    []uint64
-		coords *tensor.Coords
-	}
-	parts := map[string]*part{}
+// probeTiles partitions the probe by tile in tile-local coordinates,
+// in tile-key order; points outside the global shape or in tiles never
+// written are simply not found.
+func (c *Chunked) probeTiles(probe *tensor.Coords) []tileRef {
+	parts := map[string]*tileRef{}
 	var keys []string
 	local := make([]uint64, probe.Dims())
 	for i, n := 0, probe.Len(); i < n; i++ {
@@ -123,107 +60,69 @@ func (c *Chunked) queryProbe(ctx context.Context, probe *tensor.Coords, workers 
 		}
 		idx := c.tileIndex(p)
 		key := tileKey(idx)
-		if _, ok := c.stores[key]; !ok {
-			continue
-		}
 		g, ok := parts[key]
 		if !ok {
-			g = &part{idx: idx, coords: tensor.NewCoords(probe.Dims(), 0)}
+			st, ok := c.stores[key]
+			if !ok {
+				continue
+			}
+			g = &tileRef{key: key, idx: idx, store: st, probe: tensor.NewCoords(probe.Dims(), 0)}
 			parts[key] = g
 			keys = append(keys, key)
 		}
 		for d := range p {
 			local[d] = p[d] - idx[d]*c.tile[d]
 		}
-		g.coords.Append(local...)
+		g.probe.Append(local...)
 	}
 	sort.Strings(keys)
-
-	rep := &ReadReport{}
-	var hits []globalHit
-	for _, key := range keys {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		g := parts[key]
-		res, r, err := c.stores[key].Query(ctx, QueryRequest{Probe: g.coords, AsOf: AsOfLatest, Workers: workers})
-		if err != nil {
-			return nil, nil, err
-		}
-		mergeTileReport(rep, r)
-		for i, n := 0, res.Coords.Len(); i < n; i++ {
-			lp := res.Coords.At(i)
-			gp := make([]uint64, len(lp))
-			for d := range lp {
-				gp[d] = lp[d] + g.idx[d]*c.tile[d]
-			}
-			hits = append(hits, globalHit{p: gp, val: res.Values[i]})
-		}
+	out := make([]tileRef, len(keys))
+	for i, key := range keys {
+		out[i] = *parts[key]
 	}
-	return c.finishHits(hits, rep), rep, nil
+	return out
 }
 
-// tileClip intersects a global region with the tile at idx and returns
-// the tile-local sub-region; ok is false when they do not overlap.
-func (c *Chunked) tileClip(region tensor.Region, idx []uint64) (tensor.Region, bool) {
-	ext := c.tileShape(idx)
-	lo := make([]uint64, len(idx))
-	size := make([]uint64, len(idx))
-	for d := range idx {
-		origin := idx[d] * c.tile[d]
-		tileEnd := origin + ext[d]
-		regEnd := region.Start[d] + region.Size[d]
-		if regEnd < region.Start[d] {
-			regEnd = math.MaxUint64 // start+size overflowed; clamp
-		}
-		l, h := max64(region.Start[d], origin), tileEnd
-		if regEnd < h {
-			h = regEnd
-		}
-		if l >= h {
-			return tensor.Region{}, false
-		}
-		lo[d] = l - origin
-		size[d] = h - l
-	}
-	return tensor.Region{Start: lo, Size: size}, true
-}
-
-// queryRegion runs the region against every materialized tile it
-// intersects, as a tile-local sub-region query, and merges the global
-// results in row-major order.
-func (c *Chunked) queryRegion(ctx context.Context, region tensor.Region, strategy Strategy, workers int) (*Result, *ReadReport, error) {
+// queryTiles answers the request tile by tile — each tile's share as a
+// tile-local query against its store — and merges the answers, taken
+// back to global coordinates, in row-major order.
+func (c *Chunked) queryTiles(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
 	root, ctx := c.obsReg().StartCtx(ctx, obsChunkedRead)
 	defer root.End()
+	var tiles []tileRef
+	if req.Region != nil {
+		tiles = c.tilesIn(*req.Region)
+	} else {
+		tiles = c.probeTiles(req.Probe)
+	}
 	rep := &ReadReport{}
-	var hits []globalHit
-	for _, key := range c.sortedTileKeys() {
+	parts := make([]*Result, 0, len(tiles))
+	for _, t := range tiles {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		idx := c.tileIndexFromKey(key)
-		if idx == nil {
-			continue
+		sub := QueryRequest{Probe: t.probe, AsOf: AsOfLatest, Strategy: req.Strategy, Workers: req.Workers}
+		if req.Region != nil {
+			sub.Region = &t.clip
 		}
-		localReg, ok := c.tileClip(region, idx)
-		if !ok {
-			continue
-		}
-		res, r, err := c.stores[key].Query(ctx, QueryRequest{Region: &localReg, AsOf: AsOfLatest, Strategy: strategy, Workers: workers})
+		res, r, err := t.store.Query(ctx, sub)
 		if err != nil {
 			return nil, nil, err
 		}
-		mergeTileReport(rep, r)
-		for i, n := 0, res.Coords.Len(); i < n; i++ {
-			lp := res.Coords.At(i)
-			gp := make([]uint64, len(lp))
-			for d := range lp {
-				gp[d] = lp[d] + idx[d]*c.tile[d]
-			}
-			hits = append(hits, globalHit{p: gp, val: res.Values[i]})
+		rep.Add(r)
+		// The tile's result is this call's to consume: shift it to the
+		// global frame in place.
+		flat := res.Coords.Flat()
+		for i := range flat {
+			d := i % len(t.idx)
+			flat[i] += t.idx[d] * c.tile[d]
 		}
+		parts = append(parts, res)
 	}
-	return c.finishHits(hits, rep), rep, nil
+	t := time.Now()
+	res := MergeResults(c.shape.Dims(), parts)
+	rep.Merge += time.Since(t)
+	return res, rep, nil
 }
 
 // Kernel executes the additive push-down kernels across tiles: each
@@ -246,24 +145,16 @@ func (c *Chunked) Kernel(ctx context.Context, req KernelRequest) (*KernelResult,
 	return res, err
 }
 
-// kernelAt runs the kernel across tiles.
+// kernelAt runs the kernel on every tile the request touches and folds
+// the tile answers, in tile-key order.
 func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, error) {
 	dims := c.shape.Dims()
+	total := &KernelResult{Values: []float64{0}, Report: &PushReport{}}
+	fold := func(_ tileRef, r *KernelResult) { total.Values[0] += r.Values[0] }
+	// Kernels over the whole store visit the tiles of the whole shape.
+	region := tensor.Region{Start: make([]uint64, dims), Size: c.shape}
 	switch req.Op {
 	case KernelSumAll, KernelLiveNNZ:
-		total := &KernelResult{Values: []float64{0}, Report: &PushReport{}}
-		for _, key := range c.sortedTileKeys() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := c.stores[key].Kernel(ctx, KernelRequest{Op: req.Op, Workers: req.Workers})
-			if err != nil {
-				return nil, err
-			}
-			total.Values[0] += r.Values[0]
-			mergePushReport(total.Report, r.Report)
-		}
-		return total, nil
 	case KernelSumRegion:
 		if req.Region == nil {
 			return nil, fmt.Errorf("store: %w: kernel %v needs a region", ErrBadRequest, req.Op)
@@ -271,61 +162,35 @@ func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResul
 		if req.Region.Dims() != dims {
 			return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
 		}
-		total := &KernelResult{Values: []float64{0}, Report: &PushReport{}}
-		for _, key := range c.sortedTileKeys() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			idx := c.tileIndexFromKey(key)
-			if idx == nil {
-				continue
-			}
-			localReg, ok := c.tileClip(*req.Region, idx)
-			if !ok {
-				continue
-			}
-			r, err := c.stores[key].Kernel(ctx, KernelRequest{Op: req.Op, Region: &localReg, Workers: req.Workers})
-			if err != nil {
-				return nil, err
-			}
-			total.Values[0] += r.Values[0]
-			mergePushReport(total.Report, r.Report)
-		}
-		return total, nil
+		region = *req.Region
 	case KernelNNZPerSlice:
 		if req.Mode < 0 || req.Mode >= dims {
 			return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, req.Mode, dims)
 		}
-		total := &KernelResult{Values: make([]float64, c.shape[req.Mode]), Report: &PushReport{}}
-		for _, key := range c.sortedTileKeys() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			idx := c.tileIndexFromKey(key)
-			if idx == nil {
-				continue
-			}
-			r, err := c.stores[key].Kernel(ctx, KernelRequest{Op: req.Op, Mode: req.Mode, Workers: req.Workers})
-			if err != nil {
-				return nil, err
-			}
-			origin := idx[req.Mode] * c.tile[req.Mode]
+		total.Values = make([]float64, c.shape[req.Mode])
+		fold = func(t tileRef, r *KernelResult) {
+			origin := t.idx[req.Mode] * c.tile[req.Mode]
 			for i, v := range r.Values {
 				total.Values[origin+uint64(i)] += v
 			}
-			mergePushReport(total.Report, r.Report)
 		}
-		return total, nil
 	default:
 		return nil, fmt.Errorf("store: %w: kernel %v is not supported on chunked stores", ErrBadRequest, req.Op)
 	}
-}
-
-// mergePushReport sums one tile's push-down report into the total.
-func mergePushReport(dst, src *PushReport) {
-	dst.Fragments += src.Fragments
-	dst.Skipped += src.Skipped
-	dst.Cells += src.Cells
-	dst.Shadowed += src.Shadowed
-	dst.Dead += src.Dead
+	for _, t := range c.tilesIn(region) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sub := KernelRequest{Op: req.Op, Mode: req.Mode, Workers: req.Workers}
+		if req.Op == KernelSumRegion {
+			sub.Region = &t.clip
+		}
+		r, err := t.store.Kernel(ctx, sub)
+		if err != nil {
+			return nil, err
+		}
+		fold(t, r)
+		total.Report.Add(r.Report)
+	}
+	return total, nil
 }

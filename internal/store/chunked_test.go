@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -37,11 +38,11 @@ func TestChunkedMatchesFlatStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fres, _, err := flat.ReadRegion(region)
+			fres, _, err := readRegion(flat, region, StrategyDefault)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cres, _, err := chunked.ReadRegion(region)
+			cres, _, err := readRegion(chunked, region, StrategyDefault)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +85,7 @@ func TestChunkedHandlesOverflowShape(t *testing.T) {
 	if st.Tiles() != 4 {
 		t.Fatalf("tiles = %d, want 4", st.Tiles())
 	}
-	res, _, err := st.Read(coords)
+	res, _, err := readProbe(st, coords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestChunkedHandlesOverflowShape(t *testing.T) {
 	// Probes for absent points in absent tiles are fine.
 	miss := tensor.NewCoords(4, 0)
 	miss.Append(42, 42, 42, 42)
-	res, _, err = st.Read(miss)
+	res, _, err = readProbe(st, miss)
 	if err != nil || res.Coords.Len() != 0 {
 		t.Fatalf("absent probe: %d found, %v", res.Coords.Len(), err)
 	}
@@ -125,7 +126,7 @@ func TestChunkedEdgeTilesClip(t *testing.T) {
 	if _, err := st.Write(coords, []float64{5}); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := st.Read(coords)
+	res, _, err := readProbe(st, coords)
 	if err != nil || res.Coords.Len() != 1 || res.Values[0] != 5 {
 		t.Fatalf("clipped tile read: %v %v", res, err)
 	}
@@ -155,19 +156,19 @@ func TestChunkedValidation(t *testing.T) {
 	}
 	bad := tensor.NewCoords(1, 0)
 	bad.Append(10)
-	if _, err := st.Write(bad, []float64{1}); err == nil {
-		t.Error("out-of-shape point accepted")
+	if _, err := st.Write(bad, []float64{1}); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("out-of-shape point not rejected as ErrShapeMismatch: %v", err)
 	}
-	if _, err := st.Write(tensor.NewCoords(1, 0), []float64{1}); err == nil {
-		t.Error("value count mismatch accepted")
+	if _, err := st.Write(tensor.NewCoords(1, 0), []float64{1}); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("value count mismatch not rejected as ErrShapeMismatch: %v", err)
 	}
 	c2 := tensor.NewCoords(2, 0)
 	c2.Append(1, 1)
-	if _, err := st.Write(c2, []float64{1}); err == nil {
-		t.Error("dims mismatch accepted")
+	if _, err := st.Write(c2, []float64{1}); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("dims mismatch not rejected as ErrShapeMismatch: %v", err)
 	}
-	if _, _, err := st.Read(c2); err == nil {
-		t.Error("probe dims mismatch accepted")
+	if _, _, err := readProbe(st, c2); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("probe dims mismatch not rejected as ErrShapeMismatch: %v", err)
 	}
 }
 
@@ -198,7 +199,7 @@ func TestChunkedDeleteRegion(t *testing.T) {
 	if rep.Bytes <= 0 {
 		t.Fatalf("delete report: %+v", rep)
 	}
-	res, _, err := st.Read(coords)
+	res, _, err := readProbe(st, coords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestChunkedDeleteRegion(t *testing.T) {
 	if _, err := st.Write(c2, []float64{42}); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err = st.Read(coords)
+	res, _, err = readProbe(st, coords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestChunkedAggregatesReports(t *testing.T) {
 	if st.TotalBytes() != rep.Bytes {
 		t.Fatalf("TotalBytes %d != report bytes %d", st.TotalBytes(), rep.Bytes)
 	}
-	res, rrep, err := st.Read(coords)
+	res, rrep, err := readProbe(st, coords)
 	if err != nil || res.Coords.Len() != 2 {
 		t.Fatalf("read: %v %v", res, err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 
 	"sparseart/internal/core"
@@ -95,6 +96,7 @@ func ConvertStreamed(src *Store, fs fsim.FS, prefix string, kind core.Kind, cfg 
 // chunks overlap while the walk continues only after the wave is
 // durable.
 func (s *Store) convertInto(dst *Store, chunkPoints, workers int, region *tensor.Region, rep *ConvertReport) error {
+	ctx := context.TODO() // Convert's signature carries no context
 	dims := s.shape.Dims()
 	waveSize := resolveIngestWorkers(workers, dst.ingestWorkers, 1<<30)
 	var wave []Batch
@@ -103,7 +105,7 @@ func (s *Store) convertInto(dst *Store, chunkPoints, workers int, region *tensor
 		if len(wave) == 0 {
 			return nil
 		}
-		if err := dst.WriteBatchFunc(wave, workers, func(int, *WriteReport, error) error { return nil }); err != nil {
+		if err := dst.WriteBatchContext(ctx, wave, workers, func(int, *WriteReport, error) error { return nil }); err != nil {
 			return err
 		}
 		rep.Chunks += len(wave)
@@ -128,7 +130,7 @@ func (s *Store) convertInto(dst *Store, chunkPoints, workers int, region *tensor
 	}
 
 	var walkErr error
-	prep, err := s.ScanLive(region, func(p []uint64, val float64) bool {
+	prep, err := s.ScanLive(ctx, region, func(p []uint64, val float64) bool {
 		if cur.Coords == nil {
 			cur.Coords = tensor.NewCoords(dims, chunkPoints)
 		}

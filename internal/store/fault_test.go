@@ -49,7 +49,7 @@ func TestWriteFailurePaths(t *testing.T) {
 			continue
 		}
 		// Success: the data must be readable.
-		got, found, _, err := st.ReadPoints(c)
+		got, found, _, err := readPoints(st, c)
 		if err != nil {
 			t.Fatalf("failAfter=%d: read: %v", failAfter, err)
 		}
@@ -81,11 +81,11 @@ func TestReadFailurePaths(t *testing.T) {
 		t.Fatal(err) // a second fragment so Compact has real work to do
 	}
 	fs.FailOn = "frag-"
-	if _, _, err := st.Read(c); err == nil {
+	if _, _, err := readProbe(st, c); err == nil {
 		t.Fatal("read with unreadable fragment succeeded")
 	}
 	region, _ := tensor.NewRegion(shape, []uint64{0, 0}, []uint64{8, 8})
-	if _, _, err := st.ReadRegionScan(region); err == nil {
+	if _, _, err := readRegion(st, region, StrategyScan); err == nil {
 		t.Fatal("scan with unreadable fragment succeeded")
 	}
 	if _, _, err := st.ExportAll(); err == nil {
@@ -119,7 +119,7 @@ func TestCorruptFragmentDetected(t *testing.T) {
 	if err := sim.WriteFile(rep.Name, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Read(c); err == nil {
+	if _, _, err := readProbe(st, c); err == nil {
 		t.Fatal("corrupt fragment read succeeded")
 	}
 }

@@ -57,6 +57,6 @@ func FuzzOpenManifest(f *testing.F) {
 		probe := tensor.NewCoords(opened.Shape().Dims(), 0)
 		// Fragments referenced by a corrupt manifest are missing from
 		// the FS; reads may error but must not panic.
-		_, _, _ = opened.Read(probe)
+		_, _, _ = readProbe(opened, probe)
 	})
 }

@@ -226,10 +226,10 @@ func TestConcurrentHammer(t *testing.T) {
 							var err error
 							op := "Read"
 							if iter%5 == 0 {
-								res, rep, err = st.Read(probe)
+								res, rep, err = readProbe(st, probe)
 							} else {
 								op = "ReadParallel"
-								res, rep, err = st.ReadParallel(probe, 4)
+								res, rep, err = readPooled(st, probe, 4)
 							}
 							if err != nil {
 								t.Errorf("%s: %v", op, err)
@@ -246,13 +246,13 @@ func TestConcurrentHammer(t *testing.T) {
 							switch iter % 5 {
 							case 2:
 								op = "ReadRegion"
-								res, rep, err = st.ReadRegion(region)
+								res, rep, err = readRegion(st, region, StrategyDefault)
 							case 3:
 								op = "ReadRegionScan"
-								res, rep, err = st.ReadRegionScan(region)
+								res, rep, err = readRegion(st, region, StrategyScan)
 							case 4:
 								op = "ReadRegionAuto"
-								res, rep, err = st.ReadRegionAuto(region)
+								res, rep, err = readRegion(st, region, StrategyAuto)
 							}
 							if err != nil {
 								t.Errorf("%s: %v", op, err)
@@ -282,7 +282,7 @@ func TestConcurrentHammer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, rep, err := st.ReadRegion(full)
+			res, rep, err := readRegion(st, full, StrategyDefault)
 			if err != nil {
 				t.Fatal(err)
 			}

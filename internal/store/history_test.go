@@ -95,7 +95,7 @@ func TestRandomizedHistoryAgainstModel(t *testing.T) {
 			check := func(version int) {
 				t.Helper()
 				want := replay(t, shape, ops, version)
-				res, _, err := st.ReadAsOf(full.Coords(), version)
+				res, _, err := readAsOf(st, full.Coords(), version)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +119,7 @@ func TestRandomizedHistoryAgainstModel(t *testing.T) {
 			if _, err := st.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			res, _, err := st.ReadRegion(full)
+			res, _, err := readRegion(st, full, StrategyDefault)
 			if err != nil {
 				t.Fatal(err)
 			}

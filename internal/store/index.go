@@ -41,9 +41,9 @@ func (s *Store) resolveIndexOn() bool {
 
 // Sub-linear fragment lookup: a uniform grid over the tensor domain
 // mapping cells to the fragments whose bounding boxes touch them. Every
-// ReadRegion-family query used to walk all F fragments to find the
-// handful that overlap; with the grid a query visits only the buckets
-// its box covers — O(cells + candidates) instead of O(F).
+// query used to walk all F fragments to find the handful that overlap;
+// with the grid a query visits only the buckets its box covers —
+// O(cells + candidates) instead of O(F).
 //
 // A uniform grid was chosen over an interval/R-tree because its
 // GEOMETRY is a pure function of the store shape: cell count and cell

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -30,13 +33,41 @@ func requireSameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestDifferentialIndexKnob is the acceptance property: every read path
-// returns byte-identical results with the fragment index on and off,
-// across all organization kinds, over a store with overwrites,
-// tombstones, a checkpoint (persisted index section), and a replayed
-// log suffix.
+// requireOracle asserts a read result is exactly the oracle's cells
+// inside the target, in strictly ascending linear-address order.
+func requireOracle(t *testing.T, label string, lin *tensor.Linearizer, res *Result, want map[uint64]float64) {
+	t.Helper()
+	if res.Coords.Len() != len(want) {
+		t.Fatalf("%s: %d points, oracle has %d", label, res.Coords.Len(), len(want))
+	}
+	var prev uint64
+	for i, n := 0, res.Coords.Len(); i < n; i++ {
+		addr := lin.Linearize(res.Coords.At(i))
+		if i > 0 && addr <= prev {
+			t.Fatalf("%s: point %d at address %d follows %d", label, i, addr, prev)
+		}
+		prev = addr
+		if v, ok := want[addr]; !ok || math.Float64bits(v) != math.Float64bits(res.Values[i]) {
+			t.Fatalf("%s: point %v = %v, oracle says %v (present=%v)", label, res.Coords.At(i), res.Values[i], v, ok)
+		}
+	}
+}
+
+// TestDifferentialIndexKnob is the acceptance property of the one READ
+// loop over its whole input space: Strategy × Workers × {probe, as-of
+// probe, region}, with the fragment index on and off, across all
+// organization kinds, over a store with overwrites, tombstones, a
+// checkpoint (persisted index section), and a replayed log suffix.
+// Every valid combination must return exactly the map oracle's cells —
+// hence byte-identical results across strategies, worker counts and the
+// index knob — and report the same fragment accounting whatever the
+// worker count.
 func TestDifferentialIndexKnob(t *testing.T) {
 	shape := tensor.Shape{24, 24, 24}
+	lin, err := tensor.NewLinearizer(shape, tensor.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
 	kinds := append(core.PaperKinds(), core.COOSorted, core.BCOO)
 	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -45,41 +76,57 @@ func TestDifferentialIndexKnob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// versions[k] is the oracle's state after the first k
+			// fragments (tombstones count as fragments).
+			versions := []map[uint64]float64{{}}
+			mutate := func(apply func(m map[uint64]float64)) {
+				next := make(map[uint64]float64, len(versions[len(versions)-1]))
+				for a, v := range versions[len(versions)-1] {
+					next[a] = v
+				}
+				apply(next)
+				versions = append(versions, next)
+			}
 			rng := rand.New(rand.NewSource(23))
-			for i := 0; i < 4; i++ {
+			write := func() {
 				c, vals := randomPoints(rng, shape, 150)
 				if _, err := st.Write(c, vals); err != nil {
 					t.Fatal(err)
 				}
+				mutate(func(m map[uint64]float64) {
+					for i, v := range vals {
+						m[lin.Linearize(c.At(i))] = v
+					}
+				})
 			}
-			del1, err := tensor.NewRegion(shape, []uint64{0, 0, 0}, []uint64{6, 6, 6})
-			if err != nil {
-				t.Fatal(err)
+			del := func(start, size []uint64) {
+				region, err := tensor.NewRegion(shape, start, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := st.DeleteRegion(region); err != nil {
+					t.Fatal(err)
+				}
+				mutate(func(m map[uint64]float64) {
+					region.Each(func(p []uint64) { delete(m, lin.Linearize(p)) })
+				})
 			}
-			if _, err := st.DeleteRegion(del1); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 4; i++ {
+				write()
 			}
-			c, vals := randomPoints(rng, shape, 150)
-			if _, err := st.Write(c, vals); err != nil {
-				t.Fatal(err)
-			}
+			del([]uint64{0, 0, 0}, []uint64{6, 6, 6})
+			write()
 			if err := st.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			// Mutations after the checkpoint live in the delta log: the
 			// index-on handle must extend the persisted grid over them.
-			del2, err := tensor.NewRegion(shape, []uint64{12, 12, 0}, []uint64{6, 6, 24})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.DeleteRegion(del2); err != nil {
-				t.Fatal(err)
-			}
-			c, vals = randomPoints(rng, shape, 150)
-			if _, err := st.Write(c, vals); err != nil {
-				t.Fatal(err)
-			}
+			del([]uint64{12, 12, 0}, []uint64{6, 6, 24})
+			write()
 			nfrags := len(st.frags)
+			if nfrags != len(versions)-1 {
+				t.Fatalf("store has %d fragments, oracle %d versions", nfrags, len(versions)-1)
+			}
 
 			on, err := Open(fs, "t", WithFragmentIndex(true))
 			if err != nil {
@@ -99,79 +146,77 @@ func TestDifferentialIndexKnob(t *testing.T) {
 				t.Fatal("index-off handle published an index")
 			}
 
+			// The targets, each with the oracle's answer.
+			type target struct {
+				name string
+				req  QueryRequest
+				want map[uint64]float64
+			}
+			var targets []target
 			probe, _ := randomPoints(rng, shape, 200)
-			ra, _, err := on.Read(probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, _, err := off.Read(probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, "Read", ra, rb)
-
-			for _, ver := range []int{0, nfrags / 2, nfrags} {
-				ra, _, err = on.ReadAsOf(probe, ver)
-				if err != nil {
-					t.Fatal(err)
+			for _, ver := range []int64{AsOfLatest, 0, int64(nfrags / 2), int64(nfrags)} {
+				state := versions[len(versions)-1]
+				if ver != AsOfLatest {
+					state = versions[ver]
 				}
-				rb, _, err = off.ReadAsOf(probe, ver)
-				if err != nil {
-					t.Fatal(err)
+				want := map[uint64]float64{}
+				for i, n := 0, probe.Len(); i < n; i++ {
+					if v, ok := state[lin.Linearize(probe.At(i))]; ok {
+						want[lin.Linearize(probe.At(i))] = v
+					}
 				}
-				requireSameResult(t, "ReadAsOf", ra, rb)
+				targets = append(targets, target{fmt.Sprintf("probe@%d", ver), QueryRequest{Probe: probe, AsOf: ver}, want})
 			}
-
-			ra, _, err = on.ReadParallel(probe, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, _, err = off.ReadParallel(probe, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, "ReadParallel", ra, rb)
-
-			regions := [][2][]uint64{
+			for _, rg := range [][2][]uint64{
 				{{0, 0, 0}, {24, 24, 24}}, // whole domain
 				{{0, 0, 0}, {6, 6, 6}},    // fully tombstoned
 				{{8, 8, 8}, {5, 5, 5}},    // interior window
 				{{12, 12, 0}, {8, 8, 24}}, // straddles the second tombstone
-			}
-			for _, rg := range regions {
+			} {
 				region, err := tensor.NewRegion(shape, rg[0], rg[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				ra, _, err = on.ReadRegion(region)
-				if err != nil {
-					t.Fatal(err)
+				want := map[uint64]float64{}
+				p := make([]uint64, 3)
+				for a, v := range versions[len(versions)-1] {
+					if lin.Delinearize(a, p); region.Contains(p) {
+						want[a] = v
+					}
 				}
-				rb, _, err = off.ReadRegion(region)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameResult(t, "ReadRegion", ra, rb)
+				targets = append(targets, target{fmt.Sprintf("region%v", rg), QueryRequest{Region: &region, AsOf: AsOfLatest}, want})
+			}
 
-				ra, _, err = on.ReadRegionScan(region)
-				if err != nil {
-					t.Fatal(err)
+			for _, tg := range targets {
+				for _, strategy := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
+					for hi, handle := range []*Store{on, off} {
+						var serial *ReadReport
+						for _, workers := range []int{0, 1, 4} {
+							req := tg.req
+							req.Strategy, req.Workers = strategy, workers
+							label := fmt.Sprintf("%s/%v/index=%v/workers=%d", tg.name, strategy, hi == 0, workers)
+							res, rep, err := handle.Query(context.Background(), req)
+							if req.Probe != nil && strategy != StrategyDefault {
+								if !errors.Is(err, ErrBadRequest) {
+									t.Fatalf("%s: err = %v, want ErrBadRequest", label, err)
+								}
+								continue
+							}
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							requireOracle(t, label, lin, res, tg.want)
+							if serial == nil {
+								serial = rep
+							}
+							if rep.Fragments != serial.Fragments || rep.Found != serial.Found ||
+								rep.Candidates != serial.Candidates || rep.FilterSkipped != serial.FilterSkipped ||
+								rep.Probed != serial.Probed || rep.Scans != serial.Scans {
+								t.Fatalf("%s: report %+v, serial %+v", label, rep, serial)
+							}
+						}
+					}
 				}
-				rb, _, err = off.ReadRegionScan(region)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameResult(t, "ReadRegionScan", ra, rb)
-
-				ra, _, err = on.ReadRegionAuto(region)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, _, err = off.ReadRegionAuto(region)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameResult(t, "ReadRegionAuto", ra, rb)
 			}
 		})
 	}
@@ -232,7 +277,7 @@ func TestFilterSkipsFragments(t *testing.T) {
 
 	probe := tensor.NewCoords(3, 0)
 	probe.Append(32, 32, 32) // inside the bbox, provably absent
-	res, rep, err := st.Read(probe)
+	res, rep, err := readProbe(st, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +295,7 @@ func TestFilterSkipsFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.ReadRegionScan(region); err != nil {
+	if _, _, err := readRegion(st, region, StrategyScan); err != nil {
 		t.Fatal(err)
 	}
 	if n := reg.Snapshot().Counters[key]; n != 2 {
@@ -260,7 +305,7 @@ func TestFilterSkipsFragments(t *testing.T) {
 	// A probe the filter admits still reads through to the data.
 	probe = tensor.NewCoords(3, 0)
 	probe.Append(63, 63, 63)
-	res, _, err = st.Read(probe)
+	res, _, err = readProbe(st, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +320,7 @@ func TestFilterSkipsFragments(t *testing.T) {
 	}
 	probe = tensor.NewCoords(3, 0)
 	probe.Append(32, 32, 32)
-	if _, _, err := st2.Read(probe); err != nil {
+	if _, _, err := readProbe(st2, probe); err != nil {
 		t.Fatal(err)
 	}
 	if n := reg.Snapshot().Counters[key]; n != 2 {
@@ -345,7 +390,7 @@ func TestOpenLegacyManifestV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := st.ReadRegion(full)
+	want, _, err := readRegion(st, full, StrategyDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +426,7 @@ func TestOpenLegacyManifestV1(t *testing.T) {
 			t.Fatalf("legacy fragment %s grew a filter out of nowhere", fr.name)
 		}
 	}
-	got, _, err := st.ReadRegion(full)
+	got, _, err := readRegion(st, full, StrategyDefault)
 	if err != nil {
 		t.Fatal(err)
 	}

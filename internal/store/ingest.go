@@ -2,9 +2,7 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,19 +27,18 @@ import (
 // cheaper in metadata, because manifest-log records land in one Append
 // per checkpoint interval instead of one per fragment.
 //
-// The primary surface is streaming: WriteBatchFunc delivers each
-// fragment's WriteReport as it becomes durable, WriteBatchSeq wraps
-// that as an iterator, and WriteBatch is a thin collector kept for
-// callers that want the full report slice. The same committer drives
-// Chunked's cross-tile ingest (chunked_ingest.go), which moves it
-// across tile stores in (tile, fragment) order.
+// The primitive is streaming: WriteBatchContext delivers each
+// fragment's WriteReport as it becomes durable, and WriteBatch is a
+// thin collector for callers that want the full report slice. The same
+// committer drives Chunked's cross-tile ingest (chunked_ingest.go),
+// which moves it across tile stores in (tile, fragment) order.
 
 // Observability names for the ingest pipeline. Per-fragment phase work
 // still feeds the store.write.* histograms (so Table III tooling sees
 // one distribution regardless of ingest path); the names below cover
 // the pipeline itself.
 const (
-	obsIngest = "store.ingest" // root span per WriteBatch/WriteBatchFunc
+	obsIngest = "store.ingest" // root span per WriteBatch/WriteBatchContext
 )
 
 // Batch is one fragment's worth of input to the batched ingest: a
@@ -73,10 +70,6 @@ type ingestJob struct {
 	extraOthers time.Duration
 }
 
-// errStopIngest is the sentinel the iterator wrappers use when their
-// consumer breaks out of the range loop; it never escapes to callers.
-var errStopIngest = errors.New("store: ingest stopped by consumer")
-
 // resolveIngestWorkers picks the CPU-stage pool width: an explicit
 // request >= 1 wins, then the store's WithIngestWorkers default, then
 // every core (psort.Workers); always clamped to the job count.
@@ -91,21 +84,21 @@ func resolveIngestWorkers(requested, configured, jobs int) int {
 	return w
 }
 
-// validateBatches runs the per-batch argument checks shared by every
-// ingest entry point.
-func (s *Store) validateBatches(batches []Batch) error {
+// validateBatches runs the per-batch argument checks shared by the
+// flat and the cross-tile ingest.
+func validateBatches(batches []Batch, dims int) error {
 	for i, b := range batches {
 		if b.Coords.Len() != len(b.Values) {
-			return fmt.Errorf("store: batch %d: %d points with %d values", i, b.Coords.Len(), len(b.Values))
+			return fmt.Errorf("store: %w: batch %d: %d points with %d values", ErrShapeMismatch, i, b.Coords.Len(), len(b.Values))
 		}
-		if b.Coords.Dims() != s.shape.Dims() {
-			return fmt.Errorf("store: batch %d: %d-dim coords for %d-dim store", i, b.Coords.Dims(), s.shape.Dims())
+		if b.Coords.Dims() != dims {
+			return fmt.Errorf("store: %w: batch %d: %d-dim coords for %d-dim store", ErrShapeMismatch, i, b.Coords.Dims(), dims)
 		}
 	}
 	return nil
 }
 
-// WriteBatchFunc ingests many fragments through the parallel build
+// WriteBatchContext ingests many fragments through the parallel build
 // pipeline, streaming results instead of materializing them. Fragments
 // are numbered and committed in batch order, so the on-disk result is
 // byte-identical to calling Write once per batch; workers bounds the
@@ -118,9 +111,9 @@ func (s *Store) validateBatches(batches []Batch) error {
 // with its neighbors') — and at most once more with (index, nil, err)
 // if ingestion stops on an error. Returning a non-nil error from fn
 // stops the ingest after the fragments already committed; that error is
-// what WriteBatchFunc returns.
+// what WriteBatchContext returns.
 //
-// Reporting semantics under concurrency match ReadParallel: each
+// Reporting semantics under concurrency match a pooled read: each
 // WriteReport's phase durations measure that fragment's aggregate work
 // (Build/Reorg/Encode on whichever worker ran them, Write/Others on the
 // committer), not elapsed wall time, and on a cost-modeled backend the
@@ -130,19 +123,12 @@ func (s *Store) validateBatches(batches []Batch) error {
 //
 // On error, ingestion stops: fragments committed before the failure
 // remain durable and visible, exactly as if that prefix of Writes had
-// run.
-func (s *Store) WriteBatchFunc(batches []Batch, workers int, fn func(i int, rep *WriteReport, err error) error) error {
-	return s.WriteBatchContext(context.Background(), batches, workers, fn)
-}
-
-// WriteBatchContext is WriteBatchFunc under a context. Cancellation is
-// checked before each fragment's commit (and by the prepare workers
-// before each build): the fragments committed before the cancellation
-// stay durable — the same committed-prefix guarantee every error path
-// gives — and the ingest returns ctx.Err() after reporting it through
-// fn with (index, nil, err).
+// run. Cancellation is one such error: it is checked before each
+// fragment's commit (and by the prepare workers before each build), and
+// the ingest returns ctx.Err() after reporting it through fn with
+// (index, nil, err).
 func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers int, fn func(i int, rep *WriteReport, err error) error) error {
-	if err := s.validateBatches(batches); err != nil {
+	if err := validateBatches(batches, s.shape.Dims()); err != nil {
 		return err
 	}
 	if len(batches) == 0 {
@@ -192,9 +178,7 @@ func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers 
 	s.writeMu.Unlock()
 	wg.Wait()
 	if ic.firstErr != nil {
-		if ic.firstErr != errStopIngest {
-			reg.Counter("store.write.errors", "kind", kind).Inc()
-		}
+		reg.Counter("store.write.errors", "kind", kind).Inc()
 		return ic.firstErr
 	}
 	reg.Counter("store.ingest.count", "kind", kind).Inc()
@@ -202,42 +186,20 @@ func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers 
 	return nil
 }
 
-// WriteBatchSeq returns the ingest as a Go 1.23 iterator over
-// (report, error) pairs: reports stream in batch order as fragments
-// become durable; on failure the final pair carries the error. Breaking
-// out of the loop stops the ingest after the fragments already
-// committed (they stay durable, like every error path).
-//
-//	for rep, err := range st.WriteBatchSeq(batches, 8) {
-//		if err != nil { ... }
-//	}
-func (s *Store) WriteBatchSeq(batches []Batch, workers int) iter.Seq2[*WriteReport, error] {
-	return func(yield func(*WriteReport, error) bool) {
-		err := s.WriteBatchFunc(batches, workers, func(_ int, rep *WriteReport, err error) error {
-			if err != nil {
-				return nil // surfaced by the final yield below
-			}
-			if !yield(rep, nil) {
-				return errStopIngest
-			}
-			return nil
-		})
-		if err != nil && err != errStopIngest {
-			yield(nil, err)
-		}
-	}
+// WriteBatch is the collecting form of WriteBatchContext, for callers
+// that want every report at once rather than as fragments become
+// durable. On error no report list is returned (the committed prefix is
+// durable regardless).
+func (s *Store) WriteBatch(batches []Batch, workers int) ([]*WriteReport, error) {
+	return collectReports(batches, workers, s.WriteBatchContext)
 }
 
-// WriteBatch is the collecting form of WriteBatchFunc, kept for callers
-// that want every report at once; new code should prefer the streaming
-// surfaces, which don't hold O(batches) reports alive. On error no
-// report list is returned (the committed prefix is durable regardless).
-func (s *Store) WriteBatch(batches []Batch, workers int) ([]*WriteReport, error) {
-	if len(batches) == 0 {
-		return nil, s.validateBatches(batches)
-	}
-	reports := make([]*WriteReport, 0, len(batches))
-	err := s.WriteBatchFunc(batches, workers, func(_ int, rep *WriteReport, err error) error {
+// collectReports runs a WriteBatchContext-shaped ingest to completion
+// and returns its reports in batch order.
+func collectReports(batches []Batch, workers int,
+	ingest func(context.Context, []Batch, int, func(int, *WriteReport, error) error) error) ([]*WriteReport, error) {
+	var reports []*WriteReport
+	err := ingest(context.Background(), batches, workers, func(_ int, rep *WriteReport, err error) error {
 		if err == nil {
 			reports = append(reports, rep)
 		}
@@ -313,7 +275,7 @@ const (
 // ingestCommitter drives the commit stage of a batched ingest: it
 // applies prepared fragments in deterministic order, holds reports back
 // until their manifest records are durable, and streams them through
-// fn. One committer serves the flat WriteBatchFunc and the chunked
+// fn. One committer serves the flat WriteBatchContext and the chunked
 // cross-tile ingest (which moves it across tile stores; reports are
 // only ever queued against the store currently committing, because each
 // tile flushes before the committer moves to the next). Methods run on

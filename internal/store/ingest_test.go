@@ -81,11 +81,11 @@ func TestWriteBatchMatchesSerialWrites(t *testing.T) {
 						t.Fatalf("%s differs: %d vs %d bytes", n, len(da), len(db))
 					}
 				}
-				resA, _, err := a.ReadRegion(region)
+				resA, _, err := readRegion(a, region, StrategyDefault)
 				if err != nil {
 					t.Fatal(err)
 				}
-				resB, _, err := b.ReadRegion(region)
+				resB, _, err := readRegion(b, region, StrategyDefault)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,7 +156,7 @@ func TestWriteBatchPartialFailure(t *testing.T) {
 		t.Fatalf("reopened fragments = %d, want 2", st2.Fragments())
 	}
 	for i := 0; i < 2; i++ {
-		res, _, err := st2.Read(batches[i].Coords)
+		res, _, err := readProbe(st2, batches[i].Coords)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestManifestLogCrashAppend(t *testing.T) {
 	if st2.Fragments() != 1 {
 		t.Fatalf("reopen sees %d fragments, want 1", st2.Fragments())
 	}
-	res, _, err := st2.Read(c1)
+	res, _, err := readProbe(st2, c1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestManifestLogCrashCheckpoint(t *testing.T) {
 	if st2.Fragments() != 2 {
 		t.Fatalf("reopen sees %d fragments, want 2 (record was durable)", st2.Fragments())
 	}
-	res, _, err := st2.Read(c2)
+	res, _, err := readProbe(st2, c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestManifestLogTornTail(t *testing.T) {
 	if st3.Fragments() != 2 {
 		t.Fatalf("after repair and rewrite: %d fragments", st3.Fragments())
 	}
-	res, _, err := st3.Read(c2)
+	res, _, err := readProbe(st3, c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestManifestLogStaleRecords(t *testing.T) {
 		t.Fatalf("after stale replay and write: %d fragments", st3.Fragments())
 	}
 	for _, probe := range []*tensor.Coords{c1, c2, c3} {
-		res, _, err := st3.Read(probe)
+		res, _, err := readProbe(st3, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +476,7 @@ func TestManifestTombstoneThroughLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := st2.Read(c)
+	res, _, err := readProbe(st2, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestOpenPreLogManifest(t *testing.T) {
 	if st2.Fragments() != 1 || st2.Kind() != core.COO {
 		t.Fatalf("fixture store: frags=%d kind=%v", st2.Fragments(), st2.Kind())
 	}
-	res, _, err := st2.Read(c)
+	res, _, err := readProbe(st2, c)
 	if err != nil {
 		t.Fatal(err)
 	}

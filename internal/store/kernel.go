@@ -73,8 +73,8 @@ type KernelResult struct {
 	Report *PushReport
 }
 
-// Kernel executes one KernelRequest — the single compute entry point
-// the wire protocol serves. Cancellation is checked per fragment by
+// Kernel executes one KernelRequest — the only compute entry point,
+// locally and over the wire. Cancellation is checked per fragment by
 // the underlying push-down executor.
 func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, error) {
 	if req.Region != nil && req.Op != KernelSumRegion {
@@ -94,52 +94,21 @@ func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, e
 	return res, err
 }
 
-// kernelAt dispatches the kernel to its push-down executor.
+// kernelAt dispatches the kernel to its body (pushdown.go).
 func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, error) {
 	switch req.Op {
 	case KernelSumAll:
-		sum, rep, err := s.SumAllContext(ctx, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &KernelResult{Values: []float64{sum}, Report: rep}, nil
+		return s.reduceKernel(ctx, req.Op, req.Workers, nil, sumCell)
 	case KernelSumRegion:
-		if req.Region == nil {
-			return nil, fmt.Errorf("store: %w: kernel %v needs a region", ErrBadRequest, req.Op)
-		}
-		sum, rep, err := s.SumRegionContext(ctx, *req.Region, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &KernelResult{Values: []float64{sum}, Report: rep}, nil
+		return s.sumRegion(ctx, req.Region, req.Workers)
 	case KernelLiveNNZ:
-		n, rep, err := s.LiveNNZContext(ctx, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &KernelResult{Values: []float64{float64(n)}, Report: rep}, nil
+		return s.reduceKernel(ctx, req.Op, req.Workers, nil, countCell)
 	case KernelNNZPerSlice:
-		counts, rep, err := s.NNZPerSliceContext(ctx, req.Mode, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, len(counts))
-		for i, n := range counts {
-			vals[i] = float64(n)
-		}
-		return &KernelResult{Values: vals, Report: rep}, nil
+		return s.nnzPerSlice(ctx, req.Mode, req.Workers)
 	case KernelSpMV:
-		y, rep, err := s.SpMVContext(ctx, req.Vec, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &KernelResult{Values: y, Report: rep}, nil
+		return s.spmv(ctx, req.Vec, req.Workers)
 	case KernelTTV:
-		out, shape, rep, err := s.TTVContext(ctx, req.Mode, req.Vec, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &KernelResult{Values: out, Shape: shape, Report: rep}, nil
+		return s.ttv(ctx, req.Mode, req.Vec, req.Workers)
 	default:
 		return nil, fmt.Errorf("store: %w: unknown kernel op %d", ErrBadRequest, uint8(req.Op))
 	}

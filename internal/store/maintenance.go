@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 
 	"sparseart/internal/advisor"
@@ -28,31 +29,18 @@ import (
 func (s *Store) ExportAll() (*tensor.Coords, []float64, error) {
 	v := s.acquireView()
 	defer v.release()
-	return s.exportFrags(v.frags)
+	return s.exportView(v)
 }
 
-// exportFrags materializes the live contents of the given fragment
-// list.
-func (s *Store) exportFrags(frags []fragRef) (*tensor.Coords, []float64, error) {
-	var hits []hit
-	for fi, fr := range frags {
-		if fr.nnz == 0 {
-			continue
-		}
-		e, err := s.fetchFragment(nil, fr, &ReadReport{})
-		if err != nil {
-			return nil, nil, err
-		}
-		it, ok := e.Reader.(core.Iterator)
-		if !ok {
-			return nil, nil, fmt.Errorf("store: %v reader cannot iterate", s.curKind())
-		}
-		it.Each(func(p []uint64, slot int) bool {
-			hits = append(hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
-			return true
-		})
+// exportView materializes the live contents of a view: a READ whose
+// target is everything, every fragment scanned in full.
+func (s *Store) exportView(v *readView) (*tensor.Coords, []float64, error) {
+	dims := s.shape.Dims()
+	whole := tensor.Region{Start: make([]uint64, dims), Size: s.shape}
+	res, _, err := s.readView(context.Background(), v, len(v.frags), readPlan{box: whole.BBox()}, 0)
+	if err != nil {
+		return nil, nil, err
 	}
-	res, _ := mergeHits(s, hits, tombstonesUpTo(frags, len(frags)))
 	return res.Coords, res.Values, nil
 }
 
@@ -154,7 +142,9 @@ func (s *Store) compactLocked(pick func(*tensor.Coords) (core.Kind, error)) (*Co
 	if len(s.frags) == 0 || (pick == nil && len(s.frags) <= 1) {
 		return unchanged(), nil
 	}
-	coords, vals, err := s.exportFrags(s.frags)
+	// A view over the writer's working list needs no pin: the writer
+	// lock is held, so nothing retires these files before this pass does.
+	coords, vals, err := s.exportView(&readView{s: s, frags: s.frags, tombs: countTombs(s.frags)})
 	if err != nil {
 		return nil, err
 	}

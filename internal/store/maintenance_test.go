@@ -210,11 +210,11 @@ func TestReadRegionScanMatchesProbeRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			probe, prep, err := st.ReadRegion(region)
+			probe, prep, err := readRegion(st, region, StrategyDefault)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan, srep, err := st.ReadRegionScan(region)
+			scan, srep, err := readRegion(st, region, StrategyScan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +240,7 @@ func TestReadRegionScanValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := tensor.Region{Start: []uint64{0}, Size: []uint64{1}}
-	if _, _, err := st.ReadRegionScan(bad); err == nil {
+	if _, _, err := readRegion(st, bad, StrategyScan); err == nil {
 		t.Fatal("rank mismatch accepted")
 	}
 }

@@ -55,7 +55,7 @@ func TestEpochAdvances(t *testing.T) {
 	if wrep.Epoch != 3 {
 		t.Fatalf("delete at epoch %d, want 3", wrep.Epoch)
 	}
-	_, rrep, err := st.Read(c1)
+	_, rrep, err := readProbe(st, c1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestEpochAdvances(t *testing.T) {
 	if st.Epoch() != 4 {
 		t.Fatalf("after compact at epoch %d, want 4", st.Epoch())
 	}
-	if _, rrep, err = st.Read(c1); err != nil {
+	if _, rrep, err = readProbe(st, c1); err != nil {
 		t.Fatal(err)
 	}
 	if rrep.Epoch != 4 {
@@ -98,7 +98,7 @@ func TestReadsDoNotBlockOnWriterLock(t *testing.T) {
 	st.writeMu.Lock() // a writer (or compaction) is mid-mutation
 	done := make(chan error, 1)
 	go func() {
-		res, _, err := st.ReadRegion(region)
+		res, _, err := readRegion(st, region, StrategyDefault)
 		if err == nil && res.Coords.Len() != 20 {
 			err = errors.New("read under writer lock returned wrong contents")
 		}
@@ -166,7 +166,7 @@ func TestNoMixedEpochReads(t *testing.T) {
 					return
 				default:
 				}
-				res, rep, err := st.ReadRegion(region)
+				res, rep, err := readRegion(st, region, StrategyDefault)
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return
@@ -237,7 +237,7 @@ func TestCompactDeferredDeletion(t *testing.T) {
 		t.Fatalf("store.gc.pending = %d, want 1", g)
 	}
 	// The pinned view still reads the old fragment set coherently.
-	oldCoords, _, err := st.exportFrags(v.frags)
+	oldCoords, _, err := st.exportView(v)
 	if err != nil {
 		t.Fatalf("pinned-view read: %v", err)
 	}

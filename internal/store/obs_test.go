@@ -30,7 +30,7 @@ func TestObsHappyPathMetrics(t *testing.T) {
 	if _, err := st.Write(c, vals); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Read(c); err != nil {
+	if _, _, err := readProbe(st, c); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -104,7 +104,7 @@ func TestChunkedAndAutoSpanCoverage(t *testing.T) {
 	if _, err := ch.Write(c, vals); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ch.Read(c); err != nil {
+	if _, _, err := readProbe(ch, c); err != nil {
 		t.Fatal(err)
 	}
 	region, err := tensor.NewRegion(tensor.Shape{16, 16}, []uint64{0, 0}, []uint64{4, 4})
@@ -127,7 +127,7 @@ func TestChunkedAndAutoSpanCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.ReadRegionAuto(autoRegion); err != nil {
+	if _, _, err := readRegion(st, autoRegion, StrategyAuto); err != nil {
 		t.Fatal(err)
 	}
 
@@ -168,14 +168,14 @@ func TestReadFaultCountedNoSpanLeak(t *testing.T) {
 		t.Fatal(err) // a second fragment so Compact has real work to do
 	}
 	fs.FailOn = "frag-"
-	if _, _, err := st.Read(c); err == nil {
+	if _, _, err := readProbe(st, c); err == nil {
 		t.Fatal("read with unreadable fragment succeeded")
 	}
 	region, err := tensor.NewRegion(tensor.Shape{8, 8}, []uint64{0, 0}, []uint64{8, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.ReadRegionScan(region); err == nil {
+	if _, _, err := readRegion(st, region, StrategyScan); err == nil {
 		t.Fatal("scan with unreadable fragment succeeded")
 	}
 	if _, err := st.Compact(); err == nil {

@@ -53,6 +53,18 @@ type PushReport struct {
 	Epoch uint64
 }
 
+// Add folds another execution's report into r: a chunked store's
+// tile, a router's shard. Epochs sum like the counts (a change
+// counter, as Chunked.Epoch is).
+func (r *PushReport) Add(o *PushReport) {
+	r.Fragments += o.Fragments
+	r.Skipped += o.Skipped
+	r.Cells += o.Cells
+	r.Shadowed += o.Shadowed
+	r.Dead += o.Dead
+	r.Epoch += o.Epoch
+}
+
 // fragPushStats accumulates one worker's masking counts.
 type fragPushStats struct {
 	frags    int
@@ -209,15 +221,9 @@ func streamReader(r core.Reader, region *tensor.Region) (core.PointSeq, bool) {
 // fragment in payload order. The walk is serial and deterministic —
 // Convert builds its chunks on it — and holds O(largest fragment)
 // memory. Returning false from visit stops the walk early (the report
-// then covers the visited prefix).
-func (s *Store) ScanLive(region *tensor.Region, visit func(p []uint64, val float64) bool) (*PushReport, error) {
-	return s.ScanLiveContext(context.Background(), region, visit)
-}
-
-// ScanLiveContext is ScanLive under a context: cancellation is checked
-// before each fragment's walk, so a server deadline stops the scan at
-// a fragment boundary.
-func (s *Store) ScanLiveContext(ctx context.Context, region *tensor.Region, visit func(p []uint64, val float64) bool) (*PushReport, error) {
+// then covers the visited prefix). Cancellation is checked before each
+// fragment's walk, so a deadline stops the scan at a fragment boundary.
+func (s *Store) ScanLive(ctx context.Context, region *tensor.Region, visit func(p []uint64, val float64) bool) (*PushReport, error) {
 	v := s.acquireView()
 	defer v.release()
 	rep := &PushReport{Epoch: v.epoch}
@@ -354,51 +360,97 @@ func pushRun[A any](ctx context.Context, s *Store, op string, workers int, regio
 	return result, rep, nil
 }
 
-// SpMV computes y = A·x over the stored 2D tensor without exporting it:
+// The kernel bodies Kernel dispatches to. Each is pushRun with its own
+// accumulator; workers < 1 means all cores, and cancellation stops
+// fragment work at the next fragment boundary.
+
+// addVec is the merge step of every dense-vector accumulator.
+func addVec(dst, src []float64) {
+	for i, v := range src {
+		dst[i] += v
+	}
+}
+
+// sumCell and countCell are reduceKernel's two folds: the sum of live
+// values, and the live-cell count (in a float64 — exact to 2⁵³).
+func sumCell(acc *float64, _ []uint64, val float64) { *acc += val }
+func countCell(acc *float64, _ []uint64, _ float64) { *acc++ }
+
+// reduceKernel folds the live cells (of a region, when non-nil) into
+// one scalar. The region-restricted walk descends only intersecting
+// CSF subtrees, and non-overlapping fragments are skipped by the
+// spatial index and coordinate filters before any fetch.
+func (s *Store) reduceKernel(ctx context.Context, op KernelOp, workers int, region *tensor.Region, fold func(acc *float64, p []uint64, val float64)) (*KernelResult, error) {
+	sum, rep, err := pushRun(ctx, s, op.String(), workers, region,
+		func() *float64 { return new(float64) }, fold,
+		func(dst, src *float64) { *dst += *src })
+	if err != nil {
+		return nil, err
+	}
+	return &KernelResult{Values: []float64{*sum}, Report: rep}, nil
+}
+
+// vectorKernel folds every live cell into a dense vector of n entries.
+func (s *Store) vectorKernel(ctx context.Context, op KernelOp, workers, n int, visit func(acc []float64, p []uint64, val float64)) (*KernelResult, error) {
+	out, rep, err := pushRun(ctx, s, op.String(), workers, nil,
+		func() []float64 { return make([]float64, n) }, visit, addVec)
+	if err != nil {
+		return nil, err
+	}
+	return &KernelResult{Values: out, Report: rep}, nil
+}
+
+// spmv computes y = A·x over the stored 2D tensor without exporting it:
 // each fragment's live cells accumulate y[i] += A[i,j]·x[j] into a
 // per-worker partial, merged by vector addition. x must have length
-// Shape[1]; y has length Shape[0]. workers < 1 means all cores.
-func (s *Store) SpMV(x []float64, workers int) ([]float64, *PushReport, error) {
-	return s.SpMVContext(context.Background(), x, workers)
-}
-
-// SpMVContext is SpMV under a context; cancellation stops fragment
-// work at the next fragment boundary.
-func (s *Store) SpMVContext(ctx context.Context, x []float64, workers int) ([]float64, *PushReport, error) {
+// Shape[1]; y has length Shape[0].
+func (s *Store) spmv(ctx context.Context, x []float64, workers int) (*KernelResult, error) {
 	if s.shape.Dims() != 2 {
-		return nil, nil, fmt.Errorf("store: %w: SpMV needs a 2-dim store, got %d dims", ErrBadRequest, s.shape.Dims())
+		return nil, fmt.Errorf("store: %w: SpMV needs a 2-dim store, got %d dims", ErrBadRequest, s.shape.Dims())
 	}
 	if uint64(len(x)) != s.shape[1] {
-		return nil, nil, fmt.Errorf("store: %w: x has %d entries for %d columns", ErrShapeMismatch, len(x), s.shape[1])
+		return nil, fmt.Errorf("store: %w: x has %d entries for %d columns", ErrShapeMismatch, len(x), s.shape[1])
 	}
-	rows := int(s.shape[0])
-	return pushRun(ctx, s, "spmv", workers, nil,
-		func() []float64 { return make([]float64, rows) },
-		func(y []float64, p []uint64, val float64) { y[p[0]] += val * x[p[1]] },
-		func(dst, src []float64) {
-			for i, v := range src {
-				dst[i] += v
-			}
-		})
+	return s.vectorKernel(ctx, KernelSpMV, workers, int(s.shape[0]),
+		func(y []float64, p []uint64, val float64) { y[p[0]] += val * x[p[1]] })
 }
 
-// TTV contracts the stored tensor with a vector along one mode,
+// nnzPerSlice counts live cells per index of one mode: out[k] is the
+// number of live cells with coordinate k along that mode — the slice
+// histogram load balancers and format advisors want.
+func (s *Store) nnzPerSlice(ctx context.Context, mode, workers int) (*KernelResult, error) {
+	if mode < 0 || mode >= s.shape.Dims() {
+		return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, mode, s.shape.Dims())
+	}
+	return s.vectorKernel(ctx, KernelNNZPerSlice, workers, int(s.shape[mode]),
+		func(acc []float64, p []uint64, _ float64) { acc[p[mode]]++ })
+}
+
+// sumRegion reduces a rectangular region to the sum of its live values.
+func (s *Store) sumRegion(ctx context.Context, region *tensor.Region, workers int) (*KernelResult, error) {
+	if region == nil {
+		return nil, fmt.Errorf("store: %w: kernel %v needs a region", ErrBadRequest, KernelSumRegion)
+	}
+	if region.Dims() != s.shape.Dims() {
+		return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), s.shape.Dims())
+	}
+	if _, err := tensor.NewRegion(s.shape, region.Start, region.Size); err != nil {
+		return nil, err
+	}
+	return s.reduceKernel(ctx, KernelSumRegion, workers, region, sumCell)
+}
+
+// ttv contracts the stored tensor with a vector along one mode,
 // Y[i_0,…,î_mode,…] = Σ_k T[…,k,…]·v[k], returning the dense result in
 // row-major order over the remaining modes together with its shape —
 // the in-store counterpart of linalg.Tensor.TTV.
-func (s *Store) TTV(mode int, vec []float64, workers int) ([]float64, tensor.Shape, *PushReport, error) {
-	return s.TTVContext(context.Background(), mode, vec, workers)
-}
-
-// TTVContext is TTV under a context; cancellation stops fragment work
-// at the next fragment boundary.
-func (s *Store) TTVContext(ctx context.Context, mode int, vec []float64, workers int) ([]float64, tensor.Shape, *PushReport, error) {
+func (s *Store) ttv(ctx context.Context, mode int, vec []float64, workers int) (*KernelResult, error) {
 	d := s.shape.Dims()
 	if mode < 0 || mode >= d {
-		return nil, nil, nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, mode, d)
+		return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, mode, d)
 	}
 	if uint64(len(vec)) != s.shape[mode] {
-		return nil, nil, nil, fmt.Errorf("store: %w: vector has %d entries for extent %d", ErrShapeMismatch, len(vec), s.shape[mode])
+		return nil, fmt.Errorf("store: %w: vector has %d entries for extent %d", ErrShapeMismatch, len(vec), s.shape[mode])
 	}
 	outShape := make(tensor.Shape, 0, d-1)
 	for i, m := range s.shape {
@@ -411,7 +463,7 @@ func (s *Store) TTVContext(ctx context.Context, mode int, vec []float64, workers
 	}
 	lin, err := tensor.NewLinearizer(outShape, tensor.RowMajor)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	vol, _ := outShape.Volume()
 	// Each worker's accumulator carries its own coordinate scratch so
@@ -420,7 +472,7 @@ func (s *Store) TTVContext(ctx context.Context, mode int, vec []float64, workers
 		out []float64
 		q   []uint64
 	}
-	acc, rep, err := pushRun(ctx, s, "ttv", workers, nil,
+	acc, rep, err := pushRun(ctx, s, KernelTTV.String(), workers, nil,
 		func() *ttvAcc { return &ttvAcc{out: make([]float64, vol), q: make([]uint64, len(outShape))} },
 		func(a *ttvAcc, p []uint64, val float64) {
 			if d == 1 {
@@ -437,101 +489,9 @@ func (s *Store) TTVContext(ctx context.Context, mode int, vec []float64, workers
 			}
 			a.out[lin.Linearize(a.q)] += val * vec[p[mode]]
 		},
-		func(dst, src *ttvAcc) {
-			for i, v := range src.out {
-				dst.out[i] += v
-			}
-		})
+		func(dst, src *ttvAcc) { addVec(dst.out, src.out) })
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return acc.out, outShape, rep, nil
-}
-
-// SumAll reduces the store to the sum of every live value.
-func (s *Store) SumAll(workers int) (float64, *PushReport, error) {
-	return s.SumAllContext(context.Background(), workers)
-}
-
-// SumAllContext is SumAll under a context; cancellation stops fragment
-// work at the next fragment boundary.
-func (s *Store) SumAllContext(ctx context.Context, workers int) (float64, *PushReport, error) {
-	sum, rep, err := pushRun(ctx, s, "sum", workers, nil,
-		func() *float64 { return new(float64) },
-		func(acc *float64, _ []uint64, val float64) { *acc += val },
-		func(dst, src *float64) { *dst += *src })
-	if err != nil {
-		return 0, nil, err
-	}
-	return *sum, rep, nil
-}
-
-// SumRegion reduces a rectangular region to the sum of its live values,
-// exploiting the region-restricted walk: CSF fragments descend only
-// intersecting subtrees, and non-overlapping fragments are skipped by
-// the spatial index and coordinate filters before any fetch.
-func (s *Store) SumRegion(region tensor.Region, workers int) (float64, *PushReport, error) {
-	return s.SumRegionContext(context.Background(), region, workers)
-}
-
-// SumRegionContext is SumRegion under a context; cancellation stops
-// fragment work at the next fragment boundary.
-func (s *Store) SumRegionContext(ctx context.Context, region tensor.Region, workers int) (float64, *PushReport, error) {
-	if region.Dims() != s.shape.Dims() {
-		return 0, nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), s.shape.Dims())
-	}
-	if _, err := tensor.NewRegion(s.shape, region.Start, region.Size); err != nil {
-		return 0, nil, err
-	}
-	sum, rep, err := pushRun(ctx, s, "sum_region", workers, &region,
-		func() *float64 { return new(float64) },
-		func(acc *float64, _ []uint64, val float64) { *acc += val },
-		func(dst, src *float64) { *dst += *src })
-	if err != nil {
-		return 0, nil, err
-	}
-	return *sum, rep, nil
-}
-
-// LiveNNZ counts the store's live cells — the number ExportAll would
-// materialize — without materializing anything.
-func (s *Store) LiveNNZ(workers int) (int64, *PushReport, error) {
-	return s.LiveNNZContext(context.Background(), workers)
-}
-
-// LiveNNZContext is LiveNNZ under a context; cancellation stops
-// fragment work at the next fragment boundary.
-func (s *Store) LiveNNZContext(ctx context.Context, workers int) (int64, *PushReport, error) {
-	n, rep, err := pushRun(ctx, s, "nnz", workers, nil,
-		func() *int64 { return new(int64) },
-		func(acc *int64, _ []uint64, _ float64) { *acc++ },
-		func(dst, src *int64) { *dst += *src })
-	if err != nil {
-		return 0, nil, err
-	}
-	return *n, rep, nil
-}
-
-// NNZPerSlice counts live cells per index of one mode: out[k] is the
-// number of live cells with coordinate k along that mode — the slice
-// histogram load balancers and format advisors want.
-func (s *Store) NNZPerSlice(mode int, workers int) ([]int64, *PushReport, error) {
-	return s.NNZPerSliceContext(context.Background(), mode, workers)
-}
-
-// NNZPerSliceContext is NNZPerSlice under a context; cancellation
-// stops fragment work at the next fragment boundary.
-func (s *Store) NNZPerSliceContext(ctx context.Context, mode int, workers int) ([]int64, *PushReport, error) {
-	if mode < 0 || mode >= s.shape.Dims() {
-		return nil, nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, mode, s.shape.Dims())
-	}
-	ext := int(s.shape[mode])
-	return pushRun(ctx, s, "nnz_slice", workers, nil,
-		func() []int64 { return make([]int64, ext) },
-		func(acc []int64, p []uint64, _ float64) { acc[p[mode]]++ },
-		func(dst, src []int64) {
-			for i, v := range src {
-				dst[i] += v
-			}
-		})
+	return &KernelResult{Values: acc.out, Shape: outShape, Report: rep}, nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -122,10 +123,11 @@ func TestPushdownDifferential(t *testing.T) {
 
 				for _, workers := range []int{1, 4} {
 					// LiveNNZ ≡ the export's cardinality.
-					nnz, rep, err := st.LiveNNZ(workers)
+					kres, err := kernel(st, KernelRequest{Op: KernelLiveNNZ, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
+					nnz, rep := int64(kres.Values[0]), kres.Report
 					if nnz != int64(coords.Len()) {
 						t.Fatalf("workers=%d: LiveNNZ=%d, ExportAll has %d", workers, nnz, coords.Len())
 					}
@@ -134,10 +136,11 @@ func TestPushdownDifferential(t *testing.T) {
 					}
 
 					// SumAll ≡ summing the export.
-					sum, _, err := st.SumAll(workers)
+					kres, err = kernel(st, KernelRequest{Op: KernelSumAll, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
+					sum := kres.Values[0]
 					var want float64
 					for _, v := range vals {
 						want += v
@@ -158,10 +161,11 @@ func TestPushdownDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, _, err := st.SumRegion(region, workers)
+						kres, err := kernel(st, KernelRequest{Op: KernelSumRegion, Region: &region, Workers: workers})
 						if err != nil {
 							t.Fatal(err)
 						}
+						got := kres.Values[0]
 						var want float64
 						for i, n := 0, coords.Len(); i < n; i++ {
 							if region.Contains(coords.At(i)) {
@@ -175,11 +179,12 @@ func TestPushdownDifferential(t *testing.T) {
 
 					// NNZPerSlice ≡ the export's per-mode histogram.
 					for mode := 0; mode < shape.Dims(); mode++ {
-						got, _, err := st.NNZPerSlice(mode, workers)
+						kres, err := kernel(st, KernelRequest{Op: KernelNNZPerSlice, Mode: mode, Workers: workers})
 						if err != nil {
 							t.Fatal(err)
 						}
-						want := make([]int64, shape[mode])
+						got := kres.Values
+						want := make([]float64, shape[mode])
 						for i, n := 0, coords.Len(); i < n; i++ {
 							want[coords.At(i)[mode]]++
 						}
@@ -191,10 +196,11 @@ func TestPushdownDifferential(t *testing.T) {
 					// TTV ≡ linalg over the export, every mode.
 					for mode := 0; mode < shape.Dims(); mode++ {
 						vec := intVec(rng, int(shape[mode]))
-						got, gotShape, _, err := st.TTV(mode, vec, workers)
+						kres, err := kernel(st, KernelRequest{Op: KernelTTV, Mode: mode, Vec: vec, Workers: workers})
 						if err != nil {
 							t.Fatal(err)
 						}
+						got, gotShape := kres.Values, kres.Shape
 						want, wantShape, err := ref.TTV(mode, vec)
 						if err != nil {
 							t.Fatal(err)
@@ -234,10 +240,11 @@ func TestPushdownSpMVDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3} {
-				got, rep, err := st.SpMV(x, workers)
+				kres, err := kernel(st, KernelRequest{Op: KernelSpMV, Vec: x, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
+				got, rep := kres.Values, kres.Report
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v index=%v workers=%d: SpMV disagrees with linalg", kind, index, workers)
 				}
@@ -250,11 +257,11 @@ func TestPushdownSpMVDifferential(t *testing.T) {
 
 	// Shape validation.
 	st := messyStore(t, core.COO, tensor.Shape{8, 8, 8}, 1)
-	if _, _, err := st.SpMV(make([]float64, 8), 1); err == nil {
+	if _, err := kernel(st, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 8), Workers: 1}); err == nil {
 		t.Fatal("SpMV accepted a 3-dim store")
 	}
 	st2 := messyStore(t, core.COO, shape, 1)
-	if _, _, err := st2.SpMV(make([]float64, 7), 1); err == nil {
+	if _, err := kernel(st2, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 7), Workers: 1}); err == nil {
 		t.Fatal("SpMV accepted a mis-sized vector")
 	}
 }
@@ -274,7 +281,7 @@ func TestScanLiveMatchesExport(t *testing.T) {
 	}
 
 	got := map[uint64]float64{}
-	rep, err := st.ScanLive(nil, func(p []uint64, val float64) bool {
+	rep, err := st.ScanLive(context.Background(), nil, func(p []uint64, val float64) bool {
 		a := st.lin.Linearize(p)
 		if _, dup := got[a]; dup {
 			t.Fatalf("ScanLive emitted %v twice", p)
@@ -294,7 +301,7 @@ func TestScanLiveMatchesExport(t *testing.T) {
 
 	// Early stop: the report covers the visited prefix only.
 	seen := 0
-	rep, err = st.ScanLive(nil, func([]uint64, float64) bool {
+	rep, err = st.ScanLive(context.Background(), nil, func([]uint64, float64) bool {
 		seen++
 		return seen < 10
 	})
@@ -317,7 +324,7 @@ func TestScanLiveMatchesExport(t *testing.T) {
 		}
 	}
 	gotRegion := map[uint64]float64{}
-	if _, err := st.ScanLive(&region, func(p []uint64, val float64) bool {
+	if _, err := st.ScanLive(context.Background(), &region, func(p []uint64, val float64) bool {
 		gotRegion[st.lin.Linearize(p)] = val
 		return true
 	}); err != nil {
@@ -336,18 +343,18 @@ func TestPushdownEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nnz, rep, err := st.LiveNNZ(4)
+	kres, err := kernel(st, KernelRequest{Op: KernelLiveNNZ, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nnz != 0 || rep.Fragments != 0 {
-		t.Fatalf("empty store: nnz=%d fragments=%d", nnz, rep.Fragments)
+	if nnz, rep := kres.Values[0], kres.Report; nnz != 0 || rep.Fragments != 0 {
+		t.Fatalf("empty store: nnz=%v fragments=%d", nnz, rep.Fragments)
 	}
-	y, _, err := st.SpMV(make([]float64, 8), 2)
+	kres, err = kernel(st, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 8), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range y {
+	for _, v := range kres.Values {
 		if v != 0 {
 			t.Fatal("empty store produced a nonzero SpMV row")
 		}

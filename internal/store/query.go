@@ -2,26 +2,25 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"sparseart/internal/obs"
-	"sparseart/internal/psort"
 	"sparseart/internal/tensor"
 )
 
-// This file is the store's unified request surface. The six historical
-// read entry points (Read, ReadAsOf, ReadRegion, ReadRegionScan,
-// ReadRegionAuto, ReadParallel) differ only in which target they take
-// (probe list or region), which strategy executes it (probe every
-// cell, scan fragments, or the Table I cost model), how many workers
-// probe fragments, and which version bound applies. Query collapses
-// those axes into one serializable QueryRequest — the exact struct the
-// wire protocol (internal/wire) carries — and threads a
-// context.Context through the fragment loops so a server-side deadline
-// stops in-store work instead of letting it run to completion. The
-// legacy methods remain as thin wrappers.
+// This file is the store's request surface, the only way to read: a
+// read varies in which target it takes (probe list or region), which
+// strategy executes it (probe every cell, scan fragments, or the Table
+// I cost model), how many workers read fragments, and which version
+// bound applies. QueryRequest carries those axes as one serializable
+// value — the exact struct the wire protocol (internal/wire) carries —
+// and Query threads a context.Context through the fragment loop
+// (Store.read) so a server-side deadline stops in-store work instead
+// of letting it run to completion.
 
 // Typed request errors. They satisfy errors.Is through fmt.Errorf
 // wrapping and survive the wire protocol losslessly: internal/wire
@@ -79,7 +78,7 @@ const AsOfLatest = -1
 // be set. The zero value of the remaining fields means "latest
 // version, default strategy, serial execution" — note AsOf zero is the
 // empty store, so callers wanting the current state must set
-// AsOfLatest (the legacy wrappers and the wire decoder do).
+// AsOfLatest.
 type QueryRequest struct {
 	// Probe lists exact points to look up.
 	Probe *tensor.Coords
@@ -91,8 +90,9 @@ type QueryRequest struct {
 	AsOf int64
 	// Strategy picks the region execution mode; see Strategy.
 	Strategy Strategy
-	// Workers bounds the fragment-probing worker pool: 0 or 1 probes
-	// serially, n > 1 uses n workers, negative uses every core.
+	// Workers bounds the fragment worker pool, whatever the strategy: 0
+	// or 1 reads fragments serially, n > 1 uses n workers, negative
+	// uses every core.
 	Workers int
 }
 
@@ -117,11 +117,10 @@ func (req *QueryRequest) validate() error {
 	return nil
 }
 
-// Query answers one QueryRequest against a pinned MVCC view. It is the
-// single entry point the legacy Read* methods, the facade, and the
-// wire protocol all route through. Cancellation is checked once per
-// fragment: a canceled ctx stops before the next fetch/probe/scan and
-// returns ctx.Err().
+// Query answers one QueryRequest against a pinned MVCC view — the
+// entry point applications, the facade, and the wire protocol share.
+// Cancellation is checked once per fragment: a canceled ctx stops
+// before the next fetch/probe/scan and returns ctx.Err().
 func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
 	if err := req.validate(); err != nil {
 		return nil, nil, err
@@ -138,112 +137,80 @@ func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, *ReadRepo
 	if sp.Sampled() {
 		sp.SetAttrStr("strategy", req.Strategy.String())
 	}
-	res, rep, err := s.queryAt(ctx, req)
+	res, rep, err := s.read(ctx, req)
 	FinishRequestSpan(reg, ctx, sp, obsQuery, s.curKind().String(), ReadCost(rep), err)
 	return res, rep, err
 }
 
-// queryAt dispatches a validated request against a pinned view.
-func (s *Store) queryAt(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
-	v := s.acquireView()
-	defer v.release()
-	limit := len(v.frags)
-	if req.AsOf != AsOfLatest {
-		if req.AsOf > int64(len(v.frags)) {
-			return nil, nil, fmt.Errorf("store: %w: version %d outside [0, %d]", ErrBadRequest, req.AsOf, len(v.frags))
+// AlignPoints lays a probe query's result out along its probe: vals[i]
+// and found[i] answer probe point i, whatever order and multiplicity
+// the probe has. It is a pure function of the two, keyed on the
+// coordinate tuple, so it serves a Result from a Store, a Chunked, a
+// client or a router alike — including shapes whose linear address
+// overflows uint64.
+func AlignPoints(probe *tensor.Coords, res *Result) (vals []float64, found []bool) {
+	byPoint := make(map[string]float64, res.Coords.Len())
+	var key []byte
+	for i, n := 0, res.Coords.Len(); i < n; i++ {
+		key = appendPointKey(key[:0], res.Coords.At(i))
+		byPoint[string(key)] = res.Values[i]
+	}
+	vals = make([]float64, probe.Len())
+	found = make([]bool, probe.Len())
+	for i, n := 0, probe.Len(); i < n; i++ {
+		key = appendPointKey(key[:0], probe.At(i))
+		vals[i], found[i] = byPoint[string(key)]
+	}
+	return vals, found
+}
+
+// appendPointKey appends a map key for one coordinate tuple.
+func appendPointKey(dst []byte, p []uint64) []byte {
+	for _, v := range p {
+		dst = binary.BigEndian.AppendUint64(dst, v)
+	}
+	return dst
+}
+
+// MergeResults joins results over disjoint cell sets in one coordinate
+// frame — a chunked store's tiles, a router's shards — into one Result
+// ordered by coordinate tuple. That is row-major linear-address order,
+// so the outcome is byte-identical to what one flat store holding all
+// the cells would return. nil parts are skipped; parts may be consumed.
+func MergeResults(dims int, parts []*Result) *Result {
+	var only *Result
+	nonEmpty, total := 0, 0
+	for _, res := range parts {
+		if res != nil && res.Coords.Len() > 0 {
+			only = res
+			nonEmpty++
+			total += res.Coords.Len()
 		}
-		limit = int(req.AsOf)
 	}
-	if req.Region != nil {
-		switch req.Strategy {
-		case StrategyScan:
-			return s.readRegionScanAt(ctx, v, *req.Region, limit)
-		case StrategyAuto:
-			return s.readRegionAutoAt(ctx, v, *req.Region, limit)
+	if nonEmpty == 1 {
+		return only // already sorted
+	}
+	flat := make([]uint64, 0, total*dims)
+	values := make([]float64, 0, total)
+	for _, res := range parts {
+		if res != nil {
+			flat = append(flat, res.Coords.Flat()...)
+			values = append(values, res.Values...)
 		}
-		if workers := psort.Workers(req.Workers); workers > 1 && req.Workers != 0 {
-			return s.readParallelAt(ctx, v, req.Region.Coords(), limit, workers)
-		}
-		return s.readAt(ctx, v, req.Region.Coords(), limit)
 	}
-	if workers := psort.Workers(req.Workers); workers > 1 && req.Workers != 0 {
-		return s.readParallelAt(ctx, v, req.Probe, limit, workers)
+	order := make([]int, total)
+	for i := range order {
+		order[i] = i
 	}
-	return s.readAt(ctx, v, req.Probe, limit)
-}
-
-// Read implements Algorithm 3's READ for an arbitrary probe list: find
-// overlapping fragments, probe each, merge sorted by linear address.
-// When several fragments contain the same cell the most recent
-// fragment wins; cells covered by a later tombstone are dead.
-//
-// Deprecated: Read is a thin wrapper; use Query with a Probe target.
-func (s *Store) Read(probe *tensor.Coords) (*Result, *ReadReport, error) {
-	return s.Query(context.Background(), QueryRequest{Probe: probe, AsOf: AsOfLatest})
-}
-
-// ReadAsOf answers the probe against the store's state after its first
-// version fragments — time travel over the immutable fragment history.
-// version ranges from 0 (empty store) to Fragments().
-//
-// Deprecated: ReadAsOf is a thin wrapper; use Query with AsOf set.
-func (s *Store) ReadAsOf(probe *tensor.Coords, version int) (*Result, *ReadReport, error) {
-	if version < 0 {
-		// QueryRequest reserves -1 for "latest"; the legacy method
-		// treated every negative version as out of range.
-		return nil, nil, fmt.Errorf("store: %w: version %d outside [0, %d]", ErrBadRequest, version, s.Fragments())
+	slices.SortFunc(order, func(a, b int) int {
+		return slices.Compare(flat[a*dims:(a+1)*dims], flat[b*dims:(b+1)*dims])
+	})
+	out := &Result{Coords: tensor.NewCoords(dims, total), Values: make([]float64, 0, total)}
+	for _, i := range order {
+		out.Coords.AppendFlat(flat[i*dims : (i+1)*dims])
+		out.Values = append(out.Values, values[i])
 	}
-	return s.Query(context.Background(), QueryRequest{Probe: probe, AsOf: int64(version)})
-}
-
-// ReadRegion reads a rectangular region by probing every cell, the form
-// of the paper's read benchmark (start (m/2,…), size (m/10,…)).
-//
-// Deprecated: ReadRegion is a thin wrapper; use Query with a Region
-// target.
-func (s *Store) ReadRegion(region tensor.Region) (*Result, *ReadReport, error) {
-	return s.Query(context.Background(), QueryRequest{Region: &region, AsOf: AsOfLatest})
-}
-
-// ReadRegionScan reads a rectangular region in scan mode: instead of
-// probing every cell with the organization's point-read algorithm (the
-// paper's benchmark, O(n_read) probes of O(n) each for COO/LINEAR),
-// each overlapping fragment enumerates its stored points and filters by
-// containment — O(n) per fragment regardless of region volume. This is
-// the trade-off flip side of §II-A: scans favor large windows, probes
-// favor small ones. CSF prunes the walk through its tree
-// (core.RegionScanner); the other organizations fall back to a full
-// iteration.
-//
-// Deprecated: ReadRegionScan is a thin wrapper; use Query with
-// StrategyScan.
-func (s *Store) ReadRegionScan(region tensor.Region) (*Result, *ReadReport, error) {
-	return s.Query(context.Background(), QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: StrategyScan})
-}
-
-// ReadRegionAuto reads a rectangular region, choosing probe or scan
-// mode per fragment by the Table I cost model. Results are identical to
-// ReadRegion and ReadRegionScan; only the time to produce them differs.
-// The report's Scans field tells how many fragments were scanned.
-//
-// Deprecated: ReadRegionAuto is a thin wrapper; use Query with
-// StrategyAuto.
-func (s *Store) ReadRegionAuto(region tensor.Region) (*Result, *ReadReport, error) {
-	return s.Query(context.Background(), QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: StrategyAuto})
-}
-
-// ReadParallel answers a probe list like Read but processes the
-// overlapping fragments in a bounded worker pool — the multi-fragment
-// analogue of parallel I/O on an HPC node. Results are identical to
-// Read; only wall-clock time differs (on real file systems).
-//
-// Deprecated: ReadParallel is a thin wrapper; use Query with Workers
-// set.
-func (s *Store) ReadParallel(probe *tensor.Coords, workers int) (*Result, *ReadReport, error) {
-	if workers < 1 {
-		workers = -1 // legacy semantics: "not specified" meant every core
-	}
-	return s.Query(context.Background(), QueryRequest{Probe: probe, AsOf: AsOfLatest, Workers: workers})
+	return out
 }
 
 // ReadCost flattens a read report into the cost map shared by span

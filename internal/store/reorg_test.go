@@ -48,7 +48,7 @@ func TestCompactToReorganizes(t *testing.T) {
 	// The pinned snapshot still reads its COO fragments even though the
 	// store's current format is CSF: fragments open by their own header
 	// kind, not the manifest's.
-	pinC, pinV, err := st.exportFrags(pinned.frags)
+	pinC, pinV, err := st.exportView(pinned)
 	if err != nil {
 		t.Fatalf("pinned pre-reorg view unreadable: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestCompactToReorganizes(t *testing.T) {
 	if _, err := st.Write(c, []float64{42}); err != nil {
 		t.Fatal(err)
 	}
-	got, found, _, err := st.ReadPoints(c)
+	got, found, _, err := readPoints(st, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCompactToReorganizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLen := wantC.Len()
-	if _, found, _, err := st.ReadPoints(c); err != nil || !found[0] {
+	if _, found, _, err := readPoints(st, c); err != nil || !found[0] {
 		t.Fatalf("post-reorg point lost: found=%v err=%v", found, err)
 	}
 	preExisting := false

@@ -596,6 +596,22 @@ type WriteReport struct {
 // Sum returns the total write time.
 func (r WriteReport) Sum() time.Duration { return r.Build + r.Reorg + r.Write + r.Others }
 
+// Add folds another write's report into r — a chunked write's tiles, a
+// router's shards. Everything sums, epochs included (a change counter,
+// as Chunked.Epoch is); Name keeps the first fragment named.
+func (r *WriteReport) Add(o *WriteReport) {
+	r.Build += o.Build
+	r.Reorg += o.Reorg
+	r.Write += o.Write
+	r.Others += o.Others
+	r.Bytes += o.Bytes
+	r.NNZ += o.NNZ
+	r.Epoch += o.Epoch
+	if r.Name == "" {
+		r.Name = o.Name
+	}
+}
+
 // takeCost drains modeled I/O cost when the FS has a cost model,
 // otherwise returns zero and ok=false.
 func (s *Store) takeCost() (fsim.Cost, bool) {
@@ -619,10 +635,10 @@ func (s *Store) Write(c *tensor.Coords, vals []float64) (*WriteReport, error) {
 // it directly to build the consolidated fragment).
 func (s *Store) writeLocked(c *tensor.Coords, vals []float64) (*WriteReport, error) {
 	if c.Len() != len(vals) {
-		return nil, fmt.Errorf("store: %d points with %d values", c.Len(), len(vals))
+		return nil, fmt.Errorf("store: %w: %d points with %d values", ErrShapeMismatch, c.Len(), len(vals))
 	}
 	if c.Dims() != s.shape.Dims() {
-		return nil, fmt.Errorf("store: %d-dim coords for %d-dim store", c.Dims(), s.shape.Dims())
+		return nil, fmt.Errorf("store: %w: %d-dim coords for %d-dim store", ErrShapeMismatch, c.Dims(), s.shape.Dims())
 	}
 	rep := &WriteReport{NNZ: c.Len()}
 	s.takeCost() // discard any cost accrued outside this call
@@ -727,15 +743,15 @@ func (s *Store) writeLocked(c *tensor.Coords, vals []float64) (*WriteReport, err
 // DeleteRegion marks every cell of the region as deleted. The deletion
 // is log-structured: it appends a tombstone record to the manifest delta
 // log (MANIFEST.LOG) — no fragment file is written. Earlier data stays
-// on disk (and remains visible to ReadAsOf) until Compact folds the
+// on disk (and remains visible to as-of queries) until Compact folds the
 // tombstone in. The report's Write phase is the log append; Bytes is
 // the framed record's size.
 func (s *Store) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 	if region.Dims() != s.shape.Dims() {
-		return nil, fmt.Errorf("store: %d-dim region for %d-dim store", region.Dims(), s.shape.Dims())
+		return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), s.shape.Dims())
 	}
 	if _, err := tensor.NewRegion(s.shape, region.Start, region.Size); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: %w: %v", ErrShapeMismatch, err)
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -778,8 +794,8 @@ type ReadReport struct {
 	Fragments int           // fragments overlapping the query
 	Probed    int           // points probed (n_read × overlapping fragments)
 	Found     int
-	// Scans counts fragments answered by scan mode (ReadRegionScan
-	// always; ReadRegionAuto when the cost model preferred scanning).
+	// Scans counts fragments answered by scan mode (StrategyScan always;
+	// StrategyAuto when the cost model preferred scanning).
 	Scans int
 	// Epoch is the manifest epoch this read pinned: the snapshot it
 	// executed against. Concurrent mutations never change a pinned
@@ -809,6 +825,27 @@ type ReadReport struct {
 // Sum returns the total read time.
 func (r ReadReport) Sum() time.Duration { return r.IO + r.Extract + r.Probe + r.Merge }
 
+// Add folds another read's report into r: a pool worker's fragment, a
+// chunked store's tile, a router's shard. Every duration and count
+// sums, epochs included (a change counter, as Chunked.Epoch is).
+// Shards is left alone: fan-out is the folding caller's to state.
+func (r *ReadReport) Add(o *ReadReport) {
+	r.IO += o.IO
+	r.Extract += o.Extract
+	r.Probe += o.Probe
+	r.Merge += o.Merge
+	r.Fragments += o.Fragments
+	r.Probed += o.Probed
+	r.Found += o.Found
+	r.Scans += o.Scans
+	r.Epoch += o.Epoch
+	r.Candidates += o.Candidates
+	r.FilterSkipped += o.FilterSkipped
+	r.CacheHits += o.CacheHits
+	r.CacheMisses += o.CacheMisses
+	r.BytesRead += o.BytesRead
+}
+
 // Result is a read's output: the found points and their values, sorted
 // by row-major linear address (Algorithm 3 line 12).
 type Result struct {
@@ -822,71 +859,254 @@ type hit struct {
 	val  float64
 }
 
-// readAt probes the first limit fragments of the pinned view v.
-// Cancellation is checked once per candidate fragment.
-func (s *Store) readAt(ctx context.Context, v *readView, probe *tensor.Coords, limit int) (*Result, *ReadReport, error) {
-	rep := &ReadReport{Epoch: v.epoch}
+// readPlan is everything that differs between reads, as data: the
+// target's bounding box, which coordinate-filter predicate dismisses a
+// fragment, and how a fetched fragment is extracted. A point read (and
+// a StrategyDefault region read, whose cells are its probe list) looks
+// every probe point up; StrategyScan walks the fragment's stored points
+// inside the region; StrategyAuto picks one of the two per fragment;
+// an export, with neither probe nor region, walks every stored point.
+type readPlan struct {
+	box    tensor.BBox
+	probe  *tensor.Coords // points to look up; under StrategyAuto nil until a fragment probes
+	region *tensor.Region // window to scan; nil for lookup-only reads and exports
+	auto   bool           // choose lookup or scan per fragment by preferScan
+	vol    uint64         // region volume: preferScan's n_read
+}
+
+// planRead derives the plan from a validated request.
+func planRead(req QueryRequest) (pl readPlan, err error) {
+	if req.Probe != nil {
+		pl.probe = req.Probe
+		pl.box, _ = req.Probe.Bounds() // an empty probe reads nothing, see readView
+		return pl, nil
+	}
+	pl.box = req.Region.BBox()
+	if req.Strategy == StrategyScan {
+		pl.region = req.Region
+		return pl, nil
+	}
+	var ok bool
+	if pl.vol, ok = req.Region.Volume(); !ok {
+		return pl, fmt.Errorf("store: %w: region %v", tensor.ErrOverflow, *req.Region)
+	}
+	if req.Strategy == StrategyAuto {
+		pl.region, pl.auto = req.Region, true
+	} else {
+		pl.probe = req.Region.Coords()
+	}
+	return pl, nil
+}
+
+// mayHold asks fr's coordinate filter whether the fragment can hold any
+// of the target. Filters have no false negatives, so false lets the
+// loop skip the fragment without a fetch.
+func (pl *readPlan) mayHold(fr *fragRef) bool {
+	switch {
+	case pl.region != nil:
+		return fr.filter.MayOverlapRegion(*pl.region)
+	case pl.probe != nil:
+		return filterMayContainProbe(fr.filter, fr.bbox, pl.probe)
+	}
+	return true
+}
+
+// scans decides how fr is extracted, materializing the region's cells
+// the first time a fragment is to be probed. It runs on the loop's own
+// goroutine, before any worker sees the plan.
+func (pl *readPlan) scans(s *Store, fr *fragRef) bool {
+	if pl.region == nil {
+		return pl.probe == nil
+	}
+	if !pl.auto || preferScan(s.curKind(), s.shape, fr.nnz, pl.vol) {
+		return true
+	}
+	if pl.probe == nil {
+		pl.probe = pl.region.Coords()
+	}
+	return false
+}
+
+// readAcc is where per-fragment extraction lands: an inline read has
+// one for the request, a pooled read one per worker call.
+type readAcc struct {
+	hits []hit
+	rep  ReadReport
+}
+
+// readFragment fetches one fragment and extracts the plan's target
+// from it into acc, by scan or by point lookup.
+func (s *Store) readFragment(root *obs.Span, fi int, fr *fragRef, pl *readPlan, scan bool, acc *readAcc) error {
+	e, err := s.fetchFragment(root, *fr, &acc.rep)
+	if err != nil {
+		return err
+	}
+	sp := root.Child(obsReadProbe)
+	t := time.Now()
+	if scan {
+		err = scanFragment(s.curKind(), e.Reader, pl.region, func(p []uint64, slot int) bool {
+			acc.rep.Probed++
+			acc.hits = append(acc.hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
+			return true
+		})
+		acc.rep.Scans++
+	} else {
+		hits, probed := acc.hits, 0
+		for i, n := 0, pl.probe.Len(); i < n; i++ {
+			p := pl.probe.At(i)
+			if !fr.bbox.Contains(p) {
+				continue
+			}
+			probed++
+			if slot, ok := e.Reader.Lookup(p); ok {
+				hits = append(hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
+			}
+		}
+		acc.hits = hits
+		acc.rep.Probed += probed
+	}
+	sp.End()
+	if err != nil {
+		s.obsReg().Counter("store.read.errors", "kind", s.curKind().String()).Inc()
+		return err
+	}
+	acc.rep.Probe += time.Since(t)
+	return nil
+}
+
+// readPool runs readFragment on a bounded set of goroutines — the
+// multi-fragment analogue of parallel I/O on an HPC node. Each call
+// extracts into its own accumulator, folded into the pool's as it
+// finishes: phase durations therefore sum work across workers, not
+// elapsed time. Workers share the store's reader cache, so concurrent
+// misses on one fragment coalesce into a single load.
+type readPool struct {
+	sem chan struct{}
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	acc readAcc
+	err error // first failure
+}
+
+// run hands one fragment to the pool, blocking while every worker slot
+// is taken. The plan is copied: the loop keeps planning while workers
+// read theirs.
+func (p *readPool) run(s *Store, root *obs.Span, fi int, fr *fragRef, pl readPlan, scan bool) {
+	p.wg.Add(1)
+	p.sem <- struct{}{}
+	go func() {
+		defer p.wg.Done()
+		defer func() { <-p.sem }()
+		var local readAcc
+		err := s.readFragment(root, fi, fr, &pl, scan, &local)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if err != nil {
+			if p.err == nil {
+				p.err = err
+			}
+			return
+		}
+		p.acc.hits = append(p.acc.hits, local.hits...)
+		p.acc.rep.Add(&local.rep)
+	}()
+}
+
+// read answers a validated request against a pinned view of the
+// store's version the request names.
+func (s *Store) read(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
+	v := s.acquireView()
+	defer v.release()
+	limit := len(v.frags)
+	if req.AsOf != AsOfLatest {
+		if req.AsOf > int64(len(v.frags)) {
+			return nil, nil, fmt.Errorf("store: %w: version %d outside [0, %d]", ErrBadRequest, req.AsOf, len(v.frags))
+		}
+		limit = int(req.AsOf)
+	}
+	pl, err := planRead(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.readView(ctx, v, limit, pl, req.Workers)
+}
+
+// readView is Algorithm 3's READ and the store's only fragment loop:
+// among the first limit fragments of v, list those whose bounding box
+// overlaps the target, skip those the coordinate filters rule out,
+// fetch and extract each survivor, then merge the hits by linear
+// address — newest fragment wins, cells under a later tombstone are
+// dead. What varies is the readPlan; fragments run inline unless
+// workers (QueryRequest.Workers) asks for a pool.
+//
+// Cancellation is checked once per candidate fragment. A pooled read
+// lets fragments already handed to a worker finish, hands out no more,
+// and returns ctx.Err().
+func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPlan, workers int) (*Result, *ReadReport, error) {
+	acc := &readAcc{rep: ReadReport{Epoch: v.epoch}}
+	rep := &acc.rep
 	s.takeCost()
 	reg := s.obsReg()
 	kind := s.curKind().String()
 	root, _ := reg.StartCtx(ctx, obsRead)
 	defer root.End()
-	queryBox, any := probe.Bounds()
-	if !any {
+	if pl.probe != nil && pl.probe.Len() == 0 {
 		return &Result{Coords: tensor.NewCoords(s.shape.Dims(), 0)}, rep, nil
 	}
+	var pool *readPool
+	if n := psort.Workers(workers); n > 1 && workers != 0 {
+		pool = &readPool{sem: make(chan struct{}, n)}
+	}
 
-	var hits []hit
-	cands := v.overlapping(queryBox, limit)
+	var err error
+	cands := v.overlapping(pl.box, limit)
 	rep.Candidates = len(cands)
-	var skipped int64
 	for _, fi := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		fr := v.frags[fi]
+		fr := &v.frags[fi]
 		if fr.nnz == 0 {
-			continue // tombstones join at the merge, not the probe loop
+			continue // tombstones join at the merge, not the fragment loop
 		}
-		if v.index != nil && fr.filter != nil && !filterMayContainProbe(fr.filter, fr.bbox, probe) {
-			skipped++
+		if v.index != nil && fr.filter != nil && !pl.mayHold(fr) {
+			rep.FilterSkipped++
 			continue
 		}
 		rep.Fragments++
-
-		e, err := s.fetchFragment(root, fr, rep)
-		if err != nil {
-			return nil, nil, err
+		scan := pl.scans(s, fr)
+		if pool != nil {
+			pool.run(s, root, fi, fr, pl, scan)
+		} else if err = s.readFragment(root, fi, fr, &pl, scan, acc); err != nil {
+			break
 		}
-
-		sp := root.Child(obsReadProbe)
-		t := time.Now()
-		n := probe.Len()
-		for i := 0; i < n; i++ {
-			p := probe.At(i)
-			if !fr.bbox.Contains(p) {
-				continue
-			}
-			rep.Probed++
-			if slot, ok := e.Reader.Lookup(p); ok {
-				hits = append(hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
-			}
+	}
+	if pool != nil {
+		pool.wg.Wait()
+		if err == nil {
+			err = pool.err
 		}
-		sp.End()
-		rep.Probe += time.Since(t)
+		acc.hits = pool.acc.hits
+		rep.Add(&pool.acc.rep)
 	}
-	if skipped > 0 {
-		reg.Counter("store.filter.skipped", "kind", kind).Add(skipped)
+	if err != nil {
+		return nil, nil, err
 	}
-	rep.FilterSkipped = int(skipped)
+	if rep.FilterSkipped > 0 {
+		reg.Counter("store.filter.skipped", "kind", kind).Add(int64(rep.FilterSkipped))
+	}
 
 	sp := root.Child(obsReadMerge)
-	res, mergeDur := mergeHits(s, hits, v.overlapTombs(cands))
+	res, mergeDur := mergeHits(s, acc.hits, v.overlapTombs(cands))
 	sp.End()
+	acc.hits = nil // the report outlives the read; the hits need not
 	rep.Merge = mergeDur
 	rep.Found = res.Coords.Len()
 	reg.Counter("store.read.count", "kind", kind).Inc()
 	reg.Counter("store.read.fragments", "kind", kind).Add(int64(rep.Fragments))
+	if rep.Scans > 0 {
+		reg.Counter("store.read.scans", "kind", kind).Add(int64(rep.Scans))
+	}
 	reg.Counter("store.read.probed", "kind", kind).Add(int64(rep.Probed))
 	reg.Counter("store.read.found", "kind", kind).Add(int64(rep.Found))
 	return res, rep, nil
@@ -914,7 +1134,7 @@ func filterMayContainProbe(f *filter.Filter, box tensor.BBox, probe *tensor.Coor
 // psort's cutoff.
 func mergeHits(s *Store, hits []hit, tombs []tombstoneRef) (*Result, time.Duration) {
 	t := time.Now()
-	// The comparison must be strict (a total order): ReadParallel
+	// The comparison must be strict (a total order): a pooled read
 	// appends hits in nondeterministic worker order, and a duplicated
 	// probe point yields identical (addr, frag) pairs, so ties fall
 	// through to the index. Entries equal on (addr, frag) carry the
@@ -960,103 +1180,4 @@ func mergeHits(s *Store, hits []hit, tombs []tombstoneRef) (*Result, time.Durati
 		reg.Counter("store.merge.tombstone_dead", "kind", kind).Add(tombDead)
 	}
 	return out, time.Since(t)
-}
-
-// readRegionScanAt reads a rectangular region in scan mode against the
-// first limit fragments of the pinned view v: each overlapping
-// fragment enumerates its stored points and filters by containment —
-// O(n) per fragment regardless of region volume. CSF prunes the walk
-// through its tree (core.RegionScanner); the other organizations fall
-// back to a full iteration. Cancellation is checked once per fragment.
-func (s *Store) readRegionScanAt(ctx context.Context, v *readView, region tensor.Region, limit int) (*Result, *ReadReport, error) {
-	rep := &ReadReport{Epoch: v.epoch}
-	s.takeCost()
-	reg := s.obsReg()
-	kind := s.curKind().String()
-	root, _ := reg.StartCtx(ctx, obsRead)
-	defer root.End()
-	queryBox := region.BBox()
-
-	var hits []hit
-	cands := v.overlapping(queryBox, limit)
-	rep.Candidates = len(cands)
-	var skipped int64
-	for _, fi := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		fr := v.frags[fi]
-		if fr.nnz == 0 {
-			continue
-		}
-		if v.index != nil && fr.filter != nil && !fr.filter.MayOverlapRegion(region) {
-			skipped++
-			continue
-		}
-		rep.Fragments++
-
-		e, err := s.fetchFragment(root, fr, rep)
-		if err != nil {
-			return nil, nil, err
-		}
-
-		sp := root.Child(obsReadProbe)
-		t := time.Now()
-		visit := func(p []uint64, slot int) bool {
-			rep.Probed++
-			hits = append(hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
-			return true
-		}
-		if err := scanFragment(s.curKind(), e.Reader, region, visit); err != nil {
-			sp.End()
-			reg.Counter("store.read.errors", "kind", kind).Inc()
-			return nil, nil, err
-		}
-		sp.End()
-		rep.Probe += time.Since(t)
-		rep.Scans++
-	}
-	if skipped > 0 {
-		reg.Counter("store.filter.skipped", "kind", kind).Add(skipped)
-	}
-	rep.FilterSkipped = int(skipped)
-	sp := root.Child(obsReadMerge)
-	res, mergeDur := mergeHits(s, hits, v.overlapTombs(cands))
-	sp.End()
-	rep.Merge = mergeDur
-	rep.Found = res.Coords.Len()
-	reg.Counter("store.read.count", "kind", kind).Inc()
-	reg.Counter("store.read.fragments", "kind", kind).Add(int64(rep.Fragments))
-	reg.Counter("store.read.scans", "kind", kind).Add(int64(rep.Scans))
-	reg.Counter("store.read.probed", "kind", kind).Add(int64(rep.Probed))
-	reg.Counter("store.read.found", "kind", kind).Add(int64(rep.Found))
-	return res, rep, nil
-}
-
-// ReadPoints probes specific points and returns values aligned with the
-// probe order plus a found mask — the convenience form for applications.
-func (s *Store) ReadPoints(probe *tensor.Coords) ([]float64, []bool, *ReadReport, error) {
-	return s.QueryPoints(context.Background(), probe)
-}
-
-// QueryPoints is ReadPoints under a context: the probe runs through
-// Query, so cancellation stops fragment work mid-read. It is the form
-// the wire protocol's ReadPoints op executes.
-func (s *Store) QueryPoints(ctx context.Context, probe *tensor.Coords) ([]float64, []bool, *ReadReport, error) {
-	res, rep, err := s.Query(ctx, QueryRequest{Probe: probe, AsOf: AsOfLatest})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	byAddr := make(map[uint64]float64, res.Coords.Len())
-	for i, n := 0, res.Coords.Len(); i < n; i++ {
-		byAddr[s.lin.Linearize(res.Coords.At(i))] = res.Values[i]
-	}
-	vals := make([]float64, probe.Len())
-	found := make([]bool, probe.Len())
-	for i, n := 0, probe.Len(); i < n; i++ {
-		if v, ok := byAddr[s.lin.Linearize(probe.At(i))]; ok {
-			vals[i], found[i] = v, true
-		}
-	}
-	return vals, found, rep, nil
 }

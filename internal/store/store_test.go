@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -90,7 +91,7 @@ func TestWriteReadAllKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, rrep, err := st.ReadRegion(region)
+			res, rrep, err := readRegion(st, region, StrategyDefault)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +146,7 @@ func TestMultiFragmentLaterWins(t *testing.T) {
 			probe.Append(1, 1)
 			probe.Append(2, 2)
 			probe.Append(3, 3)
-			vals, found, _, err := st.ReadPoints(probe)
+			vals, found, _, err := readPoints(st, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +175,7 @@ func TestReadPointsMask(t *testing.T) {
 	probe := tensor.NewCoords(2, 0)
 	probe.Append(5, 5)
 	probe.Append(0, 0)
-	vals, found, _, err := st.ReadPoints(probe)
+	vals, found, _, err := readPoints(st, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +191,12 @@ func TestEmptyProbeAndEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := st.Read(tensor.NewCoords(2, 0))
+	res, rep, err := readProbe(st, tensor.NewCoords(2, 0))
 	if err != nil || res.Coords.Len() != 0 || rep.Fragments != 0 {
 		t.Fatalf("empty probe: %v %v %v", res, rep, err)
 	}
 	region, _ := tensor.NewRegion(shape, []uint64{0, 0}, []uint64{4, 4})
-	res, _, err = st.ReadRegion(region)
+	res, _, err = readRegion(st, region, StrategyDefault)
 	if err != nil || res.Coords.Len() != 0 {
 		t.Fatalf("empty store read: %d found, err %v", res.Coords.Len(), err)
 	}
@@ -221,7 +222,7 @@ func TestBBoxPruningSkipsFragments(t *testing.T) {
 	}
 	probe := tensor.NewCoords(2, 0)
 	probe.Append(1, 1)
-	_, rep, err := st.Read(probe)
+	_, rep, err := readProbe(st, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestOpenPersistedManifest(t *testing.T) {
 	}
 	probe := tensor.NewCoords(2, 0)
 	probe.Append(3, 4)
-	vals, found, _, err := st2.ReadPoints(probe)
+	vals, found, _, err := readPoints(st2, probe)
 	if err != nil || !found[0] || vals[0] != 42 {
 		t.Fatalf("reopened read: %v %v %v", vals, found, err)
 	}
@@ -287,7 +288,7 @@ func TestWithCodecShrinksFragments(t *testing.T) {
 		// And the data must still read back.
 		probe := tensor.NewCoords(2, 0)
 		probe.Append(coords.At(0)...)
-		_, found, _, err := st.ReadPoints(probe)
+		_, found, _, err := readPoints(st, probe)
 		if err != nil || !found[0] {
 			t.Fatalf("codec %d: read back failed: %v", codec, err)
 		}
@@ -338,16 +339,16 @@ func TestStoreErrors(t *testing.T) {
 	}
 	c := tensor.NewCoords(2, 0)
 	c.Append(1, 1)
-	if _, err := st.Write(c, []float64{1, 2}); err == nil {
-		t.Error("value count mismatch accepted")
+	if _, err := st.Write(c, []float64{1, 2}); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("value count mismatch not rejected as ErrShapeMismatch: %v", err)
 	}
 	c3 := tensor.NewCoords(3, 0)
 	c3.Append(1, 1, 1)
-	if _, err := st.Write(c3, []float64{1}); err == nil {
-		t.Error("dims mismatch accepted")
+	if _, err := st.Write(c3, []float64{1}); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("dims mismatch not rejected as ErrShapeMismatch: %v", err)
 	}
-	if _, _, err := st.Read(c3); err == nil {
-		t.Error("probe dims mismatch accepted")
+	if _, _, err := readProbe(st, c3); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("probe dims mismatch not rejected as ErrShapeMismatch: %v", err)
 	}
 	if _, err := Create(fs, "t2", core.Kind(88), shape); err == nil {
 		t.Error("unknown kind accepted")
@@ -383,7 +384,7 @@ func TestOSFSBackend(t *testing.T) {
 	}
 	probe := tensor.NewCoords(2, 0)
 	probe.Append(9, 9)
-	vals, found, _, err := st2.ReadPoints(probe)
+	vals, found, _, err := readPoints(st2, probe)
 	if err != nil || !found[0] || vals[0] != 2 {
 		t.Fatalf("OSFS read back: %v %v %v", vals, found, err)
 	}
@@ -421,7 +422,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, _, err := st.ReadRegion(region)
+				res, _, err := readRegion(st, region, StrategyDefault)
 				if err != nil {
 					t.Fatal(err)
 				}

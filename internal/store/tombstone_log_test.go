@@ -137,7 +137,7 @@ func TestTombstoneSurvivesCheckpoint(t *testing.T) {
 	verifyModel(t, st2, ref, "reopen from checkpoint")
 	// Version 2 is the store before the tombstone committed (two data
 	// fragments); the (5,5)=77 write is still visible there.
-	res, _, err := st2.ReadAsOf(inside, 2)
+	res, _, err := readAsOf(st2, inside, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestTombstoneSurvivesCheckpoint(t *testing.T) {
 		t.Fatalf("ReadAsOf(2): got %d cells, want the pre-delete value 77", res.Coords.Len())
 	}
 	// At the current version the tombstone hides it.
-	res, _, err = st2.Read(inside)
+	res, _, err = readProbe(st2, inside)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,25 +70,25 @@ func TestDeleteRegionAcrossKinds(t *testing.T) {
 			st := tombstoneFixture(t, kind)
 			region, _ := tensor.NewRegion(st.Shape(), []uint64{0, 0}, []uint64{8, 8})
 
-			res, _, err := st.ReadRegion(region)
+			res, _, err := readRegion(st, region, StrategyDefault)
 			if err != nil {
 				t.Fatal(err)
 			}
 			expectContents(t, res, want)
 
-			scan, _, err := st.ReadRegionScan(region)
+			scan, _, err := readRegion(st, region, StrategyScan)
 			if err != nil {
 				t.Fatal(err)
 			}
 			expectContents(t, scan, want)
 
-			auto, _, err := st.ReadRegionAuto(region)
+			auto, _, err := readRegion(st, region, StrategyAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
 			expectContents(t, auto, want)
 
-			par, _, err := st.ReadParallel(region.Coords(), 4)
+			par, _, err := readPooled(st, region.Coords(), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,34 +111,34 @@ func TestReadAsOfTimeTravel(t *testing.T) {
 	probe.Append(6, 6)
 
 	// Version 0: empty store.
-	res, _, err := st.ReadAsOf(probe, 0)
+	res, _, err := readAsOf(st, probe, 0)
 	if err != nil || res.Coords.Len() != 0 {
 		t.Fatalf("v0: %d cells, %v", res.Coords.Len(), err)
 	}
 	// Version 1: all three original points alive.
-	res, _, err = st.ReadAsOf(probe, 1)
+	res, _, err = readAsOf(st, probe, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectContents(t, res, map[[2]uint64]float64{{1, 1}: 10, {2, 2}: 20, {6, 6}: 30})
 	// Version 2: after the tombstone, only (6,6) remains.
-	res, _, err = st.ReadAsOf(probe, 2)
+	res, _, err = readAsOf(st, probe, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectContents(t, res, map[[2]uint64]float64{{6, 6}: 30})
 	// Version 3 (= head): (2,2) rewritten.
-	res, _, err = st.ReadAsOf(probe, 3)
+	res, _, err = readAsOf(st, probe, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectContents(t, res, map[[2]uint64]float64{{2, 2}: 99, {6, 6}: 30})
 	// Out-of-range versions are rejected.
-	if _, _, err := st.ReadAsOf(probe, 4); err == nil {
+	if _, _, err := readAsOf(st, probe, 4); err == nil {
 		t.Fatal("version beyond head accepted")
 	}
-	if _, _, err := st.ReadAsOf(probe, -1); err == nil {
-		t.Fatal("negative version accepted")
+	if _, _, err := readAsOf(st, probe, AsOfLatest-1); err == nil {
+		t.Fatal("version below AsOfLatest accepted")
 	}
 }
 
@@ -152,7 +152,7 @@ func TestCompactFoldsTombstones(t *testing.T) {
 		t.Fatalf("compact report: %+v", rep)
 	}
 	region, _ := tensor.NewRegion(st.Shape(), []uint64{0, 0}, []uint64{8, 8})
-	res, _, err := st.ReadRegion(region)
+	res, _, err := readRegion(st, region, StrategyDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestTombstonePersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, found, _, err := st2.ReadPoints(c)
+	vals, found, _, err := readPoints(st2, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestDeleteOnEmptyStoreIsVisible(t *testing.T) {
 	if _, err := st.Write(c, []float64{5}); err != nil {
 		t.Fatal(err)
 	}
-	vals, found, _, err := st.ReadPoints(c)
+	vals, found, _, err := readPoints(st, c)
 	if err != nil || !found[0] || vals[0] != 5 {
 		t.Fatalf("post-tombstone write lost: %v %v %v", vals, found, err)
 	}

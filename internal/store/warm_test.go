@@ -57,7 +57,7 @@ func TestWarmOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := st.ReadRegion(region)
+	res, rep, err := readRegion(st, region, StrategyDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestWarmOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.ReadRegion(region); err != nil {
+	if _, _, err := readRegion(st, region, StrategyDefault); err != nil {
 		t.Fatal(err)
 	}
 	if stats := fs.Stats(); stats.ReadOps == 0 {
@@ -152,7 +152,7 @@ func TestWarmSkipsTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := st.ReadRegion(region)
+	res, _, err := readRegion(st, region, StrategyDefault)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,76 +193,6 @@ func DecodeQueryResult(payload []byte) (*QueryResult, error) {
 	return &QueryResult{Result: &store.Result{Coords: coords, Values: values}, Report: rep}, nil
 }
 
-// ReadPoints is the MsgReadPoints request.
-type ReadPoints struct {
-	Deadline time.Duration
-	Probe    *tensor.Coords
-}
-
-// Encode serializes the request.
-func (m *ReadPoints) Encode() []byte {
-	w := buf.NewWriter(32 + 8*m.Probe.Len()*m.Probe.Dims())
-	w.U64(uint64(m.Deadline))
-	putCoords(w, m.Probe)
-	return w.Bytes()
-}
-
-// DecodeReadPoints parses a MsgReadPoints payload.
-func DecodeReadPoints(payload []byte) (*ReadPoints, error) {
-	r := buf.NewReader(payload)
-	m := &ReadPoints{Deadline: time.Duration(r.U64())}
-	probe, err := getCoords(r)
-	if err != nil {
-		return nil, fmt.Errorf("wire: bad read-points payload: %w", err)
-	}
-	m.Probe = probe
-	return m, nil
-}
-
-// PointsResult is the MsgReadPoints response: values aligned with the
-// probe order plus the found mask.
-type PointsResult struct {
-	Values []float64
-	Found  []bool
-	Report *store.ReadReport
-}
-
-// Encode serializes the response.
-func (m *PointsResult) Encode() []byte {
-	w := buf.NewWriter(64 + 9*len(m.Values))
-	w.F64s(m.Values)
-	w.U64(uint64(len(m.Found)))
-	for _, f := range m.Found {
-		if f {
-			w.U8(1)
-		} else {
-			w.U8(0)
-		}
-	}
-	putReadReport(w, m.Report)
-	return w.Bytes()
-}
-
-// DecodePointsResult parses a MsgReadPoints response payload.
-func DecodePointsResult(payload []byte) (*PointsResult, error) {
-	r := buf.NewReader(payload)
-	m := &PointsResult{Values: r.F64s()}
-	n := r.U64()
-	if r.Err() == nil && n == uint64(len(m.Values)) {
-		m.Found = make([]bool, n)
-		for i := range m.Found {
-			m.Found[i] = r.U8() != 0
-		}
-	} else if r.Err() == nil {
-		return nil, fmt.Errorf("wire: points result has %d marks for %d values", n, len(m.Values))
-	}
-	m.Report = getReadReport(r)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("wire: bad points result: %w", err)
-	}
-	return m, nil
-}
-
 // Write is the MsgWrite request: one fragment's worth of points.
 type Write struct {
 	Deadline time.Duration

@@ -50,8 +50,8 @@ import (
 
 // Message types. Requests are < 0x40; responses have the high bits.
 const (
-	MsgQuery      = uint8(0x01) // store.QueryRequest → Result + ReadReport
-	MsgReadPoints = uint8(0x02) // probe → values + found mask + ReadReport
+	MsgQuery = uint8(0x01) // store.QueryRequest → Result + ReadReport
+	// 0x02 was MsgReadPoints (now store.AlignPoints over a MsgQuery result): reserved, never reassign.
 	MsgWrite      = uint8(0x03) // coords + values → WriteReport
 	MsgWriteBatch = uint8(0x04) // batches + workers → []WriteReport
 	MsgDelete     = uint8(0x05) // region → WriteReport

@@ -166,21 +166,6 @@ func TestQueryResultRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPointsResultRoundTrip(t *testing.T) {
-	res := &PointsResult{
-		Values: []float64{1, 0, 3},
-		Found:  []bool{true, false, true},
-		Report: &store.ReadReport{Probed: 3, Found: 2},
-	}
-	got, err := DecodePointsResult(res.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, res) {
-		t.Fatalf("mismatch: %+v", got)
-	}
-}
-
 func TestWriteAndBatchRoundTrip(t *testing.T) {
 	wr := &Write{
 		Deadline: time.Second,

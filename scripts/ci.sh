@@ -25,6 +25,24 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
+# Surface gate: Query/Kernel are the only read and compute entry points,
+# so nothing superseded may linger behind a Deprecated: marker — delete
+# it instead. The numbers printed are the baseline the next simplicity
+# change is measured against.
+echo "==> surface (no Deprecated: markers; exported methods; code lines)"
+if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
+    echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
+    exit 1
+fi
+for recv in Store Chunked; do
+    n=$(find internal/store -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 |
+        xargs -0 grep -hE "^func \\((s|c) \\*${recv}\\) [A-Z]" | wc -l)
+    echo "  exported methods of *${recv}: $n"
+done
+lines=$(find internal/store internal/serve internal/wire -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 cat | grep -cvE '^\s*(//.*)?$')
+echo "  non-blank non-comment lines, internal/{store,serve,wire}: $lines"
+
 echo "==> go test -race"
 go test -race ./...
 

@@ -1,11 +1,10 @@
 package sparseart
 
-// This file is the facade over the unified request surface
-// (store.Query / store.Kernel) and the network serving layer
-// (internal/serve + internal/wire): one context-aware QueryRequest
-// covers every read the legacy Read* methods expressed, the same
-// struct travels the wire protocol to a data server, and a shard
-// router serves the identical surface over a fleet.
+// This file is the facade over the request surface (store.Query /
+// store.Kernel) and the network serving layer (internal/serve +
+// internal/wire): one context-aware QueryRequest expresses every read,
+// the same struct travels the wire protocol to a data server, and a
+// shard router serves the identical surface over a fleet.
 
 import (
 	"sparseart/internal/obs"
@@ -68,6 +67,13 @@ var (
 	ErrShardUnavailable = wire.ErrShardUnavailable
 )
 
+// AlignPoints lays a probe query's Result out along its probe: vals[i]
+// and found[i] answer probe point i. It works on a Result from a
+// Store, a ChunkedStore, a DataClient or a ShardRouter alike.
+func AlignPoints(probe *Coords, res *Result) (vals []float64, found []bool) {
+	return store.AlignPoints(probe, res)
+}
+
 // OpenChunkedStore reopens a chunked store created by
 // CreateChunkedStore from its CHUNKED manifest, rediscovering every
 // materialized tile.
@@ -80,8 +86,8 @@ func OpenChunkedStore(fs FS, prefix string, opts ...StoreOption) (*ChunkedStore,
 // protocol; a DataClient drives it with pipelined, deadline-carrying
 // requests.
 type (
-	// Backend is the serveable surface: Query, ReadPoints, Write,
-	// WriteBatch, DeleteRegion, Kernel, Info, ObsSnapshot.
+	// Backend is the serveable surface: Query, Write, WriteBatch,
+	// DeleteRegion, Kernel, Info, ObsSnapshot.
 	Backend = serve.Backend
 	// DataServer serves one Backend over the wire protocol.
 	DataServer = serve.Server

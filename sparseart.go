@@ -15,7 +15,7 @@
 //	st, err := sparseart.CreateStore("/tmp/tensor", sparseart.CSF, shape)
 //	...
 //	st.Write(coords, values)
-//	res, rep, err := st.ReadRegion(region)
+//	res, rep, err := st.Query(ctx, sparseart.QueryRequest{Region: &region, AsOf: sparseart.AsOfLatest})
 //
 // See the runnable programs under examples/ and the benchmark harness
 // in cmd/sparsebench, which regenerates every table and figure of the
@@ -97,10 +97,8 @@ type (
 	Batch = store.Batch
 	// PushReport summarizes a push-down execution: fragments iterated
 	// and skipped, live cells delivered, and cells masked by newer
-	// fragments (Shadowed) or tombstones (Dead). Returned by the
-	// in-store kernels — Store.SpMV, Store.TTV, Store.SumAll,
-	// Store.SumRegion, Store.LiveNNZ, Store.NNZPerSlice — and
-	// Store.ScanLive.
+	// fragments (Shadowed) or tombstones (Dead). Returned in every
+	// KernelResult (Store.Kernel) and by Store.ScanLive.
 	PushReport = store.PushReport
 	// ConvertConfig tunes a streaming conversion's chunking and worker
 	// pool.
@@ -115,22 +113,20 @@ type (
 )
 
 // Streaming ingest is the primary batched-write surface. Both Store and
-// ChunkedStore expose it in three forms:
+// ChunkedStore expose it in two forms:
 //
-//	err := st.WriteBatchFunc(batches, workers, func(i int, rep *sparseart.WriteReport, err error) error {
+//	err := st.WriteBatchContext(ctx, batches, workers, func(i int, rep *sparseart.WriteReport, err error) error {
 //		// Called in commit order, after each fragment is durable.
 //		return nil
 //	})
 //
-//	for rep, err := range st.WriteBatchSeq(batches, workers) { ... }
-//
 //	reps, err := st.WriteBatch(batches, workers) // collecting form
 //
-// All three leave the file system byte-identical to a serial loop of
-// Write; ChunkedStore additionally fans one logical batch list out
-// across every tile it touches, preparing all tiles' fragments on one
-// shared worker pool. Prefer the streaming forms for large ingests —
-// they don't hold O(batches) reports alive.
+// Both leave the file system byte-identical to a serial loop of Write;
+// ChunkedStore additionally fans one logical batch list out across
+// every tile it touches, preparing all tiles' fragments on one shared
+// worker pool. Prefer the streaming form for large ingests — it doesn't
+// hold O(batches) reports alive.
 
 // NewReaderCache builds a shared fragment cache with a global byte
 // budget, for WithSharedCache. Entries larger than half the budget are

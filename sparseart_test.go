@@ -35,14 +35,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, rrep, err := st.ReadRegion(region)
+			res, rrep, err := queryRegion(st, region, sparseart.StrategyDefault)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Coords.Len() != 16 || rrep.Found != 16 {
 				t.Fatalf("read %d points", res.Coords.Len())
 			}
-			vals, found, _, err := st.ReadPoints(coords)
+			vals, found, err := queryPoints(st, coords)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestOpenStoreReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, found, _, err := st2.ReadPoints(c)
+	vals, found, err := queryPoints(st2, c)
 	if err != nil || !found[0] || vals[0] != 9 {
 		t.Fatalf("reopened store: %v %v %v", vals, found, err)
 	}
@@ -114,7 +114,7 @@ func TestChunkedFacadeOverflow(t *testing.T) {
 	if _, err := st.Write(c, []float64{3.5}); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := st.Read(c)
+	res, _, err := queryProbe(st, c)
 	if err != nil || res.Coords.Len() != 1 || res.Values[0] != 3.5 {
 		t.Fatalf("chunked read back: %v %v", res, err)
 	}
