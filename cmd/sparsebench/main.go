@@ -54,14 +54,8 @@ func main() {
 		trace      = flag.Bool("trace", false, "enable the obs registry and print the span timeline to stderr after the run")
 		otlp       = flag.String("otlp", "", "enable the obs registry and write its OTLP-JSON export to this file after the run")
 		chromeOut  = flag.String("chrome-trace", "", "enable the obs registry and write the span timeline as Chrome trace_event JSON to this file (load in chrome://tracing or ui.perfetto.dev)")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "manifest checkpoint cadence for every store the run creates: fold the delta log every K commits (1 = rewrite per write; 0 = the adaptive default)")
 	)
 	flag.Parse()
-	if *ckptEvery > 0 {
-		// The harness creates stores deep inside the experiment code;
-		// the environment knob reaches them all.
-		os.Setenv("SPARSEART_MANIFEST_CHECKPOINT_EVERY", fmt.Sprint(*ckptEvery))
-	}
 	if err := run(*experiment, *scaleName, *fsName, *osDir, *seed, *csvPath, *quiet, *probeLimit, *trials, *chart, obsOutputs{
 		metricsPath: *metrics, trace: *trace, otlpPath: *otlp, chromePath: *chromeOut,
 	}); err != nil {

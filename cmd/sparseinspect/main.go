@@ -63,8 +63,8 @@ func inspect(path string, payload bool) error {
 		}
 		return inspectManifest(path, data)
 	}
-	// Ranged open: for a sectioned file this reads only the header; the
-	// body sections are fetched (and checksummed) by Materialize below.
+	// Ranged open: this reads only the header; the body sections are
+	// fetched (and checksummed) by Materialize below.
 	lz, err := fragment.OpenAt(file, info.Size())
 	if err != nil {
 		return err
@@ -74,14 +74,9 @@ func inspect(path string, payload bool) error {
 		return err
 	}
 	fmt.Printf("%s:\n", path)
-	fmt.Printf("  layout:       v%d", frag.Version)
-	if sections := lz.Sections(); sections == nil {
-		fmt.Printf(" (legacy whole-file)\n")
-	} else {
-		fmt.Printf(" (sectioned, ranged reads)\n")
-		for _, s := range sections {
-			fmt.Printf("    %-8s off=%-8d len=%-8d crc32=%08x\n", s.Name, s.Offset, s.Len, s.CRC)
-		}
+	fmt.Printf("  layout:       v%d (sectioned, ranged reads)\n", frag.Version)
+	for _, s := range lz.Sections() {
+		fmt.Printf("    %-8s off=%-8d len=%-8d crc32=%08x\n", s.Name, s.Offset, s.Len, s.CRC)
 	}
 	fmt.Printf("  organization: %v\n", frag.Kind)
 	fmt.Printf("  codec:        %d\n", frag.Codec)
@@ -129,7 +124,7 @@ func inspectManifest(path string, data []byte) error {
 		return err
 	}
 	fmt.Printf("%s:\n", path)
-	fmt.Printf("  manifest:     SMN%d\n", info.Version)
+	fmt.Printf("  manifest:     SMN2\n")
 	fmt.Printf("  organization: %v\n", info.Kind)
 	fmt.Printf("  codec:        %d\n", info.Codec)
 	fmt.Printf("  shape:        %v\n", info.Shape)
@@ -149,7 +144,7 @@ func inspectManifest(path string, data []byte) error {
 	}
 	switch {
 	case info.Index == nil:
-		fmt.Printf("  index:        none (pre-index manifest; rebuilt on open)\n")
+		fmt.Printf("  index:        none (rebuilt on open)\n")
 	case info.Index.Err != "":
 		fmt.Printf("  index:        rejected (%s); rebuilt on open\n", info.Index.Err)
 	default:

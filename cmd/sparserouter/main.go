@@ -52,8 +52,8 @@ func run(args []string) error {
 	metricsAddrFile := fs.String("metrics-addr-file", "", "write the bound telemetry address to this file once listening")
 	maxInflight := fs.Int("max-inflight", 0, "bound on concurrently executing requests (0: default)")
 	scrapeTimeout := fs.Duration("scrape-timeout", 5*time.Second, "deadline for pulling shard telemetry on each scrape")
-	slowlog := fs.String("slowlog", "", "slow-query threshold in ms — routed queries at least this slow land in /debug/slowlog (0 logs every query; empty: SPARSEART_SLOWLOG_MS, or off)")
-	traceSample := fs.Float64("trace-sample", 0, "probability that a request without a caller trace starts a sampled trace (0: SPARSEART_TRACE_SAMPLE, or off)")
+	slowlog := fs.String("slowlog", "", "slow-query threshold in ms — routed queries at least this slow land in /debug/slowlog (0 logs every query; empty: off)")
+	traceSample := fs.Float64("trace-sample", 0, "probability that a request without a caller trace starts a sampled trace (0: off)")
 	fs.Parse(args)
 	if *shards == "" {
 		return fmt.Errorf("-shards is required")

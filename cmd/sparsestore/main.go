@@ -28,14 +28,13 @@
 //
 // The global flag -cache=BYTES|off sets the fragment-reader cache
 // budget for every store the command opens (default: the library's
-// default budget, or the SPARSEART_FRAGCACHE_BUDGET environment knob):
+// default budget):
 //
 //	sparsestore -cache=off info -dir /path/to/store
 //
 // The global flag -checkpoint-every=K sets the manifest checkpoint
 // cadence: every K fragment commits the delta log folds into a fresh
-// MANIFEST (1 = rewrite on every write, the pre-log behavior; default:
-// the adaptive policy, or SPARSEART_MANIFEST_CHECKPOINT_EVERY).
+// MANIFEST (1 = rewrite on every write; default: the adaptive policy).
 package main
 
 import (
@@ -58,11 +57,11 @@ import (
 )
 
 // cacheFlag holds the global -cache=BYTES|off value; empty means the
-// library default (subject to the SPARSEART_FRAGCACHE_BUDGET knob).
+// library default.
 var cacheFlag string
 
 // ckptFlag holds the global -checkpoint-every=K value; empty means the
-// library default (subject to SPARSEART_MANIFEST_CHECKPOINT_EVERY).
+// library default.
 var ckptFlag string
 
 // bgCompactFlag holds the global -bg-compact=N value: every store the

@@ -38,8 +38,8 @@ func startListener(addr string) (stop func(), err error) {
 }
 
 // configSlowLog applies the -slowlog / -slowlog-file flags: thresholdMS
-// "" leaves the registry's default (the SPARSEART_SLOWLOG_MS knob), "0"
-// logs every query, any other integer is a threshold in milliseconds.
+// "" leaves the log off, "0" logs every query, any other integer is a
+// threshold in milliseconds.
 func configSlowLog(reg *obs.Registry, thresholdMS, file string) (err error) {
 	sl := reg.SlowLog()
 	if thresholdMS != "" {
@@ -141,9 +141,9 @@ func runServe(args []string) error {
 	readall := fs.Bool("readall", false, "run one whole-tensor region read after opening, so the scrape shows read-path metrics and spans")
 	report := fs.String("report", "", "append interval OTLP-JSON delta documents to this file while serving")
 	reportEvery := fs.Duration("report-interval", 10*time.Second, "emission interval for -report")
-	slowlog := fs.String("slowlog", "", "slow-query threshold in ms — queries at least this slow land in /debug/slowlog (0 logs every query; empty: SPARSEART_SLOWLOG_MS, or off)")
+	slowlog := fs.String("slowlog", "", "slow-query threshold in ms — queries at least this slow land in /debug/slowlog (0 logs every query; empty: off)")
 	slowlogFile := fs.String("slowlog-file", "", "also append slow-query JSONL lines to this file")
-	traceSample := fs.Float64("trace-sample", 0, "probability that a data request without a caller trace starts a sampled trace (0: SPARSEART_TRACE_SAMPLE, or off)")
+	traceSample := fs.Float64("trace-sample", 0, "probability that a data request without a caller trace starts a sampled trace (0: off)")
 	fs.Parse(args)
 	if *dir == "" {
 		return fmt.Errorf("serve: -dir is required")

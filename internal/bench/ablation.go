@@ -14,7 +14,6 @@ import (
 	"sparseart/internal/core/csf"
 	"sparseart/internal/fsim"
 	"sparseart/internal/gen"
-	"sparseart/internal/obs"
 	"sparseart/internal/store"
 	"sparseart/internal/tensor"
 )
@@ -445,86 +444,6 @@ func AblationManifestLog(scale gen.Scale, seed uint64) (string, error) {
 	return "Ablation: manifest delta log vs per-write rewrite (Table III workload, 4D MSP, 64 writes)\n" + t.String(), nil
 }
 
-// AblationChunkedIngest measures the group-committed manifest log on a
-// cross-tile batched ingest: the 3D MSP dataset split into 32 batches,
-// each fanning out across the 8 tiles of a 2x2x2 chunked store — 256
-// fragments total. Without group commit every fragment pays one
-// manifest-log Append against the Lustre model, so the metadata
-// ("Others") cost is O(fragments); with group commit each tile's
-// records land in one Append when its group flushes, making it
-// O(tiles). The checkpoint cadence is pinned high so the append count
-// isolates the group-commit effect.
-func AblationChunkedIngest(scale gen.Scale, seed uint64) (string, error) {
-	ds, err := MakeDataset(Case{Pattern: gen.MSP, Dims: 3}, scale, seed, 0)
-	if err != nil {
-		return "", err
-	}
-	shape := ds.Data.Config.Shape
-	tile := make(tensor.Shape, len(shape))
-	for d := range shape {
-		tile[d] = (shape[d] + 1) / 2 // 2 tiles per dimension
-	}
-	coords, vals := ds.Data.Coords, ds.Data.Values
-	const parts = 32
-	n := coords.Len()
-	var batches []store.Batch
-	for w := 0; w < parts; w++ {
-		lo, hi := w*n/parts, (w+1)*n/parts
-		part := tensor.NewCoords(shape.Dims(), hi-lo)
-		for i := lo; i < hi; i++ {
-			part.AppendFlat(coords.At(i))
-		}
-		batches = append(batches, store.Batch{Coords: part, Values: vals[lo:hi]})
-	}
-	kind := core.GCSR
-	run := func(group bool) (frags, tiles, appends int64, others time.Duration, metaBytes int64, err error) {
-		reg := obs.New()
-		fs := fsim.NewPerlmutterSim()
-		ch, err := store.NewChunked(fs, "ci", kind, shape, tile,
-			store.WithObs(reg), store.WithGroupCommit(group),
-			store.WithManifestCheckpointEvery(1<<20))
-		if err != nil {
-			return 0, 0, 0, 0, 0, err
-		}
-		fs.ResetStats()
-		reps, err := ch.WriteBatch(batches, 4)
-		if err != nil {
-			return 0, 0, 0, 0, 0, err
-		}
-		var fragBytes int64
-		for _, rep := range reps {
-			others += rep.Others
-			fragBytes += rep.Bytes
-		}
-		snap := reg.Snapshot()
-		frags = int64(len(reps))
-		tiles = int64(ch.Tiles())
-		appends = snap.Counters[obs.Name("store.manifest.log.appends", "kind", kind.String())]
-		metaBytes = fs.Stats().BytesWritten - fragBytes
-		return frags, tiles, appends, others, metaBytes, nil
-	}
-	t := &table{header: []string{"Policy", "Fragments", "Tiles", "Log appends", "Others total", "Metadata bytes"}}
-	for _, policy := range []struct {
-		name  string
-		group bool
-	}{
-		{"per-fragment commit", false},
-		{"group commit", true},
-	} {
-		frags, tiles, appends, others, metaBytes, err := run(policy.group)
-		if err != nil {
-			return "", err
-		}
-		t.add(policy.name,
-			fmt.Sprintf("%d", frags),
-			fmt.Sprintf("%d", tiles),
-			fmt.Sprintf("%d", appends),
-			fmt.Sprintf("%.1fms", others.Seconds()*1e3),
-			fmt.Sprintf("%d", metaBytes))
-	}
-	return "Ablation: group-committed manifest logs on cross-tile ingest (3D MSP, 32 batches x 8 tiles)\n" + t.String(), nil
-}
-
 // AblationModelValidation compares Table I's predicted cost *ratios*
 // against measured ones on the 3D GSP dataset, with COO as the
 // denominator: if the model is sound, predicted and measured ratios
@@ -606,7 +525,6 @@ func RenderAblations(scale gen.Scale, seed uint64, log io.Writer) (string, error
 		{"codecs", AblationCodecs},
 		{"reader-cache", AblationReaderCache},
 		{"manifest-log", AblationManifestLog},
-		{"chunked-ingest", AblationChunkedIngest},
 		{"model-validation", AblationModelValidation},
 	}
 	var out strings.Builder

@@ -95,8 +95,8 @@ func TestRenderAblationsAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Count(out, "Ablation:") != 10 {
-		t.Fatalf("expected 10 studies:\n%s", out)
+	if strings.Count(out, "Ablation:") != 9 {
+		t.Fatalf("expected 9 studies:\n%s", out)
 	}
 	if !strings.Contains(log.String(), "ablation codecs") {
 		t.Fatalf("progress log: %q", log.String())
@@ -124,18 +124,5 @@ func TestAblationModelValidation(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestAblationChunkedIngest(t *testing.T) {
-	out, err := AblationChunkedIngest(gen.Small, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "group commit") || !strings.Contains(out, "per-fragment commit") {
-		t.Fatalf("output:\n%s", out)
-	}
-	if !strings.Contains(out, "Log appends") {
-		t.Fatalf("output missing append column:\n%s", out)
 	}
 }

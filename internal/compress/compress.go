@@ -114,7 +114,7 @@ func (o observed) Decode(src []byte) ([]byte, error) {
 // EncodeSection compresses one fragment section with the given codec and
 // prefixes the result with the codec ID, making the section
 // self-describing: a ranged reader can decode it without consulting any
-// other section. This is the codec boundary the v2 sectioned fragment
+// other section. This is the codec boundary the sectioned fragment
 // layout stores on disk.
 func EncodeSection(id ID, src []byte) ([]byte, error) {
 	c, err := Get(id)

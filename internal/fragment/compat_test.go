@@ -2,102 +2,71 @@ package fragment
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
-
-	"sparseart/internal/compress"
-	"sparseart/internal/core"
-	_ "sparseart/internal/core/all"
 )
 
-// v1Fixture loads testdata/v1-linear.frag, a LINEAR fragment written by
-// the legacy whole-file encoder before the sectioned layout landed:
-// shape {8,8}, points (1,2) (3,4) (7,7), values {1.5, -2.25, 42},
-// delta-varint payload. It is the back-compat contract: these bytes must
-// keep decoding forever.
-func v1Fixture(t *testing.T) []byte {
+func fixture(t testing.TB, name string) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "v1-linear.frag"))
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
 }
 
-func checkV1Fixture(t *testing.T, got *Fragment) {
+// TestV3FixtureStable pins the on-disk layout: testdata/v3-linear.frag
+// is Encode(sample()) as written by the commit before the v1/v2
+// decoders were retired. Encode must keep producing exactly those
+// bytes, and they must keep decoding to sample().
+func TestV3FixtureStable(t *testing.T) {
+	want := fixture(t, "v3-linear.frag")
+	got, err := Encode(sample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Encode(sample()) drifted from the v3 fixture:\n got %x\nwant %x", got, want)
+	}
+	frag, err := Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Version, Bytes and the Stored sizes are decode outputs; every
+	// other field must be sample()'s.
+	orig := sample()
+	orig.Version, orig.Bytes, orig.Stored = frag.Version, frag.Bytes, frag.Stored
+	if !reflect.DeepEqual(frag, orig) {
+		t.Fatalf("fixture decodes to %+v, want %+v", frag, orig)
+	}
+	if frag.Version != version || frag.Bytes != int64(len(want)) {
+		t.Fatalf("fixture header reports version %d, %d bytes", frag.Version, frag.Bytes)
+	}
+}
+
+// rejectsVersion asserts both entry points refuse data as an
+// unsupported layout version, naming the version found.
+func rejectsVersion(t *testing.T, data []byte, ver string) {
 	t.Helper()
-	if got.Version != version1 {
-		t.Errorf("Version = %d, want 1", got.Version)
-	}
-	if got.Kind != core.Linear || got.Codec != compress.DeltaVarint {
-		t.Errorf("kind/codec = %v/%v, want Linear/DeltaVarint", got.Kind, got.Codec)
-	}
-	if got.NNZ != 3 || len(got.Values) != 3 {
-		t.Fatalf("NNZ = %d (%d values), want 3", got.NNZ, len(got.Values))
-	}
-	for i, want := range []float64{1.5, -2.25, 42} {
-		if got.Values[i] != want {
-			t.Errorf("Values[%d] = %v, want %v", i, got.Values[i], want)
+	_, errOpen := OpenAt(bytes.NewReader(data), int64(len(data)))
+	_, errDecode := Decode(data)
+	for _, err := range []error{errOpen, errDecode} {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error %v, want ErrCorrupt", err)
 		}
-	}
-	if got.BBox.Min[0] != 1 || got.BBox.Min[1] != 2 || got.BBox.Max[0] != 7 || got.BBox.Max[1] != 7 {
-		t.Errorf("bbox = %v, want (1,2)..(7,7)", got.BBox)
-	}
-	// The payload must open as a live index: all three points present.
-	format, err := core.Get(core.Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reader, err := format.Open(got.Payload, got.Shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range [][]uint64{{1, 2}, {3, 4}, {7, 7}} {
-		slot, ok := reader.Lookup(p)
-		if !ok || slot != i {
-			t.Errorf("Lookup(%v) = (%d, %v), want (%d, true)", p, slot, ok, i)
+		if !strings.Contains(err.Error(), "version "+ver) {
+			t.Fatalf("error %q does not name version %s", err, ver)
 		}
 	}
 }
 
-// TestV1FixtureDecodes: the pre-refactor on-disk format still decodes
-// through the whole-file path.
-func TestV1FixtureDecodes(t *testing.T) {
-	got, err := Decode(v1Fixture(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkV1Fixture(t, got)
-}
-
-// TestV1FixtureOpensRanged: the ranged entry point must detect v1 by its
-// version field and fall back to an eager whole-file decode.
-func TestV1FixtureOpensRanged(t *testing.T) {
-	data := v1Fixture(t)
-	l, err := OpenAt(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Version != version1 {
-		t.Errorf("Version = %d, want 1", l.Version)
-	}
-	if err := l.LoadSections(); err != nil {
-		t.Fatalf("LoadSections on v1: %v", err)
-	}
-	got, err := l.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkV1Fixture(t, got)
-	if l.BytesRead() != int64(len(data)) {
-		t.Errorf("BytesRead = %d, want whole file %d", l.BytesRead(), len(data))
-	}
-	h, err := DecodeHeader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != version1 || h.Kind != core.Linear || h.NNZ != 3 {
-		t.Errorf("DecodeHeader on v1 = %+v", h)
-	}
+// TestV1FixtureRejected: testdata/v1-linear.frag was written by the
+// original whole-file encoder. No store in that layout exists any more,
+// so the file is a negative input: a typed rejection, not a decode.
+func TestV1FixtureRejected(t *testing.T) {
+	rejectsVersion(t, fixture(t, "v1-linear.frag"), "1")
 }

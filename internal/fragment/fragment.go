@@ -8,21 +8,15 @@
 // bounding box used for the fragment-overlap search ("Find all fragments
 // containing b_coor").
 //
-// Three layouts exist on disk:
-//
-//   - v3 (current, written by Encode) is sectioned like v2 and adds a
-//     fourth, optional section: the per-dimension coordinate filter
-//     (internal/filter) the overlap search consults to skip fragments
-//     whose bbox overlaps a query but whose coordinates don't. The
-//     filter section is last, after values, so the payload+values pair
-//     stays contiguous and LoadSections still costs one ranged read.
-//   - v2 is sectioned: a fixed-size preamble records the length and
-//     CRC32 of three independently checksummed sections — header/bbox,
-//     payload, values — so OpenAt can decode the header from one small
-//     ranged read and fetch payload/values lazily. Read as "no filter".
-//   - v1 (legacy) is a single stream with one trailing CRC32 over the
-//     whole file. Decode and OpenAt still accept it, falling back to a
-//     whole-file read on the version field.
+// One layout exists on disk (docs/FORMATS.md §1 is the byte-level spec):
+// a fixed-size preamble records the length and CRC32 of four
+// independently checksummed sections — header/bbox, payload, values,
+// and an optional per-dimension coordinate filter (internal/filter) the
+// overlap search consults to skip fragments whose bbox overlaps a query
+// but whose coordinates don't. OpenAt decodes the header from one small
+// ranged read and fetches payload/values lazily; the filter section is
+// last, so the payload+values pair stays contiguous and LoadSections
+// costs one ranged read.
 //
 // The payload section is self-describing (compress.EncodeSection), so a
 // section can be decoded without consulting any other section.
@@ -45,37 +39,13 @@ import (
 )
 
 const (
-	magic    = 0x46415053 // "SPAF"
-	version1 = 1          // legacy whole-file layout
-	version2 = 2          // sectioned layout with per-section CRCs
-	version3 = 3          // v2 + optional trailing coordinate-filter section
+	magic   = 0x46415053 // "SPAF"
+	version = 3          // the one layout Encode writes and OpenAt reads
 
-	// preambleSize is the fixed v2 preamble:
-	//
-	//	off  0  u32 magic
-	//	off  4  u16 version
-	//	off  6  u16 reserved (zero)
-	//	off  8  u64 header section length
-	//	off 16  u64 payload section length (stored, incl. codec-ID byte)
-	//	off 24  u64 values section length (8 * nnz)
-	//	off 32  u32 header CRC32
-	//	off 36  u32 payload CRC32
-	//	off 40  u32 values CRC32
-	//	off 44  u32 preamble CRC32 over bytes [0, 44)
-	//
-	// Sections follow back to back: header at 48, payload, then values.
-	preambleSize = 48
-
-	// preambleSizeV3 extends the table with the filter section before
-	// the preamble's own checksum:
-	//
-	//	off 44  u64 filter section length (0 = no filter)
-	//	off 52  u32 filter CRC32
-	//	off 56  u32 preamble CRC32 over bytes [0, 56)
-	//
-	// Sections: header at 60, payload, values, then the filter last —
-	// keeping payload+values adjacent so LoadSections stays one read.
-	preambleSizeV3 = 60
+	// preambleSize is the fixed section table at the head of the file;
+	// the sections follow back to back: header, payload, values, filter.
+	// docs/FORMATS.md §1 lists the fields.
+	preambleSize = 60
 
 	// openReadSize is the speculative first ranged read of OpenAt: large
 	// enough to cover the preamble plus the header section of any
@@ -90,7 +60,7 @@ var ErrCorrupt = fmt.Errorf("fragment: corrupt fragment")
 // Header is the fragment metadata, available without reading the payload
 // or values sections.
 type Header struct {
-	Version uint16 // on-disk layout version (1 or 2)
+	Version uint16 // on-disk layout version
 	Kind    core.Kind
 	Codec   compress.ID
 	Shape   tensor.Shape
@@ -102,9 +72,9 @@ type Header struct {
 	Tombstone bool
 	Bytes     int64    // total encoded size
 	Stored    struct { // section sizes inside the file
-		Payload int64 // possibly compressed (v2: incl. codec-ID byte)
+		Payload int64 // possibly compressed, incl. codec-ID byte
 		Values  int64
-		Filter  int64 // v3 coordinate-filter section (0 = none)
+		Filter  int64 // coordinate-filter section (0 = none)
 	}
 }
 
@@ -114,12 +84,11 @@ type Fragment struct {
 	Payload []byte    // decompressed organization payload
 	Values  []float64 // values in packed (permuted) order
 	// Filter is the optional per-dimension coordinate summary consulted
-	// by the overlap search. nil for empty fragments, tombstones, and
-	// pre-v3 files.
+	// by the overlap search. nil for empty fragments and tombstones.
 	Filter *filter.Filter
 }
 
-// encodeHeaderSection serializes the v2 header section.
+// encodeHeaderSection serializes the header section.
 func encodeHeaderSection(f *Fragment) ([]byte, error) {
 	d := f.Shape.Dims()
 	w := buf.NewWriter(14 + 24*d)
@@ -145,13 +114,13 @@ func encodeHeaderSection(f *Fragment) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// Encode serializes a fragment in the v3 sectioned layout. The payload
+// Encode serializes a fragment in the sectioned layout. The payload
 // section is compressed with the header's codec; values are stored raw.
 func Encode(f *Fragment) ([]byte, error) {
 	return AppendEncode(nil, f)
 }
 
-// AppendEncode serializes a fragment in the v3 sectioned layout into
+// AppendEncode serializes a fragment in the sectioned layout into
 // dst's spare capacity (dst is truncated first), growing it only when
 // too small. Bulk ingest recycles encode buffers through a pool, so
 // back-to-back encodes of similarly sized fragments allocate nothing
@@ -179,22 +148,22 @@ func AppendEncode(dst []byte, f *Fragment) ([]byte, error) {
 	if f.Filter != nil {
 		filt = f.Filter.Encode()
 	}
-	need := preambleSizeV3 + len(header) + len(payload) + 8*len(f.Values) + len(filt)
+	need := preambleSize + len(header) + len(payload) + 8*len(f.Values) + len(filt)
 	var out []byte
 	if cap(dst) >= need {
 		out = dst[:need]
 	} else {
 		out = make([]byte, need)
 	}
-	copy(out[preambleSizeV3:], header)
-	copy(out[preambleSizeV3+len(header):], payload)
-	values := out[preambleSizeV3+len(header)+len(payload) : preambleSizeV3+len(header)+len(payload)+8*len(f.Values)]
+	copy(out[preambleSize:], header)
+	copy(out[preambleSize+len(header):], payload)
+	values := out[preambleSize+len(header)+len(payload) : preambleSize+len(header)+len(payload)+8*len(f.Values)]
 	for i, v := range f.Values {
 		binary.LittleEndian.PutUint64(values[8*i:], math.Float64bits(v))
 	}
-	copy(out[preambleSizeV3+len(header)+len(payload)+len(values):], filt)
+	copy(out[preambleSize+len(header)+len(payload)+len(values):], filt)
 	binary.LittleEndian.PutUint32(out[0:], magic)
-	binary.LittleEndian.PutUint16(out[4:], version3)
+	binary.LittleEndian.PutUint16(out[4:], version)
 	binary.LittleEndian.PutUint16(out[6:], 0)
 	binary.LittleEndian.PutUint64(out[8:], uint64(len(header)))
 	binary.LittleEndian.PutUint64(out[16:], uint64(len(payload)))
@@ -208,9 +177,7 @@ func AppendEncode(dst []byte, f *Fragment) ([]byte, error) {
 	return out, nil
 }
 
-// parseHeaderSection decodes the v2/v3 header section body (identical
-// in both layouts; the version is recorded by the caller from the
-// preamble).
+// parseHeaderSection decodes the header section body.
 func parseHeaderSection(b []byte) (*Header, error) {
 	r := buf.NewReader(b)
 	kind := core.Kind(r.U8())
@@ -234,7 +201,7 @@ func parseHeaderSection(b []byte) (*Header, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	h := &Header{
-		Version:   version2,
+		Version:   version,
 		Kind:      kind,
 		Codec:     codecID,
 		Shape:     shape,
@@ -248,89 +215,40 @@ func parseHeaderSection(b []byte) (*Header, error) {
 	return h, nil
 }
 
-// DecodeHeader parses only the fragment metadata, accepting both
-// layouts. For v2 it verifies the preamble and header CRCs (both lie in
-// the prefix anyway); the v1 fallback skips the whole-file checksum,
-// which would require the full body.
-func DecodeHeader(b []byte) (*Header, error) {
-	if len(b) < 6 {
-		return nil, fmt.Errorf("%w: too short", ErrCorrupt)
-	}
-	if binary.LittleEndian.Uint32(b) != magic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(b))
-	}
-	switch ver := binary.LittleEndian.Uint16(b[4:]); ver {
-	case version1:
-		h, _, err := decodeHeaderV1(b)
-		return h, err
-	case version2, version3:
-		p, err := parsePreamble(b)
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(b)) < p.size+p.headerLen {
-			return nil, fmt.Errorf("%w: truncated header section", ErrCorrupt)
-		}
-		header := b[p.size : p.size+p.headerLen]
-		if got := crc32.ChecksumIEEE(header); got != p.headerCRC {
-			return nil, fmt.Errorf("%w: header checksum mismatch (got %#x want %#x)", ErrCorrupt, got, p.headerCRC)
-		}
-		h, err := parseHeaderSection(header)
-		if err != nil {
-			return nil, err
-		}
-		h.Version = ver
-		h.Bytes = p.totalSize()
-		h.Stored.Payload = p.payloadLen
-		h.Stored.Values = p.valuesLen
-		h.Stored.Filter = p.filterLen
-		return h, nil
-	default:
-		return nil, fmt.Errorf("%w: version %d (want %d, %d, or %d)", ErrCorrupt, ver, version1, version2, version3)
-	}
-}
-
-// preamble is the parsed v2/v3 fixed-offset section table.
+// preamble is the parsed fixed-offset section table.
 type preamble struct {
-	size                             int64 // preamble's own length: 48 (v2) or 60 (v3)
 	headerLen, payloadLen, valuesLen int64
-	filterLen                        int64 // v3 only; 0 = no filter
+	filterLen                        int64 // 0 = no filter
 	headerCRC, payloadCRC, valuesCRC uint32
 	filterCRC                        uint32
 }
 
 func (p preamble) totalSize() int64 {
-	return p.size + p.headerLen + p.payloadLen + p.valuesLen + p.filterLen
+	return preambleSize + p.headerLen + p.payloadLen + p.valuesLen + p.filterLen
 }
 
-// parsePreamble validates and decodes the fixed section table, sized by
-// the version field at offset 4 (which the caller has already matched
-// against version2 or version3).
+// parsePreamble validates and decodes the fixed section table. The
+// caller has already matched magic and version.
 func parsePreamble(b []byte) (*preamble, error) {
-	p := &preamble{size: preambleSize}
-	crcOff := 44
-	if len(b) >= 6 && binary.LittleEndian.Uint16(b[4:]) == version3 {
-		p.size = preambleSizeV3
-		crcOff = 56
-	}
-	if int64(len(b)) < p.size {
+	if len(b) < preambleSize {
 		return nil, fmt.Errorf("%w: too short for preamble", ErrCorrupt)
 	}
+	const crcOff = preambleSize - 4
 	if got, want := crc32.ChecksumIEEE(b[:crcOff]), binary.LittleEndian.Uint32(b[crcOff:]); got != want {
 		return nil, fmt.Errorf("%w: preamble checksum mismatch (got %#x want %#x)", ErrCorrupt, got, want)
 	}
 	if binary.LittleEndian.Uint16(b[6:]) != 0 {
 		return nil, fmt.Errorf("%w: nonzero reserved field", ErrCorrupt)
 	}
-	p.headerLen = int64(binary.LittleEndian.Uint64(b[8:]))
-	p.payloadLen = int64(binary.LittleEndian.Uint64(b[16:]))
-	p.valuesLen = int64(binary.LittleEndian.Uint64(b[24:]))
-	p.headerCRC = binary.LittleEndian.Uint32(b[32:])
-	p.payloadCRC = binary.LittleEndian.Uint32(b[36:])
-	p.valuesCRC = binary.LittleEndian.Uint32(b[40:])
-	if p.size == preambleSizeV3 {
-		p.filterLen = int64(binary.LittleEndian.Uint64(b[44:]))
-		p.filterCRC = binary.LittleEndian.Uint32(b[52:])
+	p := &preamble{
+		headerLen:  int64(binary.LittleEndian.Uint64(b[8:])),
+		payloadLen: int64(binary.LittleEndian.Uint64(b[16:])),
+		valuesLen:  int64(binary.LittleEndian.Uint64(b[24:])),
+		headerCRC:  binary.LittleEndian.Uint32(b[32:]),
+		payloadCRC: binary.LittleEndian.Uint32(b[36:]),
+		valuesCRC:  binary.LittleEndian.Uint32(b[40:]),
+		filterLen:  int64(binary.LittleEndian.Uint64(b[44:])),
+		filterCRC:  binary.LittleEndian.Uint32(b[52:]),
 	}
 	const maxSection = 1 << 40 // generous structural bound against nonsense lengths
 	if p.headerLen < 0 || p.payloadLen < 1 || p.valuesLen < 0 || p.valuesLen%8 != 0 ||
@@ -354,17 +272,16 @@ type Lazy struct {
 	pre preamble
 
 	mu         sync.Mutex
-	v1         *Fragment // non-nil when the file is legacy v1, decoded eagerly
-	rawPayload []byte    // stored payload section (verified)
-	rawValues  []byte    // stored values section (verified)
-	payload    []byte    // decompressed payload
+	rawPayload []byte // stored payload section (verified)
+	rawValues  []byte // stored values section (verified)
+	payload    []byte // decompressed payload
 	values     []float64
 	filter     *filter.Filter
 	filterDone bool // filter section loaded (or absent)
 	bytesRead  int64
 }
 
-// SectionInfo locates one v2 section inside the fragment file, for
+// SectionInfo locates one section inside the fragment file, for
 // inspection tooling.
 type SectionInfo struct {
 	Name   string
@@ -373,90 +290,68 @@ type SectionInfo struct {
 	CRC    uint32
 }
 
-// Sections returns the v2/v3 section table in file order, or nil for a
-// legacy v1 fragment (which has no sections, only a monolithic body).
-// The filter entry appears only when the file carries one.
+// Sections returns the section table in file order. The filter entry
+// appears only when the file carries one.
 func (l *Lazy) Sections() []SectionInfo {
-	if l.v1 != nil {
-		return nil
-	}
 	s := []SectionInfo{
-		{"header", l.pre.size, l.pre.headerLen, l.pre.headerCRC},
-		{"payload", l.pre.size + l.pre.headerLen, l.pre.payloadLen, l.pre.payloadCRC},
-		{"values", l.pre.size + l.pre.headerLen + l.pre.payloadLen, l.pre.valuesLen, l.pre.valuesCRC},
+		{"header", preambleSize, l.pre.headerLen, l.pre.headerCRC},
+		{"payload", preambleSize + l.pre.headerLen, l.pre.payloadLen, l.pre.payloadCRC},
+		{"values", preambleSize + l.pre.headerLen + l.pre.payloadLen, l.pre.valuesLen, l.pre.valuesCRC},
 	}
 	if l.pre.filterLen > 0 {
-		s = append(s, SectionInfo{"filter", l.pre.size + l.pre.headerLen + l.pre.payloadLen + l.pre.valuesLen, l.pre.filterLen, l.pre.filterCRC})
+		s = append(s, SectionInfo{"filter", preambleSize + l.pre.headerLen + l.pre.payloadLen + l.pre.valuesLen, l.pre.filterLen, l.pre.filterCRC})
 	}
 	return s
 }
 
 // OpenAt decodes a fragment header from a ranged reader with (typically)
-// one small read. A v1 file is detected by its version field and decoded
-// eagerly from a whole-file read; v2 files defer their payload/values
-// sections until LoadSections, Payload, Values, or Materialize.
+// one small read; the payload/values sections are deferred until
+// LoadSections, Payload, Values, or Materialize.
 func OpenAt(src io.ReaderAt, size int64) (*Lazy, error) {
 	if size < 6 {
 		return nil, fmt.Errorf("%w: %d-byte file", ErrCorrupt, size)
 	}
-	first := make([]byte, min64(size, openReadSize))
+	first := make([]byte, min(size, openReadSize))
 	if _, err := io.ReadFull(io.NewSectionReader(src, 0, size), first); err != nil {
 		return nil, fmt.Errorf("fragment: read header: %w", err)
 	}
 	if binary.LittleEndian.Uint32(first) != magic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(first))
 	}
-	switch ver := binary.LittleEndian.Uint16(first[4:]); ver {
-	case version1:
-		whole := first
-		if size > int64(len(first)) {
-			whole = make([]byte, size)
-			copy(whole, first)
-			if _, err := src.ReadAt(whole[len(first):], int64(len(first))); err != nil {
-				return nil, fmt.Errorf("fragment: read v1 body: %w", err)
-			}
-		}
-		frag, err := decodeV1(whole)
-		if err != nil {
-			return nil, err
-		}
-		return &Lazy{Header: frag.Header, src: src, v1: frag, bytesRead: size}, nil
-	case version2, version3:
-		p, err := parsePreamble(first)
-		if err != nil {
-			return nil, err
-		}
-		if p.totalSize() != size {
-			return nil, fmt.Errorf("%w: section table says %d bytes, file has %d", ErrCorrupt, p.totalSize(), size)
-		}
-		header := make([]byte, p.headerLen)
-		n := copy(header, first[p.size:])
-		read := int64(len(first))
-		if int64(n) < p.headerLen {
-			if _, err := src.ReadAt(header[n:], p.size+int64(n)); err != nil {
-				return nil, fmt.Errorf("fragment: read header section: %w", err)
-			}
-			read = p.size + p.headerLen
-		}
-		if got := crc32.ChecksumIEEE(header); got != p.headerCRC {
-			return nil, fmt.Errorf("%w: header checksum mismatch (got %#x want %#x)", ErrCorrupt, got, p.headerCRC)
-		}
-		h, err := parseHeaderSection(header)
-		if err != nil {
-			return nil, err
-		}
-		if p.valuesLen != int64(8*h.NNZ) {
-			return nil, fmt.Errorf("%w: values section %d bytes for %d points", ErrCorrupt, p.valuesLen, h.NNZ)
-		}
-		h.Version = ver
-		h.Bytes = size
-		h.Stored.Payload = p.payloadLen
-		h.Stored.Values = p.valuesLen
-		h.Stored.Filter = p.filterLen
-		return &Lazy{Header: *h, src: src, pre: *p, bytesRead: read}, nil
-	default:
-		return nil, fmt.Errorf("%w: version %d (want %d, %d, or %d)", ErrCorrupt, ver, version1, version2, version3)
+	if ver := binary.LittleEndian.Uint16(first[4:]); ver != version {
+		return nil, fmt.Errorf("%w: unsupported layout version %d (this build reads version %d only)", ErrCorrupt, ver, version)
 	}
+	p, err := parsePreamble(first)
+	if err != nil {
+		return nil, err
+	}
+	if p.totalSize() != size {
+		return nil, fmt.Errorf("%w: section table says %d bytes, file has %d", ErrCorrupt, p.totalSize(), size)
+	}
+	header := make([]byte, p.headerLen)
+	n := copy(header, first[preambleSize:])
+	read := int64(len(first))
+	if int64(n) < p.headerLen {
+		if _, err := src.ReadAt(header[n:], preambleSize+int64(n)); err != nil {
+			return nil, fmt.Errorf("fragment: read header section: %w", err)
+		}
+		read = preambleSize + p.headerLen
+	}
+	if got := crc32.ChecksumIEEE(header); got != p.headerCRC {
+		return nil, fmt.Errorf("%w: header checksum mismatch (got %#x want %#x)", ErrCorrupt, got, p.headerCRC)
+	}
+	h, err := parseHeaderSection(header)
+	if err != nil {
+		return nil, err
+	}
+	if p.valuesLen != int64(8*h.NNZ) {
+		return nil, fmt.Errorf("%w: values section %d bytes for %d points", ErrCorrupt, p.valuesLen, h.NNZ)
+	}
+	h.Bytes = size
+	h.Stored.Payload = p.payloadLen
+	h.Stored.Values = p.valuesLen
+	h.Stored.Filter = p.filterLen
+	return &Lazy{Header: *h, src: src, pre: *p, bytesRead: read}, nil
 }
 
 // BytesRead returns the raw bytes fetched from the underlying reader so
@@ -469,9 +364,8 @@ func (l *Lazy) BytesRead() int64 {
 
 // LoadSections fetches and CRC-verifies the payload and values sections
 // (one contiguous ranged read — they are adjacent on disk) without
-// decompressing anything. It is idempotent; v1 fragments are already
-// fully loaded. After LoadSections returns, the underlying reader is no
-// longer touched.
+// decompressing anything. It is idempotent. After LoadSections returns,
+// the underlying reader is no longer touched by Payload or Values.
 func (l *Lazy) LoadSections() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -479,11 +373,11 @@ func (l *Lazy) LoadSections() error {
 }
 
 func (l *Lazy) loadSectionsLocked() error {
-	if l.v1 != nil || l.rawPayload != nil {
+	if l.rawPayload != nil {
 		return nil
 	}
 	both := make([]byte, l.pre.payloadLen+l.pre.valuesLen)
-	off := l.pre.size + l.pre.headerLen
+	off := preambleSize + l.pre.headerLen
 	if _, err := l.src.ReadAt(both, off); err != nil {
 		return fmt.Errorf("fragment: read sections: %w", err)
 	}
@@ -506,9 +400,6 @@ func (l *Lazy) loadSectionsLocked() error {
 func (l *Lazy) Payload() ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.v1 != nil {
-		return l.v1.Payload, nil
-	}
 	if l.payload != nil {
 		return l.payload, nil
 	}
@@ -531,9 +422,6 @@ func (l *Lazy) Payload() ([]byte, error) {
 func (l *Lazy) Values() ([]float64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.v1 != nil {
-		return l.v1.Values, nil
-	}
 	if l.values == nil {
 		if err := l.loadSectionsLocked(); err != nil {
 			return nil, err
@@ -548,20 +436,20 @@ func (l *Lazy) Values() ([]float64, error) {
 }
 
 // Filter returns the fragment's coordinate filter, loading and
-// verifying the filter section on first use. Legacy files and v3 files
-// without a filter section return (nil, nil).
+// verifying the filter section on first use. A file without a filter
+// section returns (nil, nil).
 func (l *Lazy) Filter() (*filter.Filter, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.filterDone {
 		return l.filter, nil
 	}
-	if l.v1 != nil || l.pre.filterLen == 0 {
+	if l.pre.filterLen == 0 {
 		l.filterDone = true
 		return nil, nil
 	}
 	raw := make([]byte, l.pre.filterLen)
-	off := l.pre.size + l.pre.headerLen + l.pre.payloadLen + l.pre.valuesLen
+	off := preambleSize + l.pre.headerLen + l.pre.payloadLen + l.pre.valuesLen
 	if _, err := l.src.ReadAt(raw, off); err != nil {
 		return nil, fmt.Errorf("fragment: read filter section: %w", err)
 	}
@@ -581,12 +469,6 @@ func (l *Lazy) Filter() (*filter.Filter, error) {
 // Materialize loads every section and returns the fully decoded
 // fragment.
 func (l *Lazy) Materialize() (*Fragment, error) {
-	l.mu.Lock()
-	if l.v1 != nil {
-		defer l.mu.Unlock()
-		return l.v1, nil
-	}
-	l.mu.Unlock()
 	payload, err := l.Payload()
 	if err != nil {
 		return nil, err
@@ -602,105 +484,11 @@ func (l *Lazy) Materialize() (*Fragment, error) {
 	return &Fragment{Header: l.Header, Payload: payload, Values: values, Filter: filt}, nil
 }
 
-// Decode parses and verifies a full in-memory fragment of either layout.
+// Decode parses and verifies a full in-memory fragment.
 func Decode(b []byte) (*Fragment, error) {
-	if len(b) < 6 {
-		return nil, fmt.Errorf("%w: too short", ErrCorrupt)
-	}
-	if binary.LittleEndian.Uint32(b) == magic && binary.LittleEndian.Uint16(b[4:]) == version1 {
-		return decodeV1(b)
-	}
 	l, err := OpenAt(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		return nil, err
 	}
 	return l.Materialize()
-}
-
-// decodeHeaderV1 parses legacy v1 metadata and returns the reader
-// positioned at the first section after it.
-func decodeHeaderV1(b []byte) (*Header, *buf.Reader, error) {
-	r := buf.NewReader(b)
-	r.Expect(magic, "fragment")
-	ver := r.U16()
-	kind := core.Kind(r.U8())
-	codecID := compress.ID(r.U8())
-	d := int(r.U16())
-	flags := r.U16()
-	shape := tensor.Shape(r.RawU64s(uint64(d)))
-	nnz := r.U64()
-	bmin := r.RawU64s(uint64(d))
-	bmax := r.RawU64s(uint64(d))
-	if err := r.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if ver != version1 {
-		return nil, nil, fmt.Errorf("%w: version %d (want %d)", ErrCorrupt, ver, version1)
-	}
-	if !kind.Valid() {
-		return nil, nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, uint8(kind))
-	}
-	if err := shape.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	h := &Header{
-		Version:   version1,
-		Kind:      kind,
-		Codec:     codecID,
-		Shape:     shape,
-		NNZ:       nnz,
-		Tombstone: flags&1 != 0,
-		BBox:      tensor.BBox{Min: bmin, Max: bmax},
-		Bytes:     int64(len(b)),
-	}
-	if h.Tombstone && nnz != 0 {
-		return nil, nil, fmt.Errorf("%w: tombstone with %d points", ErrCorrupt, nnz)
-	}
-	return h, r, nil
-}
-
-// decodeV1 parses and verifies a legacy whole-file fragment.
-func decodeV1(b []byte) (*Fragment, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: too short", ErrCorrupt)
-	}
-	body, sum := b[:len(b)-4], b[len(b)-4:]
-	want := binary.LittleEndian.Uint32(sum)
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (got %#x want %#x)", ErrCorrupt, got, want)
-	}
-	h, r, err := decodeHeaderV1(body)
-	if err != nil {
-		return nil, err
-	}
-	stored := r.Bytes32()
-	values := r.F64s()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Remaining())
-	}
-	if uint64(len(values)) != h.NNZ {
-		return nil, fmt.Errorf("%w: %d values for %d points", ErrCorrupt, len(values), h.NNZ)
-	}
-	codec, err := compress.Get(h.Codec)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	payload, err := codec.Decode(stored)
-	if err != nil {
-		return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
-	}
-	h.Bytes = int64(len(b))
-	h.Stored.Payload = int64(len(stored))
-	h.Stored.Values = int64(8 * len(values))
-	return &Fragment{Header: *h, Payload: payload, Values: values}, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

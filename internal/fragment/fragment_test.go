@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -53,21 +54,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.Bytes != int64(len(data)) {
 		t.Fatalf("Bytes = %d, want %d", got.Bytes, len(data))
-	}
-}
-
-func TestDecodeHeaderOnly(t *testing.T) {
-	f := sample()
-	data, err := Encode(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := DecodeHeader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Kind != f.Kind || h.NNZ != 3 || !h.Shape.Equal(f.Shape) {
-		t.Fatalf("header = %+v", h)
 	}
 }
 
@@ -171,27 +157,31 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestDecodeHeaderRejectsBadVersionAndKind(t *testing.T) {
+func TestOpenAtRejectsBadVersionAndKind(t *testing.T) {
+	open := func(b []byte) error {
+		_, err := OpenAt(bytes.NewReader(b), int64(len(b)))
+		return err
+	}
 	data, err := Encode(sample())
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), data...)
 	bad[4] = 0xFF // version low byte
-	if _, err := DecodeHeader(bad); err == nil {
-		t.Error("bad version accepted")
+	if err := open(bad); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("bad version: %v", err)
 	}
 	bad = append([]byte(nil), data...)
 	bad[6] = 0xEE // reserved field, covered by the preamble CRC
-	if _, err := DecodeHeader(bad); err == nil {
-		t.Error("corrupt reserved field accepted")
+	if err := open(bad); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("corrupt reserved field: %v", err)
 	}
 	// A bad kind byte sits at the head of the header section; flipping
 	// it must trip the header CRC (and the kind check behind it).
 	bad = append([]byte(nil), data...)
-	bad[preambleSizeV3] = 0xEE
-	if _, err := DecodeHeader(bad); err == nil {
-		t.Error("bad kind accepted")
+	bad[preambleSize] = 0xEE
+	if err := open(bad); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("bad kind: %v", err)
 	}
 }
 
@@ -238,7 +228,6 @@ func TestRoundTripQuick(t *testing.T) {
 func TestDecodeGarbageNeverPanicsQuick(t *testing.T) {
 	f := func(junk []byte) bool {
 		_, _ = Decode(junk)
-		_, _ = DecodeHeader(junk)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

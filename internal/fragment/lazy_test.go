@@ -60,7 +60,7 @@ func TestOpenAtHeaderOnly(t *testing.T) {
 	if src.bytes > openReadSize {
 		t.Errorf("OpenAt transferred %d bytes, want <= %d", src.bytes, openReadSize)
 	}
-	if l.Kind != f.Kind || l.NNZ != f.NNZ || !l.Shape.Equal(f.Shape) || l.Version != version3 {
+	if l.Kind != f.Kind || l.NNZ != f.NNZ || !l.Shape.Equal(f.Shape) || l.Version != version {
 		t.Fatalf("header mismatch: %+v", l.Header)
 	}
 	if l.Bytes != int64(len(data)) {
@@ -151,7 +151,7 @@ func TestLazySectionCorruption(t *testing.T) {
 	_, data := bulky(t)
 	// Payload section starts right after the header section.
 	hdrLen := int64(14 + 24*2)
-	payloadStart := preambleSizeV3 + hdrLen
+	payloadStart := preambleSize + hdrLen
 	for _, off := range []int64{payloadStart + 10, int64(len(data)) - 4} {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x01

@@ -13,11 +13,10 @@ import (
 )
 
 // encodeV2 reproduces the pre-filter sectioned encoder byte for byte:
-// 48-byte preamble, three sections, no filter. Fragments written before
-// the v3 layout landed look exactly like this, so the regression tests
-// below are the back-compat contract for them.
+// 48-byte preamble, three sections, no filter.
 func encodeV2(t *testing.T, f *Fragment) []byte {
 	t.Helper()
+	const preambleV2 = 48
 	header, err := encodeHeaderSection(f)
 	if err != nil {
 		t.Fatal(err)
@@ -26,15 +25,15 @@ func encodeV2(t *testing.T, f *Fragment) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]byte, preambleSize+len(header)+len(payload)+8*len(f.Values))
-	copy(out[preambleSize:], header)
-	copy(out[preambleSize+len(header):], payload)
-	values := out[preambleSize+len(header)+len(payload):]
+	out := make([]byte, preambleV2+len(header)+len(payload)+8*len(f.Values))
+	copy(out[preambleV2:], header)
+	copy(out[preambleV2+len(header):], payload)
+	values := out[preambleV2+len(header)+len(payload):]
 	for i, v := range f.Values {
 		binary.LittleEndian.PutUint64(values[8*i:], math.Float64bits(v))
 	}
 	binary.LittleEndian.PutUint32(out[0:], magic)
-	binary.LittleEndian.PutUint16(out[4:], version2)
+	binary.LittleEndian.PutUint16(out[4:], 2)
 	binary.LittleEndian.PutUint16(out[6:], 0)
 	binary.LittleEndian.PutUint64(out[8:], uint64(len(header)))
 	binary.LittleEndian.PutUint64(out[16:], uint64(len(payload)))
@@ -46,56 +45,11 @@ func encodeV2(t *testing.T, f *Fragment) []byte {
 	return out
 }
 
-// TestV2NoFilterDecodes: a pre-v3 sectioned fragment (no filter section)
-// must decode through every entry point with a nil filter.
-func TestV2NoFilterDecodes(t *testing.T) {
-	f := sample()
-	data := encodeV2(t, f)
-
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != version2 {
-		t.Errorf("Version = %d, want 2", got.Version)
-	}
-	if got.Filter != nil {
-		t.Error("v2 fragment decoded with a non-nil filter")
-	}
-	if got.NNZ != f.NNZ || !bytes.Equal(got.Payload, f.Payload) {
-		t.Fatalf("v2 payload mismatch: %+v", got.Header)
-	}
-	for i, v := range f.Values {
-		if got.Values[i] != v {
-			t.Fatal("v2 values mismatch")
-		}
-	}
-
-	h, err := DecodeHeader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != version2 || h.Stored.Filter != 0 {
-		t.Errorf("DecodeHeader = %+v", h)
-	}
-
-	l, err := OpenAt(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Version != version2 {
-		t.Errorf("lazy Version = %d, want 2", l.Version)
-	}
-	filt, err := l.Filter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filt != nil {
-		t.Error("lazy Filter() on v2 = non-nil")
-	}
-	if secs := l.Sections(); len(secs) != 3 {
-		t.Errorf("v2 Sections() = %d entries, want 3", len(secs))
-	}
+// TestV2Rejected: a well-formed pre-filter (version 2) file is an
+// unsupported layout, refused by its version field before any section
+// is trusted.
+func TestV2Rejected(t *testing.T) {
+	rejectsVersion(t, encodeV2(t, sample()), "2")
 }
 
 // TestV3FilterRoundTrip: a fragment with a filter survives encode →

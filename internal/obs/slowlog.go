@@ -3,8 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,10 +16,8 @@ import (
 //
 // The threshold is a duration in nanoseconds: negative disables the
 // log entirely (the default), zero logs every request, positive logs
-// requests at or above it. The environment knob SPARSEART_SLOWLOG_MS
-// (integer milliseconds, "off" to disable) seeds the threshold when
-// the log is first created; the -slowlog flags on the serving cmds
-// override it.
+// requests at or above it. The serving cmds set it from their -slowlog
+// flag (SetThreshold).
 type SlowLog struct {
 	threshold atomic.Int64 // ns; < 0 disabled
 
@@ -50,23 +46,9 @@ type SlowEntry struct {
 // defaultSlowLogCap bounds the in-memory slow-entry ring.
 const defaultSlowLogCap = 1024
 
-// envSlowLogThreshold resolves SPARSEART_SLOWLOG_MS: unset, empty, or
-// "off" disable; an integer is a millisecond threshold (0 = log all).
-func envSlowLogThreshold() int64 {
-	v := os.Getenv("SPARSEART_SLOWLOG_MS")
-	if v == "" || v == "off" {
-		return -1
-	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms < 0 {
-		return -1
-	}
-	return ms * int64(time.Millisecond)
-}
-
-// SlowLog returns the registry's slow-query log, creating it on first
-// use with the environment-configured threshold. Nil on a nil registry
-// (and every SlowLog method is nil-safe).
+// SlowLog returns the registry's slow-query log, creating it — disabled
+// — on first use. Nil on a nil registry (and every SlowLog method is
+// nil-safe).
 func (r *Registry) SlowLog() *SlowLog {
 	if r == nil {
 		return nil
@@ -75,7 +57,7 @@ func (r *Registry) SlowLog() *SlowLog {
 		return l
 	}
 	l := &SlowLog{cap: defaultSlowLogCap}
-	l.threshold.Store(envSlowLogThreshold())
+	l.threshold.Store(-1)
 	if r.slowlog.CompareAndSwap(nil, l) {
 		return l
 	}

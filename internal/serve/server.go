@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"strconv"
 	"sync"
 	"time"
 
@@ -33,8 +31,7 @@ type Config struct {
 	// TraceSample is the probability [0,1] that a request arriving
 	// without a trace context starts a new sampled trace. Requests that
 	// already carry a context keep the sender's sampling decision.
-	// Zero or negative falls back to SPARSEART_TRACE_SAMPLE (default
-	// off).
+	// Zero or negative: the server starts no traces of its own.
 	TraceSample float64
 }
 
@@ -67,35 +64,16 @@ func NewServer(backend Backend, cfg Config) *Server {
 	if reg == nil {
 		reg = obs.Global()
 	}
-	rate := cfg.TraceSample
-	if rate <= 0 {
-		rate = envTraceSample()
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		backend:   backend,
 		sem:       make(chan struct{}, inflight),
 		reg:       reg,
-		traceRate: rate,
+		traceRate: cfg.TraceSample,
 		ctx:       ctx,
 		cancel:    cancel,
 		conns:     map[net.Conn]struct{}{},
 	}
-}
-
-// envTraceSample resolves SPARSEART_TRACE_SAMPLE: a float in [0,1];
-// unset, unparsable, or out-of-range values mean no server-side
-// sampling.
-func envTraceSample() float64 {
-	v := os.Getenv("SPARSEART_TRACE_SAMPLE")
-	if v == "" {
-		return 0
-	}
-	rate, err := strconv.ParseFloat(v, 64)
-	if err != nil || rate < 0 || rate > 1 {
-		return 0
-	}
-	return rate
 }
 
 // Serve accepts connections on ln until Close (or a fatal accept

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strings"
 
@@ -36,8 +35,8 @@ type Chunked struct {
 	obs  *obs.Registry
 	// cache is the reader cache shared by every tile: one byte budget
 	// for the whole chunked store instead of one per tile. nil when
-	// caching is off or per-tile budgeting was requested (see
-	// sharedCacheEnv); tiles then resolve their own budgets.
+	// caching is off (WithReaderCache(0), which the tiles are forwarded
+	// too).
 	cache *fragcache.Cache
 	// ingestWorkers is the WithIngestWorkers default for the cross-tile
 	// batched ingest (chunked_ingest.go).
@@ -103,40 +102,27 @@ func newChunkedShell(fs fsim.FS, prefix string, kind core.Kind, shape, tile tens
 	// Probe the option set once: misuse is rejected here (before any
 	// tile exists) rather than on the first write that materializes one.
 	var probe Store
-	for _, o := range opts {
-		o(&probe)
-	}
-	if err := probe.finishOptions(); err != nil {
+	if err := probe.applyOptions(opts); err != nil {
 		return nil, err
 	}
 	c.codec = probe.codec
 	c.obs = probe.obs
 	c.ingestWorkers = probe.ingestWorkers
-	// One reader cache for all tiles: the budget the options/environment
-	// would give a single store becomes the chunked store's global
-	// budget, so N tiles stop claiming N budgets. SPARSEART_CHUNKED_SHARED_CACHE=off
-	// restores independent per-tile budgeting (the CI matrix pins both).
+	// One reader cache for all tiles: the budget the options would give
+	// a single store is the chunked store's global budget, so N tiles
+	// do not claim N budgets.
 	switch {
 	case probe.sharedCache != nil:
 		c.cache = probe.sharedCache
-	case os.Getenv(sharedCacheEnv) == "off":
-		// Tiles resolve their own budgets from the forwarded options.
-	default:
-		if budget := probe.resolveCacheBudget(); budget > 0 {
-			c.cache = fragcache.New(budget, c.obsReg)
-		}
+	case probe.cacheBudget > 0:
+		c.cache = fragcache.New(probe.cacheBudget, c.obsReg)
 	}
 	return c, nil
 }
 
-// sharedCacheEnv disables the chunked store's shared reader cache
-// ("off"): tiles fall back to budgeting independently, the pre-share
-// behavior CI pins in its chunked-ingest matrix.
-const sharedCacheEnv = "SPARSEART_CHUNKED_SHARED_CACHE"
-
 // SharedCache returns the reader cache all tiles share, or nil when
-// tiles budget independently (or caching is off). The property tests
-// use it to assert the one-budget invariant.
+// caching is off. The property tests use it to assert the one-budget
+// invariant.
 func (c *Chunked) SharedCache() *fragcache.Cache { return c.cache }
 
 // Obs returns the registry this chunked store (and every tile) reports

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 
@@ -18,9 +17,9 @@ import (
 )
 
 // TestChunkedWriteBatchMatchesSerialWrites is the cross-tile
-// differential property test: for every paper organization, with group
-// commit pinned off and on, a Chunked.WriteBatch must leave the file
-// system byte-identical to the serial loop of Chunked.Write — same tile
+// differential property test: for every paper organization, a
+// (group-committing) Chunked.WriteBatch must leave the file system
+// byte-identical to the serial loop of Chunked.Write — same tile
 // directories, same fragment bytes, same per-tile manifest state — and
 // answer reads identically. Under -race this also exercises the shared
 // worker pool preparing fragments of different tiles concurrently.
@@ -32,71 +31,69 @@ func TestChunkedWriteBatchMatchesSerialWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range core.PaperKinds() {
-		for _, group := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/group=%v", kind, group), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(11))
-				batches := ingestBatches(rng, shape, 5, 120)
-				fsA, fsB := newSim(t), newSim(t)
-				a, err := NewChunked(fsA, "c", kind, shape, tile, WithGroupCommit(group))
-				if err != nil {
+		t.Run(kind.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			batches := ingestBatches(rng, shape, 5, 120)
+			fsA, fsB := newSim(t), newSim(t)
+			a, err := NewChunked(fsA, "c", kind, shape, tile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewChunked(fsB, "c", kind, shape, tile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ba := range batches {
+				if _, err := a.Write(ba.Coords, ba.Values); err != nil {
 					t.Fatal(err)
 				}
-				b, err := NewChunked(fsB, "c", kind, shape, tile, WithGroupCommit(group))
-				if err != nil {
-					t.Fatal(err)
+			}
+			reps, err := b.WriteBatch(batches, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One report per (batch, tile) fragment; every report names a
+			// fragment inside a tile directory.
+			if len(reps) < len(batches) {
+				t.Fatalf("%d reports for %d batches", len(reps), len(batches))
+			}
+			for i, rep := range reps {
+				if rep.Name == "" || !strings.Contains(rep.Name, "/t-") || rep.Bytes <= 0 {
+					t.Fatalf("report %d: %+v", i, rep)
 				}
-				for _, ba := range batches {
-					if _, err := a.Write(ba.Coords, ba.Values); err != nil {
-						t.Fatal(err)
-					}
+			}
+			namesA, _ := fsA.List("")
+			namesB, _ := fsB.List("")
+			if len(namesA) != len(namesB) {
+				t.Fatalf("file sets differ:\n serial %v\n batch  %v", namesA, namesB)
+			}
+			for i, n := range namesA {
+				if namesB[i] != n {
+					t.Fatalf("file name %q vs %q", n, namesB[i])
 				}
-				reps, err := b.WriteBatch(batches, 4)
-				if err != nil {
-					t.Fatal(err)
+				da, _ := fsA.ReadFile(n)
+				db, _ := fsB.ReadFile(n)
+				if !bytes.Equal(da, db) {
+					t.Fatalf("%s differs: %d vs %d bytes", n, len(da), len(db))
 				}
-				// One report per (batch, tile) fragment; every report names a
-				// fragment inside a tile directory.
-				if len(reps) < len(batches) {
-					t.Fatalf("%d reports for %d batches", len(reps), len(batches))
+			}
+			resA, _, err := readRegion(a, region, StrategyDefault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resB, _, err := readRegion(b, region, StrategyDefault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resA.Coords.Equal(resB.Coords) {
+				t.Fatalf("read found %d vs %d cells", resA.Coords.Len(), resB.Coords.Len())
+			}
+			for i := range resA.Values {
+				if resA.Values[i] != resB.Values[i] {
+					t.Fatalf("value %d: %v vs %v", i, resA.Values[i], resB.Values[i])
 				}
-				for i, rep := range reps {
-					if rep.Name == "" || !strings.Contains(rep.Name, "/t-") || rep.Bytes <= 0 {
-						t.Fatalf("report %d: %+v", i, rep)
-					}
-				}
-				namesA, _ := fsA.List("")
-				namesB, _ := fsB.List("")
-				if len(namesA) != len(namesB) {
-					t.Fatalf("file sets differ:\n serial %v\n batch  %v", namesA, namesB)
-				}
-				for i, n := range namesA {
-					if namesB[i] != n {
-						t.Fatalf("file name %q vs %q", n, namesB[i])
-					}
-					da, _ := fsA.ReadFile(n)
-					db, _ := fsB.ReadFile(n)
-					if !bytes.Equal(da, db) {
-						t.Fatalf("%s differs: %d vs %d bytes", n, len(da), len(db))
-					}
-				}
-				resA, _, err := readRegion(a, region, StrategyDefault)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resB, _, err := readRegion(b, region, StrategyDefault)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !resA.Coords.Equal(resB.Coords) {
-					t.Fatalf("read found %d vs %d cells", resA.Coords.Len(), resB.Coords.Len())
-				}
-				for i := range resA.Values {
-					if resA.Values[i] != resB.Values[i] {
-						t.Fatalf("value %d: %v vs %v", i, resA.Values[i], resB.Values[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -261,64 +258,29 @@ func TestChunkedSharedCacheBudget(t *testing.T) {
 	}
 }
 
-// TestChunkedSharedCacheEnvOff: with SPARSEART_CHUNKED_SHARED_CACHE=off
-// the chunked store creates no shared cache and tiles budget
-// independently (the pre-share behavior the CI matrix pins).
-func TestChunkedSharedCacheEnvOff(t *testing.T) {
-	t.Setenv(sharedCacheEnv, "off")
-	st, err := NewChunked(newSim(t), "s", core.COO, tensor.Shape{16, 16}, tensor.Shape{8, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SharedCache() != nil {
-		t.Fatal("shared cache created despite env off")
-	}
-	c := tensor.NewCoords(2, 0)
-	c.Append(1, 1)
-	if _, err := st.Write(c, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	// The tile budgets independently — unless the global budget env
-	// disables caching outright (the CI cache-off matrix run).
-	if os.Getenv(cacheBudgetEnv) != "off" {
-		tileSt := st.stores["t-0-0"]
-		if tileSt.cache == nil {
-			t.Fatal("tile has no private cache under env off")
-		}
-	}
-}
-
-// TestChunkedGroupCommitAppendCounts is the O(tiles)-vs-O(fragments)
-// ablation as a unit test: the same cross-tile batch costs one manifest
-// append per tile with group commit and one per fragment without.
+// TestChunkedGroupCommitAppendCounts pins the O(tiles) metadata cost of
+// a cross-tile ingest: 20 fragments over 4 tiles cost one manifest-log
+// append per tile, not one per fragment.
 func TestChunkedGroupCommitAppendCounts(t *testing.T) {
 	shape := tensor.Shape{16, 16}
 	tile := tensor.Shape{8, 8} // 4 tiles
 	rng := rand.New(rand.NewSource(14))
 	batches := ingestBatches(rng, shape, 5, 80) // 5 batches x 4 tiles = 20 fragments
-	appends := func(group bool) int64 {
-		reg := obs.New()
-		st, err := NewChunked(newSim(t), "g", core.Linear, shape, tile,
-			WithObs(reg), WithGroupCommit(group), WithManifestCheckpointEvery(1<<30))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.WriteBatchContext(context.Background(), batches, 2, func(int, *WriteReport, error) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		snap := reg.Snapshot()
-		frags := snap.Counters[obs.Name("store.chunked.ingest.fragments", "kind", core.Linear.String())]
-		if frags != 20 {
-			t.Fatalf("group=%v: %d fragments, want 20", group, frags)
-		}
-		return snap.Counters[obs.Name("store.manifest.log.appends", "kind", core.Linear.String())]
+	reg := obs.New()
+	st, err := NewChunked(newSim(t), "g", core.Linear, shape, tile,
+		WithObs(reg), WithManifestCheckpointEvery(1<<30))
+	if err != nil {
+		t.Fatal(err)
 	}
-	grouped, single := appends(true), appends(false)
-	if grouped != 4 {
-		t.Fatalf("group commit: %d appends, want 4 (one per tile)", grouped)
+	if err := st.WriteBatchContext(context.Background(), batches, 2, func(int, *WriteReport, error) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
-	if single != 20 {
-		t.Fatalf("per-fragment commit: %d appends, want 20 (one per fragment)", single)
+	snap := reg.Snapshot()
+	if frags := snap.Counters[obs.Name("store.chunked.ingest.fragments", "kind", core.Linear.String())]; frags != 20 {
+		t.Fatalf("%d fragments, want 20", frags)
+	}
+	if appends := snap.Counters[obs.Name("store.manifest.log.appends", "kind", core.Linear.String())]; appends != 4 {
+		t.Fatalf("%d manifest-log appends, want 4 (one per tile)", appends)
 	}
 }
 
@@ -332,7 +294,7 @@ func TestChunkedGroupAppendFailure(t *testing.T) {
 	tile := tensor.Shape{8, 8}
 	sim := newSim(t)
 	ff := fsim.NewFaultFS(sim)
-	st, err := NewChunked(ff, "f", core.Linear, shape, tile, WithGroupCommit(true))
+	st, err := NewChunked(ff, "f", core.Linear, shape, tile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,8 +342,7 @@ func TestChunkedGroupAppendFailure(t *testing.T) {
 func TestGroupCommitTornTail(t *testing.T) {
 	shape := tensor.Shape{16, 16}
 	sim := newSim(t)
-	st, err := Create(sim, "t", core.Linear, shape,
-		WithGroupCommit(true), WithManifestCheckpointEvery(1<<30))
+	st, err := Create(sim, "t", core.Linear, shape, WithManifestCheckpointEvery(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,51 +10,85 @@ import (
 	"sparseart/internal/tensor"
 )
 
+// TestChunkedMatchesFlatStore: a chunked store answers a region read
+// exactly as a flat store of the same data does, for every paper
+// organization under every store configuration (storeConfigs) — the
+// options are forwarded to each tile, the cache budget to the one cache
+// the tiles share.
 func TestChunkedMatchesFlatStore(t *testing.T) {
+	eachStoreConfig(t, testChunkedMatchesFlatStore)
+}
+
+func testChunkedMatchesFlatStore(t *testing.T, opts []Option) {
 	shape := tensor.Shape{20, 20}
 	tile := tensor.Shape{8, 8} // does not divide evenly: edge tiles clip
-	rng := rand.New(rand.NewSource(2))
-	coords, vals := randomPoints(rng, shape, 150)
+	region, err := tensor.NewRegion(shape, []uint64{3, 3}, []uint64{14, 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hole, err := tensor.NewRegion(shape, []uint64{6, 6}, []uint64{5, 5}) // straddles four tiles
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, kind := range core.PaperKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			flatFS, chunkFS := newSim(t), newSim(t)
-			flat, err := Create(flatFS, "flat", kind, shape)
+			flat, err := Create(flatFS, "flat", kind, shape, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			chunked, err := NewChunked(chunkFS, "chunked", kind, shape, tile)
+			chunked, err := NewChunked(chunkFS, "chunked", kind, shape, tile, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.Write(coords, vals); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := chunked.Write(coords, vals); err != nil {
-				t.Fatal(err)
-			}
-
-			region, err := tensor.NewRegion(shape, []uint64{3, 3}, []uint64{14, 12})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fres, _, err := readRegion(flat, region, StrategyDefault)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cres, _, err := readRegion(chunked, region, StrategyDefault)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !fres.Coords.Equal(cres.Coords) {
-				t.Fatalf("coords differ: flat %d points, chunked %d",
-					fres.Coords.Len(), cres.Coords.Len())
-			}
-			for i := range fres.Values {
-				if fres.Values[i] != cres.Values[i] {
-					t.Fatalf("value %d differs", i)
+			same := func(when string) {
+				t.Helper()
+				fres, _, err := readRegion(flat, region, StrategyDefault)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cres, _, err := readRegion(chunked, region, StrategyDefault)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameResult(fres, cres) {
+					t.Fatalf("%s: flat read %d points, chunked %d, or values differ",
+						when, fres.Coords.Len(), cres.Coords.Len())
 				}
 			}
+			// Overlapping generations and a delete, so every tile holds
+			// several fragments (the checkpoint cadences diverge) and a
+			// second read of the same window is a cache decision.
+			rng := rand.New(rand.NewSource(2))
+			for gen := 0; gen < 3; gen++ {
+				coords, vals := randomPoints(rng, shape, 150)
+				if _, err := flat.Write(coords, vals); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := chunked.Write(coords, vals); err != nil {
+					t.Fatal(err)
+				}
+				same("cold")
+				same("warm")
+			}
+			if _, err := flat.DeleteRegion(hole); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := chunked.DeleteRegion(hole); err != nil {
+				t.Fatal(err)
+			}
+			same("after delete")
+
+			// Reopened without a Close: both sides replay whatever their
+			// cadence left in the manifest logs.
+			if flat, err = Open(flatFS, "flat", opts...); err != nil {
+				t.Fatal(err)
+			}
+			if chunked, err = OpenChunked(chunkFS, "chunked", opts...); err != nil {
+				t.Fatal(err)
+			}
+			same("reopened")
 		})
 	}
 }

@@ -13,8 +13,12 @@ import (
 // TestWriteFailurePaths injects a fault at every successive operation
 // count and checks that Write either succeeds fully or fails cleanly —
 // and that a store whose fragment write failed still answers reads from
-// its previous state.
+// its previous state — under every store configuration (storeConfigs).
 func TestWriteFailurePaths(t *testing.T) {
+	eachStoreConfig(t, testWriteFailurePaths)
+}
+
+func testWriteFailurePaths(t *testing.T, opts []Option) {
 	shape := tensor.Shape{8, 8}
 	c := tensor.NewCoords(2, 0)
 	c.Append(1, 2)
@@ -23,7 +27,7 @@ func TestWriteFailurePaths(t *testing.T) {
 
 	for failAfter := 0; failAfter < 8; failAfter++ {
 		fs := fsim.NewFaultFS(fsim.NewPerlmutterSim())
-		st, err := Create(fs, "t", core.Linear, shape)
+		st, err := Create(fs, "t", core.Linear, shape, opts...)
 		if err != nil {
 			if failAfter == 0 {
 				continue // Create's manifest write was the injected op
@@ -38,7 +42,7 @@ func TestWriteFailurePaths(t *testing.T) {
 		if werr != nil {
 			// The failed write must not corrupt the store: a fresh
 			// handle opens the (possibly shorter) manifest fine.
-			st2, err := Open(fs, "t")
+			st2, err := Open(fs, "t", opts...)
 			if err != nil {
 				t.Fatalf("failAfter=%d: reopen after failed write: %v", failAfter, err)
 			}

@@ -1,17 +1,21 @@
 package store
 
 import (
+	"errors"
 	"testing"
 
 	"sparseart/internal/core"
 	_ "sparseart/internal/core/all"
+	"sparseart/internal/fragment"
 	"sparseart/internal/fsim"
 	"sparseart/internal/tensor"
 )
 
 // FuzzOpenManifest feeds arbitrary bytes to the manifest parser: Open
-// must reject or accept them without panicking, and anything accepted
-// must behave (stats, empty reads) without panicking either.
+// must reject them as corrupt (typed: fragment.ErrCorrupt, never
+// ErrNotFound — the file is there) or accept them without panicking,
+// and anything accepted must behave (stats, empty reads) without
+// panicking either.
 func FuzzOpenManifest(f *testing.F) {
 	// Seed with a real manifest, including a tombstone entry.
 	sim := fsim.NewPerlmutterSim()
@@ -41,6 +45,7 @@ func FuzzOpenManifest(f *testing.F) {
 	mangled := append([]byte(nil), manifest...)
 	mangled[len(mangled)/2] ^= 0x0F
 	f.Add(mangled)
+	f.Add(append([]byte("SMN1"), manifest[4:]...)) // a retired format: refused by name
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzFS := fsim.NewPerlmutterSim()
@@ -49,6 +54,9 @@ func FuzzOpenManifest(f *testing.F) {
 		}
 		opened, err := Open(fuzzFS, "x")
 		if err != nil {
+			if !errors.Is(err, fragment.ErrCorrupt) || errors.Is(err, ErrNotFound) {
+				t.Fatalf("Open rejected a present manifest with %v, want ErrCorrupt", err)
+			}
 			return
 		}
 		// Whatever was accepted must answer structural queries safely.

@@ -17,8 +17,9 @@ import (
 // verify every result differentially against an epoch-indexed oracle —
 // a read pinned at epoch E must return exactly the oracle's state at E
 // restricted to the probed points or region, whatever the writers and
-// the compactor did in the meantime. Run it with -race; the CI
-// race-hammer tier does (scripts/ci.sh).
+// the compactor did in the meantime — under every store configuration
+// (storeConfigs). Run it with -race; the CI race-hammer tier does
+// (scripts/ci.sh).
 
 // hammerOracle records the store's logical contents after every
 // mutation, keyed by the epoch the mutation published. Mutators hold mu
@@ -113,6 +114,10 @@ func randomRegion(t testing.TB, rng *rand.Rand, shape tensor.Shape, maxSize uint
 }
 
 func TestConcurrentHammer(t *testing.T) {
+	eachStoreConfig(t, testConcurrentHammer)
+}
+
+func testConcurrentHammer(t *testing.T, opts []Option) {
 	shape := tensor.Shape{16, 16}
 	writers, readers := 2, 3
 	writesPerWriter, deletes := 30, 12
@@ -124,7 +129,7 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			fs := newSim(t)
-			st, err := Create(fs, "t", kind, shape)
+			st, err := Create(fs, "t", kind, shape, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,9 +2,37 @@ package store
 
 import (
 	"context"
+	"testing"
 
 	"sparseart/internal/tensor"
 )
+
+// storeConfigs is the configuration matrix: every option set under
+// which the store must behave byte-identically to the default. The
+// all-kinds differential oracle, the race hammer, the FaultFS crash
+// sweeps and the chunked ≡ flat test take it as one more input
+// (eachStoreConfig), so a defect that only shows with the reader cache
+// off or evicting on every insert, or with the manifest log folded on
+// every commit or never folded, fails a named subtest. A new
+// behaviour-preserving option earns a row here, not a CI re-run.
+var storeConfigs = []struct {
+	name string
+	opts []Option
+}{
+	{"default", nil},
+	{"cache-off", []Option{WithReaderCache(0)}},
+	{"cache-1B", []Option{WithReaderCache(1)}},
+	{"ckpt-every-1", []Option{WithManifestCheckpointEvery(1)}},
+	{"ckpt-never", []Option{WithManifestCheckpointEvery(1 << 20)}},
+}
+
+// eachStoreConfig runs fn once per storeConfigs row, as a subtest named
+// after the row.
+func eachStoreConfig(t *testing.T, fn func(t *testing.T, opts []Option)) {
+	for _, cfg := range storeConfigs {
+		t.Run(cfg.name, func(t *testing.T) { fn(t, cfg.opts) })
+	}
+}
 
 // The tests below read through the request API; these helpers only
 // spell the requests most of them make.

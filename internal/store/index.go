@@ -2,42 +2,11 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"sparseart/internal/buf"
 	"sparseart/internal/tensor"
 )
-
-// fragIndexEnv disables the fragment index (and with it the coordinate
-// filter consultation) for stores opened without an explicit
-// WithFragmentIndex: set it to "off" to force the historical linear
-// overlap scan. Any other value — including unset — leaves the index
-// on. CI runs the suite both ways; results must be byte-identical.
-const fragIndexEnv = "SPARSEART_FRAGINDEX"
-
-// WithFragmentIndex pins whether this store's read paths use the
-// per-epoch spatial index and per-fragment coordinate filters (on by
-// default) or fall back to the linear fragment scan. The knob is purely
-// a lookup-strategy switch: on-disk bytes — fragments, manifest
-// checkpoints, log records — are identical either way, so two handles
-// on the same store may disagree on the knob and still see identical
-// results.
-func WithFragmentIndex(on bool) Option {
-	return func(s *Store) {
-		s.indexOn = on
-		s.indexSet = true
-	}
-}
-
-// resolveIndexOn applies the same option-then-environment resolution as
-// the cache budget; the default is on.
-func (s *Store) resolveIndexOn() bool {
-	if s.indexSet {
-		return s.indexOn
-	}
-	return os.Getenv(fragIndexEnv) != "off"
-}
 
 // Sub-linear fragment lookup: a uniform grid over the tensor domain
 // mapping cells to the fragments whose bounding boxes touch them. Every
@@ -143,7 +112,7 @@ func newFragIndex(shape tensor.Shape) *fragIndex {
 // tombstones both (a tombstone's bbox equals its region's box, so index
 // candidates serve the tombstone overlap scan too). Fragments with no
 // points and no tombstone carry no box and are skipped — the lookup
-// never returns them, matching the linear scan's nnz/tomb skip.
+// never returns them.
 func buildFragIndex(shape tensor.Shape, frags []fragRef) *fragIndex {
 	x := newFragIndex(shape)
 	for i, fr := range frags {

@@ -24,8 +24,8 @@ import (
 // serial loop of Write — same fragment names, same file contents, same
 // manifest state — only faster, because the paper's assembly-dominated
 // Build/Encode phases overlap across fragments, and (with group commit)
-// cheaper in metadata, because manifest-log records land in one Append
-// per checkpoint interval instead of one per fragment.
+// cheaper in metadata, because manifest-log records are group-committed:
+// one Append per checkpoint interval instead of one per fragment.
 //
 // The primitive is streaming: WriteBatchContext delivers each
 // fragment's WriteReport as it becomes durable, and WriteBatch is a
@@ -146,8 +146,8 @@ func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers 
 	jobs, abort, wg := s.startPrepare(ctx, batches, workers, root)
 
 	// Commit stage, on the caller's goroutine: deterministic fragment
-	// order, one file write per fragment, manifest records appended
-	// singly or group-committed per the store's policy. The writer lock
+	// order, one file write per fragment, manifest records
+	// group-committed. The writer lock
 	// is held across the whole commit loop — the ingest is one mutation
 	// stream — so fn must not call the store's mutating methods (reads
 	// are fine: they serve from published snapshots).
@@ -423,11 +423,11 @@ func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 
 // commitPrepared persists one prepared fragment: the file write, the
 // manifest commit, and the cost-model accounting, in exactly the order
-// and attribution Write uses. Under group commit the manifest record is
-// staged, and flushed (in one Append with its group) when the
-// checkpoint cadence is reached or final is set — exactly the fragment
-// boundaries where a serial commit loop would have checkpointed, which
-// is what keeps the on-disk bytes identical. Runs only on the
+// and attribution Write uses. The manifest record is staged, and
+// flushed (in one Append with its group) when the checkpoint cadence is
+// reached or final is set — exactly the fragment boundaries where a
+// serial commit loop would have checkpointed, which is what keeps the
+// on-disk bytes identical. Runs only on the
 // committer goroutine.
 func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool) (*WriteReport, commitOutcome, error) {
 	reg := s.obsReg()
@@ -462,22 +462,17 @@ func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool) (*Write
 	outcome := commitDurable
 	var commitErr error
 	fr := fragRef{name: name, nnz: uint64(rep.NNZ), bytes: int64(len(enc)), bbox: j.bbox, filter: j.filter}
-	if s.groupCommit {
-		s.stageFragment(fr)
-		if final || s.groupFlushDue() {
-			rolledBack, err := s.flushStaged()
-			if err != nil {
-				if rolledBack {
-					outcome = commitRolledBack
-				}
-				commitErr = err
+	s.stageFragment(fr)
+	if final || s.groupFlushDue() {
+		rolledBack, err := s.flushStaged()
+		if err != nil {
+			if rolledBack {
+				outcome = commitRolledBack
 			}
-		} else {
-			outcome = commitStaged
+			commitErr = err
 		}
-	} else if _, err := s.commitFragment(fr); err != nil {
-		sp.End()
-		return nil, commitFailed, err
+	} else {
+		outcome = commitStaged
 	}
 	wall = time.Since(t)
 	if cost, ok := s.takeCost(); ok {

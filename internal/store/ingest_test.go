@@ -385,9 +385,7 @@ func TestManifestLogStaleRecords(t *testing.T) {
 func TestManifestAdaptiveCheckpoint(t *testing.T) {
 	shape := tensor.Shape{32, 32}
 	sim := newSim(t)
-	// K = 0 pins the adaptive policy even when the CI cadence matrix
-	// sets SPARSEART_MANIFEST_CHECKPOINT_EVERY.
-	st, err := Create(sim, "t", core.Linear, shape, WithManifestCheckpointEvery(0))
+	st, err := Create(sim, "t", core.Linear, shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,9 +419,8 @@ func TestManifestAdaptiveCheckpoint(t *testing.T) {
 	}
 }
 
-// TestManifestCheckpointEveryOne pins the worst-case cadence CI runs:
-// with K=1 every write folds immediately, so no log file survives a
-// write and behavior matches the pre-log engine exactly.
+// TestManifestCheckpointEveryOne pins the worst-case cadence: with K=1
+// every write folds immediately, so no log file survives a write.
 func TestManifestCheckpointEveryOne(t *testing.T) {
 	shape := tensor.Shape{16, 16}
 	sim := newSim(t)
@@ -488,16 +485,16 @@ func TestManifestTombstoneThroughLog(t *testing.T) {
 	}
 }
 
-// TestOpenPreLogManifest is the back-compat fixture: a checkpoint in
-// the exact byte layout the engine wrote before the delta log existed
-// (built here by hand, not via writeManifest, so format drift fails
-// the test), with no MANIFEST.LOG beside it. Open must accept it and
-// serve reads.
-func TestOpenPreLogManifest(t *testing.T) {
+// TestOpenCheckpointWithoutLog: a checkpoint with no MANIFEST.LOG
+// beside it — the state after every Close — opens and serves reads. The
+// checkpoint is built here by hand, not via writeManifest, in the
+// minimal SMN2 form (no filter blobs, no index section), so format
+// drift fails the test.
+func TestOpenCheckpointWithoutLog(t *testing.T) {
 	shape := tensor.Shape{8, 8}
 	sim := newSim(t)
 	// Produce a real fragment file through the engine, then replace the
-	// manifest with the hand-built pre-log fixture referencing it.
+	// manifest with the hand-built checkpoint referencing it.
 	st, err := Create(sim, "t", core.COO, shape)
 	if err != nil {
 		t.Fatal(err)
@@ -514,7 +511,7 @@ func TestOpenPreLogManifest(t *testing.T) {
 	}
 	le := binary.LittleEndian
 	var m []byte
-	m = le.AppendUint32(m, manifestMagic)
+	m = le.AppendUint32(m, manifestMagicV2)
 	m = append(m, uint8(core.COO), 0) // kind, codec None
 	m = le.AppendUint16(m, 2)         // dims
 	m = le.AppendUint64(m, 8)         // shape
@@ -530,17 +527,17 @@ func TestOpenPreLogManifest(t *testing.T) {
 	m = le.AppendUint64(m, 2)
 	m = le.AppendUint64(m, 3) // bbox max
 	m = le.AppendUint64(m, 4)
-	m = append(m, 0) // flags: not a tombstone
+	m = append(m, 0) // flags: not a tombstone, no filter
+	m = append(m, 0) // no index section
 	if err := sim.WriteFile("t/MANIFEST", m); err != nil {
 		t.Fatal(err)
 	}
-	// A pre-log store has no MANIFEST.LOG at all; drop the one the
-	// engine is accumulating (it may already be folded away under an
-	// aggressive checkpoint cadence).
+	// Drop the log the engine is accumulating: the checkpoint alone now
+	// describes the store.
 	sim.Remove("t/" + manifestLogName)
 	st2, err := Open(sim, "t")
 	if err != nil {
-		t.Fatalf("pre-log manifest rejected: %v", err)
+		t.Fatalf("log-less checkpoint rejected: %v", err)
 	}
 	if st2.Fragments() != 1 || st2.Kind() != core.COO {
 		t.Fatalf("fixture store: frags=%d kind=%v", st2.Fragments(), st2.Kind())
@@ -552,8 +549,8 @@ func TestOpenPreLogManifest(t *testing.T) {
 	if res.Coords.Len() != 2 || res.Values[0] != 1.5 || res.Values[1] != 2.5 {
 		t.Fatalf("fixture read: %d cells, values %v", res.Coords.Len(), res.Values)
 	}
-	// And the old store upgrades in place: the next write goes through
-	// the log without disturbing the fixture fragment.
+	// The next write goes through a fresh log without disturbing the
+	// checkpointed fragment.
 	c2 := tensor.NewCoords(2, 1)
 	c2.Append(7, 7)
 	if _, err := st2.Write(c2, []float64{9}); err != nil {
@@ -564,6 +561,6 @@ func TestOpenPreLogManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st3.Fragments() != 2 {
-		t.Fatalf("upgraded store has %d fragments", st3.Fragments())
+		t.Fatalf("store has %d fragments after one more write", st3.Fragments())
 	}
 }

@@ -22,7 +22,7 @@ type ManifestFragmentInfo struct {
 	Tombstone bool
 	BBox      tensor.BBox
 	// Filter holds the fragment's coordinate-filter summary, one entry
-	// per dimension; nil when the fragment carries no filter (pre-filter
+	// per dimension; nil when the fragment carries no filter (empty
 	// fragments, tombstones).
 	Filter []filter.DimStats
 	// FilterBytes is the encoded filter's size in the manifest.
@@ -46,25 +46,21 @@ type ManifestIndexInfo struct {
 
 // ManifestInfo is a decoded store checkpoint.
 type ManifestInfo struct {
-	Version   int // 1 = SMN1 (pre-index), 2 = SMN2
 	Kind      core.Kind
 	Codec     compress.ID
 	Shape     tensor.Shape
 	NextID    uint64
 	Fragments []ManifestFragmentInfo
-	// Index is nil when the checkpoint has no index section (SMN1).
+	// Index is nil when the checkpoint carries no index section.
 	Index *ManifestIndexInfo
 }
 
 // IsManifest reports whether data starts with a store-checkpoint magic
-// (either format). Tooling uses it to dispatch between fragment and
-// manifest inspection.
+// ("SMN" and a version byte — DecodeManifestInfo then rejects any
+// version but the current one by name). Tooling uses it to dispatch
+// between fragment and manifest inspection.
 func IsManifest(data []byte) bool {
-	if len(data) < 4 {
-		return false
-	}
-	magic := binary.LittleEndian.Uint32(data)
-	return magic == manifestMagic || magic == manifestMagicV2
+	return len(data) >= 4 && isManifestMagic(binary.LittleEndian.Uint32(data))
 }
 
 // DecodeManifestInfo parses raw checkpoint bytes (the MANIFEST file).
@@ -74,11 +70,10 @@ func DecodeManifestInfo(data []byte) (*ManifestInfo, error) {
 		return nil, err
 	}
 	info := &ManifestInfo{
-		Version: m.version,
-		Kind:    m.kind,
-		Codec:   m.codec,
-		Shape:   m.shape,
-		NextID:  m.nextID,
+		Kind:   m.kind,
+		Codec:  m.codec,
+		Shape:  m.shape,
+		NextID: m.nextID,
 	}
 	info.Fragments = make([]ManifestFragmentInfo, 0, len(m.frags))
 	for _, fr := range m.frags {

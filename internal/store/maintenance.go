@@ -144,7 +144,8 @@ func (s *Store) compactLocked(pick func(*tensor.Coords) (core.Kind, error)) (*Co
 	}
 	// A view over the writer's working list needs no pin: the writer
 	// lock is held, so nothing retires these files before this pass does.
-	coords, vals, err := s.exportView(&readView{s: s, frags: s.frags, tombs: countTombs(s.frags)})
+	working := &readView{s: s, frags: s.frags, tombs: countTombs(s.frags), index: buildFragIndex(s.shape, s.frags)}
+	coords, vals, err := s.exportView(working)
 	if err != nil {
 		return nil, err
 	}

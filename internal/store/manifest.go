@@ -5,22 +5,20 @@ import (
 	"fmt"
 	"hash/crc32"
 	iofs "io/fs"
-	"os"
-	"strconv"
 
 	"sparseart/internal/buf"
 	"sparseart/internal/filter"
+	"sparseart/internal/fragment"
 	"sparseart/internal/tensor"
 )
 
 // The manifest is a checkpoint plus an append-only delta log. MANIFEST
-// holds the full fragment list as of the last checkpoint (the exact
-// format every prior version of this library wrote, so old stores open
-// unchanged); MANIFEST.LOG holds one framed, CRC-guarded record per
-// fragment or tombstone committed since. A write therefore costs one
-// O(record) append instead of an O(fragments) manifest rewrite — the
-// fixed ~17 ms "Others" row of the paper's Table III stops growing
-// with store size. Open replays the log over the checkpoint; Compact,
+// holds the full fragment list as of the last checkpoint; MANIFEST.LOG
+// holds one framed, CRC-guarded record per fragment or tombstone
+// committed since (docs/FORMATS.md §2 is the byte-level spec of both).
+// A write therefore costs one O(record) append instead of an
+// O(fragments) manifest rewrite — the fixed ~17 ms "Others" row of the
+// paper's Table III stops growing with store size. Open replays the log over the checkpoint; Compact,
 // Close, and the every-K policy fold the log back into a checkpoint.
 //
 // Record frame (little-endian):
@@ -43,9 +41,6 @@ import (
 //	u64[dims] tombstone region size   (tombstones only)
 //	b32 coordinate filter              (flag bit1 only)
 //
-// Records written before filters existed simply lack bit1 — replay
-// yields a nil filter, which the read paths treat as "maybe present".
-//
 // Recovery invariant: the fragment file is durable before its record is
 // appended, and a record is applied only if its frame verifies, so a
 // crash anywhere leaves the store either seeing a fragment fully or not
@@ -61,43 +56,13 @@ const (
 	defaultCheckpointMin = 16
 )
 
-// checkpointEveryEnv overrides the checkpoint cadence for stores
-// created without an explicit WithManifestCheckpointEvery: a positive
-// integer K folds the log every K records ("1" restores the old
-// rewrite-per-write behavior, the worst case CI pins). CI uses it to
-// run the test suite across the cadence matrix.
-const checkpointEveryEnv = "SPARSEART_MANIFEST_CHECKPOINT_EVERY"
-
 // WithManifestCheckpointEvery folds the manifest log into a fresh
 // checkpoint every k fragment commits. k = 1 checkpoints on every write
-// (the pre-log behavior and cost); k <= 0 restores the default adaptive
-// policy, which checkpoints once the log holds as many records as the
-// checkpoint holds fragments (amortized O(1) metadata per write).
+// (an O(fragments) rewrite per commit); k <= 0 restores the default
+// adaptive policy, which checkpoints once the log holds as many records
+// as the checkpoint holds fragments (amortized O(1) metadata per write).
 func WithManifestCheckpointEvery(k int) Option {
-	return func(s *Store) {
-		s.ckptEvery = k
-		s.ckptSet = true
-	}
-}
-
-// groupCommitEnv disables manifest-log group commit ("off"), so CI can
-// pin the per-fragment-append behavior across the whole test suite. An
-// explicit WithGroupCommit wins over the environment.
-const groupCommitEnv = "SPARSEART_MANIFEST_GROUP_COMMIT"
-
-// initManifestPolicy resolves the checkpoint cadence and the
-// group-commit switch after options are applied (the environment knobs
-// fill in when no option did).
-func (s *Store) initManifestPolicy() {
-	if !s.groupSet {
-		s.groupCommit = os.Getenv(groupCommitEnv) != "off"
-	}
-	if s.ckptSet {
-		return
-	}
-	if n, err := strconv.Atoi(os.Getenv(checkpointEveryEnv)); err == nil && n > 0 {
-		s.ckptEvery = n
-	}
+	return func(s *Store) { s.ckptEvery = k }
 }
 
 // logName returns the store's manifest-log path.
@@ -332,7 +297,7 @@ func (s *Store) replayLog() error {
 	data, err := s.fs.ReadFile(s.logName())
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
-			return nil // no log: a freshly checkpointed or pre-log store
+			return nil // no log: the state after every checkpoint and Close
 		}
 		return fmt.Errorf("store: read manifest log: %w", err)
 	}
@@ -391,10 +356,10 @@ func (s *Store) validateReplayedTombstone(fr fragRef) error {
 		return nil
 	}
 	if fr.tombRegion.Dims() != s.shape.Dims() {
-		return fmt.Errorf("store: replayed tombstone rank %d for %d-dim store", fr.tombRegion.Dims(), s.shape.Dims())
+		return fmt.Errorf("store: manifest log: %w: tombstone rank %d for %d-dim store", fragment.ErrCorrupt, fr.tombRegion.Dims(), s.shape.Dims())
 	}
 	if _, err := tensor.NewRegion(s.shape, fr.tombRegion.Start, fr.tombRegion.Size); err != nil {
-		return err
+		return fmt.Errorf("store: manifest log: %w: tombstone region: %v", fragment.ErrCorrupt, err)
 	}
 	return nil
 }

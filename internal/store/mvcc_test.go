@@ -332,12 +332,19 @@ func TestOpenCollectsOrphans(t *testing.T) {
 // TestCompactCrashSweep walks a fault injection point across every
 // filesystem operation of a compaction. At every crash point the store
 // must either have completed the swap or still serve the old state —
-// and a reopen from the surviving files must agree.
+// and a reopen from the surviving files must agree — under every store
+// configuration (storeConfigs): the log folded on every commit or never
+// moves where the crash points fall, the cache rows what the surviving
+// handle may still hold.
 func TestCompactCrashSweep(t *testing.T) {
+	eachStoreConfig(t, testCompactCrashSweep)
+}
+
+func testCompactCrashSweep(t *testing.T, opts []Option) {
 	shape := tensor.Shape{12, 12}
 	build := func() (*fsim.SimFS, *model) {
 		sim := fsim.NewPerlmutterSim()
-		st, err := Create(sim, "t", core.COO, shape, WithManifestCheckpointEvery(1<<30))
+		st, err := Create(sim, "t", core.COO, shape, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +391,7 @@ func TestCompactCrashSweep(t *testing.T) {
 	for k := 0; k < 100; k++ {
 		sim, ref := build()
 		ff := fsim.NewFaultFS(sim)
-		st, err := Open(ff, "t")
+		st, err := Open(ff, "t", opts...)
 		if err != nil {
 			t.Fatalf("k=%d: clean open failed: %v", k, err)
 		}
@@ -396,7 +403,7 @@ func TestCompactCrashSweep(t *testing.T) {
 			// full pre-compaction state.
 			verify(st, ref, "live handle after injected crash")
 		}
-		st2, err := Open(sim, "t")
+		st2, err := Open(sim, "t", opts...)
 		if err != nil {
 			t.Fatalf("k=%d: reopen after crash: %v", k, err)
 		}

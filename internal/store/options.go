@@ -7,12 +7,11 @@ import (
 	"sparseart/internal/store/fragcache"
 )
 
-// This file holds the chunked-scale configuration surface added with
-// cross-tile batched ingest: a shared reader cache spanning every tile
-// of a Chunked store, a default ingest-pool width, and the manifest
-// group-commit switch. Option misuse is a typed error (OptionError,
-// matching ErrBadOption) surfaced by Create/Open/NewChunked instead of
-// being silently accepted.
+// Options are the store's only configuration surface: nothing reads
+// the process environment. Defaults are set before the options run and
+// an option simply overwrites its field. Option misuse is a typed error
+// (OptionError, matching ErrBadOption) surfaced by Create/Open/NewChunked
+// instead of being silently accepted.
 
 // ErrBadOption is the sentinel every option-misuse error matches:
 //
@@ -42,14 +41,22 @@ func (s *Store) recordOptErr(option, reason string) {
 	}
 }
 
-// finishOptions validates the applied option set as a whole. Called by
-// Create and Open after every option ran (NewChunked validates the same
-// way on its probe store before forwarding options to tiles).
-func (s *Store) finishOptions() error {
+// applyOptions sets the defaults, runs opts over them, and validates
+// the resulting set as a whole. Create and Open configure the store
+// through it; NewChunked runs it on a probe store so misuse is rejected
+// before any tile exists.
+func (s *Store) applyOptions(opts []Option) error {
+	s.cacheBudget = DefaultCacheBudget
+	for _, o := range opts {
+		o(s)
+	}
 	if s.optErr != nil {
 		return s.optErr
 	}
-	if s.sharedCache != nil && s.cacheSet {
+	// A shared cache was created with its budget; a private budget
+	// beside it (anything but the default a store starts from) is a
+	// contradiction, whichever option came first.
+	if s.sharedCache != nil && s.cacheBudget != DefaultCacheBudget {
 		return &OptionError{
 			Option: "WithSharedCache",
 			Reason: "conflicts with WithReaderCache: the shared cache already carries its byte budget",
@@ -95,21 +102,6 @@ func WithIngestWorkers(n int) Option {
 	}
 }
 
-// WithGroupCommit sets whether batched ingest group-commits the
-// manifest log: fragment records staged between checkpoint boundaries
-// land in one Append per flush instead of one per fragment, making the
-// metadata cost of an N-fragment batch O(flushes) rather than O(N). On
-// by default; the option exists to pin either behavior against the
-// SPARSEART_MANIFEST_GROUP_COMMIT environment override. The on-disk
-// result is byte-identical either way — only the Append granularity
-// changes. Single-fragment Write/DeleteRegion never group.
-func WithGroupCommit(on bool) Option {
-	return func(s *Store) {
-		s.groupCommit = on
-		s.groupSet = true
-	}
-}
-
 // WithBackgroundCompaction makes the store compact itself: whenever a
 // mutation publishes a snapshot holding at least minFragments
 // fragments and no compaction worker is already running, one is
@@ -145,7 +137,7 @@ func WithAutoReorg() Option {
 func withTileCache(c *fragcache.Cache) Option {
 	return func(s *Store) {
 		s.sharedCache = c
-		s.cacheSet = false
+		s.cacheBudget = DefaultCacheBudget
 	}
 }
 

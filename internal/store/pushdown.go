@@ -81,9 +81,8 @@ var errStopPush = errors.New("store: push-down stopped by consumer")
 // pinned view must iterate, plus the count it could dismiss without a
 // fetch. With a region the spatial index prunes by bounding box and the
 // per-fragment coordinate filters dismiss bbox false positives (both
-// exact-negative, so the result set is identical with the index knob
-// off — only the lookup strategy differs). Without a region every data
-// fragment qualifies.
+// exact-negative, so no live cell is ever missed). Without a region
+// every data fragment qualifies.
 func (s *Store) pushCandidates(v *readView, region *tensor.Region) (data []int, skipped int) {
 	if region == nil {
 		for i := range v.frags {
@@ -99,7 +98,7 @@ func (s *Store) pushCandidates(v *readView, region *tensor.Region) (data []int, 
 		if fr.nnz == 0 {
 			continue
 		}
-		if v.index != nil && fr.filter != nil && !fr.filter.MayOverlapRegion(*region) {
+		if fr.filter != nil && !fr.filter.MayOverlapRegion(*region) {
 			skipped++
 			continue
 		}
@@ -168,7 +167,7 @@ func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, visit f
 			if !sf.bbox.Contains(p) {
 				continue
 			}
-			if v.index != nil && sf.filter != nil && !sf.filter.MayContainPoint(p) {
+			if sf.filter != nil && !sf.filter.MayContainPoint(p) {
 				continue
 			}
 			sr, ok := shadowReaders[sj]

@@ -100,157 +100,148 @@ func pushKinds() []core.Kind {
 // kernels: over a store with overwrites and live tombstones, every
 // push-down kernel agrees exactly with the corresponding linalg kernel
 // run over the materialized ExportAll — across every organization kind,
-// with the fragment index on and off, serial and parallel.
+// serial and parallel.
 func TestPushdownDifferential(t *testing.T) {
 	shape := tensor.Shape{16, 12, 10}
 	for _, kind := range pushKinds() {
-		for _, index := range []bool{true, false} {
-			name := kind.String() + "/index=off"
-			if index {
-				name = kind.String() + "/index=on"
-			}
-			t.Run(name, func(t *testing.T) {
-				st := messyStore(t, kind, shape, 77, WithFragmentIndex(index))
-				coords, vals, err := st.ExportAll()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := linalg.TensorFrom(core.COO, shape, coords, vals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(99))
-
-				for _, workers := range []int{1, 4} {
-					// LiveNNZ ≡ the export's cardinality.
-					kres, err := kernel(st, KernelRequest{Op: KernelLiveNNZ, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					nnz, rep := int64(kres.Values[0]), kres.Report
-					if nnz != int64(coords.Len()) {
-						t.Fatalf("workers=%d: LiveNNZ=%d, ExportAll has %d", workers, nnz, coords.Len())
-					}
-					if rep.Cells != nnz {
-						t.Fatalf("workers=%d: report says %d cells for %d live", workers, rep.Cells, nnz)
-					}
-
-					// SumAll ≡ summing the export.
-					kres, err = kernel(st, KernelRequest{Op: KernelSumAll, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sum := kres.Values[0]
-					var want float64
-					for _, v := range vals {
-						want += v
-					}
-					if sum != want {
-						t.Fatalf("workers=%d: SumAll=%v, export sums to %v", workers, sum, want)
-					}
-
-					// SumRegion ≡ filtering the export, over windows that
-					// cover tombstoned space, interior space, and everything.
-					regions := [][2][]uint64{
-						{{0, 0, 0}, {16, 12, 10}},
-						{{0, 0, 0}, {4, 3, 2}}, // inside the first tombstone
-						{{5, 4, 3}, {6, 5, 4}},
-					}
-					for _, rg := range regions {
-						region, err := tensor.NewRegion(shape, rg[0], rg[1])
-						if err != nil {
-							t.Fatal(err)
-						}
-						kres, err := kernel(st, KernelRequest{Op: KernelSumRegion, Region: &region, Workers: workers})
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := kres.Values[0]
-						var want float64
-						for i, n := 0, coords.Len(); i < n; i++ {
-							if region.Contains(coords.At(i)) {
-								want += vals[i]
-							}
-						}
-						if got != want {
-							t.Fatalf("workers=%d: SumRegion(%v)=%v, want %v", workers, rg, got, want)
-						}
-					}
-
-					// NNZPerSlice ≡ the export's per-mode histogram.
-					for mode := 0; mode < shape.Dims(); mode++ {
-						kres, err := kernel(st, KernelRequest{Op: KernelNNZPerSlice, Mode: mode, Workers: workers})
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := kres.Values
-						want := make([]float64, shape[mode])
-						for i, n := 0, coords.Len(); i < n; i++ {
-							want[coords.At(i)[mode]]++
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("workers=%d: NNZPerSlice(%d)=%v, want %v", workers, mode, got, want)
-						}
-					}
-
-					// TTV ≡ linalg over the export, every mode.
-					for mode := 0; mode < shape.Dims(); mode++ {
-						vec := intVec(rng, int(shape[mode]))
-						kres, err := kernel(st, KernelRequest{Op: KernelTTV, Mode: mode, Vec: vec, Workers: workers})
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, gotShape := kres.Values, kres.Shape
-						want, wantShape, err := ref.TTV(mode, vec)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(gotShape, wantShape) {
-							t.Fatalf("TTV(%d) shape %v, want %v", mode, gotShape, wantShape)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("workers=%d: TTV(%d) disagrees with linalg", workers, mode)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestPushdownSpMVDifferential: Store.SpMV over a messy 2D store agrees
-// exactly with linalg.Matrix.SpMV over the export, for every kind and
-// both index settings.
-func TestPushdownSpMVDifferential(t *testing.T) {
-	shape := tensor.Shape{32, 24}
-	for _, kind := range pushKinds() {
-		for _, index := range []bool{true, false} {
-			st := messyStore(t, kind, shape, 131, WithFragmentIndex(index))
+		t.Run(kind.String(), func(t *testing.T) {
+			st := messyStore(t, kind, shape, 77)
 			coords, vals, err := st.ExportAll()
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := linalg.MatrixFrom(core.COO, shape, coords, vals)
+			ref, err := linalg.TensorFrom(core.COO, shape, coords, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
-			x := intVec(rand.New(rand.NewSource(5)), int(shape[1]))
-			want, err := m.SpMV(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 3} {
-				kres, err := kernel(st, KernelRequest{Op: KernelSpMV, Vec: x, Workers: workers})
+			rng := rand.New(rand.NewSource(99))
+
+			for _, workers := range []int{1, 4} {
+				// LiveNNZ ≡ the export's cardinality.
+				kres, err := kernel(st, KernelRequest{Op: KernelLiveNNZ, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, rep := kres.Values, kres.Report
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v index=%v workers=%d: SpMV disagrees with linalg", kind, index, workers)
+				nnz, rep := int64(kres.Values[0]), kres.Report
+				if nnz != int64(coords.Len()) {
+					t.Fatalf("workers=%d: LiveNNZ=%d, ExportAll has %d", workers, nnz, coords.Len())
 				}
-				if rep.Cells != int64(coords.Len()) {
-					t.Fatalf("%v: SpMV visited %d cells for %d live", kind, rep.Cells, coords.Len())
+				if rep.Cells != nnz {
+					t.Fatalf("workers=%d: report says %d cells for %d live", workers, rep.Cells, nnz)
 				}
+
+				// SumAll ≡ summing the export.
+				kres, err = kernel(st, KernelRequest{Op: KernelSumAll, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := kres.Values[0]
+				var want float64
+				for _, v := range vals {
+					want += v
+				}
+				if sum != want {
+					t.Fatalf("workers=%d: SumAll=%v, export sums to %v", workers, sum, want)
+				}
+
+				// SumRegion ≡ filtering the export, over windows that
+				// cover tombstoned space, interior space, and everything.
+				regions := [][2][]uint64{
+					{{0, 0, 0}, {16, 12, 10}},
+					{{0, 0, 0}, {4, 3, 2}}, // inside the first tombstone
+					{{5, 4, 3}, {6, 5, 4}},
+				}
+				for _, rg := range regions {
+					region, err := tensor.NewRegion(shape, rg[0], rg[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					kres, err := kernel(st, KernelRequest{Op: KernelSumRegion, Region: &region, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := kres.Values[0]
+					var want float64
+					for i, n := 0, coords.Len(); i < n; i++ {
+						if region.Contains(coords.At(i)) {
+							want += vals[i]
+						}
+					}
+					if got != want {
+						t.Fatalf("workers=%d: SumRegion(%v)=%v, want %v", workers, rg, got, want)
+					}
+				}
+
+				// NNZPerSlice ≡ the export's per-mode histogram.
+				for mode := 0; mode < shape.Dims(); mode++ {
+					kres, err := kernel(st, KernelRequest{Op: KernelNNZPerSlice, Mode: mode, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := kres.Values
+					want := make([]float64, shape[mode])
+					for i, n := 0, coords.Len(); i < n; i++ {
+						want[coords.At(i)[mode]]++
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("workers=%d: NNZPerSlice(%d)=%v, want %v", workers, mode, got, want)
+					}
+				}
+
+				// TTV ≡ linalg over the export, every mode.
+				for mode := 0; mode < shape.Dims(); mode++ {
+					vec := intVec(rng, int(shape[mode]))
+					kres, err := kernel(st, KernelRequest{Op: KernelTTV, Mode: mode, Vec: vec, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gotShape := kres.Values, kres.Shape
+					want, wantShape, err := ref.TTV(mode, vec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gotShape, wantShape) {
+						t.Fatalf("TTV(%d) shape %v, want %v", mode, gotShape, wantShape)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("workers=%d: TTV(%d) disagrees with linalg", workers, mode)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPushdownSpMVDifferential: Store.SpMV over a messy 2D store agrees
+// exactly with linalg.Matrix.SpMV over the export, for every kind.
+func TestPushdownSpMVDifferential(t *testing.T) {
+	shape := tensor.Shape{32, 24}
+	for _, kind := range pushKinds() {
+		st := messyStore(t, kind, shape, 131)
+		coords, vals, err := st.ExportAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := linalg.MatrixFrom(core.COO, shape, coords, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := intVec(rand.New(rand.NewSource(5)), int(shape[1]))
+		want, err := m.SpMV(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			kres, err := kernel(st, KernelRequest{Op: KernelSpMV, Vec: x, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, rep := kres.Values, kres.Report
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v workers=%d: SpMV disagrees with linalg", kind, workers)
+			}
+			if rep.Cells != int64(coords.Len()) {
+				t.Fatalf("%v: SpMV visited %d cells for %d live", kind, rep.Cells, coords.Len())
 			}
 		}
 	}

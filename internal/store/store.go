@@ -18,8 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,13 +36,9 @@ import (
 
 const (
 	manifestName = "MANIFEST"
-	// manifestMagic is the original checkpoint format: no per-fragment
-	// coordinate filters, no spatial-index section. Still accepted by
-	// Open (the index is rebuilt from the fragment list instead).
-	manifestMagic = 0x314e4d53 // "SMN1"
-	// manifestMagicV2 adds a per-fragment flags byte carrying an optional
-	// coordinate-filter blob, and a trailing spatial-index section.
-	// Checkpoints are always written in this format.
+	// manifestMagicV2 heads every checkpoint: "SMN" plus the format
+	// version as an ASCII digit. docs/FORMATS.md §2 is the byte-level
+	// spec; version 2 is the only one written or read.
 	manifestMagicV2 = 0x324e4d53 // "SMN2"
 )
 
@@ -72,46 +66,16 @@ func WithObs(r *obs.Registry) Option {
 	return func(s *Store) { s.obs = r }
 }
 
-// DefaultCacheBudget is the fragment-reader cache's byte budget when
-// neither WithReaderCache nor the environment override says otherwise.
+// DefaultCacheBudget is the fragment-reader cache's byte budget unless
+// WithReaderCache says otherwise.
 const DefaultCacheBudget = 256 << 20
-
-// cacheBudgetEnv overrides the default cache budget for stores created
-// without an explicit WithReaderCache: "off" or "0" disables the cache,
-// any other integer is a byte budget. CI uses it to run the test suite
-// under disabled-cache and tiny-budget (eviction-heavy) configurations.
-const cacheBudgetEnv = "SPARSEART_FRAGCACHE_BUDGET"
 
 // WithReaderCache sets the fragment-reader cache's byte budget. The
 // cache keeps decoded fragment indexes (reader + values) resident so
 // warm reads skip the file system entirely; see internal/store/fragcache.
 // A budget of 0 (or below) disables caching.
 func WithReaderCache(budget int64) Option {
-	return func(s *Store) {
-		s.cacheBudget = budget
-		s.cacheSet = true
-	}
-}
-
-// resolveCacheBudget applies the budget resolution rules — explicit
-// option, then environment override, then the default — without
-// building the cache. NewChunked uses the same resolution to size the
-// one cache all its tiles share.
-func (s *Store) resolveCacheBudget() int64 {
-	budget := s.cacheBudget
-	if !s.cacheSet {
-		budget = DefaultCacheBudget
-		switch v := os.Getenv(cacheBudgetEnv); v {
-		case "":
-		case "off":
-			budget = 0
-		default:
-			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-				budget = n
-			}
-		}
-	}
-	return budget
+	return func(s *Store) { s.cacheBudget = budget }
 }
 
 // initCache builds the reader cache after options are applied. An
@@ -122,8 +86,8 @@ func (s *Store) initCache() {
 		s.cache = s.sharedCache
 		return
 	}
-	if budget := s.resolveCacheBudget(); budget > 0 {
-		s.cache = fragcache.New(budget, s.obsReg)
+	if s.cacheBudget > 0 {
+		s.cache = fragcache.New(s.cacheBudget, s.obsReg)
 	}
 }
 
@@ -135,8 +99,8 @@ type fragRef struct {
 	// filter is the fragment's per-dimension coordinate filter, built at
 	// encode time and carried through the manifest so the read paths can
 	// dismiss bbox false positives without opening the fragment file.
-	// nil for tombstones, empty fragments, and fragments written before
-	// filters existed (the read paths treat nil as "maybe").
+	// nil for tombstones and empty fragments (the read paths treat nil
+	// as "maybe").
 	filter *filter.Filter
 	// tomb marks a deletion fragment covering tombRegion: cells inside
 	// it are dead unless rewritten by a later fragment.
@@ -218,49 +182,39 @@ type Store struct {
 	// (advisor-guided re-organization). See WithAutoReorg.
 	autoReorg bool
 
-	// cache holds decoded fragment readers; nil when disabled. See
-	// WithReaderCache for the budget resolution rules. sharedCache is an
-	// externally owned cache (WithSharedCache or a Chunked parent) that
-	// overrides the per-store budget; cacheScope labels this store's
-	// traffic on a shared cache (per-tile hit metrics).
+	// cache holds decoded fragment readers; nil when disabled.
+	// cacheBudget sizes the store's own cache (WithReaderCache;
+	// DefaultCacheBudget otherwise). sharedCache is an externally owned
+	// cache (WithSharedCache or a Chunked parent) used instead;
+	// cacheScope labels this store's traffic on a shared cache (per-tile
+	// hit metrics).
 	cache       *fragcache.Cache
 	sharedCache *fragcache.Cache
 	cacheScope  string
 	cacheBudget int64
-	cacheSet    bool
 
 	// Batched-ingest configuration (options.go): the default worker-pool
-	// width when a WriteBatch call passes workers < 1, and whether the
-	// committer group-commits manifest-log records. optErr holds the
+	// width when a WriteBatch call passes workers < 1. optErr holds the
 	// first option misuse, surfaced by Create/Open/NewChunked.
 	ingestWorkers int
-	groupCommit   bool
-	groupSet      bool
 	optErr        error
 
 	// Fragcache warming (warm.go): how many of the newest fragments
-	// Open pre-loads into the reader cache, or a byte budget when
-	// warmBudget > 0 (WithWarmBudget).
-	warmFrags  int
-	warmBudget int64
-	warmSet    bool
+	// Open pre-loads into the reader cache.
+	warmFrags int
 
-	// Fragment-index knob (index.go): whether published views carry the
-	// spatial index and the read paths consult coordinate filters.
-	// Resolved once at Create/Open (option, then environment, default
-	// on); loadedIndex holds a checkpoint's validated index section
-	// between manifest decode and the first initViews, nil otherwise.
-	indexOn     bool
-	indexSet    bool
+	// loadedIndex holds a checkpoint's validated spatial-index section
+	// (index.go) between manifest decode and the first initViews, nil
+	// otherwise.
 	loadedIndex *fragIndex
 
-	// Manifest-log state (see manifest.go): the checkpoint cadence, the
+	// Manifest-log state (see manifest.go): the checkpoint cadence
+	// (WithManifestCheckpointEvery; <= 0 is the adaptive policy), the
 	// number of records currently in MANIFEST.LOG, and the fragment
 	// count at the last checkpoint (the adaptive cadence's threshold).
 	// staged buffers framed records awaiting a group-commit flush
 	// (stagedRecs fragments' worth, appended in one fs.Append).
 	ckptEvery     int
-	ckptSet       bool
 	logRecords    int
 	lastCkptFrags int
 	staged        []byte
@@ -322,18 +276,13 @@ func Create(fs fsim.FS, prefix string, kind core.Kind, shape tensor.Shape, opts 
 	}
 	s := &Store{fs: fs, prefix: prefix, shape: shape.Clone(), lin: lin}
 	s.setOrg(kind, f)
-	for _, o := range opts {
-		o(s)
-	}
-	if err := s.finishOptions(); err != nil {
+	if err := s.applyOptions(opts); err != nil {
 		return nil, err
 	}
 	if _, err := compress.Get(s.codec); err != nil {
 		return nil, err
 	}
-	s.indexOn = s.resolveIndexOn()
 	s.initCache()
-	s.initManifestPolicy()
 	if err := s.writeManifest(); err != nil {
 		return nil, err
 	}
@@ -342,38 +291,36 @@ func Create(fs fsim.FS, prefix string, kind core.Kind, shape tensor.Shape, opts 
 }
 
 // manifestState is a decoded checkpoint: the store's persisted
-// properties, fragment list, and — for SMN2 checkpoints with a valid
-// index section — the spatial index as of the checkpoint.
+// properties, fragment list, and — when the index section validates —
+// the spatial index as of the checkpoint.
 type manifestState struct {
-	version int // 1 (SMN1) or 2 (SMN2)
-	kind    core.Kind
-	codec   compress.ID
-	shape   tensor.Shape
-	nextID  uint64
-	frags   []fragRef
-	// index is the checkpoint's spatial index, nil when the manifest
-	// predates the section or the section failed validation (indexErr
-	// says why) — the caller rebuilds from frags in that case, so a bad
-	// section costs open time, never correctness.
+	kind   core.Kind
+	codec  compress.ID
+	shape  tensor.Shape
+	nextID uint64
+	frags  []fragRef
+	// index is the checkpoint's spatial index, nil when the section is
+	// absent or failed validation (indexErr says why) — the caller
+	// rebuilds from frags in that case, so a bad section costs open
+	// time, never correctness.
 	index    *fragIndex
 	indexErr error
 }
 
-// decodeManifest parses either checkpoint format. Used by Open and by
-// ReadManifestInfo (the sparseinspect surface).
+// decodeManifest parses a checkpoint. Used by Open and by
+// DecodeManifestInfo (the sparseinspect surface). Every structural
+// failure wraps fragment.ErrCorrupt, so a caller can tell a damaged or
+// unsupported store from a missing one (ErrNotFound).
 func decodeManifest(data []byte) (*manifestState, error) {
 	r := buf.NewReader(data)
-	magic := r.U32()
-	version := 0
-	switch magic {
-	case manifestMagic:
-		version = 1
-	case manifestMagicV2:
-		version = 2
+	switch magic := r.U32(); {
+	case magic == manifestMagicV2:
+	case isManifestMagic(magic):
+		return nil, fmt.Errorf("store: manifest: %w: unsupported format SMN%c (this build reads SMN2 only)", fragment.ErrCorrupt, rune(magic>>24))
 	default:
-		return nil, fmt.Errorf("store: store manifest: bad magic %08x", magic)
+		return nil, fmt.Errorf("store: manifest: %w: bad magic %08x", fragment.ErrCorrupt, magic)
 	}
-	m := &manifestState{version: version}
+	m := &manifestState{}
 	m.kind = core.Kind(r.U8())
 	m.codec = compress.ID(r.U8())
 	dims := int(r.U16())
@@ -384,7 +331,7 @@ func decodeManifest(data []byte) (*manifestState, error) {
 	// the remaining payload is corruption — and must not drive the
 	// decode loop below (a fuzzer-found hang).
 	if count > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("store: manifest declares %d fragments in %d bytes", count, r.Remaining())
+		return nil, fmt.Errorf("store: manifest: %w: declares %d fragments in %d bytes", fragment.ErrCorrupt, count, r.Remaining())
 	}
 	m.frags = make([]fragRef, 0, count)
 	for i := uint64(0); i < count && r.Err() == nil; i++ {
@@ -400,16 +347,16 @@ func decodeManifest(data []byte) (*manifestState, error) {
 			fr.tombRegion.Start = r.RawU64s(uint64(dims))
 			fr.tombRegion.Size = r.RawU64s(uint64(dims))
 		}
-		if version >= 2 && flags&2 != 0 {
+		if flags&2 != 0 {
 			filt, err := filter.Decode(r.Bytes32())
 			if err != nil {
-				return nil, fmt.Errorf("store: manifest: fragment %s filter: %w", fr.name, err)
+				return nil, fmt.Errorf("store: manifest: %w: fragment %s filter: %v", fragment.ErrCorrupt, fr.name, err)
 			}
 			fr.filter = filt
 		}
 		m.frags = append(m.frags, fr)
 	}
-	if version >= 2 && r.Err() == nil && r.U8() != 0 {
+	if r.Err() == nil && r.U8() != 0 {
 		body := r.Bytes32()
 		if r.Err() == nil {
 			ir := buf.NewReader(body)
@@ -417,9 +364,15 @@ func decodeManifest(data []byte) (*manifestState, error) {
 		}
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("store: manifest: %w", err)
+		return nil, fmt.Errorf("store: manifest: %w: %v", fragment.ErrCorrupt, err)
 	}
 	return m, nil
+}
+
+// isManifestMagic reports whether magic is "SMN" followed by any
+// version byte — a checkpoint of this family, current or not.
+func isManifestMagic(magic uint32) bool {
+	return magic&0x00ffffff == manifestMagicV2&0x00ffffff
 }
 
 // Open loads an existing store's manifest from fs. Options that set
@@ -437,11 +390,11 @@ func Open(fs fsim.FS, prefix string, opts ...Option) (*Store, error) {
 	kind, codec, shape := m.kind, m.codec, m.shape
 	f, err := core.Get(kind)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: manifest: %w: %w", fragment.ErrCorrupt, err)
 	}
 	lin, err := tensor.NewLinearizer(shape, tensor.RowMajor)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: manifest: %w: %w", fragment.ErrCorrupt, err)
 	}
 	s := &Store{
 		fs: fs, prefix: prefix, shape: shape,
@@ -449,19 +402,14 @@ func Open(fs fsim.FS, prefix string, opts ...Option) (*Store, error) {
 		loadedIndex: m.index,
 	}
 	s.setOrg(kind, f)
-	for _, o := range opts {
-		o(s)
-	}
-	if err := s.finishOptions(); err != nil {
+	if err := s.applyOptions(opts); err != nil {
 		return nil, err
 	}
 	s.codec = codec // the manifest's codec is authoritative
-	s.indexOn = s.resolveIndexOn()
 	s.initCache()
-	s.initManifestPolicy()
 	s.lastCkptFrags = len(s.frags)
 	// The checkpoint reflects the last fold; fragments committed since
-	// live in the delta log. Pre-log stores simply have no log file.
+	// live in the delta log. After a Close there is no log file.
 	if err := s.replayLog(); err != nil {
 		return nil, err
 	}
@@ -476,13 +424,11 @@ func Open(fs fsim.FS, prefix string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// writeManifest writes the full-state checkpoint in the SMN2 format:
-// the SMN1 layout plus a per-fragment flags byte (bit 0 tombstone,
-// bit 1 coordinate filter present, followed by the filter blob) and a
-// trailing spatial-index section. The index is always rebuilt from the
-// fragment list and always written — checkpoint bytes do not depend on
-// the runtime index knob — so any later Open can adopt it instead of
-// rebuilding. SMN1 checkpoints remain readable (decodeManifest).
+// writeManifest writes the full-state checkpoint (SMN2, docs/FORMATS.md
+// §2): the store's properties, one entry per fragment with a flags byte
+// (bit 0 tombstone, bit 1 coordinate filter present, followed by the
+// filter blob), and a trailing spatial-index section, rebuilt from the
+// fragment list so any later Open can adopt it instead of rebuilding.
 func (s *Store) writeManifest() error {
 	w := buf.GetWriter(64 + len(s.frags)*(48+16*s.shape.Dims()))
 	defer buf.PutWriter(w)
@@ -1069,7 +1015,7 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 		if fr.nnz == 0 {
 			continue // tombstones join at the merge, not the fragment loop
 		}
-		if v.index != nil && fr.filter != nil && !pl.mayHold(fr) {
+		if fr.filter != nil && !pl.mayHold(fr) {
 			rep.FilterSkipped++
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 	"sparseart/internal/compress"
 	"sparseart/internal/core"
 	_ "sparseart/internal/core/all"
+	"sparseart/internal/fragment"
 	"sparseart/internal/fsim"
 	"sparseart/internal/tensor"
 )
@@ -454,8 +455,8 @@ func TestRandomizedAgainstModel(t *testing.T) {
 // be rejected up front, not drive an unbounded decode loop.
 func TestOpenRejectsOversizedManifestCount(t *testing.T) {
 	fs := newSim(t)
-	// magic "SMN1", kind 0, codec 0, dims 0, then garbage counts.
-	data := []byte("SMN1\x00\x00\x00\x00\x00\x00\x00\b\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00")
+	// magic "SMN2", kind 0, codec 0, dims 0, then garbage counts.
+	data := []byte("SMN2\x00\x00\x00\x00\x00\x00\x00\b\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00")
 	if err := fs.WriteFile("bad/MANIFEST", data); err != nil {
 		t.Fatal(err)
 	}
@@ -466,8 +467,8 @@ func TestOpenRejectsOversizedManifestCount(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("corrupt manifest accepted")
+		if !errors.Is(err, fragment.ErrCorrupt) {
+			t.Fatalf("corrupt manifest: %v, want ErrCorrupt", err)
 		}
 	case <-time.After(5 * time.Second): // the fixed code rejects in microseconds
 		t.Fatal("Open hung on corrupt manifest")

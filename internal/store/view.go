@@ -35,10 +35,10 @@ import (
 // publication; refs counts outstanding acquisitions and is guarded by
 // Store.viewMu.
 //
-// Each view also carries the epoch's spatial index (nil when the
-// fragment index is disabled — see WithFragmentIndex) and the epoch's
-// tombstone count, so the read paths can skip the tombstone overlap
-// scan entirely on tombstone-free stores.
+// Each view also carries the epoch's spatial index (index.go) — the
+// overlap search — and the epoch's tombstone count, so the read paths
+// can skip the tombstone overlap scan entirely on tombstone-free
+// stores.
 type readView struct {
 	s     *Store
 	epoch uint64
@@ -50,24 +50,13 @@ type readView struct {
 
 // overlapping returns the ascending indices of the fragments among
 // frags[:limit] that carry a bounding box overlapping box — data
-// fragments and tombstones both. With the index enabled this is the
-// sub-linear path: grid lookup, then a bbox re-check of each candidate;
-// without it, the historical linear scan. Either way the result is
-// exact (the grid only ever over-approximates), so every consumer sees
-// identical fragment sets regardless of the knob.
+// fragments and tombstones both: a grid lookup, then a bbox re-check of
+// each candidate. The grid only ever over-approximates, so the result
+// is exactly what a linear scan of the prefix would list (the tests'
+// oracle, linearOverlap).
 func (v *readView) overlapping(box tensor.BBox, limit int) []int {
 	if limit > len(v.frags) {
 		limit = len(v.frags)
-	}
-	if v.index == nil {
-		var out []int
-		for i := 0; i < limit; i++ {
-			fr := &v.frags[i]
-			if (fr.nnz > 0 || fr.tomb) && fr.bbox.Overlaps(box) {
-				out = append(out, i)
-			}
-		}
-		return out
 	}
 	cand := v.index.lookup(box, limit)
 	reg := v.s.obsReg()
@@ -154,20 +143,18 @@ func (v *readView) release() {
 }
 
 // initViews installs the first snapshot. Called once by Create/Open
-// before the store is shared. When the fragment index is enabled, the
-// first view's grid either extends the index persisted in the manifest
-// checkpoint (loadedIndex, already validated; the suffix covers
-// replayed log records) or is rebuilt from the fragment list.
+// before the store is shared. The first view's grid either extends the
+// index persisted in the manifest checkpoint (loadedIndex, already
+// validated; the suffix covers replayed log records) or is rebuilt from
+// the fragment list.
 func (s *Store) initViews() {
 	s.pinned = map[*readView]struct{}{}
 	frags := append([]fragRef(nil), s.frags...)
 	v := &readView{s: s, epoch: 0, frags: frags, tombs: countTombs(frags)}
-	if s.indexOn {
-		if li := s.loadedIndex; li != nil && li.n <= len(frags) {
-			v.index = li.appended(frags, li.n)
-		} else {
-			v.index = buildFragIndex(s.shape, frags)
-		}
+	if li := s.loadedIndex; li != nil && li.n <= len(frags) {
+		v.index = li.appended(frags, li.n)
+	} else {
+		v.index = buildFragIndex(s.shape, frags)
 	}
 	s.loadedIndex = nil
 	s.cur = v
@@ -190,18 +177,10 @@ func (s *Store) publishLocked() uint64 {
 	v := &readView{s: s, frags: frags}
 	if prev != nil && len(frags) >= len(prev.frags) && samePrefixBoundary(prev.frags, frags) {
 		v.tombs = prev.tombs + countTombs(frags[len(prev.frags):])
-		if s.indexOn {
-			if prev.index != nil {
-				v.index = prev.index.appended(frags, len(prev.frags))
-			} else {
-				v.index = buildFragIndex(s.shape, frags)
-			}
-		}
+		v.index = prev.index.appended(frags, len(prev.frags))
 	} else {
 		v.tombs = countTombs(frags)
-		if s.indexOn {
-			v.index = buildFragIndex(s.shape, frags)
-		}
+		v.index = buildFragIndex(s.shape, frags)
 	}
 	s.viewMu.Lock()
 	epoch := s.cur.epoch + 1

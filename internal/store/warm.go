@@ -1,7 +1,6 @@
 package store
 
 import (
-	"os"
 	"strconv"
 
 	"sparseart/internal/obs"
@@ -14,18 +13,6 @@ import (
 // last-writer-wins merge consults them for every overlapping query —
 // they are the entries a cold cache would fault in first anyway.
 
-// warmFragsEnv overrides the warm count for stores opened without an
-// explicit WithWarmFragments: a positive integer pre-loads that many
-// fragments on Open. Unset (or unparseable) means no warming, the
-// historical behavior.
-const warmFragsEnv = "SPARSEART_FRAGCACHE_WARM"
-
-// warmBudgetEnv overrides the warm byte budget for stores opened
-// without an explicit warm option: a positive integer pre-loads the
-// newest fragments whose cumulative encoded size fits. Combines with
-// warmFragsEnv — warming stops at whichever limit is hit first.
-const warmBudgetEnv = "SPARSEART_FRAGCACHE_WARM_BYTES"
-
 // WithWarmFragments makes Open pre-fill the reader cache with the
 // newest k data fragments (tombstones carry no payload and are
 // skipped). Warming is best-effort: a fragment that fails to load is
@@ -33,7 +20,8 @@ const warmBudgetEnv = "SPARSEART_FRAGCACHE_WARM_BYTES"
 // when the fragment is actually needed — and the cache's own admission
 // guard still applies, so an oversized fragment is loaded but not
 // retained. Each fragment that lands in the cache increments the
-// fragcache.warmed counter. k = 0 (the default) disables warming; on a
+// fragcache.warmed counter (and fragcache.warmed_bytes by its encoded
+// size). k = 0 (the default) disables warming; on a
 // Create'd store the option is accepted and moot (no fragments yet).
 func WithWarmFragments(k int) Option {
 	return func(s *Store) {
@@ -42,75 +30,30 @@ func WithWarmFragments(k int) Option {
 			return
 		}
 		s.warmFrags = k
-		s.warmSet = true
 	}
 }
 
-// WithWarmBudget is the size-aware variant of WithWarmFragments: Open
-// pre-loads the newest data fragments whose cumulative encoded size
-// stays within budget bytes, however many that is. Fragment sizes vary
-// by orders of magnitude, so a byte budget bounds warming's open-time
-// cost where a count cannot. Warming stops at the first fragment that
-// would overflow the budget — newest-first prefix semantics, so what is
-// warmed is deterministic. Combine with WithWarmFragments to cap both
-// count and bytes; either limit stops the walk.
-func WithWarmBudget(budget int64) Option {
-	return func(s *Store) {
-		if budget < 0 {
-			s.recordOptErr("WithWarmBudget", strconv.FormatInt(budget, 10)+" bytes (need >= 0)")
-			return
-		}
-		s.warmBudget = budget
-		s.warmSet = true
-	}
-}
-
-// resolveWarmLimits applies the same option-then-environment resolution
-// as the cache budget. count == 0 means unbounded when bytes > 0, off
-// otherwise; bytes == 0 means no byte limit.
-func (s *Store) resolveWarmLimits() (count int, bytes int64) {
-	if s.warmSet {
-		return s.warmFrags, s.warmBudget
-	}
-	if n, err := strconv.Atoi(os.Getenv(warmFragsEnv)); err == nil && n > 0 {
-		count = n
-	}
-	if n, err := strconv.ParseInt(os.Getenv(warmBudgetEnv), 10, 64); err == nil && n > 0 {
-		bytes = n
-	}
-	return count, bytes
-}
-
-// warmCache pre-loads the newest data fragments through the ordinary
-// fetch path (so shared caches, scope labels, and singleflight all
-// behave as on a real read), bounded by the resolved fragment count
-// and/or byte budget. Called by Open after the manifest log replays;
-// no-op without a cache.
+// warmCache pre-loads the newest warmFrags data fragments through the
+// ordinary fetch path (so shared caches, scope labels, and singleflight
+// all behave as on a real read). Called by Open after the manifest log
+// replays; no-op without a cache.
 func (s *Store) warmCache() {
-	k, budget := s.resolveWarmLimits()
-	if (k <= 0 && budget <= 0) || s.cache == nil {
+	k := s.warmFrags
+	if k <= 0 || s.cache == nil {
 		return
-	}
-	if k <= 0 {
-		k = len(s.frags) // byte budget alone: no count limit
 	}
 	reg := s.obsReg()
 	kind := s.curKind().String()
 	var rep ReadReport // warming pays its own I/O; nothing to attribute
-	var spent int64
 	for i := len(s.frags) - 1; i >= 0 && k > 0; i-- {
 		fr := s.frags[i]
 		if fr.tomb || fr.nnz == 0 {
 			continue
 		}
-		if budget > 0 && spent+fr.bytes > budget {
-			break
-		}
 		if _, err := s.fetchFragment(nil, fr, &rep); err == nil {
 			reg.Counter("fragcache.warmed", "kind", kind).Inc()
 			reg.Counter("fragcache.warmed_bytes", "kind", kind).Add(fr.bytes)
 		}
-		spent += fr.bytes
 		k--
 	}
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"strconv"
 	"testing"
 
 	"sparseart/internal/core"
@@ -82,38 +81,6 @@ func TestWarmOnOpen(t *testing.T) {
 	}
 }
 
-func TestWarmEnvOverride(t *testing.T) {
-	fs := newSim(t)
-	st, err := Create(fs, "t", core.GCSR, tensor.Shape{8, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeBand(t, st, 0)
-	writeBand(t, st, 1)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	t.Setenv(warmFragsEnv, "1")
-	reg := obs.New()
-	if _, err := Open(fs, "t", WithObs(reg), WithReaderCache(DefaultCacheBudget)); err != nil {
-		t.Fatal(err)
-	}
-	warmed := reg.Snapshot().Counters[obs.Name("fragcache.warmed", "kind", core.GCSR.String())]
-	if warmed != 1 {
-		t.Fatalf("env-driven warm loaded %d fragments, want 1", warmed)
-	}
-
-	// An explicit option wins over the environment.
-	reg = obs.New()
-	if _, err := Open(fs, "t", WithObs(reg), WithReaderCache(DefaultCacheBudget), WithWarmFragments(0)); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Snapshot().Counters[obs.Name("fragcache.warmed", "kind", core.GCSR.String())]; n != 0 {
-		t.Fatalf("WithWarmFragments(0) still warmed %d", n)
-	}
-}
-
 func TestWarmSkipsTombstones(t *testing.T) {
 	fs := newSim(t)
 	shape := tensor.Shape{8, 8}
@@ -188,12 +155,11 @@ func TestWarmNegativeRejected(t *testing.T) {
 	if _, err := Create(fs, "t", core.GCSR, tensor.Shape{8, 8}, WithWarmFragments(-1)); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("WithWarmFragments(-1) = %v, want ErrBadOption", err)
 	}
-	if _, err := Create(fs, "t2", core.GCSR, tensor.Shape{8, 8}, WithWarmBudget(-1)); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("WithWarmBudget(-1) = %v, want ErrBadOption", err)
-	}
 }
 
-func TestWarmByteBudget(t *testing.T) {
+// TestWarmedBytesCounter: fragcache.warmed_bytes counts the encoded
+// size of exactly the fragments warming loaded.
+func TestWarmedBytesCounter(t *testing.T) {
 	fs := newSim(t)
 	st, err := Create(fs, "t", core.GCSR, tensor.Shape{8, 8})
 	if err != nil {
@@ -202,55 +168,21 @@ func TestWarmByteBudget(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		writeBand(t, st, i)
 	}
-	// Equal-sized bands: the newest fragment's size is the per-fragment
-	// cost the budget is denominated in.
-	size := st.frags[len(st.frags)-1].bytes
+	size := st.frags[len(st.frags)-1].bytes // equal-sized bands
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	kindLabel := core.GCSR.String()
-	check := func(t *testing.T, reg *obs.Registry, wantFrags, wantBytes int64) {
-		t.Helper()
-		snap := reg.Snapshot()
-		if n := snap.Counters[obs.Name("fragcache.warmed", "kind", kindLabel)]; n != wantFrags {
-			t.Fatalf("warmed %d fragments, want %d", n, wantFrags)
-		}
-		if n := snap.Counters[obs.Name("fragcache.warmed_bytes", "kind", kindLabel)]; n != wantBytes {
-			t.Fatalf("warmed %d bytes, want %d", n, wantBytes)
-		}
-	}
-
-	// A budget covering exactly two fragments warms the newest two —
-	// the third would overflow, so the newest-first walk stops there.
 	reg := obs.New()
-	if _, err := Open(fs, "t", WithObs(reg), WithReaderCache(DefaultCacheBudget), WithWarmBudget(2*size)); err != nil {
+	if _, err := Open(fs, "t", WithObs(reg), WithWarmFragments(2)); err != nil {
 		t.Fatal(err)
 	}
-	check(t, reg, 2, 2*size)
-
-	// Count and byte limits combine: whichever is hit first stops.
-	reg = obs.New()
-	if _, err := Open(fs, "t", WithObs(reg), WithReaderCache(DefaultCacheBudget),
-		WithWarmFragments(1), WithWarmBudget(2*size)); err != nil {
-		t.Fatal(err)
+	snap := reg.Snapshot()
+	if n := snap.Counters[obs.Name("fragcache.warmed", "kind", core.GCSR.String())]; n != 2 {
+		t.Fatalf("warmed %d fragments, want 2", n)
 	}
-	check(t, reg, 1, size)
-
-	// The environment drives the budget when no option is set.
-	t.Setenv(warmBudgetEnv, strconv.FormatInt(size, 10))
-	reg = obs.New()
-	if _, err := Open(fs, "t", WithObs(reg), WithReaderCache(DefaultCacheBudget)); err != nil {
-		t.Fatal(err)
+	if n := snap.Counters[obs.Name("fragcache.warmed_bytes", "kind", core.GCSR.String())]; n != 2*size {
+		t.Fatalf("warmed %d bytes, want %d", n, 2*size)
 	}
-	check(t, reg, 1, size)
-
-	// A budget smaller than any fragment warms nothing.
-	reg = obs.New()
-	if _, err := Open(fs, "t", WithObs(reg), WithReaderCache(DefaultCacheBudget), WithWarmBudget(size-1)); err != nil {
-		t.Fatal(err)
-	}
-	check(t, reg, 0, 0)
 }
 
 func TestStoreObsAccessor(t *testing.T) {

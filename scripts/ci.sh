@@ -11,7 +11,20 @@ cd "$(dirname "$0")/.."
 
 FUZZ_SECONDS="${1:-10}"
 
-echo "==> gofmt"
+# step NAME opens a step and prints the wall seconds the previous one
+# took, so the next change to this script argues from a measurement.
+STEP_NAME=""
+STEP_T0=$SECONDS
+step() {
+    if [ -n "$STEP_NAME" ]; then
+        echo "    [$((SECONDS - STEP_T0))s] $STEP_NAME"
+    fi
+    STEP_NAME="$1"
+    STEP_T0=$SECONDS
+    echo "==> $1"
+}
+
+step "gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "files need gofmt:" >&2
@@ -19,19 +32,25 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "==> go vet"
+step "go vet"
 go vet ./...
 
-echo "==> go build"
+step "go build"
 go build ./...
 
 # Surface gate: Query/Kernel are the only read and compute entry points,
 # so nothing superseded may linger behind a Deprecated: marker — delete
-# it instead. The numbers printed are the baseline the next simplicity
+# it instead; and typed options and flags are the only configuration
+# surface, so the library and the cmds never read the process
+# environment. The numbers printed are the baseline the next simplicity
 # change is measured against.
-echo "==> surface (no Deprecated: markers; exported methods; code lines)"
+step "surface (no Deprecated: markers; no environment reads; exported methods; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
+    exit 1
+fi
+if grep -rnE 'SPARSEART_|os\.Getenv' --include='*.go' --exclude='*_test.go' internal cmd ./*.go; then
+    echo "non-test Go reads the environment (configure through an option or a flag)" >&2
     exit 1
 fi
 for recv in Store Chunked; do
@@ -42,8 +61,17 @@ done
 lines=$(find internal/store internal/serve internal/wire -name '*.go' ! -name '*_test.go' -print0 |
     xargs -0 cat | grep -cvE '^\s*(//.*)?$')
 echo "  non-blank non-comment lines, internal/{store,serve,wire}: $lines"
+lines=$(find internal/fragment -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 cat | grep -cvE '^\s*(//.*)?$')
+echo "  non-blank non-comment lines, internal/fragment: $lines"
 
-echo "==> go test -race"
+# The suite carries its own configuration matrix: the store's
+# differential oracle, race hammer, crash sweeps and chunked ≡ flat
+# tests each range over the option sets in storeConfigs
+# (internal/store/helpers_test.go) — cache off, cache evicting on every
+# insert, manifest log folded on every commit, never folded. A new
+# behaviour-preserving option earns a row there, not a re-run here.
+step "go test -race"
 go test -race ./...
 
 # Race-hammer tier: readers, writers, a deleter, and a compactor pound
@@ -51,63 +79,9 @@ go test -race ./...
 # is differentially verified against an epoch-indexed oracle. The suite
 # above already runs it once at the default scale; this tier repeats it
 # with more iterations (HAMMER_COUNT, default 3) so interleavings vary.
-echo "==> race hammer (concurrent serving, ${HAMMER_COUNT:-3} rounds)"
+step "race hammer (concurrent serving, ${HAMMER_COUNT:-3} rounds)"
 go test -race -run 'TestConcurrentHammer|TestNoMixedEpochReads' \
     -count "${HAMMER_COUNT:-3}" ./internal/store/
-
-# The storage engine's read paths must behave identically with the
-# fragment-reader cache disabled and under a 1-byte budget (every entry
-# evicted on insert); run the store suite in both configurations.
-echo "==> go test (fragment-reader cache off)"
-SPARSEART_FRAGCACHE_BUDGET=off go test ./internal/store/...
-
-echo "==> go test (fragment-reader cache budget=1)"
-SPARSEART_FRAGCACHE_BUDGET=1 go test ./internal/store/...
-
-# The fragment spatial index and coordinate filters are a pure lookup
-# strategy: every read path must return byte-identical results with
-# them disabled (the historical linear fragment scan). Run the store
-# suite with the index off, plus one race-hammer round so the linear
-# path is also exercised under concurrent mutation.
-echo "==> go test (fragment index off)"
-SPARSEART_FRAGINDEX=off go test ./internal/store/...
-
-echo "==> race hammer (fragment index off, 1 round)"
-SPARSEART_FRAGINDEX=off go test -race -run 'TestConcurrentHammer' \
-    -count 1 ./internal/store/
-
-# Compute push-down must agree exactly with the materialize-then-compute
-# baseline (in-store kernels vs linalg over ExportAll, streaming convert
-# vs ExportAll convert) with the index-and-filter pruning layer disabled
-# — the suite above already runs it with the index on.
-echo "==> push-down differential (fragment index off)"
-SPARSEART_FRAGINDEX=off go test -race \
-    -run 'TestPushdown|TestScanLive|TestConvertStreamed|TestStreamingAllKinds' \
-    ./internal/store/ ./internal/core/all/
-
-# The manifest delta log must behave identically across checkpoint
-# cadences: K=1 folds on every write (the pre-log worst case — every
-# commit exercises checkpoint + log removal), and a huge K never folds
-# (every Open replays the full log).
-echo "==> go test (manifest checkpoint every write)"
-SPARSEART_MANIFEST_CHECKPOINT_EVERY=1 go test ./internal/store/...
-
-echo "==> go test (manifest checkpoint effectively never)"
-SPARSEART_MANIFEST_CHECKPOINT_EVERY=1000000 go test ./internal/store/...
-
-# The chunked store must behave identically with the shared reader
-# cache replaced by per-tile caches, with manifest group commit
-# disabled (one append per fragment), and with both off at once —
-# the full scale-out feature matrix.
-echo "==> go test (chunked shared cache off)"
-SPARSEART_CHUNKED_SHARED_CACHE=off go test ./internal/store/...
-
-echo "==> go test (manifest group commit off)"
-SPARSEART_MANIFEST_GROUP_COMMIT=off go test ./internal/store/...
-
-echo "==> go test (shared cache off + group commit off)"
-SPARSEART_CHUNKED_SHARED_CACHE=off SPARSEART_MANIFEST_GROUP_COMMIT=off \
-    go test ./internal/store/...
 
 # Live-endpoint smoke: import a scratch store, serve its telemetry, and
 # validate both scrape formats end to end — /metrics through the strict
@@ -115,7 +89,7 @@ SPARSEART_CHUNKED_SHARED_CACHE=off SPARSEART_MANIFEST_GROUP_COMMIT=off \
 # ?since= delta protocol (known baseline 200, unknown 410). The -warm
 # and -readall flags guarantee the scrape carries cache-warming and
 # read-path counters to assert on.
-echo "==> serve smoke (live /metrics + /metrics.json scrape)"
+step "serve smoke (live /metrics + /metrics.json scrape)"
 SMOKE_DIR=$(mktemp -d)
 SERVE_PID=""
 SMOKE_PIDS=""
@@ -152,7 +126,7 @@ SERVE_PID=""
 # router, and shard processes with resolvable parent links, that every
 # /debug/slowlog line parses with a cost breakdown, and that
 # /trace?trace_id= serves the trace back.
-echo "==> router smoke (3 shards, scatter-gather rpc + fleet /metrics + stitched trace)"
+step "router smoke (3 shards, scatter-gather rpc + fleet /metrics + stitched trace)"
 go build -o "$SMOKE_DIR/sparserouter" ./cmd/sparserouter
 SHARD_ADDRS=""
 for i in 0 1 2; do
@@ -193,7 +167,7 @@ wait $SMOKE_PIDS 2>/dev/null || true
 SMOKE_PIDS=""
 
 if [ "$FUZZ_SECONDS" -gt 0 ]; then
-    echo "==> fuzz smoke (${FUZZ_SECONDS}s per target)"
+    step "fuzz smoke (${FUZZ_SECONDS}s per target)"
     # Enumerate every fuzz target and give each a short budget. Go only
     # allows one -fuzz pattern per package invocation, so iterate.
     go list ./... | while read -r pkg; do
@@ -205,4 +179,4 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
     done
 fi
 
-echo "==> ok"
+step "ok"

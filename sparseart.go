@@ -152,11 +152,6 @@ func WithSharedCache(c *ReaderCache) StoreOption { return store.WithSharedCache(
 // when the call site passes workers < 1 (default: all cores).
 func WithIngestWorkers(n int) StoreOption { return store.WithIngestWorkers(n) }
 
-// WithGroupCommit pins whether batched ingest group-commits manifest
-// records — one log append per checkpoint interval instead of one per
-// fragment. On by default; the on-disk bytes are identical either way.
-func WithGroupCommit(on bool) StoreOption { return store.WithGroupCommit(on) }
-
 // WithBackgroundCompaction makes the store compact itself on a
 // background worker once a mutation leaves at least minFragments
 // fragments behind (minFragments >= 2). Reads are never blocked: they
@@ -166,23 +161,9 @@ func WithBackgroundCompaction(minFragments int) StoreOption {
 	return store.WithBackgroundCompaction(minFragments)
 }
 
-// WithFragmentIndex pins whether the store's read paths locate
-// overlapping fragments through the per-epoch spatial index and
-// per-fragment coordinate filters (on by default) or by the linear
-// fragment scan. Purely a lookup-strategy switch: results and on-disk
-// bytes are identical either way. SPARSEART_FRAGINDEX=off flips the
-// default for handles opened without the option.
-func WithFragmentIndex(on bool) StoreOption { return store.WithFragmentIndex(on) }
-
 // WithWarmFragments makes Open pre-fill the fragment-reader cache with
 // the newest k data fragments.
 func WithWarmFragments(k int) StoreOption { return store.WithWarmFragments(k) }
-
-// WithWarmBudget is the size-aware variant of WithWarmFragments: Open
-// pre-loads the newest data fragments whose cumulative encoded size
-// stays within budget bytes. Combines with WithWarmFragments —
-// whichever limit is hit first stops the warming walk.
-func WithWarmBudget(budget int64) StoreOption { return store.WithWarmBudget(budget) }
 
 // ConvertStore rewrites a store's full logical contents into a new
 // store under a different organization or codec. The contents stream
