@@ -22,7 +22,6 @@ import (
 type Backend interface {
 	Info(ctx context.Context) (*wire.Info, error)
 	Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error)
-	Write(ctx context.Context, coords *tensor.Coords, values []float64) (*store.WriteReport, error)
 	WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error)
 	DeleteRegion(ctx context.Context, region tensor.Region) (*store.WriteReport, error)
 	Kernel(ctx context.Context, req store.KernelRequest) (*store.KernelResult, error)
@@ -48,13 +47,6 @@ func (b storeBackend) Info(context.Context) (*wire.Info, error) {
 
 func (b storeBackend) Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
 	return b.s.Query(ctx, req)
-}
-
-func (b storeBackend) Write(ctx context.Context, coords *tensor.Coords, values []float64) (*store.WriteReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return b.s.Write(coords, values)
 }
 
 func (b storeBackend) WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error) {
@@ -96,13 +88,6 @@ func (b chunkedBackend) Info(context.Context) (*wire.Info, error) {
 
 func (b chunkedBackend) Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
 	return b.c.Query(ctx, req)
-}
-
-func (b chunkedBackend) Write(ctx context.Context, coords *tensor.Coords, values []float64) (*store.WriteReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return b.c.Write(coords, values)
 }
 
 func (b chunkedBackend) WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error) {

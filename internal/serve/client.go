@@ -193,19 +193,6 @@ func (c *Client) Query(ctx context.Context, req store.QueryRequest) (*store.Resu
 	return res.Result, res.Report, nil
 }
 
-// Write commits one fragment of points.
-func (c *Client) Write(ctx context.Context, coords *tensor.Coords, values []float64) (*store.WriteReport, error) {
-	d, err := deadlineOf(ctx)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.roundTrip(ctx, wire.MsgWrite, (&wire.Write{Deadline: d, Coords: coords, Values: values}).Encode())
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeWriteReport(payload)
-}
-
 // WriteBatch runs the streaming ingest remotely.
 func (c *Client) WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error) {
 	d, err := deadlineOf(ctx)

@@ -391,31 +391,6 @@ func partShards(parts []*pointPart) []int {
 	return shards
 }
 
-// Write partitions one fragment's points per owning shard and commits
-// each slice on its shard.
-func (r *Router) Write(ctx context.Context, coords *tensor.Coords, values []float64) (*store.WriteReport, error) {
-	if coords.Dims() != r.shape.Dims() {
-		return nil, fmt.Errorf("store: %w: %d-dim coords for %d-dim store", store.ErrShapeMismatch, coords.Dims(), r.shape.Dims())
-	}
-	if coords.Len() != len(values) {
-		return nil, fmt.Errorf("store: %w: %d coords, %d values", store.ErrShapeMismatch, coords.Len(), len(values))
-	}
-	if !coords.InShape(r.shape) {
-		return nil, fmt.Errorf("store: %w: coordinate outside shape %v", store.ErrShapeMismatch, r.shape)
-	}
-	parts := r.partitionPoints(coords, values)
-	reps := make([]*store.WriteReport, len(r.clients))
-	err := r.scatter(ctx, partShards(parts), "write", func(ctx context.Context, i int) error {
-		rep, err := r.clients[i].Write(ctx, parts[i].coords, parts[i].values)
-		reps[i] = rep
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeWriteReports(reps), nil
-}
-
 // mergeWriteReports folds per-shard write reports into one.
 func mergeWriteReports(reps []*store.WriteReport) *store.WriteReport {
 	out := &store.WriteReport{}
@@ -436,11 +411,20 @@ func (r *Router) WriteBatch(ctx context.Context, batches []store.Batch, workers 
 		src     []int // original batch index per sub-batch
 		batches []store.Batch
 	}
+	// Reject the whole call before anything is sent: once a shard has
+	// committed its slice there is no taking it back.
+	for bi, b := range batches {
+		switch {
+		case b.Coords == nil || b.Coords.Dims() != r.shape.Dims():
+			return nil, fmt.Errorf("store: %w: batch %d: coords are not %d-dim", store.ErrShapeMismatch, bi, r.shape.Dims())
+		case b.Coords.Len() != len(b.Values):
+			return nil, fmt.Errorf("store: %w: batch %d: %d points with %d values", store.ErrShapeMismatch, bi, b.Coords.Len(), len(b.Values))
+		case !b.Coords.InShape(r.shape):
+			return nil, fmt.Errorf("store: %w: batch %d: coordinate outside shape %v", store.ErrShapeMismatch, bi, r.shape)
+		}
+	}
 	perShard := make([]*shardBatch, len(r.clients))
 	for bi, b := range batches {
-		if b.Coords == nil || b.Coords.Dims() != r.shape.Dims() {
-			return nil, fmt.Errorf("store: %w: batch %d dims", store.ErrShapeMismatch, bi)
-		}
 		parts := r.partitionPoints(b.Coords, b.Values)
 		for i, part := range parts {
 			if part == nil {

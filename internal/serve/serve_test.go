@@ -54,6 +54,17 @@ func mustCoords(t *testing.T, dims int, flat ...uint64) *tensor.Coords {
 	return c
 }
 
+// batchWriter is the network's one write op, as Client and Router
+// spell it.
+type batchWriter interface {
+	WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error)
+}
+
+// writeOne sends one fragment's points as a one-batch WriteBatch.
+func writeOne(ctx context.Context, w batchWriter, coords *tensor.Coords, values []float64) ([]*store.WriteReport, error) {
+	return w.WriteBatch(ctx, []store.Batch{{Coords: coords, Values: values}}, 1)
+}
+
 func TestServerRoundTrip(t *testing.T) {
 	shape := tensor.Shape{20, 20}
 	reg := obs.New()
@@ -69,12 +80,12 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 
 	coords := mustCoords(t, 2, 1, 1, 2, 3, 5, 5, 9, 9)
-	rep, err := c.Write(ctx, coords, []float64{1, 2, 3, 4})
+	reps, err := writeOne(ctx, c, coords, []float64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if rep.NNZ != 4 {
-		t.Fatalf("write NNZ = %d, want 4", rep.NNZ)
+	if len(reps) != 1 || reps[0].NNZ != 4 {
+		t.Fatalf("write reports = %+v, want one with NNZ 4", reps)
 	}
 
 	// Probe query through the unified request surface.
@@ -132,7 +143,7 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 
 	// WriteBatch streams the batched ingest.
-	reps, err := c.WriteBatch(ctx, []store.Batch{
+	reps, err = c.WriteBatch(ctx, []store.Batch{
 		{Coords: mustCoords(t, 2, 10, 10), Values: []float64{5}},
 		{Coords: mustCoords(t, 2, 11, 11), Values: []float64{6}},
 	}, 2)
@@ -193,34 +204,64 @@ func TestServerTypedErrors(t *testing.T) {
 
 // TestWriteSideTypedErrors: validation failures of the mutating ops
 // keep their sentinel and code from a chunked store, through the
-// server, to the client — as the read side's always have.
+// server, to the client — as the read side's always have. A router
+// rejects a malformed batch list before any shard sees its slice: one
+// bad batch among good ones leaves 0 fragments on every shard.
 func TestWriteSideTypedErrors(t *testing.T) {
-	c, err := store.NewChunked(fsim.NewPerlmutterSim(), "c", core.CSF, tensor.Shape{16, 16}, tensor.Shape{8, 8})
+	shape, tile := tensor.Shape{16, 16}, tensor.Shape{8, 8}
+	c, err := store.NewChunked(fsim.NewPerlmutterSim(), "c", core.CSF, shape, tile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, cl, _ := startServer(t, serve.ChunkedBackend(c), serve.Config{})
+	shards := make([]*store.Chunked, 3)
+	addrs := make([]string, len(shards))
+	for i := range shards {
+		if shards[i], err = store.NewChunked(fsim.NewPerlmutterSim(), "shard", core.CSF, shape, tile); err != nil {
+			t.Fatal(err)
+		}
+		_, _, addrs[i] = startServer(t, serve.ChunkedBackend(shards[i]), serve.Config{})
+	}
+	router, err := serve.NewRouter(addrs, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
 	ctx := context.Background()
-	_, werr := cl.Write(ctx, mustCoords(t, 3, 1, 1, 1), []float64{1})
-	_, berr := cl.WriteBatch(ctx, []store.Batch{{Coords: mustCoords(t, 3, 1, 1, 1), Values: []float64{1}}}, 1)
+
+	_, berr := writeOne(ctx, cl, mustCoords(t, 3, 1, 1, 1), []float64{1})
 	_, derr := cl.DeleteRegion(ctx, tensor.Region{Start: []uint64{0}, Size: []uint64{4}})
 	_, oerr := cl.DeleteRegion(ctx, tensor.Region{Start: []uint64{8, 8}, Size: []uint64{9, 1}})
-	for name, err := range map[string]error{
-		"3-dim write": werr, "3-dim batch": berr,
-		"1-dim delete": derr, "delete past the shape": oerr,
+	cases := map[string]error{
+		"3-dim batch": berr, "1-dim delete": derr, "delete past the shape": oerr,
+	}
+	// Every tile gets a point, so every shard that owns a tile would
+	// commit its slice of the good batch if validation came too late.
+	good := store.Batch{Coords: mustCoords(t, 2, 1, 1, 1, 9, 9, 1, 9, 9), Values: []float64{1, 2, 3, 4}}
+	for name, bad := range map[string]store.Batch{
+		"router short values":       {Coords: mustCoords(t, 2, 1, 1, 9, 9), Values: []float64{1}},
+		"router nil coords":         {Values: []float64{1}},
+		"router 3-dim batch":        {Coords: mustCoords(t, 3, 1, 1, 1), Values: []float64{1}},
+		"router out-of-shape point": {Coords: mustCoords(t, 2, 1, 1, 16, 3), Values: []float64{1, 2}},
 	} {
+		_, cases[name] = router.WriteBatch(ctx, []store.Batch{good, bad}, 1)
+	}
+	for name, err := range cases {
 		if !errors.Is(err, store.ErrShapeMismatch) || wire.CodeOf(err) != wire.CodeShapeMismatch {
 			t.Errorf("%s: err = %v (code %d), want ErrShapeMismatch", name, err, wire.CodeOf(err))
 		}
 	}
-	if c.Fragments() != 0 {
-		t.Fatalf("rejected mutations left %d fragments", c.Fragments())
+	for i, sh := range append(shards, c) {
+		if sh.Fragments() != 0 {
+			t.Errorf("store %d: rejected mutations left %d fragments", i, sh.Fragments())
+		}
 	}
 }
 
 // TestRetiredOpcode: a frame of a type the protocol no longer assigns
-// (0x02, the former read-points op) is answered with a typed error and
-// counted, and the connection keeps serving.
+// (0x02, the former read-points op; 0x03, the former one-fragment
+// write) is answered with a typed error and counted, and the connection
+// keeps serving.
 func TestRetiredOpcode(t *testing.T) {
 	st, err := store.Create(fsim.NewPerlmutterSim(), "s", core.COO, tensor.Shape{4, 4})
 	if err != nil {
@@ -235,33 +276,36 @@ func TestRetiredOpcode(t *testing.T) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second)) // a hang fails the test, not the suite
 
-	if err := wire.WriteFrame(conn, 0x02, 7, wire.EncodeDeadline(0)); err != nil {
-		t.Fatal(err)
-	}
-	typ, id, payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatalf("no reply to the retired opcode: %v", err)
-	}
-	if typ != wire.MsgErr || id != 7 {
-		t.Fatalf("reply type %#x id %d, want MsgErr id 7", typ, id)
-	}
-	if rerr := wire.DecodeError(payload); !errors.Is(rerr, store.ErrBadRequest) || wire.CodeOf(rerr) != wire.CodeBadRequest {
-		t.Fatalf("reply error = %v, want CodeBadRequest", rerr)
-	}
-	var counted int64
-	for name, v := range reg.Snapshot().Counters {
-		if f, _ := obs.ParseName(name); f == "serve.request.errors" {
-			counted += v
+	for n, op := range []uint8{0x02, 0x03} {
+		id := uint64(7 + n)
+		if err := wire.WriteFrame(conn, op, id, wire.EncodeDeadline(0)); err != nil {
+			t.Fatal(err)
+		}
+		typ, got, payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("no reply to the retired opcode %#x: %v", op, err)
+		}
+		if typ != wire.MsgErr || got != id {
+			t.Fatalf("opcode %#x: reply type %#x id %d, want MsgErr id %d", op, typ, got, id)
+		}
+		if rerr := wire.DecodeError(payload); !errors.Is(rerr, store.ErrBadRequest) || wire.CodeOf(rerr) != wire.CodeBadRequest {
+			t.Fatalf("opcode %#x: reply error = %v, want CodeBadRequest", op, rerr)
+		}
+		var counted int64
+		for name, v := range reg.Snapshot().Counters {
+			if f, _ := obs.ParseName(name); f == "serve.request.errors" {
+				counted += v
+			}
+		}
+		if counted != int64(n+1) {
+			t.Fatalf("serve.request.errors = %d after opcode %#x, want %d", counted, op, n+1)
 		}
 	}
-	if counted != 1 {
-		t.Fatalf("serve.request.errors = %d, want 1", counted)
-	}
 
-	if err := wire.WriteFrame(conn, wire.MsgPing, 8, wire.EncodeDeadline(0)); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgPing, 9, wire.EncodeDeadline(0)); err != nil {
 		t.Fatal(err)
 	}
-	if typ, id, _, err = wire.ReadFrame(conn); err != nil || typ != wire.MsgOK || id != 8 {
+	if typ, id, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgOK || id != 9 {
 		t.Fatalf("ping after the retired opcode: type %#x id %d err %v", typ, id, err)
 	}
 }
@@ -299,7 +343,7 @@ func TestConcurrentClients(t *testing.T) {
 			for i := 0; i < opsEach; i++ {
 				row := uint64(g*opsEach+i) % 64
 				coords := mustCoords(t, 2, row, uint64(g))
-				if _, err := c.Write(ctx, coords, []float64{float64(g + i)}); err != nil {
+				if _, err := writeOne(ctx, c, coords, []float64{float64(g + i)}); err != nil {
 					errCh <- fmt.Errorf("g%d write: %w", g, err)
 					return
 				}
@@ -475,7 +519,7 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 			// fragments, a batched ingest, and a region delete.
 			for round := 0; round < 3; round++ {
 				coords, values := randomPoints(rng, shape, 50)
-				if _, err := router.Write(ctx, coords, values); err != nil {
+				if _, err := writeOne(ctx, router, coords, values); err != nil {
 					t.Fatalf("router write: %v", err)
 				}
 				if _, err := local.Write(coords, values); err != nil {
@@ -666,7 +710,7 @@ func TestRouterMatchesLocalChunked4D(t *testing.T) {
 		m/2, 3, m-2, 1<<10+1,
 	)
 	values := []float64{1, 2, 3, 4, 5, 6}
-	if _, err := router.Write(ctx, coords, values); err != nil {
+	if _, err := writeOne(ctx, router, coords, values); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := local.Write(coords, values); err != nil {
@@ -728,7 +772,7 @@ func TestRouterObsAggregation(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	coords, values := randomPoints(rng, shape, 40)
-	if _, err := router.Write(ctx, coords, values); err != nil {
+	if _, err := writeOne(ctx, router, coords, values); err != nil {
 		t.Fatal(err)
 	}
 	region := tensor.Region{Start: []uint64{0, 0}, Size: []uint64{16, 16}}

@@ -179,8 +179,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		op := opName(typ)
 		if op == "" {
-			// Unknown or retired (0x02) opcode: a typed error, counted like
-			// any failed request, and the connection lives on.
+			// Unknown or retired (0x02, 0x03) opcode: a typed error, counted
+			// like any failed request, and the connection lives on.
 			s.fail(cw, id, "unknown", errUnsupportedOp(fmt.Sprintf("unknown message type %#x", typ)))
 			continue
 		}
@@ -239,8 +239,6 @@ func opName(typ uint8) string {
 	switch typ {
 	case wire.MsgQuery:
 		return "query"
-	case wire.MsgWrite:
-		return "write"
 	case wire.MsgWriteBatch:
 		return "write_batch"
 	case wire.MsgDelete:
@@ -284,19 +282,6 @@ func (s *Server) handle(typ uint8, tc obs.TraceContext, payload []byte) ([]byte,
 			return nil, err
 		}
 		return (&wire.QueryResult{Result: res, Report: rep}).Encode(), nil
-
-	case wire.MsgWrite:
-		m, err := wire.DecodeWrite(payload)
-		if err != nil {
-			return nil, badPayload(err)
-		}
-		ctx, cancel := s.reqCtx(m.Deadline, tc)
-		defer cancel()
-		rep, err := s.backend.Write(ctx, m.Coords, m.Values)
-		if err != nil {
-			return nil, err
-		}
-		return wire.EncodeWriteReport(rep), nil
 
 	case wire.MsgWriteBatch:
 		m, err := wire.DecodeWriteBatch(payload)

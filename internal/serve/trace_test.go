@@ -126,7 +126,7 @@ func TestTracePropagatesThroughRouter(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	coords, values := randomPoints(rng, shape, 80)
-	if _, err := router.Write(ctx, coords, values); err != nil {
+	if _, err := writeOne(ctx, router, coords, values); err != nil {
 		t.Fatal(err)
 	}
 

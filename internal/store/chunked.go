@@ -38,9 +38,6 @@ type Chunked struct {
 	// caching is off (WithReaderCache(0), which the tiles are forwarded
 	// too).
 	cache *fragcache.Cache
-	// ingestWorkers is the WithIngestWorkers default for the cross-tile
-	// batched ingest (chunked_ingest.go).
-	ingestWorkers int
 }
 
 // Observability span names for the chunked store's composite operations.
@@ -107,7 +104,6 @@ func newChunkedShell(fs fsim.FS, prefix string, kind core.Kind, shape, tile tens
 	}
 	c.codec = probe.codec
 	c.obs = probe.obs
-	c.ingestWorkers = probe.ingestWorkers
 	// One reader cache for all tiles: the budget the options would give
 	// a single store is the chunked store's global budget, so N tiles
 	// do not claim N budgets.
@@ -283,32 +279,17 @@ func (c *Chunked) partitionByTile(coords *tensor.Coords, vals []float64) (map[st
 
 // Write partitions the points by tile and writes one fragment per
 // non-empty tile, translating to tile-local coordinates so every linear
-// address stays within uint64.
+// address stays within uint64: a one-batch cross-tile ingest whose
+// per-tile reports fold into one.
 func (c *Chunked) Write(coords *tensor.Coords, vals []float64) (*WriteReport, error) {
-	if coords.Len() != len(vals) {
-		return nil, fmt.Errorf("store: %w: %d points with %d values", ErrShapeMismatch, coords.Len(), len(vals))
-	}
-	if coords.Dims() != c.shape.Dims() {
-		return nil, fmt.Errorf("store: %w: %d-dim coords for %d-dim store", ErrShapeMismatch, coords.Dims(), c.shape.Dims())
-	}
 	root := c.obsReg().Start(obsChunkedWrite)
 	defer root.End()
-	groups, keys, err := c.partitionByTile(coords, vals)
+	reps, err := c.WriteBatch([]Batch{{Coords: coords, Values: vals}}, 0)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(keys) // deterministic tile order
 	total := &WriteReport{}
-	for _, key := range keys {
-		g := groups[key]
-		s, err := c.tileStore(g.idx)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := s.Write(g.coords, g.vals)
-		if err != nil {
-			return nil, err
-		}
+	for _, rep := range reps {
 		total.Add(rep)
 	}
 	return total, nil

@@ -392,7 +392,6 @@ func TestOptionMisuseTypedErrors(t *testing.T) {
 		opts   []Option
 		option string
 	}{
-		{"ingest-workers-zero", []Option{WithIngestWorkers(0)}, "WithIngestWorkers"},
 		{"shared-cache-nil", []Option{WithSharedCache(nil)}, "WithSharedCache"},
 		{"shared-vs-reader-cache", []Option{
 			WithSharedCache(fragcache.New(1<<20, obs.Global)),
@@ -418,34 +417,5 @@ func TestOptionMisuseTypedErrors(t *testing.T) {
 				t.Fatalf("NewChunked: %v does not match ErrBadOption", err)
 			}
 		})
-	}
-}
-
-// TestWithIngestWorkersDefault: the configured pool width is what the
-// ingest actually uses when the call site passes workers < 1, and it is
-// observable through the store.ingest.workers gauge.
-func TestWithIngestWorkersDefault(t *testing.T) {
-	shape := tensor.Shape{16, 16}
-	reg := obs.New()
-	st, err := Create(newSim(t), "t", core.COO, shape, WithObs(reg), WithIngestWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	batches := ingestBatches(rng, shape, 4, 30)
-	if _, err := st.WriteBatch(batches, 0); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Gauges[obs.Name("store.ingest.workers", "kind", core.COO.String())]; got != 2 {
-		t.Fatalf("store.ingest.workers = %d, want the configured 2", got)
-	}
-	// An explicit request still wins over the configured default.
-	if _, err := st.WriteBatch(batches, 1); err != nil {
-		t.Fatal(err)
-	}
-	snap = reg.Snapshot()
-	if got := snap.Gauges[obs.Name("store.ingest.workers", "kind", core.COO.String())]; got != 1 {
-		t.Fatalf("store.ingest.workers = %d, want the explicit 1", got)
 	}
 }

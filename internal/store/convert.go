@@ -29,7 +29,7 @@ type ConvertConfig struct {
 	ChunkPoints int
 	// Workers bounds the destination ingest pipeline's CPU stage and the
 	// number of pending chunks buffered between flushes; values < 1 mean
-	// the destination's WithIngestWorkers default (or all cores).
+	// all cores.
 	Workers int
 }
 
@@ -98,7 +98,7 @@ func ConvertStreamed(src *Store, fs fsim.FS, prefix string, kind core.Kind, cfg 
 func (s *Store) convertInto(dst *Store, chunkPoints, workers int, region *tensor.Region, rep *ConvertReport) error {
 	ctx := context.TODO() // Convert's signature carries no context
 	dims := s.shape.Dims()
-	waveSize := resolveIngestWorkers(workers, dst.ingestWorkers, 1<<30)
+	waveSize := resolveIngestWorkers(workers, 1<<30)
 	var wave []Batch
 
 	flush := func() error {

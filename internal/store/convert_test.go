@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,6 +178,29 @@ func TestConvertClosesDestinationOnError(t *testing.T) {
 			t.Fatalf("failAfter=%d: reopened destination cannot export: %v", failAfter, err)
 		}
 	}
+}
+
+// convertExportAll is the pre-streaming conversion path, kept as the
+// baseline BenchmarkConvert measures the streaming pipeline against:
+// materialize the whole tensor (ExportAll), then one giant Write.
+func convertExportAll(src *Store, fs fsim.FS, prefix string, kind core.Kind, opts ...Option) (*Store, error) {
+	coords, vals, err := src.ExportAll()
+	if err != nil {
+		return nil, err
+	}
+	dst, err := Create(fs, prefix, kind, src.Shape(), opts...)
+	if err != nil {
+		return nil, err
+	}
+	if coords.Len() > 0 {
+		if _, err := dst.Write(coords, vals); err != nil {
+			if cerr := dst.Close(); cerr != nil {
+				err = fmt.Errorf("%w (closing destination: %v)", err, cerr)
+			}
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // TestConvertRegressionWrapper: the plain Convert API still works and

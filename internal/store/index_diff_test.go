@@ -384,24 +384,36 @@ func TestOpenRejectsManifestV1(t *testing.T) {
 	}
 }
 
-// fixtureOps replays the history testdata/smn2 was written with (by the
-// commit before the SMN1 / fragment v1-v2 decoders were retired, at
-// checkpoint cadence 3): two writes and a delete fold into MANIFEST,
-// then a write and a delete stay in MANIFEST.LOG. No Close — that
-// would fold the log.
-func fixtureOps(t *testing.T, fs fsim.FS) *Store {
+// fixtureOps replays the history the fixtures under testdata were
+// written with, at checkpoint cadence 3: two writes and a delete fold
+// into MANIFEST, then a third write stays in MANIFEST.LOG — and, for
+// testdata/smn2 (tail), a second delete beside it. No Close — that
+// would fold the log. batched sends each run of writes as one
+// WriteBatch instead of a Write per fragment.
+func fixtureOps(t *testing.T, fs fsim.FS, kind core.Kind, tail, batched bool) *Store {
 	t.Helper()
-	st, err := Create(fs, "t", core.CSF, tensor.Shape{16, 16}, WithManifestCheckpointEvery(3))
+	st, err := Create(fs, "t", kind, tensor.Shape{16, 16}, WithManifestCheckpointEvery(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	write := func(vals []float64, pts ...[2]uint64) {
+	batch := func(vals []float64, pts ...[2]uint64) Batch {
 		c := tensor.NewCoords(2, 0)
 		for _, p := range pts {
 			c.Append(p[0], p[1])
 		}
-		if _, err := st.Write(c, vals); err != nil {
-			t.Fatal(err)
+		return Batch{Coords: c, Values: vals}
+	}
+	write := func(batches ...Batch) {
+		if batched {
+			if _, err := st.WriteBatch(batches, 2); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		for _, b := range batches {
+			if _, err := st.Write(b.Coords, b.Values); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	del := func(start, size []uint64) {
@@ -413,25 +425,51 @@ func fixtureOps(t *testing.T, fs fsim.FS) *Store {
 			t.Fatal(err)
 		}
 	}
-	write([]float64{1.5, -2.25, 42}, [2]uint64{1, 2}, [2]uint64{3, 4}, [2]uint64{7, 7})
-	write([]float64{9, 5, 6}, [2]uint64{3, 4}, [2]uint64{10, 12}, [2]uint64{15, 0})
+	write(batch([]float64{1.5, -2.25, 42}, [2]uint64{1, 2}, [2]uint64{3, 4}, [2]uint64{7, 7}),
+		batch([]float64{9, 5, 6}, [2]uint64{3, 4}, [2]uint64{10, 12}, [2]uint64{15, 0}))
 	del([]uint64{0, 0}, []uint64{2, 4})
-	write([]float64{7, 8}, [2]uint64{1, 2}, [2]uint64{8, 8})
-	del([]uint64{10, 10}, []uint64{4, 4})
+	write(batch([]float64{7, 8}, [2]uint64{1, 2}, [2]uint64{8, 8}))
+	if tail {
+		del([]uint64{10, 10}, []uint64{4, 4})
+	}
 	return st
 }
 
-// TestManifestFixtureStable pins the on-disk manifest formats against
-// testdata/smn2 — an SMN2 MANIFEST, an SML1 MANIFEST.LOG and the three
-// fragment files beside them, as the parent commit wrote them. The
-// same history must reproduce every file byte for byte, and the
-// fixture must open and read back that history's live cells.
+// TestManifestFixtureStable pins the bytes WRITE leaves on disk against
+// fixtures the parent commits wrote: testdata/smn2 (CSF, written before
+// the SMN1 / fragment v1-v2 decoders were retired) and
+// testdata/write-kinds/<kind> for every registered organization
+// (written by Store.Write before it became the one-batch spelling of
+// the ingest pipeline) — an SMN2 MANIFEST, an SML1 MANIFEST.LOG and
+// the three fragment files beside them. The same history, through
+// Write and through WriteBatch, must reproduce every file byte for
+// byte, and the fixture must open and read back that history's live
+// cells.
 func TestManifestFixtureStable(t *testing.T) {
+	type fixture struct {
+		dir  string
+		kind core.Kind
+		tail bool
+	}
+	fixtures := []fixture{{dir: "smn2", kind: core.CSF, tail: true}}
+	for _, f := range core.Registered() {
+		fixtures = append(fixtures, fixture{dir: filepath.Join("write-kinds", f.Kind().String()), kind: f.Kind()})
+	}
+	for _, fx := range fixtures {
+		for _, batched := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/batched=%v", fx.dir, batched), func(t *testing.T) {
+				checkManifestFixture(t, fx.dir, fx.kind, fx.tail, batched)
+			})
+		}
+	}
+}
+
+func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batched bool) {
 	names := []string{manifestName, manifestLogName, "frag-000000", "frag-000001", "frag-000003"}
 	fresh, loaded := newSim(t), newSim(t)
-	writer := fixtureOps(t, fresh)
+	writer := fixtureOps(t, fresh, kind, tail, batched)
 	for _, name := range names {
-		want, err := os.ReadFile(filepath.Join("testdata", "smn2", name))
+		want, err := os.ReadFile(filepath.Join("testdata", dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,20 +492,22 @@ func TestManifestFixtureStable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fixture failed to open: %v", err)
 	}
-	if st.Fragments() != 5 || st.logRecords != 2 {
-		t.Fatalf("fixture opened with %d fragments, %d log records; want 5 and 2", st.Fragments(), st.logRecords)
+	wantFrags, wantLog := 4, 1
+	live, wantVals := []uint64{1, 2, 3, 4, 7, 7, 8, 8, 10, 12, 15, 0}, []float64{7, 9, 42, 8, 5, 6}
+	if tail { // the second delete: one more record, (10, 12) dead
+		wantFrags, wantLog = 5, 2
+		live, wantVals = []uint64{1, 2, 3, 4, 7, 7, 8, 8, 15, 0}, []float64{7, 9, 42, 8, 6}
+	}
+	wantCoords := tensor.NewCoords(2, 0)
+	wantCoords.AppendFlat(live)
+	if st.Fragments() != wantFrags || st.logRecords != wantLog {
+		t.Fatalf("fixture opened with %d fragments, %d log records; want %d and %d", st.Fragments(), st.logRecords, wantFrags, wantLog)
 	}
 	coords, vals, err := st.ExportAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCoords := tensor.NewCoords(2, 0)
-	wantCoords.Append(1, 2)
-	wantCoords.Append(3, 4)
-	wantCoords.Append(7, 7)
-	wantCoords.Append(8, 8)
-	wantCoords.Append(15, 0)
-	if !coords.Equal(wantCoords) || !reflect.DeepEqual(vals, []float64{7, 9, 42, 8, 6}) {
+	if !coords.Equal(wantCoords) || !reflect.DeepEqual(vals, wantVals) {
 		t.Fatalf("fixture reads back %v = %v", coords, vals)
 	}
 	// Folding the replayed log gives the checkpoint the writing handle

@@ -15,23 +15,19 @@ import (
 	"sparseart/internal/tensor"
 )
 
-// This file implements the batched ingest pipeline: the CPU phases of
-// Algorithm 3's WRITE (format Build, value Reorg, fragment Encode —
-// including payload compression) run for many fragments concurrently on
-// a bounded worker pool, while the caller's goroutine acts as the
-// committer, performing the file writes and manifest commits in
-// deterministic fragment order. The result is byte-identical to a
-// serial loop of Write — same fragment names, same file contents, same
-// manifest state — only faster, because the paper's assembly-dominated
-// Build/Encode phases overlap across fragments, and (with group commit)
-// cheaper in metadata, because manifest-log records are group-committed:
-// one Append per checkpoint interval instead of one per fragment.
-//
-// The primitive is streaming: WriteBatchContext delivers each
-// fragment's WriteReport as it becomes durable, and WriteBatch is a
-// thin collector for callers that want the full report slice. The same
-// committer drives Chunked's cross-tile ingest (chunked_ingest.go),
-// which moves it across tile stores in (tile, fragment) order.
+// This file is Algorithm 3's WRITE, written once (DESIGN.md §8):
+// prepareBatch builds one fragment (format Build, value Reorg, fragment
+// Encode — the CPU phases, no file-system access), commitPrepared makes
+// it durable (file write, then its manifest record, group-committed),
+// and ingest drives the two for one batch or many, in one store or
+// across a chunked store's tiles: prepares run on a bounded worker
+// pool while the caller's goroutine commits in deterministic fragment
+// order. Store.Write is the one-batch spelling and compaction builds
+// its consolidated fragment through the same two calls, so every entry
+// point leaves the same bytes: same fragment names, same file contents,
+// same manifest state. Only the committer touches the file system,
+// which is what makes the cost-model attribution of the Write and
+// Others phases exact.
 
 // Observability names for the ingest pipeline. Per-fragment phase work
 // still feeds the store.write.* histograms (so Table III tooling sees
@@ -56,7 +52,8 @@ var encodePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // ingestJob carries one batch through the pipeline: filled in by a CPU
 // worker, consumed by the committer. The done channel orders the
-// hand-off (close happens-after every field write).
+// hand-off (close happens-after every field write); it is nil for a
+// lone fragment, prepared inline on the committer's own goroutine.
 type ingestJob struct {
 	rep     *WriteReport
 	encoded *[]byte // pooled; nil until prepared
@@ -64,24 +61,13 @@ type ingestJob struct {
 	filter  *filter.Filter
 	err     error
 	done    chan struct{}
-	// extraOthers is charged to the report's Others phase at commit
-	// time; the chunked ingest uses it to attribute tile-store setup
-	// cost to the tile's first fragment.
-	extraOthers time.Duration
 }
 
 // resolveIngestWorkers picks the CPU-stage pool width: an explicit
-// request >= 1 wins, then the store's WithIngestWorkers default, then
-// every core (psort.Workers); always clamped to the job count.
-func resolveIngestWorkers(requested, configured, jobs int) int {
-	if requested < 1 && configured > 0 {
-		requested = configured
-	}
-	w := psort.Workers(requested)
-	if w > jobs {
-		w = jobs
-	}
-	return w
+// request >= 1, else every core (psort.Workers); always clamped to the
+// job count.
+func resolveIngestWorkers(requested, jobs int) int {
+	return min(psort.Workers(requested), jobs)
 }
 
 // validateBatches runs the per-batch argument checks shared by the
@@ -102,8 +88,7 @@ func validateBatches(batches []Batch, dims int) error {
 // pipeline, streaming results instead of materializing them. Fragments
 // are numbered and committed in batch order, so the on-disk result is
 // byte-identical to calling Write once per batch; workers bounds the
-// CPU-phase concurrency (values < 1 mean the WithIngestWorkers default,
-// or all cores).
+// CPU-phase concurrency (values < 1 mean all cores).
 //
 // fn runs on the caller's goroutine: once per fragment, in batch order,
 // with (index, report, nil) — called only after the fragment is durable
@@ -134,7 +119,7 @@ func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers 
 	if len(batches) == 0 {
 		return nil
 	}
-	workers = resolveIngestWorkers(workers, s.ingestWorkers, len(batches))
+	workers = resolveIngestWorkers(workers, len(batches))
 	s.takeCost() // discard any cost accrued outside this call
 
 	reg := s.obsReg()
@@ -143,46 +128,19 @@ func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers 
 	defer root.End()
 	reg.Gauge("store.ingest.workers", "kind", kind).Set(int64(workers))
 
-	jobs, abort, wg := s.startPrepare(ctx, batches, workers, root)
-
-	// Commit stage, on the caller's goroutine: deterministic fragment
-	// order, one file write per fragment, manifest records
-	// group-committed. The writer lock
-	// is held across the whole commit loop — the ingest is one mutation
-	// stream — so fn must not call the store's mutating methods (reads
-	// are fine: they serve from published snapshots).
-	s.writeMu.Lock()
-	ic := &ingestCommitter{root: root, fn: fn}
-	for i := range jobs {
-		<-jobs[i].done
-		j := &jobs[i]
-		if ic.firstErr != nil {
-			recycleJob(j)
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			// The worker may have skipped the prepare for the same
-			// reason; either way the fragment never reaches the log.
-			recycleJob(j)
-			ic.failPrepared(s, i, err)
-		} else if j.err != nil {
-			ic.failPrepared(s, i, j.err)
-		} else {
-			ic.commit(s, i, j, i == len(jobs)-1)
-		}
-		if ic.firstErr != nil {
-			abort.Store(true)
-		}
+	// The flat store is the one-tile case of the ingest driver.
+	frags := make([]tileFrag, len(batches))
+	for i, b := range batches {
+		frags[i] = tileFrag{store: s, idx: i, batch: b, final: i == len(batches)-1}
 	}
-	reg.Gauge("store.fragments", "kind", kind).Set(int64(len(s.frags)))
-	s.writeMu.Unlock()
-	wg.Wait()
-	if ic.firstErr != nil {
+	committed, err := ingest(ctx, frags, workers, root, fn)
+	reg.Gauge("store.fragments", "kind", kind).Set(int64(s.Fragments()))
+	if err != nil {
 		reg.Counter("store.write.errors", "kind", kind).Inc()
-		return ic.firstErr
+		return err
 	}
 	reg.Counter("store.ingest.count", "kind", kind).Inc()
-	reg.Counter("store.ingest.fragments", "kind", kind).Add(int64(ic.committed))
+	reg.Counter("store.ingest.fragments", "kind", kind).Add(int64(committed))
 	return nil
 }
 
@@ -211,38 +169,110 @@ func collectReports(batches []Batch, workers int,
 	return reports, nil
 }
 
-// startPrepare launches the CPU stage: a bounded pool drains the batch
-// list in order (order only matters for cache locality; the committer
-// re-establishes commit order by waiting on each job in turn). The
-// abort flag lets workers skip useless work once the committer has seen
-// a failure.
-func (s *Store) startPrepare(ctx context.Context, batches []Batch, workers int, root *obs.Span) ([]ingestJob, *atomic.Bool, *sync.WaitGroup) {
-	jobs := make([]ingestJob, len(batches))
-	for i := range jobs {
-		jobs[i].done = make(chan struct{})
-	}
+// tileFrag is one fragment of an ingest, in commit order: a batch (or
+// the slice of one that lands in a tile) and the store it commits to.
+type tileFrag struct {
+	store *Store
+	idx   int // logical batch index, reported to fn
+	batch Batch
+	// final marks the store's last fragment of this ingest and forces
+	// its group flush: the committer never leaves a store with records
+	// staged, so queued reports always belong to the store currently
+	// committing.
+	final bool
+	// setup is the tile store's creation cost, charged to the Others
+	// phase of the tile's first fragment (a serial loop pays it inside
+	// tileStore on first touch).
+	setup time.Duration
+}
+
+// ingest is the driver every WRITE entry point shares. The CPU stage
+// prepares each fragment against its own store (tile shapes are
+// edge-clipped, so Build must see the right local shape) on a pool of
+// workers goroutines; a single fragment is prepared inline, with no
+// goroutine and no channel. The commit stage runs on the caller's
+// goroutine in frags order: one file write per fragment, manifest
+// records group-committed, each store's writer lock held across its
+// span of fragments — the ingest is one mutation stream per store, so
+// fn must not call a store's mutating methods (reads are fine: they
+// serve from published snapshots). Returns how many reports fn
+// accepted and the first error.
+func ingest(ctx context.Context, frags []tileFrag, workers int, root *obs.Span, fn func(int, *WriteReport, error) error) (int, error) {
+	jobs := make([]ingestJob, len(frags))
+	// abort lets workers skip useless work once the committer has seen
+	// a failure.
 	var abort atomic.Bool
-	feed := make(chan int)
+	prepare := func(i int) {
+		if !abort.Load() && ctx.Err() == nil {
+			frags[i].store.prepareBatch(&jobs[i], frags[i].batch, root)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				if !abort.Load() && ctx.Err() == nil {
-					s.prepareBatch(&jobs[i], batches[i], root)
+	if len(frags) > 1 {
+		// The pool drains the list in order (order only matters for
+		// cache locality; the committer re-establishes commit order by
+		// waiting on each job in turn).
+		for i := range jobs {
+			jobs[i].done = make(chan struct{})
+		}
+		feed := make(chan int)
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := range feed {
+					prepare(i)
+					close(jobs[i].done)
 				}
-				close(jobs[i].done)
+			}()
+		}
+		go func() {
+			for i := range frags {
+				feed <- i
 			}
+			close(feed)
 		}()
 	}
-	go func() {
-		for i := range batches {
-			feed <- i
+
+	ic := &ingestCommitter{root: root, fn: fn}
+	var locked *Store
+	for i := range jobs {
+		j, st := &jobs[i], frags[i].store
+		if j.done == nil {
+			prepare(i)
+		} else {
+			<-j.done
 		}
-		close(feed)
-	}()
-	return jobs, &abort, &wg
+		if ic.firstErr != nil {
+			recycleJob(j)
+			continue
+		}
+		if locked != st {
+			if locked != nil {
+				locked.writeMu.Unlock()
+			}
+			st.writeMu.Lock()
+			locked = st
+		}
+		if err := ctx.Err(); err != nil {
+			// The worker may have skipped the prepare for the same
+			// reason; either way the fragment never reaches the log.
+			recycleJob(j)
+			ic.failPrepared(st, frags[i].idx, err)
+		} else if j.err != nil {
+			ic.failPrepared(st, frags[i].idx, j.err)
+		} else {
+			ic.commit(&frags[i], j)
+		}
+		if ic.firstErr != nil {
+			abort.Store(true)
+		}
+	}
+	if locked != nil {
+		locked.writeMu.Unlock()
+	}
+	wg.Wait()
+	return ic.committed, ic.firstErr
 }
 
 // queuedReport is a committed-but-not-yet-durable fragment's report,
@@ -272,14 +302,12 @@ const (
 	commitFailed
 )
 
-// ingestCommitter drives the commit stage of a batched ingest: it
-// applies prepared fragments in deterministic order, holds reports back
-// until their manifest records are durable, and streams them through
-// fn. One committer serves the flat WriteBatchContext and the chunked
-// cross-tile ingest (which moves it across tile stores; reports are
-// only ever queued against the store currently committing, because each
-// tile flushes before the committer moves to the next). Methods run on
-// one goroutine — the ingest caller's.
+// ingestCommitter is the commit stage's state: it applies prepared
+// fragments in deterministic order, holds reports back until their
+// manifest records are durable, and streams them through fn. Reports
+// are only ever queued against the store currently committing, because
+// each store flushes (tileFrag.final) before the committer moves to the
+// next. Methods run on one goroutine — the ingest caller's.
 type ingestCommitter struct {
 	root      *obs.Span
 	fn        func(int, *WriteReport, error) error
@@ -334,11 +362,11 @@ func (ic *ingestCommitter) failPrepared(st *Store, idx int, err error) {
 	ic.abort(idx, err)
 }
 
-// commit persists one prepared fragment into st and streams whatever
-// became durable. final marks st's last fragment of this ingest,
-// forcing the group flush.
-func (ic *ingestCommitter) commit(st *Store, idx int, j *ingestJob, final bool) {
-	rep, outcome, err := st.commitPrepared(j, ic.root, final)
+// commit persists one prepared fragment into its store and streams
+// whatever became durable.
+func (ic *ingestCommitter) commit(f *tileFrag, j *ingestJob) {
+	st, idx := f.store, f.idx
+	rep, outcome, err := st.commitPrepared(j, ic.root, f.final, f.setup)
 	switch outcome {
 	case commitStaged:
 		ic.queued = append(ic.queued, queuedReport{idx: idx, rep: rep})
@@ -356,10 +384,11 @@ func (ic *ingestCommitter) commit(st *Store, idx int, j *ingestJob, final bool) 
 	}
 }
 
-// prepareBatch runs the CPU phases for one batch on a pool worker:
-// Build, Reorg, and Encode (with payload compression) into a pooled
-// buffer. No file-system access happens here — that is what makes the
-// committer's cost attribution exact.
+// prepareBatch builds one fragment — the store's only Format.Build and
+// its only fragment encode: Build, Reorg, and Encode (with payload
+// compression) into a pooled buffer, on a pool worker or inline. No
+// file-system access happens here — that is what makes the committer's
+// cost attribution exact.
 func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 	reg := s.obsReg()
 	kind := s.curKind().String()
@@ -385,15 +414,16 @@ func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 	packed := tensor.ApplyPermValues(b.Values, built.Perm)
 	rep.Reorg = time.Since(t)
 	if d := sp.End(); d > 0 {
-		// Nanoseconds of work: reuse the span's duration (already in
-		// the unlabeled histogram) so labeled and unlabeled agree
-		// exactly — see writeLocked.
+		// The phase is nanoseconds of work, so clock-read skew between
+		// two independent measurements would dwarf it: feed the span's
+		// own duration — already observed in the unlabeled histogram —
+		// into the labeled one so the two stay in exact agreement.
 		rep.Reorg = d
 	}
 	reg.Histogram(obsWriteReorg, "kind", kind).Observe(rep.Reorg)
 
 	// Encode is the CPU half of the Write phase; the committer adds the
-	// file transfer on top of rep.Write, mirroring Write's breakdown.
+	// file transfer on top of rep.Write.
 	sp = root.Child(obsWriteWrite)
 	t = time.Now()
 	bbox, _ := b.Coords.Bounds()
@@ -421,15 +451,15 @@ func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 	j.filter = filt
 }
 
-// commitPrepared persists one prepared fragment: the file write, the
-// manifest commit, and the cost-model accounting, in exactly the order
-// and attribution Write uses. The manifest record is staged, and
-// flushed (in one Append with its group) when the checkpoint cadence is
-// reached or final is set — exactly the fragment boundaries where a
-// serial commit loop would have checkpointed, which is what keeps the
-// on-disk bytes identical. Runs only on the
-// committer goroutine.
-func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool) (*WriteReport, commitOutcome, error) {
+// commitPrepared makes one prepared fragment durable: the file write,
+// the manifest commit, and the cost-model accounting of Table III's
+// Write and Others rows. The manifest record is staged, and flushed (in
+// one Append with its group) when the checkpoint cadence is reached or
+// final is set — exactly the fragment boundaries where a loop of
+// one-batch writes checkpoints, which is what keeps the on-disk bytes
+// identical however the batches arrive. setup (tileFrag.setup) is
+// charged to the Others phase. The caller holds writeMu.
+func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool, setup time.Duration) (*WriteReport, commitOutcome, error) {
 	reg := s.obsReg()
 	kind := s.curKind().String()
 	rep := j.rep
@@ -481,8 +511,8 @@ func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool) (*Write
 	} else {
 		rep.Others += wall
 	}
-	rep.Others += j.extraOthers
-	sp.Add(j.extraOthers)
+	rep.Others += setup
+	sp.Add(setup)
 	sp.End()
 	if outcome == commitRolledBack {
 		return nil, outcome, commitErr
@@ -495,6 +525,33 @@ func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool) (*Write
 	reg.Counter("store.write.bytes", "kind", kind).Add(rep.Bytes)
 	reg.Counter("store.write.nnz", "kind", kind).Add(int64(rep.NNZ))
 	return rep, outcome, commitErr
+}
+
+// writeOne is the pipeline for a single fragment under a lock already
+// held: Store.Write's body, and how compaction builds its consolidated
+// fragment. Prepare and commit run back to back on the caller's
+// goroutine under one store.write root span; the record is a group of
+// one, flushed before the report is returned.
+func (s *Store) writeOne(b Batch) (*WriteReport, error) {
+	s.takeCost() // discard any cost accrued outside this call
+	reg := s.obsReg()
+	kind := s.curKind().String()
+	root := reg.Start(obsWrite)
+	defer root.End()
+
+	var j ingestJob
+	s.prepareBatch(&j, b, root)
+	rep, err := j.rep, j.err
+	if err == nil {
+		rep, _, err = s.commitPrepared(&j, root, true, 0)
+	}
+	if err != nil {
+		reg.Counter("store.write.errors", "kind", kind).Inc()
+		return nil, err
+	}
+	rep.Epoch = s.currentEpoch()
+	reg.Gauge("store.fragments", "kind", kind).Set(int64(len(s.frags)))
+	return rep, nil
 }
 
 // recycleJob returns a job's pooled encode buffer. Idempotent.

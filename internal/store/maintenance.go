@@ -6,7 +6,6 @@ import (
 
 	"sparseart/internal/advisor"
 	"sparseart/internal/core"
-	"sparseart/internal/fsim"
 	"sparseart/internal/tensor"
 )
 
@@ -170,7 +169,7 @@ func (s *Store) compactLocked(pick func(*tensor.Coords) (core.Kind, error)) (*Co
 	}
 	old := s.frags
 	s.frags = nil
-	wrep, err := s.writeLocked(coords, vals)
+	wrep, err := s.writeOne(Batch{Coords: coords, Values: vals})
 	if err != nil {
 		// The swap publishes only after the consolidated fragment's
 		// manifest record is durable; an empty working list means that
@@ -293,27 +292,4 @@ func (s *Store) Checkpoint() error {
 func (s *Store) Close() error {
 	s.bgWG.Wait()
 	return s.Checkpoint()
-}
-
-// convertExportAll is the pre-streaming conversion path, kept as the
-// baseline BenchmarkConvert measures the streaming pipeline against:
-// materialize the whole tensor (ExportAll), then one giant Write.
-func convertExportAll(src *Store, fs fsim.FS, prefix string, kind core.Kind, opts ...Option) (*Store, error) {
-	coords, vals, err := src.ExportAll()
-	if err != nil {
-		return nil, err
-	}
-	dst, err := Create(fs, prefix, kind, src.Shape(), opts...)
-	if err != nil {
-		return nil, err
-	}
-	if coords.Len() > 0 {
-		if _, err := dst.Write(coords, vals); err != nil {
-			if cerr := dst.Close(); cerr != nil {
-				err = fmt.Errorf("%w (closing destination: %v)", err, cerr)
-			}
-			return nil, err
-		}
-	}
-	return dst, nil
 }

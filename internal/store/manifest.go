@@ -150,9 +150,9 @@ func decodeLogBody(body []byte, dims int) (fr fragRef, id uint64, err error) {
 }
 
 // appendFramedRecord frames one record (magic, CRC, length, body) onto
-// dst. The frame is identical whether a record travels alone
-// (appendRecord) or concatenated with its group (stageFragment +
-// flushStaged): replay never needs to know how records were batched.
+// dst. The frame is identical whether a record travels alone or
+// concatenated with its group (stageFragment + flushStaged): replay
+// never needs to know how records were batched.
 func appendFramedRecord(dst []byte, fr fragRef, id uint64, dims int) []byte {
 	body := buf.GetWriter(64 + 32*dims)
 	defer buf.PutWriter(body)
@@ -165,63 +165,25 @@ func appendFramedRecord(dst []byte, fr fragRef, id uint64, dims int) []byte {
 	return append(dst, rec.Bytes()...)
 }
 
-// appendRecord frames and appends one fragment record to the manifest
-// log — the O(1) replacement for the per-write manifest rewrite.
-// Returns the framed record's size in bytes (DeleteRegion reports it as
-// the tombstone's footprint).
-func (s *Store) appendRecord(fr fragRef, id uint64) (int, error) {
-	rec := appendFramedRecord(nil, fr, id, s.shape.Dims())
-	if err := s.fs.Append(s.logName(), rec); err != nil {
-		return 0, fmt.Errorf("store: append manifest log: %w", err)
-	}
-	s.logRecords++
-	reg := s.obsReg()
-	kind := s.curKind().String()
-	reg.Counter("store.manifest.log.appends", "kind", kind).Inc()
-	reg.Counter("store.manifest.log.bytes", "kind", kind).Add(int64(len(rec)))
-	reg.Gauge("store.manifest.log.records", "kind", kind).Set(int64(s.logRecords))
-	return len(rec), nil
-}
-
-// commitFragment commits one mutation: an in-memory append plus one log
-// record, then a published snapshot, folding the log into a checkpoint
-// when the cadence says so. The caller holds writeMu. A fragRef with an
-// empty name is a log-structured tombstone — the record IS the
-// mutation, no file backs it. On append failure the in-memory state is
-// rolled back, so a fresh Open and this handle agree the mutation never
-// committed. The new snapshot is published as soon as the record is
-// durable — a checkpoint-fold failure after that surfaces as an error,
-// but the commit itself stands (Open replays the log record).
-func (s *Store) commitFragment(fr fragRef) (int, error) {
+// stageFragment is the first half of the store's one manifest commit:
+// it enters one mutation — a fragment, or a log-structured tombstone —
+// into the in-memory state and the group-commit staging buffer. The
+// framed record joins its group and becomes durable at the next
+// flushStaged, which lands every staged record in one manifest-log
+// Append; a lone Write or DeleteRegion is a group of one. Callers must
+// flush before reporting the mutation as committed — the recovery
+// invariant "fragment file durable before its record" is unchanged; the
+// record is just not durable yet. Returns the framed record's size in
+// bytes (DeleteRegion reports it as the tombstone's footprint). The
+// caller holds writeMu.
+func (s *Store) stageFragment(fr fragRef) int {
 	id := s.nextID
 	s.nextID++
 	s.frags = append(s.frags, fr)
-	n, err := s.appendRecord(fr, id)
-	if err != nil {
-		s.frags = s.frags[:len(s.frags)-1]
-		s.nextID = id
-		return 0, err
-	}
-	s.publishLocked()
-	if s.checkpointDue() {
-		return n, s.checkpoint()
-	}
-	return n, nil
-}
-
-// stageFragment publishes one fragment into the in-memory state and the
-// group-commit staging buffer: the framed record joins its group and
-// becomes durable at the next flushStaged, which lands every staged
-// record in one manifest-log Append. Callers (the batched-ingest
-// committer) must flush before reporting the fragment as committed —
-// the recovery invariant "fragment file durable before its record" is
-// unchanged; the record is just not durable yet.
-func (s *Store) stageFragment(fr fragRef) {
-	id := s.nextID
-	s.nextID++
-	s.frags = append(s.frags, fr)
+	before := len(s.staged)
 	s.staged = appendFramedRecord(s.staged, fr, id, s.shape.Dims())
 	s.stagedRecs++
+	return len(s.staged) - before
 }
 
 // groupFlushDue reports whether the staged group has reached the
@@ -232,15 +194,17 @@ func (s *Store) groupFlushDue() bool {
 	return s.logRecords+s.stagedRecs >= s.cadence()
 }
 
-// flushStaged group-commits every staged record in one Append, then
-// checkpoints if the cadence says so — the same sequence the equivalent
-// serial appends would have produced, in O(1) metadata operations
-// instead of O(records). On append failure the staged fragments are
-// rolled back from the in-memory state (their records never reached
-// disk, so a fresh Open agrees they were never committed) and
-// rolledBack is true; a checkpoint failure after a successful append
-// leaves the records durable (rolledBack false) — the next Open simply
-// replays them.
+// flushStaged group-commits every staged record in one Append — the
+// O(record) replacement for a per-write manifest rewrite — publishes
+// the new snapshot, then checkpoints if the cadence says so: the same
+// sequence the equivalent serial appends would have produced, in O(1)
+// metadata operations instead of O(records). On append failure the
+// staged fragments are rolled back from the in-memory state (their
+// records never reached disk, so a fresh Open and this handle agree
+// they were never committed) and rolledBack is true. The snapshot is
+// published as soon as the records are durable, so a checkpoint-fold
+// failure after that surfaces as an error (rolledBack false) but the
+// commit itself stands — the next Open simply replays the records.
 func (s *Store) flushStaged() (rolledBack bool, err error) {
 	if s.stagedRecs == 0 {
 		return false, nil

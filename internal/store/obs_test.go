@@ -44,8 +44,21 @@ func TestObsHappyPathMetrics(t *testing.T) {
 			t.Errorf("histogram %s not populated", name)
 		}
 	}
-	if got := snap.Counters[obs.Name("store.write.count", "kind", kind)]; got != 1 {
-		t.Errorf("store.write.count = %d, want 1", got)
+	// One Write is one pass of the pipeline: one root span, one
+	// observation per Table III phase, one manifest-log append (a group
+	// of one).
+	if got := snap.Histograms[obsWrite].Count; got != 1 {
+		t.Errorf("%d %s root spans for one Write", got, obsWrite)
+	}
+	for _, phase := range []string{obsWriteBuild, obsWriteReorg, obsWriteWrite, obsWriteOthers} {
+		if got := snap.Histograms[obs.Name(phase, "kind", kind)].Count; got != 1 {
+			t.Errorf("%s{kind} has %d observations for one Write", phase, got)
+		}
+	}
+	for _, name := range []string{"store.write.count", "store.manifest.log.appends", "store.manifest.group.flushes", "store.manifest.group.records"} {
+		if got := snap.Counters[obs.Name(name, "kind", kind)]; got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
 	}
 	if got := snap.Counters[obs.Name("store.read.probed", "kind", kind)]; got != 2 {
 		t.Errorf("store.read.probed = %d, want 2", got)

@@ -24,7 +24,7 @@ var ErrBadOption = errors.New("store: invalid option")
 // fail (they run inside the constructor), so the constructor carries
 // the verdict.
 type OptionError struct {
-	Option string // the option's name, e.g. "WithIngestWorkers"
+	Option string // the option's name, e.g. "WithBackgroundCompaction"
 	Reason string
 }
 
@@ -85,20 +85,6 @@ func WithSharedCache(c *fragcache.Cache) Option {
 			return
 		}
 		s.sharedCache = c
-	}
-}
-
-// WithIngestWorkers sets the default CPU-stage pool width for the
-// batched ingest pipeline (WriteBatch and friends) when the call site
-// passes workers < 1. n must be at least 1; without this option the
-// default is every core, as in psort.Workers.
-func WithIngestWorkers(n int) Option {
-	return func(s *Store) {
-		if n < 1 {
-			s.recordOptErr("WithIngestWorkers", fmt.Sprintf("%d workers (need >= 1; omit the option for the all-cores default)", n))
-			return
-		}
-		s.ingestWorkers = n
 	}
 }
 

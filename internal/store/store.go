@@ -193,11 +193,9 @@ type Store struct {
 	cacheScope  string
 	cacheBudget int64
 
-	// Batched-ingest configuration (options.go): the default worker-pool
-	// width when a WriteBatch call passes workers < 1. optErr holds the
-	// first option misuse, surfaced by Create/Open/NewChunked.
-	ingestWorkers int
-	optErr        error
+	// optErr holds the first option misuse (options.go), surfaced by
+	// Create/Open/NewChunked.
+	optErr error
 
 	// Fragcache warming (warm.go): how many of the newest fragments
 	// Open pre-loads into the reader cache.
@@ -568,122 +566,18 @@ func (s *Store) takeCost() (fsim.Cost, bool) {
 }
 
 // Write implements Algorithm 3's WRITE: package coords, reorganize
-// values, concatenate, and persist one fragment. Writes are serialized
-// by the store's writer lock; concurrent reads proceed against their
-// pinned snapshots throughout.
+// values, concatenate, and persist one fragment — the one-batch spelling
+// of the ingest pipeline (ingest.go), prepared inline on the caller's
+// goroutine. Writes are serialized by the store's writer lock;
+// concurrent reads proceed against their pinned snapshots throughout.
 func (s *Store) Write(c *tensor.Coords, vals []float64) (*WriteReport, error) {
+	b := Batch{Coords: c, Values: vals}
+	if err := validateBatches([]Batch{b}, s.shape.Dims()); err != nil {
+		return nil, err
+	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	return s.writeLocked(c, vals)
-}
-
-// writeLocked is Write's body; the caller holds writeMu (Compact calls
-// it directly to build the consolidated fragment).
-func (s *Store) writeLocked(c *tensor.Coords, vals []float64) (*WriteReport, error) {
-	if c.Len() != len(vals) {
-		return nil, fmt.Errorf("store: %w: %d points with %d values", ErrShapeMismatch, c.Len(), len(vals))
-	}
-	if c.Dims() != s.shape.Dims() {
-		return nil, fmt.Errorf("store: %w: %d-dim coords for %d-dim store", ErrShapeMismatch, c.Dims(), s.shape.Dims())
-	}
-	rep := &WriteReport{NNZ: c.Len()}
-	s.takeCost() // discard any cost accrued outside this call
-
-	reg := s.obsReg()
-	kind := s.curKind().String()
-	root := reg.Start(obsWrite)
-	defer root.End() // double-End safe; covers every error return below
-
-	format := s.curFormat()
-	if s.buildOpts != nil {
-		format = core.Configure(format, *s.buildOpts)
-	}
-	sp := root.Child(obsWriteBuild)
-	t := time.Now()
-	built, err := format.Build(c, s.shape)
-	sp.End()
-	if err != nil {
-		reg.Counter("store.write.errors", "kind", kind).Inc()
-		return nil, err
-	}
-	rep.Build = time.Since(t)
-	reg.Histogram(obsWriteBuild, "kind", kind).Observe(rep.Build)
-
-	sp = root.Child(obsWriteReorg)
-	t = time.Now()
-	packed := tensor.ApplyPermValues(vals, built.Perm)
-	rep.Reorg = time.Since(t)
-	if d := sp.End(); d > 0 {
-		// The phase is nanoseconds of work, so clock-read skew between
-		// two independent measurements would dwarf it: feed the span's
-		// own duration — already observed in the unlabeled histogram —
-		// into the labeled one so the two stay in exact agreement.
-		rep.Reorg = d
-	}
-	reg.Histogram(obsWriteReorg, "kind", kind).Observe(rep.Reorg)
-
-	sp = root.Child(obsWriteWrite)
-	t = time.Now()
-	bbox, _ := c.Bounds()
-	filt := filter.Build(c)
-	frag := &fragment.Fragment{Payload: built.Payload, Values: packed}
-	frag.Kind = s.curKind()
-	frag.Codec = s.codec
-	frag.Shape = s.shape
-	frag.NNZ = uint64(c.Len())
-	frag.BBox = bbox
-	frag.Filter = filt
-	encoded, err := fragment.Encode(frag)
-	if err != nil {
-		sp.End()
-		reg.Counter("store.write.errors", "kind", kind).Inc()
-		return nil, err
-	}
-	name := fmt.Sprintf("%s/frag-%06d", s.prefix, s.nextID)
-	if err := s.fs.WriteFile(name, encoded); err != nil {
-		sp.End()
-		reg.Counter("store.write.errors", "kind", kind).Inc()
-		return nil, fmt.Errorf("store: write fragment: %w", err)
-	}
-	wall := time.Since(t)
-	var pendingMeta time.Duration
-	if cost, ok := s.takeCost(); ok {
-		rep.Write = wall + cost.Write + cost.Read
-		rep.Others += cost.Meta
-		pendingMeta = cost.Meta
-		sp.Add(cost.Write + cost.Read)
-	} else {
-		rep.Write = wall
-	}
-	sp.End()
-	reg.Histogram(obsWriteWrite, "kind", kind).Observe(rep.Write)
-
-	sp = root.Child(obsWriteOthers)
-	sp.Add(pendingMeta)
-	t = time.Now()
-	if _, err := s.commitFragment(fragRef{name: name, nnz: frag.NNZ, bytes: int64(len(encoded)), bbox: bbox, filter: filt}); err != nil {
-		sp.End()
-		reg.Counter("store.write.errors", "kind", kind).Inc()
-		return nil, err
-	}
-	wall = time.Since(t)
-	if cost, ok := s.takeCost(); ok {
-		rep.Others += wall + cost.Total()
-		sp.Add(cost.Total())
-	} else {
-		rep.Others += wall
-	}
-	sp.End()
-	reg.Histogram(obsWriteOthers, "kind", kind).Observe(rep.Others)
-
-	rep.Bytes = int64(len(encoded))
-	rep.Name = name
-	rep.Epoch = s.currentEpoch()
-	reg.Counter("store.write.count", "kind", kind).Inc()
-	reg.Counter("store.write.bytes", "kind", kind).Add(rep.Bytes)
-	reg.Counter("store.write.nnz", "kind", kind).Add(int64(rep.NNZ))
-	reg.Gauge("store.fragments", "kind", kind).Set(int64(len(s.frags)))
-	return rep, nil
+	return s.writeOne(b)
 }
 
 // DeleteRegion marks every cell of the region as deleted. The deletion
@@ -709,11 +603,11 @@ func (s *Store) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 	root := reg.Start("store.delete")
 	defer root.End()
 
+	// A fragRef with an empty name is a log-structured tombstone — the
+	// record IS the mutation, no file backs it: a group of one.
 	t := time.Now()
-	n, err := s.commitFragment(fragRef{
-		bbox: region.BBox(), tomb: true, tombRegion: region,
-	})
-	if err != nil {
+	n := s.stageFragment(fragRef{bbox: region.BBox(), tomb: true, tombRegion: region})
+	if _, err := s.flushStaged(); err != nil {
 		reg.Counter("store.write.errors", "kind", kind).Inc()
 		return nil, err
 	}

@@ -193,41 +193,6 @@ func DecodeQueryResult(payload []byte) (*QueryResult, error) {
 	return &QueryResult{Result: &store.Result{Coords: coords, Values: values}, Report: rep}, nil
 }
 
-// Write is the MsgWrite request: one fragment's worth of points.
-type Write struct {
-	Deadline time.Duration
-	Coords   *tensor.Coords
-	Values   []float64
-}
-
-// Encode serializes the request.
-func (m *Write) Encode() []byte {
-	w := buf.NewWriter(64 + 16*m.Coords.Len())
-	w.U64(uint64(m.Deadline))
-	putCoords(w, m.Coords)
-	w.F64s(m.Values)
-	return w.Bytes()
-}
-
-// DecodeWrite parses a MsgWrite payload.
-func DecodeWrite(payload []byte) (*Write, error) {
-	r := buf.NewReader(payload)
-	m := &Write{Deadline: time.Duration(r.U64())}
-	coords, err := getCoords(r)
-	if err != nil {
-		return nil, fmt.Errorf("wire: bad write payload: %w", err)
-	}
-	m.Coords = coords
-	m.Values = r.F64s()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("wire: bad write payload: %w", err)
-	}
-	if len(m.Values) != m.Coords.Len() {
-		return nil, fmt.Errorf("wire: write has %d values for %d points", len(m.Values), m.Coords.Len())
-	}
-	return m, nil
-}
-
 // putWriteReport serializes a write report.
 func putWriteReport(w *buf.Writer, rep *store.WriteReport) {
 	w.U64(uint64(rep.Build))
@@ -254,8 +219,8 @@ func getWriteReport(r *buf.Reader) *store.WriteReport {
 	}
 }
 
-// EncodeWriteReport serializes a single write report (MsgWrite and
-// MsgDelete responses).
+// EncodeWriteReport serializes a single write report (the MsgDelete
+// response).
 func EncodeWriteReport(rep *store.WriteReport) []byte {
 	w := buf.NewWriter(96)
 	putWriteReport(w, rep)

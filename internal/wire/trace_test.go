@@ -30,14 +30,14 @@ func TestFrameTraceLegacyReaderTolerance(t *testing.T) {
 	var b bytes.Buffer
 	tc := obs.TraceContext{Hi: 1, Lo: 2, Span: 3, Sampled: true}
 	payload := []byte("payload")
-	if err := WriteFrameTrace(&b, MsgWrite, 99, tc, payload); err != nil {
+	if err := WriteFrameTrace(&b, MsgWriteBatch, 99, tc, payload); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	typ, id, got, err := ReadFrame(&b)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if typ != MsgWrite || id != 99 || !bytes.Equal(got, payload) {
+	if typ != MsgWriteBatch || id != 99 || !bytes.Equal(got, payload) {
 		t.Fatalf("legacy read: typ=%#x id=%d payload=%q", typ, id, got)
 	}
 }

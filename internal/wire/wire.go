@@ -52,7 +52,7 @@ import (
 const (
 	MsgQuery = uint8(0x01) // store.QueryRequest → Result + ReadReport
 	// 0x02 was MsgReadPoints (now store.AlignPoints over a MsgQuery result): reserved, never reassign.
-	MsgWrite      = uint8(0x03) // coords + values → WriteReport
+	// 0x03 was the one-fragment write (now a one-batch MsgWriteBatch): reserved, never reassign.
 	MsgWriteBatch = uint8(0x04) // batches + workers → []WriteReport
 	MsgDelete     = uint8(0x05) // region → WriteReport
 	MsgKernel     = uint8(0x06) // store.KernelRequest → KernelResult

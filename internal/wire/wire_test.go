@@ -167,21 +167,6 @@ func TestQueryResultRoundTrip(t *testing.T) {
 }
 
 func TestWriteAndBatchRoundTrip(t *testing.T) {
-	wr := &Write{
-		Deadline: time.Second,
-		Coords:   mustCoords(t, 2, 1, 2, 3, 4),
-		Values:   []float64{1, 2},
-	}
-	gotW, err := DecodeWrite(wr.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotW.Deadline != wr.Deadline ||
-		!reflect.DeepEqual(gotW.Coords.Flat(), wr.Coords.Flat()) ||
-		!reflect.DeepEqual(gotW.Values, wr.Values) {
-		t.Fatalf("write mismatch: %+v", gotW)
-	}
-
 	wb := &WriteBatch{
 		Deadline: 2 * time.Second,
 		Workers:  3,

@@ -42,9 +42,12 @@ go build ./...
 # so nothing superseded may linger behind a Deprecated: marker — delete
 # it instead; and typed options and flags are the only configuration
 # surface, so the library and the cmds never read the process
-# environment. The numbers printed are the baseline the next simplicity
-# change is measured against.
-step "surface (no Deprecated: markers; no environment reads; exported methods; code lines)"
+# environment; and Algorithm 3's WRITE exists once, so the store calls
+# Format.Build in one place and encodes a fragment in one place
+# (prepareBatch — Write, WriteBatch, the chunked ingest and compaction
+# all go through it). The numbers printed are the baseline the next
+# simplicity change is measured against.
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; exported methods; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -53,6 +56,15 @@ if grep -rnE 'SPARSEART_|os\.Getenv' --include='*.go' --exclude='*_test.go' inte
     echo "non-test Go reads the environment (configure through an option or a flag)" >&2
     exit 1
 fi
+store_src=$(find internal/store -maxdepth 1 -name '*.go' ! -name '*_test.go')
+builds=$(grep -hE '\.Build\(' $store_src | grep -cvE 'filter\.Build\(|^\s*//' || true)
+encodes=$(grep -hE 'fragment\.(AppendEncode|Encode)\(' $store_src | grep -cvE '^\s*//' || true)
+if [ "$builds" -ne 1 ] || [ "$encodes" -ne 1 ]; then
+    echo "internal/store calls Format.Build in $builds places and encodes a fragment in $encodes (want 1 and 1: go through prepareBatch)" >&2
+    exit 1
+fi
+n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
+echo "  methods of serve.Backend: $n"
 for recv in Store Chunked; do
     n=$(find internal/store -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 |
         xargs -0 grep -hE "^func \\((s|c) \\*${recv}\\) [A-Z]" | wc -l)
@@ -165,6 +177,20 @@ go run ./scripts/checktrace -file "$SMOKE_DIR/trace.json" \
 kill $SMOKE_PIDS 2>/dev/null || true
 wait $SMOKE_PIDS 2>/dev/null || true
 SMOKE_PIDS=""
+
+# Benchmark smoke: benchmark/ is frozen to most changes (BENCHMARK.json
+# lists it under paths) yet compiles and runs against internal/, so a
+# change that stops it building or answering must fail here, not in the
+# pipeline that runs it afterwards. Each workload runs once at the smoke
+# scale (32-cube tensor); the driver exits non-zero when a reply is
+# wrong, and the printed failed count must be 0.
+step "benchmark smoke (go vet ./benchmark; 4 workloads at -smoke, failed 0)"
+go vet ./benchmark
+for w in point_wire region_cold kernel_scan ingest_mixed; do
+    out=$(go run ./benchmark -workload "$w" -smoke)
+    echo "$out" | grep -E '^   attempted '
+    echo "$out" | grep -qE '^   attempted [0-9]+  failed 0 ' || { echo "benchmark smoke: $w reports failed operations" >&2; exit 1; }
+done
 
 if [ "$FUZZ_SECONDS" -gt 0 ]; then
     step "fuzz smoke (${FUZZ_SECONDS}s per target)"

@@ -86,8 +86,8 @@ func OpenChunkedStore(fs FS, prefix string, opts ...StoreOption) (*ChunkedStore,
 // protocol; a DataClient drives it with pipelined, deadline-carrying
 // requests.
 type (
-	// Backend is the serveable surface: Query, Write, WriteBatch,
-	// DeleteRegion, Kernel, Info, ObsSnapshot.
+	// Backend is the serveable surface: Query, WriteBatch, DeleteRegion,
+	// Kernel, Info, ObsSnapshot.
 	Backend = serve.Backend
 	// DataServer serves one Backend over the wire protocol.
 	DataServer = serve.Server

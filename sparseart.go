@@ -148,10 +148,6 @@ type OptionError = store.OptionError
 // CreateChunkedStore it becomes the budget for every tile.
 func WithSharedCache(c *ReaderCache) StoreOption { return store.WithSharedCache(c) }
 
-// WithIngestWorkers sets the default CPU-pool width batched ingest uses
-// when the call site passes workers < 1 (default: all cores).
-func WithIngestWorkers(n int) StoreOption { return store.WithIngestWorkers(n) }
-
 // WithBackgroundCompaction makes the store compact itself on a
 // background worker once a mutation leaves at least minFragments
 // fragments behind (minFragments >= 2). Reads are never blocked: they
