@@ -21,10 +21,10 @@ func TestDifferentialAllKinds(t *testing.T) {
 	coretest.RunDifferential(t, formats)
 }
 
-// TestStreamingAllKinds checks the streaming iteration contract of
-// every registered organization: core.Points ≡ Each and
-// core.RegionPoints ≡ Each + containment filter, step for step,
-// including early termination and walk restartability.
+// TestStreamingAllKinds checks the walk contract of every registered
+// organization: Each restarts and stops where told, and ScanRegion ≡
+// Each + containment filter, step for step, early termination
+// included.
 func TestStreamingAllKinds(t *testing.T) {
 	formats := core.Registered()
 	if len(formats) < 6 {

@@ -302,29 +302,9 @@ func (r *reader) Each(visit func(p []uint64, slot int) bool) {
 	}
 }
 
-// Points implements core.Streamer: the same block walk as Each, as a
-// lazy range-over-func sequence. The point slice is reused between
-// yields.
-func (r *reader) Points() core.PointSeq {
-	return func(yield func(p []uint64, slot int) bool) {
-		p := make([]uint64, r.dims)
-		for bi := 0; bi < r.Blocks(); bi++ {
-			for slot := int(r.bptr[bi]); slot < int(r.bptr[bi+1]); slot++ {
-				for k := 0; k < r.dims; k++ {
-					p[k] = r.blocks[bi*r.dims+k]<<r.bits | uint64(r.locals[slot*r.dims+k])
-				}
-				if !yield(p, slot) {
-					return
-				}
-			}
-		}
-	}
-}
-
 var (
 	_ core.Format       = Format{}
 	_ core.Reader       = (*reader)(nil)
 	_ core.PayloadSizer = (*reader)(nil)
 	_ core.Iterator     = (*reader)(nil)
-	_ core.Streamer     = (*reader)(nil)
 )

@@ -193,18 +193,6 @@ func (r *reader) Each(visit func(p []uint64, slot int) bool) {
 	}
 }
 
-// Points implements core.Streamer: the same walk as Each, as a lazy
-// range-over-func sequence. The point slice is reused between yields.
-func (r *reader) Points() core.PointSeq {
-	return func(yield func(p []uint64, slot int) bool) {
-		for i, n := 0, r.coords.Len(); i < n; i++ {
-			if !yield(r.coords.At(i), i) {
-				return
-			}
-		}
-	}
-}
-
 func (r *reader) lookupSorted(p []uint64) (int, bool) {
 	lo, hi := 0, r.coords.Len()
 	for lo < hi {
@@ -226,5 +214,4 @@ var (
 	_ core.Reader       = (*reader)(nil)
 	_ core.PayloadSizer = (*reader)(nil)
 	_ core.Iterator     = (*reader)(nil)
-	_ core.Streamer     = (*reader)(nil)
 )

@@ -3,23 +3,21 @@ package coretest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparseart/internal/core"
 	"sparseart/internal/tensor"
 )
 
-// RunStreaming checks the streaming iteration contract against the
-// callback walks it must mirror: for every format, core.Points must
-// yield exactly the (point, slot) sequence Each visits, in the same
-// order; core.RegionPoints must yield exactly the region-filtered
-// subsequence; and both must honor early termination from the consumer.
-// Native Streamer/RegionStreamer implementations and the
-// Iterator/RegionScanner bridges go through the same assertions.
+// RunStreaming checks the one walk every reader serves the READ loop
+// through: Each restarts on every call and stops exactly where its
+// visitor says, and a reader with a structural region walk
+// (core.RegionScanner) visits exactly the (point, slot) steps Each
+// visits inside the region, in the same order, early stop included.
+// A reader without one is region-scanned as Each plus Region.Contains,
+// which is the definition itself.
 func RunStreaming(t *testing.T, formats []core.Format) {
-	if len(formats) == 0 {
-		t.Fatal("no formats to test")
-	}
 	rounds, maxPoints := 8, 500
 	if testing.Short() {
 		rounds, maxPoints = 3, 120
@@ -41,35 +39,21 @@ type visitRec struct {
 	slot int
 }
 
-func recordEach(r core.Reader) []visitRec {
+// recordWalk records walk's steps, stopping it after stopAfter of them
+// when that is positive.
+func recordWalk(walk func(visit func(p []uint64, slot int) bool), stopAfter int) []visitRec {
 	var out []visitRec
-	r.(core.Iterator).Each(func(p []uint64, slot int) bool {
+	walk(func(p []uint64, slot int) bool {
 		out = append(out, visitRec{fmt.Sprint(p), slot})
-		return true
+		return stopAfter <= 0 || len(out) < stopAfter
 	})
-	return out
-}
-
-func recordSeq(seq core.PointSeq, stopAfter int) []visitRec {
-	var out []visitRec
-	for p, slot := range seq {
-		out = append(out, visitRec{fmt.Sprint(p), slot})
-		if stopAfter > 0 && len(out) >= stopAfter {
-			break
-		}
-	}
 	return out
 }
 
 func sameWalk(t *testing.T, kind core.Kind, label string, got, want []visitRec) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%v: %s yielded %d steps, want %d", kind, label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%v: %s step %d = %+v, want %+v", kind, label, i, got[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%v: %s walked %d steps %+v, want %d steps %+v", kind, label, len(got), got, len(want), want)
 	}
 }
 
@@ -77,26 +61,22 @@ func streamingRound(t *testing.T, formats []core.Format, rng *rand.Rand, shape t
 	readers, _ := openAll(t, formats, shape, c)
 	for i, r := range readers {
 		kind := formats[i].Kind()
-		if _, ok := r.(core.Streamer); !ok {
-			t.Errorf("%v: reader does not implement core.Streamer", kind)
-		}
-		seq, ok := core.Points(r)
+		it, ok := r.(core.Iterator)
 		if !ok {
-			t.Fatalf("%v: core.Points reports no walk", kind)
+			t.Fatalf("%v: reader does not implement core.Iterator", kind)
 		}
-		want := recordEach(r)
-		sameWalk(t, kind, "Points", recordSeq(seq, 0), want)
-
-		// A sequence must be restartable (each call to Points yields a
-		// fresh walk) and stoppable mid-way without yielding further.
+		want := recordWalk(it.Each, 0)
+		// A second call walks from the start again and stops mid-way
+		// without visiting further.
 		if len(want) > 1 {
 			stop := 1 + rng.Intn(len(want)-1)
-			seq2, _ := core.Points(r)
-			sameWalk(t, kind, "Points(early-stop)", recordSeq(seq2, stop), want[:stop])
+			sameWalk(t, kind, "Each(early-stop)", recordWalk(it.Each, stop), want[:stop])
 		}
 
-		// Region-restricted walk ≡ full walk + containment filter, for
-		// random regions including degenerate 1-cell ones.
+		// Region walk ≡ full walk + containment filter, for random
+		// regions including degenerate 1-cell ones. The draws do not
+		// depend on the reader's kind, so the rounds' datasets (and
+		// subtest names) stay what they were.
 		for rq := 0; rq < 3; rq++ {
 			start := make([]uint64, shape.Dims())
 			size := make([]uint64, shape.Dims())
@@ -108,22 +88,21 @@ func streamingRound(t *testing.T, formats []core.Format, rng *rand.Rand, shape t
 			if err != nil {
 				t.Fatal(err)
 			}
-			var filtered []visitRec
-			r.(core.Iterator).Each(func(p []uint64, slot int) bool {
-				if region.Contains(p) {
-					filtered = append(filtered, visitRec{fmt.Sprint(p), slot})
-				}
-				return true
-			})
-			rseq, ok := core.RegionPoints(r, region)
-			if !ok {
-				t.Fatalf("%v: core.RegionPoints reports no walk", kind)
-			}
-			sameWalk(t, kind, fmt.Sprintf("RegionPoints(%v)", region), recordSeq(rseq, 0), filtered)
+			filtered := recordWalk(func(visit func([]uint64, int) bool) {
+				it.Each(func(p []uint64, slot int) bool { return !region.Contains(p) || visit(p, slot) })
+			}, 0)
+			stop := 0
 			if len(filtered) > 1 {
-				stop := 1 + rng.Intn(len(filtered)-1)
-				rseq2, _ := core.RegionPoints(r, region)
-				sameWalk(t, kind, "RegionPoints(early-stop)", recordSeq(rseq2, stop), filtered[:stop])
+				stop = 1 + rng.Intn(len(filtered)-1)
+			}
+			sc, ok := r.(core.RegionScanner)
+			if !ok {
+				continue
+			}
+			scan := func(visit func([]uint64, int) bool) { sc.ScanRegion(region, visit) }
+			sameWalk(t, kind, fmt.Sprintf("ScanRegion(%v)", region), recordWalk(scan, 0), filtered)
+			if stop > 0 {
+				sameWalk(t, kind, "ScanRegion(early-stop)", recordWalk(scan, stop), filtered[:stop])
 			}
 		}
 	}

@@ -387,30 +387,10 @@ func (t *Tree) ScanRegion(r tensor.Region, visit func(p []uint64, slot int) bool
 	walk(0, 0, t.nfibs[0])
 }
 
-// Points implements core.Streamer: the same depth-first walk as Each,
-// as a lazy range-over-func sequence. The point slice is reused between
-// yields.
-func (t *Tree) Points() core.PointSeq {
-	return func(yield func(p []uint64, slot int) bool) {
-		t.Each(yield)
-	}
-}
-
-// RegionPoints implements core.RegionStreamer: the pruned descent of
-// ScanRegion as a lazy sequence, skipping whole subtrees outside the
-// region's per-dimension bounds.
-func (t *Tree) RegionPoints(r tensor.Region) core.PointSeq {
-	return func(yield func(p []uint64, slot int) bool) {
-		t.ScanRegion(r, yield)
-	}
-}
-
 var (
-	_ core.Format         = Format{}
-	_ core.Reader         = (*Tree)(nil)
-	_ core.PayloadSizer   = (*Tree)(nil)
-	_ core.Iterator       = (*Tree)(nil)
-	_ core.RegionScanner  = (*Tree)(nil)
-	_ core.Streamer       = (*Tree)(nil)
-	_ core.RegionStreamer = (*Tree)(nil)
+	_ core.Format        = Format{}
+	_ core.Reader        = (*Tree)(nil)
+	_ core.PayloadSizer  = (*Tree)(nil)
+	_ core.Iterator      = (*Tree)(nil)
+	_ core.RegionScanner = (*Tree)(nil)
 )

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"iter"
 	"sort"
 	"sync"
 
@@ -141,7 +140,7 @@ type PayloadSizer interface {
 // all stored points with their value slots. Visit order is
 // implementation-defined (payload order); returning false stops the
 // walk. The storage engine builds fragment compaction, organization
-// conversion, and scan-mode region reads on top of it.
+// conversion, scan-mode region reads and in-store kernels on top of it.
 type Iterator interface {
 	Each(visit func(p []uint64, slot int) bool)
 }
@@ -152,74 +151,6 @@ type Iterator interface {
 // it fall back to Each plus a containment filter.
 type RegionScanner interface {
 	ScanRegion(r tensor.Region, visit func(p []uint64, slot int) bool)
-}
-
-// PointSeq is the streaming iteration contract: a lazy walk over
-// (coords, slot) pairs in the reader's payload order, consumable with a
-// Go 1.23 range-over-func loop. The coordinate slice is reused between
-// yields — consumers must copy it if they retain it past one step. A
-// PointSeq decodes incrementally from the reader's in-memory index; it
-// never materializes the point set as a COO buffer, which is what lets
-// the storage engine run kernels and format conversions over stored
-// fragments in O(fragment) rather than O(tensor) memory.
-type PointSeq = iter.Seq2[[]uint64, int]
-
-// Streamer is implemented by readers that expose their walk natively as
-// a PointSeq. Every reader in this module implements it; the interface
-// stays optional so external readers only need Iterator.
-type Streamer interface {
-	Points() PointSeq
-}
-
-// RegionStreamer is the region-restricted variant of Streamer: the walk
-// visits only stored points inside the region, pruning via index
-// structure where the organization allows it (CSF descends only
-// intersecting subtrees).
-type RegionStreamer interface {
-	RegionPoints(r tensor.Region) PointSeq
-}
-
-// Points adapts any reader to the streaming contract: a native Streamer
-// is used directly, otherwise the walk is bridged from Iterator. The
-// second result is false when the reader supports neither (no way to
-// enumerate its points).
-func Points(r Reader) (PointSeq, bool) {
-	switch rr := r.(type) {
-	case Streamer:
-		return rr.Points(), true
-	case Iterator:
-		return func(yield func([]uint64, int) bool) {
-			rr.Each(yield)
-		}, true
-	}
-	return nil, false
-}
-
-// RegionPoints adapts any reader to a region-restricted streaming walk:
-// a native RegionStreamer prunes structurally, a RegionScanner is
-// bridged, and any other iterable reader falls back to a full walk with
-// a containment filter. The second result is false when the reader
-// cannot enumerate points at all.
-func RegionPoints(r Reader, region tensor.Region) (PointSeq, bool) {
-	switch rr := r.(type) {
-	case RegionStreamer:
-		return rr.RegionPoints(region), true
-	case RegionScanner:
-		return func(yield func([]uint64, int) bool) {
-			rr.ScanRegion(region, yield)
-		}, true
-	}
-	seq, ok := Points(r)
-	if !ok {
-		return nil, false
-	}
-	return func(yield func([]uint64, int) bool) {
-		for p, slot := range seq {
-			if region.Contains(p) && !yield(p, slot) {
-				return
-			}
-		}
-	}, true
 }
 
 // Options tunes a build.

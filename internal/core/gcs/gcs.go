@@ -294,31 +294,6 @@ func (r *reader) Each(visit func(p []uint64, slot int) bool) {
 	}
 }
 
-// Points implements core.Streamer: the same pointer-vector walk as
-// Each, as a lazy range-over-func sequence. The point slice is reused
-// between yields.
-func (r *reader) Points() core.PointSeq {
-	return func(yield func(p []uint64, slot int) bool) {
-		p := make([]uint64, r.lin.Shape().Dims())
-		majorExt := uint64(len(r.ptr)) - 1
-		for mj := uint64(0); mj < majorExt; mj++ {
-			for k := r.ptr[mj]; k < r.ptr[mj+1]; k++ {
-				mn := r.ind[k]
-				var r2, c2 uint64
-				if r.orient == Row {
-					r2, c2 = mj, mn
-				} else {
-					r2, c2 = mn, mj
-				}
-				r.lin.Delinearize(r2*r.cols+c2, p)
-				if !yield(p, int(k)) {
-					return
-				}
-			}
-		}
-	}
-}
-
 // Geometry exposes the 2D remap for inspection tools and tests.
 func (r *reader) Geometry() (rows, cols uint64) { return r.rows, r.cols }
 
@@ -333,5 +308,4 @@ var (
 	_ core.Reader       = (*reader)(nil)
 	_ core.PayloadSizer = (*reader)(nil)
 	_ core.Iterator     = (*reader)(nil)
-	_ core.Streamer     = (*reader)(nil)
 )

@@ -142,20 +142,6 @@ func (r *reader) Each(visit func(p []uint64, slot int) bool) {
 	}
 }
 
-// Points implements core.Streamer: a lazy walk delinearizing one
-// address per step. The point slice is reused between yields.
-func (r *reader) Points() core.PointSeq {
-	return func(yield func(p []uint64, slot int) bool) {
-		p := make([]uint64, r.lin.Shape().Dims())
-		for i, a := range r.addrs {
-			r.lin.Delinearize(a, p)
-			if !yield(p, i) {
-				return
-			}
-		}
-	}
-}
-
 // Addresses exposes the raw linear addresses for inspection tools.
 func (r *reader) Addresses() []uint64 { return r.addrs }
 
@@ -164,5 +150,4 @@ var (
 	_ core.Reader       = (*reader)(nil)
 	_ core.PayloadSizer = (*reader)(nil)
 	_ core.Iterator     = (*reader)(nil)
-	_ core.Streamer     = (*reader)(nil)
 )

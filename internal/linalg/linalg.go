@@ -1,11 +1,10 @@
 // Package linalg provides sparse kernels over the storage
 // organizations' readers — the downstream computations the paper's
-// introduction motivates sparse storage with. Every kernel consumes the
-// streaming iteration contract (core.Points, native on readers that
-// implement core.Streamer and bridged from core.Iterator otherwise), so
-// it runs unchanged over COO, LINEAR, GCSR++, GCSC++, CSF, or BCOO
-// payloads: the storage organization decides the iteration order and
-// cost, not the math.
+// introduction motivates sparse storage with. Every kernel ranges over
+// the readers' one walk (core.Iterator's Each — its method value is a
+// range-over-func sequence), so it runs unchanged over COO, LINEAR,
+// GCSR++, GCSC++, CSF, or BCOO payloads: the storage organization
+// decides the iteration order and cost, not the math.
 //
 // Included: sparse matrix-vector multiply (SpMV), tensor-times-vector
 // contraction (TTV), the matricized tensor times Khatri-Rao product
@@ -77,7 +76,7 @@ func NewMatrix(shape tensor.Shape, r core.Reader, values []float64) (*Matrix, er
 	if r.NNZ() != len(values) {
 		return nil, fmt.Errorf("linalg: %d values for %d points", len(values), r.NNZ())
 	}
-	if _, ok := core.Points(r); !ok {
+	if _, ok := r.(core.Iterator); !ok {
 		return nil, fmt.Errorf("linalg: reader cannot iterate")
 	}
 	return &Matrix{Shape: shape, Reader: r, Values: values}, nil
@@ -90,8 +89,7 @@ func (m *Matrix) SpMV(x []float64) ([]float64, error) {
 		return nil, fmt.Errorf("linalg: x has %d entries for %d columns", len(x), m.Shape[1])
 	}
 	y := make([]float64, m.Shape[0])
-	seq, _ := core.Points(m.Reader)
-	for p, slot := range seq {
+	for p, slot := range m.Reader.(core.Iterator).Each {
 		y[p[0]] += m.Values[slot] * x[p[1]]
 	}
 	return y, nil
@@ -104,8 +102,7 @@ func (m *Matrix) SpMVT(x []float64) ([]float64, error) {
 		return nil, fmt.Errorf("linalg: x has %d entries for %d rows", len(x), m.Shape[0])
 	}
 	y := make([]float64, m.Shape[1])
-	seq, _ := core.Points(m.Reader)
-	for p, slot := range seq {
+	for p, slot := range m.Reader.(core.Iterator).Each {
 		y[p[1]] += m.Values[slot] * x[p[0]]
 	}
 	return y, nil
@@ -126,7 +123,7 @@ func NewTensor(shape tensor.Shape, r core.Reader, values []float64) (*Tensor, er
 	if r.NNZ() != len(values) {
 		return nil, fmt.Errorf("linalg: %d values for %d points", len(values), r.NNZ())
 	}
-	if _, ok := core.Points(r); !ok {
+	if _, ok := r.(core.Iterator); !ok {
 		return nil, fmt.Errorf("linalg: reader cannot iterate")
 	}
 	return &Tensor{Shape: shape, Reader: r, Values: values}, nil
@@ -161,8 +158,7 @@ func (t *Tensor) TTV(mode int, v []float64) ([]float64, tensor.Shape, error) {
 	vol, _ := outShape.Volume()
 	out := make([]float64, vol)
 	q := make([]uint64, len(outShape))
-	seq, _ := core.Points(t.Reader)
-	for p, slot := range seq {
+	for p, slot := range t.Reader.(core.Iterator).Each {
 		if d == 1 {
 			out[0] += t.Values[slot] * v[p[0]]
 			continue
@@ -226,8 +222,7 @@ func (t *Tensor) MTTKRP(mode int, factors [2]*Dense) (*Dense, error) {
 		}
 	}
 	out := NewDense(int(t.Shape[mode]), rank)
-	seq, _ := core.Points(t.Reader)
-	for p, slot := range seq {
+	for p, slot := range t.Reader.(core.Iterator).Each {
 		v := t.Values[slot]
 		i := int(p[mode])
 		j, k := int(p[others[0]]), int(p[others[1]])

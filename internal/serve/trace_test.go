@@ -92,6 +92,25 @@ func TestTracedQueryByteIdentical(t *testing.T) {
 			if n := len(reg.SlowLog().Entries()); n < len(reqs) {
 				t.Fatalf("%d slow-log entries, want at least %d", n, len(reqs))
 			}
+
+			// A kernel is a read too: its slow-log line carries what the
+			// read underneath fetched, next to the push-down counts.
+			kres, err := st.Kernel(traced, store.KernelRequest{Op: store.KernelSumRegion, Region: &region})
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries := reg.SlowLog().Entries()
+			cost := entries[len(entries)-1].Cost
+			if op := entries[len(entries)-1].Op; op != "store.kernel" {
+				t.Fatalf("last slow-log entry is %q, want store.kernel", op)
+			}
+			if cost["fragments"] != int64(kres.Report.Fragments) || cost["fragments"] == 0 ||
+				cost["cache_hits"]+cost["cache_misses"] != cost["fragments"] {
+				t.Fatalf("kernel cost %v: want cache_hits + cache_misses = fragments = %d", cost, kres.Report.Fragments)
+			}
+			if _, ok := cost["bytes_read"]; !ok {
+				t.Fatalf("kernel cost %v carries no bytes_read", cost)
+			}
 		})
 	}
 }

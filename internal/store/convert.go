@@ -9,14 +9,15 @@ import (
 	"sparseart/internal/tensor"
 )
 
-// COO-free format conversion: the source store's live cells stream
-// through the push-down walk (ScanLive — fragment iterators, tombstone
-// masking, O(largest source fragment) memory) into bounded chunks that
+// Format conversion without an exported tensor: the source store's
+// live cells come off one READ (ScanLive — a scan-plan read whose live
+// cells go to a callback instead of a Result) into bounded chunks that
 // the destination's batched ingest pipeline builds and commits in
-// waves. Nothing ever materializes the whole tensor: peak memory is
-// O(Workers × ChunkPoints) plus one source fragment, against the old
-// path's O(nnz) ExportAll buffer — the difference BenchmarkConvert's
-// ReportAllocs row quantifies.
+// waves. The source side holds what any read of everything holds — the
+// hits of its fragments until the merge has run, as ExportAll and
+// compaction do; what stays bounded is the destination side, O(Workers
+// × ChunkPoints), because no coordinate buffer of the whole tensor is
+// built between the two.
 
 // DefaultConvertChunk is the per-fragment point budget of a streaming
 // conversion when the config leaves ChunkPoints unset.
@@ -40,8 +41,9 @@ type ConvertReport struct {
 	// Chunks is the number of destination fragments written.
 	Chunks int
 	// PeakChunkBytes is the largest in-memory chunk (coordinates plus
-	// values) the pipeline held — the knob-controlled peak, reported so
-	// callers see what "bounded" bought instead of silently buffering.
+	// values) the destination pipeline held — the knob-controlled peak
+	// of the destination side only; the source read's hits are not
+	// counted.
 	PeakChunkBytes int64
 	// SourceEpoch is the source snapshot the conversion read.
 	SourceEpoch uint64
@@ -59,11 +61,10 @@ func Convert(src *Store, fs fsim.FS, prefix string, kind core.Kind, opts ...Opti
 
 // ConvertStreamed converts src into a new store at prefix under the
 // given organization, streaming live cells through bounded chunks
-// instead of exporting the tensor. Chunks are cut in the deterministic
-// ScanLive order (manifest order across fragments, payload order
-// within), so the destination's bytes are a pure function of the source
-// snapshot; its logical contents (ExportAll) equal the source's
-// exactly. On any failure the destination is closed before returning —
+// instead of exporting the tensor. Chunks are cut in ScanLive's order,
+// ascending linear address, so they cover disjoint address ranges and
+// the destination's bytes are a pure function of the source snapshot;
+// its logical contents (ExportAll) equal the source's exactly. On any failure the destination is closed before returning —
 // its manifest log is checkpointed and any background worker drained —
 // so the committed prefix remains a valid, reopenable store.
 func ConvertStreamed(src *Store, fs fsim.FS, prefix string, kind core.Kind, cfg ConvertConfig, opts ...Option) (*Store, *ConvertReport, error) {

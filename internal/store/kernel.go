@@ -8,7 +8,7 @@ import (
 )
 
 // KernelOp names one in-store compute kernel. The set mirrors the
-// push-down kernels (pushdown.go); the numeric values are wire-stable
+// kernel folds (pushdown.go); the numeric values are wire-stable
 // — internal/wire serializes them verbatim.
 type KernelOp uint8
 
@@ -59,7 +59,10 @@ type KernelRequest struct {
 	Mode int
 	// Vec is the operand vector for KernelSpMV (x) and KernelTTV.
 	Vec []float64
-	// Workers bounds the push-down worker pool; < 1 means all cores.
+	// Workers bounds the fragment worker pool exactly as
+	// QueryRequest.Workers does: 0 or 1 reads fragments serially, n > 1
+	// uses n workers, negative uses every core. The answer does not
+	// depend on it.
 	Workers int
 }
 
@@ -75,7 +78,7 @@ type KernelResult struct {
 
 // Kernel executes one KernelRequest — the only compute entry point,
 // locally and over the wire. Cancellation is checked per fragment by
-// the underlying push-down executor.
+// the READ loop underneath.
 func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, error) {
 	if req.Region != nil && req.Op != KernelSumRegion {
 		return nil, fmt.Errorf("store: %w: kernel %v takes no region", ErrBadRequest, req.Op)
@@ -85,31 +88,54 @@ func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, e
 	if sp.Sampled() {
 		sp.SetAttrStr("kernel", req.Op.String())
 	}
-	res, err := s.kernelAt(ctx, req)
-	var rep *PushReport
-	if res != nil {
-		rep = res.Report
+	res, read, err := s.kernelAt(ctx, req)
+	var cost func() map[string]int64
+	if err == nil {
+		// The push report's counts plus what the read underneath fetched.
+		cost = func() map[string]int64 {
+			m := PushCost(res.Report)()
+			m["cache_hits"] = int64(read.CacheHits)
+			m["cache_misses"] = int64(read.CacheMisses)
+			m["bytes_read"] = read.BytesRead
+			return m
+		}
 	}
-	FinishRequestSpan(reg, ctx, sp, obsKernel, s.curKind().String(), PushCost(rep), err)
+	FinishRequestSpan(reg, ctx, sp, obsKernel, s.curKind().String(), cost, err)
 	return res, err
 }
 
-// kernelAt dispatches the kernel to its body (pushdown.go).
-func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, error) {
+// kernelAt picks the kernel's fold (pushdown.go) and runs it over the
+// live cells; the read's report comes back for cost attribution.
+func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, *ReadReport, error) {
+	res := &KernelResult{Values: []float64{0}}
+	sum := func(_ []uint64, val float64) bool { res.Values[0] += val; return true }
+	var (
+		fold emitFunc
+		err  error
+	)
 	switch req.Op {
 	case KernelSumAll:
-		return s.reduceKernel(ctx, req.Op, req.Workers, nil, sumCell)
+		fold = sum
 	case KernelSumRegion:
-		return s.sumRegion(ctx, req.Region, req.Workers)
-	case KernelLiveNNZ:
-		return s.reduceKernel(ctx, req.Op, req.Workers, nil, countCell)
+		fold, err = sum, s.checkKernelRegion(req.Region)
+	case KernelLiveNNZ: // a count in a float64 — exact to 2⁵³
+		fold = func([]uint64, float64) bool { res.Values[0]++; return true }
 	case KernelNNZPerSlice:
-		return s.nnzPerSlice(ctx, req.Mode, req.Workers)
+		fold, err = s.nnzPerSliceFold(res, req.Mode)
 	case KernelSpMV:
-		return s.spmv(ctx, req.Vec, req.Workers)
+		fold, err = s.spmvFold(res, req.Vec)
 	case KernelTTV:
-		return s.ttv(ctx, req.Mode, req.Vec, req.Workers)
+		fold, err = s.ttvFold(res, req.Mode, req.Vec)
 	default:
-		return nil, fmt.Errorf("store: %w: unknown kernel op %d", ErrBadRequest, uint8(req.Op))
+		err = fmt.Errorf("store: %w: unknown kernel op %d", ErrBadRequest, uint8(req.Op))
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	var read *ReadReport
+	res.Report, read, err = s.foldLive(ctx, req.Op.String(), req.Region, req.Workers, fold)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, read, nil
 }

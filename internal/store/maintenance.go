@@ -34,9 +34,7 @@ func (s *Store) ExportAll() (*tensor.Coords, []float64, error) {
 // exportView materializes the live contents of a view: a READ whose
 // target is everything, every fragment scanned in full.
 func (s *Store) exportView(v *readView) (*tensor.Coords, []float64, error) {
-	dims := s.shape.Dims()
-	whole := tensor.Region{Start: make([]uint64, dims), Size: s.shape}
-	res, _, err := s.readView(context.Background(), v, len(v.frags), readPlan{box: whole.BBox()}, 0)
+	res, _, _, err := s.readView(context.Background(), v, len(v.frags), s.scanPlan(nil), 0, nil)
 	if err != nil {
 		return nil, nil, err
 	}

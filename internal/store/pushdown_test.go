@@ -8,13 +8,15 @@ import (
 
 	"sparseart/internal/core"
 	"sparseart/internal/linalg"
+	"sparseart/internal/obs"
 	"sparseart/internal/tensor"
 )
 
-// randomIntPoints is randomPoints with small integer values: every
-// kernel here is differentially checked against a parallel reduction
-// whose merge order is nondeterministic, and integer-valued sums below
-// 2^53 are exact regardless of association.
+// randomIntPoints is randomPoints with small integer values: the
+// differentials below compare kernels with linalg kernels that walk an
+// export in a different order, and integer-valued sums below 2^53 are
+// exact regardless of association. (TestKernelFoldDeterministic is the
+// one with non-integer values.)
 func randomIntPoints(rng *rand.Rand, shape tensor.Shape, n int) (*tensor.Coords, []float64) {
 	c, vals := randomPoints(rng, shape, n)
 	for i := range vals {
@@ -326,8 +328,143 @@ func TestScanLiveMatchesExport(t *testing.T) {
 	}
 }
 
-// TestPushdownSnapshotIsolation: a kernel launched before a write (or a
-// compaction) reflects only its pinned epoch.
+// TestKernelFoldDeterministic: a kernel is a fold over the READ loop's
+// live cells in ascending linear address, so on a store with
+// cross-fragment overwrites, duplicate points inside one fragment and
+// tombstones — non-integer values throughout — every kernel and
+// ScanLive is bit-identical across Workers and equal to folding the
+// whole-store scan Query / ExportAll in address order, and the push
+// report is that read's accounting: Cells = the result's length,
+// Shadowed / Dead = what store.merge.* counted for it.
+func TestKernelFoldDeterministic(t *testing.T) {
+	shape := tensor.Shape{24, 20}
+	whole := tensor.Region{Start: []uint64{0, 0}, Size: shape}
+	window := tensor.Region{Start: []uint64{3, 2}, Size: []uint64{15, 11}}
+	for _, kind := range pushKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			eachStoreConfig(t, func(t *testing.T, opts []Option) {
+				reg := obs.New()
+				st, err := Create(newSim(t), "t", kind, shape, append(opts[:len(opts):len(opts)], WithObs(reg))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(2024))
+				for i := 0; i < 5; i++ {
+					c, vals := randomPoints(rng, shape, 140) // ~29 % fill: fragments overlap
+					for d := 0; d < 10; d++ {                // rewrite ten of its own points, later in the payload
+						c.Append(c.At(rng.Intn(140))...)
+						vals = append(vals, rng.NormFloat64())
+					}
+					if _, err := st.Write(c, vals); err != nil {
+						t.Fatal(err)
+					}
+					if i == 1 || i == 3 {
+						del := tensor.Region{Start: []uint64{uint64(4 * i), 5}, Size: []uint64{6, 9}}
+						if _, err := st.DeleteRegion(del); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+
+				coords, vals, err := st.ExportAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, _, err := readRegion(st, whole, StrategyScan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.Coords, coords) || !reflect.DeepEqual(res.Values, vals) {
+					t.Fatal("whole-store scan Query and ExportAll disagree")
+				}
+				x := make([]float64, shape[1])
+				for i := range x {
+					x[i] = rng.NormFloat64()
+				}
+				v0 := make([]float64, shape[0])
+				for i := range v0 {
+					v0[i] = rng.NormFloat64()
+				}
+
+				// want folds the export, in its (address) order, the way
+				// each kernel is defined.
+				inWindow := 0
+				want := map[KernelOp][]float64{
+					KernelSumAll:      {0},
+					KernelSumRegion:   {0},
+					KernelLiveNNZ:     {float64(coords.Len())},
+					KernelNNZPerSlice: make([]float64, shape[1]),
+					KernelSpMV:        make([]float64, shape[0]),
+					KernelTTV:         make([]float64, shape[1]),
+				}
+				for i, n := 0, coords.Len(); i < n; i++ {
+					p, v := coords.At(i), vals[i]
+					want[KernelSumAll][0] += v
+					if window.Contains(p) {
+						want[KernelSumRegion][0] += v
+						inWindow++
+					}
+					want[KernelNNZPerSlice][p[1]]++
+					want[KernelSpMV][p[0]] += v * x[p[1]]
+					want[KernelTTV][p[1]] += v * v0[p[0]]
+				}
+				reqs := []KernelRequest{
+					{Op: KernelSumAll},
+					{Op: KernelSumRegion, Region: &window},
+					{Op: KernelLiveNNZ},
+					{Op: KernelNNZPerSlice, Mode: 1},
+					{Op: KernelSpMV, Vec: x},
+					{Op: KernelTTV, Mode: 0, Vec: v0},
+				}
+				overwritten := reg.Counter("store.merge.overwritten", "kind", kind.String())
+				tombDead := reg.Counter("store.merge.tombstone_dead", "kind", kind.String())
+				for _, workers := range []int{0, 1, 4, -1} {
+					for _, req := range reqs {
+						req.Workers = workers
+						ow, td := overwritten.Value(), tombDead.Value()
+						kres, err := kernel(st, req)
+						if err != nil {
+							t.Fatalf("%v workers=%d: %v", req.Op, workers, err)
+						}
+						if !reflect.DeepEqual(kres.Values, want[req.Op]) {
+							t.Fatalf("%v workers=%d: %v, want the address-order fold %v", req.Op, workers, kres.Values, want[req.Op])
+						}
+						cells := coords.Len()
+						if req.Op == KernelSumRegion {
+							cells = inWindow
+						}
+						rep := kres.Report
+						if rep.Cells != int64(cells) {
+							t.Fatalf("%v workers=%d: report says %d cells, the result has %d", req.Op, workers, rep.Cells, cells)
+						}
+						if rep.Shadowed != overwritten.Value()-ow || rep.Dead != tombDead.Value()-td {
+							t.Fatalf("%v workers=%d: report shadowed=%d dead=%d, store.merge.* counted %d and %d",
+								req.Op, workers, rep.Shadowed, rep.Dead, overwritten.Value()-ow, tombDead.Value()-td)
+						}
+						if req.Region == nil && (rep.Shadowed == 0 || rep.Dead == 0) {
+							t.Fatalf("%v: the store exercises no overwrite (%d) or no tombstone (%d)", req.Op, rep.Shadowed, rep.Dead)
+						}
+					}
+				}
+
+				// ScanLive is the same fold with the caller's visitor.
+				got := &Result{Coords: tensor.NewCoords(shape.Dims(), 0)}
+				rep, err := st.ScanLive(context.Background(), nil, func(p []uint64, val float64) bool {
+					got.Coords.Append(p...)
+					got.Values = append(got.Values, val)
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Coords, coords) || !reflect.DeepEqual(got.Values, vals) || rep.Cells != int64(coords.Len()) {
+					t.Fatalf("ScanLive delivered %d cells (report %d), not the export's %d in its order", got.Coords.Len(), rep.Cells, coords.Len())
+				}
+			})
+		})
+	}
+}
+
 func TestPushdownEmptyStore(t *testing.T) {
 	fs := newSim(t)
 	st, err := Create(fs, "t", core.Linear, tensor.Shape{8, 8})

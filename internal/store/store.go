@@ -738,6 +738,17 @@ func planRead(req QueryRequest) (pl readPlan, err error) {
 	return pl, nil
 }
 
+// scanPlan is the plan of a read that walks stored points instead of
+// probing: every point of every fragment when region is nil (exports,
+// compaction, whole-store kernels), the points inside region otherwise.
+func (s *Store) scanPlan(region *tensor.Region) readPlan {
+	if region != nil {
+		return readPlan{box: region.BBox(), region: region}
+	}
+	whole := tensor.Region{Start: make([]uint64, s.shape.Dims()), Size: s.shape}
+	return readPlan{box: whole.BBox()}
+}
+
 // mayHold asks fr's coordinate filter whether the fragment can hold any
 // of the target. Filters have no false negatives, so false lets the
 // loop skip the fragment without a fetch.
@@ -868,7 +879,8 @@ func (s *Store) read(ctx context.Context, req QueryRequest) (*Result, *ReadRepor
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.readView(ctx, v, limit, pl, req.Workers)
+	res, rep, _, err := s.readView(ctx, v, limit, pl, req.Workers, nil)
+	return res, rep, err
 }
 
 // readView is Algorithm 3's READ and the store's only fragment loop:
@@ -876,13 +888,15 @@ func (s *Store) read(ctx context.Context, req QueryRequest) (*Result, *ReadRepor
 // overlaps the target, skip those the coordinate filters rule out,
 // fetch and extract each survivor, then merge the hits by linear
 // address — newest fragment wins, cells under a later tombstone are
-// dead. What varies is the readPlan; fragments run inline unless
-// workers (QueryRequest.Workers) asks for a pool.
+// dead — handing each live cell to emit (a nil emit collects them in
+// the returned Result). What varies is the readPlan and the emitter;
+// fragments run inline unless workers (QueryRequest.Workers) asks for a
+// pool.
 //
 // Cancellation is checked once per candidate fragment. A pooled read
 // lets fragments already handed to a worker finish, hands out no more,
 // and returns ctx.Err().
-func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPlan, workers int) (*Result, *ReadReport, error) {
+func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPlan, workers int, emit emitFunc) (*Result, *ReadReport, liveCounts, error) {
 	acc := &readAcc{rep: ReadReport{Epoch: v.epoch}}
 	rep := &acc.rep
 	s.takeCost()
@@ -891,7 +905,7 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 	root, _ := reg.StartCtx(ctx, obsRead)
 	defer root.End()
 	if pl.probe != nil && pl.probe.Len() == 0 {
-		return &Result{Coords: tensor.NewCoords(s.shape.Dims(), 0)}, rep, nil
+		return &Result{Coords: tensor.NewCoords(s.shape.Dims(), 0)}, rep, liveCounts{}, nil
 	}
 	var pool *readPool
 	if n := psort.Workers(workers); n > 1 && workers != 0 {
@@ -930,18 +944,18 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 		rep.Add(&pool.acc.rep)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, liveCounts{}, err
 	}
 	if rep.FilterSkipped > 0 {
 		reg.Counter("store.filter.skipped", "kind", kind).Add(int64(rep.FilterSkipped))
 	}
 
 	sp := root.Child(obsReadMerge)
-	res, mergeDur := mergeHits(s, acc.hits, v.overlapTombs(cands))
+	res, live, mergeDur := mergeHits(s, acc.hits, v.overlapTombs(cands), emit)
 	sp.End()
 	acc.hits = nil // the report outlives the read; the hits need not
 	rep.Merge = mergeDur
-	rep.Found = res.Coords.Len()
+	rep.Found = int(live.cells)
 	reg.Counter("store.read.count", "kind", kind).Inc()
 	reg.Counter("store.read.fragments", "kind", kind).Add(int64(rep.Fragments))
 	if rep.Scans > 0 {
@@ -949,7 +963,7 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 	}
 	reg.Counter("store.read.probed", "kind", kind).Add(int64(rep.Probed))
 	reg.Counter("store.read.found", "kind", kind).Add(int64(rep.Found))
-	return res, rep, nil
+	return res, rep, live, nil
 }
 
 // filterMayContainProbe asks a fragment's coordinate filter whether any
@@ -966,13 +980,28 @@ func filterMayContainProbe(f *filter.Filter, box tensor.BBox, probe *tensor.Coor
 	return false
 }
 
-// mergeHits implements Algorithm 3 line 12: sort hits by linear address
-// (ties by fragment recency), keep the newest value per cell, and drop
-// cells whose newest write precedes a covering tombstone. The sort is a
-// psort permutation sort, so large merges (region reads pulling
-// millions of hits) use every core; small ones stay serial under
-// psort's cutoff.
-func mergeHits(s *Store, hits []hit, tombs []tombstoneRef) (*Result, time.Duration) {
+// emitFunc receives a read's live cells one at a time, in ascending
+// linear address. p is reused between calls; returning false ends the
+// read there.
+type emitFunc func(p []uint64, val float64) bool
+
+// liveCounts is what mergeHits decided about a read's hits.
+type liveCounts struct {
+	cells       int64 // live: handed to the emitter
+	overwritten int64 // lost to a later write of the same cell
+	dead        int64 // newest write lies under a later tombstone
+}
+
+// mergeHits implements Algorithm 3 line 12 and is the only place a
+// stored cell is judged live: sort hits by linear address (ties by
+// fragment recency, then payload order), keep the newest value per
+// cell, drop cells whose newest write precedes a covering tombstone,
+// and hand what is left to emit in address order. With a nil emit the
+// live cells are appended to the returned Result; a kernel passes its
+// fold and no Result exists. The sort is a psort permutation sort, so
+// large merges (region reads pulling millions of hits) use every core;
+// small ones stay serial under psort's cutoff.
+func mergeHits(s *Store, hits []hit, tombs []tombstoneRef, emit emitFunc) (*Result, liveCounts, time.Duration) {
 	t := time.Now()
 	// The comparison must be strict (a total order): a pooled read
 	// appends hits in nondeterministic worker order, and a duplicated
@@ -990,13 +1019,21 @@ func mergeHits(s *Store, hits []hit, tombs []tombstoneRef) (*Result, time.Durati
 		}
 		return a < b
 	})
-	out := &Result{Coords: tensor.NewCoords(s.shape.Dims(), len(hits))}
+	var out *Result
+	if emit == nil {
+		out = &Result{Coords: tensor.NewCoords(s.shape.Dims(), len(hits))}
+		emit = func(p []uint64, val float64) bool {
+			out.Coords.Append(p...)
+			out.Values = append(out.Values, val)
+			return true
+		}
+	}
 	p := make([]uint64, s.shape.Dims())
-	var overwritten, tombDead int64
+	var live liveCounts
 	for i := range perm {
 		h := hits[perm[i]]
 		if i+1 < len(perm) && hits[perm[i+1]].addr == h.addr {
-			overwritten++
+			live.overwritten++
 			continue // a newer fragment overwrote this cell
 		}
 		s.lin.Delinearize(h.addr, p)
@@ -1008,16 +1045,18 @@ func mergeHits(s *Store, hits []hit, tombs []tombstoneRef) (*Result, time.Durati
 			}
 		}
 		if dead {
-			tombDead++
+			live.dead++
 			continue
 		}
-		out.Coords.Append(p...)
-		out.Values = append(out.Values, h.val)
+		live.cells++
+		if !emit(p, h.val) {
+			break
+		}
 	}
 	if reg := s.obsReg(); reg != nil {
 		kind := s.curKind().String()
-		reg.Counter("store.merge.overwritten", "kind", kind).Add(overwritten)
-		reg.Counter("store.merge.tombstone_dead", "kind", kind).Add(tombDead)
+		reg.Counter("store.merge.overwritten", "kind", kind).Add(live.overwritten)
+		reg.Counter("store.merge.tombstone_dead", "kind", kind).Add(live.dead)
 	}
-	return out, time.Since(t)
+	return out, live, time.Since(t)
 }

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
 	"testing"
 
 	"sparseart/internal/obs"
@@ -113,4 +116,34 @@ func FuzzFrameTrace(f *testing.F) {
 			t.Fatalf("legacy read mismatch: typ=%#x id=%d", ltyp, lid)
 		}
 	})
+}
+
+// TestReadFrameAllocatesForBytesReceived: a header announcing MaxFrame
+// with no payload behind it is a truncated frame, refused before the
+// reader has allocated more than the eager megabyte; a real payload
+// past that size still arrives whole.
+func TestReadFrameAllocatesForBytesReceived(t *testing.T) {
+	hdr := make([]byte, frameHeaderLen)
+	binary.LittleEndian.PutUint32(hdr, MaxFrame)
+	hdr[4] = MsgQuery
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, _, err := ReadFrameTrace(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("1 GiB header then EOF: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("1 GiB header then EOF allocated %d bytes, want < 2 MiB", got)
+	}
+
+	payload := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, (3<<20)/7+1) // not a power of two
+	var b bytes.Buffer
+	if err := WriteFrame(&b, MsgOK, 9, payload); err != nil {
+		t.Fatal(err)
+	}
+	typ, id, got, err := ReadFrame(&b)
+	if err != nil || typ != MsgOK || id != 9 || !bytes.Equal(got, payload) {
+		t.Fatalf("3 MiB frame: typ=%#x id=%d len=%d err=%v", typ, id, len(got), err)
+	}
 }

@@ -68,6 +68,10 @@ const (
 // corrupt (or hostile) and the connection is dropped.
 const MaxFrame = 1 << 30
 
+// eagerFrame is the largest payload ReadFrameTrace allocates for on
+// the header's word alone.
+const eagerFrame = 1 << 20
+
 // frameHeaderLen is the fixed frame header size.
 const frameHeaderLen = 4 + 1 + 8
 
@@ -160,11 +164,23 @@ func ReadFrameTrace(r io.Reader) (typ uint8, id uint64, tc obs.TraceContext, pay
 		tc.Span = tr.U64()
 		tc.Sampled = tr.U8()&traceFlagSampled != 0
 	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, 0, obs.TraceContext{}, nil, err
+	// Allocation tracks bytes received, not bytes announced: up to
+	// eagerFrame the payload is one exact allocation, past that the
+	// buffer doubles (never beyond n) each time the peer has filled it,
+	// so a header claiming a gigabyte costs nothing until the bytes come.
+	payload = make([]byte, min(n, eagerFrame))
+	for got := 0; ; {
+		if _, err = io.ReadFull(r, payload[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised a payload
+			}
+			return 0, 0, obs.TraceContext{}, nil, err
+		}
+		if got = len(payload); got == int(n) {
+			return typ, id, tc, payload, nil
+		}
+		payload = append(payload, make([]byte, min(got, int(n)-got))...)
 	}
-	return typ, id, tc, payload, nil
 }
 
 // Code is a wire-stable error code. Codes never change meaning across

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -270,4 +271,57 @@ func TestDeleteKernelInfoRoundTrip(t *testing.T) {
 	if d, err := DecodeDeadline(nil); err != nil || d != 0 {
 		t.Fatalf("empty deadline: %v %v", d, err)
 	}
+}
+
+// FuzzDecodeKernel: arbitrary bytes either fail to decode or decode to
+// a request whose encoding is a fixed point — decode → encode → decode
+// → encode yields the same bytes (compared as bytes, so NaN operands
+// count as equal to themselves).
+func FuzzDecodeKernel(f *testing.F) {
+	reg := tensor.Region{Start: []uint64{0, 3}, Size: []uint64{4, 1}}
+	f.Add((&Kernel{Deadline: time.Second, Req: store.KernelRequest{Op: store.KernelSumRegion, Region: &reg, Workers: -1}}).Encode())
+	f.Add((&Kernel{Req: store.KernelRequest{Op: store.KernelTTV, Mode: 2, Vec: []float64{1, math.NaN(), 3}}}).Encode())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		m, err := DecodeKernel(payload)
+		if err != nil {
+			return
+		}
+		enc := m.Encode()
+		m2, err := DecodeKernel(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an encoded kernel failed: %v", err)
+		}
+		if enc2 := m2.Encode(); !bytes.Equal(enc, enc2) {
+			t.Fatalf("kernel encoding is not a fixed point:\n%x\n%x", enc, enc2)
+		}
+	})
+}
+
+// FuzzDecodeKernelResult is the same fixed-point property for the
+// MsgKernel reply.
+func FuzzDecodeKernelResult(f *testing.F) {
+	f.Add(EncodeKernelResult(&store.KernelResult{
+		Values: []float64{1, 2, 3}, Shape: tensor.Shape{3},
+		Report: &store.PushReport{Fragments: 2, Skipped: 1, Cells: 30, Shadowed: 4, Dead: 5, Epoch: 6},
+	}))
+	f.Add(EncodeKernelResult(&store.KernelResult{Values: []float64{math.Inf(-1)}, Report: &store.PushReport{}}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		res, err := DecodeKernelResult(payload)
+		if err != nil {
+			return
+		}
+		if res.Report == nil {
+			t.Fatal("decoded kernel result has no report")
+		}
+		enc := EncodeKernelResult(res)
+		res2, err := DecodeKernelResult(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an encoded kernel result failed: %v", err)
+		}
+		if enc2 := EncodeKernelResult(res2); !bytes.Equal(enc, enc2) {
+			t.Fatalf("kernel result encoding is not a fixed point:\n%x\n%x", enc, enc2)
+		}
+	})
 }

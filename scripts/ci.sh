@@ -45,9 +45,13 @@ go build ./...
 # environment; and Algorithm 3's WRITE exists once, so the store calls
 # Format.Build in one place and encodes a fragment in one place
 # (prepareBatch — Write, WriteBatch, the chunked ingest and compaction
-# all go through it). The numbers printed are the baseline the next
-# simplicity change is measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; exported methods; code lines)"
+# all go through it); and Algorithm 3's READ exists once, so a fragment
+# is fetched from two places only (readFragment on the READ loop, and
+# warmCache) and internal/core offers one walk (Iterator.Each and
+# RegionScanner.ScanRegion — no iter.Seq2 twin of them). The numbers
+# printed are the baseline the next simplicity change is measured
+# against.
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; exported methods; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -63,6 +67,15 @@ if [ "$builds" -ne 1 ] || [ "$encodes" -ne 1 ]; then
     echo "internal/store calls Format.Build in $builds places and encodes a fragment in $encodes (want 1 and 1: go through prepareBatch)" >&2
     exit 1
 fi
+fetches=$(grep -hE 'fetchFragment\(' $store_src | grep -cvE '^func |^\s*//' || true)
+if [ "$fetches" -ne 2 ]; then
+    echo "internal/store fetches a fragment from $fetches places (want 2: readFragment and warmCache — read through readView)" >&2
+    exit 1
+fi
+if grep -rnE 'iter\.Seq2|\) Points\(\)|RegionPoints\(' --include='*.go' --exclude='*_test.go' internal/core; then
+    echo "internal/core carries a second walk contract (range over Iterator.Each / RegionScanner.ScanRegion)" >&2
+    exit 1
+fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
 echo "  methods of serve.Backend: $n"
 for recv in Store Chunked; do
@@ -73,9 +86,14 @@ done
 lines=$(find internal/store internal/serve internal/wire -name '*.go' ! -name '*_test.go' -print0 |
     xargs -0 cat | grep -cvE '^\s*(//.*)?$')
 echo "  non-blank non-comment lines, internal/{store,serve,wire}: $lines"
-lines=$(find internal/fragment -name '*.go' ! -name '*_test.go' -print0 |
-    xargs -0 cat | grep -cvE '^\s*(//.*)?$')
-echo "  non-blank non-comment lines, internal/fragment: $lines"
+echo "  non-blank non-comment lines per package tree:"
+for pkg in internal/* cmd/* .; do
+    depth=""
+    [ "$pkg" = . ] && depth="-maxdepth 1"
+    lines=$(find "$pkg" $depth -name '*.go' ! -name '*_test.go' -print0 |
+        xargs -0 cat | grep -cvE '^\s*(//.*)?$')
+    printf '    %-24s %6d\n' "$pkg" "$lines"
+done
 
 # The suite carries its own configuration matrix: the store's
 # differential oracle, race hammer, crash sweeps and chunked ≡ flat

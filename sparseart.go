@@ -95,16 +95,19 @@ type (
 	// Batch is one fragment's worth of input to the batched ingest: the
 	// arguments of one Write, ingested through the parallel pipeline.
 	Batch = store.Batch
-	// PushReport summarizes a push-down execution: fragments iterated
-	// and skipped, live cells delivered, and cells masked by newer
-	// fragments (Shadowed) or tombstones (Dead). Returned in every
-	// KernelResult (Store.Kernel) and by Store.ScanLive.
+	// PushReport summarizes a push-down execution in the accounting of
+	// the read it ran: fragments scanned, candidates the coordinate
+	// filters skipped, live cells delivered, and stored cells a later
+	// write overwrote (Shadowed) or a later tombstone covers (Dead).
+	// Returned in every KernelResult (Store.Kernel) and by
+	// Store.ScanLive.
 	PushReport = store.PushReport
 	// ConvertConfig tunes a streaming conversion's chunking and worker
 	// pool.
 	ConvertConfig = store.ConvertConfig
 	// ConvertReport summarizes a streaming conversion: points and chunks
-	// streamed, and the peak in-memory chunk footprint.
+	// streamed, and the peak in-memory chunk footprint on the
+	// destination side.
 	ConvertReport = store.ConvertReport
 	// ReaderCache is a byte-budgeted LRU fragment cache; share one
 	// across stores (or across a ChunkedStore's tiles) with
