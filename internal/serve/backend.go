@@ -109,24 +109,26 @@ func (b chunkedBackend) ObsSnapshot(context.Context) ([]byte, error) {
 	return b.c.Obs().Snapshot().JSON()
 }
 
-// collectBatch runs a WriteBatchContext-shaped ingest and collects the
-// per-batch reports in order, stopping at the first error the way
-// store.WriteBatch does.
+// collectBatch runs a WriteBatchContext-shaped ingest and returns one
+// report per batch, in request order: a chunked store reports a batch
+// once per tile it touches, and those fragments fold into the batch's
+// report by the index fn receives (an empty batch keeps a zero report).
+// On error the reports cover what was committed before it.
 func collectBatch(ctx context.Context, batches []store.Batch, workers int,
 	run func(ctx context.Context, batches []store.Batch, workers int, fn func(i int, rep *store.WriteReport, err error) error) error,
 ) ([]*store.WriteReport, error) {
-	reps := make([]*store.WriteReport, 0, len(batches))
-	err := run(ctx, batches, workers, func(_ int, rep *store.WriteReport, err error) error {
+	reps := make([]*store.WriteReport, len(batches))
+	for i := range reps {
+		reps[i] = &store.WriteReport{}
+	}
+	err := run(ctx, batches, workers, func(i int, rep *store.WriteReport, err error) error {
 		if err != nil {
 			return err
 		}
-		reps = append(reps, rep)
+		reps[i].Add(rep)
 		return nil
 	})
-	if err != nil {
-		return reps, err
-	}
-	return reps, nil
+	return reps, err
 }
 
 // errUnsupportedOp builds the ErrBadRequest wrap for ops a backend

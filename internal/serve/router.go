@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"sync"
 
 	"sparseart/internal/core"
@@ -36,10 +35,8 @@ const (
 // with the same global shape, tile extents, and kind — the router
 // checks at construction.
 type Router struct {
-	shape tensor.Shape
-	tile  tensor.Shape
-	kind  uint8    // core.Kind of every shard
-	grid  []uint64 // tiles per dimension (ceil(shape/tile))
+	tiling store.Tiling // every shard's global shape and tile extents
+	kind   uint8        // core.Kind of every shard
 
 	addrs   []string
 	clients []*Client
@@ -84,31 +81,34 @@ func NewRouter(addrs []string, reg *obs.Registry) (*Router, error) {
 			return nil, fmt.Errorf("serve: %w: shard %d (%s) hosts an untiled store", store.ErrBadRequest, i, addr)
 		}
 		if i == 0 {
-			r.shape, r.tile, r.kind = info.Shape, info.Tile, uint8(info.Kind)
-		} else if !r.shape.Equal(info.Shape) || !r.tile.Equal(info.Tile) || r.kind != uint8(info.Kind) {
+			r.tiling, r.kind = store.Tiling{Shape: info.Shape, Tile: info.Tile}, uint8(info.Kind)
+		} else if !r.tiling.Shape.Equal(info.Shape) || !r.tiling.Tile.Equal(info.Tile) || r.kind != uint8(info.Kind) {
 			r.closeClients()
 			return nil, fmt.Errorf("serve: %w: shard %d (%s) disagrees on shape/tile/kind", store.ErrBadRequest, i, addr)
 		}
 	}
-	r.grid = make([]uint64, r.shape.Dims())
-	for d := range r.grid {
-		r.grid[d] = (r.shape[d] + r.tile[d] - 1) / r.tile[d]
-	}
+	r.ring = newRing(addrs)
+	r.reg.Gauge("router.shards").Set(int64(len(addrs)))
+	return r, nil
+}
+
+// newRing places virtualNodes slots per shard address on the hash ring.
+func newRing(addrs []string) []ringSlot {
+	var ring []ringSlot
 	for i, addr := range addrs {
 		for v := 0; v < virtualNodes; v++ {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%s#%d", addr, v)
-			r.ring = append(r.ring, ringSlot{hash: h.Sum64(), shard: i})
+			ring = append(ring, ringSlot{hash: h.Sum64(), shard: i})
 		}
 	}
-	sort.Slice(r.ring, func(i, j int) bool {
-		if r.ring[i].hash != r.ring[j].hash {
-			return r.ring[i].hash < r.ring[j].hash
+	sort.Slice(ring, func(i, j int) bool {
+		if ring[i].hash != ring[j].hash {
+			return ring[i].hash < ring[j].hash
 		}
-		return r.ring[i].shard < r.ring[j].shard
+		return ring[i].shard < ring[j].shard
 	})
-	r.reg.Gauge("router.shards").Set(int64(len(addrs)))
-	return r, nil
+	return ring
 }
 
 // Close tears down every shard connection.
@@ -129,31 +129,18 @@ func (r *Router) Shards() []string { return r.addrs }
 // kindName labels the shards' organization for spans and slow-log rows.
 func (r *Router) kindName() string { return core.Kind(r.kind).String() }
 
-// owner maps a tile index to its shard by consistent hashing the tile
-// key ("t-0-1"), the same string that names the tile directory.
-func (r *Router) owner(idx []uint64) int {
-	var b strings.Builder
-	b.WriteString("t")
-	for _, v := range idx {
-		fmt.Fprintf(&b, "-%d", v)
+// owner maps a tile to its shard by consistent hashing the tile's name
+// ("t-0-1", the same bytes that name the tile directory) with FNV-1a.
+func (r *Router) owner(name []byte) int {
+	key := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for _, b := range name {
+		key = (key ^ uint64(b)) * 1099511628211 // FNV prime
 	}
-	h := fnv.New64a()
-	h.Write([]byte(b.String()))
-	key := h.Sum64()
 	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= key })
 	if i == len(r.ring) {
 		i = 0
 	}
 	return r.ring[i].shard
-}
-
-// tileOf returns the per-dimension tile index of a global point.
-func (r *Router) tileOf(p []uint64) []uint64 {
-	idx := make([]uint64, len(p))
-	for d := range p {
-		idx[d] = p[d] / r.tile[d]
-	}
-	return idx
 }
 
 // shardErr classifies a shard call failure: typed protocol errors and
@@ -171,44 +158,23 @@ func shardErr(i int, addr string, err error) error {
 }
 
 // regionShards returns the shards owning at least one tile overlapping
-// region, by walking the overlapped tile grid.
+// region: the owner of each tile the tiling's walk visits, stopping
+// once every shard is in.
 func (r *Router) regionShards(region tensor.Region) []int {
-	lo := make([]uint64, len(r.tile))
-	hi := make([]uint64, len(r.tile))
-	for d := range r.tile {
-		lo[d] = region.Start[d] / r.tile[d]
-		end := region.Start[d] + region.Size[d] - 1
-		if region.Size[d] == 0 || end < region.Start[d] {
-			end = region.Start[d] // empty or overflowing extent: clamp
-		}
-		hi[d] = end / r.tile[d]
-		if r.grid[d] > 0 && hi[d] >= r.grid[d] {
-			hi[d] = r.grid[d] - 1
-		}
+	lo, hi, ok := r.tiling.Range(region)
+	if !ok {
+		return nil
 	}
-	seen := map[int]bool{}
+	in := make([]bool, len(r.clients))
+	shards := make([]int, 0, len(in))
+	name := make([]byte, 0, 64)
 	idx := append([]uint64(nil), lo...)
-	for {
-		seen[r.owner(idx)] = true
-		if len(seen) == len(r.clients) {
-			break // every shard already in play
+	for more := true; more && len(shards) < len(in); more = r.tiling.Next(idx, lo, hi) {
+		name = r.tiling.AppendName(name[:0], idx)
+		if s := r.owner(name); !in[s] {
+			in[s] = true
+			shards = append(shards, s)
 		}
-		d := len(idx) - 1
-		for d >= 0 {
-			idx[d]++
-			if idx[d] <= hi[d] {
-				break
-			}
-			idx[d] = lo[d]
-			d--
-		}
-		if d < 0 {
-			break
-		}
-	}
-	shards := make([]int, 0, len(seen))
-	for i := range seen {
-		shards = append(shards, i)
 	}
 	sort.Ints(shards)
 	return shards
@@ -280,7 +246,7 @@ func (r *Router) Info(ctx context.Context) (*wire.Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &wire.Info{Kind: infos[0].Kind, Shape: r.shape, Tile: r.tile}
+	out := &wire.Info{Kind: infos[0].Kind, Shape: r.tiling.Shape, Tile: r.tiling.Tile}
 	for _, info := range infos {
 		out.Fragments += info.Fragments
 		out.Epoch += info.Epoch
@@ -306,8 +272,8 @@ func (r *Router) Query(ctx context.Context, req store.QueryRequest) (*store.Resu
 
 // queryAt dispatches the routed read under the router.query span.
 func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
-	if (req.Probe == nil) == (req.Region == nil) {
-		return nil, nil, fmt.Errorf("store: %w: exactly one of Probe or Region must be set", store.ErrBadRequest)
+	if err := req.Validate(r.tiling.Shape.Dims()); err != nil {
+		return nil, nil, err
 	}
 	if req.AsOf != store.AsOfLatest {
 		return nil, nil, fmt.Errorf("serve: %w: as-of reads are not supported on routed stores", store.ErrBadRequest)
@@ -317,14 +283,8 @@ func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Re
 		parts  []*pointPart // probe targets: each shard's slice of the probe
 	)
 	if req.Region != nil {
-		if req.Region.Dims() != r.shape.Dims() {
-			return nil, nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", store.ErrShapeMismatch, req.Region.Dims(), r.shape.Dims())
-		}
 		shards = r.regionShards(*req.Region)
 	} else {
-		if req.Probe.Dims() != r.shape.Dims() {
-			return nil, nil, fmt.Errorf("store: %w: %d-dim probe for %d-dim store", store.ErrShapeMismatch, req.Probe.Dims(), r.shape.Dims())
-		}
 		parts = r.partitionPoints(req.Probe, nil)
 		shards = partShards(parts)
 	}
@@ -351,7 +311,7 @@ func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Re
 	rep.Shards = len(shards)
 	// Shard tiles are disjoint, so the row-major merge matches a single
 	// local Chunked read exactly.
-	return store.MergeResults(r.shape.Dims(), results), rep, nil
+	return store.MergeResults(r.tiling.Shape.Dims(), results), rep, nil
 }
 
 // pointPart is one shard's slice of a partitioned point set.
@@ -364,9 +324,13 @@ type pointPart struct {
 // owning shard; nil entries mean the shard got no points.
 func (r *Router) partitionPoints(coords *tensor.Coords, values []float64) []*pointPart {
 	parts := make([]*pointPart, len(r.clients))
+	idx := make([]uint64, coords.Dims())
+	name := make([]byte, 0, 64)
 	for i := 0; i < coords.Len(); i++ {
 		p := coords.At(i)
-		s := r.owner(r.tileOf(p))
+		r.tiling.Index(idx, p)
+		name = r.tiling.AppendName(name[:0], idx)
+		s := r.owner(name)
 		part := parts[s]
 		if part == nil {
 			part = &pointPart{coords: tensor.NewCoords(coords.Dims(), 0)}
@@ -391,21 +355,11 @@ func partShards(parts []*pointPart) []int {
 	return shards
 }
 
-// mergeWriteReports folds per-shard write reports into one.
-func mergeWriteReports(reps []*store.WriteReport) *store.WriteReport {
-	out := &store.WriteReport{}
-	for _, rep := range reps {
-		if rep != nil {
-			out.Add(rep)
-		}
-	}
-	return out
-}
-
 // WriteBatch fans the batches out per shard over the streaming ingest
 // API: each shard receives its slice of every batch as one WriteBatch
-// call (batch order preserved), and the returned reports line up with
-// the caller's batches, merging the per-shard pieces of each.
+// call (batch order preserved) and answers one report per sub-batch;
+// the returned reports are one per caller batch, in request order, each
+// the fold of its per-shard pieces (a zero report for an empty batch).
 func (r *Router) WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error) {
 	type shardBatch struct {
 		src     []int // original batch index per sub-batch
@@ -413,20 +367,13 @@ func (r *Router) WriteBatch(ctx context.Context, batches []store.Batch, workers 
 	}
 	// Reject the whole call before anything is sent: once a shard has
 	// committed its slice there is no taking it back.
-	for bi, b := range batches {
-		switch {
-		case b.Coords == nil || b.Coords.Dims() != r.shape.Dims():
-			return nil, fmt.Errorf("store: %w: batch %d: coords are not %d-dim", store.ErrShapeMismatch, bi, r.shape.Dims())
-		case b.Coords.Len() != len(b.Values):
-			return nil, fmt.Errorf("store: %w: batch %d: %d points with %d values", store.ErrShapeMismatch, bi, b.Coords.Len(), len(b.Values))
-		case !b.Coords.InShape(r.shape):
-			return nil, fmt.Errorf("store: %w: batch %d: coordinate outside shape %v", store.ErrShapeMismatch, bi, r.shape)
-		}
+	if err := store.ValidateBatches(batches, r.tiling.Shape); err != nil {
+		return nil, err
 	}
 	perShard := make([]*shardBatch, len(r.clients))
+	var shards []int
 	for bi, b := range batches {
-		parts := r.partitionPoints(b.Coords, b.Values)
-		for i, part := range parts {
+		for i, part := range r.partitionPoints(b.Coords, b.Values) {
 			if part == nil {
 				continue
 			}
@@ -434,53 +381,40 @@ func (r *Router) WriteBatch(ctx context.Context, batches []store.Batch, workers 
 			if sb == nil {
 				sb = &shardBatch{}
 				perShard[i] = sb
+				shards = append(shards, i)
 			}
 			sb.src = append(sb.src, bi)
 			sb.batches = append(sb.batches, store.Batch{Coords: part.coords, Values: part.values})
 		}
 	}
-	var shards []int
-	for i, sb := range perShard {
-		if sb != nil {
-			shards = append(shards, i)
-		}
+	sort.Ints(shards)
+	out := make([]*store.WriteReport, len(batches))
+	for i := range out {
+		out[i] = &store.WriteReport{}
 	}
-	merged := make([][]*store.WriteReport, len(batches))
 	var mu sync.Mutex
 	err := r.scatter(ctx, shards, "write_batch", func(ctx context.Context, i int) error {
 		reps, err := r.clients[i].WriteBatch(ctx, perShard[i].batches, workers)
 		mu.Lock()
+		defer mu.Unlock()
 		for k, rep := range reps {
 			if k < len(perShard[i].src) {
-				src := perShard[i].src[k]
-				merged[src] = append(merged[src], rep)
+				out[perShard[i].src[k]].Add(rep)
 			}
 		}
-		mu.Unlock()
 		return err
 	})
-	out := make([]*store.WriteReport, 0, len(batches))
-	for _, reps := range merged {
-		if len(reps) == 0 {
-			break // committed prefix only, matching local semantics
-		}
-		out = append(out, mergeWriteReports(reps))
-	}
-	if err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, err
 }
 
 // DeleteRegion broadcasts the tombstone to every shard owning an
 // overlapping tile.
 func (r *Router) DeleteRegion(ctx context.Context, region tensor.Region) (*store.WriteReport, error) {
-	if region.Dims() != r.shape.Dims() {
-		return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", store.ErrShapeMismatch, region.Dims(), r.shape.Dims())
+	if err := store.ValidateDeleteRegion(region, r.tiling.Shape); err != nil {
+		return nil, err
 	}
-	shards := r.regionShards(region)
 	reps := make([]*store.WriteReport, len(r.clients))
-	err := r.scatter(ctx, shards, "delete", func(ctx context.Context, i int) error {
+	err := r.scatter(ctx, r.regionShards(region), "delete", func(ctx context.Context, i int) error {
 		rep, err := r.clients[i].DeleteRegion(ctx, region)
 		reps[i] = rep
 		return err
@@ -488,7 +422,13 @@ func (r *Router) DeleteRegion(ctx context.Context, region tensor.Region) (*store
 	if err != nil {
 		return nil, err
 	}
-	return mergeWriteReports(reps), nil
+	out := &store.WriteReport{}
+	for _, rep := range reps {
+		if rep != nil {
+			out.Add(rep)
+		}
+	}
+	return out, nil
 }
 
 // Kernel scatter-gathers the additive push-down kernels; per-shard
@@ -518,8 +458,8 @@ func (r *Router) kernelAt(ctx context.Context, req store.KernelRequest) (*store.
 	}
 	shards := r.allShards()
 	if req.Op == store.KernelSumRegion && req.Region != nil {
-		if req.Region.Dims() != r.shape.Dims() {
-			return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", store.ErrShapeMismatch, req.Region.Dims(), r.shape.Dims())
+		if req.Region.Dims() != r.tiling.Shape.Dims() {
+			return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", store.ErrShapeMismatch, req.Region.Dims(), r.tiling.Shape.Dims())
 		}
 		shards = r.regionShards(*req.Region)
 	}
@@ -547,6 +487,9 @@ func (r *Router) kernelAt(ctx context.Context, req store.KernelRequest) (*store.
 			}
 		}
 		out.Report.Add(res.Report)
+	}
+	if out.Values == nil {
+		out.Values = []float64{0} // a region over no tile asks no shard: the empty sum
 	}
 	return out, nil
 }

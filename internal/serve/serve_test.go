@@ -245,6 +245,10 @@ func TestWriteSideTypedErrors(t *testing.T) {
 		"router out-of-shape point": {Coords: mustCoords(t, 2, 1, 1, 16, 3), Values: []float64{1, 2}},
 	} {
 		_, cases[name] = router.WriteBatch(ctx, []store.Batch{good, bad}, 1)
+		// One validator: the router's words are the store's.
+		if want := store.ValidateBatches([]store.Batch{good, bad}, shape); cases[name] == nil || cases[name].Error() != want.Error() {
+			t.Errorf("%s: router says %v, store.ValidateBatches %v", name, cases[name], want)
+		}
 	}
 	for name, err := range cases {
 		if !errors.Is(err, store.ErrShapeMismatch) || wire.CodeOf(err) != wire.CodeShapeMismatch {
@@ -546,11 +550,17 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 			}
 
 			// Region reads: every strategy, a tile-spanning window and
-			// the full tensor, must match point for point.
+			// the full tensor, must match point for point — and so must
+			// the regions only the tiling's clamp makes sense of: an
+			// extent that overflows uint64, one reaching past the shape,
+			// an empty one.
 			regions := []tensor.Region{
 				{Start: []uint64{0, 0}, Size: []uint64{24, 24}},
 				{Start: []uint64{5, 3}, Size: []uint64{13, 17}},
 				{Start: []uint64{8, 8}, Size: []uint64{8, 8}},
+				{Start: []uint64{9, 9}, Size: []uint64{math.MaxUint64, math.MaxUint64}},
+				{Start: []uint64{0, 0}, Size: []uint64{100, 100}},
+				{Start: []uint64{3, 3}, Size: []uint64{0, 5}},
 			}
 			for _, region := range regions {
 				for _, strat := range []store.Strategy{store.StrategyDefault, store.StrategyScan, store.StrategyAuto} {
@@ -605,12 +615,15 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 
 			// Additive kernels: exact for counts, tolerance for sums
 			// (per-shard partials associate differently).
-			for _, kreq := range []store.KernelRequest{
+			kreqs := []store.KernelRequest{
 				{Op: store.KernelSumAll},
 				{Op: store.KernelLiveNNZ},
 				{Op: store.KernelNNZPerSlice, Mode: 0},
-				{Op: store.KernelSumRegion, Region: &regions[1]},
-			} {
+			}
+			for i := range regions {
+				kreqs = append(kreqs, store.KernelRequest{Op: store.KernelSumRegion, Region: &regions[i]})
+			}
+			for _, kreq := range kreqs {
 				wantK, err := local.Kernel(ctx, kreq)
 				if err != nil {
 					t.Fatalf("local kernel %v: %v", kreq.Op, err)
@@ -632,7 +645,191 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 			if _, err := router.Kernel(ctx, store.KernelRequest{Op: store.KernelSpMV, Vec: make([]float64, 24)}); !errors.Is(err, store.ErrBadRequest) {
 				t.Fatalf("spmv on router = %v, want ErrBadRequest", err)
 			}
+
+			// Deletions over the same regions: the same verdict from both
+			// (a region leaving the shape or empty is ErrShapeMismatch),
+			// and the same cells left afterwards.
+			for _, del := range regions[3:] {
+				_, lerr := local.DeleteRegion(del)
+				_, rerr := router.DeleteRegion(ctx, del)
+				if (lerr == nil) != (rerr == nil) || errors.Is(lerr, store.ErrShapeMismatch) != errors.Is(rerr, store.ErrShapeMismatch) {
+					t.Fatalf("delete %v: router %v, local %v", del, rerr, lerr)
+				}
+				req := store.QueryRequest{Region: &regions[0], AsOf: store.AsOfLatest, Strategy: store.StrategyScan}
+				want, _, err := local.Query(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := router.Query(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Coords.Flat(), want.Coords.Flat()) || !reflect.DeepEqual(got.Values, want.Values) {
+					t.Fatalf("after delete %v: router holds %d cells, local %d", del, got.Coords.Len(), want.Coords.Len())
+				}
+			}
 		})
+	}
+}
+
+// TestWriteBatchOneReportPerBatch: the network's write op answers one
+// report per batch, in request order, whatever the batches' spread over
+// tiles and shards — a batch spanning several tiles folds its fragments
+// into one report, an empty batch in the middle keeps a zero report.
+func TestWriteBatchOneReportPerBatch(t *testing.T) {
+	shape, tile := tensor.Shape{24, 24}, tensor.Shape{8, 8}
+	batches := []store.Batch{
+		{Coords: mustCoords(t, 2, 1, 1, 9, 9, 17, 17), Values: []float64{1, 2, 3}}, // three tiles
+		{Coords: mustCoords(t, 2, 2, 2), Values: []float64{4}},
+		{Coords: tensor.NewCoords(2, 0)},                                                                 // empty
+		{Coords: mustCoords(t, 2, 3, 3, 3, 20, 20, 3, 20, 20, 12, 12), Values: []float64{5, 6, 7, 8, 9}}, // five tiles
+	}
+	for _, nshards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d-shard", nshards), func(t *testing.T) {
+			addrs := make([]string, nshards)
+			for i := range addrs {
+				addrs[i] = newShard(t, core.CSF, shape, tile)
+			}
+			router, err := serve.NewRouter(addrs, obs.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { router.Close() })
+			reps, err := router.WriteBatch(context.Background(), batches, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(reps) != len(batches) {
+				t.Fatalf("%d reports for %d batches", len(reps), len(batches))
+			}
+			for i, rep := range reps {
+				if rep.NNZ != batches[i].Coords.Len() {
+					t.Errorf("report %d credits %d points, batch holds %d", i, rep.NNZ, batches[i].Coords.Len())
+				}
+				if (rep.Bytes > 0) != (rep.NNZ > 0) {
+					t.Errorf("report %d: %d bytes for %d points", i, rep.Bytes, rep.NNZ)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentHammerChunkedBackend is the tile-creation race as a
+// shard sees it: clients write into never-seen tiles (the same tiles,
+// disjoint cells) while others read regions, probe, sum and delete a
+// band no writer touches, all through one served ChunkedBackend. The
+// final cells must be exactly the writers'.
+func TestConcurrentHammerChunkedBackend(t *testing.T) {
+	shape, tile := tensor.Shape{64, 64}, tensor.Shape{8, 8}
+	const rounds, writers = 14, 2
+	c, err := store.NewChunked(fsim.NewPerlmutterSim(), "hammer", core.CSF, shape, tile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, addr := startServer(t, serve.ChunkedBackend(c), serve.Config{})
+	dial := func() *serve.Client {
+		cl, err := serve.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	// Round r of writer w puts one point in each of tile row r/2's eight
+	// tiles; rows 56.. are the band only the deleter touches.
+	batchOf := func(w, r int) store.Batch {
+		b := store.Batch{Coords: tensor.NewCoords(2, 8)}
+		for tj := 0; tj < 8; tj++ {
+			b.Coords.Append(uint64(r/2*8+r%2*4+w), uint64(tj*8+w))
+			b.Values = append(b.Values, float64(100*r+10*tj+w+1))
+		}
+		return b
+	}
+	band := tensor.Region{Start: []uint64{56, 0}, Size: []uint64{8, 64}}
+	ctx := context.Background()
+	if _, err := writeOne(ctx, dial(), mustCoords(t, 2, 60, 1, 60, 33), []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	var writing, reading sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int, cl *serve.Client) {
+			defer writing.Done()
+			for r := 0; r < rounds; r++ {
+				if _, err := cl.WriteBatch(ctx, []store.Batch{batchOf(w, r)}, 1); err != nil {
+					t.Errorf("writer %d round %d: %v", w, r, err)
+					return
+				}
+			}
+		}(w, dial())
+	}
+	window := tensor.Region{Start: []uint64{4, 4}, Size: []uint64{40, 40}}
+	for name, op := range map[string]func(cl *serve.Client) error{
+		"region": func(cl *serve.Client) error {
+			_, _, err := cl.Query(ctx, store.QueryRequest{Region: &window, AsOf: store.AsOfLatest, Strategy: store.StrategyAuto})
+			return err
+		},
+		"probe": func(cl *serve.Client) error {
+			_, _, err := cl.Query(ctx, store.QueryRequest{Probe: batchOf(0, 3).Coords, AsOf: store.AsOfLatest})
+			return err
+		},
+		"sumall": func(cl *serve.Client) error {
+			_, err := cl.Kernel(ctx, store.KernelRequest{Op: store.KernelSumAll})
+			return err
+		},
+		"delete": func(cl *serve.Client) error { _, err := cl.DeleteRegion(ctx, band); return err },
+	} {
+		reading.Add(1)
+		go func(name string, op func(*serve.Client) error, cl *serve.Client) {
+			defer reading.Done()
+			for {
+				if err := op(cl); err != nil {
+					t.Errorf("%s beside tile creation: %v", name, err)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(name, op, dial())
+	}
+	writing.Wait()
+	close(done)
+	reading.Wait()
+	if t.Failed() {
+		return
+	}
+	cl := dial()
+	if _, err := cl.DeleteRegion(ctx, band); err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]uint64]float64{}
+	for w := 0; w < writers; w++ {
+		for r := 0; r < rounds; r++ {
+			b := batchOf(w, r)
+			for i, v := range b.Values {
+				want[[2]uint64(b.Coords.At(i))] = v
+			}
+		}
+	}
+	whole := tensor.Region{Start: []uint64{0, 0}, Size: shape}
+	res, _, err := cl.Query(ctx, store.QueryRequest{Region: &whole, AsOf: store.AsOfLatest, Strategy: store.StrategyScan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[[2]uint64]float64{}
+	for i, v := range res.Values {
+		got[[2]uint64(res.Coords.At(i))] = v
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("served store holds %d cells, the writers wrote %d (or values differ)", len(got), len(want))
+	}
+	if c.Tiles() != 7*8+2 { // seven tile rows of writers, two band tiles
+		t.Fatalf("%d tiles, want 58", c.Tiles())
 	}
 }
 

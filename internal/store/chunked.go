@@ -1,10 +1,12 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
-	"strings"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"sparseart/internal/compress"
 	"sparseart/internal/core"
@@ -17,18 +19,22 @@ import (
 // Chunked is the paper's remedy for linear-address overflow (§II-B): "a
 // practical solution … is to break large tensors into small blocks" and
 // linearize against each block's local boundary. It partitions the
-// domain into fixed tiles, keeps one Store per non-empty tile, and
-// translates coordinates between the global frame and each tile's local
-// frame. The global shape may have a volume far beyond uint64; only
-// each tile's volume must fit.
+// domain into fixed tiles (Tiling), keeps one Store per non-empty tile,
+// and translates coordinates between the global frame and each tile's
+// local frame. The global shape may have a volume far beyond uint64;
+// only each tile's volume must fit.
 type Chunked struct {
 	fs     fsim.FS
 	prefix string
 	kind   core.Kind
-	shape  tensor.Shape // global extents
-	tile   tensor.Shape // tile extents
+	tiling Tiling
 	codec  compress.ID
-	stores map[string]*Store
+	// dir is the tile directory. Each version is immutable and a request
+	// loads it once; creating tiles replaces it copy-on-write under
+	// createMu — the idiom the stores' epoch publish uses — so reads
+	// never lock and two writers never create one tile twice.
+	dir      atomic.Pointer[tileDir]
+	createMu sync.Mutex
 	// opts are forwarded to every tile Store, so tiles share the parent's
 	// observability registry, build options, and manifest policy.
 	opts []Option
@@ -38,6 +44,46 @@ type Chunked struct {
 	// caching is off (WithReaderCache(0), which the tiles are forwarded
 	// too).
 	cache *fragcache.Cache
+}
+
+// tileEntry is one materialized tile: its name (the directory under the
+// prefix, and the key every per-tile order sorts by), its per-dimension
+// index, and its store. Immutable once published in a tileDir.
+type tileEntry struct {
+	name  string
+	idx   []uint64
+	store *Store
+}
+
+// tileDir is one version of the tile directory: the materialized tiles
+// by name and in name order — the order every per-tile fold (float
+// kernel partials among them), commit and Close has always taken.
+type tileDir struct {
+	byName map[string]*tileEntry
+	sorted []*tileEntry
+}
+
+// holds reports whether every tile of want is materialized in d.
+func (d *tileDir) holds(want []*tileWork) bool {
+	for _, w := range want {
+		if d.byName[w.name] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// with returns a directory holding d's tiles and added.
+func (d *tileDir) with(added []*tileEntry) *tileDir {
+	next := &tileDir{
+		byName: make(map[string]*tileEntry, len(d.sorted)+len(added)),
+		sorted: append(d.sorted[:len(d.sorted):len(d.sorted)], added...),
+	}
+	slices.SortFunc(next.sorted, func(a, b *tileEntry) int { return cmp.Compare(a.name, b.name) })
+	for _, e := range next.sorted {
+		next.byName[e.name] = e
+	}
+	return next
 }
 
 // Observability span names for the chunked store's composite operations.
@@ -92,10 +138,10 @@ func newChunkedShell(fs fsim.FS, prefix string, kind core.Kind, shape, tile tens
 	}
 	c := &Chunked{
 		fs: fs, prefix: prefix, kind: kind,
-		shape: shape.Clone(), tile: tile.Clone(),
-		stores: map[string]*Store{},
+		tiling: Tiling{Shape: shape.Clone(), Tile: tile.Clone()},
 		opts:   opts,
 	}
+	c.dir.Store(&tileDir{})
 	// Probe the option set once: misuse is rejected here (before any
 	// tile exists) rather than on the first write that materializes one.
 	var probe Store
@@ -107,10 +153,7 @@ func newChunkedShell(fs fsim.FS, prefix string, kind core.Kind, shape, tile tens
 	// One reader cache for all tiles: the budget the options would give
 	// a single store is the chunked store's global budget, so N tiles
 	// do not claim N budgets.
-	switch {
-	case probe.sharedCache != nil:
-		c.cache = probe.sharedCache
-	case probe.cacheBudget > 0:
+	if probe.cacheBudget > 0 {
 		c.cache = fragcache.New(probe.cacheBudget, c.obsReg)
 	}
 	return c, nil
@@ -130,41 +173,31 @@ func (c *Chunked) Obs() *obs.Registry { return c.obsReg() }
 // Close folds every tile's manifest log into its checkpoint, bounding
 // the replay work the next open of each tile pays. Tiles remain usable.
 func (c *Chunked) Close() error {
-	for _, key := range c.sortedTileKeys() {
-		if err := c.stores[key].Close(); err != nil {
-			return fmt.Errorf("store: close tile %s: %w", key, err)
+	for _, e := range c.dir.Load().sorted {
+		if err := e.store.Close(); err != nil {
+			return fmt.Errorf("store: close tile %s: %w", e.name, err)
 		}
 	}
 	return nil
 }
 
-// sortedTileKeys returns the non-empty tile keys in deterministic order.
-func (c *Chunked) sortedTileKeys() []string {
-	keys := make([]string, 0, len(c.stores))
-	for key := range c.stores {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Shape returns the global shape.
-func (c *Chunked) Shape() tensor.Shape { return c.shape }
+func (c *Chunked) Shape() tensor.Shape { return c.tiling.Shape }
 
 // Kind returns the organization every tile writes.
 func (c *Chunked) Kind() core.Kind { return c.kind }
 
 // Tile returns the tile extents (interior tiles; edge tiles clip).
-func (c *Chunked) Tile() tensor.Shape { return c.tile }
+func (c *Chunked) Tile() tensor.Shape { return c.tiling.Tile }
 
 // Tiles returns the number of non-empty tiles.
-func (c *Chunked) Tiles() int { return len(c.stores) }
+func (c *Chunked) Tiles() int { return len(c.dir.Load().sorted) }
 
 // Fragments sums live fragments across all tiles.
 func (c *Chunked) Fragments() int {
 	var total int
-	for _, s := range c.stores {
-		total += s.Fragments()
+	for _, e := range c.dir.Load().sorted {
+		total += e.store.Fragments()
 	}
 	return total
 }
@@ -173,8 +206,8 @@ func (c *Chunked) Fragments() int {
 // the whole chunked store, not a single MVCC version.
 func (c *Chunked) Epoch() uint64 {
 	var total uint64
-	for _, s := range c.stores {
-		total += s.Epoch()
+	for _, e := range c.dir.Load().sorted {
+		total += e.store.Epoch()
 	}
 	return total
 }
@@ -182,99 +215,124 @@ func (c *Chunked) Epoch() uint64 {
 // TotalBytes sums fragment bytes across all tiles.
 func (c *Chunked) TotalBytes() int64 {
 	var total int64
-	for _, s := range c.stores {
-		total += s.TotalBytes()
+	for _, e := range c.dir.Load().sorted {
+		total += e.store.TotalBytes()
 	}
 	return total
 }
 
-// tileIndex returns the per-dimension tile index of a global point.
-func (c *Chunked) tileIndex(p []uint64) []uint64 {
-	idx := make([]uint64, len(p))
-	for d := range p {
-		idx[d] = p[d] / c.tile[d]
-	}
-	return idx
-}
-
-func tileKey(idx []uint64) string {
-	var b strings.Builder
-	b.WriteString("t")
-	for _, v := range idx {
-		fmt.Fprintf(&b, "-%d", v)
-	}
-	return b.String()
-}
-
-// tileShape returns the (edge-clipped) extents of the tile at idx.
-func (c *Chunked) tileShape(idx []uint64) tensor.Shape {
-	s := make(tensor.Shape, len(idx))
-	for d := range idx {
-		origin := idx[d] * c.tile[d]
-		s[d] = c.tile[d]
-		if origin+s[d] > c.shape[d] {
-			s[d] = c.shape[d] - origin
-		}
-	}
-	return s
-}
-
-func (c *Chunked) tileStore(idx []uint64) (*Store, error) {
-	key := tileKey(idx)
-	if s, ok := c.stores[key]; ok {
-		return s, nil
-	}
+// tileStore opens or creates the store of tile e — the one place a tile
+// Store comes into being, so every tile gets the parent's options and,
+// when caching is on, the shared cache under its own scope.
+func (c *Chunked) tileStore(e *tileEntry, create bool) (err error) {
 	opts := c.opts
 	if c.cache != nil {
-		// Inject the shared cache (superseding any forwarded per-tile
-		// budget — it was already spent on the shared cache) and label
-		// this tile's traffic for per-tile hit metrics.
-		opts = append(opts[:len(opts):len(opts)], withTileCache(c.cache), withCacheScope(key))
+		opts = append(opts[:len(opts):len(opts)], withTileCache(c.cache, e.name))
 	}
-	s, err := Create(c.fs, c.prefix+"/"+key, c.kind, c.tileShape(idx), opts...)
-	if err != nil {
-		return nil, err
+	if create {
+		e.store, err = Create(c.fs, c.prefix+"/"+e.name, c.kind, c.tiling.Extent(e.idx), opts...)
+	} else {
+		e.store, err = Open(c.fs, c.prefix+"/"+e.name, opts...)
 	}
-	c.stores[key] = s
-	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(c.stores)))
-	return s, nil
+	return err
 }
 
-// tilePart is one tile's slice of a partitioned point set, in tile-local
-// coordinates.
+// publish makes dir the current tile directory.
+func (c *Chunked) publish(dir *tileDir) {
+	c.dir.Store(dir)
+	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(dir.sorted)))
+}
+
+// materialize returns a directory holding every tile of want (in commit
+// order), creating the missing ones under the creation mutex and
+// publishing them in one copy-on-write step. setup maps each tile it
+// created to the creation's modeled cost.
+func (c *Chunked) materialize(want []*tileWork) (dir *tileDir, setup map[string]time.Duration, err error) {
+	if dir = c.dir.Load(); dir.holds(want) {
+		return dir, nil, nil
+	}
+	c.createMu.Lock()
+	defer c.createMu.Unlock()
+	dir = c.dir.Load()
+	var added []*tileEntry
+	setup = map[string]time.Duration{}
+	c.takeCost() // discard any cost accrued outside the creations
+	for _, w := range want {
+		if dir.byName[w.name] != nil {
+			continue
+		}
+		e := &tileEntry{name: w.name, idx: w.idx}
+		if err = c.tileStore(e, true); err != nil {
+			break // the tiles created so far exist on disk: publish them
+		}
+		setup[e.name] = c.takeCost()
+		added = append(added, e)
+	}
+	if len(added) > 0 {
+		dir = dir.with(added)
+		c.publish(dir)
+	}
+	return dir, setup, err
+}
+
+// tilePart is one tile's share of a request, in tile-local coordinates:
+// the points that fall in it (with their values, for a write) or the
+// region clipped to its frame. store is nil for a tile not materialized
+// yet, which only a write's partition lists.
 type tilePart struct {
+	name   string
 	idx    []uint64
+	store  *Store
+	clip   tensor.Region
 	coords *tensor.Coords
 	vals   []float64
 }
 
-// partitionByTile splits global points into per-tile buckets with
-// tile-local coordinates, preserving input order within each bucket.
-// Returned keys are in first-seen order; callers sort for determinism.
-func (c *Chunked) partitionByTile(coords *tensor.Coords, vals []float64) (map[string]*tilePart, []string, error) {
+// partition splits global points (and their values, when given) into
+// per-tile parts with tile-local coordinates, in tile-name order,
+// preserving input order within each part. With a directory it is a
+// probe's partition: points outside the shape or in tiles never written
+// are simply not found, and dropped. Without one it is a write's: every
+// point is kept (ValidateBatches has put them inside the shape). The
+// per-point work is divide, append digits, look the bytes up; only a
+// tile's first point allocates.
+func (c *Chunked) partition(dir *tileDir, coords *tensor.Coords, vals []float64) []*tilePart {
+	dims := coords.Dims()
 	parts := map[string]*tilePart{}
-	var keys []string
-	local := make([]uint64, coords.Dims())
+	var out []*tilePart
+	idx := make([]uint64, dims)
+	local := make([]uint64, dims)
+	name := make([]byte, 0, 64)
 	for i, n := 0, coords.Len(); i < n; i++ {
 		p := coords.At(i)
-		if !c.shape.Contains(p) {
-			return nil, nil, fmt.Errorf("store: %w: point %v outside shape %v", ErrShapeMismatch, p, c.shape)
+		if dir != nil && !c.tiling.Shape.Contains(p) {
+			continue
 		}
-		idx := c.tileIndex(p)
-		key := tileKey(idx)
-		g, ok := parts[key]
+		c.tiling.Index(idx, p)
+		name = c.tiling.AppendName(name[:0], idx)
+		g, ok := parts[string(name)]
 		if !ok {
-			g = &tilePart{idx: idx, coords: tensor.NewCoords(coords.Dims(), 0)}
-			parts[key] = g
-			keys = append(keys, key)
+			if dir == nil {
+				g = &tilePart{name: string(name), idx: append([]uint64(nil), idx...)}
+			} else if e := dir.byName[string(name)]; e != nil {
+				g = &tilePart{name: e.name, idx: e.idx, store: e.store}
+			} else {
+				continue
+			}
+			g.coords = tensor.NewCoords(dims, 0)
+			parts[g.name] = g
+			out = append(out, g)
 		}
 		for d := range p {
-			local[d] = p[d] - idx[d]*c.tile[d]
+			local[d] = p[d] - c.tiling.Origin(idx, d)
 		}
 		g.coords.Append(local...)
-		g.vals = append(g.vals, vals[i])
+		if vals != nil {
+			g.vals = append(g.vals, vals[i])
+		}
 	}
-	return parts, keys, nil
+	slices.SortFunc(out, func(a, b *tilePart) int { return cmp.Compare(a.name, b.name) })
+	return out
 }
 
 // Write partitions the points by tile and writes one fragment per
@@ -299,16 +357,13 @@ func (c *Chunked) Write(coords *tensor.Coords, vals []float64) (*WriteReport, er
 // it intersects (tiles with no data need none); tilesIn finds them
 // without visiting every tile the store has ever materialized.
 func (c *Chunked) DeleteRegion(region tensor.Region) (*WriteReport, error) {
-	if region.Dims() != c.shape.Dims() {
-		return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), c.shape.Dims())
-	}
-	if _, err := tensor.NewRegion(c.shape, region.Start, region.Size); err != nil {
-		return nil, fmt.Errorf("store: %w: %v", ErrShapeMismatch, err)
+	if err := ValidateDeleteRegion(region, c.tiling.Shape); err != nil {
+		return nil, err
 	}
 	root := c.obsReg().Start(obsChunkedDelete)
 	defer root.End()
 	total := &WriteReport{}
-	for _, t := range c.tilesIn(region) {
+	for _, t := range c.tilesIn(c.dir.Load(), region) {
 		rep, err := t.store.DeleteRegion(t.clip)
 		if err != nil {
 			return nil, err
@@ -318,130 +373,39 @@ func (c *Chunked) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 	return total, nil
 }
 
-// tileRef is one materialized tile a request touches, with the tile's
-// share of the target in tile-local coordinates: the region clipped to
-// the tile's frame, or the probe points that fall in it.
-type tileRef struct {
-	key   string
-	idx   []uint64
-	store *Store
-	clip  tensor.Region
-	probe *tensor.Coords
-}
-
-// tilesIn lists the materialized tiles that region intersects, in
-// tile-key order — the order every per-tile fold (float kernel partials
-// among them) has always taken. The tiles are found arithmetically: the
-// region maps to a hyper-rectangle of tile indices, each looked up by
-// key, so a small region in a store of many tiles touches only the
-// tiles it covers. Only when the hyper-rectangle holds more candidates
-// than tiles exist does the walk go over the existing tiles instead.
-// The region may reach past the shape (a query's can); the part outside
-// holds no tiles.
-func (c *Chunked) tilesIn(region tensor.Region) []tileRef {
-	dims := c.shape.Dims()
-	lo := make([]uint64, dims)
-	hi := make([]uint64, dims)
-	span := uint64(1)
-	bounded := true // span still counts the hyper-rectangle's tiles
-	for d := 0; d < dims; d++ {
-		if region.Size[d] == 0 || region.Start[d] >= c.shape[d] {
-			return nil
-		}
-		last := region.Start[d] + region.Size[d] - 1
-		if last < region.Start[d] || last >= c.shape[d] {
-			last = c.shape[d] - 1 // start+size overflowed or left the shape; clamp
-		}
-		lo[d] = region.Start[d] / c.tile[d]
-		hi[d] = last / c.tile[d]
-		// Overflow-safe: the division test rejects before the product
-		// can wrap.
-		n := hi[d] - lo[d] + 1
-		if bounded && span > uint64(len(c.stores))/n {
-			bounded = false
-		}
-		if bounded {
-			span *= n
-		}
-	}
-
-	var out []tileRef
-	add := func(key string, idx []uint64) {
-		st, ok := c.stores[key]
-		if !ok {
-			return
-		}
-		if clip, ok := c.tileClip(region, idx); ok {
-			out = append(out, tileRef{key: key, idx: append([]uint64(nil), idx...), store: st, clip: clip})
-		}
-	}
-	if bounded {
-		// An odometer over [lo, hi], last dimension fastest; d runs below
-		// zero when the first dimension wraps.
-		idx := append([]uint64(nil), lo...)
-		for d := 0; d >= 0; {
-			add(tileKey(idx), idx)
-			for d = dims - 1; d >= 0; d-- {
-				idx[d]++
-				if idx[d] <= hi[d] {
-					break
-				}
-				idx[d] = lo[d]
-			}
-		}
-	} else {
-		for key := range c.stores {
-			if idx := c.tileIndexFromKey(key); idx != nil {
-				add(key, idx)
-			}
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].key < out[b].key })
-	return out
-}
-
-// tileClip intersects a global region with the tile at idx and returns
-// the tile-local sub-region; ok is false when they do not overlap.
-func (c *Chunked) tileClip(region tensor.Region, idx []uint64) (tensor.Region, bool) {
-	ext := c.tileShape(idx)
-	lo := make([]uint64, len(idx))
-	size := make([]uint64, len(idx))
-	for d := range idx {
-		origin := idx[d] * c.tile[d]
-		tileEnd := origin + ext[d]
-		regEnd := region.Start[d] + region.Size[d]
-		if regEnd < region.Start[d] {
-			regEnd = math.MaxUint64 // start+size overflowed; clamp
-		}
-		l, h := max64(region.Start[d], origin), tileEnd
-		if regEnd < h {
-			h = regEnd
-		}
-		if l >= h {
-			return tensor.Region{}, false
-		}
-		lo[d] = l - origin
-		size[d] = h - l
-	}
-	return tensor.Region{Start: lo, Size: size}, true
-}
-
-// tileIndexFromKey parses a "t-1-2-3" tile key back to indices.
-func (c *Chunked) tileIndexFromKey(key string) []uint64 {
-	parts := strings.Split(key, "-")
-	if len(parts) != c.shape.Dims()+1 || parts[0] != "t" {
+// tilesIn lists the materialized tiles that region intersects, each
+// with the region clipped to its frame, in tile-name order. The tiles
+// are found arithmetically: the region maps to a hyper-rectangle of
+// tile indices, each looked up by name, so a small region in a store of
+// many tiles touches only the tiles it covers. Only when the
+// hyper-rectangle holds more candidates than tiles exist does the walk
+// go over the existing tiles instead. The region may reach past the
+// shape (a query's can); the part outside holds no tiles.
+func (c *Chunked) tilesIn(dir *tileDir, region tensor.Region) []*tilePart {
+	lo, hi, ok := c.tiling.Range(region)
+	if !ok {
 		return nil
 	}
-	idx := make([]uint64, c.shape.Dims())
-	for d, p := range parts[1:] {
-		var v uint64
-		for _, ch := range p {
-			if ch < '0' || ch > '9' {
-				return nil
-			}
-			v = v*10 + uint64(ch-'0')
+	var out []*tilePart
+	add := func(e *tileEntry) {
+		if clip, ok := c.tiling.Clip(region, e.idx); ok {
+			out = append(out, &tilePart{name: e.name, idx: e.idx, store: e.store, clip: clip})
 		}
-		idx[d] = v
 	}
-	return idx
+	if !c.tiling.Within(lo, hi, uint64(len(dir.sorted))) {
+		for _, e := range dir.sorted {
+			add(e)
+		}
+		return out
+	}
+	name := make([]byte, 0, 64)
+	idx := append([]uint64(nil), lo...)
+	for more := true; more; more = c.tiling.Next(idx, lo, hi) {
+		name = c.tiling.AppendName(name[:0], idx)
+		if e := dir.byName[string(name)]; e != nil {
+			add(e)
+		}
+	}
+	slices.SortFunc(out, func(a, b *tilePart) int { return cmp.Compare(a.name, b.name) })
+	return out
 }

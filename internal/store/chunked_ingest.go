@@ -1,9 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"context"
-	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sparseart/internal/fsim"
@@ -23,50 +23,47 @@ import (
 // per-fragment store.write.* phase spans nest under it.
 const obsChunkedIngest = "store.chunked.ingest"
 
+// tileWork is one tile's span of an ingest: the tile and its fragments
+// in batch order.
+type tileWork struct {
+	name  string
+	idx   []uint64
+	items []tileFrag
+}
+
 // WriteBatchContext ingests the batches across every tile they touch,
 // streaming per-fragment reports. A batch spanning k tiles yields k
 // fragments; fn receives each with the batch's index (rep.Name carries
 // the tile prefix), after the fragment is durable in its tile's
-// manifest. Commit order is sorted tile keys outer, batch order inner —
+// manifest. Commit order is sorted tile names outer, batch order inner —
 // the order of one one-batch ingest per (tile, batch) — and the on-disk
 // result is byte-identical to that loop. workers bounds the shared
 // CPU-stage pool (< 1 means all cores). Error, early-stop and
 // cancellation semantics match Store.WriteBatchContext: the committed
 // prefix stays durable, and fn sees at most one non-nil error.
 func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, workers int, fn func(i int, rep *WriteReport, err error) error) error {
-	if err := validateBatches(batches, c.shape.Dims()); err != nil {
+	// Validate every batch before any I/O, so a failure (a point outside
+	// the shape) rejects the whole call with nothing committed.
+	if err := ValidateBatches(batches, c.tiling.Shape); err != nil {
 		return err
 	}
 	if len(batches) == 0 {
 		return nil
 	}
-
-	// Partition every batch by tile before any I/O, so a validation
-	// failure (a point outside the shape) rejects the whole call with
-	// nothing committed.
-	type tileWork struct {
-		idx   []uint64
-		items []tileFrag
-	}
-	works := map[string]*tileWork{}
-	var keys []string
+	byName := map[string]*tileWork{}
+	var works []*tileWork
 	for i, b := range batches {
-		parts, pkeys, err := c.partitionByTile(b.Coords, b.Values)
-		if err != nil {
-			return fmt.Errorf("store: batch %d: %w", i, err)
-		}
-		for _, key := range pkeys {
-			p := parts[key]
-			w, ok := works[key]
+		for _, p := range c.partition(nil, b.Coords, b.Values) {
+			w, ok := byName[p.name]
 			if !ok {
-				w = &tileWork{idx: p.idx}
-				works[key] = w
-				keys = append(keys, key)
+				w = &tileWork{name: p.name, idx: p.idx}
+				byName[p.name] = w
+				works = append(works, w)
 			}
 			w.items = append(w.items, tileFrag{idx: i, batch: Batch{Coords: p.coords, Values: p.vals}})
 		}
 	}
-	sort.Strings(keys)
+	slices.SortFunc(works, func(a, b *tileWork) int { return cmp.Compare(a.name, b.name) })
 
 	reg := c.obsReg()
 	kind := c.kind.String()
@@ -77,23 +74,19 @@ func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, worker
 	// each creation's modeled cost is charged to that tile's first
 	// fragment, and the flat fragment list comes out in (tile, batch)
 	// order.
-	c.takeCost() // discard any cost accrued outside this call
+	dir, setup, err := c.materialize(works)
+	if err != nil {
+		return err
+	}
 	frags := make([]tileFrag, 0, len(batches))
-	for _, key := range keys {
-		w := works[key]
-		st, err := c.tileStore(w.idx)
-		if err != nil {
-			return err
-		}
-		setup := c.takeCost()
+	for _, w := range works {
+		st := dir.byName[w.name].store
 		for n := range w.items {
 			w.items[n].store = st
 			w.items[n].final = n == len(w.items)-1
-			if n == 0 {
-				w.items[n].setup = setup
-			}
-			frags = append(frags, w.items[n])
 		}
+		w.items[0].setup = setup[w.name]
+		frags = append(frags, w.items...)
 	}
 
 	workers = resolveIngestWorkers(workers, len(frags))
@@ -105,7 +98,7 @@ func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, worker
 	}
 	reg.Counter("store.chunked.ingest.count", "kind", kind).Inc()
 	reg.Counter("store.chunked.ingest.fragments", "kind", kind).Add(int64(committed))
-	reg.Counter("store.chunked.ingest.tiles", "kind", kind).Add(int64(len(keys)))
+	reg.Counter("store.chunked.ingest.tiles", "kind", kind).Add(int64(len(works)))
 	return nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"sparseart/internal/core"
 	"sparseart/internal/fsim"
 	"sparseart/internal/obs"
-	"sparseart/internal/store/fragcache"
 	"sparseart/internal/tensor"
 )
 
@@ -205,14 +204,14 @@ func TestChunkedSharedCacheBudget(t *testing.T) {
 	shape := tensor.Shape{32, 32}
 	tile := tensor.Shape{8, 8} // 16 tiles
 	reg := obs.New()
-	shared := fragcache.New(16<<10, func() *obs.Registry { return reg })
 	st, err := NewChunked(newSim(t), "s", core.GCSR, shape, tile,
-		WithObs(reg), WithSharedCache(shared))
+		WithObs(reg), WithReaderCache(16<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SharedCache() != shared {
-		t.Fatal("injected cache not shared")
+	shared := st.SharedCache()
+	if shared == nil || shared.Budget() != 16<<10 {
+		t.Fatal("the reader-cache budget did not become the tiles' one shared cache")
 	}
 	rng := rand.New(rand.NewSource(13))
 	coords, vals := randomPoints(rng, shape, 600)
@@ -319,13 +318,13 @@ func TestChunkedGroupAppendFailure(t *testing.T) {
 	ff.FailOn = ""
 	// Nothing was delivered, so nothing may be visible: every tile that
 	// was materialized reopens empty.
-	for key := range st.stores {
-		tileSt, err := Open(sim, "f/"+key)
+	for _, e := range st.dir.Load().sorted {
+		tileSt, err := Open(sim, "f/"+e.name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tileSt.Fragments() != 0 {
-			t.Fatalf("tile %s: %d fragments visible after rollback", key, tileSt.Fragments())
+			t.Fatalf("tile %s: %d fragments visible after rollback", e.name, tileSt.Fragments())
 		}
 	}
 	// The same handles stay writable once the fault clears.
@@ -392,11 +391,8 @@ func TestOptionMisuseTypedErrors(t *testing.T) {
 		opts   []Option
 		option string
 	}{
-		{"shared-cache-nil", []Option{WithSharedCache(nil)}, "WithSharedCache"},
-		{"shared-vs-reader-cache", []Option{
-			WithSharedCache(fragcache.New(1<<20, obs.Global)),
-			WithReaderCache(1 << 20),
-		}, "WithSharedCache"},
+		{"compaction-threshold-one", []Option{WithBackgroundCompaction(1)}, "WithBackgroundCompaction"},
+		{"auto-reorg-without-trigger", []Option{WithAutoReorg()}, "WithAutoReorg"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

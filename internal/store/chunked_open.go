@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sparseart/internal/buf"
@@ -34,9 +33,9 @@ func (c *Chunked) writeChunkedManifest() error {
 	defer buf.PutWriter(w)
 	w.U32(chunkedManifestMagic)
 	w.U8(uint8(c.kind))
-	w.U16(uint16(c.shape.Dims()))
-	w.RawU64s(c.shape)
-	w.RawU64s(c.tile)
+	w.U16(uint16(c.tiling.Shape.Dims()))
+	w.RawU64s(c.tiling.Shape)
+	w.RawU64s(c.tiling.Tile)
 	if err := c.fs.WriteFile(chunkedManifestPath(c.prefix), w.Bytes()); err != nil {
 		return fmt.Errorf("store: write chunked manifest: %w", err)
 	}
@@ -77,48 +76,41 @@ func OpenChunked(fs fsim.FS, prefix string, opts ...Option) (*Chunked, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, key := range discoverTileKeys(fs, prefix, shape.Dims()) {
-		idx := c.tileIndexFromKey(key)
-		if idx == nil {
+	var tiles []*tileEntry
+	for _, name := range listTileDirs(fs, prefix) {
+		idx, ok := c.tiling.ParseName(name)
+		if !ok {
 			continue
 		}
-		tileOpts := c.opts
-		if c.cache != nil {
-			tileOpts = append(tileOpts[:len(tileOpts):len(tileOpts)], withTileCache(c.cache), withCacheScope(key))
+		e := &tileEntry{name: name, idx: idx}
+		if err := c.tileStore(e, false); err != nil {
+			return nil, fmt.Errorf("store: open tile %s: %w", name, err)
 		}
-		s, err := Open(fs, prefix+"/"+key, tileOpts...)
-		if err != nil {
-			return nil, fmt.Errorf("store: open tile %s: %w", key, err)
-		}
-		c.stores[key] = s
+		tiles = append(tiles, e)
 	}
-	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(c.stores)))
+	c.publish(c.dir.Load().with(tiles))
 	return c, nil
 }
 
-// discoverTileKeys lists the tile directory names ("t-0-1") that hold
-// a manifest or manifest log under prefix, in sorted order. fs.List
+// listTileDirs lists the directory names under prefix, in sorted
+// order; the caller keeps the ones that parse as tile names. fs.List
 // walks recursively, so tile payloads surface their directory.
-func discoverTileKeys(fs fsim.FS, prefix string, dims int) []string {
-	names, err := fs.List(prefix + "/t-")
+func listTileDirs(fs fsim.FS, prefix string) []string {
+	names, err := fs.List(prefix + "/")
 	if err != nil {
 		return nil
 	}
-	seen := map[string]bool{}
-	var keys []string
+	var dirs []string
 	for _, name := range names {
 		rest := strings.TrimPrefix(name, prefix+"/")
 		slash := strings.IndexByte(rest, '/')
 		if slash < 0 {
-			continue // a file directly under the prefix, not a tile dir
+			continue // a file directly under the prefix, not a directory
 		}
-		key := rest[:slash]
-		if seen[key] || strings.Count(key, "-") != dims {
-			continue
+		// names are sorted, so one directory's files are adjacent
+		if dir := rest[:slash]; len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+			dirs = append(dirs, dir)
 		}
-		seen[key] = true
-		keys = append(keys, key)
 	}
-	sort.Strings(keys)
-	return keys
+	return dirs
 }

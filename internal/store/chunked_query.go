@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"sparseart/internal/tensor"
@@ -23,18 +22,11 @@ import (
 // rejected: fragment counts are per tile, so a global version number
 // is not meaningful here.
 func (c *Chunked) Query(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
-	if err := req.validate(); err != nil {
+	if err := req.Validate(c.tiling.Shape.Dims()); err != nil {
 		return nil, nil, err
 	}
 	if req.AsOf != AsOfLatest {
 		return nil, nil, fmt.Errorf("store: %w: as-of reads are not supported on chunked stores", ErrBadRequest)
-	}
-	dims := c.shape.Dims()
-	if req.Probe != nil && req.Probe.Dims() != dims {
-		return nil, nil, fmt.Errorf("store: %w: %d-dim probe for %d-dim store", ErrShapeMismatch, req.Probe.Dims(), dims)
-	}
-	if req.Region != nil && req.Region.Dims() != dims {
-		return nil, nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
 	}
 	reg := c.obsReg()
 	sp, ctx := reg.StartCtx(ctx, obsQuery)
@@ -46,54 +38,18 @@ func (c *Chunked) Query(ctx context.Context, req QueryRequest) (*Result, *ReadRe
 	return res, rep, err
 }
 
-// probeTiles partitions the probe by tile in tile-local coordinates,
-// in tile-key order; points outside the global shape or in tiles never
-// written are simply not found.
-func (c *Chunked) probeTiles(probe *tensor.Coords) []tileRef {
-	parts := map[string]*tileRef{}
-	var keys []string
-	local := make([]uint64, probe.Dims())
-	for i, n := 0, probe.Len(); i < n; i++ {
-		p := probe.At(i)
-		if !c.shape.Contains(p) {
-			continue
-		}
-		idx := c.tileIndex(p)
-		key := tileKey(idx)
-		g, ok := parts[key]
-		if !ok {
-			st, ok := c.stores[key]
-			if !ok {
-				continue
-			}
-			g = &tileRef{key: key, idx: idx, store: st, probe: tensor.NewCoords(probe.Dims(), 0)}
-			parts[key] = g
-			keys = append(keys, key)
-		}
-		for d := range p {
-			local[d] = p[d] - idx[d]*c.tile[d]
-		}
-		g.probe.Append(local...)
-	}
-	sort.Strings(keys)
-	out := make([]tileRef, len(keys))
-	for i, key := range keys {
-		out[i] = *parts[key]
-	}
-	return out
-}
-
 // queryTiles answers the request tile by tile — each tile's share as a
 // tile-local query against its store — and merges the answers, taken
 // back to global coordinates, in row-major order.
 func (c *Chunked) queryTiles(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
 	root, ctx := c.obsReg().StartCtx(ctx, obsChunkedRead)
 	defer root.End()
-	var tiles []tileRef
+	dir := c.dir.Load()
+	var tiles []*tilePart
 	if req.Region != nil {
-		tiles = c.tilesIn(*req.Region)
+		tiles = c.tilesIn(dir, *req.Region)
 	} else {
-		tiles = c.probeTiles(req.Probe)
+		tiles = c.partition(dir, req.Probe, nil)
 	}
 	rep := &ReadReport{}
 	parts := make([]*Result, 0, len(tiles))
@@ -101,7 +57,7 @@ func (c *Chunked) queryTiles(ctx context.Context, req QueryRequest) (*Result, *R
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		sub := QueryRequest{Probe: t.probe, AsOf: AsOfLatest, Strategy: req.Strategy, Workers: req.Workers}
+		sub := QueryRequest{Probe: t.coords, AsOf: AsOfLatest, Strategy: req.Strategy, Workers: req.Workers}
 		if req.Region != nil {
 			sub.Region = &t.clip
 		}
@@ -115,12 +71,12 @@ func (c *Chunked) queryTiles(ctx context.Context, req QueryRequest) (*Result, *R
 		flat := res.Coords.Flat()
 		for i := range flat {
 			d := i % len(t.idx)
-			flat[i] += t.idx[d] * c.tile[d]
+			flat[i] += c.tiling.Origin(t.idx, d)
 		}
 		parts = append(parts, res)
 	}
 	t := time.Now()
-	res := MergeResults(c.shape.Dims(), parts)
+	res := MergeResults(c.tiling.Shape.Dims(), parts)
 	rep.Merge += time.Since(t)
 	return res, rep, nil
 }
@@ -148,11 +104,11 @@ func (c *Chunked) Kernel(ctx context.Context, req KernelRequest) (*KernelResult,
 // kernelAt runs the kernel on every tile the request touches and folds
 // the tile answers, in tile-key order.
 func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, error) {
-	dims := c.shape.Dims()
+	dims := c.tiling.Shape.Dims()
 	total := &KernelResult{Values: []float64{0}, Report: &PushReport{}}
-	fold := func(_ tileRef, r *KernelResult) { total.Values[0] += r.Values[0] }
+	fold := func(_ *tilePart, r *KernelResult) { total.Values[0] += r.Values[0] }
 	// Kernels over the whole store visit the tiles of the whole shape.
-	region := tensor.Region{Start: make([]uint64, dims), Size: c.shape}
+	region := tensor.Region{Start: make([]uint64, dims), Size: c.tiling.Shape}
 	switch req.Op {
 	case KernelSumAll, KernelLiveNNZ:
 	case KernelSumRegion:
@@ -167,9 +123,9 @@ func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResul
 		if req.Mode < 0 || req.Mode >= dims {
 			return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, req.Mode, dims)
 		}
-		total.Values = make([]float64, c.shape[req.Mode])
-		fold = func(t tileRef, r *KernelResult) {
-			origin := t.idx[req.Mode] * c.tile[req.Mode]
+		total.Values = make([]float64, c.tiling.Shape[req.Mode])
+		fold = func(t *tilePart, r *KernelResult) {
+			origin := c.tiling.Origin(t.idx, req.Mode)
 			for i, v := range r.Values {
 				total.Values[origin+uint64(i)] += v
 			}
@@ -177,7 +133,7 @@ func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResul
 	default:
 		return nil, fmt.Errorf("store: %w: kernel %v is not supported on chunked stores", ErrBadRequest, req.Op)
 	}
-	for _, t := range c.tilesIn(region) {
+	for _, t := range c.tilesIn(c.dir.Load(), region) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -164,7 +164,7 @@ func TestChunkedEdgeTilesClip(t *testing.T) {
 	if err != nil || res.Coords.Len() != 1 || res.Values[0] != 5 {
 		t.Fatalf("clipped tile read: %v %v", res, err)
 	}
-	if got := st.tileShape([]uint64{2}); !got.Equal(tensor.Shape{2}) {
+	if got := st.tiling.Extent([]uint64{2}); !got.Equal(tensor.Shape{2}) {
 		t.Fatalf("edge tile shape = %v, want {2}", got)
 	}
 }
@@ -259,23 +259,6 @@ func TestChunkedDeleteRegion(t *testing.T) {
 	}
 	if _, err := st.DeleteRegion(tensor.Region{Start: []uint64{19, 19}, Size: []uint64{5, 5}}); err == nil {
 		t.Error("out-of-shape region accepted")
-	}
-}
-
-func TestTileIndexFromKey(t *testing.T) {
-	fs := newSim(t)
-	st, err := NewChunked(fs, "k", core.COO, tensor.Shape{100, 100}, tensor.Shape{10, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := st.tileIndexFromKey("t-3-12")
-	if idx == nil || idx[0] != 3 || idx[1] != 12 {
-		t.Fatalf("parsed %v", idx)
-	}
-	for _, bad := range []string{"t-3", "x-3-12", "t-3-12-9", "t-a-b"} {
-		if st.tileIndexFromKey(bad) != nil {
-			t.Errorf("bad key %q parsed", bad)
-		}
 	}
 }
 

@@ -70,16 +70,32 @@ func resolveIngestWorkers(requested, jobs int) int {
 	return min(psort.Workers(requested), jobs)
 }
 
-// validateBatches runs the per-batch argument checks shared by the
-// flat and the cross-tile ingest.
-func validateBatches(batches []Batch, dims int) error {
+// ValidateBatches is the one write validator — Store, Chunked and
+// serve.Router run it over a whole call before anything is built, sent
+// or committed: every batch has coordinates of the shape's rank, one
+// value per point, and no point outside the shape.
+func ValidateBatches(batches []Batch, shape tensor.Shape) error {
 	for i, b := range batches {
-		if b.Coords.Len() != len(b.Values) {
+		switch {
+		case b.Coords == nil || b.Coords.Dims() != shape.Dims():
+			return fmt.Errorf("store: %w: batch %d: coords are not %d-dim", ErrShapeMismatch, i, shape.Dims())
+		case b.Coords.Len() != len(b.Values):
 			return fmt.Errorf("store: %w: batch %d: %d points with %d values", ErrShapeMismatch, i, b.Coords.Len(), len(b.Values))
+		case !b.Coords.InShape(shape):
+			return fmt.Errorf("store: %w: batch %d: coordinate outside shape %v", ErrShapeMismatch, i, shape)
 		}
-		if b.Coords.Dims() != dims {
-			return fmt.Errorf("store: %w: batch %d: %d-dim coords for %d-dim store", ErrShapeMismatch, i, b.Coords.Dims(), dims)
-		}
+	}
+	return nil
+}
+
+// ValidateDeleteRegion is the rule a deletion's region meets on every
+// layer: the shape's rank, non-empty, and inside the shape.
+func ValidateDeleteRegion(region tensor.Region, shape tensor.Shape) error {
+	if region.Dims() != shape.Dims() {
+		return fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), shape.Dims())
+	}
+	if _, err := tensor.NewRegion(shape, region.Start, region.Size); err != nil {
+		return fmt.Errorf("store: %w: %v", ErrShapeMismatch, err)
 	}
 	return nil
 }
@@ -113,7 +129,7 @@ func validateBatches(batches []Batch, dims int) error {
 // the ingest returns ctx.Err() after reporting it through fn with
 // (index, nil, err).
 func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers int, fn func(i int, rep *WriteReport, err error) error) error {
-	if err := validateBatches(batches, s.shape.Dims()); err != nil {
+	if err := ValidateBatches(batches, s.shape); err != nil {
 		return err
 	}
 	if len(batches) == 0 {

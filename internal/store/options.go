@@ -53,15 +53,6 @@ func (s *Store) applyOptions(opts []Option) error {
 	if s.optErr != nil {
 		return s.optErr
 	}
-	// A shared cache was created with its budget; a private budget
-	// beside it (anything but the default a store starts from) is a
-	// contradiction, whichever option came first.
-	if s.sharedCache != nil && s.cacheBudget != DefaultCacheBudget {
-		return &OptionError{
-			Option: "WithSharedCache",
-			Reason: "conflicts with WithReaderCache: the shared cache already carries its byte budget",
-		}
-	}
 	if s.autoReorg && s.bgMinFrags <= 0 {
 		return &OptionError{
 			Option: "WithAutoReorg",
@@ -69,23 +60,6 @@ func (s *Store) applyOptions(opts []Option) error {
 		}
 	}
 	return nil
-}
-
-// WithSharedCache makes the store resolve fragments through an
-// externally owned reader cache instead of creating its own. Every
-// store handed the same cache budgets against one pool — this is how
-// the tiles of a Chunked store share a single byte budget (NewChunked
-// wires it automatically; pass it explicitly to share a cache across
-// independent stores or several Chunked stores). Mutually exclusive
-// with WithReaderCache: the shared cache was created with its budget.
-func WithSharedCache(c *fragcache.Cache) Option {
-	return func(s *Store) {
-		if c == nil {
-			s.recordOptErr("WithSharedCache", "nil cache (disable caching with WithReaderCache(0))")
-			return
-		}
-		s.sharedCache = c
-	}
 }
 
 // WithBackgroundCompaction makes the store compact itself: whenever a
@@ -116,19 +90,11 @@ func WithAutoReorg() Option {
 	return func(s *Store) { s.autoReorg = true }
 }
 
-// withTileCache injects a Chunked store's shared cache into one of its
-// tiles, bypassing WithSharedCache's conflict check — the chunked layer
-// has already folded the user's cache options into this one cache, so a
-// forwarded WithReaderCache budget is spent, not conflicting.
-func withTileCache(c *fragcache.Cache) Option {
-	return func(s *Store) {
-		s.sharedCache = c
-		s.cacheBudget = DefaultCacheBudget
-	}
-}
-
-// withCacheScope labels this store's traffic on a shared cache (the
-// scope is the tile key), keeping per-tile hit rates observable.
-func withCacheScope(scope string) Option {
-	return func(s *Store) { s.cacheScope = scope }
+// withTileCache makes a Chunked store's tile resolve fragments through
+// the cache all its tiles share — the chunked layer has already spent
+// the user's cache budget on that one cache, so a forwarded
+// WithReaderCache is superseded — and labels the tile's traffic with
+// its name, keeping per-tile hit rates observable.
+func withTileCache(c *fragcache.Cache, scope string) Option {
+	return func(s *Store) { s.tileCache, s.cacheScope = c, scope }
 }

@@ -96,9 +96,11 @@ type QueryRequest struct {
 	Workers int
 }
 
-// validate rejects structurally bad requests before any view is
-// pinned. Dimension checks happen later, against the store's shape.
-func (req *QueryRequest) validate() error {
+// Validate rejects a request that is structurally bad or whose target
+// is not dims-dimensional, before any view is pinned or shard asked. It
+// is the one read validator: Store, Chunked and serve.Router call it and
+// add only their own as-of rule.
+func (req *QueryRequest) Validate(dims int) error {
 	if (req.Probe == nil) == (req.Region == nil) {
 		return fmt.Errorf("store: %w: exactly one of Probe or Region must be set", ErrBadRequest)
 	}
@@ -114,6 +116,12 @@ func (req *QueryRequest) validate() error {
 	if req.Region != nil && req.AsOf != AsOfLatest {
 		return fmt.Errorf("store: %w: as-of reads take a probe target", ErrBadRequest)
 	}
+	if req.Probe != nil && req.Probe.Dims() != dims {
+		return fmt.Errorf("store: %w: %d-dim probe for %d-dim store", ErrShapeMismatch, req.Probe.Dims(), dims)
+	}
+	if req.Region != nil && req.Region.Dims() != dims {
+		return fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
+	}
 	return nil
 }
 
@@ -122,15 +130,8 @@ func (req *QueryRequest) validate() error {
 // Cancellation is checked once per fragment: a canceled ctx stops
 // before the next fetch/probe/scan and returns ctx.Err().
 func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
-	if err := req.validate(); err != nil {
+	if err := req.Validate(s.shape.Dims()); err != nil {
 		return nil, nil, err
-	}
-	dims := s.shape.Dims()
-	if req.Probe != nil && req.Probe.Dims() != dims {
-		return nil, nil, fmt.Errorf("store: %w: %d-dim probe for %d-dim store", ErrShapeMismatch, req.Probe.Dims(), dims)
-	}
-	if req.Region != nil && req.Region.Dims() != dims {
-		return nil, nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
 	}
 	reg := s.obsReg()
 	sp, ctx := reg.StartCtx(ctx, obsQuery)

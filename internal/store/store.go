@@ -78,12 +78,11 @@ func WithReaderCache(budget int64) Option {
 	return func(s *Store) { s.cacheBudget = budget }
 }
 
-// initCache builds the reader cache after options are applied. An
-// injected shared cache (WithSharedCache, or a Chunked parent's cache)
-// takes precedence over any per-store budget.
+// initCache builds the reader cache after options are applied. A
+// Chunked parent's cache takes precedence over any per-store budget.
 func (s *Store) initCache() {
-	if s.sharedCache != nil {
-		s.cache = s.sharedCache
+	if s.tileCache != nil {
+		s.cache = s.tileCache
 		return
 	}
 	if s.cacheBudget > 0 {
@@ -184,12 +183,11 @@ type Store struct {
 
 	// cache holds decoded fragment readers; nil when disabled.
 	// cacheBudget sizes the store's own cache (WithReaderCache;
-	// DefaultCacheBudget otherwise). sharedCache is an externally owned
-	// cache (WithSharedCache or a Chunked parent) used instead;
-	// cacheScope labels this store's traffic on a shared cache (per-tile
-	// hit metrics).
+	// DefaultCacheBudget otherwise). tileCache is a Chunked parent's
+	// cache, used instead; cacheScope labels this tile's traffic on it
+	// (per-tile hit metrics).
 	cache       *fragcache.Cache
-	sharedCache *fragcache.Cache
+	tileCache   *fragcache.Cache
 	cacheScope  string
 	cacheBudget int64
 
@@ -572,7 +570,7 @@ func (s *Store) takeCost() (fsim.Cost, bool) {
 // concurrent reads proceed against their pinned snapshots throughout.
 func (s *Store) Write(c *tensor.Coords, vals []float64) (*WriteReport, error) {
 	b := Batch{Coords: c, Values: vals}
-	if err := validateBatches([]Batch{b}, s.shape.Dims()); err != nil {
+	if err := ValidateBatches([]Batch{b}, s.shape); err != nil {
 		return nil, err
 	}
 	s.writeMu.Lock()
@@ -587,11 +585,8 @@ func (s *Store) Write(c *tensor.Coords, vals []float64) (*WriteReport, error) {
 // tombstone in. The report's Write phase is the log append; Bytes is
 // the framed record's size.
 func (s *Store) DeleteRegion(region tensor.Region) (*WriteReport, error) {
-	if region.Dims() != s.shape.Dims() {
-		return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), s.shape.Dims())
-	}
-	if _, err := tensor.NewRegion(s.shape, region.Start, region.Size); err != nil {
-		return nil, fmt.Errorf("store: %w: %v", ErrShapeMismatch, err)
+	if err := ValidateDeleteRegion(region, s.shape); err != nil {
+		return nil, err
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()

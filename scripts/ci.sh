@@ -48,10 +48,13 @@ go build ./...
 # all go through it); and Algorithm 3's READ exists once, so a fragment
 # is fetched from two places only (readFragment on the READ loop, and
 # warmCache) and internal/core offers one walk (Iterator.Each and
-# RegionScanner.ScanRegion — no iter.Seq2 twin of them). The numbers
-# printed are the baseline the next simplicity change is measured
-# against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; exported methods; code lines)"
+# RegionScanner.ScanRegion — no iter.Seq2 twin of them); and the tile
+# grid is declared once (store.Tiling, internal/store/tiling.go: index,
+# name, extent, clip, range, walk), so neither Chunked nor Router spells
+# a tile name or index of its own, and the per-point name is appended
+# digits, never fmt. The numbers printed are the baseline the next
+# simplicity change is measured against.
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -76,6 +79,14 @@ if grep -rnE 'iter\.Seq2|\) Points\(\)|RegionPoints\(' --include='*.go' --exclud
     echo "internal/core carries a second walk contract (range over Iterator.Each / RegionScanner.ScanRegion)" >&2
     exit 1
 fi
+if grep -rnE 'func (\([^)]*\) )?(tileKey|tileOf|tileIndexFromKey)\(|"-%d"' --include='*.go' --exclude='*_test.go' internal/store internal/serve; then
+    echo "a tile name or index is spelled outside store.Tiling (use Index / AppendName / ParseName)" >&2
+    exit 1
+fi
+if sed -n '/^import (/,/^)/p' internal/store/tiling.go | grep -q '"fmt"'; then
+    echo "internal/store/tiling.go imports fmt (the per-point path appends digits)" >&2
+    exit 1
+fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
 echo "  methods of serve.Backend: $n"
 for recv in Store Chunked; do
@@ -83,6 +94,8 @@ for recv in Store Chunked; do
         xargs -0 grep -hE "^func \\((s|c) \\*${recv}\\) [A-Z]" | wc -l)
     echo "  exported methods of *${recv}: $n"
 done
+n=$(find internal/store -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 grep -hE '^func With[A-Z]' | wc -l)
+echo "  store.With* options: $n"
 lines=$(find internal/store internal/serve internal/wire -name '*.go' ! -name '*_test.go' -print0 |
     xargs -0 cat | grep -cvE '^\s*(//.*)?$')
 echo "  non-blank non-comment lines, internal/{store,serve,wire}: $lines"
@@ -106,12 +119,15 @@ go test -race ./...
 
 # Race-hammer tier: readers, writers, a deleter, and a compactor pound
 # one store per organization under the race detector while every result
-# is differentially verified against an epoch-indexed oracle. The suite
-# above already runs it once at the default scale; this tier repeats it
-# with more iterations (HAMMER_COUNT, default 3) so interleavings vary.
+# is differentially verified against an epoch-indexed oracle; and two
+# writers race to create the same tiles of a chunked store — directly,
+# and as clients of one served ChunkedBackend — beside region reads,
+# probes, kernels and deletions. The suite above already runs both once
+# at the default scale; this tier repeats them with more iterations
+# (HAMMER_COUNT, default 3) so interleavings vary.
 step "race hammer (concurrent serving, ${HAMMER_COUNT:-3} rounds)"
-go test -race -run 'TestConcurrentHammer|TestNoMixedEpochReads' \
-    -count "${HAMMER_COUNT:-3}" ./internal/store/
+go test -race -run 'TestConcurrentHammer|TestNoMixedEpochReads|TestChunkedConcurrentTileCreation' \
+    -count "${HAMMER_COUNT:-3}" ./internal/store/ ./internal/serve/
 
 # Live-endpoint smoke: import a scratch store, serve its telemetry, and
 # validate both scrape formats end to end — /metrics through the strict

@@ -30,9 +30,7 @@ import (
 	"sparseart/internal/fsim"
 	"sparseart/internal/gen"
 	"sparseart/internal/linalg"
-	"sparseart/internal/obs"
 	"sparseart/internal/store"
-	"sparseart/internal/store/fragcache"
 	"sparseart/internal/tensor"
 )
 
@@ -109,10 +107,6 @@ type (
 	// streamed, and the peak in-memory chunk footprint on the
 	// destination side.
 	ConvertReport = store.ConvertReport
-	// ReaderCache is a byte-budgeted LRU fragment cache; share one
-	// across stores (or across a ChunkedStore's tiles) with
-	// WithSharedCache.
-	ReaderCache = fragcache.Cache
 )
 
 // Streaming ingest is the primary batched-write surface. Both Store and
@@ -131,25 +125,13 @@ type (
 // worker pool. Prefer the streaming form for large ingests — it doesn't
 // hold O(batches) reports alive.
 
-// NewReaderCache builds a shared fragment cache with a global byte
-// budget, for WithSharedCache. Entries larger than half the budget are
-// served but never retained.
-func NewReaderCache(budgetBytes int64) *ReaderCache {
-	return fragcache.New(budgetBytes, obs.Global)
-}
-
-// Option misuse (a nil shared cache, a non-positive worker count,
-// conflicting cache options) surfaces from the constructors as a typed
-// error matching ErrBadOption.
+// Option misuse (a compaction threshold below 2, WithAutoReorg without
+// its trigger) surfaces from the constructors as a typed error matching
+// ErrBadOption.
 var ErrBadOption = store.ErrBadOption
 
 // OptionError reports which store option was misused and why.
 type OptionError = store.OptionError
-
-// WithSharedCache makes the store resolve fragments through an
-// externally owned cache, sharing its single byte budget; handed to
-// CreateChunkedStore it becomes the budget for every tile.
-func WithSharedCache(c *ReaderCache) StoreOption { return store.WithSharedCache(c) }
 
 // WithBackgroundCompaction makes the store compact itself on a
 // background worker once a mutation leaves at least minFragments
