@@ -29,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"sparseart/internal/bench"
 	"sparseart/internal/fsim"
@@ -52,12 +51,11 @@ func main() {
 		chart      = flag.Bool("chart", false, "render fig3/fig4/fig5 as grouped bar charts instead of tables")
 		metrics    = flag.String("metrics", "", "enable the obs registry and write its JSON snapshot to this file after the run")
 		trace      = flag.Bool("trace", false, "enable the obs registry and print the span timeline to stderr after the run")
-		otlp       = flag.String("otlp", "", "enable the obs registry and write its OTLP-JSON export to this file after the run")
 		chromeOut  = flag.String("chrome-trace", "", "enable the obs registry and write the span timeline as Chrome trace_event JSON to this file (load in chrome://tracing or ui.perfetto.dev)")
 	)
 	flag.Parse()
 	if err := run(*experiment, *scaleName, *fsName, *osDir, *seed, *csvPath, *quiet, *probeLimit, *trials, *chart, obsOutputs{
-		metricsPath: *metrics, trace: *trace, otlpPath: *otlp, chromePath: *chromeOut,
+		metricsPath: *metrics, trace: *trace, chromePath: *chromeOut,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "sparsebench:", err)
 		os.Exit(1)
@@ -69,12 +67,11 @@ func main() {
 type obsOutputs struct {
 	metricsPath string // raw snapshot JSON
 	trace       bool   // span timeline to stderr
-	otlpPath    string // OTLP-JSON ExportMetricsServiceRequest
 	chromePath  string // Chrome trace_event JSON
 }
 
 func (o obsOutputs) enabled() bool {
-	return o.metricsPath != "" || o.trace || o.otlpPath != "" || o.chromePath != ""
+	return o.metricsPath != "" || o.trace || o.chromePath != ""
 }
 
 func run(experiment, scaleName, fsName, osDir string, seed uint64, csvPath string, quiet bool, probeLimit, trials int, chart bool, obsOut obsOutputs) error {
@@ -203,8 +200,8 @@ func run(experiment, scaleName, fsName, osDir string, seed uint64, csvPath strin
 }
 
 // dumpObs exports the process-wide obs registry after a run, in every
-// format the flags asked for: the raw JSON snapshot, the OTLP-JSON
-// document, the Chrome trace, and the stderr span timeline.
+// format the flags asked for: the raw JSON snapshot, the Chrome trace,
+// and the stderr span timeline.
 func dumpObs(o obsOutputs) error {
 	reg := obs.Global()
 	if reg == nil {
@@ -220,16 +217,6 @@ func dumpObs(o obsOutputs) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", o.metricsPath)
-	}
-	if o.otlpPath != "" {
-		data, err := export.OTLP(snap, export.OTLPOptions{TimeUnixNano: uint64(time.Now().UnixNano())})
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.otlpPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", o.otlpPath)
 	}
 	if o.chromePath != "" {
 		data, err := export.ChromeTrace(snap)

@@ -12,7 +12,6 @@ import (
 
 	"sparseart/internal/core"
 	"sparseart/internal/obs"
-	"sparseart/internal/obs/export"
 )
 
 // capture runs f with stdout redirected and returns what it printed.
@@ -231,36 +230,16 @@ func TestRunTable4IncludesSensitivity(t *testing.T) {
 	}
 }
 
-// TestOTLPAndChromeOutputs: -otlp and -chrome-trace write decodable
-// documents whose contents reflect the run (write counters in the OTLP
-// export, write spans in the trace).
-func TestOTLPAndChromeOutputs(t *testing.T) {
+// TestChromeTraceOutput: -chrome-trace writes a trace_event document
+// whose events reflect the run (the write spans).
+func TestChromeTraceOutput(t *testing.T) {
 	defer obs.SetGlobal(nil)
-	otlp := filepath.Join(t.TempDir(), "metrics.otlp.json")
 	trace := filepath.Join(t.TempDir(), "trace.json")
 	if _, err := capture(t, func() error {
 		return run("table3", "small", "sim", "", 1, "", true, 0, 1, false,
-			obsOutputs{otlpPath: otlp, chromePath: trace})
+			obsOutputs{chromePath: trace})
 	}); err != nil {
 		t.Fatal(err)
-	}
-
-	data, err := os.ReadFile(otlp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := export.DecodeOTLP(data)
-	if err != nil {
-		t.Fatalf("-otlp output not decodable: %v", err)
-	}
-	var writes int64
-	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, "store.write.count") {
-			writes += v
-		}
-	}
-	if writes == 0 {
-		t.Fatal("OTLP export carries no store.write.count")
 	}
 
 	tdata, err := os.ReadFile(trace)

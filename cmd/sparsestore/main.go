@@ -188,8 +188,8 @@ global flags (before the command):
                     K fragment commits (1 = rewrite per write)
   -bg-compact=N     compact in the background whenever a store opened by
                     the command accumulates N fragments (N >= 2)
-  -listen=ADDR      serve live telemetry (/metrics, /metrics.json,
-                    /trace, /debug/pprof/) on ADDR while the command runs
+  -listen=ADDR      serve live telemetry (/metrics, /snapshot, /trace,
+                    /debug/pprof/) on ADDR while the command runs
 
 commands:
   info     print a store's organization, shape, and fragment inventory

@@ -120,8 +120,8 @@ func openServeBackend(dir string, opts []store.Option, create, shapeSpec, tileSp
 }
 
 // runServe serves a store: always its telemetry over HTTP (Prometheus
-// text on /metrics, OTLP-JSON on /metrics.json, the span timeline on
-// /trace, pprof under /debug/pprof/), and — with -data-addr — its data
+// text on /metrics, the Snapshot JSON on /snapshot, the span timeline
+// on /trace, pprof under /debug/pprof/), and — with -data-addr — its data
 // over the wire protocol: reads, writes, deletes, and push-down
 // kernels with per-request deadlines and bounded-in-flight
 // back-pressure. -create KIND -shape S [-tile T] initializes the store
@@ -139,8 +139,6 @@ func runServe(args []string) error {
 	maxInflight := fs.Int("max-inflight", 0, "bound on concurrently executing data requests (0: default)")
 	warm := fs.Int("warm", 0, "pre-fill the reader cache with the newest K fragments on open")
 	readall := fs.Bool("readall", false, "run one whole-tensor region read after opening, so the scrape shows read-path metrics and spans")
-	report := fs.String("report", "", "append interval OTLP-JSON delta documents to this file while serving")
-	reportEvery := fs.Duration("report-interval", 10*time.Second, "emission interval for -report")
 	slowlog := fs.String("slowlog", "", "slow-query threshold in ms — queries at least this slow land in /debug/slowlog (0 logs every query; empty: off)")
 	slowlogFile := fs.String("slowlog-file", "", "also append slow-query JSONL lines to this file")
 	traceSample := fs.Float64("trace-sample", 0, "probability that a data request without a caller trace starts a sampled trace (0: off)")
@@ -207,21 +205,6 @@ func runServe(args []string) error {
 			}
 		}()
 		defer dataSrv.Close()
-	}
-
-	if *report != "" {
-		f, err := os.OpenFile(*report, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		rep := obsserve.NewReporter(reg, *reportEvery, obsserve.WriteOTLP(f))
-		rep.Start()
-		defer func() {
-			if err := rep.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "sparsestore: report:", err)
-			}
-		}()
 	}
 
 	srv := &http.Server{Handler: obsserve.New(reg).Handler()}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sparseart/internal/obs"
 	"sparseart/internal/obs/export"
 )
 
@@ -81,9 +82,7 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report := filepath.Join(t.TempDir(), "report.jsonl")
-	addr := startServe(t, dir, "-warm", "1", "-readall",
-		"-report", report, "-report-interval", "20ms")
+	addr := startServe(t, dir, "-warm", "1", "-readall")
 
 	// /metrics parses as strict Prometheus exposition and shows the
 	// warming and the -readall traffic.
@@ -97,10 +96,10 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /metrics.json decodes as OTLP with the same counters.
-	snap, err := export.DecodeOTLP(fetch(t, "http://"+addr+"/metrics.json"))
+	// /snapshot decodes as the Snapshot JSON with the same counters.
+	snap, err := obs.DecodeSnapshot(fetch(t, "http://"+addr+"/snapshot"))
 	if err != nil {
-		t.Fatalf("/metrics.json: %v", err)
+		t.Fatalf("/snapshot: %v", err)
 	}
 	var warmed int64
 	for name, v := range snap.Counters {
@@ -117,23 +116,6 @@ func TestServeEndToEnd(t *testing.T) {
 	trace := fetch(t, "http://"+addr+"/trace")
 	if !strings.Contains(string(trace), `"traceEvents"`) || !strings.Contains(string(trace), "store.read") {
 		t.Errorf("/trace missing read spans:\n%.400s", trace)
-	}
-
-	// The interval reporter wrote at least one decodable OTLP delta.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		data, err := os.ReadFile(report)
-		if err == nil && len(data) > 0 && data[len(data)-1] == '\n' {
-			first := data[:strings.IndexByte(string(data), '\n')]
-			if _, err := export.DecodeOTLP(first); err != nil {
-				t.Fatalf("report line not decodable: %v", err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("reporter never emitted")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

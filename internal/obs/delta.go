@@ -3,9 +3,10 @@ package obs
 // Delta computes what happened between two snapshots of the same
 // registry: prev taken earlier, cur taken later. It is the inverse of
 // the Absorb merge — absorbing the returned delta into a registry that
-// matches prev reproduces cur's counters and histogram contents — and
-// is what the serve handler's ?since= mode and the interval Reporter
-// emit.
+// matches prev reproduces cur's counters and histogram contents. The
+// router's fleet scrape absorbs each shard's Delta since its previous
+// pull, and the benchmark's traced runs difference each shard's
+// registry across the measured window with it.
 //
 // Semantics per section:
 //

@@ -1,16 +1,9 @@
-// Package export renders obs.Snapshot in the interchange formats
-// standard monitoring tooling consumes, with no dependencies beyond
-// the standard library:
+// Package export renders obs.Snapshot in the formats standard tooling
+// consumes, with no dependencies beyond the standard library. The
+// lossless machine form is the Snapshot's own JSON (Snapshot.JSON /
+// obs.DecodeSnapshot); this package adds the two views that have
+// readers of their own:
 //
-//   - OTLP-JSON: the OpenTelemetry metrics data model's
-//     ExportMetricsServiceRequest shape (OTLP/HTTP JSON encoding).
-//     Counters become monotonic cumulative sums, gauges become gauges,
-//     and the 64 power-of-two latency buckets become exponential-
-//     histogram data points at base-2 scale 0 — the registry's
-//     bit-length bucketing *is* an exponential histogram, so the
-//     mapping is exact bucket-for-bucket. DecodeOTLP inverts the
-//     encoding back to a Snapshot (the round-trip property tests and
-//     the delta Reporter depend on it).
 //   - Prometheus text exposition v0.0.4: `# TYPE`d families with
 //     sorted, escaped label pairs; histograms synthesize cumulative
 //     `_bucket` series (one `le` per occupied power-of-two bucket,
@@ -21,7 +14,7 @@
 //     events, one track per nesting depth, loadable in
 //     chrome://tracing or Perfetto.
 //
-// All three exporters are total over any decodable Snapshot — absorbed
+// Both exporters are total over any decodable Snapshot — absorbed
 // or fuzz-decoded snapshots with non-canonical bucket bounds are
 // canonicalized, never rejected.
 package export

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -70,14 +69,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-func TestOTLPGolden(t *testing.T) {
-	out, err := OTLP(canonicalSnapshot(), OTLPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "canonical.otlp.json", out)
-}
-
 func TestPrometheusGolden(t *testing.T) {
 	checkGolden(t, "canonical.prom.txt", Prometheus(canonicalSnapshot()))
 }
@@ -91,7 +82,7 @@ func TestChromeTraceGolden(t *testing.T) {
 }
 
 // randomRegistry fills a registry with seeded-random metrics, the
-// property tests' snapshot source.
+// well-formedness test's snapshot source.
 func randomRegistry(rng *rand.Rand) *obs.Registry {
 	reg := obs.New()
 	kinds := []string{"COO", "LINEAR", "GCSR++", "CSF", "weird\"label\\value,=x"}
@@ -107,53 +98,6 @@ func randomRegistry(rng *rand.Rand) *obs.Registry {
 		reg.Histogram("prop.lat", "kind", kind).Observe(d)
 	}
 	return reg
-}
-
-// TestOTLPRoundTripProperty holds the acceptance criterion: export →
-// decode → Absorb into a fresh registry reproduces the source
-// snapshot's counters exactly and its histogram bucket contents
-// exactly.
-func TestOTLPRoundTripProperty(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		src := randomRegistry(rng).Snapshot()
-		data, err := OTLP(src, OTLPOptions{TimeUnixNano: 1700000000000000000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := DecodeOTLP(data)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		fresh := obs.New()
-		fresh.Absorb(decoded)
-		got := fresh.Snapshot()
-		if !reflect.DeepEqual(got.Counters, src.Counters) {
-			t.Fatalf("seed %d: counters diverged\n got %v\nwant %v", seed, got.Counters, src.Counters)
-		}
-		if !reflect.DeepEqual(got.Gauges, src.Gauges) {
-			t.Fatalf("seed %d: gauges diverged\n got %v\nwant %v", seed, got.Gauges, src.Gauges)
-		}
-		if len(got.Histograms) != len(src.Histograms) {
-			t.Fatalf("seed %d: histogram families %d want %d", seed, len(got.Histograms), len(src.Histograms))
-		}
-		for name, want := range src.Histograms {
-			h, ok := got.Histograms[name]
-			if !ok {
-				t.Fatalf("seed %d: histogram %q lost", seed, name)
-			}
-			if h.Count != want.Count {
-				t.Fatalf("seed %d: %q count %d want %d", seed, name, h.Count, want.Count)
-			}
-			if !reflect.DeepEqual(h.Buckets, want.Buckets) {
-				t.Fatalf("seed %d: %q buckets\n got %v\nwant %v", seed, name, h.Buckets, want.Buckets)
-			}
-			if h.SumNs != want.SumNs || h.MinNs != want.MinNs || h.MaxNs != want.MaxNs {
-				t.Fatalf("seed %d: %q sum/min/max %d/%d/%d want %d/%d/%d",
-					seed, name, h.SumNs, h.MinNs, h.MaxNs, want.SumNs, want.MinNs, want.MaxNs)
-			}
-		}
-	}
 }
 
 // TestPrometheusWellFormed runs the canonical and random snapshots
@@ -312,20 +256,5 @@ func TestChromeTraceShape(t *testing.T) {
 				t.Fatalf("store.write event = ts %v dur %v tid %d", e.Ts, e.Dur, e.Tid)
 			}
 		}
-	}
-}
-
-// TestOTLPDeltaTemporality checks the Reporter's delta mode marks sums
-// and histograms with delta temporality.
-func TestOTLPDeltaTemporality(t *testing.T) {
-	out, err := OTLP(canonicalSnapshot(), OTLPOptions{Delta: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(out, []byte(`"aggregationTemporality": 1`)) {
-		t.Fatal("delta export missing delta temporality")
-	}
-	if bytes.Contains(out, []byte(`"aggregationTemporality": 2`)) {
-		t.Fatal("delta export still carries cumulative temporality")
 	}
 }

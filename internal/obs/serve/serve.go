@@ -1,36 +1,19 @@
 // Package serve exposes an obs registry over HTTP: Prometheus text on
-// /metrics, OTLP-JSON on /metrics.json, a Chrome trace_event timeline
-// on /trace, the raw snapshot on /snapshot, and the stdlib pprof
+// /metrics for scrapers, the lossless Snapshot JSON on /snapshot for
+// the fleet, the CLI and the checks, a Chrome trace_event timeline on
+// /trace, the slow-query ring on /debug/slowlog, and the stdlib pprof
 // handlers under /debug/pprof/. One Server wraps one registry; mount
 // its Handler on any listener.
-//
-// # Delta scrapes
-//
-// Every /metrics and /metrics.json response carries an Obs-Snapshot-Id
-// header naming the snapshot that was just served. Passing that ID
-// back as ?since=ID makes the next response a delta — only the
-// activity after the named scrape, computed with obs.Delta, with OTLP
-// sums and histograms marked delta-temporality. The server retains the
-// most recent maxBaselines snapshots; asking for an ID that has been
-// evicted (or never existed) answers 410 Gone, the signal to fall back
-// to a full scrape and start a new delta chain.
 package serve
 
 import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 
 	"sparseart/internal/obs"
 	"sparseart/internal/obs/export"
 )
-
-// maxBaselines bounds the snapshots retained for ?since= delta
-// scrapes. A scrape chain only needs its own previous snapshot, so a
-// small ring tolerates several interleaved scrapers without letting an
-// abandoned chain pin memory.
-const maxBaselines = 16
 
 // Server serves one registry's telemetry. The zero value is not
 // usable; construct with New.
@@ -38,19 +21,10 @@ type Server struct {
 	reg *obs.Registry
 
 	// OnScrape, when set, runs before every snapshot of the registry
-	// (all four telemetry endpoints). A router uses it to pull and
+	// (/metrics, /snapshot and /trace). A router uses it to pull and
 	// absorb its shards' counters so a scrape sees the whole fleet; it
 	// must be set before the Handler serves traffic.
 	OnScrape func()
-
-	mu        sync.Mutex
-	nextID    uint64
-	baselines []baseline // FIFO, newest last, len <= maxBaselines
-}
-
-type baseline struct {
-	id   string
-	snap *obs.Snapshot
 }
 
 // New returns a Server over reg. A nil reg serves the process-global
@@ -67,7 +41,6 @@ func New(reg *obs.Registry) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.metrics)
-	mux.HandleFunc("/metrics.json", s.metricsJSON)
 	mux.HandleFunc("/trace", s.trace)
 	mux.HandleFunc("/snapshot", s.snapshot)
 	mux.HandleFunc("/debug/slowlog", s.slowlog)
@@ -79,72 +52,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// capture snapshots the registry, resolves an optional ?since=
-// baseline, and registers the new snapshot for future delta requests.
-// It returns the snapshot to render (full or delta), the new
-// snapshot's ID, and ok=false after it has already written the 410
-// response for an unknown baseline.
-func (s *Server) capture(w http.ResponseWriter, r *http.Request) (snap *obs.Snapshot, delta bool, ok bool) {
+// capture runs the OnScrape hook, then snapshots the registry.
+func (s *Server) capture() *obs.Snapshot {
 	if s.OnScrape != nil {
 		s.OnScrape()
 	}
-	cur := s.reg.Snapshot()
-	since := r.URL.Query().Get("since")
-
-	s.mu.Lock()
-	var prev *obs.Snapshot
-	if since != "" {
-		for _, b := range s.baselines {
-			if b.id == since {
-				prev = b.snap
-				break
-			}
-		}
-		if prev == nil {
-			s.mu.Unlock()
-			http.Error(w, "unknown snapshot id "+strconv.Quote(since)+"; re-scrape without ?since=", http.StatusGone)
-			return nil, false, false
-		}
-	}
-	s.nextID++
-	id := "s" + strconv.FormatUint(s.nextID, 10)
-	s.baselines = append(s.baselines, baseline{id: id, snap: cur})
-	if len(s.baselines) > maxBaselines {
-		s.baselines = s.baselines[len(s.baselines)-maxBaselines:]
-	}
-	s.mu.Unlock()
-
-	w.Header().Set("Obs-Snapshot-Id", id)
-	if prev != nil {
-		return obs.Delta(prev, cur), true, true
-	}
-	return cur, false, true
+	return s.reg.Snapshot()
 }
 
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
-	snap, _, ok := s.capture(w, r)
-	if !ok {
-		return
-	}
 	w.Header().Set("Content-Type", export.ContentTypePrometheus)
-	w.Write(export.Prometheus(snap))
-}
-
-func (s *Server) metricsJSON(w http.ResponseWriter, r *http.Request) {
-	snap, delta, ok := s.capture(w, r)
-	if !ok {
-		return
-	}
-	out, err := export.OTLP(snap, export.OTLPOptions{
-		TimeUnixNano: nowUnixNano(),
-		Delta:        delta,
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(out)
+	w.Write(export.Prometheus(s.capture()))
 }
 
 // trace serves the Chrome trace_event timeline. ?trace_id=<32 hex>
@@ -153,10 +71,7 @@ func (s *Server) metricsJSON(w http.ResponseWriter, r *http.Request) {
 // registry-relative timeline is omitted from filtered responses, which
 // show exactly one request's tree.
 func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
-	if s.OnScrape != nil {
-		s.OnScrape()
-	}
-	snap := s.reg.Snapshot()
+	snap := s.capture()
 	if id := r.URL.Query().Get("trace_id"); id != "" {
 		var keep []obs.TraceSpan
 		for _, ts := range snap.TraceSpans {
@@ -188,11 +103,9 @@ func (s *Server) slowlog(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// snapshot serves Snapshot.JSON, which obs.DecodeSnapshot reads back.
 func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
-	if s.OnScrape != nil {
-		s.OnScrape()
-	}
-	out, err := s.reg.Snapshot().JSON()
+	out, err := s.capture().JSON()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

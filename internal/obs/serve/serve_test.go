@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,28 +40,10 @@ func TestEndpoints(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != export.ContentTypePrometheus {
 		t.Fatalf("/metrics content type %q", ct)
 	}
-	if resp.Header.Get("Obs-Snapshot-Id") == "" {
-		t.Fatal("/metrics missing Obs-Snapshot-Id")
-	}
 	if fams, err := export.ParsePrometheus(body); err != nil {
 		t.Fatalf("/metrics not parseable: %v\n%s", err, body)
 	} else if len(fams) == 0 {
 		t.Fatal("/metrics empty")
-	}
-
-	resp, body = get(t, h, "/metrics.json")
-	if resp.StatusCode != 200 {
-		t.Fatalf("/metrics.json: %s", resp.Status)
-	}
-	snap, err := export.DecodeOTLP(body)
-	if err != nil {
-		t.Fatalf("/metrics.json not decodable: %v", err)
-	}
-	if snap.Counters["serve.ops"] != 5 {
-		t.Fatalf("decoded counter = %d, want 5", snap.Counters["serve.ops"])
-	}
-	if !bytes.Contains(body, []byte(`"aggregationTemporality": 2`)) {
-		t.Fatal("full scrape should be cumulative")
 	}
 
 	resp, body = get(t, h, "/trace")
@@ -71,8 +52,15 @@ func TestEndpoints(t *testing.T) {
 	}
 
 	resp, body = get(t, h, "/snapshot")
-	if resp.StatusCode != 200 || !bytes.Contains(body, []byte("serve.ops")) {
-		t.Fatalf("/snapshot: %s %q", resp.Status, body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("/snapshot: %s", resp.Status)
+	}
+	snap, err := obs.DecodeSnapshot(body)
+	if err != nil {
+		t.Fatalf("/snapshot not decodable: %v", err)
+	}
+	if snap.Counters["serve.ops"] != 5 {
+		t.Fatalf("decoded counter = %d, want 5", snap.Counters["serve.ops"])
 	}
 
 	resp, _ = get(t, h, "/debug/pprof/cmdline")
@@ -81,72 +69,7 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
-func TestDeltaScrape(t *testing.T) {
-	reg := obs.New()
-	c := reg.Counter("serve.ops")
-	c.Add(10)
-	h := New(reg).Handler()
-
-	resp, _ := get(t, h, "/metrics")
-	id := resp.Header.Get("Obs-Snapshot-Id")
-
-	c.Add(3)
-	resp, body := get(t, h, "/metrics?since="+id)
-	if resp.StatusCode != 200 {
-		t.Fatalf("delta scrape: %s", resp.Status)
-	}
-	if !strings.Contains(string(body), "serve_ops_total 3") {
-		t.Fatalf("delta scrape should report 3, got:\n%s", body)
-	}
-	id2 := resp.Header.Get("Obs-Snapshot-Id")
-	if id2 == "" || id2 == id {
-		t.Fatalf("delta scrape id %q after %q", id2, id)
-	}
-
-	// Idle interval: the delta omits the unchanged counter entirely.
-	_, body = get(t, h, "/metrics?since="+id2)
-	if strings.Contains(string(body), "serve_ops_total") {
-		t.Fatalf("idle delta still reports the counter:\n%s", body)
-	}
-
-	// OTLP delta carries delta temporality and the interval value.
-	c.Add(2)
-	resp, _ = get(t, h, "/metrics.json")
-	id3 := resp.Header.Get("Obs-Snapshot-Id")
-	c.Add(7)
-	_, body = get(t, h, "/metrics.json?since="+id3)
-	if !bytes.Contains(body, []byte(`"aggregationTemporality": 1`)) {
-		t.Fatalf("OTLP delta not marked delta:\n%s", body)
-	}
-	snap, err := export.DecodeOTLP(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["serve.ops"] != 7 {
-		t.Fatalf("OTLP delta counter = %d, want 7", snap.Counters["serve.ops"])
-	}
-
-	resp, _ = get(t, h, "/metrics?since=never-issued")
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("unknown baseline: %s, want 410", resp.Status)
-	}
-}
-
-func TestBaselineEviction(t *testing.T) {
-	reg := obs.New()
-	h := New(reg).Handler()
-	resp, _ := get(t, h, "/metrics")
-	old := resp.Header.Get("Obs-Snapshot-Id")
-	for i := 0; i < maxBaselines+1; i++ {
-		get(t, h, "/metrics")
-	}
-	resp, _ = get(t, h, "/metrics?since="+old)
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("evicted baseline: %s, want 410", resp.Status)
-	}
-}
-
-// TestScrapeHammer scrapes /metrics and /metrics.json while writers
+// TestScrapeHammer scrapes /metrics and /snapshot while writers
 // pound the registry, under -race in CI. Every exposition must parse
 // and every histogram must be internally coherent (the parser enforces
 // _count == +Inf bucket and non-decreasing cumulative buckets), which
@@ -192,11 +115,11 @@ loop:
 			close(stop)
 			t.Fatalf("scrape %d incoherent: %v\n%s", scrapes, err, body)
 		}
-		_, body = get(t, h, "/metrics.json")
-		snap, err := export.DecodeOTLP(body)
+		_, body = get(t, h, "/snapshot")
+		snap, err := obs.DecodeSnapshot(body)
 		if err != nil {
 			close(stop)
-			t.Fatalf("OTLP scrape %d: %v", scrapes, err)
+			t.Fatalf("snapshot scrape %d: %v", scrapes, err)
 		}
 		for name, hs := range snap.Histograms {
 			var total int64
@@ -216,113 +139,3 @@ loop:
 		t.Fatal("no scrapes completed")
 	}
 }
-
-func TestReporter(t *testing.T) {
-	reg := obs.New()
-	c := reg.Counter("rep.ops")
-	c.Add(100) // pre-Start activity must not be re-reported
-
-	var mu sync.Mutex
-	var got []*obs.Snapshot
-	sink := func(s *obs.Snapshot, delta bool) error {
-		if !delta {
-			t.Error("reporter emitted non-delta")
-		}
-		mu.Lock()
-		got = append(got, s)
-		mu.Unlock()
-		return nil
-	}
-	rep := NewReporter(reg, 10*time.Millisecond, sink)
-	rep.Start()
-	c.Add(5)
-	time.Sleep(35 * time.Millisecond)
-	c.Add(2)
-	if err := rep.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) == 0 {
-		t.Fatal("no emissions")
-	}
-	var sum int64
-	for _, s := range got {
-		sum += s.Counters["rep.ops"]
-	}
-	// Intervals tile the post-Start activity exactly: 5 + 2, never the
-	// pre-Start 100.
-	if sum != 7 {
-		t.Fatalf("interval deltas sum to %d, want 7", sum)
-	}
-}
-
-func TestReporterWriteOTLP(t *testing.T) {
-	reg := obs.New()
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	lockedWriter := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	rep := NewReporter(reg, time.Hour, WriteOTLP(lockedWriter))
-	rep.Start()
-	reg.Counter("rep.ops").Add(9)
-	if err := rep.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	out := buf.Bytes()
-	mu.Unlock()
-	snap, err := export.DecodeOTLP(bytes.TrimSpace(out))
-	if err != nil {
-		t.Fatalf("flush-on-close output not decodable: %v\n%s", err, out)
-	}
-	if snap.Counters["rep.ops"] != 9 {
-		t.Fatalf("flushed counter = %d, want 9", snap.Counters["rep.ops"])
-	}
-	if !bytes.Contains(out, []byte(`"aggregationTemporality":1`)) {
-		t.Fatal("reporter output should be delta temporality")
-	}
-	if bytes.IndexByte(bytes.TrimRight(out, "\n"), '\n') != -1 {
-		t.Fatal("reporter output is not one JSONL line per interval")
-	}
-}
-
-func TestReporterPush(t *testing.T) {
-	reg := obs.New()
-	var mu sync.Mutex
-	var bodies [][]byte
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		mu.Lock()
-		bodies = append(bodies, b)
-		mu.Unlock()
-	}))
-	defer srv.Close()
-
-	rep := NewReporter(reg, time.Hour, PushOTLP(srv.URL, srv.Client()))
-	rep.Start()
-	reg.Counter("rep.ops").Add(4)
-	if err := rep.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(bodies) != 1 {
-		t.Fatalf("%d pushes, want 1", len(bodies))
-	}
-	snap, err := export.DecodeOTLP(bodies[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["rep.ops"] != 4 {
-		t.Fatalf("pushed counter = %d, want 4", snap.Counters["rep.ops"])
-	}
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

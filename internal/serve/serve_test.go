@@ -646,14 +646,15 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 				t.Fatalf("spmv on router = %v, want ErrBadRequest", err)
 			}
 
-			// Deletions over the same regions: the same verdict from both
-			// (a region leaving the shape or empty is ErrShapeMismatch),
-			// and the same cells left afterwards.
+			// Deletions over the same regions: a deletion is not clipped,
+			// so each of them — leaving the shape by wrapping past
+			// MaxUint64, leaving it outright, or empty — is refused as
+			// ErrShapeMismatch by both, with the same cells left afterwards.
 			for _, del := range regions[3:] {
 				_, lerr := local.DeleteRegion(del)
 				_, rerr := router.DeleteRegion(ctx, del)
-				if (lerr == nil) != (rerr == nil) || errors.Is(lerr, store.ErrShapeMismatch) != errors.Is(rerr, store.ErrShapeMismatch) {
-					t.Fatalf("delete %v: router %v, local %v", del, rerr, lerr)
+				if !errors.Is(lerr, store.ErrShapeMismatch) || !errors.Is(rerr, store.ErrShapeMismatch) {
+					t.Fatalf("delete %v: router %v, local %v, want ErrShapeMismatch from both", del, rerr, lerr)
 				}
 				req := store.QueryRequest{Region: &regions[0], AsOf: store.AsOfLatest, Strategy: store.StrategyScan}
 				want, _, err := local.Query(ctx, req)

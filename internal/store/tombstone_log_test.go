@@ -1,10 +1,14 @@
 package store
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"sparseart/internal/core"
+	"sparseart/internal/fragment"
 	"sparseart/internal/fsim"
 	"sparseart/internal/tensor"
 )
@@ -244,4 +248,49 @@ func TestTombstoneAppendCrash(t *testing.T) {
 	}
 	ref.applyDelete(region)
 	verifyModel(t, st2, ref, "retried delete")
+}
+
+// wrappingRegion's end start+size wraps past MaxUint64 to {8, 8}, back
+// inside a 16×16 shape, which is how it used to pass validation.
+var wrappingRegion = tensor.Region{Start: []uint64{9, 9}, Size: []uint64{math.MaxUint64, math.MaxUint64}}
+
+// TestDeleteRegionRejectsWrappingExtent: a wrapping extent is refused
+// as ErrShapeMismatch, and nothing reaches the manifest log.
+func TestDeleteRegionRejectsWrappingExtent(t *testing.T) {
+	sim, st, ref := tombTestStore(t)
+	before, err := sim.ReadFile("t/" + manifestLogName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.DeleteRegion(wrappingRegion); !errors.Is(err, ErrShapeMismatch) {
+		t.Fatalf("DeleteRegion(%v) = %v, want ErrShapeMismatch", wrappingRegion, err)
+	}
+	after, err := sim.ReadFile("t/" + manifestLogName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused delete changed the manifest log: %d -> %d bytes", len(before), len(after))
+	}
+	if n := st.Stats().Tombstones; n != 0 {
+		t.Fatalf("refused delete left %d tombstones", n)
+	}
+	verifyModel(t, st, ref, "after refused delete")
+}
+
+// TestReplayRejectsWrappingTombstone: a well-framed log record whose
+// tombstone extent wraps is corruption, not a deletion.
+func TestReplayRejectsWrappingTombstone(t *testing.T) {
+	sim, st, _ := tombTestStore(t)
+	fr := fragRef{
+		bbox:       tensor.BBox{Min: []uint64{9, 9}, Max: []uint64{15, 15}},
+		tomb:       true,
+		tombRegion: wrappingRegion,
+	}
+	if err := sim.Append("t/"+manifestLogName, appendFramedRecord(nil, fr, st.nextID, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(sim, "t"); !errors.Is(err, fragment.ErrCorrupt) {
+		t.Fatalf("Open with a wrapping tombstone record = %v, want fragment.ErrCorrupt", err)
+	}
 }

@@ -71,9 +71,11 @@ func NewRegion(shape Shape, start, size []uint64) (Region, error) {
 		if size[i] == 0 {
 			return Region{}, fmt.Errorf("tensor: region size has zero extent in dim %d", i)
 		}
-		if start[i] >= shape[i] || start[i]+size[i] > shape[i] {
-			return Region{}, fmt.Errorf("tensor: region [%d,%d) exceeds extent %d in dim %d",
-				start[i], start[i]+size[i], shape[i], i)
+		// size is compared against the room left after start, never
+		// start+size against the shape: that sum wraps past MaxUint64.
+		if start[i] >= shape[i] || size[i] > shape[i]-start[i] {
+			return Region{}, fmt.Errorf("tensor: region start %d size %d exceeds extent %d in dim %d",
+				start[i], size[i], shape[i], i)
 		}
 	}
 	return Region{Start: append([]uint64(nil), start...), Size: append([]uint64(nil), size...)}, nil

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +77,10 @@ func TestNewRegionValidation(t *testing.T) {
 		{"start out", []uint64{10, 0}, []uint64{1, 1}, false},
 		{"overrun", []uint64{5, 5}, []uint64{6, 1}, false},
 		{"rank", []uint64{0}, []uint64{1}, false},
+		// start+size wraps past MaxUint64 back inside the shape.
+		{"wraps to 4", []uint64{5, 5}, []uint64{math.MaxUint64, 1}, false},
+		{"wraps to 0", []uint64{9, 0}, []uint64{math.MaxUint64 - 8, 1}, false},
+		{"wraps in dim 1", []uint64{0, 5}, []uint64{10, math.MaxUint64}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

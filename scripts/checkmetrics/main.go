@@ -1,11 +1,13 @@
 // Command checkmetrics validates a live sparseart telemetry endpoint
-// (sparsestore serve, or any internal/obs/serve handler) from the
-// outside: it scrapes /metrics through the strict Prometheus parser,
-// /metrics.json through the OTLP decoder, cross-checks that both views
-// agree on the expected metric families, and exercises the ?since=
-// delta protocol (a known baseline answers 200, an unknown one 410).
-// CI runs it against a freshly imported store; exit status 0 means the
-// endpoint serves well-formed, mutually consistent telemetry.
+// (sparsestore serve, sparserouter, or any internal/obs/serve handler)
+// from the outside: it scrapes /metrics through the strict Prometheus
+// parser and /snapshot through obs.DecodeSnapshot, then cross-checks
+// the two views on every expected counter family — present in both,
+// and, since counters only grow and /snapshot is read second, never
+// lower in the snapshot than in the exposition. CI runs it against a
+// freshly imported store and against a router fronting three shards;
+// exit status 0 means the endpoint serves well-formed, mutually
+// consistent telemetry.
 //
 // Usage:
 //
@@ -20,6 +22,7 @@ import (
 	"os"
 	"strings"
 
+	"sparseart/internal/obs"
 	"sparseart/internal/obs/export"
 )
 
@@ -31,7 +34,7 @@ func (e *expectList) Set(v string) error { *e = append(*e, v); return nil }
 func main() {
 	addr := flag.String("addr", "", "host:port of the telemetry endpoint")
 	var expect expectList
-	flag.Var(&expect, "expect", "counter family (obs dotted name) that must appear in both /metrics and /metrics.json; repeatable")
+	flag.Var(&expect, "expect", "counter family (obs dotted name) that must appear in both /metrics and /snapshot; repeatable")
 	flag.Parse()
 	if *addr == "" {
 		fmt.Fprintln(os.Stderr, "checkmetrics: -addr is required")
@@ -47,7 +50,7 @@ func main() {
 func check(base string, expect []string) error {
 	// /metrics: strict exposition-format parse (TYPE lines, label
 	// quoting, histogram _bucket/_sum/_count coherence).
-	promBody, hdr, err := get(base + "/metrics")
+	promBody, err := get(base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -55,79 +58,56 @@ func check(base string, expect []string) error {
 	if err != nil {
 		return fmt.Errorf("/metrics is not well-formed: %w", err)
 	}
-	promFams := map[string]bool{}
+	promTotals := map[string]float64{}
 	for _, f := range fams {
-		promFams[f.Name] = true
+		for _, s := range f.Samples {
+			promTotals[f.Name] += s.Value
+		}
 	}
 
-	// /metrics.json: OTLP decode back to a snapshot.
-	otlpBody, _, err := get(base + "/metrics.json")
+	// /snapshot: the lossless Snapshot JSON.
+	snapBody, err := get(base + "/snapshot")
 	if err != nil {
 		return err
 	}
-	snap, err := export.DecodeOTLP(otlpBody)
+	snap, err := obs.DecodeSnapshot(snapBody)
 	if err != nil {
-		return fmt.Errorf("/metrics.json does not decode: %w", err)
+		return fmt.Errorf("/snapshot does not decode: %w", err)
+	}
+	snapTotals := map[string]float64{}
+	for name, v := range snap.Counters {
+		fam, _ := obs.ParseName(name)
+		snapTotals[fam] += float64(v)
 	}
 
 	for _, want := range expect {
-		if !otlpHasCounter(snap.Counters, want) {
-			return fmt.Errorf("/metrics.json missing counter family %q", want)
-		}
 		prom := strings.ReplaceAll(want, ".", "_") + "_total"
-		if !promFams[prom] {
+		p, inProm := promTotals[prom]
+		s, inSnap := snapTotals[want]
+		switch {
+		case !inProm:
 			return fmt.Errorf("/metrics missing counter family %q (from %q)", prom, want)
+		case !inSnap:
+			return fmt.Errorf("/snapshot missing counter family %q", want)
+		case s < p:
+			return fmt.Errorf("counter family %q went backwards: %v on /metrics, then %v on /snapshot", want, p, s)
 		}
-	}
-
-	// Delta protocol: the ID just served must be a valid baseline ...
-	id := hdr.Get("Obs-Snapshot-Id")
-	if id == "" {
-		return fmt.Errorf("/metrics response carries no Obs-Snapshot-Id header")
-	}
-	deltaBody, _, err := get(base + "/metrics?since=" + id)
-	if err != nil {
-		return fmt.Errorf("delta scrape: %w", err)
-	}
-	if _, err := export.ParsePrometheus(deltaBody); err != nil {
-		return fmt.Errorf("delta scrape not well-formed: %w", err)
-	}
-	// ... and a fabricated ID must answer 410 Gone.
-	resp, err := http.Get(base + "/metrics?since=checkmetrics-bogus")
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		return fmt.Errorf("unknown ?since= answered %s, want 410 Gone", resp.Status)
 	}
 	return nil
 }
 
-func get(url string) ([]byte, http.Header, error) {
+func get(url string) ([]byte, error) {
 	resp, err := http.Get(url)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, nil, fmt.Errorf("GET %s: %s", url, resp.Status)
+		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	return body, resp.Header, nil
-}
-
-// otlpHasCounter reports whether any counter in the snapshot belongs
-// to the dotted family (exact name, or name with a label block).
-func otlpHasCounter(counters map[string]int64, family string) bool {
-	for name := range counters {
-		if name == family || strings.HasPrefix(name, family+"{") {
-			return true
-		}
-	}
-	return false
+	return body, nil
 }
