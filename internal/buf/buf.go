@@ -87,6 +87,25 @@ func (w *Writer) Bytes32(v []byte) {
 	w.b = append(w.b, v...)
 }
 
+// String32 appends a length-prefixed string (uint32 length); the bytes
+// are those Bytes32([]byte(v)) writes, without the conversion's copy.
+func (w *Writer) String32(v string) {
+	w.U32(uint32(len(v)))
+	w.b = append(w.b, v...)
+}
+
+// Raw appends bytes without a length prefix.
+func (w *Writer) Raw(v []byte) { w.b = append(w.b, v...) }
+
+// Extend appends n bytes and returns them for the caller to fill: a
+// header patched once its payload is known, or a buffer a read lands
+// in. They start zeroed.
+func (w *Writer) Extend(n int) []byte {
+	off := len(w.b)
+	w.b = append(w.b, make([]byte, n)...)
+	return w.b[off:]
+}
+
 // Reader consumes a buffer produced by Writer. Errors are sticky: after
 // the first failure every read returns zero values and Err reports the
 // failure, so decoding code can run straight-line and check once.

@@ -243,3 +243,24 @@ func TestWriterResetAndPool(t *testing.T) {
 	PutWriter(q)
 	PutWriter(nil) // must not panic
 }
+
+// TestWriterPoolSizeClasses: a writer comes from the class that holds
+// its hint, so a small frame never takes the buffer a large one left
+// behind, and a hint past the largest class is served exactly.
+func TestWriterPoolSizeClasses(t *testing.T) {
+	big := GetWriter(40 << 10)
+	if cap(big.Bytes()) < 40<<10 {
+		t.Fatalf("GetWriter(40 KiB) cap %d", cap(big.Bytes()))
+	}
+	PutWriter(big)
+	for _, hint := range []int{0, 1, 100, 256, 257, 4000} {
+		w := GetWriter(hint)
+		if c := cap(w.Bytes()); c < hint || c >= 16<<10 {
+			t.Errorf("GetWriter(%d) cap %d, want at least the hint and no 40 KiB buffer", hint, c)
+		}
+		PutWriter(w)
+	}
+	if w := GetWriter(3 << 20); cap(w.Bytes()) != 3<<20 {
+		t.Errorf("GetWriter(3 MiB) cap %d, want exactly 3 MiB", cap(w.Bytes()))
+	}
+}

@@ -60,7 +60,8 @@ func TestMetricNamesDocumented(t *testing.T) {
 // collectEmitted parses every non-test Go file under dir and records in
 // out each family named by a string literal (directly, through a
 // package string constant, or as obs.Name's first argument) at a metric
-// or span call, with the first position naming it.
+// or span call, or rendered by obs.Name anywhere, with the first
+// position naming it.
 func collectEmitted(t *testing.T, dir string, out map[string]string) {
 	t.Helper()
 	pkgs := map[string][]*ast.File{} // directory → files
@@ -108,6 +109,16 @@ func collectEmitted(t *testing.T, dir string, out map[string]string) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
+					return true
+				}
+				if isPkgFunc(call.Fun, "obs", "Name") {
+					// A name rendered ahead of its metric or span call (a
+					// handle table resolved once) names its family too.
+					if fam, ok := family(call); ok {
+						if _, seen := out[fam]; !seen {
+							out[fam] = fset.Position(call.Pos()).String()
+						}
+					}
 					return true
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)

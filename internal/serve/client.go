@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"sparseart/internal/buf"
 	"sparseart/internal/obs"
 	"sparseart/internal/store"
 	"sparseart/internal/tensor"
@@ -16,7 +17,9 @@ import (
 // Client drives one wire-protocol connection. It is safe for
 // concurrent use: requests pipeline on the single connection, matched
 // to responses by request id, so N goroutines sharing one Client see N
-// requests in flight at once.
+// requests in flight at once. A request goes out as one pooled frame in
+// one write, and its reply is decoded out of a pooled buffer that is
+// recycled as soon as the decoder returns.
 type Client struct {
 	conn net.Conn
 
@@ -24,15 +27,16 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan clientResp
+	pending map[uint64]chan wire.Frame
 	readErr error // set once the read loop dies; nil while healthy
 	done    chan struct{}
 }
 
-type clientResp struct {
-	typ     uint8
-	payload []byte
-}
+// replyChans recycles the one-slot channels a reply is handed over on.
+// A channel goes back only after its reply was received, so a late
+// reply to an abandoned call never lands in a channel another call
+// owns.
+var replyChans = sync.Pool{New: func() any { return make(chan wire.Frame, 1) }}
 
 // Dial connects to a wire-protocol server.
 func Dial(addr string) (*Client, error) {
@@ -47,7 +51,7 @@ func Dial(addr string) (*Client, error) {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
-		pending: map[uint64]chan clientResp{},
+		pending: map[uint64]chan wire.Frame{},
 		done:    make(chan struct{}),
 	}
 	go c.readLoop()
@@ -61,8 +65,9 @@ func (c *Client) Close() error {
 
 // readLoop dispatches response frames to their waiting calls.
 func (c *Client) readLoop() {
+	fr := wire.NewFrameReader(c.conn)
 	for {
-		typ, id, payload, err := wire.ReadFrame(c.conn)
+		f, err := fr.Next()
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
@@ -71,28 +76,43 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		ch := c.pending[id]
-		delete(c.pending, id)
+		ch := c.pending[f.ID]
+		delete(c.pending, f.ID)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- clientResp{typ: typ, payload: payload}
+		if ch == nil {
+			f.Release() // the call gave up waiting
+			continue
 		}
+		ch <- f
 	}
 }
 
-// roundTrip sends one request and waits for its response or ctx. When
-// ctx carries a sampled trace, a client.request{op} span wraps the
+// call sends the request frame f (built by wire.NewFrame; call owns it
+// from here) and decodes the reply's payload with dec, recycling the
+// payload's buffer once dec returns.
+func call[T any](ctx context.Context, c *Client, typ uint8, f *buf.Writer, dec func([]byte) (T, error)) (T, error) {
+	resp, err := c.roundTrip(ctx, typ, f)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer resp.Release()
+	return dec(resp.Payload)
+}
+
+// roundTrip sends one request frame and waits for its reply or ctx.
+// When ctx carries a sampled trace, a client.request{op} span wraps the
 // round trip and its trace context rides the frame to the server, so
 // the remote serve.request span links back to this one.
-func (c *Client) roundTrip(ctx context.Context, typ uint8, payload []byte) ([]byte, error) {
-	sp, ctx := obs.Global().StartCtx(ctx, obs.Name("client.request", "op", opName(typ)))
+func (c *Client) roundTrip(ctx context.Context, typ uint8, f *buf.Writer) (wire.Frame, error) {
+	sp, ctx := obs.Global().StartCtx(ctx, opOf(typ).clientSpan)
 	tc := sp.TraceContext()
 	if !tc.Valid() {
 		// No local client span (global obs disabled) — still forward the
 		// trace riding ctx so downstream processes keep recording.
 		tc, _ = obs.TraceFrom(ctx)
 	}
-	resp, err := c.roundTripTrace(ctx, typ, tc, payload)
+	resp, err := c.roundTripTrace(ctx, typ, tc, f)
 	if err != nil && sp.Sampled() {
 		sp.SetAttrStr("err", err.Error())
 	}
@@ -101,53 +121,61 @@ func (c *Client) roundTrip(ctx context.Context, typ uint8, payload []byte) ([]by
 }
 
 // roundTripTrace writes the request frame carrying tc and waits for
-// the matching response or ctx.
-func (c *Client) roundTripTrace(ctx context.Context, typ uint8, tc obs.TraceContext, payload []byte) ([]byte, error) {
-	ch := make(chan clientResp, 1)
+// the matching reply or ctx. An error reply comes back decoded as the
+// error.
+func (c *Client) roundTripTrace(ctx context.Context, typ uint8, tc obs.TraceContext, f *buf.Writer) (wire.Frame, error) {
 	c.mu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
 		c.mu.Unlock()
-		return nil, connErr(err)
+		buf.PutWriter(f)
+		return wire.Frame{}, connErr(err)
 	}
+	ch := replyChans.Get().(chan wire.Frame)
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = ch
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := wire.WriteFrameTrace(c.conn, typ, id, tc, payload)
+	err := wire.SendFrame(c.conn, f, typ, id, tc)
 	c.wmu.Unlock()
 	if err != nil {
 		c.forget(id)
-		return nil, connErr(err)
+		return wire.Frame{}, connErr(err)
 	}
 
 	select {
 	case resp := <-ch:
-		if resp.typ == wire.MsgErr {
-			return nil, wire.DecodeError(resp.payload)
-		}
-		return resp.payload, nil
+		return received(ch, resp)
 	case <-ctx.Done():
 		c.forget(id)
-		return nil, ctx.Err()
+		return wire.Frame{}, ctx.Err()
 	case <-c.done:
 		// The read loop may have delivered just before dying.
 		select {
 		case resp := <-ch:
-			if resp.typ == wire.MsgErr {
-				return nil, wire.DecodeError(resp.payload)
-			}
-			return resp.payload, nil
+			return received(ch, resp)
 		default:
 		}
 		c.forget(id)
 		c.mu.Lock()
 		err := c.readErr
 		c.mu.Unlock()
-		return nil, connErr(err)
+		return wire.Frame{}, connErr(err)
 	}
+}
+
+// received recycles the drained reply channel and turns an error reply
+// into its decoded error.
+func received(ch chan wire.Frame, resp wire.Frame) (wire.Frame, error) {
+	replyChans.Put(ch)
+	if resp.Type == wire.MsgErr {
+		err := wire.DecodeError(resp.Payload)
+		resp.Release()
+		return wire.Frame{}, err
+	}
+	return resp, nil
 }
 
 // forget abandons a pending request id.
@@ -182,11 +210,9 @@ func (c *Client) Query(ctx context.Context, req store.QueryRequest) (*store.Resu
 	if err != nil {
 		return nil, nil, err
 	}
-	payload, err := c.roundTrip(ctx, wire.MsgQuery, (&wire.Query{Deadline: d, Req: req}).Encode())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := wire.DecodeQueryResult(payload)
+	f := wire.NewFrame(64)
+	(&wire.Query{Deadline: d, Req: req}).AppendTo(f)
+	res, err := call(ctx, c, wire.MsgQuery, f, wire.DecodeQueryResult)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -199,11 +225,10 @@ func (c *Client) WriteBatch(ctx context.Context, batches []store.Batch, workers 
 	if err != nil {
 		return nil, err
 	}
-	payload, err := c.roundTrip(ctx, wire.MsgWriteBatch, (&wire.WriteBatch{Deadline: d, Workers: workers, Batches: batches}).Encode())
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeWriteReports(payload)
+	m := &wire.WriteBatch{Deadline: d, Workers: workers, Batches: batches}
+	f := wire.NewFrame(m.Size())
+	m.AppendTo(f)
+	return call(ctx, c, wire.MsgWriteBatch, f, wire.DecodeWriteReports)
 }
 
 // DeleteRegion commits a region tombstone.
@@ -212,11 +237,9 @@ func (c *Client) DeleteRegion(ctx context.Context, region tensor.Region) (*store
 	if err != nil {
 		return nil, err
 	}
-	payload, err := c.roundTrip(ctx, wire.MsgDelete, (&wire.Delete{Deadline: d, Region: region}).Encode())
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeWriteReport(payload)
+	f := wire.NewFrame(64)
+	(&wire.Delete{Deadline: d, Region: region}).AppendTo(f)
+	return call(ctx, c, wire.MsgDelete, f, wire.DecodeWriteReport)
 }
 
 // Kernel runs a push-down kernel remotely.
@@ -225,45 +248,46 @@ func (c *Client) Kernel(ctx context.Context, req store.KernelRequest) (*store.Ke
 	if err != nil {
 		return nil, err
 	}
-	payload, err := c.roundTrip(ctx, wire.MsgKernel, (&wire.Kernel{Deadline: d, Req: req}).Encode())
+	f := wire.NewFrame(64 + 8*len(req.Vec))
+	(&wire.Kernel{Deadline: d, Req: req}).AppendTo(f)
+	return call(ctx, c, wire.MsgKernel, f, wire.DecodeKernelResult)
+}
+
+// deadlineFrame is the request frame of the deadline-only ops.
+func deadlineFrame(ctx context.Context) (*buf.Writer, error) {
+	d, err := deadlineOf(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return wire.DecodeKernelResult(payload)
+	f := wire.NewFrame(8)
+	wire.AppendDeadline(f, d)
+	return f, nil
 }
 
 // Info fetches the backend's identity.
 func (c *Client) Info(ctx context.Context) (*wire.Info, error) {
-	d, err := deadlineOf(ctx)
+	f, err := deadlineFrame(ctx)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := c.roundTrip(ctx, wire.MsgInfo, wire.EncodeDeadline(d))
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeInfo(payload)
+	return call(ctx, c, wire.MsgInfo, f, wire.DecodeInfo)
 }
 
 // ObsSnapshot fetches and decodes the backend's telemetry snapshot.
 func (c *Client) ObsSnapshot(ctx context.Context) (*obs.Snapshot, error) {
-	d, err := deadlineOf(ctx)
+	f, err := deadlineFrame(ctx)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := c.roundTrip(ctx, wire.MsgObs, wire.EncodeDeadline(d))
-	if err != nil {
-		return nil, err
-	}
-	return obs.DecodeSnapshot(payload)
+	return call(ctx, c, wire.MsgObs, f, obs.DecodeSnapshot)
 }
 
 // Ping round-trips an empty request.
 func (c *Client) Ping(ctx context.Context) error {
-	d, err := deadlineOf(ctx)
+	f, err := deadlineFrame(ctx)
 	if err != nil {
 		return err
 	}
-	_, err = c.roundTrip(ctx, wire.MsgPing, wire.EncodeDeadline(d))
+	_, err = call(ctx, c, wire.MsgPing, f, func([]byte) (struct{}, error) { return struct{}{}, nil })
 	return err
 }

@@ -42,6 +42,7 @@ type Router struct {
 	clients []*Client
 	ring    []ringSlot
 	reg     *obs.Registry
+	ops     map[string]routerOp // per routed op kind, resolved once
 
 	obsMu sync.Mutex
 	prev  []*obs.Snapshot // last absorbed snapshot per shard
@@ -50,6 +51,12 @@ type Router struct {
 type ringSlot struct {
 	hash  uint64
 	shard int
+}
+
+// routerOp holds one routed op kind's counters.
+type routerOp struct {
+	scatter *obs.Counter // router.scatter{op}: shard calls made
+	errors  *obs.Counter // router.shard.errors{op}: requests failed by a shard
 }
 
 // NewRouter dials every shard, verifies they agree on shape, tile, and
@@ -88,6 +95,10 @@ func NewRouter(addrs []string, reg *obs.Registry) (*Router, error) {
 		}
 	}
 	r.ring = newRing(addrs)
+	r.ops = map[string]routerOp{}
+	for _, op := range []string{"info", "query", "write_batch", "delete", "kernel", "obs"} {
+		r.ops[op] = routerOp{r.reg.Counter("router.scatter", "op", op), r.reg.Counter("router.shard.errors", "op", op)}
+	}
 	r.reg.Gauge("router.shards").Set(int64(len(addrs)))
 	return r, nil
 }
@@ -187,7 +198,12 @@ func (r *Router) regionShards(region tensor.Region) []int {
 // induced by a sibling's failure are reported only if no shard produced
 // a real error of its own (and never when the caller's own ctx ended).
 func (r *Router) scatter(ctx context.Context, shards []int, op string, fn func(ctx context.Context, i int) error) error {
-	r.reg.Counter("router.scatter", "op", op).Add(int64(len(shards)))
+	if len(shards) == 1 {
+		// No siblings to stop: run on the caller's goroutine and context.
+		return r.booked(op, shards[0], fn(ctx, shards[0]))
+	}
+	m := r.ops[op]
+	m.scatter.Add(int64(len(shards)))
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -216,14 +232,25 @@ func (r *Router) scatter(ctx context.Context, shards []int, op string, fn func(c
 			}
 			continue
 		}
-		r.reg.Counter("router.shard.errors", "op", op).Inc()
+		m.errors.Inc()
 		return err
 	}
 	if induced != nil {
-		r.reg.Counter("router.shard.errors", "op", op).Inc()
+		m.errors.Inc()
 		return induced
 	}
 	return nil
+}
+
+// booked counts and classifies one call to shard i that made up a
+// whole request, as scatter does for a fan-out.
+func (r *Router) booked(op string, i int, err error) error {
+	m := r.ops[op]
+	m.scatter.Inc()
+	if err = shardErr(i, r.addrs[i], err); err != nil {
+		m.errors.Inc()
+	}
+	return err
 }
 
 // allShards lists every shard index.
@@ -278,6 +305,18 @@ func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Re
 	if req.AsOf != store.AsOfLatest {
 		return nil, nil, fmt.Errorf("serve: %w: as-of reads are not supported on routed stores", store.ErrBadRequest)
 	}
+	if req.Region == nil {
+		if s, ok := r.soleOwner(req.Probe); ok {
+			// One shard owns every point (always so for a 1-point probe):
+			// forward the request whole; its answer needs no merge.
+			res, rep, err := r.clients[s].Query(ctx, req)
+			if err = r.booked("query", s, err); err != nil {
+				return nil, nil, err
+			}
+			rep.Shards = 1
+			return res, rep, nil
+		}
+	}
 	var (
 		shards []int
 		parts  []*pointPart // probe targets: each shard's slice of the probe
@@ -290,8 +329,9 @@ func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Re
 	}
 	results := make([]*store.Result, len(r.clients))
 	reports := make([]*store.ReadReport, len(r.clients))
+	base := req // captured here, so the forwarded path above keeps req off the heap
 	err := r.scatter(ctx, shards, "query", func(ctx context.Context, i int) error {
-		sub := req
+		sub := base
 		if parts != nil {
 			sub.Probe = parts[i].coords
 		}
@@ -312,6 +352,30 @@ func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Re
 	// Shard tiles are disjoint, so the row-major merge matches a single
 	// local Chunked read exactly.
 	return store.MergeResults(r.tiling.Shape.Dims(), results), rep, nil
+}
+
+// soleOwner returns the shard owning every point of coords, if a single
+// one does.
+func (r *Router) soleOwner(coords *tensor.Coords) (int, bool) {
+	var scratch [8]uint64
+	idx := scratch[:]
+	if coords.Dims() > len(scratch) {
+		idx = make([]uint64, coords.Dims())
+	}
+	idx = idx[:coords.Dims()]
+	name := make([]byte, 0, 64)
+	owner := -1
+	for i := 0; i < coords.Len(); i++ {
+		r.tiling.Index(idx, coords.At(i))
+		name = r.tiling.AppendName(name[:0], idx)
+		switch s := r.owner(name); {
+		case owner < 0:
+			owner = s
+		case s != owner:
+			return 0, false
+		}
+	}
+	return owner, owner >= 0
 }
 
 // pointPart is one shard's slice of a partitioned point set.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"sparseart/internal/buf"
 	"sparseart/internal/obs"
 	"sparseart/internal/store"
 	"sparseart/internal/wire"
@@ -43,6 +44,7 @@ type Server struct {
 	backend   Backend
 	sem       chan struct{}
 	reg       *obs.Registry
+	inflight  *obs.Gauge // serve.inflight, resolved once
 	traceRate float64
 
 	ctx    context.Context // canceled by Close; parent of every request ctx
@@ -69,6 +71,7 @@ func NewServer(backend Backend, cfg Config) *Server {
 		backend:   backend,
 		sem:       make(chan struct{}, inflight),
 		reg:       reg,
+		inflight:  reg.Gauge("serve.inflight"),
 		traceRate: cfg.TraceSample,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -157,11 +160,18 @@ type connWriter struct {
 	conn net.Conn
 }
 
-// reply writes one response frame.
-func (cw *connWriter) reply(typ uint8, id uint64, payload []byte) error {
+// send writes one reply frame built by wire.NewFrame and recycles it.
+func (cw *connWriter) send(f *buf.Writer, typ uint8, id uint64) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	return wire.WriteFrame(cw.conn, typ, id, payload)
+	return wire.SendFrame(cw.conn, f, typ, id, obs.TraceContext{})
+}
+
+// sendErr answers one request with a typed error.
+func (cw *connWriter) sendErr(id uint64, err error) error {
+	f := wire.NewFrame(64)
+	wire.AppendError(f, err)
+	return cw.send(f, wire.MsgErr, id)
 }
 
 // serveConn reads requests off one connection until EOF or close.
@@ -170,18 +180,20 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 	cw := &connWriter{conn: conn}
+	fr := wire.NewFrameReader(conn)
 	var reqs sync.WaitGroup
 	defer reqs.Wait()
 	for {
-		typ, id, tc, payload, err := wire.ReadFrameTrace(conn)
+		req, err := fr.Next()
 		if err != nil {
 			return // EOF, peer reset, or Close — nothing to answer
 		}
-		op := opName(typ)
-		if op == "" {
+		o := opOf(req.Type)
+		if o.name == "" {
 			// Unknown or retired (0x02, 0x03) opcode: a typed error, counted
 			// like any failed request, and the connection lives on.
-			s.fail(cw, id, "unknown", errUnsupportedOp(fmt.Sprintf("unknown message type %#x", typ)))
+			req.Release()
+			s.fail(cw, req.ID, "unknown", errUnsupportedOp(fmt.Sprintf("unknown message type %#x", req.Type)))
 			continue
 		}
 		select {
@@ -189,89 +201,111 @@ func (s *Server) serveConn(conn net.Conn) {
 		default:
 			// Window full: reject now rather than queue — the client
 			// sees typed back-pressure it can retry against.
-			s.reg.Counter("serve.rejected", "op", op).Inc()
-			cw.reply(wire.MsgErr, id, wire.EncodeError(
-				fmt.Errorf("serve: %w: %d requests in flight", wire.ErrOverloaded, cap(s.sem))))
+			req.Release()
+			s.reg.Counter("serve.rejected", "op", o.name).Inc()
+			cw.sendErr(req.ID, fmt.Errorf("serve: %w: %d requests in flight", wire.ErrOverloaded, cap(s.sem)))
 			continue
 		}
-		if !tc.Valid() && typ != wire.MsgObs && typ != wire.MsgPing && obs.Sample(s.traceRate) {
+		if !req.Trace.Valid() && req.Type != wire.MsgObs && req.Type != wire.MsgPing && obs.Sample(s.traceRate) {
 			// No caller context: this server is the trace root. Telemetry
 			// and liveness ops are never minted a trace — a scrape's own
 			// sub-requests would parent to a serve.request span that is
 			// still open when the snapshot it serves is cut, littering
 			// every stitched trace with unresolvable links.
-			tc = obs.NewTrace(true)
+			req.Trace = obs.NewTrace(true)
 		}
-		s.reg.Gauge("serve.inflight").Add(1)
+		s.inflight.Add(1)
 		reqs.Add(1)
-		go func(typ uint8, id uint64, tc obs.TraceContext, payload []byte) {
-			defer reqs.Done()
-			defer func() {
-				s.reg.Gauge("serve.inflight").Add(-1)
-				<-s.sem
-			}()
-			// The span's End feeds the same serve.request{op} histogram
-			// the server has always kept; sampled requests additionally
-			// record a trace span carrying the caller's trace identity.
-			sp := s.reg.StartRemote(tc, obs.Name("serve.request", "op", op))
-			resp, err := s.handle(typ, sp.TraceContext(), payload)
-			if err != nil && sp.Sampled() {
-				sp.SetAttrStr("err", err.Error())
-			}
-			sp.End()
-			if err != nil {
-				s.fail(cw, id, op, err)
-				return
-			}
-			cw.reply(wire.MsgOK, id, resp)
-		}(typ, id, tc, payload)
+		go s.respond(cw, &reqs, o, req)
 	}
+}
+
+// respond executes one admitted request and writes its reply, encoded
+// straight into its frame.
+func (s *Server) respond(cw *connWriter, reqs *sync.WaitGroup, o op, req wire.Frame) {
+	defer reqs.Done()
+	defer func() {
+		s.inflight.Add(-1)
+		<-s.sem
+	}()
+	// The span's End feeds the same serve.request{op} histogram the
+	// server has always kept; sampled requests additionally record a
+	// trace span carrying the caller's trace identity.
+	sp := s.reg.StartRemote(req.Trace, o.serveSpan)
+	out, err := s.handle(&req, sp.TraceContext())
+	if err != nil && sp.Sampled() {
+		sp.SetAttrStr("err", err.Error())
+	}
+	sp.End()
+	if err != nil {
+		s.fail(cw, req.ID, o.name, err)
+		return
+	}
+	cw.send(out, wire.MsgOK, req.ID)
 }
 
 // fail counts one failed request and answers it with the typed error.
 func (s *Server) fail(cw *connWriter, id uint64, op string, err error) {
 	s.reg.Counter("serve.request.errors", "op", op, "code", fmt.Sprint(uint16(wire.CodeOf(err)))).Inc()
-	cw.reply(wire.MsgErr, id, wire.EncodeError(err))
+	cw.sendErr(id, err)
 }
 
-// opName labels a request type for metrics; "" means unknown.
-func opName(typ uint8) string {
-	switch typ {
-	case wire.MsgQuery:
-		return "query"
-	case wire.MsgWriteBatch:
-		return "write_batch"
-	case wire.MsgDelete:
-		return "delete"
-	case wire.MsgKernel:
-		return "kernel"
-	case wire.MsgInfo:
-		return "info"
-	case wire.MsgObs:
-		return "obs"
-	case wire.MsgPing:
-		return "ping"
-	default:
-		return ""
+// op is one request type as metrics see it: its label and its span
+// names, rendered once rather than per request.
+type op struct {
+	name       string // "" for an unknown or retired type
+	serveSpan  string // serve.request{op=name}
+	clientSpan string // client.request{op=name}
+}
+
+// ops indexes the request types (all below 0x40) by message type.
+var ops = func() (t [0x40]op) {
+	for typ, name := range map[uint8]string{
+		wire.MsgQuery:      "query",
+		wire.MsgWriteBatch: "write_batch",
+		wire.MsgDelete:     "delete",
+		wire.MsgKernel:     "kernel",
+		wire.MsgInfo:       "info",
+		wire.MsgObs:        "obs",
+		wire.MsgPing:       "ping",
+	} {
+		t[typ] = op{name, obs.Name("serve.request", "op", name), obs.Name("client.request", "op", name)}
 	}
+	return t
+}()
+
+// opOf looks a request type up; the zero op means unknown.
+func opOf(typ uint8) op {
+	if int(typ) < len(ops) {
+		return ops[typ]
+	}
+	return op{}
 }
 
 // reqCtx derives the request context from the server lifetime, the
 // request's relative deadline, and its trace context — backend spans
-// started under it join the request's trace.
+// started under it join the request's trace. A request without a
+// deadline runs under the server's own context (Close cancels it), so
+// it costs no context of its own.
 func (s *Server) reqCtx(d time.Duration, tc obs.TraceContext) (context.Context, context.CancelFunc) {
-	ctx := obs.ContextWithTrace(s.ctx, tc)
+	ctx := s.ctx
+	if tc.Valid() {
+		ctx = obs.ContextWithTrace(ctx, tc)
+	}
 	if d > 0 {
 		return context.WithTimeout(ctx, d)
 	}
-	return context.WithCancel(ctx)
+	return ctx, func() {}
 }
 
-// handle decodes, executes, and encodes one request.
-func (s *Server) handle(typ uint8, tc obs.TraceContext, payload []byte) ([]byte, error) {
-	switch typ {
+// handle decodes and executes one request, returning its reply frame
+// (built by wire.NewFrame) on success. It releases the request's
+// payload buffer when done.
+func (s *Server) handle(req *wire.Frame, tc obs.TraceContext) (*buf.Writer, error) {
+	defer req.Release()
+	switch req.Type {
 	case wire.MsgQuery:
-		q, err := wire.DecodeQuery(payload)
+		q, err := wire.DecodeQuery(req.Payload)
 		if err != nil {
 			return nil, badPayload(err)
 		}
@@ -281,10 +315,13 @@ func (s *Server) handle(typ uint8, tc obs.TraceContext, payload []byte) ([]byte,
 		if err != nil {
 			return nil, err
 		}
-		return (&wire.QueryResult{Result: res, Report: rep}).Encode(), nil
+		qr := wire.QueryResult{Result: res, Report: rep}
+		out := wire.NewFrame(qr.Size())
+		qr.AppendTo(out)
+		return out, nil
 
 	case wire.MsgWriteBatch:
-		m, err := wire.DecodeWriteBatch(payload)
+		m, err := wire.DecodeWriteBatch(req.Payload)
 		if err != nil {
 			return nil, badPayload(err)
 		}
@@ -294,10 +331,12 @@ func (s *Server) handle(typ uint8, tc obs.TraceContext, payload []byte) ([]byte,
 		if err != nil {
 			return nil, err
 		}
-		return wire.EncodeWriteReports(reps), nil
+		out := wire.NewFrame(96 * (1 + len(reps)))
+		wire.AppendWriteReports(out, reps)
+		return out, nil
 
 	case wire.MsgDelete:
-		m, err := wire.DecodeDelete(payload)
+		m, err := wire.DecodeDelete(req.Payload)
 		if err != nil {
 			return nil, badPayload(err)
 		}
@@ -307,10 +346,12 @@ func (s *Server) handle(typ uint8, tc obs.TraceContext, payload []byte) ([]byte,
 		if err != nil {
 			return nil, err
 		}
-		return wire.EncodeWriteReport(rep), nil
+		out := wire.NewFrame(96)
+		wire.AppendWriteReport(out, rep)
+		return out, nil
 
 	case wire.MsgKernel:
-		m, err := wire.DecodeKernel(payload)
+		m, err := wire.DecodeKernel(req.Payload)
 		if err != nil {
 			return nil, badPayload(err)
 		}
@@ -320,10 +361,12 @@ func (s *Server) handle(typ uint8, tc obs.TraceContext, payload []byte) ([]byte,
 		if err != nil {
 			return nil, err
 		}
-		return wire.EncodeKernelResult(res), nil
+		out := wire.NewFrame(96 + 8*len(res.Values))
+		wire.AppendKernelResult(out, res)
+		return out, nil
 
 	case wire.MsgInfo:
-		d, err := wire.DecodeDeadline(payload)
+		d, err := wire.DecodeDeadline(req.Payload)
 		if err != nil {
 			return nil, badPayload(err)
 		}
@@ -333,22 +376,30 @@ func (s *Server) handle(typ uint8, tc obs.TraceContext, payload []byte) ([]byte,
 		if err != nil {
 			return nil, err
 		}
-		return info.Encode(), nil
+		out := wire.NewFrame(64)
+		info.AppendTo(out)
+		return out, nil
 
 	case wire.MsgObs:
-		d, err := wire.DecodeDeadline(payload)
+		d, err := wire.DecodeDeadline(req.Payload)
 		if err != nil {
 			return nil, badPayload(err)
 		}
 		ctx, cancel := s.reqCtx(d, tc)
 		defer cancel()
-		return s.backend.ObsSnapshot(ctx)
+		snap, err := s.backend.ObsSnapshot(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out := wire.NewFrame(len(snap))
+		out.Raw(snap)
+		return out, nil
 
 	case wire.MsgPing:
-		return nil, nil
+		return wire.NewFrame(0), nil
 
 	default:
-		return nil, errUnsupportedOp(fmt.Sprintf("unknown message type %#x", typ))
+		return nil, errUnsupportedOp(fmt.Sprintf("unknown message type %#x", req.Type))
 	}
 }
 

@@ -27,14 +27,31 @@ func putCoords(w *buf.Writer, c *tensor.Coords) {
 func getCoords(r *buf.Reader) (*tensor.Coords, error) {
 	dims := int(r.U16())
 	n := r.U64()
-	flat := r.RawU64s(n * uint64(dims))
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if dims == 0 {
 		return nil, fmt.Errorf("wire: zero-dim coords")
 	}
-	return tensor.FromFlat(dims, flat)
+	// Bound the count by the bytes present before multiplying, so a
+	// count that wraps n*dims cannot pass for a short one.
+	if n > uint64(r.Remaining())/8/uint64(dims) {
+		return nil, fmt.Errorf("%w: %d %d-dim points exceed the payload", buf.ErrTruncated, n, dims)
+	}
+	return tensor.FromFlat(dims, r.RawU64s(n*uint64(dims)))
+}
+
+// count reads a u32 element count and refuses one the payload cannot
+// hold at minLen bytes per element, before anything is allocated for it.
+func count(r *buf.Reader, minLen int) (uint32, error) {
+	n := r.U32()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if uint64(n)*uint64(minLen) > uint64(r.Remaining()) {
+		return 0, fmt.Errorf("%w: %d elements of at least %d bytes exceed the payload", buf.ErrTruncated, n, minLen)
+	}
+	return n, nil
 }
 
 // putRegion serializes a region (dims, start, size).
@@ -71,6 +88,12 @@ const (
 // Encode serializes the request.
 func (q *Query) Encode() []byte {
 	w := buf.NewWriter(64)
+	q.AppendTo(w)
+	return w.Bytes()
+}
+
+// AppendTo appends the request's payload to w.
+func (q *Query) AppendTo(w *buf.Writer) {
 	w.U64(uint64(q.Deadline))
 	var flags uint8
 	if q.Req.Probe != nil {
@@ -89,7 +112,6 @@ func (q *Query) Encode() []byte {
 	if q.Req.Region != nil {
 		putRegion(w, *q.Req.Region)
 	}
-	return w.Bytes()
 }
 
 // DecodeQuery parses a MsgQuery payload.
@@ -139,9 +161,9 @@ func putReadReport(w *buf.Writer, rep *store.ReadReport) {
 	w.U64(uint64(int64(rep.Shards)))
 }
 
-// getReadReport inverts putReadReport.
-func getReadReport(r *buf.Reader) *store.ReadReport {
-	return &store.ReadReport{
+// getReadReport inverts putReadReport into rep.
+func getReadReport(r *buf.Reader, rep *store.ReadReport) {
+	*rep = store.ReadReport{
 		IO:            time.Duration(r.U64()),
 		Extract:       time.Duration(r.U64()),
 		Probe:         time.Duration(r.U64()),
@@ -168,11 +190,24 @@ type QueryResult struct {
 
 // Encode serializes the response.
 func (q *QueryResult) Encode() []byte {
-	w := buf.NewWriter(64 + 16*q.Result.Coords.Len())
+	w := buf.NewWriter(q.Size())
+	q.AppendTo(w)
+	return w.Bytes()
+}
+
+// Size is the response's encoded payload length.
+func (q *QueryResult) Size() int {
+	return 2 + 8 + 8*len(q.Result.Coords.Flat()) + 8 + 8*len(q.Result.Values) + readReportLen
+}
+
+// readReportLen is putReadReport's fixed output length.
+const readReportLen = 15 * 8
+
+// AppendTo appends the response's payload to w.
+func (q *QueryResult) AppendTo(w *buf.Writer) {
 	putCoords(w, q.Result.Coords)
 	w.F64s(q.Result.Values)
 	putReadReport(w, q.Report)
-	return w.Bytes()
 }
 
 // DecodeQueryResult parses a MsgQuery response payload.
@@ -182,30 +217,37 @@ func DecodeQueryResult(payload []byte) (*QueryResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: bad query result: %w", err)
 	}
-	values := r.F64s()
-	rep := getReadReport(r)
+	// One allocation holds the response, its result and its report.
+	box := &struct {
+		QueryResult
+		res store.Result
+		rep store.ReadReport
+	}{}
+	box.res = store.Result{Coords: coords, Values: r.F64s()}
+	getReadReport(r, &box.rep)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("wire: bad query result: %w", err)
 	}
-	if len(values) != coords.Len() {
-		return nil, fmt.Errorf("wire: query result has %d values for %d points", len(values), coords.Len())
+	if len(box.res.Values) != coords.Len() {
+		return nil, fmt.Errorf("wire: query result has %d values for %d points", len(box.res.Values), coords.Len())
 	}
-	return &QueryResult{Result: &store.Result{Coords: coords, Values: values}, Report: rep}, nil
+	box.QueryResult = QueryResult{Result: &box.res, Report: &box.rep}
+	return &box.QueryResult, nil
 }
 
-// putWriteReport serializes a write report.
-func putWriteReport(w *buf.Writer, rep *store.WriteReport) {
+// AppendWriteReport is EncodeWriteReport appending to w.
+func AppendWriteReport(w *buf.Writer, rep *store.WriteReport) {
 	w.U64(uint64(rep.Build))
 	w.U64(uint64(rep.Reorg))
 	w.U64(uint64(rep.Write))
 	w.U64(uint64(rep.Others))
 	w.U64(uint64(rep.Bytes))
 	w.U64(uint64(int64(rep.NNZ)))
-	w.Bytes32([]byte(rep.Name))
+	w.String32(rep.Name)
 	w.U64(rep.Epoch)
 }
 
-// getWriteReport inverts putWriteReport.
+// getWriteReport inverts AppendWriteReport.
 func getWriteReport(r *buf.Reader) *store.WriteReport {
 	return &store.WriteReport{
 		Build:  time.Duration(r.U64()),
@@ -223,7 +265,7 @@ func getWriteReport(r *buf.Reader) *store.WriteReport {
 // response).
 func EncodeWriteReport(rep *store.WriteReport) []byte {
 	w := buf.NewWriter(96)
-	putWriteReport(w, rep)
+	AppendWriteReport(w, rep)
 	return w.Bytes()
 }
 
@@ -246,7 +288,22 @@ type WriteBatch struct {
 
 // Encode serializes the request.
 func (m *WriteBatch) Encode() []byte {
-	w := buf.NewWriter(256)
+	w := buf.NewWriter(m.Size())
+	m.AppendTo(w)
+	return w.Bytes()
+}
+
+// Size is the request's encoded payload length.
+func (m *WriteBatch) Size() int {
+	n := 8 + 8 + 4
+	for _, b := range m.Batches {
+		n += 2 + 8 + 8*len(b.Coords.Flat()) + 8 + 8*len(b.Values)
+	}
+	return n
+}
+
+// AppendTo appends the request's payload to w.
+func (m *WriteBatch) AppendTo(w *buf.Writer) {
 	w.U64(uint64(m.Deadline))
 	w.U64(uint64(int64(m.Workers)))
 	w.U32(uint32(len(m.Batches)))
@@ -254,15 +311,14 @@ func (m *WriteBatch) Encode() []byte {
 		putCoords(w, b.Coords)
 		w.F64s(b.Values)
 	}
-	return w.Bytes()
 }
 
 // DecodeWriteBatch parses a MsgWriteBatch payload.
 func DecodeWriteBatch(payload []byte) (*WriteBatch, error) {
 	r := buf.NewReader(payload)
 	m := &WriteBatch{Deadline: time.Duration(r.U64()), Workers: int(int64(r.U64()))}
-	n := r.U32()
-	if err := r.Err(); err != nil {
+	n, err := count(r, 2+8+8) // dims, count, value count
+	if err != nil {
 		return nil, fmt.Errorf("wire: bad batch payload: %w", err)
 	}
 	m.Batches = make([]store.Batch, 0, n)
@@ -286,18 +342,23 @@ func DecodeWriteBatch(payload []byte) (*WriteBatch, error) {
 // EncodeWriteReports serializes the MsgWriteBatch response.
 func EncodeWriteReports(reps []*store.WriteReport) []byte {
 	w := buf.NewWriter(96 * (1 + len(reps)))
+	AppendWriteReports(w, reps)
+	return w.Bytes()
+}
+
+// AppendWriteReports is EncodeWriteReports appending to w.
+func AppendWriteReports(w *buf.Writer, reps []*store.WriteReport) {
 	w.U32(uint32(len(reps)))
 	for _, rep := range reps {
-		putWriteReport(w, rep)
+		AppendWriteReport(w, rep)
 	}
-	return w.Bytes()
 }
 
 // DecodeWriteReports parses a MsgWriteBatch response payload.
 func DecodeWriteReports(payload []byte) ([]*store.WriteReport, error) {
 	r := buf.NewReader(payload)
-	n := r.U32()
-	if err := r.Err(); err != nil {
+	n, err := count(r, 7*8+4) // seven u64 fields and the name's length
+	if err != nil {
 		return nil, fmt.Errorf("wire: bad report list: %w", err)
 	}
 	reps := make([]*store.WriteReport, 0, n)
@@ -319,9 +380,14 @@ type Delete struct {
 // Encode serializes the request.
 func (m *Delete) Encode() []byte {
 	w := buf.NewWriter(64)
+	m.AppendTo(w)
+	return w.Bytes()
+}
+
+// AppendTo appends the request's payload to w.
+func (m *Delete) AppendTo(w *buf.Writer) {
 	w.U64(uint64(m.Deadline))
 	putRegion(w, m.Region)
-	return w.Bytes()
 }
 
 // DecodeDelete parses a MsgDelete payload.
@@ -346,6 +412,12 @@ type Kernel struct {
 // Encode serializes the request.
 func (m *Kernel) Encode() []byte {
 	w := buf.NewWriter(64 + 8*len(m.Req.Vec))
+	m.AppendTo(w)
+	return w.Bytes()
+}
+
+// AppendTo appends the request's payload to w.
+func (m *Kernel) AppendTo(w *buf.Writer) {
 	w.U64(uint64(m.Deadline))
 	w.U8(uint8(m.Req.Op))
 	w.U64(uint64(int64(m.Req.Mode)))
@@ -357,7 +429,6 @@ func (m *Kernel) Encode() []byte {
 	} else {
 		w.U8(0)
 	}
-	return w.Bytes()
 }
 
 // DecodeKernel parses a MsgKernel payload.
@@ -407,10 +478,15 @@ func getPushReport(r *buf.Reader) *store.PushReport {
 // EncodeKernelResult serializes the MsgKernel response.
 func EncodeKernelResult(res *store.KernelResult) []byte {
 	w := buf.NewWriter(96 + 8*len(res.Values))
+	AppendKernelResult(w, res)
+	return w.Bytes()
+}
+
+// AppendKernelResult is EncodeKernelResult appending to w.
+func AppendKernelResult(w *buf.Writer, res *store.KernelResult) {
 	w.F64s(res.Values)
 	w.U64s(res.Shape)
 	putPushReport(w, res.Report)
-	return w.Bytes()
 }
 
 // DecodeKernelResult parses a MsgKernel response payload.
@@ -440,13 +516,18 @@ type Info struct {
 // Encode serializes the response.
 func (m *Info) Encode() []byte {
 	w := buf.NewWriter(64)
+	m.AppendTo(w)
+	return w.Bytes()
+}
+
+// AppendTo appends the response's payload to w.
+func (m *Info) AppendTo(w *buf.Writer) {
 	w.U8(uint8(m.Kind))
 	w.U64s(m.Shape)
 	w.U64s(m.Tile)
 	w.U64(m.Fragments)
 	w.U64(m.Epoch)
 	w.U32(m.Tiles)
-	return w.Bytes()
 }
 
 // DecodeInfo parses a MsgInfo response payload.
@@ -470,9 +551,12 @@ func DecodeInfo(payload []byte) (*Info, error) {
 // MsgObs, MsgPing).
 func EncodeDeadline(d time.Duration) []byte {
 	w := buf.NewWriter(8)
-	w.U64(uint64(d))
+	AppendDeadline(w, d)
 	return w.Bytes()
 }
+
+// AppendDeadline is EncodeDeadline appending to w.
+func AppendDeadline(w *buf.Writer, d time.Duration) { w.U64(uint64(d)) }
 
 // DecodeDeadline parses a deadline-only request payload. An empty
 // payload means no deadline (MsgPing).

@@ -1,0 +1,7 @@
+//go:build race
+
+package wire
+
+// raceEnabled reports a -race build: the race detector makes sync.Pool
+// drop items at random, so allocation budgets do not hold under it.
+const raceEnabled = true

@@ -19,6 +19,17 @@
 // nanoseconds (0 = none) from which the server derives the request's
 // context.
 //
+// # Pooled framing
+//
+// The serving path moves a frame without garbage. A sender takes a
+// NewFrame buffer, appends the payload with the message's AppendTo (or
+// an Append function), and SendFrame writes header and payload in one
+// call and returns the buffer to the pool. A receiver reads through a
+// FrameReader, which buffers the connection (a small frame is one read
+// call) and lands each payload in a pooled buffer that the receiver
+// releases once it has decoded it. WriteFrame, ReadFrame and the Encode
+// forms frame and encode the same bytes into memory of their own.
+//
 // # Trace context
 //
 // When the type byte's high bit (FlagTrace) is set, a fixed 25-byte
@@ -38,7 +49,9 @@
 package wire
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -86,47 +99,111 @@ const traceBlockLen = 8 + 8 + 8 + 1
 // traceFlagSampled marks a sampled trace in the block's flags byte.
 const traceFlagSampled = uint8(0x01)
 
+// maxHeaderLen is a frame header followed by its trace block: the
+// room NewFrame reserves ahead of the payload.
+const maxHeaderLen = frameHeaderLen + traceBlockLen
+
+// NewFrame returns a pooled buffer for one outgoing frame: room for the
+// largest header is reserved at its front, with capacity for about
+// payloadHint bytes of payload after it. Encoders append the payload
+// (the messages' AppendTo methods and the Append functions), then
+// SendFrame fills in the header, writes the frame and recycles the
+// buffer: one buffer, one Write call, and in steady state no
+// allocation per frame.
+func NewFrame(payloadHint int) *buf.Writer {
+	f := buf.GetWriter(maxHeaderLen + payloadHint)
+	f.Extend(maxHeaderLen)
+	return f
+}
+
+// SendFrame completes a frame built by NewFrame — its header, and the
+// trace block when tc names a trace (a zero tc produces a frame
+// byte-identical to the pre-trace format) — writes it to w in one
+// call, and recycles f, which the caller must not touch again. Callers
+// serialize concurrent writers.
+func SendFrame(w io.Writer, f *buf.Writer, typ uint8, id uint64, tc obs.TraceContext) error {
+	defer buf.PutWriter(f)
+	b := f.Bytes()
+	n := len(b) - maxHeaderLen
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame payload %d exceeds limit", n)
+	}
+	if typ&FlagTrace != 0 {
+		return fmt.Errorf("wire: message type %#x collides with the trace flag", typ)
+	}
+	off := traceBlockLen // an untraced header sits right before the payload
+	if tc.Valid() {
+		off, typ = 0, typ|FlagTrace
+		blk := b[frameHeaderLen:maxHeaderLen]
+		binary.LittleEndian.PutUint64(blk, tc.Hi)
+		binary.LittleEndian.PutUint64(blk[8:], tc.Lo)
+		binary.LittleEndian.PutUint64(blk[16:], tc.Span)
+		blk[24] = 0
+		if tc.Sampled {
+			blk[24] = traceFlagSampled
+		}
+	}
+	hdr := b[off:]
+	binary.LittleEndian.PutUint32(hdr, uint32(n))
+	hdr[4] = typ
+	binary.LittleEndian.PutUint64(hdr[5:], id)
+	_, err := w.Write(hdr)
+	return err
+}
+
 // WriteFrame writes one frame with no trace context. Callers serialize
 // concurrent writers.
 func WriteFrame(w io.Writer, typ uint8, id uint64, payload []byte) error {
 	return WriteFrameTrace(w, typ, id, obs.TraceContext{}, payload)
 }
 
-// WriteFrameTrace writes one frame, attaching tc as a trace-context
-// block when it names a trace. A zero tc produces a frame
-// byte-identical to the pre-trace format.
+// WriteFrameTrace writes one frame around an encoded payload, attaching
+// tc as a trace-context block when it names a trace. It copies payload
+// into a NewFrame buffer; a caller that encodes can append to one
+// directly instead.
 func WriteFrameTrace(w io.Writer, typ uint8, id uint64, tc obs.TraceContext, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame payload %d exceeds limit", len(payload))
-	}
-	if typ&FlagTrace != 0 {
-		return fmt.Errorf("wire: message type %#x collides with the trace flag", typ)
-	}
-	traced := tc.Valid()
-	n := frameHeaderLen
-	if traced {
-		n += traceBlockLen
-		typ |= FlagTrace
-	}
-	hdr := buf.NewWriter(n)
-	hdr.U32(uint32(len(payload)))
-	hdr.U8(typ)
-	hdr.U64(id)
-	if traced {
-		hdr.U64(tc.Hi)
-		hdr.U64(tc.Lo)
-		hdr.U64(tc.Span)
-		var flags uint8
-		if tc.Sampled {
-			flags |= traceFlagSampled
-		}
-		hdr.U8(flags)
-	}
-	if _, err := w.Write(hdr.Bytes()); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	f := NewFrame(len(payload))
+	f.Raw(payload)
+	return SendFrame(w, f, typ, id, tc)
+}
+
+// Frame is one received frame. A FrameReader's payload lives in a
+// pooled buffer that belongs to the receiver until Release; the
+// decoders copy whatever they keep, so a decoded message never aliases
+// it.
+type Frame struct {
+	Type    uint8 // FlagTrace stripped
+	ID      uint64
+	Trace   obs.TraceContext // zero for a frame without a trace block
+	Payload []byte
+	pooled  *buf.Writer
+}
+
+// Release recycles the payload's buffer; Payload must not be used
+// afterwards. Call it once per frame (a frame whose payload is not
+// pooled may skip it).
+func (f *Frame) Release() {
+	buf.PutWriter(f.pooled)
+	f.pooled, f.Payload = nil, nil
+}
+
+// FrameReader reads the frames of one connection. It reads through a
+// buffer, so a small frame — header, trace block and payload — usually
+// costs one read call rather than three, and it lands each payload of
+// up to eagerFrame bytes in a pooled buffer the caller releases.
+type FrameReader struct {
+	r   *bufio.Reader
+	hdr [maxHeaderLen]byte
+}
+
+// NewFrameReader wraps one connection's read side.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: bufio.NewReader(r)}
+}
+
+// Next reads one frame; see Frame for who owns its payload.
+func (fr *FrameReader) Next() (Frame, error) {
+	return readFrame(fr.r, fr.hdr[:], true)
 }
 
 // ReadFrame reads one frame, allocating the payload. A trace-context
@@ -137,49 +214,74 @@ func ReadFrame(r io.Reader) (typ uint8, id uint64, payload []byte, err error) {
 	return typ, id, payload, err
 }
 
-// ReadFrameTrace reads one frame along with its trace context. Frames
-// without a trace block (the pre-trace format) return a zero context.
-// The returned type has FlagTrace stripped.
+// ReadFrameTrace reads one frame along with its trace context,
+// allocating the payload. Frames without a trace block (the pre-trace
+// format) return a zero context. The returned type has FlagTrace
+// stripped.
 func ReadFrameTrace(r io.Reader) (typ uint8, id uint64, tc obs.TraceContext, payload []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, obs.TraceContext{}, nil, err
+	var hdr [maxHeaderLen]byte
+	f, err := readFrame(r, hdr[:], false)
+	return f.Type, f.ID, f.Trace, f.Payload, err
+}
+
+// readFrame reads one frame's header into hdr (maxHeaderLen bytes) and
+// its payload: into a pooled buffer when pool is set and the payload is
+// at most eagerFrame bytes, otherwise into memory of its own.
+func readFrame(r io.Reader, hdr []byte, pool bool) (Frame, error) {
+	if _, err := io.ReadFull(r, hdr[:frameHeaderLen]); err != nil {
+		return Frame{}, err
 	}
-	br := buf.NewReader(hdr[:])
-	n := br.U32()
-	typ = br.U8()
-	id = br.U64()
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > MaxFrame {
-		return 0, 0, obs.TraceContext{}, nil, fmt.Errorf("wire: frame payload %d exceeds limit", n)
+		return Frame{}, fmt.Errorf("wire: frame payload %d exceeds limit", n)
 	}
-	if typ&FlagTrace != 0 {
-		typ &^= FlagTrace
-		var blk [traceBlockLen]byte
-		if _, err = io.ReadFull(r, blk[:]); err != nil {
-			return 0, 0, obs.TraceContext{}, nil, err
+	f := Frame{Type: hdr[4], ID: binary.LittleEndian.Uint64(hdr[5:])}
+	if f.Type&FlagTrace != 0 {
+		f.Type &^= FlagTrace
+		blk := hdr[frameHeaderLen:maxHeaderLen]
+		if _, err := io.ReadFull(r, blk); err != nil {
+			return Frame{}, err
 		}
-		tr := buf.NewReader(blk[:])
-		tc.Hi = tr.U64()
-		tc.Lo = tr.U64()
-		tc.Span = tr.U64()
-		tc.Sampled = tr.U8()&traceFlagSampled != 0
+		f.Trace = obs.TraceContext{
+			Hi:      binary.LittleEndian.Uint64(blk),
+			Lo:      binary.LittleEndian.Uint64(blk[8:]),
+			Span:    binary.LittleEndian.Uint64(blk[16:]),
+			Sampled: blk[24]&traceFlagSampled != 0,
+		}
 	}
-	// Allocation tracks bytes received, not bytes announced: up to
-	// eagerFrame the payload is one exact allocation, past that the
-	// buffer doubles (never beyond n) each time the peer has filled it,
-	// so a header claiming a gigabyte costs nothing until the bytes come.
-	payload = make([]byte, min(n, eagerFrame))
+	var err error
+	if pool && n > 0 && n <= eagerFrame {
+		f.pooled = buf.GetWriter(int(n))
+		f.Payload = f.pooled.Extend(int(n))
+		_, err = io.ReadFull(r, f.Payload)
+	} else {
+		f.Payload, err = readPayload(r, int(n))
+	}
+	if err != nil {
+		f.Release()
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a payload
+		}
+		return Frame{}, err
+	}
+	return f, nil
+}
+
+// readPayload reads an n-byte payload into memory of its own.
+// Allocation tracks bytes received, not bytes announced: up to
+// eagerFrame the payload is one exact allocation, past that the buffer
+// doubles (never beyond n) each time the peer has filled it, so a
+// header claiming a gigabyte costs nothing until the bytes come.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	payload := make([]byte, min(n, eagerFrame))
 	for got := 0; ; {
-		if _, err = io.ReadFull(r, payload[got:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF // the header promised a payload
-			}
-			return 0, 0, obs.TraceContext{}, nil, err
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			return nil, err
 		}
-		if got = len(payload); got == int(n) {
-			return typ, id, tc, payload, nil
+		if got = len(payload); got == n {
+			return payload, nil
 		}
-		payload = append(payload, make([]byte, min(got, int(n)-got))...)
+		payload = append(payload, make([]byte, min(got, n-got))...)
 	}
 }
 
@@ -277,10 +379,15 @@ func (e *Error) Is(target error) bool {
 
 // EncodeError serializes err as a MsgErr payload.
 func EncodeError(err error) []byte {
-	w := buf.NewWriter(2 + len(err.Error()))
-	w.U16(uint16(CodeOf(err)))
-	w.Bytes32([]byte(err.Error()))
+	w := buf.NewWriter(6 + len(err.Error()))
+	AppendError(w, err)
 	return w.Bytes()
+}
+
+// AppendError is EncodeError appending to w.
+func AppendError(w *buf.Writer, err error) {
+	w.U16(uint16(CodeOf(err)))
+	w.String32(err.Error())
 }
 
 // DecodeError parses a MsgErr payload back into an *Error.

@@ -103,7 +103,7 @@ func TestCodeOfPrefersContext(t *testing.T) {
 	}
 }
 
-func mustCoords(t *testing.T, dims int, flat ...uint64) *tensor.Coords {
+func mustCoords(t testing.TB, dims int, flat ...uint64) *tensor.Coords {
 	t.Helper()
 	c, err := tensor.FromFlat(dims, flat)
 	if err != nil {

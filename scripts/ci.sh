@@ -56,9 +56,12 @@ go build ./...
 # one per kind of reader (Prometheus text for scrapers, the Snapshot
 # JSON for the fleet, the CLI and the checks), so no OTLP encoder,
 # interval reporter, /metrics.json endpoint or ?since= baseline ring
-# comes back. The numbers printed are the baseline the next simplicity
+# comes back; and both hops of a request frame through the pools, so
+# the serving layer never reaches for the allocating frame and codec
+# forms (ReadFrame, WriteFrame, Encode) that the benchmark and the tests
+# keep. The numbers printed are the baseline the next simplicity
 # change is measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; exported methods; options; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; pooled framing; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -93,6 +96,10 @@ if sed -n '/^import (/,/^)/p' internal/store/tiling.go | grep -q '"fmt"'; then
 fi
 if grep -rnE 'OTLP|NewReporter|Obs-Snapshot-Id|"since"|"/metrics\.json"' --include='*.go' --exclude='*_test.go' .; then
     echo "non-test Go carries a third telemetry encoding or a delta protocol (Prometheus text and the Snapshot JSON are the two exports)" >&2
+    exit 1
+fi
+if grep -rnE 'wire\.(ReadFrame|WriteFrame|Encode[A-Za-z]*)\(|\.Encode\(\)' --include='*.go' --exclude='*_test.go' internal/serve; then
+    echo "internal/serve frames a message through an allocating form (build it in wire.NewFrame with AppendTo / Append*, send it with wire.SendFrame, read with wire.FrameReader)" >&2
     exit 1
 fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
