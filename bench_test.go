@@ -293,36 +293,6 @@ func BenchmarkAblationGCSCLayout(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelBuild measures the psort-backed parallel
-// build path against the paper's serial setting.
-func BenchmarkAblationParallelBuild(b *testing.B) {
-	ds := dataset(b, bench.Case{Pattern: gen.TSP, Dims: 3})
-	shape := ds.Data.Config.Shape
-	for _, kind := range []core.Kind{core.GCSR, core.CSF, core.COOSorted} {
-		for _, workers := range []int{1, 0} { // 0 = all cores
-			name := fmt.Sprintf("%v/serial", kind)
-			if workers != 1 {
-				name = fmt.Sprintf("%v/parallel", kind)
-			}
-			kind := kind
-			workers := workers
-			b.Run(name, func(b *testing.B) {
-				format, err := core.Get(kind)
-				if err != nil {
-					b.Fatal(err)
-				}
-				format = core.Configure(format, core.Options{Parallelism: workers})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := format.Build(ds.Data.Coords, shape); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAblationCodec measures the orthogonal compression layer:
 // fragment size and write cost per codec, per organization.
 func BenchmarkAblationCodec(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"sparseart/internal/core"
 	_ "sparseart/internal/core/all"
 	"sparseart/internal/core/coretest"
+	"sparseart/internal/tensor"
 )
 
 // TestDifferentialAllKinds runs the randomized differential battery
@@ -31,4 +32,49 @@ func TestStreamingAllKinds(t *testing.T) {
 		t.Fatalf("only %d organizations registered, want at least 6", len(formats))
 	}
 	coretest.RunStreaming(t, formats)
+}
+
+// TestWalkAllocations pins the allocation budget of the read side for
+// every registered organization: Lookup allocates nothing on a hit or a
+// miss (the probe is remapped into a stack buffer), and Each and
+// ScanRegion allocate at most their one point buffer per walk.
+func TestWalkAllocations(t *testing.T) {
+	shape := tensor.Shape{40, 30, 20}
+	c := tensor.NewCoords(3, 0)
+	for i := uint64(0); i < 600; i++ {
+		c.Append(i*7%40, i*11%30, i*13%20)
+	}
+	region, err := tensor.NewRegion(shape, []uint64{4, 3, 2}, []uint64{20, 15, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, miss := c.At(17), []uint64{39, 29, 19}
+	for _, f := range core.Registered() {
+		built, err := f.Build(c, shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := f.Open(built.Payload, shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.Lookup(miss); ok {
+			t.Fatalf("%v: the miss probe is stored", f.Kind())
+		}
+		visit := func([]uint64, int) bool { return true }
+		for _, tc := range []struct {
+			name   string
+			budget float64
+			run    func()
+		}{
+			{"Lookup(hit)", 0, func() { r.Lookup(hit) }},
+			{"Lookup(miss)", 0, func() { r.Lookup(miss) }},
+			{"Each", 1, func() { r.(core.Iterator).Each(visit) }},
+			{"ScanRegion", 1, func() { r.(core.RegionScanner).ScanRegion(region, visit) }},
+		} {
+			if got := testing.AllocsPerRun(20, tc.run); got > tc.budget {
+				t.Errorf("%v: %s allocates %v per call, budget %v", f.Kind(), tc.name, got, tc.budget)
+			}
+		}
+	}
 }

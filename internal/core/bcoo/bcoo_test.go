@@ -1,6 +1,7 @@
 package bcoo
 
 import (
+	"slices"
 	"testing"
 
 	"sparseart/internal/core"
@@ -14,11 +15,11 @@ func TestConformanceDefaultBlocks(t *testing.T) {
 }
 
 func TestConformanceTinyBlocks(t *testing.T) {
-	coretest.RunConformance(t, Format{BlockBits: 1})
+	coretest.RunConformance(t, Format{bits: 1})
 }
 
 func TestConformanceByteBlocks(t *testing.T) {
-	coretest.RunConformance(t, Format{BlockBits: 8})
+	coretest.RunConformance(t, Format{bits: 8})
 }
 
 func TestKindAndParse(t *testing.T) {
@@ -39,7 +40,7 @@ func TestBlockDirectoryStructure(t *testing.T) {
 	c.Append(3, 3)  // block (0,0), local (3,3)
 	c.Append(13, 6) // block (3,1), local (1,2)
 	c.Append(12, 4) // block (3,1), local (0,0)
-	f := Format{BlockBits: 2}
+	f := Format{bits: 2}
 	built, err := f.Build(c, shape)
 	if err != nil {
 		t.Fatal(err)
@@ -48,15 +49,12 @@ func TestBlockDirectoryStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd := r.(*reader)
-	if rd.Blocks() != 2 {
-		t.Fatalf("blocks = %d, want 2", rd.Blocks())
+	rd := r.(*core.Index)
+	if blocks := rd.Crd(0); !slices.Equal(blocks, []uint64{0, 0, 3, 1}) {
+		t.Fatalf("directory = %v", blocks)
 	}
-	if rd.blocks[0] != 0 || rd.blocks[1] != 0 || rd.blocks[2] != 3 || rd.blocks[3] != 1 {
-		t.Fatalf("directory = %v", rd.blocks)
-	}
-	if rd.bptr[0] != 0 || rd.bptr[1] != 2 || rd.bptr[2] != 4 {
-		t.Fatalf("bptr = %v", rd.bptr)
+	if bptr := rd.Pos(1); !slices.Equal(bptr, []uint64{0, 2, 4}) {
+		t.Fatalf("bptr = %v", bptr)
 	}
 	// Within block (3,1) the points sort by local offset: (0,0) then
 	// (1,2), so input point 3 lands at slot 2.
@@ -66,11 +64,21 @@ func TestBlockDirectoryStructure(t *testing.T) {
 }
 
 func TestRejectsBadBlockBits(t *testing.T) {
+	// The block width is payload bytes from outside: Open accepts
+	// [1, 8] only, so offsets fit one byte.
 	shape := tensor.Shape{8, 8}
 	c := tensor.NewCoords(2, 1)
 	c.Append(1, 1)
-	if _, err := (Format{BlockBits: 9}).Build(c, shape); err == nil {
-		t.Fatal("bits 9 accepted")
+	built, err := New().Build(c, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bits := range []byte{0, 9} {
+		payload := slices.Clone(built.Payload)
+		payload[6] = bits // magic u32 · dims u16 · bits u8
+		if _, err := New().Open(payload, shape); err == nil {
+			t.Fatalf("bits %d accepted", bits)
+		}
 	}
 }
 

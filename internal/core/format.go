@@ -136,47 +136,21 @@ type PayloadSizer interface {
 	IndexWords() int
 }
 
-// Iterator is implemented by every reader in this module: Each visits
-// all stored points with their value slots. Visit order is
-// implementation-defined (payload order); returning false stops the
-// walk. The storage engine builds fragment compaction, organization
-// conversion, scan-mode region reads and in-store kernels on top of it.
+// Iterator is implemented by every reader in this module (Index): Each
+// visits all stored points with their value slots, in payload order;
+// returning false stops the walk. The storage engine builds fragment
+// compaction, organization conversion and in-store kernels on top of
+// it.
 type Iterator interface {
 	Each(visit func(p []uint64, slot int) bool)
 }
 
-// RegionScanner is an optional fast path: visit only the stored points
-// inside a region, exploiting index structure to prune (e.g. the CSF
-// tree descends only subtrees intersecting the region). Readers without
-// it fall back to Each plus a containment filter.
+// RegionScanner is implemented by every reader in this module (Index):
+// ScanRegion visits exactly the steps of Each whose point lies inside
+// the region, in the same order, pruning at every level the region
+// bounds (the CSF tree descends only subtrees intersecting it).
 type RegionScanner interface {
 	ScanRegion(r tensor.Region, visit func(p []uint64, slot int) bool)
-}
-
-// Options tunes a build.
-type Options struct {
-	// Parallelism is the worker count for sort-dominated builds;
-	// values < 1 mean all cores, 1 forces the serial path the paper's
-	// single-process benchmark uses.
-	Parallelism int
-}
-
-// Serial is the configuration matching the paper's measurements.
-var Serial = Options{Parallelism: 1}
-
-// OptionSetter is implemented by formats whose build can be tuned; it
-// returns a copy of the format bound to the given options.
-type OptionSetter interface {
-	WithOptions(o Options) Format
-}
-
-// Configure returns f bound to options o when f supports it, or f
-// unchanged otherwise.
-func Configure(f Format, o Options) Format {
-	if s, ok := f.(OptionSetter); ok {
-		return s.WithOptions(o)
-	}
-	return f
 }
 
 var (

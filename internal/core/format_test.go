@@ -98,26 +98,3 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 }
-
-type optFormat struct {
-	fakeFormat
-	opts Options
-}
-
-func (f optFormat) WithOptions(o Options) Format {
-	f.opts = o
-	return f
-}
-
-func TestConfigure(t *testing.T) {
-	base := optFormat{fakeFormat: fakeFormat{kind: 201}}
-	got := Configure(base, Options{Parallelism: 4})
-	if got.(optFormat).opts.Parallelism != 4 {
-		t.Fatal("Configure did not apply options")
-	}
-	// A format without the hook passes through unchanged.
-	plain := fakeFormat{kind: 202}
-	if Configure(plain, Options{Parallelism: 4}) != plain {
-		t.Fatal("Configure changed a plain format")
-	}
-}

@@ -1,7 +1,11 @@
 package gcs
 
 import (
+	"errors"
+	"math"
 	"testing"
+
+	"sparseart/internal/buf"
 
 	"sparseart/internal/core"
 	"sparseart/internal/core/coretest"
@@ -73,17 +77,17 @@ func TestPaperExampleCSRStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd := r.(*reader)
+	rd := r.(reader)
 	wantPtr := []uint64{0, 3, 3, 5}
 	for i, v := range wantPtr {
-		if rd.ptr[i] != v {
-			t.Fatalf("row_ptr = %v, want %v", rd.ptr, wantPtr)
+		if rd.Ptr()[i] != v {
+			t.Fatalf("row_ptr = %v, want %v", rd.Ptr(), wantPtr)
 		}
 	}
 	wantInd := []uint64{1, 4, 5, 7, 8}
 	for i, v := range wantInd {
-		if rd.ind[i] != v {
-			t.Fatalf("col_ind = %v, want %v", rd.ind, wantInd)
+		if rd.Ind()[i] != v {
+			t.Fatalf("col_ind = %v, want %v", rd.Ind(), wantInd)
 		}
 	}
 }
@@ -102,17 +106,17 @@ func TestPaperExampleCSCStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd := r.(*reader)
+	rd := r.(reader)
 	wantPtr := []uint64{0, 0, 3, 5}
 	for i, v := range wantPtr {
-		if rd.ptr[i] != v {
-			t.Fatalf("col_ptr = %v, want %v", rd.ptr, wantPtr)
+		if rd.Ptr()[i] != v {
+			t.Fatalf("col_ptr = %v, want %v", rd.Ptr(), wantPtr)
 		}
 	}
 	wantInd := []uint64{0, 1, 8, 1, 8}
 	for i, v := range wantInd {
-		if rd.ind[i] != v {
-			t.Fatalf("row_ind = %v, want %v", rd.ind, wantInd)
+		if rd.Ind()[i] != v {
+			t.Fatalf("row_ind = %v, want %v", rd.Ind(), wantInd)
 		}
 	}
 }
@@ -212,6 +216,35 @@ func TestAnisotropicMinExtentNotFirst(t *testing.T) {
 				t.Fatalf("orient %d: point %v lost", f.Orient, c.At(i))
 			}
 		}
+	}
+}
+
+// TestDenseExtentOverflowRefused: on shape {2^64-1} GCSR++'s pointer
+// axis has 2^64-1 rows, so ptr would need 2^64 entries. Build and Open
+// refuse it with tensor.ErrOverflow instead of wrapping the length to 0
+// and indexing past it.
+func TestDenseExtentOverflowRefused(t *testing.T) {
+	shape := tensor.Shape{math.MaxUint64}
+	c := tensor.NewCoords(1, 1)
+	c.Append(6)
+	if _, err := NewRow().Build(c, shape); !errors.Is(err, tensor.ErrOverflow) {
+		t.Fatalf("Build = %v, want tensor.ErrOverflow", err)
+	}
+	w := buf.NewWriter(64)
+	w.U32(magic)
+	w.U8(uint8(Row))
+	w.U8(0)
+	w.U16(1)
+	w.RawU64s(shape)
+	w.U64(math.MaxUint64) // rows: the minimum extent
+	w.U64(1)              // cols
+	w.U64(0)              // n
+	if _, err := NewRow().Open(w.Bytes(), shape); !errors.Is(err, tensor.ErrOverflow) {
+		t.Fatalf("Open = %v, want tensor.ErrOverflow", err)
+	}
+	// GCSC++ puts the same axis on the dense level.
+	if _, err := NewCol().Build(c, shape); !errors.Is(err, tensor.ErrOverflow) {
+		t.Fatalf("GCSC++ Build = %v, want tensor.ErrOverflow", err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"fmt"
-
 	"sparseart/internal/complexity"
 	"sparseart/internal/core"
 	"sparseart/internal/tensor"
@@ -17,30 +15,15 @@ import (
 // organizations (COO, LINEAR) on any sizable window.
 
 // scanFragment walks one fragment's stored points inside region — all
-// of them when region is nil — in scan mode. CSF prunes a region walk
-// through its tree (core.RegionScanner); the other organizations
-// iterate everything and filter by containment.
-func scanFragment(kind core.Kind, reader core.Reader, region *tensor.Region,
-	visit func(p []uint64, slot int) bool) error {
-	if rs, ok := reader.(core.RegionScanner); ok && region != nil {
-		rs.ScanRegion(*region, visit)
-		return nil
-	}
-	it, ok := reader.(core.Iterator)
-	if !ok {
-		return fmt.Errorf("store: %v reader cannot scan", kind)
-	}
+// of them when region is nil — in scan mode. Every reader prunes a
+// region walk at the index levels the region bounds
+// (core.RegionScanner).
+func scanFragment(reader core.Reader, region *tensor.Region, visit func(p []uint64, slot int) bool) {
 	if region == nil {
-		it.Each(visit)
-		return nil
+		reader.(core.Iterator).Each(visit)
+		return
 	}
-	it.Each(func(p []uint64, slot int) bool {
-		if region.Contains(p) {
-			return visit(p, slot)
-		}
-		return true
-	})
-	return nil
+	reader.(core.RegionScanner).ScanRegion(*region, visit)
 }
 
 // preferScan applies Table I: compare the model's marginal probe cost

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sparseart/internal/core"
 	"sparseart/internal/filter"
 	"sparseart/internal/fragment"
 	"sparseart/internal/obs"
@@ -410,13 +409,9 @@ func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 	kind := s.curKind().String()
 	rep := &WriteReport{NNZ: b.Coords.Len()}
 
-	format := s.curFormat()
-	if s.buildOpts != nil {
-		format = core.Configure(format, *s.buildOpts)
-	}
 	sp := root.Child(obsWriteBuild)
 	t := time.Now()
-	built, err := format.Build(b.Coords, s.shape)
+	built, err := s.curFormat().Build(b.Coords, s.shape)
 	sp.End()
 	if err != nil {
 		j.err = err

@@ -53,12 +53,6 @@ func WithCodec(id compress.ID) Option {
 	return func(s *Store) { s.codec = id }
 }
 
-// WithBuildOptions overrides the organization's build options (e.g. to
-// enable parallel builds; the default is the paper's serial setting).
-func WithBuildOptions(o core.Options) Option {
-	return func(s *Store) { s.buildOpts = &o }
-}
-
 // WithObs binds the store to a specific observability registry instead
 // of the process-wide obs.Global(). The benchmark harness uses this to
 // capture one store's phase breakdown in isolation.
@@ -146,14 +140,13 @@ type orgState struct {
 // Store is a single-tensor fragment store bound to one organization
 // (rebindable by a re-organizing compaction).
 type Store struct {
-	fs        fsim.FS
-	prefix    string
-	org       atomic.Pointer[orgState]
-	shape     tensor.Shape
-	lin       *tensor.Linearizer
-	codec     compress.ID
-	buildOpts *core.Options
-	obs       *obs.Registry
+	fs     fsim.FS
+	prefix string
+	org    atomic.Pointer[orgState]
+	shape  tensor.Shape
+	lin    *tensor.Linearizer
+	codec  compress.ID
+	obs    *obs.Registry
 	// frags is the writer's working fragment list, guarded by writeMu.
 	// Readers never touch it: they go through the published snapshot
 	// (see view.go). Every durable mutation ends with publishLocked.
@@ -790,7 +783,7 @@ func (s *Store) readFragment(root *obs.Span, fi int, fr *fragRef, pl *readPlan, 
 	sp := root.Child(obsReadProbe)
 	t := time.Now()
 	if scan {
-		err = scanFragment(s.curKind(), e.Reader, pl.region, func(p []uint64, slot int) bool {
+		scanFragment(e.Reader, pl.region, func(p []uint64, slot int) bool {
 			acc.rep.Probed++
 			acc.hits = append(acc.hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
 			return true
@@ -812,10 +805,6 @@ func (s *Store) readFragment(root *obs.Span, fi int, fr *fragRef, pl *readPlan, 
 		acc.rep.Probed += probed
 	}
 	sp.End()
-	if err != nil {
-		s.obsReg().Counter("store.read.errors", "kind", s.curKind().String()).Inc()
-		return err
-	}
 	acc.rep.Probe += time.Since(t)
 	return nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -359,6 +360,22 @@ func TestStoreErrors(t *testing.T) {
 	}
 	if _, err := Create(fs, "t4", core.COO, shape, WithCodec(compress.ID(9))); err == nil {
 		t.Error("unknown codec accepted")
+	}
+}
+
+// TestWriteRefusesDenseExtentOverflow: on shape {2^64-1} GCSR++'s
+// pointer axis has 2^64-1 rows, one too many for its pointer vector;
+// the write is refused with tensor.ErrOverflow instead of panicking in
+// the build.
+func TestWriteRefusesDenseExtentOverflow(t *testing.T) {
+	st, err := Create(newSim(t), "t", core.GCSR, tensor.Shape{math.MaxUint64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tensor.NewCoords(1, 1)
+	c.Append(6)
+	if _, err := st.Write(c, []float64{1}); !errors.Is(err, tensor.ErrOverflow) {
+		t.Fatalf("Write = %v, want tensor.ErrOverflow", err)
 	}
 }
 

@@ -59,9 +59,12 @@ go build ./...
 # comes back; and both hops of a request frame through the pools, so
 # the serving layer never reaches for the allocating frame and codec
 # forms (ReadFrame, WriteFrame, Encode) that the benchmark and the tests
-# keep. The numbers printed are the baseline the next simplicity
-# change is measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; pooled framing; exported methods; options; code lines)"
+# keep; and an organization is a declaration (a coordinate remap and a
+# list of levels, core.Decl), so internal/core builds, descends and
+# walks once — one Lookup, one Each, one ScanRegion, one sort — and no
+# format package carries a reader of its own. The numbers printed are
+# the baseline the next simplicity change is measured against.
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; pooled framing; one descent and walk in core; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -100,6 +103,23 @@ if grep -rnE 'OTLP|NewReporter|Obs-Snapshot-Id|"since"|"/metrics\.json"' --inclu
 fi
 if grep -rnE 'wire\.(ReadFrame|WriteFrame|Encode[A-Za-z]*)\(|\.Encode\(\)' --include='*.go' --exclude='*_test.go' internal/serve; then
     echo "internal/serve frames a message through an allocating form (build it in wire.NewFrame with AppendTo / Append*, send it with wire.SendFrame, read with wire.FrameReader)" >&2
+    exit 1
+fi
+core_src=$(find internal/core -name '*.go' ! -name '*_test.go')
+for m in Lookup Each ScanRegion; do
+    n=$(grep -hE "^func \([^)]*\) $m\(" $core_src | wc -l)
+    if [ "$n" -ne 1 ]; then
+        echo "internal/core defines $m $n times (want 1: the level walk in internal/core/levels.go)" >&2
+        exit 1
+    fi
+done
+sorts=$(grep -hE 'psort\.[A-Z]' $core_src | grep -cvE '^\s*//' || true)
+if [ "$sorts" -ne 1 ]; then
+    echo "internal/core sorts in $sorts places (want 1: core.Build)" >&2
+    exit 1
+fi
+if grep -nE '^func \([^)]*\) (Lookup|Each|ScanRegion)\(' internal/core/{coo,linearfmt,gcs,csf,bcoo}/*.go; then
+    echo "a format package defines its own reader walk (declare a core.Decl instead)" >&2
     exit 1
 fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
