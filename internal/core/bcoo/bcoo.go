@@ -17,6 +17,7 @@
 package bcoo
 
 import (
+	"cmp"
 	"fmt"
 
 	"sparseart/internal/buf"
@@ -53,10 +54,7 @@ func blocks(d int, bits uint8) core.Decl {
 }
 
 func (f Format) decl(shape tensor.Shape) (core.Decl, error) {
-	if f.bits == 0 {
-		return blocks(shape.Dims(), blockBits), nil
-	}
-	return blocks(shape.Dims(), f.bits), nil
+	return blocks(shape.Dims(), cmp.Or(f.bits, blockBits)), nil
 }
 
 // header: magic u32 · dims u16 · blockBits u8 · reserved u8 ·
@@ -75,9 +73,6 @@ func parse(r *buf.Reader, shape tensor.Shape) (core.Decl, error) {
 	bits := r.U8()
 	r.U8()
 	stored := tensor.Shape(r.RawU64s(uint64(d)))
-	if err := r.Err(); err != nil {
-		return core.Decl{}, err
-	}
 	if !stored.Equal(shape) {
 		return core.Decl{}, fmt.Errorf("payload shape %v does not match %v", stored, shape)
 	}

@@ -73,9 +73,6 @@ func (f Format) parse(r *buf.Reader, shape tensor.Shape) (core.Decl, error) {
 	dims := int(r.U16())
 	sorted := r.U8() == 1
 	r.U8()
-	if err := r.Err(); err != nil {
-		return core.Decl{}, err
-	}
 	if dims != shape.Dims() {
 		return core.Decl{}, fmt.Errorf("payload has %d dims, shape has %d", dims, shape.Dims())
 	}

@@ -2,8 +2,8 @@
 // every Format implementation must pass RunConformance. It checks the
 // Build/Open/Lookup contract — payload self-description, the map-vector
 // permutation semantics of Algorithms 1–3, found/not-found correctness
-// against a brute-force model, determinism under concurrent builds, and
-// corrupt-payload rejection.
+// against a brute-force model, determinism under concurrent builds, the
+// walks, and corrupt-payload rejection.
 package coretest
 
 import (
@@ -23,11 +23,7 @@ import (
 func PaperExample() (tensor.Shape, *tensor.Coords) {
 	shape := tensor.Shape{3, 3, 3}
 	c := tensor.NewCoords(3, 5)
-	c.Append(0, 0, 1)
-	c.Append(0, 1, 1)
-	c.Append(0, 1, 2)
-	c.Append(2, 2, 1)
-	c.Append(2, 2, 2)
+	c.AppendFlat([]uint64{0, 0, 1, 0, 1, 1, 0, 1, 2, 2, 2, 1, 2, 2, 2})
 	return shape, c
 }
 
@@ -38,9 +34,7 @@ func randomDataset(rng *rand.Rand, shape tensor.Shape, n int) *tensor.Coords {
 		panic(err)
 	}
 	vol, _ := shape.Volume()
-	if uint64(n) > vol {
-		n = int(vol)
-	}
+	n = min(n, int(vol))
 	seen := map[uint64]bool{}
 	c := tensor.NewCoords(shape.Dims(), n)
 	p := make([]uint64, shape.Dims())
@@ -56,58 +50,56 @@ func randomDataset(rng *rand.Rand, shape tensor.Shape, n int) *tensor.Coords {
 	return c
 }
 
+// buildOpen builds c and opens the payload, checking that the map
+// vector is nil (identity) or a bijection over the input points.
+func buildOpen(t *testing.T, f core.Format, shape tensor.Shape, c *tensor.Coords) (*core.BuildResult, core.Reader) {
+	t.Helper()
+	built, err := f.Build(c, shape)
+	if err != nil {
+		t.Fatalf("%v: Build: %v", f.Kind(), err)
+	}
+	if err := tensor.CheckPerm(built.Perm); built.Perm != nil && (err != nil || len(built.Perm) != c.Len()) {
+		t.Fatalf("%v: perm of %d slots for %d points is not a bijection: %v", f.Kind(), len(built.Perm), c.Len(), err)
+	}
+	r, err := f.Open(built.Payload, shape)
+	if err != nil {
+		t.Fatalf("%v: Open: %v", f.Kind(), err)
+	}
+	return built, r
+}
+
+// slotOf is the value slot of input point i.
+func slotOf(built *core.BuildResult, i int) int {
+	if built.Perm != nil {
+		return built.Perm[i]
+	}
+	return i
+}
+
 // checkRoundTrip builds the dataset, reopens the payload, and verifies
 // that every stored point is found at the slot its permutation
 // dictates and that absent probes miss.
 func checkRoundTrip(t *testing.T, f core.Format, shape tensor.Shape, c *tensor.Coords) {
 	t.Helper()
-	built, err := f.Build(c, shape)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
+	built, r := buildOpen(t, f, shape, c)
 	n := c.Len()
-	if built.Perm != nil {
-		if len(built.Perm) != n {
-			t.Fatalf("perm length %d for %d points", len(built.Perm), n)
-		}
-		if err := tensor.CheckPerm(built.Perm); err != nil {
-			t.Fatalf("perm invalid: %v", err)
-		}
-	}
-	r, err := f.Open(built.Payload, shape)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
 	if r.NNZ() != n {
 		t.Fatalf("NNZ = %d, want %d", r.NNZ(), n)
 	}
-	// Every stored point must be found at the permuted slot.
-	for i := 0; i < n; i++ {
-		slot, ok := r.Lookup(c.At(i))
-		if !ok {
-			t.Fatalf("point %v (index %d) not found", c.At(i), i)
-		}
-		want := i
-		if built.Perm != nil {
-			want = built.Perm[i]
-		}
-		if slot != want {
-			t.Fatalf("point %v: slot %d, want %d", c.At(i), slot, want)
-		}
-	}
-	// Probe points that are not stored.
 	lin, err := tensor.NewLinearizer(shape, tensor.RowMajor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	present := map[uint64]bool{}
 	for i := 0; i < n; i++ {
+		if slot, ok := r.Lookup(c.At(i)); !ok || slot != slotOf(built, i) {
+			t.Fatalf("point %v (index %d): slot %d found %v, want slot %d", c.At(i), i, slot, ok, slotOf(built, i))
+		}
 		present[lin.Linearize(c.At(i))] = true
 	}
 	vol, _ := shape.Volume()
 	p := make([]uint64, shape.Dims())
-	misses := 0
-	for addr := uint64(0); addr < vol && misses < 200; addr++ {
+	for addr, misses := uint64(0), 0; addr < vol && misses < 200; addr++ {
 		if present[addr] {
 			continue
 		}
@@ -124,16 +116,12 @@ func checkRoundTrip(t *testing.T, f core.Format, shape tensor.Shape, c *tensor.C
 	if _, ok := r.Lookup(make([]uint64, shape.Dims()+1)); ok {
 		t.Fatal("wrong-rank probe found")
 	}
-	if sz, ok := r.(core.PayloadSizer); ok {
-		if w := sz.IndexWords(); n > 0 && w <= 0 {
-			t.Fatalf("IndexWords = %d", w)
-		}
+	if w := r.(core.PayloadSizer).IndexWords(); n > 0 && w <= 0 {
+		t.Fatalf("IndexWords = %d", w)
 	}
 }
 
-// RunConformance exercises the full battery against f. minDims is the
-// smallest dimensionality the format supports (2 for TSP-style formats
-// that require pairs; 1 for all of the paper's organizations).
+// RunConformance exercises the full battery against f.
 func RunConformance(t *testing.T, f core.Format) {
 	t.Run("PaperExample", func(t *testing.T) {
 		shape, c := PaperExample()
@@ -141,15 +129,7 @@ func RunConformance(t *testing.T, f core.Format) {
 	})
 
 	t.Run("Empty", func(t *testing.T) {
-		shape := tensor.Shape{4, 4}
-		built, err := f.Build(tensor.NewCoords(2, 0), shape)
-		if err != nil {
-			t.Fatalf("Build of empty tensor: %v", err)
-		}
-		r, err := f.Open(built.Payload, shape)
-		if err != nil {
-			t.Fatalf("Open of empty payload: %v", err)
-		}
+		_, r := buildOpen(t, f, tensor.Shape{4, 4}, tensor.NewCoords(2, 0))
 		if r.NNZ() != 0 {
 			t.Fatalf("NNZ = %d", r.NNZ())
 		}
@@ -159,43 +139,30 @@ func RunConformance(t *testing.T, f core.Format) {
 	})
 
 	t.Run("SinglePoint", func(t *testing.T) {
-		shape := tensor.Shape{5, 5, 5, 5}
 		c := tensor.NewCoords(4, 1)
 		c.Append(4, 0, 3, 2)
-		checkRoundTrip(t, f, shape, c)
+		checkRoundTrip(t, f, tensor.Shape{5, 5, 5, 5}, c)
 	})
 
 	t.Run("OneDimensional", func(t *testing.T) {
-		shape := tensor.Shape{64}
 		c := tensor.NewCoords(1, 0)
-		for _, x := range []uint64{5, 0, 63, 17} {
-			c.Append(x)
-		}
-		checkRoundTrip(t, f, shape, c)
+		c.AppendFlat([]uint64{5, 0, 63, 17})
+		checkRoundTrip(t, f, tensor.Shape{64}, c)
 	})
 
 	t.Run("FullTensor", func(t *testing.T) {
-		shape := tensor.Shape{3, 3}
 		c := tensor.NewCoords(2, 9)
-		for i := uint64(0); i < 3; i++ {
-			for j := uint64(0); j < 3; j++ {
-				c.Append(i, j)
-			}
+		for i := uint64(0); i < 9; i++ {
+			c.Append(i/3, i%3)
 		}
-		checkRoundTrip(t, f, shape, c)
+		checkRoundTrip(t, f, tensor.Shape{3, 3}, c)
 	})
 
 	t.Run("RandomDatasets", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
-		shapes := []tensor.Shape{
-			{50, 50},
-			{16, 16, 16},
-			{8, 8, 8, 8},
-			{100, 3},        // strongly anisotropic
-			{2, 1000},       // minimum extent first
-			{5, 4, 3, 2, 2}, // 5-dimensional
-		}
-		for _, shape := range shapes {
+		// Strongly anisotropic, minimum extent first, and 5-dimensional
+		// shapes among them.
+		for _, shape := range []tensor.Shape{{50, 50}, {16, 16, 16}, {8, 8, 8, 8}, {100, 3}, {2, 1000}, {5, 4, 3, 2, 2}} {
 			for _, n := range []int{1, 17, 300} {
 				c := randomDataset(rng, shape, n)
 				t.Run(fmt.Sprintf("%v_n%d", shape, c.Len()), func(t *testing.T) {
@@ -206,17 +173,10 @@ func RunConformance(t *testing.T, f core.Format) {
 	})
 
 	t.Run("Deterministic", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(11))
 		shape := tensor.Shape{20, 20, 20}
-		c := randomDataset(rng, shape, 200)
-		a, err := f.Build(c, shape)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := f.Build(c.Clone(), shape)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := randomDataset(rand.New(rand.NewSource(11)), shape, 200)
+		a, _ := buildOpen(t, f, shape, c)
+		b, _ := buildOpen(t, f, shape, c.Clone())
 		if !bytes.Equal(a.Payload, b.Payload) {
 			t.Fatal("two builds of the same input differ")
 		}
@@ -226,13 +186,9 @@ func RunConformance(t *testing.T, f core.Format) {
 		// Builds share no state: builds racing on one input, each
 		// sorting past psort's serial cutoff on every core, return a
 		// lone build's payload and map vector.
-		rng := rand.New(rand.NewSource(13))
 		shape := tensor.Shape{30, 30, 30}
-		c := randomDataset(rng, shape, 10000)
-		serial, err := f.Build(c, shape)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := randomDataset(rand.New(rand.NewSource(13)), shape, 10000)
+		serial, _ := buildOpen(t, f, shape, c)
 		parallel := make([]*core.BuildResult, 3)
 		var wg sync.WaitGroup
 		for i := range parallel {
@@ -251,120 +207,44 @@ func RunConformance(t *testing.T, f core.Format) {
 	})
 
 	t.Run("IteratorVisitsEveryPointOnce", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(17))
 		shape := tensor.Shape{9, 7, 8}
-		c := randomDataset(rng, shape, 120)
-		built, err := f.Build(c, shape)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := f.Open(built.Payload, shape)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it, ok := r.(core.Iterator)
-		if !ok {
-			t.Fatal("reader does not implement core.Iterator")
-		}
-		lin, err := tensor.NewLinearizer(shape, tensor.RowMajor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[uint64]int{} // addr -> expected slot
+		c := randomDataset(rand.New(rand.NewSource(17)), shape, 120)
+		built, r := buildOpen(t, f, shape, c)
+		want := map[string]int{} // point -> expected slot
 		for i := 0; i < c.Len(); i++ {
-			slot := i
-			if built.Perm != nil {
-				slot = built.Perm[i]
-			}
-			want[lin.Linearize(c.At(i))] = slot
+			want[fmt.Sprint(c.At(i))] = slotOf(built, i)
 		}
-		slotSeen := make([]bool, c.Len())
-		visited := 0
-		it.Each(func(p []uint64, slot int) bool {
-			visited++
-			addr := lin.Linearize(p)
-			wantSlot, ok := want[addr]
-			if !ok {
-				t.Fatalf("Each visited point %v that was never stored", p)
+		walk := recordWalk(r.(core.Iterator).Each, 0)
+		seen := map[int]bool{}
+		for _, v := range walk {
+			if slot, ok := want[v.p]; !ok || slot != v.slot || seen[v.slot] {
+				t.Fatalf("Each visited %v at slot %d: stored %v at slot %d, repeated %v", v.p, v.slot, ok, slot, seen[v.slot])
 			}
-			if slot != wantSlot {
-				t.Fatalf("point %v: Each slot %d, want %d", p, slot, wantSlot)
-			}
-			if slot < 0 || slot >= c.Len() || slotSeen[slot] {
-				t.Fatalf("slot %d out of range or repeated", slot)
-			}
-			slotSeen[slot] = true
-			return true
-		})
-		if visited != c.Len() {
-			t.Fatalf("Each visited %d of %d points", visited, c.Len())
+			seen[v.slot] = true
 		}
-		// Early termination stops the walk.
-		calls := 0
-		it.Each(func(p []uint64, slot int) bool {
-			calls++
-			return calls < 5
-		})
-		if calls != 5 {
-			t.Fatalf("early stop visited %d points, want 5", calls)
+		if len(walk) != c.Len() {
+			t.Fatalf("Each visited %d of %d points", len(walk), c.Len())
+		}
+		if stopped := recordWalk(r.(core.Iterator).Each, 5); len(stopped) != 5 {
+			t.Fatalf("early stop visited %d points, want 5", len(stopped))
 		}
 	})
 
 	t.Run("RegionScanMatchesFilter", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(23))
 		shape := tensor.Shape{10, 10, 10}
-		c := randomDataset(rng, shape, 200)
-		built, err := f.Build(c, shape)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := f.Open(built.Payload, shape)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it, ok := r.(core.Iterator)
-		if !ok {
-			t.Skip("no iterator")
-		}
+		c := randomDataset(rand.New(rand.NewSource(23)), shape, 200)
+		_, r := buildOpen(t, f, shape, c)
 		region, err := tensor.NewRegion(shape, []uint64{2, 3, 0}, []uint64{5, 4, 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[int]bool{}
-		it.Each(func(p []uint64, slot int) bool {
-			if region.Contains(p) {
-				want[slot] = true
-			}
-			return true
-		})
-		scanner, ok := r.(core.RegionScanner)
-		if !ok {
-			return // generic fallback is exactly the filter above
-		}
-		got := map[int]bool{}
-		scanner.ScanRegion(region, func(p []uint64, slot int) bool {
-			if !region.Contains(p) {
-				t.Fatalf("ScanRegion emitted %v outside the region", p)
-			}
-			got[slot] = true
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("ScanRegion found %d points, filter found %d", len(got), len(want))
-		}
-		for slot := range want {
-			if !got[slot] {
-				t.Fatalf("ScanRegion missed slot %d", slot)
-			}
-		}
+		sameRegionWalk(t, f.Kind(), r, region, nil)
 	})
 
 	t.Run("BuildDoesNotMutateInput", func(t *testing.T) {
 		shape, c := PaperExample()
 		before := c.Clone()
-		if _, err := f.Build(c, shape); err != nil {
-			t.Fatal(err)
-		}
+		buildOpen(t, f, shape, c)
 		if !c.Equal(before) {
 			t.Fatal("Build mutated its input")
 		}
@@ -387,15 +267,10 @@ func RunConformance(t *testing.T, f core.Format) {
 			t.Error("nil payload accepted")
 		}
 		// A valid payload truncated mid-body must be rejected.
-		_, pc := PaperExample()
-		built, err := f.Build(pc, tensor.Shape{3, 3, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(built.Payload) > 10 {
-			if _, err := f.Open(built.Payload[:len(built.Payload)-7], tensor.Shape{3, 3, 3}); err == nil {
-				t.Error("truncated payload accepted")
-			}
+		pshape, pc := PaperExample()
+		built, _ := buildOpen(t, f, pshape, pc)
+		if _, err := f.Open(built.Payload[:len(built.Payload)-7], pshape); err == nil {
+			t.Error("truncated payload accepted")
 		}
 	})
 }

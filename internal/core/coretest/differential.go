@@ -3,6 +3,7 @@ package coretest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparseart/internal/core"
@@ -13,8 +14,7 @@ import (
 // toward anisotropy (mixing extent 1 axes with wide ones) since the
 // 2D-remap formats are most sensitive to extent imbalance.
 func randomShape(rng *rand.Rand) tensor.Shape {
-	d := 1 + rng.Intn(4)
-	shape := make(tensor.Shape, d)
+	shape := make(tensor.Shape, 1+rng.Intn(4))
 	for i := range shape {
 		shape[i] = uint64(1 + rng.Intn(12))
 	}
@@ -26,7 +26,7 @@ func randomShape(rng *rand.Rand) tensor.Shape {
 // map-based oracle and against each other. Each round draws a fresh
 // shape and dataset; every format builds it, must return a valid
 // bijection as its permutation, must find every stored point at the
-// permuted slot, must miss every absent probe, and must enumerate
+// permuted slot, must miss every absent probe, and must region-scan
 // exactly the oracle's point set for random query regions. -short runs
 // fewer and smaller rounds.
 func RunDifferential(t *testing.T, formats []core.Format) {
@@ -49,41 +49,23 @@ func RunDifferential(t *testing.T, formats []core.Format) {
 
 // openAll builds and opens the dataset under every format, checking the
 // permutation contract on the way.
-func openAll(t *testing.T, formats []core.Format, shape tensor.Shape, c *tensor.Coords) ([]core.Reader, [][]int) {
+func openAll(t *testing.T, formats []core.Format, shape tensor.Shape, c *tensor.Coords) ([]core.Reader, []*core.BuildResult) {
 	t.Helper()
 	readers := make([]core.Reader, len(formats))
-	perms := make([][]int, len(formats))
+	built := make([]*core.BuildResult, len(formats))
 	for i, f := range formats {
-		built, err := f.Build(c, shape)
-		if err != nil {
-			t.Fatalf("%v: Build: %v", f.Kind(), err)
-		}
-		if built.Perm != nil {
-			if len(built.Perm) != c.Len() {
-				t.Fatalf("%v: perm length %d for %d points", f.Kind(), len(built.Perm), c.Len())
-			}
-			if err := tensor.CheckPerm(built.Perm); err != nil {
-				t.Fatalf("%v: perm is not a bijection: %v", f.Kind(), err)
-			}
-		}
-		r, err := f.Open(built.Payload, shape)
-		if err != nil {
-			t.Fatalf("%v: Open: %v", f.Kind(), err)
-		}
-		readers[i] = r
-		perms[i] = built.Perm
+		built[i], readers[i] = buildOpen(t, f, shape, c)
 	}
-	return readers, perms
+	return readers, built
 }
 
 func differentialRound(t *testing.T, formats []core.Format, rng *rand.Rand, shape tensor.Shape, c *tensor.Coords) {
-	readers, perms := openAll(t, formats, shape, c)
+	readers, built := openAll(t, formats, shape, c)
 	for i, r := range readers {
 		if r.NNZ() != c.Len() {
 			t.Fatalf("%v: NNZ %d, want %d", formats[i].Kind(), r.NNZ(), c.Len())
 		}
 	}
-
 	lin, err := tensor.NewLinearizer(shape, tensor.RowMajor)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +81,7 @@ func differentialRound(t *testing.T, formats []core.Format, rng *rand.Rand, shap
 	vol, _ := shape.Volume()
 	probe := make([]uint64, shape.Dims())
 	for trial := 0; trial < 300; trial++ {
-		var addr uint64
+		addr := uint64(0)
 		if trial%2 == 0 && c.Len() > 0 {
 			addr = lin.Linearize(c.At(rng.Intn(c.Len())))
 		} else {
@@ -109,71 +91,31 @@ func differentialRound(t *testing.T, formats []core.Format, rng *rand.Rand, shap
 		inputIdx, want := oracle[addr]
 		for i, r := range readers {
 			slot, ok := r.Lookup(probe)
-			if ok != want {
-				t.Fatalf("%v: Lookup(%v) = %v, oracle says %v", formats[i].Kind(), probe, ok, want)
-			}
-			if !ok {
-				continue
-			}
-			wantSlot := inputIdx
-			if perms[i] != nil {
-				wantSlot = perms[i][inputIdx]
-			}
-			if slot != wantSlot {
-				t.Fatalf("%v: Lookup(%v) slot %d, want %d", formats[i].Kind(), probe, slot, wantSlot)
+			if ok != want || (ok && slot != slotOf(built[i], inputIdx)) {
+				t.Fatalf("%v: Lookup(%v) = %d, %v; oracle says %v at slot %d", formats[i].Kind(), probe, slot, ok, want, slotOf(built[i], inputIdx))
 			}
 		}
 	}
 
-	// Range phase: random query regions; every iterator-capable format
-	// must enumerate exactly the oracle's points inside the region, and
-	// a RegionScanner must match its own full-walk filter.
+	// Range phase: random query regions; every format must region-scan
+	// exactly the oracle's points inside the region.
 	for rq := 0; rq < 3; rq++ {
-		start := make([]uint64, shape.Dims())
-		size := make([]uint64, shape.Dims())
-		for d := range shape {
-			start[d] = uint64(rng.Int63n(int64(shape[d])))
-			size[d] = 1 + uint64(rng.Int63n(int64(shape[d]-start[d])))
-		}
-		region, err := tensor.NewRegion(shape, start, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[uint64]bool{}
-		for addr, idx := range oracle {
+		region := randomRegion(rng, shape)
+		var want []string
+		for _, idx := range oracle {
 			if region.Contains(c.At(idx)) {
-				want[addr] = true
+				want = append(want, fmt.Sprint(c.At(idx)))
 			}
 		}
+		slices.Sort(want)
 		for i, r := range readers {
-			it, ok := r.(core.Iterator)
-			if !ok {
-				t.Fatalf("%v: reader does not implement core.Iterator", formats[i].Kind())
-			}
-			got := map[uint64]bool{}
-			it.Each(func(p []uint64, slot int) bool {
-				if region.Contains(p) {
-					got[lin.Linearize(p)] = true
-				}
+			var got []string
+			r.(core.RegionScanner).ScanRegion(region, func(p []uint64, _ int) bool {
+				got = append(got, fmt.Sprint(p))
 				return true
 			})
-			if len(got) != len(want) {
-				t.Fatalf("%v: region %v: walk found %d points, oracle %d", formats[i].Kind(), region, len(got), len(want))
-			}
-			for addr := range want {
-				if !got[addr] {
-					t.Fatalf("%v: region %v: walk missed address %d", formats[i].Kind(), region, addr)
-				}
-			}
-			if sc, ok := r.(core.RegionScanner); ok {
-				scanned := map[uint64]bool{}
-				sc.ScanRegion(region, func(p []uint64, slot int) bool {
-					scanned[lin.Linearize(p)] = true
-					return true
-				})
-				if len(scanned) != len(want) {
-					t.Fatalf("%v: ScanRegion found %d points, oracle %d", formats[i].Kind(), len(scanned), len(want))
-				}
+			if slices.Sort(got); !slices.Equal(got, want) {
+				t.Fatalf("%v: ScanRegion(%v) found %v, oracle %v", formats[i].Kind(), region, got, want)
 			}
 		}
 	}

@@ -9,21 +9,20 @@ import (
 
 // FuzzOpen is the shared fuzz body for format payload parsers: Open
 // must reject or accept arbitrary bytes without panicking, and any
-// accepted reader must answer lookups without panicking either.
+// accepted reader must answer lookups and walks without panicking
+// either.
 func FuzzOpen(f *testing.F, format core.Format) {
 	shape, c := PaperExample()
 	built, err := format.Build(c, shape)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(built.Payload)
-	f.Add([]byte{})
-	if len(built.Payload) > 8 {
-		f.Add(built.Payload[:8])
-		mangled := append([]byte(nil), built.Payload...)
-		mangled[len(mangled)/2] ^= 0xFF
-		f.Add(mangled)
+	mangled := append([]byte(nil), built.Payload...)
+	mangled[len(mangled)/2] ^= 0xFF
+	for _, seed := range [][]byte{built.Payload, {}, built.Payload[:8], mangled} {
+		f.Add(seed)
 	}
+	region := tensor.Region{Start: []uint64{0, 1, 0}, Size: []uint64{3, 2, 2}}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r, err := format.Open(payload, shape)
 		if err != nil {
@@ -32,18 +31,11 @@ func FuzzOpen(f *testing.F, format core.Format) {
 		if r.NNZ() < 0 {
 			t.Fatal("negative NNZ")
 		}
-		// Probe a few points; the reader must not panic even if the
-		// payload was garbage it happened to accept.
 		r.Lookup([]uint64{0, 0, 0})
 		r.Lookup([]uint64{2, 2, 2})
-		if it, ok := r.(core.Iterator); ok {
-			count := 0
-			it.Each(func(p []uint64, slot int) bool {
-				count++
-				return count < 1000 // bound the walk on nonsense structures
-			})
-		}
+		count := 0
+		bounded := func([]uint64, int) bool { count++; return count < 1000 } // bound walks of nonsense structures
+		r.(core.Iterator).Each(bounded)
+		r.(core.RegionScanner).ScanRegion(region, bounded)
 	})
 }
-
-var _ = tensor.Shape{} // keep the import for PaperExample's signature

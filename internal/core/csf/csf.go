@@ -99,9 +99,6 @@ func (f Format) parse(r *buf.Reader, shape tensor.Shape) (core.Decl, error) {
 		}
 		dims[i], seen[dim] = int(dim), true
 	}
-	if err := r.Err(); err != nil {
-		return core.Decl{}, err
-	}
 	if !stored.Equal(shape) {
 		return core.Decl{}, fmt.Errorf("payload shape %v does not match %v", stored, shape)
 	}
@@ -129,28 +126,25 @@ func (f Format) Open(payload []byte, shape tensor.Shape) (core.Reader, error) {
 type Tree struct{ *core.Index }
 
 // NFibs returns the node count per level.
-func (t *Tree) NFibs() []uint64 {
-	nfibs := make([]uint64, len(t.DimOrder()))
-	for l := range nfibs {
-		nfibs[l] = uint64(len(t.Crd(l)))
+func (t *Tree) NFibs() (nfibs []uint64) {
+	for _, fids := range t.Fids() {
+		nfibs = append(nfibs, uint64(len(fids)))
 	}
 	return nfibs
 }
 
-// Fids returns the per-level node coordinates.
-func (t *Tree) Fids() [][]uint64 {
-	fids := make([][]uint64, len(t.DimOrder()))
-	for l := range fids {
-		fids[l] = t.Crd(l)
+// Fids returns the per-level node coordinates: the levels' crd.
+func (t *Tree) Fids() (fids [][]uint64) {
+	for l := range t.DimOrder() {
+		fids = append(fids, t.Crd(l))
 	}
 	return fids
 }
 
-// Fptr returns the per-level child offsets.
-func (t *Tree) Fptr() [][]uint64 {
-	fptr := make([][]uint64, len(t.DimOrder())-1)
-	for l := range fptr {
-		fptr[l] = t.Pos(l + 1)
+// Fptr returns the per-level child offsets: the pos of levels 1..d-1.
+func (t *Tree) Fptr() (fptr [][]uint64) {
+	for l := 1; l < len(t.DimOrder()); l++ {
+		fptr = append(fptr, t.Pos(l))
 	}
 	return fptr
 }

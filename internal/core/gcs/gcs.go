@@ -103,9 +103,6 @@ func (f Format) parse(r *buf.Reader, shape tensor.Shape) (core.Decl, error) {
 	r.U8()
 	stored := tensor.Shape(r.RawU64s(uint64(r.U16())))
 	rows, cols := r.U64(), r.U64()
-	if err := r.Err(); err != nil {
-		return core.Decl{}, err
-	}
 	if orient != f.Orient {
 		return core.Decl{}, fmt.Errorf("payload orientation %d opened as %d", orient, f.Orient)
 	}

@@ -76,39 +76,25 @@ type Decl struct {
 	Bits       uint8  // MapBlock
 	Levels     []Level
 	// Split lays the body out the way Algorithm 2 line 19 concatenates
-	// CSF — every level's crd, then every level's pos — and counts the
-	// level sizes (nfibs) as index words. Otherwise each level writes
-	// its pos, then its crd.
+	// CSF — the level sizes (nfibs), every level's crd, then every
+	// level's pos — and counts the sizes as index words. Otherwise the
+	// sizes are followed by each level's pos, then its crd.
 	Split bool
 }
 
-// Header writes an organization's payload header up to the level
-// counts, which Build appends: one u64 per compressed level.
+// Header writes an organization's payload header; the level sizes
+// follow it, one u64 per compressed level.
 type Header func(w *buf.Writer, shape tensor.Shape, d *Decl)
 
-// Parse reads the header Header wrote and returns the payload's Decl.
+// Parse reads the header Header wrote and returns the payload's Decl;
+// a short header fails with the reader's error, whatever Parse returns.
 type Parse func(r *buf.Reader, shape tensor.Shape) (Decl, error)
-
-// remap is a Decl's coordinate remap bound to a shape.
-type remap struct {
-	Map
-	// dims[j] is where key component j lands in a walk's buffer: the
-	// point's dimension for MapPermute (key j is p[dims[j]]), the key
-	// position j otherwise.
-	dims  []int
-	lin   *tensor.Linearizer
-	cols  uint64
-	col   bool
-	bits  uint8
-	ext   []uint64 // extent of every key component
-	exact bool     // bounds on every component decide containment
-}
 
 // level is a Level with its vectors.
 type level struct {
 	Level
 	key     int    // first key component
-	slot    int    // where a walk lands key component key (remap.dims)
+	slot    int    // where a walk lands component key (Index.dims)
 	ordered bool   // entries ascend in their first component
 	leaf    bool   // the last level: entry numbers are value slots
 	n       uint64 // entries
@@ -117,14 +103,18 @@ type level struct {
 	crd8    []byte
 }
 
-// Index is an opened payload: the bound remap and the levels. It
-// implements Reader, PayloadSizer, Iterator and RegionScanner for every
-// organization.
+// Index is an opened payload: the remap bound to its shape, and the
+// levels. It implements Reader, PayloadSizer, Iterator and
+// RegionScanner for every organization.
 type Index struct {
-	kind   Kind
-	decl   Decl
-	shape  tensor.Shape
-	rm     remap
+	decl  Decl
+	shape tensor.Shape
+	lin   *tensor.Linearizer
+	// dims[j] is where key component j lands in a walk: the point's
+	// dimension under MapPermute (key j is p[dims[j]]), position j of
+	// the key tuple otherwise.
+	dims   []int
+	ext    []uint64 // extent of every key component
 	levels []level
 	// probes counts Lookup calls, sampled: the shared core.probe
 	// counter is touched once per flush period, not per point.
@@ -132,140 +122,122 @@ type Index struct {
 }
 
 // bind checks d against shape and lays out its remap and levels.
-func bind(kind Kind, d Decl, shape tensor.Shape) (*Index, error) {
-	x := &Index{kind: kind, decl: d, shape: shape, rm: remap{Map: d.Map, cols: d.Cols, col: d.ColMajor, bits: d.Bits}}
+func bind(d Decl, shape tensor.Shape) (*Index, error) {
+	x := &Index{decl: d, shape: shape, dims: d.Dims}
 	var err error
 	if d.Map == MapLinear || d.Map == MapGrid {
-		if x.rm.lin, err = tensor.NewLinearizer(shape, tensor.RowMajor); err != nil {
+		if x.lin, err = tensor.NewLinearizer(shape, tensor.RowMajor); err != nil {
 			return nil, err
 		}
 	}
 	switch d.Map {
 	case MapPermute:
-		x.rm.dims, x.rm.exact = d.Dims, true
-		if d.Dims == nil {
-			x.rm.dims = make([]int, len(shape))
-			for i := range shape {
-				x.rm.dims[i] = i
-			}
-		}
-		for _, dim := range x.rm.dims {
-			x.rm.ext = append(x.rm.ext, shape[dim])
+		x.ext = slices.Clone(shape)
+		for j, dim := range d.Dims {
+			x.ext[j] = shape[dim]
 		}
 	case MapLinear:
 		vol, _ := shape.Volume()
-		x.rm.ext = []uint64{vol}
+		x.ext = []uint64{vol}
 	case MapGrid:
-		if x.rm.col {
-			x.rm.ext = []uint64{d.Cols, d.Rows}
-		} else {
-			x.rm.ext = []uint64{d.Rows, d.Cols}
+		x.ext = []uint64{d.Rows, d.Cols}
+		if d.ColMajor {
+			x.ext = []uint64{d.Cols, d.Rows}
 		}
 	case MapBlock:
 		if d.Bits < 1 || d.Bits > 8 {
 			return nil, fmt.Errorf("block bits %d outside [1,8]", d.Bits)
 		}
-		for _, m := range shape {
-			x.rm.ext = append(x.rm.ext, (m-1)>>d.Bits+1)
-		}
-		for range shape {
-			x.rm.ext = append(x.rm.ext, 1<<d.Bits)
+		x.ext = make([]uint64, 2*len(shape))
+		for j, m := range shape {
+			x.ext[j], x.ext[len(shape)+j] = (m-1)>>d.Bits+1, 1<<d.Bits
 		}
 	}
-	if d.Map != MapPermute {
-		x.rm.dims = make([]int, len(x.rm.ext))
-		for j := range x.rm.dims {
-			x.rm.dims[j] = j
+	if x.dims == nil || d.Map != MapPermute {
+		x.dims = make([]int, len(x.ext))
+		for j := range x.dims {
+			x.dims[j] = j
 		}
 	}
 	key := 0
 	for i, l := range d.Levels {
-		if l.Width < 1 || (l.Dense && (i > 0 || l.Width != 1)) || key+l.Width > len(x.rm.ext) {
-			return nil, fmt.Errorf("malformed level %d of %v", i, kind)
+		if l.Width < 1 || (l.Dense && (i > 0 || l.Width != 1)) || key+l.Width > len(x.ext) {
+			return nil, fmt.Errorf("malformed level %d", i)
 		}
-		lv := level{Level: l, key: key, slot: x.rm.dims[key], ordered: l.Dense || l.Search != Unordered, leaf: i == len(d.Levels)-1}
-		key += l.Width
-		if l.Dense {
-			if lv.n = x.rm.ext[lv.key]; lv.n == math.MaxUint64 {
+		lv := level{Level: l, key: key, slot: x.dims[key], ordered: l.Dense || l.Search != Unordered, leaf: i == len(d.Levels)-1}
+		if key += l.Width; l.Dense {
+			if lv.n = x.ext[lv.key]; lv.n == math.MaxUint64 {
 				return nil, fmt.Errorf("%w: dense extent %d", tensor.ErrOverflow, lv.n)
 			}
 		}
 		x.levels = append(x.levels, lv)
 	}
-	if key != len(x.rm.ext) {
-		return nil, fmt.Errorf("%v levels consume %d of %d key components", kind, key, len(x.rm.ext))
+	if key != len(x.ext) {
+		return nil, fmt.Errorf("levels consume %d of %d key components", key, len(x.ext))
 	}
 	return x, nil
 }
 
 // key writes p's key tuple into k.
-func (m *remap) key(p, k []uint64) {
-	switch m.Map {
+func (x *Index) key(p, k []uint64) {
+	switch d := &x.decl; d.Map {
 	case MapPermute:
-		for j, dim := range m.dims {
+		for j, dim := range x.dims {
 			k[j] = p[dim]
 		}
 	case MapLinear:
-		k[0] = m.lin.Linearize(p)
+		k[0] = x.lin.Linearize(p)
 	case MapGrid:
-		l := m.lin.Linearize(p)
-		k[0], k[1] = l/m.cols, l%m.cols
-		if m.col {
+		l := x.lin.Linearize(p)
+		k[0], k[1] = l/d.Cols, l%d.Cols
+		if d.ColMajor {
 			k[0], k[1] = k[1], k[0]
 		}
 	case MapBlock:
-		d := len(p)
 		for j, c := range p {
-			k[j], k[d+j] = c>>m.bits, c&(1<<m.bits-1)
+			k[j], k[len(p)+j] = c>>d.Bits, c&(1<<d.Bits-1)
 		}
 	}
 }
 
 // point inverts key: it writes the point whose key tuple is k into p.
-func (m *remap) point(k, p []uint64) {
-	switch m.Map {
-	case MapPermute:
-		for j, dim := range m.dims {
-			p[dim] = k[j]
-		}
+func (x *Index) point(k, p []uint64) {
+	switch d := &x.decl; d.Map {
 	case MapLinear:
-		m.lin.Delinearize(k[0], p)
+		x.lin.Delinearize(k[0], p)
 	case MapGrid:
 		r, c := k[0], k[1]
-		if m.col {
+		if d.ColMajor {
 			r, c = c, r
 		}
-		m.lin.Delinearize(r*m.cols+c, p)
+		x.lin.Delinearize(r*d.Cols+c, p)
 	case MapBlock:
 		for j := range p {
-			p[j] = k[j]<<m.bits | k[len(p)+j]
+			p[j] = k[j]<<d.Bits | k[len(p)+j]
 		}
 	}
 }
 
-// bounds writes, per key component, the range every point of the box
-// [first, last] keys into; components the box does not bound get the
-// full range.
-func (m *remap) bounds(first, last, lo, hi []uint64) {
-	for j := range lo {
-		lo[j], hi[j] = 0, math.MaxUint64
-	}
-	switch m.Map {
+// bounds narrows, per key component, lo and hi to the range every point
+// of the box [first, last] keys into; components the box does not bound
+// keep the full range.
+func (x *Index) bounds(first, last, lo, hi []uint64) {
+	switch d := &x.decl; d.Map {
 	case MapPermute:
-		for j, dim := range m.dims {
+		for j, dim := range x.dims {
 			lo[j], hi[j] = first[dim], last[dim]
 		}
 	case MapLinear:
-		lo[0], hi[0] = m.lin.Linearize(first), m.lin.Linearize(last)
+		lo[0], hi[0] = x.lin.Linearize(first), x.lin.Linearize(last)
 	case MapGrid:
 		row := 0
-		if m.col {
+		if d.ColMajor {
 			row = 1
 		}
-		lo[row], hi[row] = m.lin.Linearize(first)/m.cols, m.lin.Linearize(last)/m.cols
+		lo[row], hi[row] = x.lin.Linearize(first)/d.Cols, x.lin.Linearize(last)/d.Cols
 	case MapBlock:
 		for j := range first {
-			lo[j], hi[j] = first[j]>>m.bits, last[j]>>m.bits
+			lo[j], hi[j] = first[j]>>d.Bits, last[j]>>d.Bits
 		}
 	}
 }
@@ -290,6 +262,22 @@ func (kv *keys) less(i, j int) bool {
 	return i < j
 }
 
+// body calls f for every vector after the level sizes, in payload
+// order: level l's pos (pos true) or crd.
+func (x *Index) body(f func(l int, pos bool)) {
+	for l := range x.levels {
+		if l > 0 && !x.decl.Split {
+			f(l, true)
+		}
+		if !x.levels[l].Dense {
+			f(l, false)
+		}
+	}
+	for l := 1; l < len(x.levels) && x.decl.Split; l++ {
+		f(l, true)
+	}
+}
+
 // Build packages the points of c under the Decl decl returns for shape,
 // following the paper's recipe: validate, remap, sort by (key tuple,
 // input index) unless every level is unordered, pack every level in
@@ -304,41 +292,36 @@ func Build(kind Kind, c *tensor.Coords, shape tensor.Shape, decl func(tensor.Sha
 		return nil, fmt.Errorf("%v: %d-dim coords for %d-dim shape", kind, c.Dims(), shape.Dims())
 	}
 	d, err := decl(shape)
+	var x *Index
+	if err == nil {
+		x, err = bind(d, shape)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", kind, err)
 	}
-	x, err := bind(kind, d, shape)
-	if err != nil {
-		return nil, fmt.Errorf("%v: %w", kind, err)
-	}
-	n, width := c.Len(), len(x.rm.ext)
-	kv := keys{flat: c.Flat(), stride: c.Dims(), cols: x.rm.dims}
+	n, width := c.Len(), len(x.ext)
+	kv := keys{flat: c.Flat(), stride: c.Dims(), cols: x.dims}
 	if d.Map != MapPermute {
 		kv.flat, kv.stride = make([]uint64, n*width), width
 	}
 	for i := 0; i < n; i++ {
-		p := c.At(i)
-		if !shape.Contains(p) {
+		if p := c.At(i); !shape.Contains(p) {
 			return nil, fmt.Errorf("%v: point %v outside shape %v", kind, p, shape)
-		}
-		if d.Map != MapPermute {
-			x.rm.key(p, kv.flat[i*width:(i+1)*width])
+		} else if d.Map != MapPermute {
+			x.key(p, kv.flat[i*width:(i+1)*width])
 		}
 	}
 	var order []int
-	for _, l := range d.Levels {
-		if l.Dense || l.Search != Unordered {
-			order = psort.SortPerm(n, 0, kv.less)
-			break
-		}
+	if len(x.levels) > 1 || x.levels[0].ordered {
+		order = psort.SortPerm(n, 0, kv.less)
 	}
 	x.pack(&kv, n, order)
 
-	w := buf.NewWriter(64 + 8*len(shape)*2 + 8*x.IndexWords())
+	w := buf.NewWriter(64 + 16*len(shape) + 8*x.IndexWords())
 	header(w, shape, &d)
-	for i := range x.levels {
-		if !x.levels[i].Dense {
-			w.U64(x.levels[i].n)
+	for _, lv := range x.levels {
+		if !lv.Dense {
+			w.U64(lv.n)
 		}
 	}
 	x.body(func(l int, pos bool) {
@@ -359,29 +342,26 @@ func Build(kind Kind, c *tensor.Coords, shape tensor.Shape, decl func(tensor.Sha
 }
 
 // pack emits every level in one pass over the points in order (input
-// order when order is nil): a point opens a new entry at every level
-// at or below the first one whose key components differ from its
-// predecessor's, and the leaf always opens one. An entry opened above
-// the leaf starts its child's pos range.
+// order when order is nil) — CSF_BUILD's loop, generalized: a point
+// opens a new entry at every level at or below the first one whose key
+// components differ from its predecessor's, and at the leaf always. An
+// entry opened above the leaf starts its child's pos range.
 func (x *Index) pack(kv *keys, n int, order []int) {
 	last := len(x.levels) - 1
-	if order == nil && last == 0 && !x.levels[0].Bytes && (x.decl.Map != MapPermute || x.decl.Dims == nil) {
-		// One unordered level over contiguous keys: the keys are its crd.
+	if order == nil && !x.levels[0].Bytes && (x.decl.Map != MapPermute || x.decl.Dims == nil) {
+		// One unordered level over contiguous keys: they are its crd.
 		x.levels[0].crd, x.levels[0].n = kv.flat[:n*kv.stride], uint64(n)
 		return
 	}
 	x.levels[last].crd = make([]uint64, 0, n*x.levels[last].Width)
-	prev := 0
-	for s := 0; s < n; s++ {
+	for s, prev := 0, 0; s < n; s++ {
 		i := s
 		if order != nil {
 			i = order[s]
 		}
 		l := 0
-		for ; s > 0 && l < last; l++ {
-			lv := &x.levels[l]
-			same := true
-			for j := lv.key; j < lv.key+lv.Width && same; j++ {
+		for same := s > 0; same && l < last; l++ {
+			for j := x.levels[l].key; j < x.levels[l].key+x.levels[l].Width && same; j++ {
 				same = kv.at(i, j) == kv.at(prev, j)
 			}
 			if !same {
@@ -403,11 +383,8 @@ func (x *Index) pack(kv *keys, n int, order []int) {
 					}
 				}
 			}
-			if l < last {
-				child := &x.levels[l+1]
-				for uint64(len(child.pos)) <= e {
-					child.pos = append(child.pos, child.n)
-				}
+			for l < last && uint64(len(x.levels[l+1].pos)) <= e {
+				x.levels[l+1].pos = append(x.levels[l+1].pos, x.levels[l+1].n)
 			}
 		}
 		prev = i
@@ -419,43 +396,27 @@ func (x *Index) pack(kv *keys, n int, order []int) {
 	}
 }
 
-// body calls f for every vector of the payload body, in order: level
-// l's pos (pos true) or crd.
-func (x *Index) body(f func(l int, pos bool)) {
-	for l := range x.levels {
-		if l > 0 && !x.decl.Split {
-			f(l, true)
-		}
-		if !x.levels[l].Dense {
-			f(l, false)
-		}
-	}
-	for l := 1; l < len(x.levels) && x.decl.Split; l++ {
-		f(l, true)
-	}
-}
-
 // Open parses a payload Build wrote: the header through parse, the
-// level counts and vectors, then one structural check — every pos is
-// monotone from 0 to its child's entry count, and every crd lies inside
-// its key component's extent — so a corrupt payload fails here, not in
-// a descent or walk.
+// level sizes and vectors, then one structural check — every pos runs
+// monotone from 0 to its level's size, and every crd lies inside its
+// key component's extent — so a corrupt payload fails here, not in a
+// descent or walk.
 func Open(kind Kind, payload []byte, shape tensor.Shape, parse Parse) (Reader, error) {
 	r := buf.NewReader(payload)
 	d, err := parse(r, shape)
-	if err == nil {
+	if r.Err() != nil {
 		err = r.Err()
 	}
+	var x *Index
+	if err == nil {
+		x, err = bind(d, shape)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", kind, err)
 	}
-	x, err := bind(kind, d, shape)
-	if err != nil {
-		return nil, fmt.Errorf("%v: %w", kind, err)
-	}
-	for i := range x.levels {
-		if !x.levels[i].Dense {
-			x.levels[i].n = r.U64()
+	for l := range x.levels {
+		if !x.levels[l].Dense {
+			x.levels[l].n = r.U64()
 		}
 	}
 	x.body(func(l int, pos bool) {
@@ -481,8 +442,7 @@ func Open(kind Kind, payload []byte, shape tensor.Shape, parse Parse) (Reader, e
 func (x *Index) check() error {
 	for l := range x.levels {
 		lv := &x.levels[l]
-		if l > 0 {
-			pos := lv.pos
+		if pos := lv.pos; l > 0 {
 			if len(pos) == 0 || uint64(len(pos)-1) != x.levels[l-1].n || pos[0] != 0 || pos[len(pos)-1] != lv.n {
 				return fmt.Errorf("level %d pos does not run from 0 to %d over %d entries", l, lv.n, x.levels[l-1].n)
 			}
@@ -492,20 +452,14 @@ func (x *Index) check() error {
 				}
 			}
 		}
-		if lv.Dense {
-			continue
-		}
-		size := len(lv.crd)
-		if lv.Bytes {
-			size = len(lv.crd8)
-		}
-		if w := uint64(lv.Width); uint64(size)/w != lv.n || uint64(size)%w != 0 {
+		size := len(lv.crd) + len(lv.crd8)
+		if w := uint64(lv.Width); !lv.Dense && (uint64(size)/w != lv.n || uint64(size)%w != 0) {
 			return fmt.Errorf("level %d holds %d coordinates for %d entries", l, size, lv.n)
 		}
-		for e := uint64(0); e < lv.n; e++ {
+		for e := uint64(0); e < lv.n && !lv.Dense; e++ {
 			for j := 0; j < lv.Width; j++ {
-				if c, ext := lv.at(e, j), x.rm.ext[lv.key+j]; c >= ext {
-					return fmt.Errorf("level %d coordinate %d outside extent %d", l, c, ext)
+				if c := lv.at(e, j); c >= x.ext[lv.key+j] {
+					return fmt.Errorf("level %d coordinate %d outside extent %d", l, c, x.ext[lv.key+j])
 				}
 			}
 		}
@@ -524,29 +478,17 @@ func (lv *level) at(e uint64, j int) uint64 {
 
 // compare orders entry e against the first len(k) components of a key.
 func (lv *level) compare(e uint64, k []uint64) int {
-	i := e * uint64(lv.Width)
-	if lv.Bytes {
-		for j, want := range k {
-			if c := uint64(lv.crd8[i+uint64(j)]); c != want {
-				return cmp.Compare(c, want)
-			}
-		}
-		return 0
-	}
 	for j, want := range k {
-		if c := lv.crd[i+uint64(j)]; c != want {
+		if c := lv.at(e, j); c != want {
 			return cmp.Compare(c, want)
 		}
 	}
 	return 0
 }
 
-// span returns the entries under parent entry e.
+// span returns the entries under entry e of the parent level.
 func (lv *level) span(e uint64) (uint64, uint64) {
-	switch {
-	case lv.Dense:
-		return 0, lv.n
-	case lv.pos == nil:
+	if lv.pos == nil { // the first level
 		return 0, lv.n
 	}
 	return lv.pos[e], lv.pos[e+1]
@@ -555,16 +497,11 @@ func (lv *level) span(e uint64) (uint64, uint64) {
 // seek returns the first entry in [lo, hi) not ordered before k, for a
 // level whose entries ascend.
 func (lv *level) seek(k []uint64, lo, hi uint64) uint64 {
-	switch {
-	case lv.Dense:
+	if lv.Dense {
 		return min(lo+k[0], hi)
-	case lv.Width == 1 && !lv.Bytes:
-		i, _ := slices.BinarySearch(lv.crd[lo:hi], k[0])
-		return lo + uint64(i)
 	}
 	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if lv.compare(mid, k) < 0 {
+		if mid := lo + (hi-lo)/2; lv.compare(mid, k) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -581,18 +518,16 @@ func (lv *level) find(k []uint64, lo, hi uint64) (uint64, bool) {
 	if lv.Search == Binary {
 		lo = lv.seek(k, lo, hi)
 	}
-	ordered := lv.Search != Unordered
 	if lv.Width == 1 && !lv.Bytes {
-		want := k[0]
 		for e, c := range lv.crd[lo:hi] {
-			if c >= want && (c == want || ordered) {
-				return lo + uint64(e), c == want
+			if c >= k[0] && (c == k[0] || lv.ordered) {
+				return lo + uint64(e), c == k[0]
 			}
 		}
 		return 0, false
 	}
 	for e := lo; e < hi; e++ {
-		if c := lv.compare(e, k); c == 0 || (c > 0 && ordered) {
+		if c := lv.compare(e, k); c == 0 || (c > 0 && lv.ordered) {
 			return e, c == 0
 		}
 	}
@@ -627,18 +562,15 @@ func (x *Index) Lookup(p []uint64) (int, bool) {
 		return 0, false
 	}
 	var stack [16]uint64
-	k := stack[:0]
-	if width := len(x.rm.ext); width <= len(stack) {
-		k = stack[:width]
-	} else {
-		k = make([]uint64, width)
+	k := stack[:]
+	if len(x.ext) > len(stack) {
+		k = make([]uint64, len(x.ext))
 	}
-	x.rm.key(p, k)
-	e := uint64(0)
+	x.key(p, k)
+	e, ok := uint64(0), false
 	for i := range x.levels {
 		lv := &x.levels[i]
 		lo, hi := lv.span(e)
-		var ok bool
 		if e, ok = lv.find(k[lv.key:lv.key+lv.Width], lo, hi); !ok {
 			return 0, false
 		}
@@ -663,13 +595,13 @@ type walker struct {
 // key tuple and the key bounds, which admit every key until a region
 // walk narrows them.
 func (x *Index) walker(visit func(p []uint64, slot int) bool) walker {
-	d, width := len(x.shape), len(x.rm.ext)
+	d, width := len(x.shape), len(x.ext)
 	buf := make([]uint64, d+3*width)
 	w := walker{x: x, p: buf[:d], k: buf[d : d+width], lo: buf[d+width : d+2*width], hi: buf[d+2*width:], visit: visit}
 	for j := range w.hi {
 		w.hi[j] = math.MaxUint64
 	}
-	w.dst, w.direct = w.k, x.rm.Map == MapPermute
+	w.dst, w.direct = w.k, x.decl.Map == MapPermute
 	if w.direct {
 		w.dst = w.p
 	}
@@ -694,14 +626,14 @@ func (x *Index) ScanRegion(r tensor.Region, visit func(p []uint64, slot int) boo
 		return
 	}
 	w := x.walker(visit)
-	w.region, w.test = r, !x.rm.exact
+	w.region, w.test = r, !w.direct
 	for i, m := range x.shape {
 		if r.Size[i] == 0 || r.Start[i] >= m {
 			return
 		}
 		w.p[i] = r.Start[i] + min(r.Size[i], m-r.Start[i]) - 1
 	}
-	x.rm.bounds(r.Start, w.p, w.lo, w.hi)
+	x.bounds(r.Start, w.p, w.lo, w.hi)
 	w.walk(0, 0)
 }
 
@@ -712,8 +644,7 @@ func (x *Index) ScanRegion(r tensor.Region, visit func(p []uint64, slot int) boo
 func (w *walker) walk(l int, parent uint64) bool {
 	lv := &w.x.levels[l]
 	lo, hi := lv.span(parent)
-	base := lo
-	min0, max0 := w.lo[lv.key], w.hi[lv.key]
+	base, min0, max0 := lo, w.lo[lv.key], w.hi[lv.key]
 	if lv.ordered && min0 > 0 && hi-lo > 16 { // short runs skip below
 		lo = lv.seek(w.lo[lv.key:lv.key+1], lo, hi)
 	}
@@ -731,15 +662,13 @@ func (w *walker) walk(l int, parent uint64) bool {
 				if !w.walk(l+1, e) {
 					return false
 				}
-			} else if w.direct || w.remapped() {
-				if !w.visit(w.p, int(e)) {
-					return false
-				}
+			} else if (w.direct || w.remapped()) && !w.visit(w.p, int(e)) {
+				return false
 			}
 		}
 		return true
 	}
-	dst, slots := w.dst, w.x.rm.dims[lv.key:lv.key+lv.Width]
+	dst, slots := w.dst, w.x.dims[lv.key:lv.key+lv.Width]
 	los, his := w.lo[lv.key:lv.key+lv.Width], w.hi[lv.key:lv.key+lv.Width]
 	for e := lo; e < hi; e++ {
 		c := e - base
@@ -763,10 +692,8 @@ func (w *walker) walk(l int, parent uint64) bool {
 			if !w.walk(l+1, e) {
 				return false
 			}
-		} else if w.direct || w.remapped() {
-			if !w.visit(w.p, int(e)) {
-				return false
-			}
+		} else if (w.direct || w.remapped()) && !w.visit(w.p, int(e)) {
+			return false
 		}
 	}
 	return true
@@ -775,7 +702,7 @@ func (w *walker) walk(l int, parent uint64) bool {
 // remapped writes the point of the walk's key tuple and reports whether
 // the region walk keeps it.
 func (w *walker) remapped() bool {
-	w.x.rm.point(w.k, w.p)
+	w.x.point(w.k, w.p)
 	return !w.test || w.region.Contains(w.p)
 }
 
@@ -788,10 +715,3 @@ func (x *Index) Crd(l int) []uint64 { return x.levels[l].crd }
 // Pos returns level l's pointer vector into its crd, one entry per
 // parent entry plus the sentinel; nil for the first level.
 func (x *Index) Pos(l int) []uint64 { return x.levels[l].pos }
-
-var (
-	_ Reader        = (*Index)(nil)
-	_ PayloadSizer  = (*Index)(nil)
-	_ Iterator      = (*Index)(nil)
-	_ RegionScanner = (*Index)(nil)
-)

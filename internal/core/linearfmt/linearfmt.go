@@ -48,9 +48,6 @@ func parse(r *buf.Reader, shape tensor.Shape) (core.Decl, error) {
 	r.Expect(magic, "LINEAR payload")
 	dims := int(r.U16())
 	r.U16()
-	if err := r.Err(); err != nil {
-		return core.Decl{}, err
-	}
 	if dims != shape.Dims() {
 		return core.Decl{}, fmt.Errorf("payload has %d dims, shape has %d", dims, shape.Dims())
 	}
