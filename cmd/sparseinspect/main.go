@@ -109,7 +109,7 @@ func inspect(path string, payload bool) error {
 		fmt.Printf("  index words:  %d (%.2f per point)\n", sz.IndexWords(),
 			float64(sz.IndexWords())/float64(max(int(frag.NNZ), 1)))
 	}
-	if tree, ok := reader.(*csf.Tree); ok {
+	if tree, ok := reader.(csf.Tree); ok {
 		fmt.Printf("  CSF levels:   nfibs=%v dims=%v\n", tree.NFibs(), tree.DimOrder())
 	}
 	return nil

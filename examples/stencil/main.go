@@ -112,7 +112,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree := reader.(*csf.Tree)
+	tree := reader.(csf.Tree)
 	fmt.Printf("\nCSF tree of the stencil matrix (dims sorted ascending %v):\n", tree.DimOrder())
 	for lvl, n := range tree.NFibs() {
 		fmt.Printf("  level %d: %6d nodes (%.2fx the points)\n",

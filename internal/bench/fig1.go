@@ -89,7 +89,7 @@ func RenderFig1() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	tree, ok := r.(*csf.Tree)
+	tree, ok := r.(csf.Tree)
 	if !ok {
 		return "", fmt.Errorf("bench: CSF reader is not a tree")
 	}

@@ -1,6 +1,7 @@
 package all_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"sparseart/internal/core"
@@ -76,5 +77,44 @@ func TestWalkAllocations(t *testing.T) {
 				t.Errorf("%v: %s allocates %v per call, budget %v", f.Kind(), tc.name, got, tc.budget)
 			}
 		}
+	}
+}
+
+// BenchmarkScanRegionWindow walks a 1 % window — a 110³ cube of a 512³
+// tensor holding 100 000 uniform points — with ScanRegion, the read
+// loop's scan extractor, for the organizations whose region walk prunes
+// at the rows (GCSR++), the block box (BCOO) or the leading coordinate
+// (COO-sorted), beside CSF's tree.
+func BenchmarkScanRegionWindow(b *testing.B) {
+	shape := tensor.Shape{512, 512, 512}
+	rng := rand.New(rand.NewSource(5))
+	c := tensor.NewCoords(3, 100000)
+	for c.Len() < 100000 {
+		c.Append(uint64(rng.Intn(512)), uint64(rng.Intn(512)), uint64(rng.Intn(512)))
+	}
+	region, err := tensor.NewRegion(shape, []uint64{200, 200, 200}, []uint64{110, 110, 110})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []core.Kind{core.GCSR, core.BCOO, core.COOSorted, core.CSF} {
+		f, err := core.Get(kind)
+		if err != nil {
+			b.Fatal(err)
+		}
+		built, err := f.Build(c, shape)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := f.Open(built.Payload, shape)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(kind.String(), func(b *testing.B) {
+			visited := 0
+			for i := 0; i < b.N; i++ {
+				r.(core.RegionScanner).ScanRegion(region, func([]uint64, int) bool { visited++; return true })
+			}
+			b.ReportMetric(float64(visited)/float64(b.N), "points/op")
+		})
 	}
 }

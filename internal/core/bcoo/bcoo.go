@@ -17,7 +17,6 @@
 package bcoo
 
 import (
-	"cmp"
 	"fmt"
 
 	"sparseart/internal/buf"
@@ -31,12 +30,7 @@ const magic = 0x314f4342 // "BCO1"
 const blockBits = 7
 
 // Format is the blocked-COO organization.
-type Format struct {
-	// bits replaces blockBits when set. A payload may carry any block
-	// width in [1, 8] — Open reads it from the header — and this
-	// package's tests build such payloads through it.
-	bits uint8
-}
+type Format struct{}
 
 // New returns the format with HiCOO's 128-cell blocks.
 func New() Format { return Format{} }
@@ -53,9 +47,7 @@ func blocks(d int, bits uint8) core.Decl {
 	}}
 }
 
-func (f Format) decl(shape tensor.Shape) (core.Decl, error) {
-	return blocks(shape.Dims(), cmp.Or(f.bits, blockBits)), nil
-}
+func decl(shape tensor.Shape) (core.Decl, error) { return blocks(shape.Dims(), blockBits), nil }
 
 // header: magic u32 · dims u16 · blockBits u8 · reserved u8 ·
 // shape u64[d].
@@ -83,12 +75,13 @@ func parse(r *buf.Reader, shape tensor.Shape) (core.Decl, error) {
 // (block, local offset), and emit the block directory plus byte-wide
 // local offsets.
 func (f Format) Build(c *tensor.Coords, shape tensor.Shape) (*core.BuildResult, error) {
-	return core.Build(f.Kind(), c, shape, f.decl, header)
+	return core.Build(f.Kind(), c, shape, decl, header)
 }
 
 // Open implements core.Format. Lookup binary-searches the block
-// directory, then the block's sorted local offsets; the payload's block
-// width must lie in [1, 8].
+// directory, then the block's sorted local offsets. The block width is
+// read from the header: any width in [1, 8] opens, so offsets fit a
+// byte.
 func (f Format) Open(payload []byte, shape tensor.Shape) (core.Reader, error) {
 	return core.Open(f.Kind(), payload, shape, parse)
 }

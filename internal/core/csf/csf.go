@@ -117,7 +117,7 @@ func (f Format) Open(payload []byte, shape tensor.Shape) (core.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{r.(*core.Index)}, nil
+	return Tree{r.(*core.Index)}, nil
 }
 
 // Tree is the opened CSF tree; it implements core.Reader and exposes
@@ -126,7 +126,7 @@ func (f Format) Open(payload []byte, shape tensor.Shape) (core.Reader, error) {
 type Tree struct{ *core.Index }
 
 // NFibs returns the node count per level.
-func (t *Tree) NFibs() (nfibs []uint64) {
+func (t Tree) NFibs() (nfibs []uint64) {
 	for _, fids := range t.Fids() {
 		nfibs = append(nfibs, uint64(len(fids)))
 	}
@@ -134,7 +134,7 @@ func (t *Tree) NFibs() (nfibs []uint64) {
 }
 
 // Fids returns the per-level node coordinates: the levels' crd.
-func (t *Tree) Fids() (fids [][]uint64) {
+func (t Tree) Fids() (fids [][]uint64) {
 	for l := range t.DimOrder() {
 		fids = append(fids, t.Crd(l))
 	}
@@ -142,7 +142,7 @@ func (t *Tree) Fids() (fids [][]uint64) {
 }
 
 // Fptr returns the per-level child offsets: the pos of levels 1..d-1.
-func (t *Tree) Fptr() (fptr [][]uint64) {
+func (t Tree) Fptr() (fptr [][]uint64) {
 	for l := 1; l < len(t.DimOrder()); l++ {
 		fptr = append(fptr, t.Pos(l))
 	}
@@ -150,4 +150,4 @@ func (t *Tree) Fptr() (fptr [][]uint64) {
 }
 
 // DimOrder returns the dimension permutation applied before sorting.
-func (t *Tree) DimOrder() []int { return t.Decl().Dims }
+func (t Tree) DimOrder() []int { return t.Decl().Dims }

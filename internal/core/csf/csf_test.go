@@ -24,7 +24,7 @@ func TestKind(t *testing.T) {
 	}
 }
 
-func buildTree(t *testing.T, f Format, shape tensor.Shape, c *tensor.Coords) *Tree {
+func buildTree(t *testing.T, f Format, shape tensor.Shape, c *tensor.Coords) Tree {
 	t.Helper()
 	built, err := f.Build(c, shape)
 	if err != nil {
@@ -34,7 +34,7 @@ func buildTree(t *testing.T, f Format, shape tensor.Shape, c *tensor.Coords) *Tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.(*Tree)
+	return r.(Tree)
 }
 
 // TestPaperFig1dStructure reproduces the worked example of §II-E: for
@@ -117,7 +117,7 @@ func TestDimPermutationAppliedOnAnisotropicShape(t *testing.T) {
 
 // checkInvariants verifies the structural invariants DESIGN.md lists
 // for every CSF tree.
-func checkInvariants(t *testing.T, tree *Tree, n int) {
+func checkInvariants(t *testing.T, tree Tree, n int) {
 	t.Helper()
 	d := len(tree.DimOrder())
 	if len(tree.NFibs()) != d || len(tree.Fids()) != d || len(tree.Fptr()) != d-1 {
@@ -189,7 +189,7 @@ func TestTreeInvariantsQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		checkInvariants(t, r.(*Tree), n)
+		checkInvariants(t, r.(Tree), n)
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

@@ -160,6 +160,7 @@ func bind(d Decl, shape tensor.Shape) (*Index, error) {
 		}
 	}
 	key := 0
+	x.levels = make([]level, 0, len(d.Levels))
 	for i, l := range d.Levels {
 		if l.Width < 1 || (l.Dense && (i > 0 || l.Width != 1)) || key+l.Width > len(x.ext) {
 			return nil, fmt.Errorf("malformed level %d", i)
@@ -353,7 +354,11 @@ func (x *Index) pack(kv *keys, n int, order []int) {
 		x.levels[0].crd, x.levels[0].n = kv.flat[:n*kv.stride], uint64(n)
 		return
 	}
-	x.levels[last].crd = make([]uint64, 0, n*x.levels[last].Width)
+	if leaf := &x.levels[last]; leaf.Bytes {
+		leaf.crd8 = make([]byte, 0, n*leaf.Width)
+	} else {
+		leaf.crd = make([]uint64, 0, n*leaf.Width)
+	}
 	for s, prev := 0, 0; s < n; s++ {
 		i := s
 		if order != nil {
@@ -456,15 +461,26 @@ func (x *Index) check() error {
 		if w := uint64(lv.Width); !lv.Dense && (uint64(size)/w != lv.n || uint64(size)%w != 0) {
 			return fmt.Errorf("level %d holds %d coordinates for %d entries", l, size, lv.n)
 		}
-		for e := uint64(0); e < lv.n && !lv.Dense; e++ {
-			for j := 0; j < lv.Width; j++ {
-				if c := lv.at(e, j); c >= x.ext[lv.key+j] {
-					return fmt.Errorf("level %d coordinate %d outside extent %d", l, c, x.ext[lv.key+j])
-				}
-			}
+		if ext := x.ext[lv.key : lv.key+lv.Width]; !within(lv.crd, ext) || !within(lv.crd8, ext) {
+			return fmt.Errorf("level %d holds a coordinate outside its extent", l)
 		}
 	}
 	return nil
+}
+
+// within reports whether every coordinate of crd, len(ext) components
+// per entry, lies inside its component's extent.
+func within[T uint8 | uint64](crd []T, ext []uint64) bool {
+	j := 0
+	for _, c := range crd {
+		if uint64(c) >= ext[j] {
+			return false
+		}
+		if j++; j == len(ext) {
+			j = 0
+		}
+	}
+	return true
 }
 
 // at returns key component j of entry e.
@@ -578,33 +594,36 @@ func (x *Index) Lookup(p []uint64) (int, bool) {
 	return int(e), true
 }
 
-// walker is the state of one depth-first walk over the levels.
+// walker is the state of one depth-first walk over the levels. The
+// point it visits is passed down the walk beside it, so that the point
+// — which visit sees, and so the heap holds — is the walk's one
+// allocation while the walker stays on the stack.
 type walker struct {
 	x *Index
-	// p is the point visited; key components land in dst — p itself
-	// under MapPermute, k (remapped into p at the leaf) otherwise.
-	p, k, dst []uint64
-	direct    bool     // dst is p
-	lo, hi    []uint64 // key bounds, narrowed by a region walk
-	region    tensor.Region
-	test      bool // the leaf tests region containment
-	visit     func(p []uint64, slot int) bool
+	// k is the key tuple; key components land in the point itself
+	// under MapPermute (direct), in k — remapped at the leaf — otherwise.
+	k      []uint64
+	direct bool
+	lo, hi []uint64 // key bounds, narrowed by a region walk
+	region tensor.Region
+	test   bool // the leaf tests region containment
+	visit  func(p []uint64, slot int) bool
 }
 
-// walker lays a walk's buffers out in one allocation: the point, the
-// key tuple and the key bounds, which admit every key until a region
-// walk narrows them.
-func (x *Index) walker(visit func(p []uint64, slot int) bool) walker {
-	d, width := len(x.shape), len(x.ext)
-	buf := make([]uint64, d+3*width)
-	w := walker{x: x, p: buf[:d], k: buf[d : d+width], lo: buf[d+width : d+2*width], hi: buf[d+2*width:], visit: visit}
+// walker starts a walk with the key tuple and the key bounds in
+// scratch, the bounds admitting every key until a region walk narrows
+// them.
+func (x *Index) walker(scratch []uint64, visit func(p []uint64, slot int) bool) walker {
+	width := len(x.ext)
+	if len(scratch) < 3*width {
+		scratch = make([]uint64, 3*width)
+	}
+	w := walker{x: x, k: scratch[:width], lo: scratch[width : 2*width], hi: scratch[2*width : 3*width], visit: visit}
+	clear(w.lo)
 	for j := range w.hi {
 		w.hi[j] = math.MaxUint64
 	}
-	w.dst, w.direct = w.k, x.decl.Map == MapPermute
-	if w.direct {
-		w.dst = w.p
-	}
+	w.direct = x.decl.Map == MapPermute
 	return w
 }
 
@@ -612,8 +631,9 @@ func (x *Index) walker(visit func(p []uint64, slot int) bool) walker {
 // payload (slot) order. The point slice is reused; callbacks must not
 // retain it.
 func (x *Index) Each(visit func(p []uint64, slot int) bool) {
-	w := x.walker(visit)
-	w.walk(0, 0)
+	var scratch [48]uint64
+	w := x.walker(scratch[:], visit)
+	w.walk(0, 0, make([]uint64, len(x.shape)))
 }
 
 // ScanRegion implements RegionScanner: the Each walk, pruned at every
@@ -625,31 +645,38 @@ func (x *Index) ScanRegion(r tensor.Region, visit func(p []uint64, slot int) boo
 	if r.Dims() != len(x.shape) || len(r.Size) != len(x.shape) {
 		return
 	}
-	w := x.walker(visit)
+	var scratch [48]uint64
+	w := x.walker(scratch[:], visit)
 	w.region, w.test = r, !w.direct
+	last := make([]uint64, len(x.shape)) // the region's last cell, then the visited point
 	for i, m := range x.shape {
 		if r.Size[i] == 0 || r.Start[i] >= m {
 			return
 		}
-		w.p[i] = r.Start[i] + min(r.Size[i], m-r.Start[i]) - 1
+		last[i] = r.Start[i] + min(r.Size[i], m-r.Start[i]) - 1
 	}
-	x.bounds(r.Start, w.p, w.lo, w.hi)
-	w.walk(0, 0)
+	x.bounds(r.Start, last, w.lo, w.hi)
+	w.walk(0, 0, last)
 }
 
 // walk visits level l's entries under entry parent of level l-1 and
-// descends. The first key component of an ordered level ascends, so a
-// region walk seeks to its lower bound and stops past its upper one;
-// every other component is filtered.
-func (w *walker) walk(l int, parent uint64) bool {
+// descends, landing key components in p (or w.k) on the way. The first
+// key component of an ordered level ascends, so a region walk seeks to
+// its lower bound and stops past its upper one; every other component
+// is filtered.
+func (w *walker) walk(l int, parent uint64, p []uint64) bool {
 	lv := &w.x.levels[l]
 	lo, hi := lv.span(parent)
 	base, min0, max0 := lo, w.lo[lv.key], w.hi[lv.key]
 	if lv.ordered && min0 > 0 && hi-lo > 16 { // short runs skip below
 		lo = lv.seek(w.lo[lv.key:lv.key+1], lo, hi)
 	}
+	dst := w.k
+	if w.direct {
+		dst = p
+	}
 	if lv.Width == 1 && !lv.Bytes && !lv.Dense { // CSF, GCS's ind, LINEAR
-		dst := &w.dst[lv.slot]
+		slot := &dst[lv.slot]
 		for i, c := range lv.crd[lo:hi] {
 			if c > max0 && lv.ordered {
 				break // siblings ascend
@@ -657,18 +684,18 @@ func (w *walker) walk(l int, parent uint64) bool {
 			if c < min0 || c > max0 {
 				continue
 			}
-			*dst = c
+			*slot = c
 			if e := lo + uint64(i); !lv.leaf {
-				if !w.walk(l+1, e) {
+				if !w.walk(l+1, e, p) {
 					return false
 				}
-			} else if (w.direct || w.remapped()) && !w.visit(w.p, int(e)) {
+			} else if (w.direct || w.remapped(p)) && !w.visit(p, int(e)) {
 				return false
 			}
 		}
 		return true
 	}
-	dst, slots := w.dst, w.x.dims[lv.key:lv.key+lv.Width]
+	slots := w.x.dims[lv.key : lv.key+lv.Width]
 	los, his := w.lo[lv.key:lv.key+lv.Width], w.hi[lv.key:lv.key+lv.Width]
 	for e := lo; e < hi; e++ {
 		c := e - base
@@ -689,21 +716,21 @@ func (w *walker) walk(l int, parent uint64) bool {
 			continue
 		}
 		if !lv.leaf {
-			if !w.walk(l+1, e) {
+			if !w.walk(l+1, e, p) {
 				return false
 			}
-		} else if (w.direct || w.remapped()) && !w.visit(w.p, int(e)) {
+		} else if (w.direct || w.remapped(p)) && !w.visit(p, int(e)) {
 			return false
 		}
 	}
 	return true
 }
 
-// remapped writes the point of the walk's key tuple and reports whether
-// the region walk keeps it.
-func (w *walker) remapped() bool {
-	w.x.point(w.k, w.p)
-	return !w.test || w.region.Contains(w.p)
+// remapped writes the point of the walk's key tuple into p and reports
+// whether the region walk keeps it.
+func (w *walker) remapped(p []uint64) bool {
+	w.x.point(w.k, p)
+	return !w.test || w.region.Contains(p)
 }
 
 // Decl returns the declaration the payload was opened with.
