@@ -110,11 +110,10 @@ func checkRoundTrip(t *testing.T, f core.Format, shape tensor.Shape, c *tensor.C
 		}
 	}
 	// Out-of-shape and wrong-rank probes must miss, not panic.
-	if _, ok := r.Lookup(append([]uint64(nil), shape...)); ok {
-		t.Fatal("out-of-shape probe found")
-	}
-	if _, ok := r.Lookup(make([]uint64, shape.Dims()+1)); ok {
-		t.Fatal("wrong-rank probe found")
+	for _, q := range [][]uint64{append([]uint64(nil), shape...), make([]uint64, shape.Dims()+1)} {
+		if _, ok := r.Lookup(q); ok {
+			t.Fatalf("out-of-shape or wrong-rank probe %v found", q)
+		}
 	}
 	if w := r.(core.PayloadSizer).IndexWords(); n > 0 && w <= 0 {
 		t.Fatalf("IndexWords = %d", w)
@@ -260,11 +259,10 @@ func RunConformance(t *testing.T, f core.Format) {
 		if _, err := f.Build(tensor.NewCoords(2, 0), tensor.Shape{0, 4}); err == nil {
 			t.Error("invalid shape accepted")
 		}
-		if _, err := f.Open([]byte{1, 2, 3}, shape); err == nil {
-			t.Error("garbage payload accepted")
-		}
-		if _, err := f.Open(nil, shape); err == nil {
-			t.Error("nil payload accepted")
+		for _, garbage := range [][]byte{{1, 2, 3}, nil} {
+			if _, err := f.Open(garbage, shape); err == nil {
+				t.Errorf("payload %v accepted", garbage)
+			}
 		}
 		// A valid payload truncated mid-body must be rejected.
 		pshape, pc := PaperExample()

@@ -82,14 +82,6 @@ type Decl struct {
 	Split bool
 }
 
-// Header writes an organization's payload header; the level sizes
-// follow it, one u64 per compressed level.
-type Header func(w *buf.Writer, shape tensor.Shape, d *Decl)
-
-// Parse reads the header Header wrote and returns the payload's Decl;
-// a short header fails with the reader's error, whatever Parse returns.
-type Parse func(r *buf.Reader, shape tensor.Shape) (Decl, error)
-
 // level is a Level with its vectors.
 type level struct {
 	Level
@@ -283,7 +275,9 @@ func (x *Index) body(f func(l int, pos bool)) {
 // following the paper's recipe: validate, remap, sort by (key tuple,
 // input index) unless every level is unordered, pack every level in
 // one pass over the sorted keys, and return the sort as the map vector.
-func Build(kind Kind, c *tensor.Coords, shape tensor.Shape, decl func(tensor.Shape) (Decl, error), header Header) (*BuildResult, error) {
+// header writes the organization's payload header; the level sizes
+// follow it, one u64 per compressed level, then the body.
+func Build(kind Kind, c *tensor.Coords, shape tensor.Shape, decl func(tensor.Shape) (Decl, error), header func(*buf.Writer, tensor.Shape, *Decl)) (*BuildResult, error) {
 	defer obs.Time("core.build", "kind", kind.String())()
 	obs.Count("core.build.points", int64(c.Len()), "kind", kind.String())
 	if err := shape.Validate(); err != nil {
@@ -401,12 +395,13 @@ func (x *Index) pack(kv *keys, n int, order []int) {
 	}
 }
 
-// Open parses a payload Build wrote: the header through parse, the
-// level sizes and vectors, then one structural check — every pos runs
-// monotone from 0 to its level's size, and every crd lies inside its
-// key component's extent — so a corrupt payload fails here, not in a
-// descent or walk.
-func Open(kind Kind, payload []byte, shape tensor.Shape, parse Parse) (Reader, error) {
+// Open parses a payload Build wrote: the header through parse, which
+// returns the payload's Decl (a short header fails with the reader's
+// error, whatever parse returns), the level sizes and vectors, then one
+// structural check — every pos runs monotone from 0 to its level's
+// size, and every crd lies inside its key component's extent — so a
+// corrupt payload fails here, not in a descent or walk.
+func Open(kind Kind, payload []byte, shape tensor.Shape, parse func(*buf.Reader, tensor.Shape) (Decl, error)) (Reader, error) {
 	r := buf.NewReader(payload)
 	d, err := parse(r, shape)
 	if r.Err() != nil {
@@ -451,10 +446,8 @@ func (x *Index) check() error {
 			if len(pos) == 0 || uint64(len(pos)-1) != x.levels[l-1].n || pos[0] != 0 || pos[len(pos)-1] != lv.n {
 				return fmt.Errorf("level %d pos does not run from 0 to %d over %d entries", l, lv.n, x.levels[l-1].n)
 			}
-			for i := 1; i < len(pos); i++ {
-				if pos[i] < pos[i-1] {
-					return fmt.Errorf("level %d pos not monotone at %d", l, i)
-				}
+			if !slices.IsSorted(pos) {
+				return fmt.Errorf("level %d pos not monotone", l)
 			}
 		}
 		size := len(lv.crd) + len(lv.crd8)
@@ -610,31 +603,10 @@ type walker struct {
 	visit  func(p []uint64, slot int) bool
 }
 
-// walker starts a walk with the key tuple and the key bounds in
-// scratch, the bounds admitting every key until a region walk narrows
-// them.
-func (x *Index) walker(scratch []uint64, visit func(p []uint64, slot int) bool) walker {
-	width := len(x.ext)
-	if len(scratch) < 3*width {
-		scratch = make([]uint64, 3*width)
-	}
-	w := walker{x: x, k: scratch[:width], lo: scratch[width : 2*width], hi: scratch[2*width : 3*width], visit: visit}
-	clear(w.lo)
-	for j := range w.hi {
-		w.hi[j] = math.MaxUint64
-	}
-	w.direct = x.decl.Map == MapPermute
-	return w
-}
-
 // Each implements Iterator: a depth-first walk visiting the points in
 // payload (slot) order. The point slice is reused; callbacks must not
 // retain it.
-func (x *Index) Each(visit func(p []uint64, slot int) bool) {
-	var scratch [48]uint64
-	w := x.walker(scratch[:], visit)
-	w.walk(0, 0, make([]uint64, len(x.shape)))
-}
+func (x *Index) Each(visit func(p []uint64, slot int) bool) { x.scan(nil, visit) }
 
 // ScanRegion implements RegionScanner: the Each walk, pruned at every
 // level whose key components the region bounds — every CSF level,
@@ -642,21 +614,35 @@ func (x *Index) Each(visit func(p []uint64, slot int) bool) {
 // tested for containment at the leaf unless the remap keeps every
 // coordinate (then the bounds are the region).
 func (x *Index) ScanRegion(r tensor.Region, visit func(p []uint64, slot int) bool) {
-	if r.Dims() != len(x.shape) || len(r.Size) != len(x.shape) {
-		return
+	if r.Dims() == len(x.shape) && len(r.Size) == len(x.shape) {
+		x.scan(&r, visit)
 	}
+}
+
+// scan runs one walk. The point it visits is its one allocation, since
+// visit sees it; the key tuple and the key bounds live on the stack,
+// the bounds admitting every key unless a region narrows them.
+func (x *Index) scan(region *tensor.Region, visit func(p []uint64, slot int) bool) {
 	var scratch [48]uint64
-	w := x.walker(scratch[:], visit)
-	w.region, w.test = r, !w.direct
-	last := make([]uint64, len(x.shape)) // the region's last cell, then the visited point
-	for i, m := range x.shape {
-		if r.Size[i] == 0 || r.Start[i] >= m {
-			return
-		}
-		last[i] = r.Start[i] + min(r.Size[i], m-r.Start[i]) - 1
+	width, p, buf := len(x.ext), make([]uint64, len(x.shape)), scratch[:]
+	if len(buf) < 3*width {
+		buf = make([]uint64, 3*width)
 	}
-	x.bounds(r.Start, last, w.lo, w.hi)
-	w.walk(0, 0, last)
+	w := walker{x: x, k: buf[:width], direct: x.decl.Map == MapPermute, lo: buf[width : 2*width], hi: buf[2*width : 3*width], visit: visit}
+	for j := range w.hi {
+		w.hi[j] = math.MaxUint64
+	}
+	if region != nil {
+		for i, m := range x.shape { // p is the region's last cell, clipped to the shape
+			if region.Size[i] == 0 || region.Start[i] >= m {
+				return
+			}
+			p[i] = region.Start[i] + min(region.Size[i], m-region.Start[i]) - 1
+		}
+		x.bounds(region.Start, p, w.lo, w.hi)
+		w.region, w.test = *region, !w.direct
+	}
+	w.walk(0, 0, p)
 }
 
 // walk visits level l's entries under entry parent of level l-1 and
