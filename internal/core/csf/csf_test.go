@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sparseart/internal/buf"
 	"sparseart/internal/core"
 	"sparseart/internal/core/coretest"
 	"sparseart/internal/tensor"
@@ -262,6 +263,13 @@ func TestOpenRejectsShapeMismatch(t *testing.T) {
 	}
 	if _, err := New().Open(built.Payload, tensor.Shape{3, 3, 4}); err == nil {
 		t.Fatal("payload opened under different shape")
+	}
+	// A header with no dimensions declares no levels.
+	w := buf.NewWriter(8)
+	w.U32(magic)
+	w.U32(0)
+	if _, err := New().Open(w.Bytes(), tensor.Shape{}); err == nil {
+		t.Fatal("zero-dimension payload opened")
 	}
 }
 

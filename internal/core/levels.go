@@ -165,7 +165,7 @@ func bind(d Decl, shape tensor.Shape) (*Index, error) {
 		}
 		x.levels = append(x.levels, lv)
 	}
-	if key != len(x.ext) {
+	if key != len(x.ext) || key == 0 {
 		return nil, fmt.Errorf("levels consume %d of %d key components", key, len(x.ext))
 	}
 	return x, nil
