@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sparsestore info    -dir /path/to/store
-//	sparsestore compact -dir /path/to/store [-to CSF|auto]
+//	sparsestore compact -dir /path/to/store
 //	sparsestore convert -dir /path/to/store -to CSF -out /path/to/new [-workers N] [-chunk P]
 //	sparsestore export  -dir /path/to/store -o dump.txt
 //	sparsestore import  -dir /path/to/new -kind GCSR++ -shape 64,64 -in dump.txt
@@ -38,6 +38,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -194,10 +195,9 @@ global flags (before the command):
 commands:
   info     print a store's organization, shape, and fragment inventory
   compact  consolidate all fragments into one (newest value wins,
-           tombstones folded in); -to KIND|auto re-organizes during
-           the pass
-  convert  stream the store into a new one under another organization
-           (-workers, -chunk bound the pipeline)
+           tombstones folded in) in the store's organization
+  convert  stream the store into a new one under another organization,
+           the one way to change it (-workers, -chunk bound the pipeline)
   delete   append a tombstone record over a region
   export   dump the logical contents as a dataset file
   import   create a store from a dataset file
@@ -288,7 +288,6 @@ func runInfo(args []string) error {
 func runCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	dir := fs.String("dir", "", "store directory")
-	to := fs.String("to", "", "re-organize during the pass: a kind name, or 'auto' for the advisor's pick")
 	fs.Parse(args)
 	if *dir == "" {
 		return fmt.Errorf("compact: -dir is required")
@@ -297,29 +296,13 @@ func runCompact(args []string) error {
 	if err != nil {
 		return err
 	}
-	before := st.Kind()
-	var rep *store.CompactReport
-	switch *to {
-	case "":
-		rep, err = st.Compact()
-	case "auto":
-		rep, err = st.CompactAuto()
-	default:
-		kind, kerr := core.ParseKind(*to)
-		if kerr != nil {
-			return kerr
-		}
-		rep, err = st.CompactTo(kind)
-	}
+	rep, err := st.Compact()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("fragments: %d -> %d\n", rep.FragmentsBefore, rep.FragmentsAfter)
 	fmt.Printf("points:    %d -> %d\n", rep.PointsBefore, rep.PointsAfter)
 	fmt.Printf("bytes:     %d -> %d\n", rep.BytesBefore, rep.BytesAfter)
-	if rep.Kind != before {
-		fmt.Printf("organization: %v -> %v\n", before, rep.Kind)
-	}
 	return nil
 }
 
@@ -350,7 +333,7 @@ func runConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	dst, rep, err := store.ConvertStreamed(src, dstFS, "tensor", kind,
+	dst, rep, err := store.Convert(context.Background(), src, dstFS, "tensor", kind,
 		store.ConvertConfig{ChunkPoints: *chunk, Workers: *workers}, opts...)
 	if err != nil {
 		return err

@@ -170,28 +170,13 @@ func TestCompactCommand(t *testing.T) {
 		t.Fatalf("compact output:\n%s", out)
 	}
 
-	// Re-organizing pass: -to rewrites even a single fragment and the
-	// new organization shows up in info.
-	out, err = capture(t, func() error { return runCompact([]string{"-dir", dir, "-to", "CSF"}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "organization: LINEAR -> CSF") {
-		t.Fatalf("reorg compact output:\n%s", out)
-	}
+	// Compaction keeps the organization the store was created with.
 	out, err = capture(t, func() error { return runInfo([]string{"-dir", dir}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "organization: CSF") {
-		t.Fatalf("info after reorg:\n%s", out)
-	}
-	// And the advisor-guided variant runs clean.
-	if _, err := capture(t, func() error { return runCompact([]string{"-dir", dir, "-to", "auto"}) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := runCompact([]string{"-dir", dir, "-to", "BOGUS"}); err == nil {
-		t.Error("compact -to unknown kind accepted")
+	if !strings.Contains(out, "organization: LINEAR") {
+		t.Fatalf("info after compact:\n%s", out)
 	}
 }
 

@@ -150,7 +150,7 @@ func ExampleConvertStore() {
 		log.Fatal(err)
 	}
 
-	dst, err := sparseart.ConvertStore(src, fs, "dst", sparseart.CSF)
+	dst, _, err := sparseart.ConvertStore(context.Background(), src, fs, "dst", sparseart.CSF, sparseart.ConvertConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

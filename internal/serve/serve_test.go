@@ -1003,3 +1003,28 @@ func TestRouterObsAggregation(t *testing.T) {
 		t.Fatalf("idle refresh moved counters: %d -> %d", reads, again)
 	}
 }
+
+// TestKernelDenseResultBoundedServed: a kernel whose dense answer
+// could not fit one reply frame — NNZPerSlice along an extent of 2⁶² —
+// is answered CodeBadRequest by a served chunked store instead of
+// crashing the shard, and the same connection still answers a probe.
+func TestKernelDenseResultBoundedServed(t *testing.T) {
+	c, err := store.NewChunked(fsim.NewPerlmutterSim(), "c", core.COO, tensor.Shape{1 << 62, 4}, tensor.Shape{1024, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl, _ := startServer(t, serve.ChunkedBackend(c), serve.Config{})
+	ctx := context.Background()
+	p := mustCoords(t, 2, 5, 1)
+	if _, err := writeOne(ctx, cl, p, []float64{3}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = cl.Kernel(ctx, store.KernelRequest{Op: store.KernelNNZPerSlice, Mode: 0})
+	if !errors.Is(err, store.ErrBadRequest) || wire.CodeOf(err) != wire.CodeBadRequest {
+		t.Fatalf("oversized kernel: err = %v, want CodeBadRequest", err)
+	}
+	res, _, err := cl.Query(ctx, store.QueryRequest{Probe: p, AsOf: store.AsOfLatest})
+	if err != nil || len(res.Values) != 1 || res.Values[0] != 3 {
+		t.Fatalf("probe after the refused kernel: %v, %v", res, err)
+	}
+}

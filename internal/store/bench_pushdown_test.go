@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -99,7 +100,7 @@ func BenchmarkConvert(b *testing.B) {
 		b.Run(fmt.Sprintf("stream/chunk=%d", chunk), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dst, _, err := ConvertStreamed(st, fsim.NewPerlmutterSim(), "d", core.CSF,
+				dst, _, err := Convert(context.Background(), st, fsim.NewPerlmutterSim(), "d", core.CSF,
 					ConvertConfig{ChunkPoints: chunk})
 				if err != nil {
 					b.Fatal(err)

@@ -392,7 +392,6 @@ func TestOptionMisuseTypedErrors(t *testing.T) {
 		option string
 	}{
 		{"compaction-threshold-one", []Option{WithBackgroundCompaction(1)}, "WithBackgroundCompaction"},
-		{"auto-reorg-without-trigger", []Option{WithAutoReorg()}, "WithAutoReorg"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

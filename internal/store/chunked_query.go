@@ -123,7 +123,10 @@ func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResul
 		if req.Mode < 0 || req.Mode >= dims {
 			return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, req.Mode, dims)
 		}
-		total.Values = make([]float64, c.tiling.Shape[req.Mode])
+		var err error
+		if total.Values, err = kernelValues(req.Op, c.tiling.Shape[req.Mode]); err != nil {
+			return nil, err
+		}
 		fold = func(t *tilePart, r *KernelResult) {
 			origin := c.tiling.Origin(t.idx, req.Mode)
 			for i, v := range r.Values {

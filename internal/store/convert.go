@@ -49,25 +49,19 @@ type ConvertReport struct {
 	SourceEpoch uint64
 }
 
-// Convert writes the store's full contents into a new store under a
-// different organization (or codec) — the migration path between
-// formats — using the streaming pipeline with default chunking. The
-// destination is returned open; on error it has been closed (its
-// committed prefix is durable and reopenable).
-func Convert(src *Store, fs fsim.FS, prefix string, kind core.Kind, opts ...Option) (*Store, error) {
-	dst, _, err := ConvertStreamed(src, fs, prefix, kind, ConvertConfig{}, opts...)
-	return dst, err
-}
-
-// ConvertStreamed converts src into a new store at prefix under the
-// given organization, streaming live cells through bounded chunks
-// instead of exporting the tensor. Chunks are cut in ScanLive's order,
-// ascending linear address, so they cover disjoint address ranges and
-// the destination's bytes are a pure function of the source snapshot;
-// its logical contents (ExportAll) equal the source's exactly. On any failure the destination is closed before returning —
-// its manifest log is checkpointed and any background worker drained —
-// so the committed prefix remains a valid, reopenable store.
-func ConvertStreamed(src *Store, fs fsim.FS, prefix string, kind core.Kind, cfg ConvertConfig, opts ...Option) (*Store, *ConvertReport, error) {
+// Convert writes src's live contents into a new store at prefix under
+// the given organization (or codec) — the one way to change a store's
+// organization, which is otherwise fixed at Create. Live cells stream
+// through bounded chunks instead of an exported tensor. Chunks are cut
+// in ScanLive's order, ascending linear address, so they cover disjoint
+// address ranges and the destination's bytes are a pure function of the
+// source snapshot; its logical contents (ExportAll) equal the source's
+// exactly. ctx bounds the source read and every destination wave. The
+// destination is returned open; on any failure, cancellation included,
+// it is closed before returning — its manifest log checkpointed and
+// any background worker drained — so the committed prefix of whole
+// chunks remains a valid, reopenable store.
+func Convert(ctx context.Context, src *Store, fs fsim.FS, prefix string, kind core.Kind, cfg ConvertConfig, opts ...Option) (*Store, *ConvertReport, error) {
 	chunk := cfg.ChunkPoints
 	if chunk < 1 {
 		chunk = DefaultConvertChunk
@@ -77,27 +71,25 @@ func ConvertStreamed(src *Store, fs fsim.FS, prefix string, kind core.Kind, cfg 
 		return nil, nil, err
 	}
 	rep := &ConvertReport{}
-	if err := src.convertInto(dst, chunk, cfg.Workers, nil, rep); err != nil {
+	if err := src.convertInto(ctx, dst, chunk, cfg.Workers, rep); err != nil {
 		if cerr := dst.Close(); cerr != nil {
 			err = fmt.Errorf("%w (closing destination: %v)", err, cerr)
 		}
 		return nil, nil, err
 	}
 	reg := src.obsReg()
-	kindLabel := src.curKind().String()
+	kindLabel := src.kind.String()
 	reg.Counter("store.convert.count", "kind", kindLabel, "to", kind.String()).Inc()
 	reg.Counter("store.convert.points", "kind", kindLabel, "to", kind.String()).Add(rep.Points)
 	reg.Counter("store.convert.chunks", "kind", kindLabel, "to", kind.String()).Add(int64(rep.Chunks))
 	return dst, rep, nil
 }
 
-// convertInto streams src's live cells (optionally region-restricted)
-// into dst in chunked waves: up to `workers` chunks accumulate, then
-// flush through dst's batched ingest so the CPU stages of a wave's
-// chunks overlap while the walk continues only after the wave is
-// durable.
-func (s *Store) convertInto(dst *Store, chunkPoints, workers int, region *tensor.Region, rep *ConvertReport) error {
-	ctx := context.TODO() // Convert's signature carries no context
+// convertInto streams src's live cells into dst in chunked waves: up
+// to `workers` chunks accumulate, then flush through dst's batched
+// ingest so the CPU stages of a wave's chunks overlap while the walk
+// continues only after the wave is durable.
+func (s *Store) convertInto(ctx context.Context, dst *Store, chunkPoints, workers int, rep *ConvertReport) error {
 	dims := s.shape.Dims()
 	waveSize := resolveIngestWorkers(workers, 1<<30)
 	var wave []Batch
@@ -131,7 +123,7 @@ func (s *Store) convertInto(dst *Store, chunkPoints, workers int, region *tensor
 	}
 
 	var walkErr error
-	prep, err := s.ScanLive(ctx, region, func(p []uint64, val float64) bool {
+	prep, err := s.ScanLive(ctx, nil, func(p []uint64, val float64) bool {
 		if cur.Coords == nil {
 			cur.Coords = tensor.NewCoords(dims, chunkPoints)
 		}

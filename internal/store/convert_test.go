@@ -1,9 +1,12 @@
 package store
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sparseart/internal/core"
@@ -47,7 +50,7 @@ func TestConvertStreamedDifferential(t *testing.T) {
 		}
 		for _, dstKind := range kinds {
 			for _, chunk := range []int{0, 37} { // 0 → DefaultConvertChunk (single chunk); 37 forces many
-				dst, rep, err := ConvertStreamed(st, newSim(t), "dst", dstKind,
+				dst, rep, err := Convert(context.Background(), st, newSim(t), "dst", dstKind,
 					ConvertConfig{ChunkPoints: chunk, Workers: 2})
 				if err != nil {
 					t.Fatalf("%v→%v chunk=%d: %v", src, dstKind, chunk, err)
@@ -100,7 +103,7 @@ func TestConvertStreamedDeterministic(t *testing.T) {
 	st := messyStore(t, core.GCSR, tensor.Shape{16, 12, 10}, 47)
 	files := func() map[string][]byte {
 		fs := newSim(t)
-		dst, _, err := ConvertStreamed(st, fs, "d", core.CSF, ConvertConfig{ChunkPoints: 50})
+		dst, _, err := Convert(context.Background(), st, fs, "d", core.CSF, ConvertConfig{ChunkPoints: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +149,7 @@ func TestConvertClosesDestinationOnError(t *testing.T) {
 	for failAfter := 1; failAfter < 40; failAfter += 3 {
 		fs := fsim.NewFaultFS(fsim.NewPerlmutterSim())
 		fs.FailAfter = failAfter
-		dst, _, err := ConvertStreamed(src, fs, "dst", core.CSF, ConvertConfig{ChunkPoints: 29})
+		dst, _, err := Convert(context.Background(), src, fs, "dst", core.CSF, ConvertConfig{ChunkPoints: 29})
 		fs.FailAfter = -1
 		if err == nil {
 			// The fault landed after the conversion finished (or never
@@ -203,11 +206,11 @@ func convertExportAll(src *Store, fs fsim.FS, prefix string, kind core.Kind, opt
 	return dst, nil
 }
 
-// TestConvertRegressionWrapper: the plain Convert API still works and
-// matches the old materializing path output-for-output.
+// TestConvertRegressionWrapper: Convert with the default config
+// matches the materializing path output-for-output.
 func TestConvertRegressionWrapper(t *testing.T) {
 	st := messyStore(t, core.COO, tensor.Shape{12, 10, 8}, 59)
-	dst, err := Convert(st, newSim(t), "d", core.GCSC)
+	dst, _, err := Convert(context.Background(), st, newSim(t), "d", core.GCSC, ConvertConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +244,7 @@ func TestConvertLargeMultiWave(t *testing.T) {
 	if _, err := st.Write(c, vals); err != nil {
 		t.Fatal(err)
 	}
-	dst, rep, err := ConvertStreamed(st, newSim(t), "d", core.COOSorted,
+	dst, rep, err := Convert(context.Background(), st, newSim(t), "d", core.COOSorted,
 		ConvertConfig{ChunkPoints: 128, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -258,4 +261,72 @@ func TestConvertLargeMultiWave(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameExport(t, "multi-wave", gotC, gotV, wantC, wantV)
+}
+
+// cancelAfterFS cancels a context once its n-th fragment file is
+// written, so a conversion is cut off partway through its waves.
+type cancelAfterFS struct {
+	fsim.FS
+	n      int
+	cancel context.CancelFunc
+}
+
+func (f *cancelAfterFS) WriteFile(name string, data []byte) error {
+	if strings.Contains(name, "frag-") {
+		if f.n--; f.n == 0 {
+			f.cancel()
+		}
+	}
+	return f.FS.WriteFile(name, data)
+}
+
+// TestConvertCancelled: cancelling the context partway through a
+// multi-wave conversion (sized as TestConvertLargeMultiWave) stops it
+// with context.Canceled, and the destination has been closed — its log
+// folded into the checkpoint — holding exactly a committed prefix of
+// whole chunks: the source's first k × ChunkPoints live cells in
+// address order.
+func TestConvertCancelled(t *testing.T) {
+	shape := tensor.Shape{64, 64}
+	st, err := Create(newSim(t), "t", core.Linear, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	c, vals := randomIntPoints(rng, shape, 3000)
+	if _, err := st.Write(c, vals); err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 128
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fs := &cancelAfterFS{FS: newSim(t), n: 6, cancel: cancel}
+	dst, _, err := Convert(ctx, st, fs, "d", core.COOSorted, ConvertConfig{ChunkPoints: chunk, Workers: 4})
+	if !errors.Is(err, context.Canceled) || dst != nil {
+		t.Fatalf("cancelled convert: returned a store %t, err %v; want none and context.Canceled", dst != nil, err)
+	}
+	if _, err := fs.ReadFile("d/" + manifestLogName); err == nil {
+		t.Fatal("the destination was not closed: its manifest log is still there")
+	}
+	re, err := Open(fs, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := re.Fragments()
+	wantC, wantV, err := st.ExportAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k == 0 || k*chunk >= wantC.Len() {
+		t.Fatalf("cancelled convert committed %d chunks of %d points; want a proper prefix", k, wantC.Len())
+	}
+	prefix, err := tensor.FromFlat(2, wantC.Flat()[:2*k*chunk])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotC, gotV, err := re.ExportAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameExport(t, "cancelled convert", gotC, gotV, prefix, wantV[:k*chunk])
 }

@@ -24,7 +24,7 @@ import (
 // (spans are nil-safe).
 func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*fragcache.Entry, error) {
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 
 	sp := root.Child(obsReadIO)
 	t := time.Now()
@@ -66,13 +66,15 @@ func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*frag
 		values, err = lz.Values()
 	}
 	// Open with the format named by the fragment's own header, not the
-	// store's current organization: after a re-organizing compaction (or
-	// a crash between its manifest-log record and the checkpoint that
-	// persists the new kind) the fragment set can mix kinds, and each
-	// fragment is only decodable by the format that built it.
+	// store's organization. This build writes every fragment in the
+	// store's kind, but the bytes on disk may come from an earlier one
+	// that re-organized stores in place: a crash between that pass's
+	// manifest-log record and the checkpoint carrying the new kind
+	// leaves fragments of two kinds (testdata/mixed-kinds), and each is
+	// only decodable by the format that built it.
 	var reader core.Reader
 	if err == nil {
-		format := s.curFormat()
+		format := s.format
 		if fk := lz.Header.Kind; fk != format.Kind() && fk.Valid() {
 			format, err = core.Get(fk)
 		}

@@ -138,7 +138,7 @@ func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers 
 	s.takeCost() // discard any cost accrued outside this call
 
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	root := reg.Start(obsIngest)
 	defer root.End()
 	reg.Gauge("store.ingest.workers", "kind", kind).Set(int64(workers))
@@ -406,12 +406,12 @@ func (ic *ingestCommitter) commit(f *tileFrag, j *ingestJob) {
 // cost attribution exact.
 func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	rep := &WriteReport{NNZ: b.Coords.Len()}
 
 	sp := root.Child(obsWriteBuild)
 	t := time.Now()
-	built, err := s.curFormat().Build(b.Coords, s.shape)
+	built, err := s.format.Build(b.Coords, s.shape)
 	sp.End()
 	if err != nil {
 		j.err = err
@@ -440,7 +440,7 @@ func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 	bbox, _ := b.Coords.Bounds()
 	filt := filter.Build(b.Coords)
 	frag := &fragment.Fragment{Payload: built.Payload, Values: packed}
-	frag.Kind = s.curKind()
+	frag.Kind = s.kind
 	frag.Codec = s.codec
 	frag.Shape = s.shape
 	frag.NNZ = uint64(b.Coords.Len())
@@ -472,7 +472,7 @@ func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 // charged to the Others phase. The caller holds writeMu.
 func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool, setup time.Duration) (*WriteReport, commitOutcome, error) {
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	rep := j.rep
 	enc := *j.encoded
 	defer recycleJob(j)
@@ -546,7 +546,7 @@ func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool, setup t
 func (s *Store) writeOne(b Batch) (*WriteReport, error) {
 	s.takeCost() // discard any cost accrued outside this call
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	root := reg.Start(obsWrite)
 	defer root.End()
 

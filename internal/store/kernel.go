@@ -47,6 +47,21 @@ func (op KernelOp) String() string {
 	}
 }
 
+// maxKernelValues caps a kernel's dense result. 2²⁷ float64s are the
+// 1 GiB one wire.MaxFrame reply can carry, so a larger answer could
+// never be sent: it is refused with ErrBadRequest before it is
+// allocated.
+const maxKernelValues = 1 << 27
+
+// kernelValues allocates a kernel's dense result of n values, or
+// refuses it past maxKernelValues.
+func kernelValues(op KernelOp, n uint64) ([]float64, error) {
+	if n > maxKernelValues {
+		return nil, fmt.Errorf("store: %w: kernel %v would return %d values (at most %d)", ErrBadRequest, op, n, maxKernelValues)
+	}
+	return make([]float64, n), nil
+}
+
 // KernelRequest describes one push-down kernel execution — the
 // serializable companion of QueryRequest for the compute ops.
 type KernelRequest struct {
@@ -100,7 +115,7 @@ func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, e
 			return m
 		}
 	}
-	FinishRequestSpan(reg, ctx, sp, obsKernel, s.curKind().String(), cost, err)
+	FinishRequestSpan(reg, ctx, sp, obsKernel, s.kind.String(), cost, err)
 	return res, err
 }
 

@@ -2,24 +2,19 @@ package store
 
 import (
 	"context"
-	"fmt"
 
-	"sparseart/internal/advisor"
-	"sparseart/internal/core"
 	"sparseart/internal/tensor"
 )
 
 // This file holds the engine's maintenance operations, built on the
 // core.Iterator contract every organization's reader implements:
 // fragment consolidation (the TileDB-style answer to the fragment
-// accumulation Algorithm 3's append-only WRITE causes), whole-store
-// export, and conversion between organizations. Compact runs under the
-// writer lock but never blocks readers: it builds the consolidated
-// fragment off to the side, swaps it in as a new snapshot epoch, and
-// defers deleting the superseded files until the last reader pinning an
-// older epoch drains (see view.go). CompactAsync and
-// WithBackgroundCompaction move the whole pass onto a background
-// worker.
+// accumulation Algorithm 3's append-only WRITE causes) and whole-store
+// export. Compact runs under the writer lock but never blocks readers:
+// it builds the consolidated fragment off to the side, swaps it in as a
+// new snapshot epoch, and defers deleting the superseded files until
+// the last reader pinning an older epoch drains (see view.go).
+// WithBackgroundCompaction moves the pass onto a background worker.
 
 // ExportAll returns the store's full logical contents — every live
 // cell after overlap and tombstone resolution — sorted by linear
@@ -46,15 +41,13 @@ type CompactReport struct {
 	FragmentsBefore, FragmentsAfter int
 	PointsBefore, PointsAfter       int // PointsBefore counts duplicates across fragments
 	BytesBefore, BytesAfter         int64
-	// Kind is the organization the store holds after the pass — it
-	// differs from the pre-compaction kind when CompactTo/CompactAuto
-	// re-organized during the rewrite.
-	Kind core.Kind
 }
 
 // Compact consolidates all fragments into one, resolving overlapping
 // writes (newest wins) and reclaiming the space of superseded cells.
-// A store with zero or one fragment is returned unchanged.
+// The consolidated fragment is built in the store's organization, which
+// is fixed at Create (Convert writes a new store in another). A store
+// with zero or one fragment is returned unchanged.
 //
 // Compaction holds the writer lock (it serializes against writes and
 // deletes) but readers are never blocked: they keep serving from the
@@ -64,80 +57,22 @@ type CompactReport struct {
 func (s *Store) Compact() (*CompactReport, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	return s.compactLocked(nil)
-}
-
-// CompactTo consolidates like Compact while rewriting the store into
-// the given organization: the consolidated fragment is built with the
-// target format and the store's manifest kind switches with it, so
-// every later Write uses the new organization. Superseded fragments of
-// the old kind remain readable in pinned views (fragments open by their
-// own header kind). A single-fragment store of a different kind is
-// still rewritten; with the current kind it is a no-op like Compact.
-func (s *Store) CompactTo(kind core.Kind) (*CompactReport, error) {
-	if !kind.Valid() {
-		return nil, fmt.Errorf("store: compact to invalid organization %v", kind)
-	}
-	if _, err := core.Get(kind); err != nil {
-		return nil, err
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	return s.compactLocked(func(*tensor.Coords) (core.Kind, error) { return kind, nil })
-}
-
-// CompactAuto consolidates into whatever organization the advisor
-// recommends for the store's live contents (balanced weights, mixed
-// read/write workload) — background re-organization's decision rule.
-func (s *Store) CompactAuto() (*CompactReport, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	return s.compactLocked(s.adviseKind)
-}
-
-// adviseKind characterizes the exported live contents and asks the
-// advisor for the best organization. An empty store keeps its kind.
-func (s *Store) adviseKind(coords *tensor.Coords) (core.Kind, error) {
-	if coords.Len() == 0 {
-		return s.curKind(), nil
-	}
-	p, err := advisor.Characterize(coords, s.shape)
-	if err != nil {
-		return 0, err
-	}
-	rec, err := advisor.Recommend(p, advisor.Balanced(), 0.5)
-	if err != nil {
-		return 0, err
-	}
-	return rec.Best, nil
-}
-
-// compactLocked consolidates under writeMu. pick, when non-nil, chooses
-// the target organization from the exported live coordinates (CompactTo
-// ignores them, CompactAuto characterizes them); nil keeps the current
-// kind and preserves Compact's historical fast path for stores that are
-// already a single fragment.
-func (s *Store) compactLocked(pick func(*tensor.Coords) (core.Kind, error)) (*CompactReport, error) {
 	reg := s.obsReg()
 	root := reg.Start("store.compact")
 	defer root.End()
-	reg.Counter("store.compact.count", "kind", s.curKind().String()).Inc()
+	reg.Counter("store.compact.count", "kind", s.kind.String()).Inc()
 	rep := &CompactReport{
 		FragmentsBefore: len(s.frags),
 		BytesBefore:     totalFragBytes(s.frags),
-		Kind:            s.curKind(),
 	}
 	for _, fr := range s.frags {
 		rep.PointsBefore += int(fr.nnz)
 	}
-	unchanged := func() *CompactReport {
+	if len(s.frags) <= 1 {
 		rep.FragmentsAfter = len(s.frags)
 		rep.PointsAfter = rep.PointsBefore
 		rep.BytesAfter = rep.BytesBefore
-		return rep
-	}
-	if len(s.frags) == 0 || (pick == nil && len(s.frags) <= 1) {
-		return unchanged(), nil
+		return rep, nil
 	}
 	// A view over the writer's working list needs no pin: the writer
 	// lock is held, so nothing retires these files before this pass does.
@@ -146,25 +81,6 @@ func (s *Store) compactLocked(pick func(*tensor.Coords) (core.Kind, error)) (*Co
 	if err != nil {
 		return nil, err
 	}
-	target := s.curKind()
-	if pick != nil {
-		if target, err = pick(coords); err != nil {
-			return nil, err
-		}
-	}
-	if len(s.frags) == 1 && target == s.curKind() && !s.frags[0].tomb {
-		return unchanged(), nil
-	}
-	prevOrg := s.org.Load()
-	if target != prevOrg.kind {
-		f, err := core.Get(target)
-		if err != nil {
-			return nil, err
-		}
-		s.setOrg(target, f)
-		reg.Counter("store.compact.reorg", "kind", prevOrg.kind.String(), "to", target.String()).Inc()
-		rep.Kind = target
-	}
 	old := s.frags
 	s.frags = nil
 	wrep, err := s.writeOne(Batch{Coords: coords, Values: vals})
@@ -172,11 +88,9 @@ func (s *Store) compactLocked(pick func(*tensor.Coords) (core.Kind, error)) (*Co
 		// The swap publishes only after the consolidated fragment's
 		// manifest record is durable; an empty working list means that
 		// never happened, so the old fragments remain the truth (and the
-		// published snapshot never stopped saying so). The organization
-		// swap rolls back with it.
+		// published snapshot never stopped saying so).
 		if len(s.frags) == 0 {
 			s.frags = old
-			s.org.Store(prevOrg)
 		}
 		return nil, err
 	}
@@ -206,65 +120,30 @@ func (s *Store) compactLocked(pick func(*tensor.Coords) (core.Kind, error)) (*Co
 	return rep, nil
 }
 
-// CompactResult is CompactAsync's completion notice.
-type CompactResult struct {
-	Report *CompactReport
-	Err    error
-}
-
-// CompactAsync runs Compact on a background goroutine and returns a
-// channel that delivers the result (buffered; the worker never blocks
-// on it). Reads proceed concurrently throughout; writes resume as soon
-// as the consolidation's swap completes. Close waits for the worker.
-func (s *Store) CompactAsync() <-chan CompactResult {
-	ch := make(chan CompactResult, 1)
-	s.bgWG.Add(1)
-	go func() {
-		defer s.bgWG.Done()
-		rep, err := s.compactBackground()
-		ch <- CompactResult{Report: rep, Err: err}
-	}()
-	return ch
-}
-
-// compactBackground is the worker body shared by CompactAsync and the
-// WithBackgroundCompaction trigger.
-func (s *Store) compactBackground() (*CompactReport, error) {
-	reg := s.obsReg()
-	kind := s.curKind().String()
-	reg.Counter("store.compact.background.runs", "kind", kind).Inc()
-	var rep *CompactReport
-	var err error
-	if s.autoReorg {
-		rep, err = s.CompactAuto()
-	} else {
-		rep, err = s.Compact()
-	}
-	if err != nil {
-		reg.Counter("store.compact.background.errors", "kind", kind).Inc()
-	}
-	return rep, err
-}
-
-// maybeCompactAsync spawns the background compaction worker when the
-// just-published snapshot has accumulated enough fragments
+// maybeCompactBackground spawns the background compaction worker when
+// the just-published snapshot has accumulated enough fragments
 // (WithBackgroundCompaction) and no worker is already running. Called
 // from publishLocked; the worker blocks on the writer lock until the
-// publishing mutation finishes, then compacts — so back-to-back
+// publishing mutation finishes, then runs Compact — so back-to-back
 // triggers coalesce into one pass over the final fragment set.
-func (s *Store) maybeCompactAsync(frags int) {
+func (s *Store) maybeCompactBackground(frags int) {
 	if s.bgMinFrags <= 0 || frags < s.bgMinFrags {
 		return
 	}
 	if !s.bgRunning.CompareAndSwap(false, true) {
-		s.obsReg().Counter("store.compact.background.skipped", "kind", s.curKind().String()).Inc()
+		s.obsReg().Counter("store.compact.background.skipped", "kind", s.kind.String()).Inc()
 		return
 	}
 	s.bgWG.Add(1)
 	go func() {
 		defer s.bgWG.Done()
 		defer s.bgRunning.Store(false)
-		s.compactBackground()
+		reg := s.obsReg()
+		kind := s.kind.String()
+		reg.Counter("store.compact.background.runs", "kind", kind).Inc()
+		if _, err := s.Compact(); err != nil {
+			reg.Counter("store.compact.background.errors", "kind", kind).Inc()
+		}
 	}()
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestConvertBetweenOrganizations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []core.Kind{core.CSF, core.Linear, core.GCSC} {
-		dst, err := Convert(src, fs, "dst-"+kind.String(), kind, WithCodec(compress.DeltaVarint))
+		dst, _, err := Convert(context.Background(), src, fs, "dst-"+kind.String(), kind, ConvertConfig{}, WithCodec(compress.DeltaVarint))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +182,7 @@ func TestConvertEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := Convert(src, fs, "dst", core.CSF)
+	dst, _, err := Convert(context.Background(), src, fs, "dst", core.CSF, ConvertConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

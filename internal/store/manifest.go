@@ -220,7 +220,7 @@ func (s *Store) flushStaged() (rolledBack bool, err error) {
 	s.staged, s.stagedRecs = s.staged[:0], 0
 	s.publishLocked()
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	reg.Counter("store.manifest.log.appends", "kind", kind).Inc()
 	reg.Counter("store.manifest.log.bytes", "kind", kind).Add(int64(bytes))
 	reg.Counter("store.manifest.group.flushes", "kind", kind).Inc()
@@ -246,7 +246,7 @@ func (s *Store) checkpoint() error {
 	s.logRecords = 0
 	s.lastCkptFrags = len(s.frags)
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	reg.Counter("store.manifest.checkpoint.count", "kind", kind).Inc()
 	reg.Gauge("store.manifest.log.records", "kind", kind).Set(0)
 	return nil
@@ -301,10 +301,10 @@ func (s *Store) replayLog() error {
 		if err := s.fs.WriteFile(s.logName(), data[:valid]); err != nil {
 			return fmt.Errorf("store: repair manifest log: %w", err)
 		}
-		s.obsReg().Counter("store.manifest.log.repaired", "kind", s.curKind().String()).Inc()
+		s.obsReg().Counter("store.manifest.log.repaired", "kind", s.kind.String()).Inc()
 	}
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	reg.Counter("store.manifest.log.replayed", "kind", kind).Add(int64(replayed))
 	if stale > 0 {
 		reg.Counter("store.manifest.log.stale", "kind", kind).Add(int64(stale))

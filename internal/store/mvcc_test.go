@@ -426,45 +426,6 @@ func testCompactCrashSweep(t *testing.T, opts []Option) {
 	}
 }
 
-// TestCompactAsync: the background channel delivers the report and the
-// consolidation is real.
-func TestCompactAsync(t *testing.T) {
-	shape := tensor.Shape{8, 8}
-	st, err := Create(newSim(t), "t", core.CSF, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	ref := newModel(t, shape)
-	for i := 0; i < 3; i++ {
-		c, v := randomPoints(rng, shape, 8)
-		if _, err := st.Write(c, v); err != nil {
-			t.Fatal(err)
-		}
-		ref.write(c, v)
-	}
-	res := <-st.CompactAsync()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Report.FragmentsBefore != 3 || res.Report.FragmentsAfter != 1 {
-		t.Fatalf("async compact report: %+v", res.Report)
-	}
-	if st.Fragments() != 1 {
-		t.Fatalf("store has %d fragments after async compact", st.Fragments())
-	}
-	coords, _, err := st.ExportAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coords.Len() != len(ref.data) {
-		t.Fatalf("async compact lost cells: %d, want %d", coords.Len(), len(ref.data))
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBackgroundCompaction: the WithBackgroundCompaction trigger
 // consolidates once the fragment count crosses the threshold, without
 // any explicit Compact call.

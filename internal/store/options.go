@@ -41,25 +41,16 @@ func (s *Store) recordOptErr(option, reason string) {
 	}
 }
 
-// applyOptions sets the defaults, runs opts over them, and validates
-// the resulting set as a whole. Create and Open configure the store
-// through it; NewChunked runs it on a probe store so misuse is rejected
-// before any tile exists.
+// applyOptions sets the defaults, runs opts over them, and returns the
+// first misuse. Create and Open configure the store through it;
+// NewChunked runs it on a probe store so misuse is rejected before any
+// tile exists.
 func (s *Store) applyOptions(opts []Option) error {
 	s.cacheBudget = DefaultCacheBudget
 	for _, o := range opts {
 		o(s)
 	}
-	if s.optErr != nil {
-		return s.optErr
-	}
-	if s.autoReorg && s.bgMinFrags <= 0 {
-		return &OptionError{
-			Option: "WithAutoReorg",
-			Reason: "requires WithBackgroundCompaction: auto re-organization rides the background compaction trigger",
-		}
-	}
-	return nil
+	return s.optErr
 }
 
 // WithBackgroundCompaction makes the store compact itself: whenever a
@@ -77,17 +68,6 @@ func WithBackgroundCompaction(minFragments int) Option {
 		}
 		s.bgMinFrags = minFragments
 	}
-}
-
-// WithAutoReorg upgrades background compaction into background
-// re-organization: the worker WithBackgroundCompaction spawns runs
-// CompactAuto instead of Compact, so each pass also asks the advisor
-// whether the accumulated contents now favor a different organization
-// and rewrites into it when so. Requires WithBackgroundCompaction (the
-// trigger); without it the flag does nothing and Create/Open reject the
-// combination.
-func WithAutoReorg() Option {
-	return func(s *Store) { s.autoReorg = true }
 }
 
 // withTileCache makes a Chunked store's tile resolve fragments through

@@ -75,7 +75,7 @@ func (s *Store) foldLive(ctx context.Context, op string, region *tensor.Region, 
 		Epoch:     rep.Epoch,
 	}
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	reg.Counter("store.pushdown.count", "kind", kind, "op", op).Inc()
 	reg.Counter("store.pushdown.fragments", "kind", kind, "op", op).Add(int64(push.Fragments))
 	reg.Counter("store.pushdown.skipped", "kind", kind, "op", op).Add(int64(push.Skipped))
@@ -109,7 +109,10 @@ func (s *Store) spmvFold(res *KernelResult, x []float64) (emitFunc, error) {
 	if uint64(len(x)) != s.shape[1] {
 		return nil, fmt.Errorf("store: %w: x has %d entries for %d columns", ErrShapeMismatch, len(x), s.shape[1])
 	}
-	y := make([]float64, s.shape[0])
+	y, err := kernelValues(KernelSpMV, s.shape[0])
+	if err != nil {
+		return nil, err
+	}
 	res.Values = y
 	return func(p []uint64, val float64) bool { y[p[0]] += val * x[p[1]]; return true }, nil
 }
@@ -121,7 +124,10 @@ func (s *Store) nnzPerSliceFold(res *KernelResult, mode int) (emitFunc, error) {
 	if mode < 0 || mode >= s.shape.Dims() {
 		return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, mode, s.shape.Dims())
 	}
-	out := make([]float64, s.shape[mode])
+	out, err := kernelValues(KernelNNZPerSlice, s.shape[mode])
+	if err != nil {
+		return nil, err
+	}
 	res.Values = out
 	return func(p []uint64, _ float64) bool { out[p[mode]]++; return true }, nil
 }
@@ -160,12 +166,15 @@ func (s *Store) ttvFold(res *KernelResult, mode int, vec []float64) (emitFunc, e
 	if len(outShape) == 0 {
 		outShape = tensor.Shape{1}
 	}
+	vol, _ := outShape.Volume() // a sub-shape of a shape whose volume fits
+	out, err := kernelValues(KernelTTV, vol)
+	if err != nil {
+		return nil, err
+	}
 	lin, err := tensor.NewLinearizer(outShape, tensor.RowMajor)
 	if err != nil {
 		return nil, err
 	}
-	vol, _ := outShape.Volume()
-	out := make([]float64, vol)
 	res.Values, res.Shape = out, outShape
 	q := make([]uint64, len(outShape)) // coordinate scratch: the fold allocates nothing
 	return func(p []uint64, val float64) bool {

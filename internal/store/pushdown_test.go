@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -486,5 +487,58 @@ func TestPushdownEmptyStore(t *testing.T) {
 		if v != 0 {
 			t.Fatal("empty store produced a nonzero SpMV row")
 		}
+	}
+}
+
+// TestKernelDenseResultBounded: a kernel whose dense answer would pass
+// maxKernelValues (more than one wire frame can carry) is refused with
+// ErrBadRequest before anything is allocated — an extent of 2⁶² once
+// reached make() and panicked — and the store keeps answering.
+func TestKernelDenseResultBounded(t *testing.T) {
+	ctx := context.Background()
+	huge := tensor.Shape{1 << 62, 2}
+	st, err := Create(newSim(t), "t", core.COO, huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := NewChunked(newSim(t), "c", core.COO, tensor.Shape{1 << 62, 4}, tensor.Shape{1024, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tensor.NewCoords(2, 0)
+	p.Append(5, 1)
+	if _, err := st.Write(p, []float64{3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.Write(p, []float64{3}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		k    interface {
+			Kernel(context.Context, KernelRequest) (*KernelResult, error)
+		}
+		req KernelRequest
+	}{
+		{"chunked/nnz-per-slice", ch, KernelRequest{Op: KernelNNZPerSlice, Mode: 0}},
+		{"flat/nnz-per-slice", st, KernelRequest{Op: KernelNNZPerSlice, Mode: 0}},
+		{"flat/spmv", st, KernelRequest{Op: KernelSpMV, Vec: []float64{1, 1}}},
+		{"flat/ttv", st, KernelRequest{Op: KernelTTV, Mode: 1, Vec: []float64{1, 1}}},
+	}
+	for _, tc := range cases {
+		if _, err := tc.k.Kernel(ctx, tc.req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
+		}
+	}
+	// The bounded modes of the same stores still answer.
+	for _, q := range []querier{st, ch} {
+		vals, found, _, err := readPoints(q, p)
+		if err != nil || !found[0] || vals[0] != 3 {
+			t.Fatalf("probe after refusal: %v %v %v", vals, found, err)
+		}
+	}
+	res, err := ch.Kernel(ctx, KernelRequest{Op: KernelNNZPerSlice, Mode: 1})
+	if err != nil || !reflect.DeepEqual(res.Values, []float64{0, 1, 0, 0}) {
+		t.Fatalf("chunked nnz per slice of mode 1 = %v, %v", res, err)
 	}
 }

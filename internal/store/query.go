@@ -139,7 +139,7 @@ func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, *ReadRepo
 		sp.SetAttrStr("strategy", req.Strategy.String())
 	}
 	res, rep, err := s.read(ctx, req)
-	FinishRequestSpan(reg, ctx, sp, obsQuery, s.curKind().String(), ReadCost(rep), err)
+	FinishRequestSpan(reg, ctx, sp, obsQuery, s.kind.String(), ReadCost(rep), err)
 	return res, rep, err
 }
 

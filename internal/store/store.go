@@ -125,24 +125,14 @@ func tombstonesUpTo(frags []fragRef, limit int) []tombstoneRef {
 	return out
 }
 
-// orgState is the store's current organization: the manifest kind and
-// its format implementation, immutable once published. Held behind an
-// atomic pointer so a re-organizing compaction (CompactTo/CompactAuto)
-// can swap it while concurrent readers label metrics and open fragments
-// against whichever state they observe — correctness never depends on
-// the pointer, because fragments are opened by their own header kind
-// (see loadFragment).
-type orgState struct {
-	kind   core.Kind
-	format core.Format
-}
-
-// Store is a single-tensor fragment store bound to one organization
-// (rebindable by a re-organizing compaction).
+// Store is a single-tensor fragment store bound to one organization.
+// kind and format are fixed by Create (or read from the manifest by
+// Open) and never change: Convert writes a new store to change them.
 type Store struct {
 	fs     fsim.FS
 	prefix string
-	org    atomic.Pointer[orgState]
+	kind   core.Kind
+	format core.Format
 	shape  tensor.Shape
 	lin    *tensor.Linearizer
 	codec  compress.ID
@@ -170,9 +160,6 @@ type Store struct {
 	bgMinFrags int
 	bgRunning  atomic.Bool
 	bgWG       sync.WaitGroup
-	// autoReorg upgrades the background worker to CompactAuto
-	// (advisor-guided re-organization). See WithAutoReorg.
-	autoReorg bool
 
 	// cache holds decoded fragment readers; nil when disabled.
 	// cacheBudget sizes the store's own cache (WithReaderCache;
@@ -208,19 +195,6 @@ type Store struct {
 	lastCkptFrags int
 	staged        []byte
 	stagedRecs    int
-}
-
-// curKind returns the store's current organization kind. Safe to call
-// from any goroutine; the value is a snapshot (a concurrent
-// re-organizing compaction may change it).
-func (s *Store) curKind() core.Kind { return s.org.Load().kind }
-
-// curFormat returns the current organization's format implementation.
-func (s *Store) curFormat() core.Format { return s.org.Load().format }
-
-// setOrg swaps the store's organization. Caller holds writeMu.
-func (s *Store) setOrg(kind core.Kind, format core.Format) {
-	s.org.Store(&orgState{kind: kind, format: format})
 }
 
 // obsReg resolves the store's registry: the injected one if any,
@@ -263,8 +237,7 @@ func Create(fs fsim.FS, prefix string, kind core.Kind, shape tensor.Shape, opts 
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{fs: fs, prefix: prefix, shape: shape.Clone(), lin: lin}
-	s.setOrg(kind, f)
+	s := &Store{fs: fs, prefix: prefix, kind: kind, format: f, shape: shape.Clone(), lin: lin}
 	if err := s.applyOptions(opts); err != nil {
 		return nil, err
 	}
@@ -386,11 +359,10 @@ func Open(fs fsim.FS, prefix string, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("store: manifest: %w: %w", fragment.ErrCorrupt, err)
 	}
 	s := &Store{
-		fs: fs, prefix: prefix, shape: shape,
+		fs: fs, prefix: prefix, kind: kind, format: f, shape: shape,
 		lin: lin, codec: codec, frags: m.frags, nextID: m.nextID,
 		loadedIndex: m.index,
 	}
-	s.setOrg(kind, f)
 	if err := s.applyOptions(opts); err != nil {
 		return nil, err
 	}
@@ -422,7 +394,7 @@ func (s *Store) writeManifest() error {
 	w := buf.GetWriter(64 + len(s.frags)*(48+16*s.shape.Dims()))
 	defer buf.PutWriter(w)
 	w.U32(manifestMagicV2)
-	w.U8(uint8(s.curKind()))
+	w.U8(uint8(s.kind))
 	w.U8(uint8(s.codec))
 	w.U16(uint16(s.shape.Dims()))
 	w.RawU64s(s.shape)
@@ -462,7 +434,7 @@ func (s *Store) writeManifest() error {
 }
 
 // Kind returns the store's organization.
-func (s *Store) Kind() core.Kind { return s.curKind() }
+func (s *Store) Kind() core.Kind { return s.kind }
 
 // Shape returns the tensor shape.
 func (s *Store) Shape() tensor.Shape { return s.shape }
@@ -587,7 +559,7 @@ func (s *Store) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 	s.takeCost()
 
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	root := reg.Start("store.delete")
 	defer root.End()
 
@@ -757,7 +729,7 @@ func (pl *readPlan) scans(s *Store, fr *fragRef) bool {
 	if pl.region == nil {
 		return pl.probe == nil
 	}
-	if !pl.auto || preferScan(s.curKind(), s.shape, fr.nnz, pl.vol) {
+	if !pl.auto || preferScan(s.kind, s.shape, fr.nnz, pl.vol) {
 		return true
 	}
 	if pl.probe == nil {
@@ -885,7 +857,7 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 	rep := &acc.rep
 	s.takeCost()
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	root, _ := reg.StartCtx(ctx, obsRead)
 	defer root.End()
 	if pl.probe != nil && pl.probe.Len() == 0 {
@@ -1038,7 +1010,7 @@ func mergeHits(s *Store, hits []hit, tombs []tombstoneRef, emit emitFunc) (*Resu
 		}
 	}
 	if reg := s.obsReg(); reg != nil {
-		kind := s.curKind().String()
+		kind := s.kind.String()
 		reg.Counter("store.merge.overwritten", "kind", kind).Add(live.overwritten)
 		reg.Counter("store.merge.tombstone_dead", "kind", kind).Add(live.dead)
 	}

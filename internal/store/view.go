@@ -60,7 +60,7 @@ func (v *readView) overlapping(box tensor.BBox, limit int) []int {
 	}
 	cand := v.index.lookup(box, limit)
 	reg := v.s.obsReg()
-	kind := v.s.curKind().String()
+	kind := v.s.kind.String()
 	reg.Counter("store.index.probes", "kind", kind).Inc()
 	reg.Counter("store.index.candidates", "kind", kind).Add(int64(len(cand)))
 	out := cand[:0]
@@ -121,7 +121,7 @@ func (s *Store) acquireView() *readView {
 	}
 	active := s.viewRefs
 	s.viewMu.Unlock()
-	s.obsReg().Gauge("store.views.active", "kind", s.curKind().String()).Set(int64(active))
+	s.obsReg().Gauge("store.views.active", "kind", s.kind.String()).Set(int64(active))
 	return v
 }
 
@@ -138,7 +138,7 @@ func (v *readView) release() {
 	active := s.viewRefs
 	due := s.collectDueLocked()
 	s.viewMu.Unlock()
-	s.obsReg().Gauge("store.views.active", "kind", s.curKind().String()).Set(int64(active))
+	s.obsReg().Gauge("store.views.active", "kind", s.kind.String()).Set(int64(active))
 	s.runGC(due)
 }
 
@@ -187,8 +187,8 @@ func (s *Store) publishLocked() uint64 {
 	v.epoch = epoch
 	s.cur = v
 	s.viewMu.Unlock()
-	s.obsReg().Gauge("store.epoch", "kind", s.curKind().String()).Set(int64(epoch))
-	s.maybeCompactAsync(len(frags))
+	s.obsReg().Gauge("store.epoch", "kind", s.kind.String()).Set(int64(epoch))
+	s.maybeCompactBackground(len(frags))
 	return epoch
 }
 
@@ -271,7 +271,7 @@ func (s *Store) collectDueLocked() []pendingGC {
 		}
 	}
 	s.gcPending = keep
-	s.obsReg().Gauge("store.gc.pending", "kind", s.curKind().String()).Set(int64(len(keep)))
+	s.obsReg().Gauge("store.gc.pending", "kind", s.kind.String()).Set(int64(len(keep)))
 	return due
 }
 
@@ -286,7 +286,7 @@ func (s *Store) runGC(batches []pendingGC) {
 		return
 	}
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	for _, b := range batches {
 		s.cache.Invalidate(b.names...)
 		for _, name := range b.names {
@@ -317,7 +317,7 @@ func (s *Store) gcOrphans() {
 		}
 	}
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	var removed int64
 	for _, name := range names {
 		if _, ok := live[name]; ok {

@@ -43,7 +43,7 @@ func (s *Store) warmCache() {
 		return
 	}
 	reg := s.obsReg()
-	kind := s.curKind().String()
+	kind := s.kind.String()
 	var rep ReadReport // warming pays its own I/O; nothing to attribute
 	for i := len(s.frags) - 1; i >= 0 && k > 0; i-- {
 		fr := s.frags[i]

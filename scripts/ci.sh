@@ -62,9 +62,14 @@ go build ./...
 # keep; and an organization is a declaration (a coordinate remap and a
 # list of levels, core.Decl), so internal/core builds, descends and
 # walks once — one Lookup, one Each, one ScanRegion, one sort — and no
-# format package carries a reader of its own. The numbers printed are
-# the baseline the next simplicity change is measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; pooled framing; one descent and walk in core; exported methods; options; code lines)"
+# format package carries a reader of its own; and a store's organization
+# is fixed at Create, so Compact is the one consolidation and Convert,
+# into a new store, the one way to change organization — no in-place
+# re-organization, asynchronous compaction handle or second conversion
+# entry point comes back, and the store does not consult the advisor.
+# The numbers printed are the baseline the next simplicity change is
+# measured against.
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; pooled framing; one descent and walk in core; one Compact, one Convert; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -120,6 +125,14 @@ if [ "$sorts" -ne 1 ]; then
 fi
 if grep -nE '^func \([^)]*\) (Lookup|Each|ScanRegion)\(' internal/core/{coo,linearfmt,gcs,csf,bcoo}/*.go; then
     echo "a format package defines its own reader walk (declare a core.Decl instead)" >&2
+    exit 1
+fi
+if grep -rnE '^func (\([^)]*\) )?(CompactTo|CompactAuto|CompactAsync|WithAutoReorg|ConvertStreamed|setOrg)\(' --include='*.go' --exclude='*_test.go' .; then
+    echo "non-test Go re-organizes a store in place or adds a second compaction or conversion entry point (Compact consolidates; Convert writes a new store)" >&2
+    exit 1
+fi
+if go list -deps ./internal/store | grep -qx 'sparseart/internal/advisor'; then
+    echo "internal/store depends on internal/advisor (the organization is chosen before Create: sparsestore export | sparseadvise)" >&2
     exit 1
 fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')

@@ -23,6 +23,8 @@
 package sparseart
 
 import (
+	"context"
+
 	"sparseart/internal/advisor"
 	"sparseart/internal/compress"
 	"sparseart/internal/core"
@@ -88,8 +90,6 @@ type (
 	StoreOption = store.Option
 	// CompactReport summarizes a fragment consolidation.
 	CompactReport = store.CompactReport
-	// CompactResult is CompactAsync's completion notice.
-	CompactResult = store.CompactResult
 	// Batch is one fragment's worth of input to the batched ingest: the
 	// arguments of one Write, ingested through the parallel pipeline.
 	Batch = store.Batch
@@ -125,8 +125,8 @@ type (
 // worker pool. Prefer the streaming form for large ingests — it doesn't
 // hold O(batches) reports alive.
 
-// Option misuse (a compaction threshold below 2, WithAutoReorg without
-// its trigger) surfaces from the constructors as a typed error matching
+// Option misuse (a compaction threshold below 2, a negative warm count)
+// surfaces from the constructors as a typed error matching
 // ErrBadOption.
 var ErrBadOption = store.ErrBadOption
 
@@ -137,7 +137,7 @@ type OptionError = store.OptionError
 // background worker once a mutation leaves at least minFragments
 // fragments behind (minFragments >= 2). Reads are never blocked: they
 // serve from MVCC snapshots while the worker consolidates, and the swap
-// is atomic. Store.CompactAsync runs one such pass on demand.
+// is atomic. Store.Compact runs one such pass on demand.
 func WithBackgroundCompaction(minFragments int) StoreOption {
 	return store.WithBackgroundCompaction(minFragments)
 }
@@ -146,30 +146,18 @@ func WithBackgroundCompaction(minFragments int) StoreOption {
 // the newest k data fragments.
 func WithWarmFragments(k int) StoreOption { return store.WithWarmFragments(k) }
 
-// ConvertStore rewrites a store's full logical contents into a new
-// store under a different organization or codec. The contents stream
-// through bounded chunks (never materializing the tensor); use
-// ConvertStoreStreamed to tune the chunking and see the pipeline
-// report.
-func ConvertStore(src *Store, fs FS, prefix string, kind Kind, opts ...StoreOption) (*Store, error) {
-	return store.Convert(src, fs, prefix, kind, opts...)
+// ConvertStore writes a store's full logical contents into a new store
+// under another organization or codec. A store's organization is fixed
+// at creation; this is the one way to change it. The contents stream
+// through bounded chunks (never an exported tensor): cfg caps the points
+// per destination fragment and the ingest worker pool (zero values mean
+// the defaults), and the report says how many points and chunks
+// streamed and the peak chunk footprint. ctx cancels the conversion;
+// on any error the destination is closed, its committed prefix
+// reopenable.
+func ConvertStore(ctx context.Context, src *Store, fs FS, prefix string, kind Kind, cfg ConvertConfig, opts ...StoreOption) (*Store, *ConvertReport, error) {
+	return store.Convert(ctx, src, fs, prefix, kind, cfg, opts...)
 }
-
-// ConvertStoreStreamed is ConvertStore with explicit pipeline bounds:
-// cfg caps the points per destination fragment and the ingest worker
-// pool, and the report says how many points and chunks streamed and the
-// peak chunk footprint. Peak memory is O(Workers × ChunkPoints) plus
-// one source fragment, regardless of tensor size.
-func ConvertStoreStreamed(src *Store, fs FS, prefix string, kind Kind, cfg ConvertConfig, opts ...StoreOption) (*Store, *ConvertReport, error) {
-	return store.ConvertStreamed(src, fs, prefix, kind, cfg, opts...)
-}
-
-// WithAutoReorg upgrades background compaction to advisor-guided
-// re-organization: each background pass also re-evaluates which
-// organization fits the accumulated contents and rewrites into it when
-// it differs. Requires WithBackgroundCompaction. Store.CompactTo and
-// Store.CompactAuto run the same re-organizing pass on demand.
-func WithAutoReorg() StoreOption { return store.WithAutoReorg() }
 
 // File-system backends.
 type (
