@@ -138,7 +138,7 @@ func runServe(args []string) error {
 	tileSpec := fs.String("tile", "", "tile extents for -create, comma-separated (chunked store)")
 	maxInflight := fs.Int("max-inflight", 0, "bound on concurrently executing data requests (0: default)")
 	warm := fs.Int("warm", 0, "pre-fill the reader cache with the newest K fragments on open")
-	readall := fs.Bool("readall", false, "run one whole-tensor region read after opening, so the scrape shows read-path metrics and spans")
+	readall := fs.Bool("readall", false, "run one whole-tensor region read after opening, under a sampled trace, so the scrape shows read-path metrics and spans")
 	slowlog := fs.String("slowlog", "", "slow-query threshold in ms — queries at least this slow land in /debug/slowlog (0 logs every query; empty: off)")
 	slowlogFile := fs.String("slowlog-file", "", "also append slow-query JSONL lines to this file")
 	traceSample := fs.Float64("trace-sample", 0, "probability that a data request without a caller trace starts a sampled trace (0: off)")
@@ -173,7 +173,9 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		if _, _, err := backend.Query(context.Background(), store.QueryRequest{Region: &region, AsOf: store.AsOfLatest}); err != nil {
+		// A sampled root trace, so the read's spans reach /trace.
+		ctx := obs.ContextWithTrace(context.Background(), obs.NewTrace(true))
+		if _, _, err := backend.Query(ctx, store.QueryRequest{Region: &region, AsOf: store.AsOfLatest}); err != nil {
 			return err
 		}
 	}

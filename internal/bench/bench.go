@@ -241,14 +241,23 @@ func (r *Runner) runCell(ds *Dataset, kind core.Kind) (Measurement, error) {
 	// Each cell gets its own registry so the span histograms isolate
 	// exactly one store's phases; the snapshot is folded into the
 	// process-wide registry afterwards (when one is enabled) so
-	// `sparsebench -metrics` still sees the totals.
+	// `sparsebench -metrics` still sees the totals. The cell's write and
+	// read run under one sampled trace, labeled with the cell, so the
+	// snapshot's trace spans are its timeline.
 	reg := obs.New()
+	reg.SetProc(fmt.Sprintf("%v %dD %v", ds.Case.Pattern, ds.Case.Dims, kind))
+	ctx := obs.ContextWithTrace(context.Background(), obs.NewTrace(true))
 	st, err := store.Create(fs, fmt.Sprintf("bench/%v/%dd/%v", ds.Case.Pattern, ds.Case.Dims, kind), kind, shape, store.WithObs(reg))
 	if err != nil {
 		return Measurement{}, err
 	}
-	wrep, err := st.Write(ds.Data.Coords, ds.Data.Values)
-	if err != nil {
+	// A one-batch ingest writes exactly the bytes of a Write.
+	var wrep *store.WriteReport
+	batch := []store.Batch{{Coords: ds.Data.Coords, Values: ds.Data.Values}}
+	if err := st.WriteBatchContext(ctx, batch, 1, func(_ int, rep *store.WriteReport, _ error) error {
+		wrep = rep
+		return nil
+	}); err != nil {
 		return Measurement{}, err
 	}
 	probe := ds.Region.Coords()
@@ -262,7 +271,7 @@ func (r *Runner) runCell(ds *Dataset, kind core.Kind) (Measurement, error) {
 		scale = float64(probe.Len()) / float64(sampled.Len())
 		probe = sampled
 	}
-	res, rrep, err := st.Query(context.Background(), store.QueryRequest{Probe: probe, AsOf: store.AsOfLatest})
+	res, rrep, err := st.Query(ctx, store.QueryRequest{Probe: probe, AsOf: store.AsOfLatest})
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -7,12 +7,14 @@ import (
 	"time"
 )
 
-// TestConcurrentHammer drives counters, gauges, histograms, and spans
-// from GOMAXPROCS goroutines simultaneously (run under -race in CI) and
-// checks that the snapshot totals equal the sum of the per-goroutine
-// contributions — the obs hot path must be race-clean by construction.
+// TestConcurrentHammer drives counters, gauges, histograms, and spans —
+// sampled and unsampled — from GOMAXPROCS goroutines simultaneously
+// (run under -race in CI) and checks that the snapshot totals equal the
+// sum of the per-goroutine contributions — the obs hot path must be
+// race-clean by construction.
 func TestConcurrentHammer(t *testing.T) {
 	r := New()
+	tc := NewTrace(true)
 	workers := runtime.GOMAXPROCS(0)
 	const perWorker = 2000
 
@@ -32,7 +34,11 @@ func TestConcurrentHammer(t *testing.T) {
 				r.Histogram("hammer.lat").Observe(d)
 				durs[w] += d
 				if i%64 == 0 {
-					sp := r.Start("hammer.op")
+					var parent TraceContext // unsampled: a plain root
+					if i%128 == 0 {
+						parent = tc
+					}
+					sp := r.StartRemote(parent, "hammer.op")
 					sp.Child("hammer.op.phase").End()
 					sp.End()
 				}
@@ -86,9 +92,13 @@ func TestConcurrentHammer(t *testing.T) {
 	if snap.InFlight != 0 {
 		t.Fatalf("in-flight spans = %d after all ended", snap.InFlight)
 	}
-	spanEvents := int64(len(snap.Spans)) + snap.SpanDrops
-	wantSpans := int64(workers) * ((perWorker + 63) / 64) * 2
-	if spanEvents != wantSpans {
-		t.Fatalf("span events+drops = %d, want %d", spanEvents, wantSpans)
+	// Every span feeds its histogram; only the sampled half (each a
+	// root and its child) reaches the trace ring.
+	if got, want := snap.Histograms["hammer.op.phase"].Count, int64(workers)*((perWorker+63)/64); got != want {
+		t.Fatalf("hammer.op.phase count = %d, want %d", got, want)
+	}
+	wantSampled := min(int64(workers)*((perWorker+127)/128)*2, spanRingCap)
+	if got := int64(len(snap.TraceSpans)); got != wantSampled {
+		t.Fatalf("trace spans = %d, want %d", got, wantSampled)
 	}
 }

@@ -19,8 +19,7 @@ package obs
 //     histogram with no new observations is omitted. MinNs/MaxNs remain
 //     the lifetime extremes (the histogram does not track per-interval
 //     extremes), which Absorb folds in harmlessly.
-//   - Spans: the timeline is append-only, so the delta is cur's tail
-//     beyond prev's length. SpanDrops subtracts.
+//   - Trace spans: the spans cur carries and prev did not.
 //
 // A nil prev (or one with no sections) makes Delta equivalent to cur.
 func Delta(prev, cur *Snapshot) *Snapshot {
@@ -59,9 +58,6 @@ func Delta(prev, cur *Snapshot) *Snapshot {
 		}
 		d.Histograms[name] = dh
 	}
-	if len(cur.Spans) > len(prev.Spans) {
-		d.Spans = append([]SpanEvent(nil), cur.Spans[len(prev.Spans):]...)
-	}
 	// Trace spans live in a ring that overwrites its oldest entries, so
 	// a length-based tail is wrong once the ring wraps. Span IDs are
 	// unique random 64-bit values, so the delta is exactly cur's spans
@@ -77,9 +73,6 @@ func Delta(prev, cur *Snapshot) *Snapshot {
 				d.TraceSpans = append(d.TraceSpans, ts)
 			}
 		}
-	}
-	if drops := cur.SpanDrops - prev.SpanDrops; drops > 0 {
-		d.SpanDrops = drops
 	}
 	return d
 }

@@ -12,14 +12,14 @@ import (
 // counters and histogram contents exactly.
 func TestDeltaAbsorbReproduces(t *testing.T) {
 	r := New()
+	tc := NewTrace(true)
 	work := func(n int) {
 		for i := 0; i < n; i++ {
 			r.Counter("ops", "kind", "CSF").Inc()
 			r.Counter("bytes").Add(int64(10 * (i + 1)))
 			r.Gauge("fragments").Set(int64(i))
 			r.Histogram("lat").Observe(time.Duration(i%5+1) * time.Millisecond)
-			sp := r.Start("op")
-			sp.End()
+			r.StartRemote(tc, "op").End()
 		}
 	}
 	work(7)
@@ -47,8 +47,8 @@ func TestDeltaAbsorbReproduces(t *testing.T) {
 			t.Fatalf("histogram %s after absorb(delta): %+v want %+v", name, h, want)
 		}
 	}
-	if len(got.Spans) != len(cur.Spans) {
-		t.Fatalf("spans after absorb(delta): %d want %d", len(got.Spans), len(cur.Spans))
+	if !reflect.DeepEqual(got.TraceSpans, cur.TraceSpans) {
+		t.Fatalf("trace spans after absorb(delta): %d want %d", len(got.TraceSpans), len(cur.TraceSpans))
 	}
 }
 
@@ -68,8 +68,8 @@ func TestDeltaOmitsIdle(t *testing.T) {
 	if len(d.Histograms) != 0 {
 		t.Fatalf("idle delta has histograms: %v", d.Histograms)
 	}
-	if len(d.Spans) != 0 || d.SpanDrops != 0 {
-		t.Fatalf("idle delta has spans: %v drops %d", d.Spans, d.SpanDrops)
+	if len(d.TraceSpans) != 0 {
+		t.Fatalf("idle delta has trace spans: %v", d.TraceSpans)
 	}
 	if d.Gauges["g"] != 9 {
 		t.Fatalf("delta gauge = %v, want current value", d.Gauges)
@@ -92,11 +92,10 @@ func TestDeltaNilPrev(t *testing.T) {
 	r := New()
 	r.Counter("ops").Add(2)
 	r.Histogram("lat").Observe(time.Second)
-	sp := r.Start("op")
-	sp.End()
+	r.StartRemote(NewTrace(true), "op").End()
 	cur := r.Snapshot()
 	d := Delta(nil, cur)
-	if d.Counters["ops"] != 2 || d.Histograms["lat"].Count != 1 || len(d.Spans) != 1 {
+	if d.Counters["ops"] != 2 || d.Histograms["lat"].Count != 1 || len(d.TraceSpans) != 1 {
 		t.Fatalf("delta vs nil = %+v", d)
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // Chrome trace_event JSON (the chrome://tracing / Perfetto "JSON Array
-// with metadata" container). Each completed span becomes a ph:"X"
-// complete event; nesting depth maps to its own named track (tid), so
-// the Build/Reorg/Write phases of one store.write stack visually under
+// with metadata" container). Each trace span becomes a ph:"X" complete
+// event; nesting depth maps to its own named track (tid), so the
+// Build/Reorg/Write phases of one store.write stack visually under
 // their root span instead of flattening into one row. Timestamps are
 // microseconds (the trace_event unit) with sub-microsecond precision
 // kept as fractions.
@@ -32,70 +32,6 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// ChromeTrace renders the snapshot's span timeline as a trace_event
-// JSON document. Span start offsets are relative to the registry's
-// first span (the obs timeline convention); spans absorbed from other
-// registries keep their source-relative offsets, exactly as
-// WriteTimeline prints them. Output is deterministic.
-func ChromeTrace(s *obs.Snapshot) ([]byte, error) {
-	tr := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	depths := map[int]bool{}
-	for _, e := range s.Spans {
-		depths[e.Depth] = true
-	}
-	if len(depths) > 0 {
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: 1,
-			Args: map[string]any{"name": "sparseart"},
-		})
-		sorted := make([]int, 0, len(depths))
-		for d := range depths {
-			sorted = append(sorted, d)
-		}
-		sort.Ints(sorted)
-		for _, d := range sorted {
-			tr.TraceEvents = append(tr.TraceEvents,
-				chromeEvent{
-					Name: "thread_name", Ph: "M", Pid: 1, Tid: d + 1,
-					Args: map[string]any{"name": threadName(d)},
-				},
-				chromeEvent{
-					Name: "thread_sort_index", Ph: "M", Pid: 1, Tid: d + 1,
-					Args: map[string]any{"sort_index": d},
-				},
-			)
-		}
-	}
-	for _, e := range s.Spans {
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: e.Name,
-			Ph:   "X",
-			Ts:   float64(e.StartNs) / 1e3,
-			Dur:  float64(e.DurNs) / 1e3,
-			Pid:  1,
-			Tid:  e.Depth + 1,
-			Args: map[string]any{"depth": e.Depth},
-		})
-	}
-	appendTraceSpans(&tr, s.TraceSpans)
-	if s.SpanDrops > 0 {
-		// Surface capture-time drops as an instant event at the end of
-		// the visible timeline so a truncated trace says so on screen.
-		last := int64(0)
-		for _, e := range s.Spans {
-			if end := e.StartNs + e.DurNs; end > last {
-				last = end
-			}
-		}
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: "span events dropped", Ph: "i", Ts: float64(last) / 1e3,
-			Pid: 1, Tid: 1,
-			Args: map[string]any{"dropped": s.SpanDrops},
-		})
-	}
-	return json.MarshalIndent(tr, "", "  ")
-}
-
 func threadName(depth int) string {
 	if depth == 0 {
 		return "spans (root)"
@@ -103,30 +39,27 @@ func threadName(depth int) string {
 	return "spans depth " + strconv.Itoa(depth)
 }
 
-// appendTraceSpans renders sampled distributed-trace spans. Each source
-// process (the span's Proc label — "client", "router", "shard:<dir>")
-// gets its own pid, so a snapshot stitched from absorbed shard rings
-// lays the whole fleet out as one timeline; within a process, nesting
-// depth maps to its own track exactly like the legacy spans. Trace
-// spans carry wall-clock start times, which agree across processes up
-// to clock skew — the cross-process alignment the legacy
-// registry-relative offsets cannot give. Timestamps are rebased to the
-// earliest span so the viewer opens at t≈0. Every event's args carry
-// the trace/span/parent IDs, so a viewer (or scripts/checktrace) can
-// reassemble parent links exactly.
-func appendTraceSpans(tr *chromeTrace, spans []obs.TraceSpan) {
-	if len(spans) == 0 {
-		return
-	}
+// ChromeTrace renders the snapshot's trace spans as a trace_event JSON
+// document. Each source process (the span's Proc label — "client",
+// "router", "shard:<dir>") gets its own pid, so a snapshot stitched
+// from absorbed shard rings lays the whole fleet out as one timeline;
+// within a process, nesting depth maps to its own track. Trace spans
+// carry wall-clock start times, which agree across processes up to
+// clock skew. Timestamps are rebased to the earliest span so the viewer
+// opens at t≈0. Every event's args carry the trace/span/parent IDs, so
+// a viewer (or scripts/checktrace) can reassemble parent links exactly.
+// Output is deterministic.
+func ChromeTrace(s *obs.Snapshot) ([]byte, error) {
+	tr := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	procs := map[string][]obs.TraceSpan{}
-	base := spans[0].StartUnixNs
-	for _, ts := range spans {
+	var base int64
+	for i, ts := range s.TraceSpans {
 		p := ts.Proc
 		if p == "" {
 			p = "unknown"
 		}
 		procs[p] = append(procs[p], ts)
-		if ts.StartUnixNs < base {
+		if i == 0 || ts.StartUnixNs < base {
 			base = ts.StartUnixNs
 		}
 	}
@@ -136,7 +69,7 @@ func appendTraceSpans(tr *chromeTrace, spans []obs.TraceSpan) {
 	}
 	sort.Strings(names)
 	for pi, p := range names {
-		pid := 100 + pi // clear of the legacy timeline's pid 1
+		pid := 100 + pi
 		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid,
 			Args: map[string]any{"name": p},
@@ -188,4 +121,5 @@ func appendTraceSpans(tr *chromeTrace, spans []obs.TraceSpan) {
 			})
 		}
 	}
+	return json.MarshalIndent(tr, "", "  ")
 }

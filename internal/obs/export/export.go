@@ -10,9 +10,9 @@
 //     upper bound 2^i−1 ns rendered in seconds), `_sum`, and `_count`.
 //     ParsePrometheus is the matching strict parser, used by the tests
 //     and the CI endpoint check.
-//   - Chrome trace_event JSON: the span timeline as `ph:"X"` complete
-//     events, one track per nesting depth, loadable in
-//     chrome://tracing or Perfetto.
+//   - Chrome trace_event JSON: the trace spans as `ph:"X"` complete
+//     events, one process per Proc label and one track per nesting
+//     depth, loadable in chrome://tracing or Perfetto.
 //
 // Both exporters are total over any decodable Snapshot — absorbed
 // or fuzz-decoded snapshots with non-canonical bucket bounds are

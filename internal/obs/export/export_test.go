@@ -20,8 +20,8 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // canonicalSnapshot builds one snapshot exercising every exporter
 // feature: labeled and unlabeled counters, gauges, histograms spanning
 // the zero bucket through millisecond buckets, a label value full of
-// metacharacters, and a hand-fixed span timeline (spans carry wall
-// times, so golden tests pin them rather than record them).
+// metacharacters, and hand-fixed trace spans (spans carry wall times
+// and random IDs, so golden tests pin them rather than record them).
 func canonicalSnapshot() *obs.Snapshot {
 	reg := obs.New()
 	reg.Counter("store.write.count", "kind", "CSF").Add(3)
@@ -40,14 +40,19 @@ func canonicalSnapshot() *obs.Snapshot {
 	h.Observe(900 * time.Microsecond)
 	reg.Histogram("store.read.io").Observe(42 * time.Millisecond)
 	snap := reg.Snapshot()
-	snap.Spans = []obs.SpanEvent{
-		{Name: "store.write", Depth: 0, StartNs: 0, DurNs: 14_100_000},
-		{Name: "store.write.build", Depth: 1, StartNs: 1_000, DurNs: 2_300_000},
-		{Name: "store.write.reorg", Depth: 1, StartNs: 2_301_000, DurNs: 150_000},
-		{Name: "store.write.write", Depth: 1, StartNs: 2_451_000, DurNs: 11_000_000},
-		{Name: "store.read", Depth: 0, StartNs: 20_000_000, DurNs: 5_000_000},
+	const t0 = 1_700_000_000_000_000_000
+	span := func(id, parent uint64, name string, depth int, start, dur int64) obs.TraceSpan {
+		return obs.TraceSpan{TraceHi: 0xabc, TraceLo: 0xdef, SpanID: id, ParentID: parent,
+			Name: name, Proc: "sparseart", Depth: depth, StartUnixNs: t0 + start, DurNs: dur}
 	}
-	snap.SpanDrops = 2
+	snap.TraceSpans = []obs.TraceSpan{
+		span(1, 0, "store.write", 0, 0, 14_100_000),
+		span(2, 1, "store.write.build", 1, 1_000, 2_300_000),
+		span(3, 1, "store.write.reorg", 1, 2_301_000, 150_000),
+		span(4, 1, "store.write.write", 1, 2_451_000, 11_000_000),
+		span(5, 0, "store.read", 0, 20_000_000, 5_000_000),
+	}
+	snap.TraceSpans[4].Attrs = []obs.Attr{{Key: "kind", Str: "CSF"}, {Key: "fragments", Int: 3}}
 	return snap
 }
 
@@ -206,8 +211,9 @@ func TestPrometheusParserRejects(t *testing.T) {
 	}
 }
 
-// TestChromeTraceShape decodes the trace JSON and checks every span
-// became a complete event on the track of its depth.
+// TestChromeTraceShape decodes the trace JSON and checks every trace
+// span became a complete event on the track of its depth, carrying its
+// identity.
 func TestChromeTraceShape(t *testing.T) {
 	snap := canonicalSnapshot()
 	out, err := ChromeTrace(snap)
@@ -227,7 +233,7 @@ func TestChromeTraceShape(t *testing.T) {
 	if err := json.Unmarshal(out, &tr); err != nil {
 		t.Fatal(err)
 	}
-	var complete, meta, instant int
+	var complete int
 	for _, e := range tr.TraceEvents {
 		switch e.Ph {
 		case "X":
@@ -235,19 +241,16 @@ func TestChromeTraceShape(t *testing.T) {
 			if e.Tid < 1 {
 				t.Fatalf("complete event %q on tid %d", e.Name, e.Tid)
 			}
+			if e.Args["trace_id"] != snap.TraceSpans[0].TraceID() || e.Args["span_id"] == nil {
+				t.Fatalf("complete event %q args %v lack its trace identity", e.Name, e.Args)
+			}
 		case "M":
-			meta++
-		case "i":
-			instant++
 		default:
 			t.Fatalf("unexpected phase %q", e.Ph)
 		}
 	}
-	if complete != len(snap.Spans) {
-		t.Fatalf("complete events = %d, want %d", complete, len(snap.Spans))
-	}
-	if instant != 1 { // the span-drops marker
-		t.Fatalf("instant events = %d, want 1", instant)
+	if complete != len(snap.TraceSpans) {
+		t.Fatalf("complete events = %d, want %d", complete, len(snap.TraceSpans))
 	}
 	// Spot-check the root span's mapping to microseconds.
 	for _, e := range tr.TraceEvents {

@@ -35,7 +35,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"counters":{"a":1},"in_flight":2}`))
 	f.Add([]byte(`{"histograms":{"h":{"count":1,"sum_ns":5,"min_ns":5,"max_ns":5,"buckets":[{"low_ns":4,"count":1}]}}}`))
+	// The retired timeline fields: refused as unknown.
 	f.Add([]byte(`{"spans":[{"name":"x","depth":1,"start_ns":0,"dur_ns":7}],"span_drops":3}`))
+	f.Add([]byte(`{"trace_spans":[{"trace_hi":1,"trace_lo":2,"span_id":3,"name":"x","depth":-1,"start_unix_ns":5,"dur_ns":7}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)

@@ -24,9 +24,9 @@
 //
 // Metric names are dot-separated paths ("store.write.bytes"); labels
 // are appended in canonical '{k=v,...}' form by Name. Span names reuse
-// the metric path convention ("store.write.build"); ending a span both
-// records a timeline event and feeds the span's duration into the
-// histogram of the same name.
+// the metric path convention ("store.write.build"); ending a span feeds
+// its duration into the histogram of the same name and, when the span
+// belongs to a sampled trace, records it into the registry's trace ring.
 package obs
 
 import (
@@ -145,33 +145,21 @@ type Registry struct {
 
 	inflight atomic.Int64 // spans started but not yet ended
 
-	traceMu     sync.Mutex
-	traceBase   int64 // ns timestamp of the first span, for relative offsets
-	traceEvents []SpanEvent
-	traceDrops  int64
-	traceCap    int
-
 	// Sampled request spans (distributed tracing, see trace.go): a
 	// bounded ring keeping the newest spans, plus the process label
 	// stamped onto each recorded span.
 	spanRingMu   sync.Mutex
 	spanRing     []TraceSpan
 	spanRingHead int // next overwrite index once the ring is full
-	spanRingCap  int
 	proc         atomic.Pointer[string]
 
 	// slowlog is the registry's slow-query log, created on first use.
 	slowlog atomic.Pointer[SlowLog]
 }
 
-// defaultTraceCap bounds the span timeline; older events are kept and
-// newer ones dropped (with a drop counter) once full, so the timeline
-// shows the run from its start.
-const defaultTraceCap = 8192
-
 // New returns an empty enabled registry.
 func New() *Registry {
-	return &Registry{traceCap: defaultTraceCap, spanRingCap: defaultSpanRingCap}
+	return &Registry{}
 }
 
 // Counter returns the counter for the given family and label pairs,

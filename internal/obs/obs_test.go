@@ -39,7 +39,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil registry in flight")
 	}
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Spans) != 0 {
+	if len(snap.Counters) != 0 || len(snap.TraceSpans) != 0 {
 		t.Fatal("nil registry snapshot not empty")
 	}
 	if _, err := snap.JSON(); err != nil {
@@ -118,7 +118,7 @@ func TestBucketOf(t *testing.T) {
 
 func TestSpans(t *testing.T) {
 	r := New()
-	sp := r.Start("op")
+	sp := r.StartRemote(NewTrace(true), "op")
 	if r.InFlight() != 1 {
 		t.Fatalf("in flight = %d", r.InFlight())
 	}
@@ -136,15 +136,15 @@ func TestSpans(t *testing.T) {
 		t.Fatalf("in flight after end = %d", r.InFlight())
 	}
 	snap := r.Snapshot()
-	if len(snap.Spans) != 2 {
-		t.Fatalf("%d span events", len(snap.Spans))
+	if len(snap.TraceSpans) != 2 {
+		t.Fatalf("%d trace spans", len(snap.TraceSpans))
 	}
-	// Child ends first, so it is event 0, at depth 1.
-	if snap.Spans[0].Name != "op.phase" || snap.Spans[0].Depth != 1 {
-		t.Fatalf("event 0 = %+v", snap.Spans[0])
+	// Child ends first, so it is span 0, at depth 1.
+	if snap.TraceSpans[0].Name != "op.phase" || snap.TraceSpans[0].Depth != 1 {
+		t.Fatalf("span 0 = %+v", snap.TraceSpans[0])
 	}
-	if snap.Spans[1].Name != "op" || snap.Spans[1].Depth != 0 {
-		t.Fatalf("event 1 = %+v", snap.Spans[1])
+	if snap.TraceSpans[1].Name != "op" || snap.TraceSpans[1].Depth != 0 {
+		t.Fatalf("span 1 = %+v", snap.TraceSpans[1])
 	}
 	// Span durations feed same-named histograms.
 	if snap.Histograms["op.phase"].Count != 1 {
@@ -157,26 +157,56 @@ func TestSpans(t *testing.T) {
 	if !strings.Contains(text.String(), "op.phase") {
 		t.Fatal("text export missing histogram")
 	}
+	// The timeline lists spans in start order: the parent first.
 	if err := snap.WriteTimeline(&tl, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tl.String(), "op.phase") {
-		t.Fatal("timeline missing span")
+	lines := strings.Split(strings.TrimSpace(tl.String()), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], " op ") || !strings.Contains(lines[1], "  op.phase") {
+		t.Fatalf("timeline:\n%s", tl.String())
 	}
 }
 
-func TestTraceCapDropsNotGrows(t *testing.T) {
+// TestSnapshotBoundedUnderUnsampledSpans: an unsampled span feeds its
+// histogram and nothing else, so a registry's snapshot does not grow
+// with the number of spans it has ended — only the histogram counts
+// and buckets move.
+func TestSnapshotBoundedUnderUnsampledSpans(t *testing.T) {
 	r := New()
-	r.traceCap = 4
-	for i := 0; i < 10; i++ {
-		r.Start("op").End()
+	pairs := func(n int) {
+		for i := 0; i < n; i++ {
+			sp := r.Start("op")
+			sp.Child("op.phase").End()
+			sp.End()
+		}
 	}
-	snap := r.Snapshot()
-	if len(snap.Spans) != 4 {
-		t.Fatalf("%d events kept, want 4", len(snap.Spans))
+	export := func() (whole, rest []byte) {
+		snap := r.Snapshot()
+		whole, err := snap.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Histograms = nil
+		rest, err = snap.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return whole, rest
 	}
-	if snap.SpanDrops != 6 {
-		t.Fatalf("%d drops, want 6", snap.SpanDrops)
+	pairs(10)
+	small, smallRest := export()
+	pairs(10_000 - 10)
+	big, bigRest := export()
+	if !bytes.Equal(smallRest, bigRest) {
+		t.Fatalf("snapshot outside the histograms grew from %d to %d bytes", len(smallRest), len(bigRest))
+	}
+	// Slack for the two histograms' counts and buckets: at most 64
+	// buckets each, well under 64 bytes a bucket.
+	if len(big) > len(small)+2*64*64 {
+		t.Fatalf("snapshot JSON grew from %d to %d bytes over 10 000 span pairs", len(small), len(big))
+	}
+	if got := r.Snapshot().Histograms["op"].Count; got != 10_000 {
+		t.Fatalf("op histogram count = %d, want 10000", got)
 	}
 }
 
@@ -215,7 +245,11 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{"", "{", `{"counters": []}`, `{"bogus_field": 1}`} {
+	// "spans" and "span_drops" were the fields of a per-registry
+	// timeline the snapshot no longer carries: refused like any other
+	// unknown field.
+	for _, bad := range []string{"", "{", `{"counters": []}`, `{"bogus_field": 1}`,
+		`{"spans": [{"name": "x", "depth": 0, "start_ns": 0, "dur_ns": 1}]}`, `{"span_drops": 2}`} {
 		if _, err := DecodeSnapshot([]byte(bad)); err == nil {
 			t.Errorf("DecodeSnapshot(%q) accepted", bad)
 		}

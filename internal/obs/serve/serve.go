@@ -65,11 +65,9 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Write(export.Prometheus(s.capture()))
 }
 
-// trace serves the Chrome trace_event timeline. ?trace_id=<32 hex>
-// narrows the distributed trace spans to one trace — the per-query
-// drill-down after a slow-log line names the culprit. The legacy
-// registry-relative timeline is omitted from filtered responses, which
-// show exactly one request's tree.
+// trace serves the trace spans as a Chrome trace_event timeline.
+// ?trace_id=<32 hex> narrows them to one request's tree — the per-query
+// drill-down after a slow-log line names the culprit.
 func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 	snap := s.capture()
 	if id := r.URL.Query().Get("trace_id"); id != "" {

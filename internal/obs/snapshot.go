@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -36,15 +38,6 @@ func (h HistogramSnapshot) Mean() time.Duration {
 	return time.Duration(h.SumNs / h.Count)
 }
 
-// SpanEvent is one completed span on the timeline. StartNs is relative
-// to the registry's first recorded span.
-type SpanEvent struct {
-	Name    string `json:"name"`
-	Depth   int    `json:"depth"`
-	StartNs int64  `json:"start_ns"`
-	DurNs   int64  `json:"dur_ns"`
-}
-
 // Snapshot is a point-in-time export of a registry. Maps keep the
 // canonical metric names produced by Name, so JSON key order (sorted by
 // encoding/json) is deterministic.
@@ -52,13 +45,9 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans      []SpanEvent                  `json:"spans,omitempty"`
-	// TraceSpans are the sampled distributed-tracing spans from the
-	// registry's bounded ring, oldest first (see trace.go).
+	// TraceSpans are the sampled spans from the registry's bounded
+	// ring, oldest first (see trace.go).
 	TraceSpans []TraceSpan `json:"trace_spans,omitempty"`
-	// SpanDrops counts timeline events discarded after the trace buffer
-	// filled.
-	SpanDrops int64 `json:"span_drops,omitempty"`
 	// InFlight is the number of spans open at snapshot time; a leak
 	// detector for tests.
 	InFlight int `json:"in_flight,omitempty"`
@@ -87,10 +76,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Histograms[k.(string)] = v.(*Histogram).snapshot()
 		return true
 	})
-	r.traceMu.Lock()
-	s.Spans = append([]SpanEvent(nil), r.traceEvents...)
-	s.SpanDrops = r.traceDrops
-	r.traceMu.Unlock()
 	s.TraceSpans = r.traceSpans()
 	s.InFlight = r.InFlight()
 	return s
@@ -98,12 +83,10 @@ func (r *Registry) Snapshot() *Snapshot {
 
 // Absorb merges an exported snapshot into the registry: counters add,
 // gauges take the snapshot's value, histograms merge bucket-wise, and
-// span events append to the timeline. Harnesses use it to fold
-// short-lived registries into a long-lived one (e.g. the benchmark's
-// per-cell registries into the process-wide -metrics registry). Span
-// start offsets stay relative to their source registry's first span, so
-// spans from different sources interleave on the merged timeline; each
-// source's internal ordering is preserved. No-op on a nil registry.
+// trace spans enter the ring. Harnesses use it to fold short-lived
+// registries into a long-lived one (e.g. the benchmark's per-cell
+// registries into the process-wide -metrics registry). No-op on a nil
+// registry.
 func (r *Registry) Absorb(s *Snapshot) {
 	if r == nil || s == nil {
 		return
@@ -116,18 +99,6 @@ func (r *Registry) Absorb(s *Snapshot) {
 	}
 	for name, hs := range s.Histograms {
 		r.Histogram(name).absorb(hs)
-	}
-	if len(s.Spans) > 0 || s.SpanDrops > 0 {
-		r.traceMu.Lock()
-		for _, e := range s.Spans {
-			if len(r.traceEvents) >= r.traceCap {
-				r.traceDrops++
-				continue
-			}
-			r.traceEvents = append(r.traceEvents, e)
-		}
-		r.traceDrops += s.SpanDrops
-		r.traceMu.Unlock()
 	}
 	for _, ts := range s.TraceSpans {
 		r.recordTraceSpan(ts)
@@ -167,9 +138,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			h.Buckets = nil
 			s.Histograms[k] = h
 		}
-	}
-	if len(s.Spans) == 0 {
-		s.Spans = nil
 	}
 	if len(s.TraceSpans) == 0 {
 		s.TraceSpans = nil
@@ -219,34 +187,31 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	if s.InFlight > 0 {
 		fmt.Fprintf(w, "in-flight spans: %d\n", s.InFlight)
 	}
-	if s.SpanDrops > 0 {
-		fmt.Fprintf(w, "span events dropped: %d\n", s.SpanDrops)
-	}
 	return nil
 }
 
-// WriteTimeline renders the span timeline: one line per completed span
-// in start order, indented by nesting depth, with start offset and
-// duration. limit > 0 caps the number of lines (earliest first).
+// WriteTimeline renders the trace spans as a timeline: one line per
+// span in start order (a parent before a child that starts in the same
+// nanosecond), indented by nesting depth, with its offset from the
+// earliest span and its duration. limit > 0 caps the number of lines
+// (earliest first).
 func (s *Snapshot) WriteTimeline(w io.Writer, limit int) error {
-	events := s.Spans
-	if limit > 0 && len(events) > limit {
-		events = events[:limit]
+	spans := slices.Clone(s.TraceSpans)
+	slices.SortStableFunc(spans, func(a, b TraceSpan) int {
+		return cmp.Or(cmp.Compare(a.StartUnixNs, b.StartUnixNs), cmp.Compare(a.Depth, b.Depth))
+	})
+	shown := spans
+	if limit > 0 && len(shown) > limit {
+		shown = shown[:limit]
 	}
-	for _, e := range events {
-		depth := e.Depth
-		if depth < 0 {
-			depth = 0 // decoded snapshots may carry anything; render, don't panic
-		}
+	for _, ts := range shown {
+		depth := min(max(ts.Depth, 0), 32) // decoded snapshots may carry anything
 		fmt.Fprintf(w, "%12v  %s%-*s %v\n",
-			time.Duration(e.StartNs), strings.Repeat("  ", depth),
-			48-2*depth, e.Name, time.Duration(e.DurNs))
+			time.Duration(ts.StartUnixNs-spans[0].StartUnixNs), strings.Repeat("  ", depth),
+			48-2*depth, ts.Name, time.Duration(ts.DurNs))
 	}
-	if dropped := len(s.Spans) - len(events); dropped > 0 {
-		fmt.Fprintf(w, "... %d more span(s)\n", dropped)
-	}
-	if s.SpanDrops > 0 {
-		fmt.Fprintf(w, "... %d span event(s) dropped at capture\n", s.SpanDrops)
+	if more := len(spans) - len(shown); more > 0 {
+		fmt.Fprintf(w, "... %d more span(s)\n", more)
 	}
 	return nil
 }

@@ -11,9 +11,10 @@ import "time"
 //	b.End()
 //	sp.End()
 //
-// End records a timeline event and feeds the span's duration into the
-// histogram of the same name, so every traced phase automatically has a
-// latency distribution. All methods are no-ops on a nil span, which is
+// End feeds the span's duration into the histogram of the same name, so
+// every phase automatically has a latency distribution; a span that
+// belongs to a sampled trace is also recorded, once, into the
+// registry's trace ring. All methods are no-ops on a nil span, which is
 // what a nil registry hands out.
 type Span struct {
 	reg   *Registry
@@ -25,7 +26,7 @@ type Span struct {
 
 	// Distributed-tracing identity, set by joinTrace when the span
 	// belongs to a sampled trace (see trace.go). Untraced spans leave
-	// these zero and behave exactly as before.
+	// these zero and only feed their histogram.
 	traceHi, traceLo uint64
 	spanID, parentID uint64
 	sampled          bool
@@ -66,10 +67,11 @@ func (s *Span) Add(d time.Duration) {
 	}
 }
 
-// End closes the span, records its timeline event, observes its
-// duration (wall time since Start/Child plus any Add) in the
-// same-named histogram, and returns that duration. Ending a span twice
-// records once; End on nil returns 0.
+// End closes the span, observes its duration (wall time since
+// Start/Child plus any Add) in the same-named histogram, records a
+// sampled span into the trace ring, and returns that duration. An
+// unsampled span takes no lock. Ending a span twice records once; End
+// on nil returns 0.
 func (s *Span) End() time.Duration {
 	if s == nil {
 		return 0
@@ -82,9 +84,6 @@ func (s *Span) End() time.Duration {
 	s.reg.inflight.Add(-1)
 	s.reg.Histogram(s.name).Observe(d)
 	if s.sampled {
-		// Sampled spans go to the trace-span ring instead of the legacy
-		// timeline: they carry full identity and would only duplicate
-		// the same interval on the timeline.
 		s.reg.recordTraceSpan(TraceSpan{
 			TraceHi:     s.traceHi,
 			TraceLo:     s.traceLo,
@@ -97,27 +96,6 @@ func (s *Span) End() time.Duration {
 			DurNs:       int64(d),
 			Attrs:       s.attrs,
 		})
-	} else {
-		s.reg.recordEvent(s.name, s.depth, s.start, d)
 	}
 	return d
-}
-
-// recordEvent appends a span event to the bounded timeline.
-func (r *Registry) recordEvent(name string, depth int, start time.Time, d time.Duration) {
-	r.traceMu.Lock()
-	defer r.traceMu.Unlock()
-	if r.traceBase == 0 {
-		r.traceBase = start.UnixNano()
-	}
-	if len(r.traceEvents) >= r.traceCap {
-		r.traceDrops++
-		return
-	}
-	r.traceEvents = append(r.traceEvents, SpanEvent{
-		Name:    name,
-		Depth:   depth,
-		StartNs: start.UnixNano() - r.traceBase,
-		DurNs:   int64(d),
-	})
 }

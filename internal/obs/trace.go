@@ -117,10 +117,10 @@ type Attr struct {
 	Int int64  `json:"int,omitempty"`
 }
 
-// TraceSpan is one completed sampled span. Unlike the legacy SpanEvent
-// timeline (relative offsets, registry-global), trace spans carry
-// absolute start times and explicit identity, so spans recorded by
-// different processes stitch into one tree.
+// TraceSpan is one completed sampled span — the only span record a
+// registry keeps. It carries an absolute start time and explicit
+// identity, so spans recorded by different processes stitch into one
+// tree.
 type TraceSpan struct {
 	TraceHi  uint64 `json:"trace_hi"`
 	TraceLo  uint64 `json:"trace_lo"`
@@ -142,10 +142,9 @@ func (ts TraceSpan) TraceID() string {
 	return fmt.Sprintf("%016x%016x", ts.TraceHi, ts.TraceLo)
 }
 
-// defaultSpanRingCap bounds the per-registry trace-span ring. Unlike
-// the legacy timeline (which keeps the oldest events), the ring keeps
-// the newest spans: live tracing cares about recent requests.
-const defaultSpanRingCap = 4096
+// spanRingCap bounds the per-registry trace-span ring. The ring
+// keeps the newest spans: live tracing cares about recent requests.
+const spanRingCap = 4096
 
 // SetProc labels every trace span this registry records from now on
 // with the given process name. No-op on a nil registry.
@@ -241,15 +240,12 @@ func (s *Span) SetAttrStr(key, v string) {
 func (r *Registry) recordTraceSpan(ts TraceSpan) {
 	r.spanRingMu.Lock()
 	defer r.spanRingMu.Unlock()
-	if r.spanRingCap == 0 {
-		r.spanRingCap = defaultSpanRingCap
-	}
-	if len(r.spanRing) < r.spanRingCap {
+	if len(r.spanRing) < spanRingCap {
 		r.spanRing = append(r.spanRing, ts)
 		return
 	}
 	r.spanRing[r.spanRingHead] = ts
-	r.spanRingHead = (r.spanRingHead + 1) % r.spanRingCap
+	r.spanRingHead = (r.spanRingHead + 1) % spanRingCap
 }
 
 // traceSpans returns the ring's contents oldest-first.

@@ -121,13 +121,13 @@ func TestSpanAttrs(t *testing.T) {
 func TestTraceSpanRingOverwritesOldest(t *testing.T) {
 	r := New()
 	tc := NewTrace(true)
-	n := defaultSpanRingCap + 10
+	n := spanRingCap + 10
 	for i := 0; i < n; i++ {
 		r.StartRemote(tc, Name("op", "i", itoa(i))).End()
 	}
 	spans := r.Snapshot().TraceSpans
-	if len(spans) != defaultSpanRingCap {
-		t.Fatalf("%d spans, want ring cap %d", len(spans), defaultSpanRingCap)
+	if len(spans) != spanRingCap {
+		t.Fatalf("%d spans, want ring cap %d", len(spans), spanRingCap)
 	}
 	// Oldest-first export: the first surviving span is the one written
 	// right after the overwritten prefix.

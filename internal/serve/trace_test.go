@@ -189,6 +189,74 @@ func TestTracePropagatesThroughRouter(t *testing.T) {
 	}
 }
 
+// TestTracedWriteBatchReachesShardStores: a sampled WriteBatch through a
+// 2-shard router leaves, in each shard's registry, the store ingest as
+// a child of that shard's serve span, and the Table III write phases as
+// children of the ingest.
+func TestTracedWriteBatchReachesShardStores(t *testing.T) {
+	shape := tensor.Shape{1 << 20, 1 << 20}
+	tile := tensor.Shape{1 << 10, 1 << 10}
+	coords, values := randomPoints(rand.New(rand.NewSource(5)), shape, 64)
+	serveSpan := obs.Name("serve.request", "op", "write_batch")
+	tc := obs.NewTrace(true)
+	tctx := obs.ContextWithTrace(context.Background(), tc)
+
+	// The ring hashes the shards' addresses — random ports here — so a
+	// pair can, rarely, leave one shard owning none of the written
+	// tiles: boot pairs until the write reaches both.
+	var shardRegs []*obs.Registry
+	for attempt := 0; ; attempt++ {
+		if attempt == 5 {
+			t.Fatal("five shard pairs never split the write between them")
+		}
+		var addrs []string
+		shardRegs = nil
+		for i := 0; i < 2; i++ {
+			addr, reg := tracedShard(t, core.CSF, shape, tile)
+			addrs = append(addrs, addr)
+			shardRegs = append(shardRegs, reg)
+		}
+		router, err := serve.NewRouter(addrs, obs.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { router.Close() })
+		if _, err := writeOne(tctx, router, coords, values); err != nil {
+			t.Fatal(err)
+		}
+		if shardRegs[0].Histogram(serveSpan).Count() > 0 && shardRegs[1].Histogram(serveSpan).Count() > 0 {
+			break
+		}
+	}
+
+	for i, reg := range shardRegs {
+		byName := map[string][]obs.TraceSpan{}
+		for _, ts := range reg.Snapshot().TraceSpans {
+			if ts.TraceID() != tc.TraceID() {
+				t.Fatalf("shard %d: span %s has trace %s, want %s", i, ts.Name, ts.TraceID(), tc.TraceID())
+			}
+			byName[ts.Name] = append(byName[ts.Name], ts)
+		}
+		if len(byName[serveSpan]) != 1 || len(byName["store.chunked.ingest"]) != 1 {
+			t.Fatalf("shard %d: want one %s and one store.chunked.ingest span, got %v", i, serveSpan, byName)
+		}
+		srv, ingest := byName[serveSpan][0], byName["store.chunked.ingest"][0]
+		if ingest.ParentID != srv.SpanID {
+			t.Fatalf("shard %d: store.chunked.ingest parent %016x, want the serve span %016x", i, ingest.ParentID, srv.SpanID)
+		}
+		for _, phase := range []string{"store.write.build", "store.write.reorg", "store.write.write", "store.write.others"} {
+			if len(byName[phase]) == 0 {
+				t.Fatalf("shard %d: no %s span", i, phase)
+			}
+			for _, ts := range byName[phase] {
+				if ts.ParentID != ingest.SpanID {
+					t.Fatalf("shard %d: %s parent %016x, want the ingest span %016x", i, phase, ts.ParentID, ingest.SpanID)
+				}
+			}
+		}
+	}
+}
+
 // failBackend rejects every Kernel call immediately with a typed error.
 type failBackend struct {
 	serve.Backend

@@ -40,7 +40,8 @@ type tileWork struct {
 // result is byte-identical to that loop. workers bounds the shared
 // CPU-stage pool (< 1 means all cores). Error, early-stop and
 // cancellation semantics match Store.WriteBatchContext: the committed
-// prefix stays durable, and fn sees at most one non-nil error.
+// prefix stays durable, and fn sees at most one non-nil error. When ctx
+// carries a sampled trace, the ingest's spans join it.
 func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, workers int, fn func(i int, rep *WriteReport, err error) error) error {
 	// Validate every batch before any I/O, so a failure (a point outside
 	// the shape) rejects the whole call with nothing committed.
@@ -67,7 +68,7 @@ func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, worker
 
 	reg := c.obsReg()
 	kind := c.kind.String()
-	root := reg.Start(obsChunkedIngest)
+	root, _ := reg.StartCtx(ctx, obsChunkedIngest)
 	defer root.End()
 
 	// Materialize every touched tile store up front, in commit order;

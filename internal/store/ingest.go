@@ -126,7 +126,8 @@ func ValidateDeleteRegion(region tensor.Region, shape tensor.Shape) error {
 // run. Cancellation is one such error: it is checked before each
 // fragment's commit (and by the prepare workers before each build), and
 // the ingest returns ctx.Err() after reporting it through fn with
-// (index, nil, err).
+// (index, nil, err). When ctx carries a sampled trace, the ingest's
+// spans join it.
 func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers int, fn func(i int, rep *WriteReport, err error) error) error {
 	if err := ValidateBatches(batches, s.shape); err != nil {
 		return err
@@ -139,7 +140,7 @@ func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers 
 
 	reg := s.obsReg()
 	kind := s.kind.String()
-	root := reg.Start(obsIngest)
+	root, _ := reg.StartCtx(ctx, obsIngest)
 	defer root.End()
 	reg.Gauge("store.ingest.workers", "kind", kind).Set(int64(workers))
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"testing"
 
 	"sparseart/internal/core"
@@ -66,8 +67,47 @@ func TestObsHappyPathMetrics(t *testing.T) {
 	if snap.InFlight != 0 {
 		t.Errorf("%d spans still in flight after successful write+read", snap.InFlight)
 	}
-	if len(snap.Spans) == 0 {
-		t.Error("no span events on the timeline")
+	// Write and a ctx-less read join no trace: their spans feed the
+	// histograms above and record nothing else.
+	if len(snap.TraceSpans) != 0 {
+		t.Errorf("%d trace spans from unsampled operations", len(snap.TraceSpans))
+	}
+}
+
+// TestWriteBatchContextJoinsTrace: an ingest under a sampled trace
+// records its root span as a child of the context's span, and the
+// Table III phases as children of that root.
+func TestWriteBatchContextJoinsTrace(t *testing.T) {
+	reg := obs.New()
+	st, err := Create(fsim.NewPerlmutterSim(), "t", core.CSF, tensor.Shape{8, 8}, WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, vals := twoPoints()
+	tc := obs.NewTrace(true)
+	ctx := obs.ContextWithTrace(context.Background(), tc)
+	if err := st.WriteBatchContext(ctx, []Batch{{Coords: c, Values: vals}}, 1, func(int, *WriteReport, error) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var root obs.TraceSpan
+	phases := map[string]uint64{} // name -> parent span ID
+	for _, ts := range reg.Snapshot().TraceSpans {
+		if ts.TraceID() != tc.TraceID() {
+			t.Fatalf("span %s in trace %s, want %s", ts.Name, ts.TraceID(), tc.TraceID())
+		}
+		if ts.Name == obsIngest {
+			root = ts
+		} else {
+			phases[ts.Name] = ts.ParentID
+		}
+	}
+	if root.SpanID == 0 || root.ParentID != tc.Span {
+		t.Fatalf("ingest root %+v, want a child of the context's span %x", root, tc.Span)
+	}
+	for _, name := range []string{obsWriteBuild, obsWriteReorg, obsWriteWrite, obsWriteOthers} {
+		if parent, ok := phases[name]; !ok || parent != root.SpanID {
+			t.Errorf("phase %s: recorded %v, parent %x, want a child of %s %x", name, ok, parent, obsIngest, root.SpanID)
+		}
 	}
 }
 

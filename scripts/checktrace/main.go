@@ -1,9 +1,9 @@
 // Command checktrace validates the distributed-tracing surface from
 // the outside. Given a stitched Chrome trace file (the output of
-// `sparsestore rpc -trace-out`), it verifies that at least one trace ID
-// carries spans from a client, a router, and at least one shard
-// process, and that every parent link in every trace resolves to a
-// span recorded under the same trace ID. Given -addr (a telemetry
+// `sparsestore rpc -trace-out`), it verifies that every span carries a
+// trace ID, that at least one trace ID carries spans from a client, a
+// router, and at least one shard process, and that every parent link
+// in every trace resolves to a span recorded under the same trace ID. Given -addr (a telemetry
 // endpoint), it additionally fetches /debug/slowlog, requires every
 // line to parse as a slow-query entry with an op and a duration (and
 // at least one to carry a cost breakdown), and confirms
@@ -89,7 +89,7 @@ func checkTraceFile(path string) (string, error) {
 		}
 	}
 
-	// Group distributed spans (complete events carrying a trace_id) by
+	// Group the spans (complete events, each carrying its trace_id) by
 	// trace.
 	traces := map[string][]traceSpan{}
 	for _, e := range doc.TraceEvents {
@@ -98,7 +98,7 @@ func checkTraceFile(path string) (string, error) {
 		}
 		tid, ok := e.Args["trace_id"].(string)
 		if !ok {
-			continue // legacy registry-relative span; not part of a trace
+			return "", fmt.Errorf("span %q (pid %d) has no trace_id", e.Name, e.Pid)
 		}
 		sid, _ := e.Args["span_id"].(string)
 		pid, _ := e.Args["parent_id"].(string)

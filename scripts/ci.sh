@@ -56,7 +56,9 @@ go build ./...
 # one per kind of reader (Prometheus text for scrapers, the Snapshot
 # JSON for the fleet, the CLI and the checks), so no OTLP encoder,
 # interval reporter, /metrics.json endpoint or ?since= baseline ring
-# comes back; and both hops of a request frame through the pools, so
+# comes back; and a span is recorded once — its histogram, plus the
+# trace ring when sampled — so no second, registry-relative span
+# timeline comes back; and both hops of a request frame through the pools, so
 # the serving layer never reaches for the allocating frame and codec
 # forms (ReadFrame, WriteFrame, Encode) that the benchmark and the tests
 # keep; and an organization is a declaration (a coordinate remap and a
@@ -69,7 +71,7 @@ go build ./...
 # entry point comes back, and the store does not consult the advisor.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; pooled framing; one descent and walk in core; one Compact, one Convert; exported methods; options; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -104,6 +106,11 @@ if sed -n '/^import (/,/^)/p' internal/store/tiling.go | grep -q '"fmt"'; then
 fi
 if grep -rnE 'OTLP|NewReporter|Obs-Snapshot-Id|"since"|"/metrics\.json"' --include='*.go' --exclude='*_test.go' .; then
     echo "non-test Go carries a third telemetry encoding or a delta protocol (Prometheus text and the Snapshot JSON are the two exports)" >&2
+    exit 1
+fi
+# "traceEvents" in quotes is the Chrome trace_event container key.
+if grep -rnE 'SpanEvent|SpanDrops|recordEvent|(^|[^"])traceEvents([^"]|$)|defaultTraceCap' --include='*.go' --exclude='*_test.go' .; then
+    echo "non-test Go carries a second span timeline (a span records once: its histogram, and the trace ring when sampled)" >&2
     exit 1
 fi
 if grep -rnE 'wire\.(ReadFrame|WriteFrame|Encode[A-Za-z]*)\(|\.Encode\(\)' --include='*.go' --exclude='*_test.go' internal/serve; then
