@@ -1,10 +1,10 @@
 // Command sparseinspect dumps the metadata of fragment files and store
 // manifests written by the storage engine: organization kind, shape,
 // point count, bounding box, section sizes, per-fragment coordinate
-// filters, the manifest's spatial-index section, and — with -payload —
-// the organization-specific index structure (CSR pointers, CSF level
-// sizes, and so on). Manifest files are detected by magic, so both file
-// kinds can be mixed in one invocation.
+// filters, and — with -payload — the organization-specific index
+// structure (CSR pointers, CSF level sizes, and so on). Manifest files
+// are detected by magic, so both file kinds can be mixed in one
+// invocation. A manifest's legacy index section is skipped unread.
 //
 // Usage:
 //
@@ -115,9 +115,8 @@ func inspect(path string, payload bool) error {
 	return nil
 }
 
-// inspectManifest dumps a store checkpoint: properties, the fragment
-// roster with per-fragment filter summaries, and the spatial-index
-// section.
+// inspectManifest dumps a store checkpoint: properties and the fragment
+// roster with per-fragment filter summaries.
 func inspectManifest(path string, data []byte) error {
 	info, err := store.DecodeManifestInfo(data)
 	if err != nil {
@@ -141,18 +140,6 @@ func inspectManifest(path string, data []byte) error {
 			fmt.Printf("      filter:     %d bytes\n", fr.FilterBytes)
 			printFilterStats("      ", fr.Filter)
 		}
-	}
-	switch {
-	case info.Index == nil:
-		fmt.Printf("  index:        none (rebuilt on open)\n")
-	case info.Index.Err != "":
-		fmt.Printf("  index:        rejected (%s); rebuilt on open\n", info.Index.Err)
-	default:
-		ix := info.Index
-		fmt.Printf("  index:        grid cells=%v cellw=%v\n", ix.GridCells, ix.CellWidth)
-		fmt.Printf("    buckets:    %d/%d filled, %d entries, %d overflow\n",
-			ix.Filled, ix.Buckets, ix.Entries, ix.Overflow)
-		fmt.Printf("    fragments:  %d covered\n", ix.Covered)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,10 +13,13 @@ import (
 )
 
 // TestChunkedMatchesFlatStore: a chunked store answers a region read
-// exactly as a flat store of the same data does, for every paper
-// organization under every store configuration (storeConfigs) — the
-// options are forwarded to each tile, the cache budget to the one cache
-// the tiles share.
+// and a KernelSumRegion exactly as a flat store of the same data does,
+// under every strategy, for every paper organization under every store
+// configuration (storeConfigs) — the options are forwarded to each
+// tile, the cache budget to the one cache the tiles share. Besides an
+// interior window, the windows include the edge cases a request may
+// carry: a zero extent (no cell), an extent that wraps past MaxUint64
+// and one that reaches past the shape (both clip to the shape's edge).
 func TestChunkedMatchesFlatStore(t *testing.T) {
 	eachStoreConfig(t, testChunkedMatchesFlatStore)
 }
@@ -30,6 +35,13 @@ func testChunkedMatchesFlatStore(t *testing.T, opts []Option) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	windows := []tensor.Region{
+		region,
+		{Start: []uint64{3, 3}, Size: []uint64{0, 4}},                           // zero extent
+		{Start: []uint64{3, 0}, Size: []uint64{0, 20}},                          // zero extent over a whole row
+		{Start: []uint64{9, 9}, Size: []uint64{math.MaxUint64, math.MaxUint64}}, // wraps
+		{Start: []uint64{0, 0}, Size: []uint64{100, 100}},                       // past the shape
+	}
 
 	for _, kind := range core.PaperKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -44,17 +56,34 @@ func testChunkedMatchesFlatStore(t *testing.T, opts []Option) {
 			}
 			same := func(when string) {
 				t.Helper()
-				fres, _, err := readRegion(flat, region, StrategyDefault)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cres, _, err := readRegion(chunked, region, StrategyDefault)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameResult(fres, cres) {
-					t.Fatalf("%s: flat read %d points, chunked %d, or values differ",
-						when, fres.Coords.Len(), cres.Coords.Len())
+				for _, w := range windows {
+					for _, strategy := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
+						fres, _, err := readRegion(flat, w, strategy)
+						if err != nil {
+							t.Fatalf("%s: flat %v read of %v: %v", when, strategy, w, err)
+						}
+						cres, _, err := readRegion(chunked, w, strategy)
+						if err != nil {
+							t.Fatalf("%s: chunked %v read of %v: %v", when, strategy, w, err)
+						}
+						if !sameResult(fres, cres) {
+							t.Fatalf("%s: %v read of %v: flat read %d points, chunked %d, or values differ",
+								when, strategy, w, fres.Coords.Len(), cres.Coords.Len())
+						}
+					}
+					req := KernelRequest{Op: KernelSumRegion, Region: &w}
+					fsum, err := flat.Kernel(context.Background(), req)
+					if err != nil {
+						t.Fatalf("%s: flat sum over %v: %v", when, w, err)
+					}
+					csum, err := chunked.Kernel(context.Background(), req)
+					if err != nil {
+						t.Fatalf("%s: chunked sum over %v: %v", when, w, err)
+					}
+					// Tiles sum their shares separately: equal up to rounding.
+					if f, c := fsum.Values[0], csum.Values[0]; math.Abs(f-c) > 1e-9*(1+math.Abs(f)) {
+						t.Fatalf("%s: sum over %v: flat %v, chunked %v", when, w, f, c)
+					}
 				}
 			}
 			// Overlapping generations and a delete, so every tile holds

@@ -45,12 +45,11 @@ func requireOracle(t *testing.T, label string, lin *tensor.Linearizer, res *Resu
 // loop over its whole input space: Strategy × Workers × {probe, as-of
 // probe, region}, under every store configuration (storeConfigs),
 // across all organization kinds, over a store with overwrites,
-// tombstones, a checkpoint (persisted index section), and a replayed
-// log suffix. Every valid combination must return exactly the map
-// oracle's cells — hence byte-identical results across strategies,
-// worker counts and configurations — and report the same fragment
-// accounting whatever the worker count. The overlap search itself is
-// held to the linear-scan oracle on every target.
+// tombstones, a checkpoint, and a replayed log suffix. Every valid
+// combination must return exactly the map oracle's cells — hence
+// byte-identical results across strategies, worker counts and
+// configurations — and report the same fragment accounting whatever
+// the worker count.
 func TestDifferentialReadOracle(t *testing.T) {
 	eachStoreConfig(t, testDifferentialReadOracle)
 }
@@ -114,7 +113,7 @@ func testDifferentialReadOracle(t *testing.T, opts []Option) {
 			}
 			// Mutations after the checkpoint live in the delta log (unless
 			// the configuration folds every commit): the reopened handle
-			// must extend the persisted grid over them.
+			// must replay them over the checkpoint.
 			del([]uint64{12, 12, 0}, []uint64{6, 6, 24})
 			write()
 			nfrags := len(st.frags)
@@ -122,19 +121,14 @@ func testDifferentialReadOracle(t *testing.T, opts []Option) {
 				t.Fatalf("store has %d fragments, oracle %d versions", nfrags, len(versions)-1)
 			}
 
-			// The writing handle's grid grew copy-on-write, commit by
-			// commit; the reopened one's was adopted from the checkpoint
-			// and extended over the log. Both must answer alike.
+			// The writing handle published commit by commit; the reopened
+			// one read the checkpoint and replayed the log. Both must
+			// answer alike.
 			reopened, err := Open(fs, "t", opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			handles := []*Store{st, reopened}
-			for hi, handle := range handles {
-				if handle.cur.index.n != nfrags {
-					t.Fatalf("handle %d: index covers %d fragments, store has %d", hi, handle.cur.index.n, nfrags)
-				}
-			}
 
 			// The targets, each with the oracle's answer.
 			type target struct {
@@ -178,22 +172,6 @@ func testDifferentialReadOracle(t *testing.T, opts []Option) {
 			}
 
 			for _, tg := range targets {
-				var box tensor.BBox
-				if tg.req.Probe != nil {
-					box, _ = tg.req.Probe.Bounds()
-				} else {
-					box = tg.req.Region.BBox()
-				}
-				limit := nfrags
-				if tg.req.AsOf != AsOfLatest {
-					limit = int(tg.req.AsOf)
-				}
-				for hi, handle := range handles {
-					got, want := handle.cur.overlapping(box, limit), linearOverlap(handle.cur.frags, box, limit)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/reopened=%v: overlapping() = %v, linear scan = %v", tg.name, hi == 1, got, want)
-					}
-				}
 				for _, strategy := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
 					for hi, handle := range handles {
 						var serial *ReadReport
@@ -443,8 +421,11 @@ func fixtureOps(t *testing.T, fs fsim.FS, kind core.Kind, tail, batched bool) *S
 // the ingest pipeline) — an SMN2 MANIFEST, an SML1 MANIFEST.LOG and
 // the three fragment files beside them. The same history, through
 // Write and through WriteBatch, must reproduce every file byte for
-// byte, and the fixture must open and read back that history's live
-// cells.
+// byte, with one exception: every fixture MANIFEST ends in a grid-index
+// section, which the store no longer writes, so a fresh MANIFEST must
+// equal the fixture's up to that section followed by an index-presence
+// byte of 0. The fixture, section and all, must open and read back
+// that history's live cells.
 func TestManifestFixtureStable(t *testing.T) {
 	type fixture struct {
 		dir  string
@@ -477,11 +458,18 @@ func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batche
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from the fixture:\n got %x\nwant %x", name, got, want)
-		}
 		if err := loaded.WriteFile("t/"+name, want); err != nil {
 			t.Fatal(err)
+		}
+		if name == manifestName {
+			off := indexSectionOffset(want)
+			if off >= len(want) || want[off] != 1 {
+				t.Fatalf("fixture %s carries no index section", name)
+			}
+			want = append(want[:off:off], 0)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s drifted from the fixture:\n got %x\nwant %x", name, got, want)
 		}
 	}
 	if written, _ := fresh.List("t/"); len(written) != len(names) {
@@ -525,9 +513,10 @@ func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batche
 	}
 }
 
-// TestOpenRejectsStaleIndexSection: a checkpoint whose index section
-// disagrees with its fragment list (hand-corrupted) must still open —
-// the section is discarded and the index rebuilt.
+// TestOpenRejectsStaleIndexSection: a checkpoint's index section is
+// never read. Whatever a present section holds — a grid another store
+// wrote, an empty body, garbage — the store opens, inspects and answers
+// exactly as it does from the section-free checkpoint it writes itself.
 func TestOpenRejectsStaleIndexSection(t *testing.T) {
 	fs := newSim(t)
 	st, err := Create(fs, "t", core.Linear, tensor.Shape{16, 16})
@@ -536,37 +525,71 @@ func TestOpenRejectsStaleIndexSection(t *testing.T) {
 	}
 	writeBand(t, st, 0)
 	writeBand(t, st, 1)
+	region, err := tensor.NewRegion(st.Shape(), []uint64{1, 2}, []uint64{2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.DeleteRegion(region); err != nil {
+		t.Fatal(err)
+	}
+	writeBand(t, st, 2)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	data, err := fs.ReadFile("t/" + manifestName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := decodeManifest(data)
+	off := indexSectionOffset(data)
+	if off != len(data)-1 || data[off] != 0 {
+		t.Fatalf("checkpoint ends %x after its fragment entries, want one 0 byte", data[off:])
+	}
+	base, err := Open(fs, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-encode with an index section claiming the wrong fragment count.
-	wrong := buildFragIndex(tensor.Shape{16, 16}, m.frags)
-	wrong.n = len(m.frags) + 7
-	body := buf.NewWriter(128)
-	wrong.encode(body)
-	tail := buf.NewWriter(64)
-	tail.U8(1)
-	tail.Bytes32(body.Bytes())
-	out := append(append([]byte(nil), data[:indexSectionOffset(data)]...), tail.Bytes()...)
-	if err := fs.WriteFile("t/"+manifestName, out); err != nil {
+	wantC, wantV, err := base.ExportAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInfo, err := DecodeManifestInfo(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	st, err = Open(fs, "t")
+	fixture, err := os.ReadFile(filepath.Join("testdata", "smn2", manifestName))
 	if err != nil {
-		t.Fatalf("store with stale index section failed to open: %v", err)
+		t.Fatal(err)
 	}
-	if st.cur.index.n != len(st.frags) {
-		t.Fatalf("rebuilt index covers %d fragments, store has %d", st.cur.index.n, len(st.frags))
+	rng := rand.New(rand.NewSource(5))
+	garbage := make([]byte, 300)
+	rng.Read(garbage)
+	sections := map[string][]byte{
+		"stale grid": fixture[indexSectionOffset(fixture)+5:],
+		"empty":      {},
+		"garbage":    garbage,
+	}
+	for name, body := range sections {
+		tail := buf.NewWriter(8 + len(body))
+		tail.U8(1)
+		tail.Bytes32(body)
+		out := append(append([]byte(nil), data[:off]...), tail.Bytes()...)
+		if err := fs.WriteFile("t/"+manifestName, out); err != nil {
+			t.Fatal(err)
+		}
+		info, err := DecodeManifestInfo(out)
+		if err != nil || !reflect.DeepEqual(info, wantInfo) {
+			t.Fatalf("%s section: inspected as %+v (err %v), want %+v", name, info, err, wantInfo)
+		}
+		st, err := Open(fs, "t")
+		if err != nil {
+			t.Fatalf("%s section: open: %v", name, err)
+		}
+		gotC, gotV, err := st.ExportAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameExport(t, name+" section", gotC, gotV, wantC, wantV)
 	}
 }
 

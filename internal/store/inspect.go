@@ -10,9 +10,9 @@ import (
 )
 
 // Read-only manifest inspection for tooling (cmd/sparseinspect): the
-// checkpoint's persisted properties, fragment roster, per-fragment
-// coordinate-filter summaries, and the spatial-index section — decoded
-// without constructing a Store, touching the log, or the fragments.
+// checkpoint's persisted properties, fragment roster and per-fragment
+// coordinate-filter summaries — decoded without constructing a Store,
+// touching the log, or the fragments.
 
 // ManifestFragmentInfo summarizes one checkpoint fragment entry.
 type ManifestFragmentInfo struct {
@@ -29,21 +29,6 @@ type ManifestFragmentInfo struct {
 	FilterBytes int
 }
 
-// ManifestIndexInfo summarizes the checkpoint's spatial-index section.
-type ManifestIndexInfo struct {
-	GridCells []int    // cells per indexed dimension
-	CellWidth []uint64 // coordinate width of one cell per dimension
-	Buckets   int      // total grid buckets
-	Filled    int      // buckets holding at least one fragment
-	Entries   int      // total (bucket, fragment) pairs
-	Overflow  int      // fragments on the overflow list
-	Covered   int      // fragments the index covers
-	// Err is why the section was rejected ("" when valid). A rejected
-	// section is not fatal to Open — the index is rebuilt — but tooling
-	// should surface it.
-	Err string
-}
-
 // ManifestInfo is a decoded store checkpoint.
 type ManifestInfo struct {
 	Kind      core.Kind
@@ -51,8 +36,6 @@ type ManifestInfo struct {
 	Shape     tensor.Shape
 	NextID    uint64
 	Fragments []ManifestFragmentInfo
-	// Index is nil when the checkpoint carries no index section.
-	Index *ManifestIndexInfo
 }
 
 // IsManifest reports whether data starts with a store-checkpoint magic
@@ -89,21 +72,6 @@ func DecodeManifestInfo(data []byte) (*ManifestInfo, error) {
 			fi.FilterBytes = fr.filter.EncodedSize()
 		}
 		info.Fragments = append(info.Fragments, fi)
-	}
-	switch {
-	case m.index != nil:
-		buckets, filled, entries, overflow := m.index.stats()
-		info.Index = &ManifestIndexInfo{
-			GridCells: m.index.ncell,
-			CellWidth: m.index.cellW,
-			Buckets:   buckets,
-			Filled:    filled,
-			Entries:   entries,
-			Overflow:  overflow,
-			Covered:   m.index.n,
-		}
-	case m.indexErr != nil:
-		info.Index = &ManifestIndexInfo{Err: m.indexErr.Error()}
 	}
 	return info, nil
 }

@@ -76,7 +76,7 @@ func (s *Store) Compact() (*CompactReport, error) {
 	}
 	// A view over the writer's working list needs no pin: the writer
 	// lock is held, so nothing retires these files before this pass does.
-	working := &readView{s: s, frags: s.frags, tombs: countTombs(s.frags), index: buildFragIndex(s.shape, s.frags)}
+	working := &readView{s: s, frags: s.frags, tombs: countTombs(s.frags)}
 	coords, vals, err := s.exportView(working)
 	if err != nil {
 		return nil, err

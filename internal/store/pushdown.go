@@ -132,8 +132,8 @@ func (s *Store) nnzPerSliceFold(res *KernelResult, mode int) (emitFunc, error) {
 	return func(p []uint64, _ float64) bool { out[p[mode]]++; return true }, nil
 }
 
-// checkKernelRegion validates KernelSumRegion's window against the
-// store's shape.
+// checkKernelRegion validates KernelSumRegion's window: present and of
+// the store's rank. Its extent is clipped to the shape by the scan plan.
 func (s *Store) checkKernelRegion(region *tensor.Region) error {
 	if region == nil {
 		return fmt.Errorf("store: %w: kernel %v needs a region", ErrBadRequest, KernelSumRegion)
@@ -141,8 +141,7 @@ func (s *Store) checkKernelRegion(region *tensor.Region) error {
 	if region.Dims() != s.shape.Dims() {
 		return fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), s.shape.Dims())
 	}
-	_, err := tensor.NewRegion(s.shape, region.Start, region.Size)
-	return err
+	return nil
 }
 
 // ttvFold contracts the stored tensor with a vector along one mode,

@@ -179,11 +179,6 @@ type Store struct {
 	// Open pre-loads into the reader cache.
 	warmFrags int
 
-	// loadedIndex holds a checkpoint's validated spatial-index section
-	// (index.go) between manifest decode and the first initViews, nil
-	// otherwise.
-	loadedIndex *fragIndex
-
 	// Manifest-log state (see manifest.go): the checkpoint cadence
 	// (WithManifestCheckpointEvery; <= 0 is the adaptive policy), the
 	// number of records currently in MANIFEST.LOG, and the fragment
@@ -253,20 +248,13 @@ func Create(fs fsim.FS, prefix string, kind core.Kind, shape tensor.Shape, opts 
 }
 
 // manifestState is a decoded checkpoint: the store's persisted
-// properties, fragment list, and — when the index section validates —
-// the spatial index as of the checkpoint.
+// properties and fragment list.
 type manifestState struct {
 	kind   core.Kind
 	codec  compress.ID
 	shape  tensor.Shape
 	nextID uint64
 	frags  []fragRef
-	// index is the checkpoint's spatial index, nil when the section is
-	// absent or failed validation (indexErr says why) — the caller
-	// rebuilds from frags in that case, so a bad section costs open
-	// time, never correctness.
-	index    *fragIndex
-	indexErr error
 }
 
 // decodeManifest parses a checkpoint. Used by Open and by
@@ -318,12 +306,10 @@ func decodeManifest(data []byte) (*manifestState, error) {
 		}
 		m.frags = append(m.frags, fr)
 	}
+	// A present index section (docs/FORMATS.md §2) comes from an older
+	// writer: it is skipped unread.
 	if r.Err() == nil && r.U8() != 0 {
-		body := r.Bytes32()
-		if r.Err() == nil {
-			ir := buf.NewReader(body)
-			m.index, m.indexErr = decodeFragIndex(ir, m.shape, len(m.frags))
-		}
+		r.Bytes32()
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("store: manifest: %w: %v", fragment.ErrCorrupt, err)
@@ -361,7 +347,6 @@ func Open(fs fsim.FS, prefix string, opts ...Option) (*Store, error) {
 	s := &Store{
 		fs: fs, prefix: prefix, kind: kind, format: f, shape: shape,
 		lin: lin, codec: codec, frags: m.frags, nextID: m.nextID,
-		loadedIndex: m.index,
 	}
 	if err := s.applyOptions(opts); err != nil {
 		return nil, err
@@ -388,8 +373,7 @@ func Open(fs fsim.FS, prefix string, opts ...Option) (*Store, error) {
 // writeManifest writes the full-state checkpoint (SMN2, docs/FORMATS.md
 // §2): the store's properties, one entry per fragment with a flags byte
 // (bit 0 tombstone, bit 1 coordinate filter present, followed by the
-// filter blob), and a trailing spatial-index section, rebuilt from the
-// fragment list so any later Open can adopt it instead of rebuilding.
+// filter blob), and an index-presence byte of 0: no index section.
 func (s *Store) writeManifest() error {
 	w := buf.GetWriter(64 + len(s.frags)*(48+16*s.shape.Dims()))
 	defer buf.PutWriter(w)
@@ -426,10 +410,7 @@ func (s *Store) writeManifest() error {
 			w.Bytes32(fr.filter.Encode())
 		}
 	}
-	w.U8(1)
-	iw := buf.NewWriter(256)
-	buildFragIndex(s.shape, s.frags).encode(iw)
-	w.Bytes32(iw.Bytes())
+	w.U8(0)
 	return s.fs.WriteFile(s.prefix+"/"+manifestName, w.Bytes())
 }
 
@@ -603,8 +584,8 @@ type ReadReport struct {
 	Epoch uint64
 
 	// Per-query cost attribution, fed into span attributes and the
-	// slow-query log. Candidates is what the spatial index returned for
-	// the target (Fragments = Candidates - tombstones - FilterSkipped);
+	// slow-query log. Candidates counts the fragments whose bounding box
+	// meets the target (Fragments = Candidates - tombstones - FilterSkipped);
 	// FilterSkipped counts candidates the per-fragment coordinate
 	// filters dismissed without a fetch.
 	Candidates    int
@@ -675,38 +656,65 @@ type readPlan struct {
 }
 
 // planRead derives the plan from a validated request.
-func planRead(req QueryRequest) (pl readPlan, err error) {
+func (s *Store) planRead(req QueryRequest) (pl readPlan) {
 	if req.Probe != nil {
 		pl.probe = req.Probe
 		pl.box, _ = req.Probe.Bounds() // an empty probe reads nothing, see readView
-		return pl, nil
+		return pl
 	}
-	pl.box = req.Region.BBox()
+	region, ok := s.clip(req.Region)
+	if !ok {
+		return s.readsNothing()
+	}
+	pl.box = region.BBox()
 	if req.Strategy == StrategyScan {
-		pl.region = req.Region
-		return pl, nil
+		pl.region = region
+		return pl
 	}
-	var ok bool
-	if pl.vol, ok = req.Region.Volume(); !ok {
-		return pl, fmt.Errorf("store: %w: region %v", tensor.ErrOverflow, *req.Region)
-	}
+	pl.vol, _ = region.Volume() // a window of a shape whose volume fits
 	if req.Strategy == StrategyAuto {
-		pl.region, pl.auto = req.Region, true
+		pl.region, pl.auto = region, true
 	} else {
-		pl.probe = req.Region.Coords()
+		pl.probe = region.Coords()
 	}
-	return pl, nil
+	return pl
 }
 
 // scanPlan is the plan of a read that walks stored points instead of
 // probing: every point of every fragment when region is nil (exports,
 // compaction, whole-store kernels), the points inside region otherwise.
 func (s *Store) scanPlan(region *tensor.Region) readPlan {
-	if region != nil {
-		return readPlan{box: region.BBox(), region: region}
+	if region == nil {
+		whole := tensor.Region{Start: make([]uint64, s.shape.Dims()), Size: s.shape}
+		return readPlan{box: whole.BBox()}
 	}
-	whole := tensor.Region{Start: make([]uint64, s.shape.Dims()), Size: s.shape}
-	return readPlan{box: whole.BBox()}
+	clip, ok := s.clip(region)
+	if !ok {
+		return s.readsNothing()
+	}
+	return readPlan{box: clip.BBox(), region: clip}
+}
+
+// clip intersects a request's region with the store's shape — the
+// one-tile case of Tiling.Clip, so a flat store reads a window exactly
+// as Chunked and serve.Router do: an extent that wraps past MaxUint64
+// or reaches past the shape ends at the shape's edge. ok is false when
+// no cell is left. A region already inside the shape (every tile's
+// share of a chunked request) comes back as is, allocating nothing.
+func (s *Store) clip(region *tensor.Region) (*tensor.Region, bool) {
+	for d, n := range s.shape {
+		if start, size := region.Start[d], region.Size[d]; size == 0 || start >= n || size > n-start {
+			clip, ok := Tiling{Shape: s.shape, Tile: s.shape}.Clip(*region, make([]uint64, len(s.shape)))
+			return &clip, ok
+		}
+	}
+	return region, true
+}
+
+// readsNothing is the plan of a window that covers no cell: an empty
+// probe, which readView answers without looking at a fragment.
+func (s *Store) readsNothing() readPlan {
+	return readPlan{probe: tensor.NewCoords(s.shape.Dims(), 0)}
 }
 
 // mayHold asks fr's coordinate filter whether the fragment can hold any
@@ -831,11 +839,7 @@ func (s *Store) read(ctx context.Context, req QueryRequest) (*Result, *ReadRepor
 		}
 		limit = int(req.AsOf)
 	}
-	pl, err := planRead(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, rep, _, err := s.readView(ctx, v, limit, pl, req.Workers, nil)
+	res, rep, _, err := s.readView(ctx, v, limit, s.planRead(req), req.Workers, nil)
 	return res, rep, err
 }
 

@@ -35,41 +35,37 @@ import (
 // publication; refs counts outstanding acquisitions and is guarded by
 // Store.viewMu.
 //
-// Each view also carries the epoch's spatial index (index.go) — the
-// overlap search — and the epoch's tombstone count, so the read paths
+// Each view also carries the epoch's tombstone count, so the read paths
 // can skip the tombstone overlap scan entirely on tombstone-free
 // stores.
 type readView struct {
 	s     *Store
 	epoch uint64
 	frags []fragRef
-	index *fragIndex
 	tombs int
 	refs  int
 }
 
 // overlapping returns the ascending indices of the fragments among
 // frags[:limit] that carry a bounding box overlapping box — data
-// fragments and tombstones both: a grid lookup, then a bbox re-check of
-// each candidate. The grid only ever over-approximates, so the result
-// is exactly what a linear scan of the prefix would list (the tests'
-// oracle, linearOverlap).
+// fragments and tombstones both. It is a linear scan of the boxes; the
+// sub-linear step is one level up, where Chunked's tiling finds a
+// request's tiles arithmetically and each tile's view scans only that
+// tile's fragments.
 func (v *readView) overlapping(box tensor.BBox, limit int) []int {
 	if limit > len(v.frags) {
 		limit = len(v.frags)
 	}
-	cand := v.index.lookup(box, limit)
-	reg := v.s.obsReg()
-	kind := v.s.kind.String()
-	reg.Counter("store.index.probes", "kind", kind).Inc()
-	reg.Counter("store.index.candidates", "kind", kind).Add(int64(len(cand)))
-	out := cand[:0]
-	for _, i := range cand {
-		fr := &v.frags[i]
-		if (fr.nnz > 0 || fr.tomb) && fr.bbox.Overlaps(box) {
+	var out []int
+	for i := range v.frags[:limit] {
+		if fr := &v.frags[i]; (fr.nnz > 0 || fr.tomb) && fr.bbox.Overlaps(box) {
 			out = append(out, i)
 		}
 	}
+	reg := v.s.obsReg()
+	kind := v.s.kind.String()
+	reg.Counter("store.index.probes", "kind", kind).Inc()
+	reg.Counter("store.index.candidates", "kind", kind).Add(int64(len(out)))
 	return out
 }
 
@@ -143,45 +139,19 @@ func (v *readView) release() {
 }
 
 // initViews installs the first snapshot. Called once by Create/Open
-// before the store is shared. The first view's grid either extends the
-// index persisted in the manifest checkpoint (loadedIndex, already
-// validated; the suffix covers replayed log records) or is rebuilt from
-// the fragment list.
+// before the store is shared.
 func (s *Store) initViews() {
 	s.pinned = map[*readView]struct{}{}
 	frags := append([]fragRef(nil), s.frags...)
-	v := &readView{s: s, epoch: 0, frags: frags, tombs: countTombs(frags)}
-	if li := s.loadedIndex; li != nil && li.n <= len(frags) {
-		v.index = li.appended(frags, li.n)
-	} else {
-		v.index = buildFragIndex(s.shape, frags)
-	}
-	s.loadedIndex = nil
-	s.cur = v
+	s.cur = &readView{s: s, epoch: 0, frags: frags, tombs: countTombs(frags)}
 }
 
 // publishLocked snapshots s.frags as the new current view under a fresh
 // epoch. Caller holds writeMu; the previous view stays valid for the
 // readers still holding it. Returns the new epoch.
-//
-// The new epoch's spatial index is built copy-on-write from the
-// previous view's: every mutation path except compaction only appends
-// fragments, so the common case shares all untouched grid buckets and
-// inserts only the new suffix. Compaction rewrites the list (it
-// shrinks), which the prefix check detects and answers with a full
-// rebuild. Reading s.cur without viewMu is safe here: every write to
-// s.cur happens under writeMu, which the caller holds.
 func (s *Store) publishLocked() uint64 {
 	frags := append([]fragRef(nil), s.frags...)
-	prev := s.cur
-	v := &readView{s: s, frags: frags}
-	if prev != nil && len(frags) >= len(prev.frags) && samePrefixBoundary(prev.frags, frags) {
-		v.tombs = prev.tombs + countTombs(frags[len(prev.frags):])
-		v.index = prev.index.appended(frags, len(prev.frags))
-	} else {
-		v.tombs = countTombs(frags)
-		v.index = buildFragIndex(s.shape, frags)
-	}
+	v := &readView{s: s, frags: frags, tombs: countTombs(frags)}
 	s.viewMu.Lock()
 	epoch := s.cur.epoch + 1
 	v.epoch = epoch
@@ -190,31 +160,6 @@ func (s *Store) publishLocked() uint64 {
 	s.obsReg().Gauge("store.epoch", "kind", s.kind.String()).Set(int64(epoch))
 	s.maybeCompactBackground(len(frags))
 	return epoch
-}
-
-// samePrefixBoundary reports whether next still starts with prev — the
-// append-only fast path. Comparing the last shared element suffices:
-// the only mutation that rewrites earlier entries (compaction) replaces
-// the whole list with freshly built fragRefs, whose bbox slices are new
-// allocations, so the slice-identity check below cannot be fooled by a
-// rewritten list that happens to repeat the same name.
-func samePrefixBoundary(prev, next []fragRef) bool {
-	k := len(prev)
-	if k == 0 {
-		return true
-	}
-	a, b := &prev[k-1], &next[k-1]
-	return a.name == b.name && a.nnz == b.nnz && a.bytes == b.bytes && a.tomb == b.tomb &&
-		sameU64Slice(a.bbox.Min, b.bbox.Min) && sameU64Slice(a.bbox.Max, b.bbox.Max)
-}
-
-// sameU64Slice is slice-header identity (same backing array, length),
-// not element equality — fragRef copies share bbox backing arrays.
-func sameU64Slice(x, y []uint64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	return len(x) == 0 || &x[0] == &y[0]
 }
 
 // currentEpoch returns the epoch of the current view — the epoch a read

@@ -114,9 +114,15 @@ func (r Region) Contains(p []uint64) bool {
 }
 
 // Each visits every cell of the region in row-major order, reusing a
-// single scratch point slice; the callback must not retain it.
+// single scratch point slice; the callback must not retain it. A region
+// with a zero extent holds no cell, so Each visits none.
 func (r Region) Each(visit func(p []uint64)) {
 	d := len(r.Start)
+	for _, n := range r.Size {
+		if n == 0 {
+			return
+		}
+	}
 	p := append([]uint64(nil), r.Start...)
 	for {
 		visit(p)

@@ -125,6 +125,25 @@ func TestRegionEachRowMajorOrder(t *testing.T) {
 	}
 }
 
+// A zero extent in any dimension leaves no cell to visit, whatever the
+// other extents; Coords is then empty, as Volume says.
+func TestRegionEachZeroExtent(t *testing.T) {
+	for _, r := range []Region{
+		{Start: []uint64{3, 3}, Size: []uint64{0, 4}},
+		{Start: []uint64{3, 3}, Size: []uint64{4, 0}},
+		{Start: []uint64{0}, Size: []uint64{0}},
+	} {
+		n := 0
+		r.Each(func([]uint64) { n++ })
+		if n != 0 {
+			t.Errorf("Each over %v visited %d cells, want 0", r, n)
+		}
+		if c := r.Coords(); c.Len() != 0 {
+			t.Errorf("Coords of %v holds %d cells, want 0", r, c.Len())
+		}
+	}
+}
+
 func TestRegionCoordsMatchesEach(t *testing.T) {
 	r, err := NewRegion(Shape{5, 5, 5}, []uint64{1, 0, 2}, []uint64{2, 3, 2})
 	if err != nil {

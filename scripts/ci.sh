@@ -68,10 +68,13 @@ go build ./...
 # is fixed at Create, so Compact is the one consolidation and Convert,
 # into a new store, the one way to change organization — no in-place
 # re-organization, asynchronous compaction handle or second conversion
-# entry point comes back, and the store does not consult the advisor.
+# entry point comes back, and the store does not consult the advisor;
+# and the tiling is the spatial index — Chunked and the router find a
+# request's tiles arithmetically, and a tile's view scans its fragments'
+# boxes — so no spatial grid comes back below it.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; exported methods; options; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -140,6 +143,10 @@ if grep -rnE '^func (\([^)]*\) )?(CompactTo|CompactAuto|CompactAsync|WithAutoReo
 fi
 if go list -deps ./internal/store | grep -qx 'sparseart/internal/advisor'; then
     echo "internal/store depends on internal/advisor (the organization is chosen before Create: sparsestore export | sparseadvise)" >&2
+    exit 1
+fi
+if grep -rnE 'fragIndex|buildFragIndex|gridGeometry|decodeFragIndex|loadedIndex' --include='*.go' --exclude='*_test.go' .; then
+    echo "non-test Go carries a spatial grid below the tiling (a view scans its fragments' boxes; a store that outgrows the scan is tiled)" >&2
     exit 1
 fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
