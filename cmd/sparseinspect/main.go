@@ -1,8 +1,9 @@
 // Command sparseinspect dumps the metadata of fragment files and store
 // manifests written by the storage engine: organization kind, shape,
 // point count, bounding box, section sizes, per-fragment coordinate
-// filters, and — with -payload — the organization-specific index
-// structure (CSR pointers, CSF level sizes, and so on). Manifest files
+// filters (and, in a manifest, key-filter sizes), and — with -payload —
+// the organization-specific index structure (CSR pointers, CSF level
+// sizes, and so on). Manifest files
 // are detected by magic, so both file kinds can be mixed in one
 // invocation. A manifest's legacy index section is skipped unread.
 //
@@ -123,7 +124,7 @@ func inspectManifest(path string, data []byte) error {
 		return err
 	}
 	fmt.Printf("%s:\n", path)
-	fmt.Printf("  manifest:     SMN2\n")
+	fmt.Printf("  manifest:     %s\n", info.Format)
 	fmt.Printf("  organization: %v\n", info.Kind)
 	fmt.Printf("  codec:        %d\n", info.Codec)
 	fmt.Printf("  shape:        %v\n", info.Shape)
@@ -139,6 +140,9 @@ func inspectManifest(path string, data []byte) error {
 		if fr.Filter != nil {
 			fmt.Printf("      filter:     %d bytes\n", fr.FilterBytes)
 			printFilterStats("      ", fr.Filter)
+		}
+		if fr.KeyBytes > 0 {
+			fmt.Printf("      keys:       %d bytes\n", fr.KeyBytes)
 		}
 	}
 	return nil

@@ -1,20 +1,28 @@
-// Package filter implements per-fragment, per-dimension coordinate
-// summaries: compact probabilistic structures that answer "might this
-// fragment contain a point whose d-th coordinate is c?" (and the range
-// form of the same question) without touching the fragment file.
+// Package filter implements a fragment's two point filters, consulted
+// by the read path before it fetches the fragment: Filter, per-dimension
+// coordinate summaries that answer "might this fragment contain a point
+// whose d-th coordinate is c?" (and the range form of the question),
+// and Keys, a Bloom filter over the fragment's whole keys.
 //
 // A fragment's bounding box over-approximates its coordinate set badly
 // for sparse data — a fragment holding points (0,0) and (999,999) has a
 // bbox covering the whole plane — so the storage engine's overlap
-// search admits fragments that cannot possibly answer a query. The
-// filter closes that gap the way bloom filters do in LSM stores: a
-// query that passes the bbox check consults the filter and skips the
-// fragment (no file open, no probe) when any dimension proves the
-// requested coordinates absent. False positives are allowed (the
-// fragment is opened and probed for nothing); false negatives never
-// happen — a coordinate that was fed to Build always passes.
+// search admits fragments that cannot possibly answer a query. Both
+// filters close part of that gap: a query that passes the bbox check
+// consults them and skips the fragment (no file open, no probe) when
+// one proves the requested points absent. False positives are allowed
+// (the fragment is opened and probed for nothing); false negatives
+// never happen — a point that was fed to a build always passes.
 //
-// Two encodings per dimension, chosen automatically:
+// The per-dimension summaries are not an LSM key filter. Each answers
+// for one dimension alone, so once a fragment holds a few hundred
+// points of a small tile, nearly every coordinate of every dimension
+// occurs and nearly every absent point passes. They are what a region
+// read can ask. Keys is the LSM filter (Bloom, CACM 1970): it hashes a
+// point's linear address, the whole key, and is what a point read asks
+// after the summaries.
+//
+// Filter has two encodings per dimension, chosen automatically:
 //
 //   - bitmap: when the dimension's bbox extent is small (≤ maxBitmapBits)
 //     the filter stores one bit per coordinate in [min, max]. Exact — no

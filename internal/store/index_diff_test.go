@@ -3,8 +3,11 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -413,19 +416,20 @@ func fixtureOps(t *testing.T, fs fsim.FS, kind core.Kind, tail, batched bool) *S
 	return st
 }
 
+// updateFixtures re-records the checkpoint and log of
+// testdata/write-kinds — only for an intended change to their format.
+var updateFixtures = flag.Bool("update", false, "re-record testdata/write-kinds MANIFEST and MANIFEST.LOG")
+
 // TestManifestFixtureStable pins the bytes WRITE leaves on disk against
-// fixtures the parent commits wrote: testdata/smn2 (CSF, written before
-// the SMN1 / fragment v1-v2 decoders were retired) and
-// testdata/write-kinds/<kind> for every registered organization
-// (written by Store.Write before it became the one-batch spelling of
-// the ingest pipeline) — an SMN2 MANIFEST, an SML1 MANIFEST.LOG and
-// the three fragment files beside them. The same history, through
-// Write and through WriteBatch, must reproduce every file byte for
-// byte, with one exception: every fixture MANIFEST ends in a grid-index
-// section, which the store no longer writes, so a fresh MANIFEST must
-// equal the fixture's up to that section followed by an index-presence
-// byte of 0. The fixture, section and all, must open and read back
-// that history's live cells.
+// fixtures: testdata/write-kinds/<kind> for every registered
+// organization — an SMN3 MANIFEST, an SML1 MANIFEST.LOG and the three
+// fragment files beside them — and testdata/smn2, a CSF store an SMN2
+// writer left (checkpoint with a grid-index section, log records
+// without key filters). The same history, through Write and through
+// WriteBatch, must reproduce every write-kinds file byte for byte, and
+// every fragment file of both fixtures: a key filter lives in the
+// manifest record only. Each fixture must open and read back that
+// history's live cells; smn2 is folded to SMN3 by that Open.
 func TestManifestFixtureStable(t *testing.T) {
 	type fixture struct {
 		dir  string
@@ -447,28 +451,35 @@ func TestManifestFixtureStable(t *testing.T) {
 
 func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batched bool) {
 	names := []string{manifestName, manifestLogName, "frag-000000", "frag-000001", "frag-000003"}
+	smn2 := dir == "smn2"
 	fresh, loaded := newSim(t), newSim(t)
 	writer := fixtureOps(t, fresh, kind, tail, batched)
 	for _, name := range names {
-		want, err := os.ReadFile(filepath.Join("testdata", dir, name))
+		path := filepath.Join("testdata", dir, name)
+		got, err := fresh.ReadFile("t/" + name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fresh.ReadFile("t/" + name)
+		if *updateFixtures && !smn2 && (name == manifestName || name == manifestLogName) {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := loaded.WriteFile("t/"+name, want); err != nil {
 			t.Fatal(err)
 		}
-		if name == manifestName {
-			off := indexSectionOffset(want)
-			if off >= len(want) || want[off] != 1 {
-				t.Fatalf("fixture %s carries no index section", name)
+		switch {
+		case smn2 && name == manifestName:
+			if off := indexSectionOffset(want); off >= len(want) || want[off] != 1 || string(want[:4]) != "SMN2" {
+				t.Fatalf("fixture %s is not an SMN2 checkpoint with an index section", name)
 			}
-			want = append(want[:off:off], 0)
-		}
-		if !bytes.Equal(got, want) {
+		case smn2 && name == manifestLogName:
+			// The SMN2-era records carry no key filter; the fresh ones do.
+		case !bytes.Equal(got, want):
 			t.Errorf("%s drifted from the fixture:\n got %x\nwant %x", name, got, want)
 		}
 	}
@@ -486,6 +497,9 @@ func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batche
 		wantFrags, wantLog = 5, 2
 		live, wantVals = []uint64{1, 2, 3, 4, 7, 7, 8, 8, 15, 0}, []float64{7, 9, 42, 8, 6}
 	}
+	if smn2 {
+		wantLog = 0 // Open folded the SMN2 checkpoint and its log
+	}
 	wantCoords := tensor.NewCoords(2, 0)
 	wantCoords.AppendFlat(live)
 	if st.Fragments() != wantFrags || st.logRecords != wantLog {
@@ -499,7 +513,9 @@ func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batche
 		t.Fatalf("fixture reads back %v = %v", coords, vals)
 	}
 	// Folding the replayed log gives the checkpoint the writing handle
-	// folds: the checkpoint is a function of the state alone.
+	// folds: the checkpoint is a function of the state alone. An SMN2
+	// store's fragments have no key filters, so there the two agree on
+	// everything else.
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -508,8 +524,25 @@ func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batche
 	}
 	replayed, _ := loaded.ReadFile("t/" + manifestName)
 	written, _ := fresh.ReadFile("t/" + manifestName)
-	if len(replayed) == 0 || !bytes.Equal(replayed, written) {
-		t.Fatalf("checkpoint after replay (%d bytes) differs from the writer's (%d bytes)", len(replayed), len(written))
+	if !smn2 {
+		if len(replayed) == 0 || !bytes.Equal(replayed, written) {
+			t.Fatalf("checkpoint after replay (%d bytes) differs from the writer's (%d bytes)", len(replayed), len(written))
+		}
+		return
+	}
+	folded, err := DecodeManifestInfo(replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeManifestInfo(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Fragments {
+		want.Fragments[i].KeyBytes = 0
+	}
+	if !reflect.DeepEqual(folded, want) {
+		t.Fatalf("folded SMN2 checkpoint %+v, want the writer's without key filters %+v", folded, want)
 	}
 }
 
@@ -541,8 +574,8 @@ func TestOpenRejectsStaleIndexSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := indexSectionOffset(data)
-	if off != len(data)-1 || data[off] != 0 {
-		t.Fatalf("checkpoint ends %x after its fragment entries, want one 0 byte", data[off:])
+	if off != len(data)-5 || data[off] != 0 {
+		t.Fatalf("checkpoint ends %x after its fragment entries, want one 0 byte and the CRC", data[off:])
 	}
 	base, err := Open(fs, "t")
 	if err != nil {
@@ -574,6 +607,7 @@ func TestOpenRejectsStaleIndexSection(t *testing.T) {
 		tail.U8(1)
 		tail.Bytes32(body)
 		out := append(append([]byte(nil), data[:off]...), tail.Bytes()...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 		if err := fs.WriteFile("t/"+manifestName, out); err != nil {
 			t.Fatal(err)
 		}
@@ -594,7 +628,7 @@ func TestOpenRejectsStaleIndexSection(t *testing.T) {
 }
 
 // indexSectionOffset finds where the trailing index section starts in
-// an SMN2 checkpoint by re-walking the fragment entries.
+// an SMN2 or SMN3 checkpoint by re-walking the fragment entries.
 func indexSectionOffset(data []byte) int {
 	r := buf.NewReader(data)
 	r.U32()
@@ -616,6 +650,9 @@ func indexSectionOffset(data []byte) int {
 			r.RawU64s(uint64(dims))
 		}
 		if flags&2 != 0 {
+			r.Bytes32()
+		}
+		if flags&4 != 0 {
 			r.Bytes32()
 		}
 	}

@@ -58,6 +58,7 @@ type ingestJob struct {
 	encoded *[]byte // pooled; nil until prepared
 	bbox    tensor.BBox
 	filter  *filter.Filter
+	keys    *filter.Keys
 	err     error
 	done    chan struct{}
 }
@@ -400,9 +401,11 @@ func (ic *ingestCommitter) commit(f *tileFrag, j *ingestJob) {
 	}
 }
 
-// prepareBatch builds one fragment — the store's only Format.Build and
-// its only fragment encode: Build, Reorg, and Encode (with payload
-// compression) into a pooled buffer, on a pool worker or inline. No
+// prepareBatch builds one fragment — the store's only Format.Build, its
+// only fragment encode and its only key-filter build: Build, Reorg,
+// and Encode (with payload compression) into a pooled buffer, on a
+// pool worker or inline. The key filter goes to the manifest record
+// only; the fragment file carries the coordinate filter alone. No
 // file-system access happens here — that is what makes the committer's
 // cost attribution exact.
 func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
@@ -461,6 +464,7 @@ func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 	j.encoded = bufp
 	j.bbox = bbox
 	j.filter = filt
+	j.keys = filter.BuildKeys(b.Coords, s.lin)
 }
 
 // commitPrepared makes one prepared fragment durable: the file write,
@@ -503,7 +507,7 @@ func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool, setup t
 	t = time.Now()
 	outcome := commitDurable
 	var commitErr error
-	fr := fragRef{name: name, nnz: uint64(rep.NNZ), bytes: int64(len(enc)), bbox: j.bbox, filter: j.filter}
+	fr := fragRef{name: name, nnz: uint64(rep.NNZ), bytes: int64(len(enc)), bbox: j.bbox, filter: j.filter, keys: j.keys}
 	s.stageFragment(fr)
 	if final || s.groupFlushDue() {
 		rolledBack, err := s.flushStaged()

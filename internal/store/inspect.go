@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"sparseart/internal/compress"
 	"sparseart/internal/core"
@@ -11,8 +12,8 @@ import (
 
 // Read-only manifest inspection for tooling (cmd/sparseinspect): the
 // checkpoint's persisted properties, fragment roster and per-fragment
-// coordinate-filter summaries — decoded without constructing a Store,
-// touching the log, or the fragments.
+// filter summaries — decoded without constructing a Store, touching the
+// log, or the fragments.
 
 // ManifestFragmentInfo summarizes one checkpoint fragment entry.
 type ManifestFragmentInfo struct {
@@ -27,10 +28,15 @@ type ManifestFragmentInfo struct {
 	Filter []filter.DimStats
 	// FilterBytes is the encoded filter's size in the manifest.
 	FilterBytes int
+	// KeyBytes is the encoded key filter's size in the manifest; 0 when
+	// the fragment carries none (empty fragments, tombstones, fragments
+	// an SMN2 checkpoint listed).
+	KeyBytes int
 }
 
 // ManifestInfo is a decoded store checkpoint.
 type ManifestInfo struct {
+	Format    string // "SMN2" or "SMN3"
 	Kind      core.Kind
 	Codec     compress.ID
 	Shape     tensor.Shape
@@ -40,7 +46,7 @@ type ManifestInfo struct {
 
 // IsManifest reports whether data starts with a store-checkpoint magic
 // ("SMN" and a version byte — DecodeManifestInfo then rejects any
-// version but the current one by name). Tooling uses it to dispatch
+// version but SMN2 and SMN3 by name). Tooling uses it to dispatch
 // between fragment and manifest inspection.
 func IsManifest(data []byte) bool {
 	return len(data) >= 4 && isManifestMagic(binary.LittleEndian.Uint32(data))
@@ -53,6 +59,7 @@ func DecodeManifestInfo(data []byte) (*ManifestInfo, error) {
 		return nil, err
 	}
 	info := &ManifestInfo{
+		Format: fmt.Sprintf("SMN%d", m.version),
 		Kind:   m.kind,
 		Codec:  m.codec,
 		Shape:  m.shape,
@@ -70,6 +77,9 @@ func DecodeManifestInfo(data []byte) (*ManifestInfo, error) {
 		if fr.filter != nil {
 			fi.Filter = fr.filter.Stats()
 			fi.FilterBytes = fr.filter.EncodedSize()
+		}
+		if fr.keys != nil {
+			fi.KeyBytes = fr.keys.EncodedSize()
 		}
 		info.Fragments = append(info.Fragments, fi)
 	}

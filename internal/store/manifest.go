@@ -31,7 +31,8 @@ import (
 // Record body:
 //
 //	u64 fragment id (the frag-%06d sequence number)
-//	u8  flags (bit0: tombstone, bit1: coordinate filter present)
+//	u8  flags (bit0: tombstone, bit1: coordinate filter present,
+//	          bit2: key filter present)
 //	b32 fragment file name
 //	u64 nnz
 //	u64 encoded bytes
@@ -40,6 +41,7 @@ import (
 //	u64[dims] tombstone region start  (tombstones only)
 //	u64[dims] tombstone region size   (tombstones only)
 //	b32 coordinate filter              (flag bit1 only)
+//	b32 key filter                     (flag bit2 only)
 //
 // Recovery invariant: the fragment file is durable before its record is
 // appended, and a record is applied only if its frame verifies, so a
@@ -89,9 +91,10 @@ func (s *Store) checkpointDue() bool {
 	return s.logRecords >= s.cadence()
 }
 
-// encodeLogBody serializes one record body (see the frame spec above).
-func encodeLogBody(w *buf.Writer, fr fragRef, id uint64, dims int) {
-	w.U64(id)
+// entryFlags is the flags byte a checkpoint entry and a log record
+// share: bit 0 tombstone, bit 1 coordinate filter present, bit 2 key
+// filter present.
+func (fr *fragRef) entryFlags() uint8 {
 	var flags uint8
 	if fr.tomb {
 		flags |= 1
@@ -99,7 +102,46 @@ func encodeLogBody(w *buf.Writer, fr fragRef, id uint64, dims int) {
 	if fr.filter != nil {
 		flags |= 2
 	}
-	w.U8(flags)
+	if fr.keys != nil {
+		flags |= 4
+	}
+	return flags
+}
+
+// appendFilters writes the filter blobs entryFlags announces, in bit
+// order; both end an entry and a record.
+func (fr *fragRef) appendFilters(w *buf.Writer) {
+	if fr.filter != nil {
+		w.Bytes32(fr.filter.Encode())
+	}
+	if fr.keys != nil {
+		w.Bytes32(fr.keys.Encode())
+	}
+}
+
+// readFilters parses the filter blobs flags announce into fr.
+func (fr *fragRef) readFilters(r *buf.Reader, flags uint8) error {
+	if flags&2 != 0 {
+		filt, err := filter.Decode(r.Bytes32())
+		if err != nil {
+			return err
+		}
+		fr.filter = filt
+	}
+	if flags&4 != 0 {
+		keys, err := filter.DecodeKeys(r.Bytes32())
+		if err != nil {
+			return err
+		}
+		fr.keys = keys
+	}
+	return nil
+}
+
+// encodeLogBody serializes one record body (see the frame spec above).
+func encodeLogBody(w *buf.Writer, fr fragRef, id uint64, dims int) {
+	w.U64(id)
+	w.U8(fr.entryFlags())
 	w.Bytes32([]byte(fr.name))
 	w.U64(fr.nnz)
 	w.U64(uint64(fr.bytes))
@@ -113,9 +155,7 @@ func encodeLogBody(w *buf.Writer, fr fragRef, id uint64, dims int) {
 		w.RawU64s(fr.tombRegion.Start)
 		w.RawU64s(fr.tombRegion.Size)
 	}
-	if fr.filter != nil {
-		w.Bytes32(fr.filter.Encode())
-	}
+	fr.appendFilters(w)
 }
 
 // decodeLogBody parses one record body.
@@ -133,12 +173,8 @@ func decodeLogBody(body []byte, dims int) (fr fragRef, id uint64, err error) {
 		fr.tombRegion.Start = r.RawU64s(uint64(dims))
 		fr.tombRegion.Size = r.RawU64s(uint64(dims))
 	}
-	if flags&2 != 0 {
-		filt, ferr := filter.Decode(r.Bytes32())
-		if ferr != nil {
-			return fragRef{}, 0, fmt.Errorf("store: record filter: %w", ferr)
-		}
-		fr.filter = filt
+	if err := fr.readFilters(r, flags); err != nil {
+		return fragRef{}, 0, fmt.Errorf("store: record: %w", err)
 	}
 	if err := r.Err(); err != nil {
 		return fragRef{}, 0, err

@@ -16,8 +16,10 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,10 +38,12 @@ import (
 
 const (
 	manifestName = "MANIFEST"
-	// manifestMagicV2 heads every checkpoint: "SMN" plus the format
-	// version as an ASCII digit. docs/FORMATS.md §2 is the byte-level
-	// spec; version 2 is the only one written or read.
+	// A checkpoint starts with "SMN" plus the format version as an
+	// ASCII digit. docs/FORMATS.md §2 is the byte-level spec. SMN3 is
+	// the one written; SMN2 (no key filters, no CRC) still opens, and
+	// Open folds it to SMN3 before anything is appended beside it.
 	manifestMagicV2 = 0x324e4d53 // "SMN2"
+	manifestMagicV3 = 0x334e4d53 // "SMN3"
 )
 
 // ErrNotFound reports a missing store.
@@ -95,6 +99,11 @@ type fragRef struct {
 	// nil for tombstones and empty fragments (the read paths treat nil
 	// as "maybe").
 	filter *filter.Filter
+	// keys is the fragment's joint-key filter over its points' linear
+	// addresses, built beside filter and carried the same way; probes
+	// consult it after filter. nil where filter is, and for
+	// fragments an SMN2 checkpoint or its log listed.
+	keys *filter.Keys
 	// tomb marks a deletion fragment covering tombRegion: cells inside
 	// it are dead unless rewritten by a later fragment.
 	tomb       bool
@@ -247,30 +256,40 @@ func Create(fs fsim.FS, prefix string, kind core.Kind, shape tensor.Shape, opts 
 	return s, nil
 }
 
-// manifestState is a decoded checkpoint: the store's persisted
-// properties and fragment list.
+// manifestState is a decoded checkpoint: its format version, the
+// store's persisted properties and fragment list.
 type manifestState struct {
-	kind   core.Kind
-	codec  compress.ID
-	shape  tensor.Shape
-	nextID uint64
-	frags  []fragRef
+	version int // 2 or 3
+	kind    core.Kind
+	codec   compress.ID
+	shape   tensor.Shape
+	nextID  uint64
+	frags   []fragRef
 }
 
 // decodeManifest parses a checkpoint. Used by Open and by
 // DecodeManifestInfo (the sparseinspect surface). Every structural
-// failure wraps fragment.ErrCorrupt, so a caller can tell a damaged or
-// unsupported store from a missing one (ErrNotFound).
+// failure — a CRC mismatch included — wraps fragment.ErrCorrupt, so a
+// caller can tell a damaged or unsupported store from a missing one
+// (ErrNotFound).
 func decodeManifest(data []byte) (*manifestState, error) {
+	m := &manifestState{}
 	r := buf.NewReader(data)
 	switch magic := r.U32(); {
+	case magic == manifestMagicV3:
+		body := len(data) - 4
+		if body < 4 || crc32.ChecksumIEEE(data[:body]) != binary.LittleEndian.Uint32(data[body:]) {
+			return nil, fmt.Errorf("store: manifest: %w: checksum mismatch", fragment.ErrCorrupt)
+		}
+		m.version = 3
+		r = buf.NewReader(data[4:body])
 	case magic == manifestMagicV2:
+		m.version = 2
 	case isManifestMagic(magic):
-		return nil, fmt.Errorf("store: manifest: %w: unsupported format SMN%c (this build reads SMN2 only)", fragment.ErrCorrupt, rune(magic>>24))
+		return nil, fmt.Errorf("store: manifest: %w: unsupported format SMN%c (this build reads SMN2 and SMN3)", fragment.ErrCorrupt, rune(magic>>24))
 	default:
 		return nil, fmt.Errorf("store: manifest: %w: bad magic %08x", fragment.ErrCorrupt, magic)
 	}
-	m := &manifestState{}
 	m.kind = core.Kind(r.U8())
 	m.codec = compress.ID(r.U8())
 	dims := int(r.U16())
@@ -297,12 +316,8 @@ func decodeManifest(data []byte) (*manifestState, error) {
 			fr.tombRegion.Start = r.RawU64s(uint64(dims))
 			fr.tombRegion.Size = r.RawU64s(uint64(dims))
 		}
-		if flags&2 != 0 {
-			filt, err := filter.Decode(r.Bytes32())
-			if err != nil {
-				return nil, fmt.Errorf("store: manifest: %w: fragment %s filter: %v", fragment.ErrCorrupt, fr.name, err)
-			}
-			fr.filter = filt
+		if err := fr.readFilters(r, flags); err != nil {
+			return nil, fmt.Errorf("store: manifest: %w: fragment %s: %v", fragment.ErrCorrupt, fr.name, err)
 		}
 		m.frags = append(m.frags, fr)
 	}
@@ -313,6 +328,9 @@ func decodeManifest(data []byte) (*manifestState, error) {
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("store: manifest: %w: %v", fragment.ErrCorrupt, err)
+	}
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("store: manifest: %w: %d trailing bytes", fragment.ErrCorrupt, r.Remaining())
 	}
 	return m, nil
 }
@@ -359,6 +377,14 @@ func Open(fs fsim.FS, prefix string, opts ...Option) (*Store, error) {
 	if err := s.replayLog(); err != nil {
 		return nil, err
 	}
+	// An SMN2 checkpoint is folded to SMN3 before any key-carrying
+	// record can join its log: a build that reads SMN2 only refuses the
+	// store by name instead of truncating those records as a torn tail.
+	if m.version == 2 {
+		if err := s.checkpoint(); err != nil {
+			return nil, err
+		}
+	}
 	// With the manifest settled, sweep fragment files it does not
 	// reference — crash debris from a compaction swap or a rolled-back
 	// write — then publish the first snapshot.
@@ -370,14 +396,16 @@ func Open(fs fsim.FS, prefix string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// writeManifest writes the full-state checkpoint (SMN2, docs/FORMATS.md
+// writeManifest writes the full-state checkpoint (SMN3, docs/FORMATS.md
 // §2): the store's properties, one entry per fragment with a flags byte
-// (bit 0 tombstone, bit 1 coordinate filter present, followed by the
-// filter blob), and an index-presence byte of 0: no index section.
+// (bit 0 tombstone, bit 1 coordinate filter present, bit 2 key filter
+// present, each filter blob following in that order), an
+// index-presence byte of 0 (no index section), and the CRC32 of every
+// byte before it.
 func (s *Store) writeManifest() error {
 	w := buf.GetWriter(64 + len(s.frags)*(48+16*s.shape.Dims()))
 	defer buf.PutWriter(w)
-	w.U32(manifestMagicV2)
+	w.U32(manifestMagicV3)
 	w.U8(uint8(s.kind))
 	w.U8(uint8(s.codec))
 	w.U16(uint16(s.shape.Dims()))
@@ -394,23 +422,15 @@ func (s *Store) writeManifest() error {
 		} else {
 			w.RawU64s(make([]uint64, 2*s.shape.Dims()))
 		}
-		var flags uint8
-		if fr.tomb {
-			flags |= 1
-		}
-		if fr.filter != nil {
-			flags |= 2
-		}
-		w.U8(flags)
+		w.U8(fr.entryFlags())
 		if fr.tomb {
 			w.RawU64s(fr.tombRegion.Start)
 			w.RawU64s(fr.tombRegion.Size)
 		}
-		if fr.filter != nil {
-			w.Bytes32(fr.filter.Encode())
-		}
+		fr.appendFilters(w)
 	}
 	w.U8(0)
+	w.U32(crc32.ChecksumIEEE(w.Bytes()))
 	return s.fs.WriteFile(s.prefix+"/"+manifestName, w.Bytes())
 }
 
@@ -586,8 +606,9 @@ type ReadReport struct {
 	// Per-query cost attribution, fed into span attributes and the
 	// slow-query log. Candidates counts the fragments whose bounding box
 	// meets the target (Fragments = Candidates - tombstones - FilterSkipped);
-	// FilterSkipped counts candidates the per-fragment coordinate
-	// filters dismissed without a fetch.
+	// FilterSkipped counts candidates the per-fragment filters dismissed
+	// without a fetch: the coordinate filter, or for a probe the key
+	// filter after it.
 	Candidates    int
 	FilterSkipped int
 	// CacheHits / CacheMisses split fragment fetches by whether the
@@ -641,9 +662,9 @@ type hit struct {
 }
 
 // readPlan is everything that differs between reads, as data: the
-// target's bounding box, which coordinate-filter predicate dismisses a
-// fragment, and how a fetched fragment is extracted. A point read (and
-// a StrategyDefault region read, whose cells are its probe list) looks
+// target's bounding box, which filter predicate dismisses a fragment,
+// and how a fetched fragment is extracted. A point read (and a
+// StrategyDefault region read, whose cells are its probe list) looks
 // every probe point up; StrategyScan walks the fragment's stored points
 // inside the region; StrategyAuto picks one of the two per fragment;
 // an export, with neither probe nor region, walks every stored point.
@@ -717,15 +738,24 @@ func (s *Store) readsNothing() readPlan {
 	return readPlan{probe: tensor.NewCoords(s.shape.Dims(), 0)}
 }
 
-// mayHold asks fr's coordinate filter whether the fragment can hold any
-// of the target. Filters have no false negatives, so false lets the
-// loop skip the fragment without a fetch.
-func (pl *readPlan) mayHold(fr *fragRef) bool {
+// mayHold asks fr's filters whether the fragment can hold any of the
+// target: a window asks the coordinate filter for its range; a probe
+// point asks the bounding box, the coordinate filter, and then — when
+// the fragment has one — the key filter, by its linear address under
+// lin. Filters have no false negatives, so false lets the loop skip the
+// fragment without a fetch.
+func (pl *readPlan) mayHold(fr *fragRef, lin *tensor.Linearizer) bool {
 	switch {
 	case pl.region != nil:
 		return fr.filter.MayOverlapRegion(*pl.region)
 	case pl.probe != nil:
-		return filterMayContainProbe(fr.filter, fr.bbox, pl.probe)
+		for i, n := 0, pl.probe.Len(); i < n; i++ {
+			p := pl.probe.At(i)
+			if fr.bbox.Contains(p) && fr.filter.MayContainPoint(p) && (fr.keys == nil || fr.keys.MayContain(lin.Linearize(p))) {
+				return true
+			}
+		}
+		return false
 	}
 	return true
 }
@@ -845,7 +875,7 @@ func (s *Store) read(ctx context.Context, req QueryRequest) (*Result, *ReadRepor
 
 // readView is Algorithm 3's READ and the store's only fragment loop:
 // among the first limit fragments of v, list those whose bounding box
-// overlaps the target, skip those the coordinate filters rule out,
+// overlaps the target, skip those the fragment filters rule out,
 // fetch and extract each survivor, then merge the hits by linear
 // address — newest fragment wins, cells under a later tombstone are
 // dead — handing each live cell to emit (a nil emit collects them in
@@ -883,7 +913,7 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 		if fr.nnz == 0 {
 			continue // tombstones join at the merge, not the fragment loop
 		}
-		if fr.filter != nil && !pl.mayHold(fr) {
+		if fr.filter != nil && !pl.mayHold(fr, s.lin) {
 			rep.FilterSkipped++
 			continue
 		}
@@ -924,20 +954,6 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 	reg.Counter("store.read.probed", "kind", kind).Add(int64(rep.Probed))
 	reg.Counter("store.read.found", "kind", kind).Add(int64(rep.Found))
 	return res, rep, live, nil
-}
-
-// filterMayContainProbe asks a fragment's coordinate filter whether any
-// probe point inside its bounding box may be stored. False means the
-// fragment provably holds none of the probe points (filters have no
-// false negatives), so the read path can skip it without a fetch.
-func filterMayContainProbe(f *filter.Filter, box tensor.BBox, probe *tensor.Coords) bool {
-	for i, n := 0, probe.Len(); i < n; i++ {
-		p := probe.At(i)
-		if box.Contains(p) && f.MayContainPoint(p) {
-			return true
-		}
-	}
-	return false
 }
 
 // emitFunc receives a read's live cells one at a time, in ascending

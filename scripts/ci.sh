@@ -43,9 +43,9 @@ go build ./...
 # it instead; and typed options and flags are the only configuration
 # surface, so the library and the cmds never read the process
 # environment; and Algorithm 3's WRITE exists once, so the store calls
-# Format.Build in one place and encodes a fragment in one place
-# (prepareBatch — Write, WriteBatch, the chunked ingest and compaction
-# all go through it); and Algorithm 3's READ exists once, so a fragment
+# Format.Build in one place, encodes a fragment in one place and builds
+# a key filter in one place (prepareBatch — Write, WriteBatch, the
+# chunked ingest, compaction and Convert all go through it); and Algorithm 3's READ exists once, so a fragment
 # is fetched from two places only (readFragment on the READ loop, and
 # warmCache) and internal/core offers one walk (Iterator.Each and
 # RegionScanner.ScanRegion — no iter.Seq2 twin of them); and the tile
@@ -74,7 +74,7 @@ go build ./...
 # boxes — so no spatial grid comes back below it.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; exported methods; options; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -88,6 +88,12 @@ builds=$(grep -hE '\.Build\(' $store_src | grep -cvE 'filter\.Build\(|^\s*//' ||
 encodes=$(grep -hE 'fragment\.(AppendEncode|Encode)\(' $store_src | grep -cvE '^\s*//' || true)
 if [ "$builds" -ne 1 ] || [ "$encodes" -ne 1 ]; then
     echo "internal/store calls Format.Build in $builds places and encodes a fragment in $encodes (want 1 and 1: go through prepareBatch)" >&2
+    exit 1
+fi
+keybuilds=$(grep -hE 'BuildKeys\(' $store_src | grep -cvE '^\s*//' || true)
+keyprep=$(sed -n '/^func (s \*Store) prepareBatch(/,/^}/p' internal/store/ingest.go | grep -cE 'filter\.BuildKeys\(' || true)
+if [ "$keybuilds" -ne 1 ] || [ "$keyprep" -ne 1 ]; then
+    echo "internal/store builds key filters in $keybuilds places, $keyprep of them in prepareBatch (want 1 and 1: every fragment's key filter comes from prepareBatch)" >&2
     exit 1
 fi
 fetches=$(grep -hE 'fetchFragment\(' $store_src | grep -cvE '^func |^\s*//' || true)
