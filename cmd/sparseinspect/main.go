@@ -1,11 +1,13 @@
 // Command sparseinspect dumps the metadata of fragment files and store
 // manifests written by the storage engine: organization kind, shape,
-// point count, bounding box, section sizes, per-fragment coordinate
-// filters (and, in a manifest, key-filter sizes), and — with -payload —
-// the organization-specific index structure (CSR pointers, CSF level
-// sizes, and so on). Manifest files
+// point count, bounding box, section sizes, and — with -payload — the
+// organization-specific index structure (CSR pointers, CSF level sizes,
+// and so on); for a manifest, the fragment roster with each fragment's
+// coordinate filter (per dimension) and key-filter size, the manifest
+// being the one place a fragment's filters are stored. Manifest files
 // are detected by magic, so both file kinds can be mixed in one
-// invocation. A manifest's legacy index section is skipped unread.
+// invocation. A manifest's legacy index section, and a fragment's
+// legacy filter section, are listed or skipped but never read.
 //
 // Usage:
 //
@@ -75,7 +77,7 @@ func inspect(path string, payload bool) error {
 		return err
 	}
 	fmt.Printf("%s:\n", path)
-	fmt.Printf("  layout:       v%d (sectioned, ranged reads)\n", frag.Version)
+	fmt.Printf("  layout:       v%d (sectioned, ranged reads)\n", fragment.Version)
 	for _, s := range lz.Sections() {
 		fmt.Printf("    %-8s off=%-8d len=%-8d crc32=%08x\n", s.Name, s.Offset, s.Len, s.CRC)
 	}
@@ -91,10 +93,6 @@ func inspect(path string, payload bool) error {
 	}
 	fmt.Printf("  total bytes:  %d (payload %d stored, %d decoded; values %d)\n",
 		frag.Bytes, frag.Stored.Payload, len(frag.Payload), frag.Stored.Values)
-	if frag.Filter != nil {
-		fmt.Printf("  filter:       %d bytes\n", frag.Stored.Filter)
-		printFilterStats("    ", frag.Filter.Stats())
-	}
 	if !payload {
 		return nil
 	}
@@ -139,7 +137,7 @@ func inspectManifest(path string, data []byte) error {
 			fr.Name, role, fr.NNZ, fr.Bytes, fr.BBox.Min, fr.BBox.Max)
 		if fr.Filter != nil {
 			fmt.Printf("      filter:     %d bytes\n", fr.FilterBytes)
-			printFilterStats("      ", fr.Filter)
+			printFilterStats(fr.Filter)
 		}
 		if fr.KeyBytes > 0 {
 			fmt.Printf("      keys:       %d bytes\n", fr.KeyBytes)
@@ -150,13 +148,13 @@ func inspectManifest(path string, data []byte) error {
 
 // printFilterStats writes one line per dimension of a coordinate
 // filter: representation kind, bit width, and fill ratio.
-func printFilterStats(indent string, stats []filter.DimStats) {
+func printFilterStats(stats []filter.DimStats) {
 	for d, st := range stats {
 		fill := 0.0
 		if st.Bits > 0 {
 			fill = float64(st.Set) / float64(st.Bits)
 		}
-		fmt.Printf("%sdim %d: %-6s bits=%-6d set=%-6d fill=%.3f\n",
-			indent, d, st.Kind, st.Bits, st.Set, fill)
+		fmt.Printf("      dim %d: %-6s bits=%-6d set=%-6d fill=%.3f\n",
+			d, st.Kind, st.Bits, st.Set, fill)
 	}
 }

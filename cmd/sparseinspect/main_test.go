@@ -36,7 +36,8 @@ func capture(t *testing.T, f func() error) (string, error) {
 	return <-done, runErr
 }
 
-// writeFragment creates a real fragment file and returns its path.
+// writeFragment creates a real fragment file, in a closed store whose
+// MANIFEST lists it, and returns its path.
 func writeFragment(t *testing.T, kind core.Kind) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -53,6 +54,9 @@ func writeFragment(t *testing.T, kind core.Kind) string {
 	c.Append(4, 5, 6)
 	rep, err := st.Write(c, []float64{1, 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return filepath.Join(dir, filepath.FromSlash(rep.Name))
@@ -82,15 +86,32 @@ func TestInspectPayloadCSF(t *testing.T) {
 	}
 }
 
+// TestInspectFilterSection: a fragment's filters are in the manifest
+// only. The manifest dump prints the fragment's coordinate filter, one
+// line per dimension, and its key filter's size; the fragment dump
+// lists three sections and no filter.
 func TestInspectFilterSection(t *testing.T) {
 	path := writeFragment(t, core.Linear)
 	out, err := capture(t, func() error { return inspect(path, false) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"filter:", "dim 0: bitmap", "fill=0.500"} {
+	if strings.Contains(out, "filter") || strings.Count(out, "crc32=") != 3 {
+		t.Fatalf("fragment dump shows a filter or other than three sections:\n%s", out)
+	}
+	out, err = capture(t, func() error { return inspect(filepath.Join(filepath.Dir(path), "MANIFEST"), false) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"filter:     65 bytes",
+		"dim 0: bitmap bits=4      set=2      fill=0.500",
+		"dim 1: bitmap bits=4      set=2      fill=0.500",
+		"dim 2: bitmap bits=4      set=2      fill=0.500",
+		"keys:       8 bytes",
+	} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("filter section missing %q:\n%s", want, out)
+			t.Fatalf("manifest dump missing %q:\n%s", want, out)
 		}
 	}
 }

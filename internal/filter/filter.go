@@ -1,36 +1,37 @@
-// Package filter implements a fragment's two point filters, consulted
-// by the read path before it fetches the fragment: Filter, per-dimension
-// coordinate summaries that answer "might this fragment contain a point
-// whose d-th coordinate is c?" (and the range form of the question),
-// and Keys, a Bloom filter over the fragment's whole keys.
+// Package filter implements a fragment's two filters, consulted by the
+// read path before it fetches the fragment, one per kind of read: Keys,
+// a Bloom filter over the fragment's whole keys, answers a point probe;
+// Filter, per-dimension coordinate summaries, answers a window ("might
+// some stored point lie inside this region?"). Both live in the store's
+// manifest record, never in the fragment file.
 //
 // A fragment's bounding box over-approximates its coordinate set badly
 // for sparse data — a fragment holding points (0,0) and (999,999) has a
 // bbox covering the whole plane — so the storage engine's overlap
 // search admits fragments that cannot possibly answer a query. Both
-// filters close part of that gap: a query that passes the bbox check
-// consults them and skips the fragment (no file open, no probe) when
-// one proves the requested points absent. False positives are allowed
-// (the fragment is opened and probed for nothing); false negatives
-// never happen — a point that was fed to a build always passes.
+// filters close part of that gap: a read that passes the bbox check
+// consults one and skips the fragment (no file open, no probe) when it
+// proves the requested points absent. False positives are allowed (the
+// fragment is opened and probed for nothing); false negatives never
+// happen — a point that was fed to a build always passes.
 //
-// The per-dimension summaries are not an LSM key filter. Each answers
-// for one dimension alone, so once a fragment holds a few hundred
-// points of a small tile, nearly every coordinate of every dimension
-// occurs and nearly every absent point passes. They are what a region
-// read can ask. Keys is the LSM filter (Bloom, CACM 1970): it hashes a
-// point's linear address, the whole key, and is what a point read asks
-// after the summaries.
+// Keys is the LSM filter (Bloom, CACM 1970): it hashes a point's linear
+// address, the whole key, so a probe whose every coordinate occurs in
+// the fragment, but not together, is still dismissed. The per-dimension
+// summaries answer for one dimension at a time, which is what a window
+// needs and what a whole-key hash cannot give: they skip fragments of a
+// few dozen points under windows a small fraction of the tile's edge
+// (EXPERIMENTS.md, "Sub-linear fragment lookup").
 //
 // Filter has two encodings per dimension, chosen automatically:
 //
 //   - bitmap: when the dimension's bbox extent is small (≤ maxBitmapBits)
 //     the filter stores one bit per coordinate in [min, max]. Exact — no
-//     false positives — and range queries are a word scan.
+//     false positives — and a range is a word scan.
 //   - bloom: otherwise, a standard double-hashed bloom filter over the
-//     dimension's distinct coordinate values. Point queries are
-//     approximate; range queries degrade to "maybe" once the range is
-//     wider than maxRangeProbe.
+//     dimension's distinct coordinate values. A range probes its values
+//     one by one, approximately, and answers "maybe" once it is wider
+//     than maxRangeProbe.
 package filter
 
 import (
@@ -169,26 +170,18 @@ func (dm *dim) add(d uint16, c uint64) {
 	}
 }
 
-func (dm *dim) mayContain(d uint16, c uint64) bool {
-	switch dm.kind {
-	case kindBitmap:
-		if c < dm.base || c-dm.base >= uint64(dm.nbits) {
+// bloomHas probes a bloom dimension for coordinate c.
+func (dm *dim) bloomHas(d uint16, c uint64) bool {
+	h1 := mix64(c ^ (uint64(d)+1)*0x9e3779b97f4a7c15)
+	h2 := mix64(h1) | 1
+	mask := uint64(dm.nbits) - 1
+	for i := uint8(0); i < dm.k; i++ {
+		bit := (h1 + uint64(i)*h2) & mask
+		if dm.words[bit/64]&(1<<(bit%64)) == 0 {
 			return false
 		}
-		bit := c - dm.base
-		return dm.words[bit/64]&(1<<(bit%64)) != 0
-	default:
-		h1 := mix64(c ^ (uint64(d)+1)*0x9e3779b97f4a7c15)
-		h2 := mix64(h1) | 1
-		mask := uint64(dm.nbits) - 1
-		for i := uint8(0); i < dm.k; i++ {
-			bit := (h1 + uint64(i)*h2) & mask
-			if dm.words[bit/64]&(1<<(bit%64)) == 0 {
-				return false
-			}
-		}
-		return true
 	}
+	return true
 }
 
 // mayOverlapRange answers "might some stored coordinate lie in
@@ -229,7 +222,7 @@ func (dm *dim) mayOverlapRange(d uint16, lo, hi uint64) bool {
 			return true
 		}
 		for c := lo; ; c++ {
-			if dm.mayContain(d, c) {
+			if dm.bloomHas(d, c) {
 				return true
 			}
 			if c == hi {
@@ -239,21 +232,6 @@ func (dm *dim) mayOverlapRange(d uint16, lo, hi uint64) bool {
 	}
 }
 
-// Dims returns the filter's rank.
-func (f *Filter) Dims() int { return len(f.dims) }
-
-// MayContainPoint reports whether the fragment might contain p: every
-// dimension's summary must admit p's coordinate. A false result is
-// definitive — no stored point has these coordinates.
-func (f *Filter) MayContainPoint(p []uint64) bool {
-	for d := range f.dims {
-		if !f.dims[d].mayContain(uint16(d), p[d]) {
-			return false
-		}
-	}
-	return true
-}
-
 // MayOverlapRegion reports whether the fragment might contain a point
 // inside the region. A false result is definitive: some dimension has
 // no stored coordinate in the region's range there, so no stored point
@@ -261,16 +239,6 @@ func (f *Filter) MayContainPoint(p []uint64) bool {
 func (f *Filter) MayOverlapRegion(r tensor.Region) bool {
 	for d := range f.dims {
 		if !f.dims[d].mayOverlapRange(uint16(d), r.Start[d], r.Start[d]+r.Size[d]-1) {
-			return false
-		}
-	}
-	return true
-}
-
-// MayOverlapBox is MayOverlapRegion for an inclusive bounding box.
-func (f *Filter) MayOverlapBox(b tensor.BBox) bool {
-	for d := range f.dims {
-		if !f.dims[d].mayOverlapRange(uint16(d), b.Min[d], b.Max[d]) {
 			return false
 		}
 	}

@@ -17,15 +17,32 @@ func coordsOf(t *testing.T, dims int, pts ...[]uint64) *tensor.Coords {
 	return c
 }
 
+// cell is the one-cell region at p: the window a point read would ask.
+func cell(p ...uint64) tensor.Region {
+	size := make([]uint64, len(p))
+	for d := range size {
+		size[d] = 1
+	}
+	return tensor.Region{Start: append([]uint64(nil), p...), Size: size}
+}
+
+// box is the region covering the inclusive bounds [lo, hi].
+func box(lo, hi []uint64) tensor.Region {
+	size := make([]uint64, len(lo))
+	for d := range size {
+		size[d] = hi[d] - lo[d] + 1
+	}
+	return tensor.Region{Start: lo, Size: size}
+}
+
 func TestBuildEmptyReturnsNil(t *testing.T) {
 	if f := Build(tensor.NewCoords(2, 0)); f != nil {
 		t.Fatalf("Build on empty coords = %v, want nil", f)
 	}
 }
 
-// No false negatives: every ingested point must pass the point check,
-// and every region containing an ingested point must pass the region
-// check — for both encodings.
+// No false negatives: the one-cell region of every ingested point, and
+// a box around it, must pass the region check — for both encodings.
 func TestNoFalseNegatives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct {
@@ -43,15 +60,16 @@ func TestNoFalseNegatives(t *testing.T) {
 			f := Build(c)
 			for i := 0; i < c.Len(); i++ {
 				p := c.At(i)
-				if !f.MayContainPoint(p) {
-					t.Fatalf("false negative: point %v", p)
+				if !f.MayOverlapRegion(cell(p...)) {
+					t.Fatalf("false negative: unit region at %v", p)
 				}
-				r := tensor.Region{Start: append([]uint64(nil), p...), Size: []uint64{1, 1, 1}}
-				if !f.MayOverlapRegion(r) {
-					t.Fatalf("false negative: unit region at %v", r.Start)
+				lo, hi := make([]uint64, 3), make([]uint64, 3)
+				for d := range p {
+					lo[d] = p[d] - rng.Uint64()%min(p[d]+1, 40)
+					hi[d] = p[d] + rng.Uint64()%40
 				}
-				if !f.MayOverlapBox(tensor.BBox{Min: r.Start, Max: r.Start}) {
-					t.Fatalf("false negative: unit box at %v", r.Start)
+				if !f.MayOverlapRegion(box(lo, hi)) {
+					t.Fatalf("false negative: box %v..%v around %v", lo, hi, p)
 				}
 			}
 		})
@@ -68,16 +86,16 @@ func TestBitmapExactness(t *testing.T) {
 			t.Fatalf("expected bitmap encoding, got %q", st.Kind)
 		}
 	}
-	if f.MayContainPoint([]uint64{5, 5}) {
+	if f.MayOverlapRegion(cell(5, 5)) {
 		t.Fatal("bitmap admitted absent point (5,5)")
 	}
-	if f.MayContainPoint([]uint64{10, 0}) {
-		// dim 0 has {0,10,20}, dim 1 has {0,10,20}: both pass
-		// individually, so this IS an admissible false positive for a
-		// per-dimension filter.
-		t.Log("per-dimension filter admits (10,0) — expected false positive")
+	// dim 0 has {0,10,20}, dim 1 has {0,10,20}: both pass individually,
+	// so (10,0) is an admissible false positive for a per-dimension
+	// filter — the store's key filter is what dismisses it.
+	if !f.MayOverlapRegion(cell(10, 0)) {
+		t.Fatal("bitmap rejected (10,0), whose every coordinate is stored")
 	}
-	if f.MayContainPoint([]uint64{21, 21}) {
+	if f.MayOverlapRegion(cell(21, 21)) {
 		t.Fatal("bitmap admitted out-of-range point")
 	}
 	// Range with no stored coordinate in dim 0: [1,9].
@@ -97,11 +115,11 @@ func TestBitmapRangeWordBoundaries(t *testing.T) {
 		c := coordsOf(t, 1, []uint64{0}, []uint64{coord}, []uint64{501})
 		f := Build(c)
 		if coord > 0 && coord < 501 {
-			if !f.MayOverlapBox(tensor.BBox{Min: []uint64{1}, Max: []uint64{500}}) {
+			if !f.MayOverlapRegion(box([]uint64{1}, []uint64{500})) {
 				t.Fatalf("range [1,500] missed stored coordinate %d", coord)
 			}
 		}
-		if f.MayOverlapBox(tensor.BBox{Min: []uint64{502}, Max: []uint64{600}}) {
+		if f.MayOverlapRegion(box([]uint64{502}, []uint64{600})) {
 			t.Fatalf("range past the bitmap end admitted (coord %d)", coord)
 		}
 	}
@@ -122,11 +140,11 @@ func TestBloomRangeProbing(t *testing.T) {
 		t.Fatalf("expected bloom encoding, got %q", st.Kind)
 	}
 	// Narrow range containing a stored value.
-	if !f.MayOverlapBox(tensor.BBox{Min: []uint64{base + 990}, Max: []uint64{base + 1010}}) {
+	if !f.MayOverlapRegion(box([]uint64{base + 990}, []uint64{base + 1010})) {
 		t.Fatal("bloom range probe missed stored value")
 	}
 	// Range wider than maxRangeProbe: must answer maybe.
-	if !f.MayOverlapBox(tensor.BBox{Min: []uint64{0}, Max: []uint64{maxRangeProbe + 1}}) {
+	if !f.MayOverlapRegion(box([]uint64{0}, []uint64{maxRangeProbe + 1})) {
 		t.Fatal("wide bloom range must answer maybe")
 	}
 }
@@ -149,7 +167,7 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 		if seen[v] {
 			continue
 		}
-		if f.MayContainPoint([]uint64{v}) {
+		if f.MayOverlapRegion(cell(v)) {
 			fp++
 		}
 	}
@@ -182,7 +200,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		// Behavioral identity on a sample of points.
 		for i := 0; i < 200; i++ {
 			p := []uint64{rng.Uint64() % span, rng.Uint64() % span, rng.Uint64() % span, rng.Uint64() % span}
-			if f.MayContainPoint(p) != g.MayContainPoint(p) {
+			if f.MayOverlapRegion(cell(p...)) != g.MayOverlapRegion(cell(p...)) {
 				t.Fatalf("decoded filter disagrees on %v", p)
 			}
 		}

@@ -18,10 +18,9 @@ const (
 )
 
 // Keys is a Bloom filter over a fragment's whole keys: the linear
-// address of every stored point in its store's frame. It is the
-// LSM-style point filter the per-dimension summaries are not — a probe
-// whose every coordinate occurs in the fragment, but not together, is
-// dismissed here. False positives are allowed; false negatives never
+// address of every stored point in its store's frame. It is the one
+// filter a point probe asks — a probe whose every coordinate occurs in
+// the fragment, but not together, is dismissed here. False positives are allowed; false negatives never
 // happen. A Keys is immutable after construction and safe for
 // concurrent use.
 type Keys struct {

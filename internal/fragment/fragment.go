@@ -9,14 +9,15 @@
 // containing b_coor").
 //
 // One layout exists on disk (docs/FORMATS.md §1 is the byte-level spec):
-// a fixed-size preamble records the length and CRC32 of four
-// independently checksummed sections — header/bbox, payload, values,
-// and an optional per-dimension coordinate filter (internal/filter) the
-// overlap search consults to skip fragments whose bbox overlaps a query
-// but whose coordinates don't. OpenAt decodes the header from one small
-// ranged read and fetches payload/values lazily; the filter section is
-// last, so the payload+values pair stays contiguous and LoadSections
-// costs one ranged read.
+// a fixed-size preamble records the length and CRC32 of each
+// independently checksummed section — header/bbox, payload, values —
+// and OpenAt decodes the header from one small ranged read and fetches
+// payload and values lazily, in one ranged read (they are adjacent).
+// The preamble also has room for a trailing filter section, which
+// earlier writers filled with the fragment's coordinate filter; a
+// fragment's filters now live in the store's manifest only, so Encode
+// writes none, and a file that carries one opens with it size-checked
+// and listed by Sections but never read.
 //
 // The payload section is self-describing (compress.EncodeSection), so a
 // section can be decoded without consulting any other section.
@@ -34,16 +35,15 @@ import (
 	"sparseart/internal/buf"
 	"sparseart/internal/compress"
 	"sparseart/internal/core"
-	"sparseart/internal/filter"
 	"sparseart/internal/tensor"
 )
 
 const (
-	magic   = 0x46415053 // "SPAF"
-	version = 3          // the one layout Encode writes and OpenAt reads
+	magic = 0x46415053 // "SPAF"
 
 	// preambleSize is the fixed section table at the head of the file;
-	// the sections follow back to back: header, payload, values, filter.
+	// the sections follow back to back: header, payload, values, and —
+	// in a file an earlier writer left — an unread filter section.
 	// docs/FORMATS.md §1 lists the fields.
 	preambleSize = 60
 
@@ -53,6 +53,9 @@ const (
 	openReadSize = 512
 )
 
+// Version is the one layout Encode writes and OpenAt reads.
+const Version = 3
+
 // ErrCorrupt reports a fragment that fails structural or checksum
 // validation.
 var ErrCorrupt = fmt.Errorf("fragment: corrupt fragment")
@@ -60,12 +63,11 @@ var ErrCorrupt = fmt.Errorf("fragment: corrupt fragment")
 // Header is the fragment metadata, available without reading the payload
 // or values sections.
 type Header struct {
-	Version uint16 // on-disk layout version
-	Kind    core.Kind
-	Codec   compress.ID
-	Shape   tensor.Shape
-	NNZ     uint64
-	BBox    tensor.BBox // inclusive; undefined when NNZ == 0 and not a tombstone
+	Kind  core.Kind
+	Codec compress.ID
+	Shape tensor.Shape
+	NNZ   uint64
+	BBox  tensor.BBox // inclusive; undefined when NNZ == 0 and not a tombstone
 	// Tombstone marks a deletion fragment: it carries no points, and
 	// its payload is the deleted region. Cells covered by a tombstone
 	// are dead unless rewritten by a later fragment.
@@ -74,7 +76,6 @@ type Header struct {
 	Stored    struct { // section sizes inside the file
 		Payload int64 // possibly compressed, incl. codec-ID byte
 		Values  int64
-		Filter  int64 // coordinate-filter section (0 = none)
 	}
 }
 
@@ -83,9 +84,6 @@ type Fragment struct {
 	Header
 	Payload []byte    // decompressed organization payload
 	Values  []float64 // values in packed (permuted) order
-	// Filter is the optional per-dimension coordinate summary consulted
-	// by the overlap search. nil for empty fragments and tombstones.
-	Filter *filter.Filter
 }
 
 // encodeHeaderSection serializes the header section.
@@ -144,11 +142,7 @@ func AppendEncode(dst []byte, f *Fragment) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var filt []byte
-	if f.Filter != nil {
-		filt = f.Filter.Encode()
-	}
-	need := preambleSize + len(header) + len(payload) + 8*len(f.Values) + len(filt)
+	need := preambleSize + len(header) + len(payload) + 8*len(f.Values)
 	var out []byte
 	if cap(dst) >= need {
 		out = dst[:need]
@@ -161,9 +155,8 @@ func AppendEncode(dst []byte, f *Fragment) ([]byte, error) {
 	for i, v := range f.Values {
 		binary.LittleEndian.PutUint64(values[8*i:], math.Float64bits(v))
 	}
-	copy(out[preambleSize+len(header)+len(payload)+len(values):], filt)
 	binary.LittleEndian.PutUint32(out[0:], magic)
-	binary.LittleEndian.PutUint16(out[4:], version)
+	binary.LittleEndian.PutUint16(out[4:], Version)
 	binary.LittleEndian.PutUint16(out[6:], 0)
 	binary.LittleEndian.PutUint64(out[8:], uint64(len(header)))
 	binary.LittleEndian.PutUint64(out[16:], uint64(len(payload)))
@@ -171,8 +164,8 @@ func AppendEncode(dst []byte, f *Fragment) ([]byte, error) {
 	binary.LittleEndian.PutUint32(out[32:], crc32.ChecksumIEEE(header))
 	binary.LittleEndian.PutUint32(out[36:], crc32.ChecksumIEEE(payload))
 	binary.LittleEndian.PutUint32(out[40:], crc32.ChecksumIEEE(values))
-	binary.LittleEndian.PutUint64(out[44:], uint64(len(filt)))
-	binary.LittleEndian.PutUint32(out[52:], crc32.ChecksumIEEE(filt))
+	binary.LittleEndian.PutUint64(out[44:], 0) // no filter section
+	binary.LittleEndian.PutUint32(out[52:], 0)
 	binary.LittleEndian.PutUint32(out[56:], crc32.ChecksumIEEE(out[:56]))
 	return out, nil
 }
@@ -201,7 +194,6 @@ func parseHeaderSection(b []byte) (*Header, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	h := &Header{
-		Version:   version,
 		Kind:      kind,
 		Codec:     codecID,
 		Shape:     shape,
@@ -218,7 +210,7 @@ func parseHeaderSection(b []byte) (*Header, error) {
 // preamble is the parsed fixed-offset section table.
 type preamble struct {
 	headerLen, payloadLen, valuesLen int64
-	filterLen                        int64 // 0 = no filter
+	filterLen                        int64 // 0 = no (legacy, unread) filter section
 	headerCRC, payloadCRC, valuesCRC uint32
 	filterCRC                        uint32
 }
@@ -276,8 +268,6 @@ type Lazy struct {
 	rawValues  []byte // stored values section (verified)
 	payload    []byte // decompressed payload
 	values     []float64
-	filter     *filter.Filter
-	filterDone bool // filter section loaded (or absent)
 	bytesRead  int64
 }
 
@@ -290,8 +280,9 @@ type SectionInfo struct {
 	CRC    uint32
 }
 
-// Sections returns the section table in file order. The filter entry
-// appears only when the file carries one.
+// Sections returns the section table in file order. A filter entry
+// appears only for a file an earlier writer left with one; its bytes are
+// never read.
 func (l *Lazy) Sections() []SectionInfo {
 	s := []SectionInfo{
 		{"header", preambleSize, l.pre.headerLen, l.pre.headerCRC},
@@ -318,8 +309,8 @@ func OpenAt(src io.ReaderAt, size int64) (*Lazy, error) {
 	if binary.LittleEndian.Uint32(first) != magic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(first))
 	}
-	if ver := binary.LittleEndian.Uint16(first[4:]); ver != version {
-		return nil, fmt.Errorf("%w: unsupported layout version %d (this build reads version %d only)", ErrCorrupt, ver, version)
+	if ver := binary.LittleEndian.Uint16(first[4:]); ver != Version {
+		return nil, fmt.Errorf("%w: unsupported layout version %d (this build reads version %d only)", ErrCorrupt, ver, Version)
 	}
 	p, err := parsePreamble(first)
 	if err != nil {
@@ -350,7 +341,6 @@ func OpenAt(src io.ReaderAt, size int64) (*Lazy, error) {
 	h.Bytes = size
 	h.Stored.Payload = p.payloadLen
 	h.Stored.Values = p.valuesLen
-	h.Stored.Filter = p.filterLen
 	return &Lazy{Header: *h, src: src, pre: *p, bytesRead: read}, nil
 }
 
@@ -435,39 +425,8 @@ func (l *Lazy) Values() ([]float64, error) {
 	return l.values, nil
 }
 
-// Filter returns the fragment's coordinate filter, loading and
-// verifying the filter section on first use. A file without a filter
-// section returns (nil, nil).
-func (l *Lazy) Filter() (*filter.Filter, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.filterDone {
-		return l.filter, nil
-	}
-	if l.pre.filterLen == 0 {
-		l.filterDone = true
-		return nil, nil
-	}
-	raw := make([]byte, l.pre.filterLen)
-	off := preambleSize + l.pre.headerLen + l.pre.payloadLen + l.pre.valuesLen
-	if _, err := l.src.ReadAt(raw, off); err != nil {
-		return nil, fmt.Errorf("fragment: read filter section: %w", err)
-	}
-	l.bytesRead += int64(len(raw))
-	if got := crc32.ChecksumIEEE(raw); got != l.pre.filterCRC {
-		return nil, fmt.Errorf("%w: filter checksum mismatch (got %#x want %#x)", ErrCorrupt, got, l.pre.filterCRC)
-	}
-	f, err := filter.Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: filter: %v", ErrCorrupt, err)
-	}
-	l.filter = f
-	l.filterDone = true
-	return f, nil
-}
-
-// Materialize loads every section and returns the fully decoded
-// fragment.
+// Materialize loads the payload and values sections and returns the
+// fully decoded fragment.
 func (l *Lazy) Materialize() (*Fragment, error) {
 	payload, err := l.Payload()
 	if err != nil {
@@ -477,11 +436,7 @@ func (l *Lazy) Materialize() (*Fragment, error) {
 	if err != nil {
 		return nil, err
 	}
-	filt, err := l.Filter()
-	if err != nil {
-		return nil, err
-	}
-	return &Fragment{Header: l.Header, Payload: payload, Values: values, Filter: filt}, nil
+	return &Fragment{Header: l.Header, Payload: payload, Values: values}, nil
 }
 
 // Decode parses and verifies a full in-memory fragment.

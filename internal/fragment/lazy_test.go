@@ -45,7 +45,7 @@ func bulky(t *testing.T) (*Fragment, []byte) {
 	return f, data
 }
 
-// TestOpenAtHeaderOnly: opening a v2 fragment must cost one small ranged
+// TestOpenAtHeaderOnly: opening a fragment must cost one small ranged
 // read; the payload/values sections transfer only on demand.
 func TestOpenAtHeaderOnly(t *testing.T) {
 	f, data := bulky(t)
@@ -60,7 +60,7 @@ func TestOpenAtHeaderOnly(t *testing.T) {
 	if src.bytes > openReadSize {
 		t.Errorf("OpenAt transferred %d bytes, want <= %d", src.bytes, openReadSize)
 	}
-	if l.Kind != f.Kind || l.NNZ != f.NNZ || !l.Shape.Equal(f.Shape) || l.Version != version {
+	if l.Kind != f.Kind || l.NNZ != f.NNZ || !l.Shape.Equal(f.Shape) {
 		t.Fatalf("header mismatch: %+v", l.Header)
 	}
 	if l.Bytes != int64(len(data)) {

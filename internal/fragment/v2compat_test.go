@@ -1,15 +1,12 @@
 package fragment
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
 	"testing"
 
 	"sparseart/internal/compress"
-	"sparseart/internal/filter"
-	"sparseart/internal/tensor"
 )
 
 // encodeV2 reproduces the pre-filter sectioned encoder byte for byte:
@@ -50,58 +47,4 @@ func encodeV2(t *testing.T, f *Fragment) []byte {
 // is trusted.
 func TestV2Rejected(t *testing.T) {
 	rejectsVersion(t, encodeV2(t, sample()), "2")
-}
-
-// TestV3FilterRoundTrip: a fragment with a filter survives encode →
-// lazy open; the filter section loads on demand only, is checksummed,
-// and reproduces the builder's bytes.
-func TestV3FilterRoundTrip(t *testing.T) {
-	f := sample()
-	c := tensor.NewCoords(2, 0)
-	c.Append(0, 1)
-	c.Append(3, 4)
-	c.Append(5, 7)
-	f.Filter = filter.Build(c)
-	data, err := Encode(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	src := newCountingReaderAt(data)
-	l, err := OpenAt(src, int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Stored.Filter == 0 {
-		t.Fatal("filter section missing from header")
-	}
-	reads := src.reads
-	filt, err := l.Filter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.reads != reads+1 {
-		t.Errorf("Filter() cost %d reads, want 1", src.reads-reads)
-	}
-	if filt == nil || !bytes.Equal(filt.Encode(), f.Filter.Encode()) {
-		t.Fatal("decoded filter differs from built filter")
-	}
-	if _, err := l.Filter(); err != nil || src.reads != reads+1 {
-		t.Error("second Filter() call touched the source")
-	}
-	secs := l.Sections()
-	if len(secs) != 4 || secs[3].Name != "filter" {
-		t.Fatalf("Sections() = %+v, want trailing filter entry", secs)
-	}
-
-	// Corrupt the filter section: header still opens, Filter() fails.
-	bad := append([]byte(nil), data...)
-	bad[len(bad)-1] ^= 0x01
-	lb, err := OpenAt(bytes.NewReader(bad), int64(len(bad)))
-	if err != nil {
-		t.Fatalf("filter corruption broke the header open: %v", err)
-	}
-	if _, err := lb.Filter(); err == nil {
-		t.Fatal("corrupt filter section accepted")
-	}
 }

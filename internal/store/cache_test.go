@@ -30,11 +30,12 @@ func sameResult(a, b *Result) bool {
 }
 
 // TestCacheConfigurationsIdenticalResults is the cache's correctness
-// property: for every registered organization, cold reads, warm
-// (cache-hit) reads, and budget-starved reads (budget so small every
-// entry is evicted on insert) return identical Results on every read
-// path. Run under -race this also exercises the cache from ReadParallel
-// workers.
+// property: for every registered organization and every store
+// configuration (storeConfigs — among them the cache at its default
+// budget, starved so every entry is evicted on insert, and off), cold
+// reads and warm (cache-hit) reads return identical Results on every
+// read path, and so does every configuration. Run under -race this also
+// exercises the cache from pooled read workers.
 func TestCacheConfigurationsIdenticalResults(t *testing.T) {
 	shape := tensor.Shape{16, 16, 4}
 	rng := rand.New(rand.NewSource(7))
@@ -46,22 +47,14 @@ func TestCacheConfigurationsIdenticalResults(t *testing.T) {
 	for _, f := range core.Registered() {
 		kind := f.Kind()
 		t.Run(kind.String(), func(t *testing.T) {
-			configs := []struct {
-				name string
-				opt  Option
-			}{
-				{"default", WithReaderCache(DefaultCacheBudget)},
-				{"starved", WithReaderCache(1)},
-				{"disabled", WithReaderCache(0)},
-			}
 			type outcome struct {
 				point, scan, auto, par *Result
 			}
-			outcomes := map[string]outcome{}
+			var outcomes []outcome
 			probe, _ := randomPoints(rng, shape, 120)
 
-			for _, cfg := range configs {
-				st, err := Create(newSim(t), "t", kind, shape, cfg.opt)
+			eachStoreConfig(t, func(t *testing.T, opts []Option) {
+				st, err := Create(newSim(t), "t", kind, shape, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,26 +94,24 @@ func TestCacheConfigurationsIdenticalResults(t *testing.T) {
 					}
 					if !sameResult(o.point, point) || !sameResult(o.scan, scan) ||
 						!sameResult(o.auto, auto) || !sameResult(o.par, par) {
-						t.Fatalf("%s: warm read differs from cold", cfg.name)
+						t.Fatal("warm read differs from cold")
 					}
 				}
 				if !sameResult(o.point, o.par) {
-					t.Fatalf("%s: parallel read differs from serial", cfg.name)
+					t.Fatal("parallel read differs from serial")
 				}
 				if !sameResult(o.scan, o.auto) {
-					t.Fatalf("%s: auto region read differs from scan", cfg.name)
+					t.Fatal("auto region read differs from scan")
 				}
-				outcomes[cfg.name] = o
-			}
-
-			base := outcomes["default"]
-			for _, name := range []string{"starved", "disabled"} {
-				o := outcomes[name]
-				if !sameResult(base.point, o.point) || !sameResult(base.scan, o.scan) ||
-					!sameResult(base.auto, o.auto) || !sameResult(base.par, o.par) {
-					t.Fatalf("%s configuration changed read results", name)
+				if len(outcomes) > 0 {
+					base := outcomes[0]
+					if !sameResult(base.point, o.point) || !sameResult(base.scan, o.scan) ||
+						!sameResult(base.auto, o.auto) || !sameResult(base.par, o.par) {
+						t.Fatalf("read results differ from the %s configuration's", storeConfigs[0].name)
+					}
 				}
-			}
+				outcomes = append(outcomes, o)
+			})
 		})
 	}
 }

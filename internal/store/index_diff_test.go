@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -210,9 +211,10 @@ func testDifferentialReadOracle(t *testing.T, opts []Option) {
 }
 
 // TestFilterSkipsFragments checks the second pruning layer: a probe
-// inside a fragment's bounding box but outside its per-dimension
-// coordinate filter skips the fragment without fetching it, and the
-// skip is counted.
+// inside a fragment's bounding box but outside its key filter — even
+// one whose every coordinate the fragment stores, just not together —
+// and a window outside its per-dimension coordinate filter skip the
+// fragment without fetching it, and each skip is counted.
 func TestFilterSkipsFragments(t *testing.T) {
 	fs := newSim(t)
 	reg := obs.New()
@@ -248,6 +250,17 @@ func TestFilterSkipsFragments(t *testing.T) {
 		t.Fatalf("store.filter.skipped = %d after point read, want 1", n)
 	}
 
+	// Every coordinate of (0, 0, 63) occurs in the fragment, so only the
+	// key filter can dismiss it.
+	probe = tensor.NewCoords(3, 0)
+	probe.Append(0, 0, 63)
+	if res, rep, err = readProbe(st, probe); err != nil {
+		t.Fatal(err)
+	}
+	if res.Coords.Len() != 0 || rep.Fragments != 0 || rep.FilterSkipped != 1 {
+		t.Fatalf("probe (0, 0, 63): %d points, %d fragments read, %d skipped; want 0, 0, 1", res.Coords.Len(), rep.Fragments, rep.FilterSkipped)
+	}
+
 	region, err := tensor.NewRegion(shape, []uint64{30, 30, 30}, []uint64{4, 4, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +268,8 @@ func TestFilterSkipsFragments(t *testing.T) {
 	if _, _, err := readRegion(st, region, StrategyScan); err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Snapshot().Counters[key]; n != 2 {
-		t.Fatalf("store.filter.skipped = %d after region scan, want 2", n)
+	if n := reg.Snapshot().Counters[key]; n != 3 {
+		t.Fatalf("store.filter.skipped = %d after region scan, want 3", n)
 	}
 
 	// A probe the filter admits still reads through to the data.
@@ -416,20 +429,23 @@ func fixtureOps(t *testing.T, fs fsim.FS, kind core.Kind, tail, batched bool) *S
 	return st
 }
 
-// updateFixtures re-records the checkpoint and log of
-// testdata/write-kinds — only for an intended change to their format.
-var updateFixtures = flag.Bool("update", false, "re-record testdata/write-kinds MANIFEST and MANIFEST.LOG")
+// updateFixtures re-records testdata/write-kinds — checkpoint, log and
+// fragment files — only for an intended change to what WRITE leaves on
+// disk.
+var updateFixtures = flag.Bool("update", false, "re-record testdata/write-kinds (MANIFEST, MANIFEST.LOG, fragment files)")
 
 // TestManifestFixtureStable pins the bytes WRITE leaves on disk against
 // fixtures: testdata/write-kinds/<kind> for every registered
 // organization — an SMN3 MANIFEST, an SML1 MANIFEST.LOG and the three
 // fragment files beside them — and testdata/smn2, a CSF store an SMN2
 // writer left (checkpoint with a grid-index section, log records
-// without key filters). The same history, through Write and through
-// WriteBatch, must reproduce every write-kinds file byte for byte, and
-// every fragment file of both fixtures: a key filter lives in the
-// manifest record only. Each fixture must open and read back that
-// history's live cells; smn2 is folded to SMN3 by that Open.
+// without key filters, fragment files with a coordinate-filter
+// section). The same history, through Write and through WriteBatch,
+// must reproduce every write-kinds file byte for byte, and every smn2
+// fragment file minus its filter section (cutFilterSection): a
+// fragment's filters live in its manifest record only. Each fixture
+// must open and read back that history's live cells; smn2 is folded to
+// SMN3 by that Open.
 func TestManifestFixtureStable(t *testing.T) {
 	type fixture struct {
 		dir  string
@@ -460,7 +476,7 @@ func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batche
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *updateFixtures && !smn2 && (name == manifestName || name == manifestLogName) {
+		if *updateFixtures && !smn2 {
 			if err := os.WriteFile(path, got, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -479,6 +495,10 @@ func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batche
 			}
 		case smn2 && name == manifestLogName:
 			// The SMN2-era records carry no key filter; the fresh ones do.
+		case smn2:
+			if cut := cutFilterSection(t, want); !bytes.Equal(got, cut) {
+				t.Errorf("%s differs from the fixture's without its filter section:\n got %x\nwant %x", name, got, cut)
+			}
 		case !bytes.Equal(got, want):
 			t.Errorf("%s drifted from the fixture:\n got %x\nwant %x", name, got, want)
 		}
@@ -514,8 +534,9 @@ func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batche
 	}
 	// Folding the replayed log gives the checkpoint the writing handle
 	// folds: the checkpoint is a function of the state alone. An SMN2
-	// store's fragments have no key filters, so there the two agree on
-	// everything else.
+	// store's fragments have no key filters, and its fragment files are
+	// the ones on disk, filter section and all, so there the two agree
+	// on everything else.
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -538,12 +559,35 @@ func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batche
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Fragments {
+	for i, fr := range want.Fragments {
 		want.Fragments[i].KeyBytes = 0
+		if fr.NNZ > 0 {
+			file, err := os.ReadFile(filepath.Join("testdata", dir, path.Base(fr.Name)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Fragments[i].Bytes = int64(len(file))
+		}
 	}
 	if !reflect.DeepEqual(folded, want) {
-		t.Fatalf("folded SMN2 checkpoint %+v, want the writer's without key filters %+v", folded, want)
+		t.Fatalf("folded SMN2 checkpoint %+v, want the writer's without key filters, at the fixture's file sizes %+v", folded, want)
 	}
+}
+
+// cutFilterSection returns a fragment file an earlier writer left with
+// a trailing coordinate-filter section as Encode now writes it: the
+// section cut, the preamble's filter length and CRC (bytes 44–55)
+// zeroed and the preamble CRC (bytes 56–59) recomputed.
+func cutFilterSection(t *testing.T, data []byte) []byte {
+	t.Helper()
+	n := binary.LittleEndian.Uint64(data[44:])
+	if n == 0 || n >= uint64(len(data)) {
+		t.Fatalf("fixture fragment has a %d-byte filter section in %d bytes", n, len(data))
+	}
+	out := append([]byte(nil), data[:uint64(len(data))-n]...)
+	clear(out[44:56])
+	binary.LittleEndian.PutUint32(out[56:], crc32.ChecksumIEEE(out[:56]))
+	return out
 }
 
 // TestOpenRejectsStaleIndexSection: a checkpoint's index section is

@@ -404,8 +404,8 @@ func (ic *ingestCommitter) commit(f *tileFrag, j *ingestJob) {
 // prepareBatch builds one fragment — the store's only Format.Build, its
 // only fragment encode and its only key-filter build: Build, Reorg,
 // and Encode (with payload compression) into a pooled buffer, on a
-// pool worker or inline. The key filter goes to the manifest record
-// only; the fragment file carries the coordinate filter alone. No
+// pool worker or inline. Both filters, coordinate and key, go to the
+// manifest record only; the fragment file carries neither. No
 // file-system access happens here — that is what makes the committer's
 // cost attribution exact.
 func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
@@ -442,14 +442,12 @@ func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 	sp = root.Child(obsWriteWrite)
 	t = time.Now()
 	bbox, _ := b.Coords.Bounds()
-	filt := filter.Build(b.Coords)
 	frag := &fragment.Fragment{Payload: built.Payload, Values: packed}
 	frag.Kind = s.kind
 	frag.Codec = s.codec
 	frag.Shape = s.shape
 	frag.NNZ = uint64(b.Coords.Len())
 	frag.BBox = bbox
-	frag.Filter = filt
 	bufp := encodePool.Get().(*[]byte)
 	enc, err := fragment.AppendEncode(*bufp, frag)
 	sp.End()
@@ -463,7 +461,7 @@ func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 	j.rep = rep
 	j.encoded = bufp
 	j.bbox = bbox
-	j.filter = filt
+	j.filter = filter.Build(b.Coords)
 	j.keys = filter.BuildKeys(b.Coords, s.lin)
 }
 

@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"path"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sparseart/internal/core"
@@ -143,6 +147,76 @@ func TestSMN2StoreUpgradesOnOpen(t *testing.T) {
 			}
 			requireStoreMatchesOracle(t, re, oracle)
 		})
+	}
+}
+
+// TestKeylessFragmentsAnswerProbesByBox: a fragment an SMN2 checkpoint
+// listed has no key filter, so a probe inside its bounding box reads it
+// — even one its coordinate filter would dismiss — and a probe outside
+// every box reads nothing; both answer exactly.
+func TestKeylessFragmentsAnswerProbesByBox(t *testing.T) {
+	st, err := Open(loadFixture(t, "smn2"), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (5, 5) lies in the boxes of all three data fragments ([1 2]..[7 7],
+	// [3 0]..[15 12] and [1 2]..[8 8]); none stores an x of 5.
+	for _, tc := range []struct {
+		pts           []uint64
+		want          map[uint64]float64
+		read, skipped int
+	}{
+		{[]uint64{5, 5}, map[uint64]float64{}, 3, 0},
+		{[]uint64{3, 4}, map[uint64]float64{st.lin.Linearize([]uint64{3, 4}): 9}, 3, 0},
+		// The probes' box overlaps three data fragments; no box holds a probe.
+		{[]uint64{0, 0, 9, 14}, map[uint64]float64{}, 0, 3},
+	} {
+		probe := tensor.NewCoords(2, 0)
+		probe.AppendFlat(tc.pts)
+		res, rep, err := readProbe(st, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOracle(t, fmt.Sprint("probe ", tc.pts), st.lin, res, tc.want)
+		if rep.Fragments != tc.read || rep.FilterSkipped != tc.skipped {
+			t.Fatalf("probe %v read %d fragments and skipped %d; want %d and %d", tc.pts, rep.Fragments, rep.FilterSkipped, tc.read, tc.skipped)
+		}
+	}
+}
+
+// TestWritesLeaveNoFilterSection: a fragment's filters live in its
+// manifest record, so every fragment file WRITE leaves — by Write and by
+// Compact — has the three sections header, payload and values.
+func TestWritesLeaveNoFilterSection(t *testing.T) {
+	fs := newSim(t)
+	st := fixtureOps(t, fs, core.GCSR, true, false)
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := fs.List("t/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, name := range names {
+		if !strings.HasPrefix(path.Base(name), "frag-") {
+			continue
+		}
+		data, err := fs.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := fragment.OpenAt(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if secs := l.Sections(); len(secs) != 3 {
+			t.Fatalf("%s has sections %+v, want header, payload, values", name, secs)
+		}
+		n++
+	}
+	if n == 0 {
+		t.Fatalf("no fragment files among %v", names)
 	}
 }
 

@@ -29,7 +29,8 @@ type PushReport struct {
 	// Fragments counts the data fragments fetched and scanned.
 	Fragments int
 	// Skipped counts bounding-box candidates the coordinate filters
-	// dismissed before any fetch.
+	// dismissed before any fetch (a kernel reads windows, which the
+	// coordinate filter answers).
 	Skipped int
 	// Cells counts live cells delivered to the consumer.
 	Cells int64

@@ -93,17 +93,16 @@ type fragRef struct {
 	nnz   uint64
 	bytes int64
 	bbox  tensor.BBox // undefined when nnz == 0 and not a tombstone
-	// filter is the fragment's per-dimension coordinate filter, built at
-	// encode time and carried through the manifest so the read paths can
-	// dismiss bbox false positives without opening the fragment file.
-	// nil for tombstones and empty fragments (the read paths treat nil
-	// as "maybe").
+	// filter and keys are the fragment's two filters, built at write
+	// time (prepareBatch) and stored in its manifest record only, so a
+	// read dismisses bbox false positives without opening the fragment
+	// file: a window asks filter, the per-dimension coordinate
+	// summaries; a probe asks keys, the joint-key filter over its
+	// points' linear addresses. Both are nil for tombstones and empty
+	// fragments, and keys is nil for fragments an SMN2 checkpoint or its
+	// log listed; a read treats nil as "maybe".
 	filter *filter.Filter
-	// keys is the fragment's joint-key filter over its points' linear
-	// addresses, built beside filter and carried the same way; probes
-	// consult it after filter. nil where filter is, and for
-	// fragments an SMN2 checkpoint or its log listed.
-	keys *filter.Keys
+	keys   *filter.Keys
 	// tomb marks a deletion fragment covering tombRegion: cells inside
 	// it are dead unless rewritten by a later fragment.
 	tomb       bool
@@ -607,8 +606,8 @@ type ReadReport struct {
 	// slow-query log. Candidates counts the fragments whose bounding box
 	// meets the target (Fragments = Candidates - tombstones - FilterSkipped);
 	// FilterSkipped counts candidates the per-fragment filters dismissed
-	// without a fetch: the coordinate filter, or for a probe the key
-	// filter after it.
+	// without a fetch: for a probe the box and then the key filter, for
+	// a window the coordinate filter.
 	Candidates    int
 	FilterSkipped int
 	// CacheHits / CacheMisses split fragment fetches by whether the
@@ -738,20 +737,19 @@ func (s *Store) readsNothing() readPlan {
 	return readPlan{probe: tensor.NewCoords(s.shape.Dims(), 0)}
 }
 
-// mayHold asks fr's filters whether the fragment can hold any of the
-// target: a window asks the coordinate filter for its range; a probe
-// point asks the bounding box, the coordinate filter, and then — when
-// the fragment has one — the key filter, by its linear address under
-// lin. Filters have no false negatives, so false lets the loop skip the
-// fragment without a fetch.
+// mayHold asks fr whether the fragment can hold any of the target: a
+// window asks the coordinate filter for its range; a probe point asks
+// the bounding box, then the key filter by its linear address under
+// lin. A missing filter answers "maybe". Filters have no false
+// negatives, so false lets the loop skip the fragment without a fetch.
 func (pl *readPlan) mayHold(fr *fragRef, lin *tensor.Linearizer) bool {
 	switch {
 	case pl.region != nil:
-		return fr.filter.MayOverlapRegion(*pl.region)
+		return fr.filter == nil || fr.filter.MayOverlapRegion(*pl.region)
 	case pl.probe != nil:
 		for i, n := 0, pl.probe.Len(); i < n; i++ {
 			p := pl.probe.At(i)
-			if fr.bbox.Contains(p) && fr.filter.MayContainPoint(p) && (fr.keys == nil || fr.keys.MayContain(lin.Linearize(p))) {
+			if fr.bbox.Contains(p) && (fr.keys == nil || fr.keys.MayContain(lin.Linearize(p))) {
 				return true
 			}
 		}
@@ -913,7 +911,7 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 		if fr.nnz == 0 {
 			continue // tombstones join at the merge, not the fragment loop
 		}
-		if fr.filter != nil && !pl.mayHold(fr, s.lin) {
+		if !pl.mayHold(fr, s.lin) {
 			rep.FilterSkipped++
 			continue
 		}

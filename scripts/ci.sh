@@ -71,10 +71,12 @@ go build ./...
 # entry point comes back, and the store does not consult the advisor;
 # and the tiling is the spatial index — Chunked and the router find a
 # request's tiles arithmetically, and a tile's view scans its fragments'
-# boxes — so no spatial grid comes back below it.
+# boxes — so no spatial grid comes back below it; and a fragment's
+# filters live in its manifest record only, so internal/fragment does
+# not depend on internal/filter and a fragment file carries no filter.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; exported methods; options; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -153,6 +155,10 @@ if go list -deps ./internal/store | grep -qx 'sparseart/internal/advisor'; then
 fi
 if grep -rnE 'fragIndex|buildFragIndex|gridGeometry|decodeFragIndex|loadedIndex' --include='*.go' --exclude='*_test.go' .; then
     echo "non-test Go carries a spatial grid below the tiling (a view scans its fragments' boxes; a store that outgrows the scan is tiled)" >&2
+    exit 1
+fi
+if go list -deps ./internal/fragment | grep -qx 'sparseart/internal/filter'; then
+    echo "internal/fragment depends on internal/filter (a fragment's filters live in its manifest record, not in the fragment file)" >&2
     exit 1
 fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
