@@ -40,7 +40,9 @@ var ErrCorrupt = errors.New("compress: corrupt payload")
 const maxDecodedSize = 1 << 30
 
 // Codec encodes and decodes byte payloads. Decode(Encode(p)) == p for
-// every input.
+// every input. Decode may return its input (None does), so a caller
+// must treat the result as sharing src: neither is mutated or recycled
+// while the other is in use.
 type Codec interface {
 	ID() ID
 	Name() string
@@ -128,7 +130,8 @@ func EncodeSection(id ID, src []byte) ([]byte, error) {
 }
 
 // DecodeSection inverts EncodeSection, returning the raw bytes and the
-// codec ID the section was written with.
+// codec ID the section was written with. Under None the raw bytes are a
+// view of src.
 func DecodeSection(src []byte) ([]byte, ID, error) {
 	if len(src) < 1 {
 		return nil, None, fmt.Errorf("%w: empty section", ErrCorrupt)
@@ -152,8 +155,11 @@ func (noneCodec) Name() string { return "none" }
 func (noneCodec) Encode(src []byte) []byte {
 	return append([]byte(nil), src...)
 }
+
+// Decode returns src itself, capped so an append cannot write past it:
+// a payload stored raw is read where it lies.
 func (noneCodec) Decode(src []byte) ([]byte, error) {
-	return append([]byte(nil), src...), nil
+	return src[:len(src):len(src)], nil
 }
 
 type deltaVarintCodec struct{}

@@ -146,6 +146,23 @@ func TestNoneCopies(t *testing.T) {
 	}
 }
 
+// TestNoneDecodeViews: None's Decode returns its input, capped so an
+// append reallocates instead of writing past it.
+func TestNoneDecodeViews(t *testing.T) {
+	src := []byte{1, 2, 3, 4}
+	dec, err := noneCodec{}.Decode(src[:3])
+	if err != nil || &dec[0] != &src[0] || len(dec) != 3 || cap(dec) != 3 {
+		t.Fatalf("Decode = %v (cap %d, err %v), want a view of its input", dec, cap(dec), err)
+	}
+	if _ = append(dec, 9); src[3] != 4 {
+		t.Fatal("an append to the decoded bytes wrote past them")
+	}
+	raw, id, err := DecodeSection([]byte{byte(None), 5, 6})
+	if err != nil || id != None || string(raw) != "\x05\x06" {
+		t.Fatalf("DecodeSection = %v, %v, %v", raw, id, err)
+	}
+}
+
 func TestZigzag(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 2, -2, 1 << 62, -(1 << 62)} {
 		if got := unzigzag(zigzag(v)); got != v {

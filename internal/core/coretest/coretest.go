@@ -3,7 +3,8 @@
 // Build/Open/Lookup contract — payload self-description, the map-vector
 // permutation semantics of Algorithms 1–3, found/not-found correctness
 // against a brute-force model, determinism under concurrent builds, the
-// walks, and corrupt-payload rejection.
+// walks, the same answers from an Open over a payload off its word
+// boundaries, and corrupt-payload rejection.
 package coretest
 
 import (
@@ -239,6 +240,8 @@ func RunConformance(t *testing.T, f core.Format) {
 		}
 		sameRegionWalk(t, f.Kind(), r, region, nil)
 	})
+
+	t.Run("MisalignedPayload", func(t *testing.T) { checkMisaligned(t, f) })
 
 	t.Run("BuildDoesNotMutateInput", func(t *testing.T) {
 		shape, c := PaperExample()

@@ -115,7 +115,10 @@ type Format interface {
 	// Build packages the points of c, which must lie inside shape.
 	// Implementations must not mutate c.
 	Build(c *tensor.Coords, shape tensor.Shape) (*BuildResult, error)
-	// Open parses a payload produced by Build for the same shape.
+	// Open parses a payload produced by Build for the same shape. The
+	// Reader may keep views of payload (its pos and crd vectors, where
+	// aligned, and byte-wide levels always), so payload must not be
+	// mutated or recycled while the Reader is in use.
 	Open(payload []byte, shape tensor.Shape) (Reader, error)
 }
 

@@ -400,7 +400,10 @@ func (x *Index) pack(kv *keys, n int, order []int) {
 // error, whatever parse returns), the level sizes and vectors, then one
 // structural check — every pos runs monotone from 0 to its level's
 // size, and every crd lies inside its key component's extent — so a
-// corrupt payload fails here, not in a descent or walk.
+// corrupt payload fails here, not in a descent or walk. The vectors are
+// views of payload where buf.Reader.U64View can take them (and byte
+// levels always are), so the index shares payload: nobody may mutate or
+// recycle it while the index is in use.
 func Open(kind Kind, payload []byte, shape tensor.Shape, parse func(*buf.Reader, tensor.Shape) (Decl, error)) (Reader, error) {
 	r := buf.NewReader(payload)
 	d, err := parse(r, shape)
@@ -422,11 +425,11 @@ func Open(kind Kind, payload []byte, shape tensor.Shape, parse func(*buf.Reader,
 	x.body(func(l int, pos bool) {
 		switch lv := &x.levels[l]; {
 		case pos:
-			lv.pos = r.RawU64s(x.levels[l-1].n + 1)
+			lv.pos = r.U64View(x.levels[l-1].n + 1)
 		case lv.Bytes:
 			lv.crd8 = r.Bytes32()
 		default:
-			lv.crd = r.RawU64s(lv.n * uint64(lv.Width))
+			lv.crd = r.U64View(lv.n * uint64(lv.Width))
 		}
 	})
 	if err := r.Err(); err != nil {

@@ -366,7 +366,12 @@ func (l *Lazy) loadSectionsLocked() error {
 	if l.rawPayload != nil {
 		return nil
 	}
-	both := make([]byte, l.pre.payloadLen+l.pre.valuesLen)
+	// One buffer, aligned so that the payload body after its codec-ID
+	// byte starts on a word: every payload header and vector is a
+	// multiple of 8 bytes, so an index opened over a raw payload reads
+	// its vectors where they lie, and so do Values when the stored
+	// payload is 1 (mod 8) bytes long.
+	both := buf.Aligned(int(l.pre.payloadLen+l.pre.valuesLen), 1)
 	off := preambleSize + l.pre.headerLen
 	if _, err := l.src.ReadAt(both, off); err != nil {
 		return fmt.Errorf("fragment: read sections: %w", err)
@@ -386,7 +391,9 @@ func (l *Lazy) loadSectionsLocked() error {
 }
 
 // Payload returns the decompressed organization payload, loading and
-// decoding the payload section on first use.
+// decoding the payload section on first use. Under the None codec it is
+// a view of the section, which an index opened over it keeps views of
+// in turn; callers must not mutate it.
 func (l *Lazy) Payload() ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -408,7 +415,8 @@ func (l *Lazy) Payload() ([]byte, error) {
 }
 
 // Values returns the value buffer, loading the values section on first
-// use.
+// use. It is a view of the section where the section is word-aligned,
+// so callers must not mutate it.
 func (l *Lazy) Values() ([]float64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -416,11 +424,7 @@ func (l *Lazy) Values() ([]float64, error) {
 		if err := l.loadSectionsLocked(); err != nil {
 			return nil, err
 		}
-		values := make([]float64, l.NNZ)
-		for i := range values {
-			values[i] = math.Float64frombits(binary.LittleEndian.Uint64(l.rawValues[8*i:]))
-		}
-		l.values = values
+		l.values = buf.F64View(l.rawValues)
 	}
 	return l.values, nil
 }

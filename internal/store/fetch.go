@@ -95,8 +95,10 @@ func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*frag
 		Header: lz.Header,
 		Reader: reader,
 		Values: values,
-		// Footprint estimate: the payload usually stays referenced by
-		// the opened reader, plus the value buffer and fixed overhead.
+		// Footprint estimate: an entry pins the one section buffer
+		// LoadSections filled (the reader's vectors and, where aligned,
+		// the values are views of it), plus the decoded payload under a
+		// codec other than None, plus fixed overhead.
 		Bytes: int64(len(payload)) + int64(8*len(values)) + 128,
 	}, nil
 }

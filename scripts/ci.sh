@@ -73,10 +73,16 @@ go build ./...
 # request's tiles arithmetically, and a tile's view scans its fragments'
 # boxes — so no spatial grid comes back below it; and a fragment's
 # filters live in its manifest record only, so internal/fragment does
-# not depend on internal/filter and a fragment file carries no filter.
+# not depend on internal/filter and a fragment file carries no filter;
+# and a cold fragment load copies once, from the file into one aligned
+# section buffer that the index and the values are views of, so unsafe
+# lives in internal/buf alone and only the level parser (U64View, in
+# internal/core/levels.go) and the fragment's values (F64View, in
+# internal/fragment/fragment.go) take views — a view into a pooled
+# buffer, such as a wire frame, would be overwritten by the next one.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; exported methods; options; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -159,6 +165,15 @@ if grep -rnE 'fragIndex|buildFragIndex|gridGeometry|decodeFragIndex|loadedIndex'
 fi
 if go list -deps ./internal/fragment | grep -qx 'sparseart/internal/filter'; then
     echo "internal/fragment depends on internal/filter (a fragment's filters live in its manifest record, not in the fragment file)" >&2
+    exit 1
+fi
+if grep -rlE '"unsafe"' --include='*.go' . | grep -v '^\./internal/buf/'; then
+    echo "Go outside internal/buf imports unsafe (buf.Aligned, U64View and F64View are the one unsafe view)" >&2
+    exit 1
+fi
+views=$(grep -rnoE '(U64View|F64View)\(' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/buf/' || true)
+if echo "$views" | grep -vE '^(\./internal/core/levels\.go:[0-9]+:U64View|\./internal/fragment/fragment\.go:[0-9]+:F64View)\($|^$'; then
+    echo "a buffer view is taken outside its one home (U64View in internal/core/levels.go, F64View in internal/fragment/fragment.go): a view into a pooled buffer is overwritten when the buffer is reused" >&2
     exit 1
 fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
