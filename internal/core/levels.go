@@ -39,7 +39,10 @@ const (
 // stores, per entry of its parent, a pos range into its crd vector of
 // Width key components each. The last level holds one entry per point,
 // duplicates included, and its entry number is the point's value slot;
-// the levels above it share the prefixes of sorted neighbours.
+// the levels above it share the prefixes of sorted neighbours. Build's
+// sort breaks ties on input order, so a point written twice keeps its
+// writes in order, and Lookup answers with the last: the last
+// duplicate wins, as a scan's merge decides.
 type Level struct {
 	Dense  bool
 	Width  int  // key components the level consumes
@@ -522,7 +525,10 @@ func (lv *level) seek(k []uint64, lo, hi uint64) uint64 {
 	return lo
 }
 
-// find returns the entry in [lo, hi) whose key components are k.
+// find returns the last entry in [lo, hi) whose key components are k.
+// Only the leaf level repeats a key — a point written twice into one
+// fragment — and its later entry is the later write, the one a walk
+// reaches last, so a probe and a scan read the same value.
 func (lv *level) find(k []uint64, lo, hi uint64) (uint64, bool) {
 	if lv.Dense {
 		return k[0], true
@@ -530,20 +536,45 @@ func (lv *level) find(k []uint64, lo, hi uint64) (uint64, bool) {
 	if lv.Search == Binary {
 		lo = lv.seek(k, lo, hi)
 	}
-	if lv.Width == 1 && !lv.Bytes {
-		for e, c := range lv.crd[lo:hi] {
-			if c >= k[0] && (c == k[0] || lv.ordered) {
-				return lo + uint64(e), c == k[0]
+	if !lv.ordered {
+		// Insertion order: the last match is the first from the end.
+		if lv.Width == 1 && !lv.Bytes {
+			for e := hi; e > lo; e-- {
+				if lv.crd[e-1] == k[0] {
+					return e - 1, true
+				}
+			}
+			return 0, false
+		}
+		for e := hi; e > lo; e-- {
+			if lv.compare(e-1, k) == 0 {
+				return e - 1, true
 			}
 		}
 		return 0, false
 	}
-	for e := lo; e < hi; e++ {
-		if c := lv.compare(e, k); c == 0 || (c > 0 && lv.ordered) {
-			return e, c == 0
+	e, ok := uint64(0), false
+	if lv.Width == 1 && !lv.Bytes {
+		for i, c := range lv.crd[lo:hi] {
+			if c > k[0] {
+				break
+			}
+			if c == k[0] {
+				e, ok = lo+uint64(i), true
+			}
+		}
+		return e, ok
+	}
+	for i := lo; i < hi; i++ {
+		c := lv.compare(i, k)
+		if c > 0 {
+			break
+		}
+		if c == 0 {
+			e, ok = i, true
 		}
 	}
-	return 0, false
+	return e, ok
 }
 
 // NNZ implements Reader: the last level holds one entry per point.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sparseart/internal/buf"
@@ -40,12 +41,23 @@ type Config struct {
 // connection pipelines: requests are read sequentially, executed
 // concurrently (subject to the in-flight bound), and answered in
 // completion order tagged with the request id.
+//
+// A request executes on one of the server's workers: long-lived
+// goroutines that keep the stack a request grew — serve, a router's
+// client, the store — for the next one, instead of a fresh goroutine
+// regrowing it on every request. The admission window bounds them: a
+// worker is started only while none is idle, and at most MaxInFlight
+// ever exist. Close ends them.
 type Server struct {
 	backend   Backend
 	sem       chan struct{}
 	reg       *obs.Registry
 	inflight  *obs.Gauge // serve.inflight, resolved once
 	traceRate float64
+
+	jobs    chan job     // admitted requests on their way to a worker
+	workers atomic.Int64 // live workers, at most cap(sem)
+	workWG  sync.WaitGroup
 
 	ctx    context.Context // canceled by Close; parent of every request ctx
 	cancel context.CancelFunc
@@ -54,6 +66,14 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
+}
+
+// job is one admitted request: it holds a window slot until answered.
+type job struct {
+	cw   *connWriter
+	reqs *sync.WaitGroup // the connection's requests in flight
+	o    op
+	req  wire.Frame
 }
 
 // NewServer builds a Server over backend.
@@ -73,6 +93,7 @@ func NewServer(backend Backend, cfg Config) *Server {
 		reg:       reg,
 		inflight:  reg.Gauge("serve.inflight"),
 		traceRate: cfg.TraceSample,
+		jobs:      make(chan job),
 		ctx:       ctx,
 		cancel:    cancel,
 		conns:     map[net.Conn]struct{}{},
@@ -105,18 +126,20 @@ func (s *Server) Serve(ln net.Listener) error {
 			conn.Close()
 			return nil
 		}
-		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
 }
 
-// track registers a live connection; false means the server closed.
+// track registers a live connection and counts its handler, under the
+// lock Close takes, so Close waits for every handler it did not refuse;
+// false means the server closed.
 func (s *Server) track(conn net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
+	s.wg.Add(1)
 	s.conns[conn] = struct{}{}
 	s.reg.Gauge("serve.conns").Add(1)
 	return true
@@ -133,7 +156,8 @@ func (s *Server) untrack(conn net.Conn) {
 }
 
 // Close stops accepting, cancels every in-flight request's context,
-// closes live connections, and waits for handlers to drain.
+// closes live connections, waits for handlers to drain, and ends the
+// workers.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -150,7 +174,9 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
-	s.wg.Wait()
+	s.wg.Wait() // every handler has returned, so nothing sends a job
+	close(s.jobs)
+	s.workWG.Wait()
 	return nil
 }
 
@@ -216,12 +242,43 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.inflight.Add(1)
 		reqs.Add(1)
-		go s.respond(cw, &reqs, o, req)
+		s.dispatch(job{cw, &reqs, o, req})
 	}
 }
 
-// respond executes one admitted request and writes its reply, encoded
-// straight into its frame.
+// dispatch hands an admitted request to an idle worker, or starts one
+// while fewer than the window's size exist. Otherwise every worker is
+// busy, and since this request holds a window slot, one of them is
+// about to release its own and come back for work: wait for it.
+func (s *Server) dispatch(j job) {
+	select {
+	case s.jobs <- j:
+		return
+	default:
+	}
+	for n := s.workers.Load(); n < int64(cap(s.sem)); n = s.workers.Load() {
+		if s.workers.CompareAndSwap(n, n+1) {
+			s.workWG.Add(1)
+			go s.work(j)
+			return
+		}
+	}
+	s.jobs <- j
+}
+
+// work is one worker: it answers j, then every job it receives, until
+// Close closes the queue.
+func (s *Server) work(j job) {
+	defer s.workWG.Done()
+	defer s.workers.Add(-1)
+	for ok := true; ok; j, ok = <-s.jobs {
+		s.respond(j.cw, j.reqs, j.o, j.req)
+		j = job{} // an idle worker holds nothing of the request it answered
+	}
+}
+
+// respond executes one admitted request, writes its reply, encoded
+// straight into its frame, and releases its window slot.
 func (s *Server) respond(cw *connWriter, reqs *sync.WaitGroup, o op, req wire.Frame) {
 	defer reqs.Done()
 	defer func() {

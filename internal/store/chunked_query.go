@@ -40,11 +40,19 @@ func (c *Chunked) Query(ctx context.Context, req QueryRequest) (*Result, *ReadRe
 
 // queryTiles answers the request tile by tile — each tile's share as a
 // tile-local query against its store — and merges the answers, taken
-// back to global coordinates, in row-major order.
+// back to global coordinates, in row-major order. A probe inside one
+// tile, as a point probe always is, goes to that tile whole: there is
+// nothing to partition and nothing to merge.
 func (c *Chunked) queryTiles(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
 	root, ctx := c.obsReg().StartCtx(ctx, obsChunkedRead)
 	defer root.End()
 	dir := c.dir.Load()
+	if req.Probe != nil {
+		if e := c.probeTile(dir, req.Probe); e != nil {
+			sub := QueryRequest{Probe: c.localProbe(req.Probe, e.idx), AsOf: AsOfLatest, Workers: req.Workers}
+			return c.queryTile(ctx, e.store, e.idx, sub)
+		}
+	}
 	var tiles []*tilePart
 	if req.Region != nil {
 		tiles = c.tilesIn(dir, *req.Region)
@@ -61,24 +69,78 @@ func (c *Chunked) queryTiles(ctx context.Context, req QueryRequest) (*Result, *R
 		if req.Region != nil {
 			sub.Region = &t.clip
 		}
-		res, r, err := t.store.Query(ctx, sub)
+		res, r, err := c.queryTile(ctx, t.store, t.idx, sub)
 		if err != nil {
 			return nil, nil, err
 		}
 		rep.Add(r)
-		// The tile's result is this call's to consume: shift it to the
-		// global frame in place.
-		flat := res.Coords.Flat()
-		for i := range flat {
-			d := i % len(t.idx)
-			flat[i] += c.tiling.Origin(t.idx, d)
-		}
 		parts = append(parts, res)
 	}
 	t := time.Now()
 	res := MergeResults(c.tiling.Shape.Dims(), parts)
 	rep.Merge += time.Since(t)
 	return res, rep, nil
+}
+
+// queryTile answers a tile-local request from the tile at idx. The
+// tile's result is this call's to consume: it shifts to the global
+// frame in place.
+func (c *Chunked) queryTile(ctx context.Context, st *Store, idx []uint64, sub QueryRequest) (*Result, *ReadReport, error) {
+	res, rep, err := st.Query(ctx, sub)
+	if err != nil {
+		return nil, nil, err
+	}
+	flat := res.Coords.Flat()
+	for i := range flat {
+		flat[i] += c.tiling.Origin(idx, i%len(idx))
+	}
+	return res, rep, nil
+}
+
+// probeTile returns the materialized tile that holds every point of
+// probe, or nil when there is none: the points span tiles, leave the
+// shape, lie in a tile never written, or there are none. Its buffers
+// live on the stack, so it allocates nothing.
+func (c *Chunked) probeTile(dir *tileDir, probe *tensor.Coords) *tileEntry {
+	n, dims := probe.Len(), probe.Dims()
+	if n == 0 {
+		return nil
+	}
+	var ib [8]uint64
+	idx := ib[:]
+	if dims > len(ib) {
+		idx = make([]uint64, dims)
+	}
+	idx = idx[:dims]
+	for i := 0; i < n; i++ {
+		p := probe.At(i)
+		if !c.tiling.Shape.Contains(p) {
+			return nil
+		}
+		if i == 0 {
+			c.tiling.Index(idx, p)
+			continue
+		}
+		for d, v := range p {
+			if v/c.tiling.Tile[d] != idx[d] {
+				return nil
+			}
+		}
+	}
+	var nb [64]byte
+	return dir.byName[string(c.tiling.AppendName(nb[:0], idx))]
+}
+
+// localProbe is probe in the frame of the tile at idx, which holds all
+// its points.
+func (c *Chunked) localProbe(probe *tensor.Coords, idx []uint64) *tensor.Coords {
+	local := tensor.NewCoords(probe.Dims(), probe.Len())
+	local.AppendFlat(probe.Flat())
+	flat := local.Flat()
+	for i := range flat {
+		flat[i] -= c.tiling.Origin(idx, i%len(idx))
+	}
+	return local
 }
 
 // Kernel executes the additive push-down kernels across tiles: each

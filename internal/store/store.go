@@ -679,7 +679,12 @@ type readPlan struct {
 func (s *Store) planRead(req QueryRequest) (pl readPlan) {
 	if req.Probe != nil {
 		pl.probe = req.Probe
-		pl.box, _ = req.Probe.Bounds() // an empty probe reads nothing, see readView
+		if req.Probe.Len() == 1 {
+			p := req.Probe.At(0) // a point is its own box
+			pl.box = tensor.BBox{Min: p, Max: p}
+		} else {
+			pl.box, _ = req.Probe.Bounds() // an empty probe reads nothing, see readView
+		}
 		return pl
 	}
 	region, ok := s.clip(req.Region)
@@ -872,7 +877,7 @@ func (s *Store) read(ctx context.Context, req QueryRequest) (*Result, *ReadRepor
 }
 
 // readView is Algorithm 3's READ and the store's only fragment loop:
-// among the first limit fragments of v, list those whose bounding box
+// among the first limit fragments of v, take those whose bounding box
 // overlaps the target, skip those the fragment filters rule out,
 // fetch and extract each survivor, then merge the hits by linear
 // address — newest fragment wins, cells under a later tombstone are
@@ -900,16 +905,27 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 		pool = &readPool{sem: make(chan struct{}, n)}
 	}
 
+	// The candidates are the fragments whose box meets the target's: a
+	// linear scan of the boxes. The sub-linear step is one level up,
+	// where Chunked's tiling finds a request's tiles arithmetically and
+	// each tile's view holds only that tile's fragments.
 	var err error
-	cands := v.overlapping(pl.box, limit)
-	rep.Candidates = len(cands)
-	for _, fi := range cands {
+	var tombs []tombstoneRef
+	for fi := range v.frags[:limit] {
+		fr := &v.frags[fi]
+		if (fr.nnz == 0 && !fr.tomb) || !fr.bbox.Overlaps(pl.box) {
+			continue
+		}
+		rep.Candidates++
+		if fr.tomb {
+			// A tombstone's box is its region's, so every tombstone that
+			// can kill a hit is among the candidates. It joins at the
+			// merge, not the fragment loop.
+			tombs = append(tombs, tombstoneRef{idx: fi, region: fr.tombRegion})
+			continue
+		}
 		if err = ctx.Err(); err != nil {
 			break
-		}
-		fr := &v.frags[fi]
-		if fr.nnz == 0 {
-			continue // tombstones join at the merge, not the fragment loop
 		}
 		if !pl.mayHold(fr, s.lin) {
 			rep.FilterSkipped++
@@ -931,6 +947,8 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 		acc.hits = pool.acc.hits
 		rep.Add(&pool.acc.rep)
 	}
+	reg.Counter("store.index.probes", "kind", kind).Inc()
+	reg.Counter("store.index.candidates", "kind", kind).Add(int64(rep.Candidates))
 	if err != nil {
 		return nil, nil, liveCounts{}, err
 	}
@@ -939,7 +957,7 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 	}
 
 	sp := root.Child(obsReadMerge)
-	res, live, mergeDur := mergeHits(s, acc.hits, v.overlapTombs(cands), emit)
+	res, live, mergeDur := mergeHits(s, acc.hits, tombs, emit)
 	sp.End()
 	acc.hits = nil // the report outlives the read; the hits need not
 	rep.Merge = mergeDur
@@ -952,6 +970,27 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 	reg.Counter("store.read.probed", "kind", kind).Add(int64(rep.Probed))
 	reg.Counter("store.read.found", "kind", kind).Add(int64(rep.Found))
 	return res, rep, live, nil
+}
+
+// sortHits returns the permutation that orders hits by (addr, frag,
+// index). The order must be total: a pooled read appends hits in
+// nondeterministic worker order, so ties on (addr, frag) fall through
+// to the index. Such ties are a point probed twice (equal values) or a
+// point written twice into one fragment, which a scan extracts in
+// payload order: the later entry is the later write, and it wins, as a
+// probe's Lookup answers with it. A plain SortPermByKey on the address
+// would lose the fragment-recency tie-break that newest-wins depends
+// on.
+func sortHits(hits []hit) []int {
+	return psort.SortPerm(len(hits), 0, func(a, b int) bool {
+		if hits[a].addr != hits[b].addr {
+			return hits[a].addr < hits[b].addr
+		}
+		if hits[a].frag != hits[b].frag {
+			return hits[a].frag < hits[b].frag
+		}
+		return a < b
+	})
 }
 
 // emitFunc receives a read's live cells one at a time, in ascending
@@ -967,32 +1006,31 @@ type liveCounts struct {
 }
 
 // mergeHits implements Algorithm 3 line 12 and is the only place a
-// stored cell is judged live: sort hits by linear address (ties by
-// fragment recency, then payload order), keep the newest value per
-// cell, drop cells whose newest write precedes a covering tombstone,
+// stored cell is judged live: order hits by linear address (ties by
+// fragment recency, then extraction order), keep the last value per
+// cell, drop cells whose last write precedes a covering tombstone,
 // and hand what is left to emit in address order. With a nil emit the
 // live cells are appended to the returned Result; a kernel passes its
-// fold and no Result exists. The sort is a psort permutation sort, so
-// large merges (region reads pulling millions of hits) use every core;
-// small ones stay serial under psort's cutoff.
+// fold and no Result exists. Hits that already lie in that order — one
+// run, as a point probe's are — merge where they lie; others go
+// through a psort permutation sort, so large merges (region reads
+// pulling millions of hits) use every core and small ones stay serial
+// under psort's cutoff.
 func mergeHits(s *Store, hits []hit, tombs []tombstoneRef, emit emitFunc) (*Result, liveCounts, time.Duration) {
 	t := time.Now()
-	// The comparison must be strict (a total order): a pooled read
-	// appends hits in nondeterministic worker order, and a duplicated
-	// probe point yields identical (addr, frag) pairs, so ties fall
-	// through to the index. Entries equal on (addr, frag) carry the
-	// same value, which keeps the merged result deterministic. A plain
-	// SortPermByKey on the address would lose the fragment-recency
-	// tie-break that newest-wins depends on.
-	perm := psort.SortPerm(len(hits), 0, func(a, b int) bool {
-		if hits[a].addr != hits[b].addr {
-			return hits[a].addr < hits[b].addr
+	var perm []int
+	for i := 1; i < len(hits); i++ {
+		if a, b := &hits[i-1], &hits[i]; a.addr > b.addr || (a.addr == b.addr && a.frag > b.frag) {
+			perm = sortHits(hits)
+			break
 		}
-		if hits[a].frag != hits[b].frag {
-			return hits[a].frag < hits[b].frag
+	}
+	at := func(i int) *hit {
+		if perm != nil {
+			return &hits[perm[i]]
 		}
-		return a < b
-	})
+		return &hits[i]
+	}
 	var out *Result
 	if emit == nil {
 		out = &Result{Coords: tensor.NewCoords(s.shape.Dims(), len(hits))}
@@ -1004,9 +1042,9 @@ func mergeHits(s *Store, hits []hit, tombs []tombstoneRef, emit emitFunc) (*Resu
 	}
 	p := make([]uint64, s.shape.Dims())
 	var live liveCounts
-	for i := range perm {
-		h := hits[perm[i]]
-		if i+1 < len(perm) && hits[perm[i+1]].addr == h.addr {
+	for i := range hits {
+		h := at(i)
+		if i+1 < len(hits) && at(i+1).addr == h.addr {
 			live.overwritten++
 			continue // a newer fragment overwrote this cell
 		}

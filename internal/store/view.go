@@ -4,8 +4,6 @@ import (
 	"errors"
 	iofs "io/fs"
 	"math"
-
-	"sparseart/internal/tensor"
 )
 
 // MVCC snapshot reads. The store's fragment set is published to readers
@@ -44,47 +42,6 @@ type readView struct {
 	frags []fragRef
 	tombs int
 	refs  int
-}
-
-// overlapping returns the ascending indices of the fragments among
-// frags[:limit] that carry a bounding box overlapping box — data
-// fragments and tombstones both. It is a linear scan of the boxes; the
-// sub-linear step is one level up, where Chunked's tiling finds a
-// request's tiles arithmetically and each tile's view scans only that
-// tile's fragments.
-func (v *readView) overlapping(box tensor.BBox, limit int) []int {
-	if limit > len(v.frags) {
-		limit = len(v.frags)
-	}
-	var out []int
-	for i := range v.frags[:limit] {
-		if fr := &v.frags[i]; (fr.nnz > 0 || fr.tomb) && fr.bbox.Overlaps(box) {
-			out = append(out, i)
-		}
-	}
-	reg := v.s.obsReg()
-	kind := v.s.kind.String()
-	reg.Counter("store.index.probes", "kind", kind).Inc()
-	reg.Counter("store.index.candidates", "kind", kind).Add(int64(len(out)))
-	return out
-}
-
-// overlapTombs extracts the tombstones from an overlapping() result.
-// Valid because a tombstone's fragRef bbox IS its region's bounding box
-// (see DeleteRegion), so the candidate set already saw every tombstone
-// a dedicated linear scan of the prefix would. The v.tombs == 0
-// short-circuit makes tombstone handling free on append-only stores.
-func (v *readView) overlapTombs(cands []int) []tombstoneRef {
-	if v.tombs == 0 {
-		return nil
-	}
-	var out []tombstoneRef
-	for _, i := range cands {
-		if fr := &v.frags[i]; fr.tomb {
-			out = append(out, tombstoneRef{idx: i, region: fr.tombRegion})
-		}
-	}
-	return out
 }
 
 // countTombs counts tombstone fragments in a slice.

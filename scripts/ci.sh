@@ -79,10 +79,14 @@ go build ./...
 # lives in internal/buf alone and only the level parser (U64View, in
 # internal/core/levels.go) and the fragment's values (F64View, in
 # internal/fragment/fragment.go) take views — a view into a pooled
-# buffer, such as a wire frame, would be overwritten by the next one.
+# buffer, such as a wire frame, would be overwritten by the next one;
+# and a server executes requests on pooled workers that keep their
+# grown stacks, so internal/serve starts a goroutine per listener, per
+# connection, per worker (at most the in-flight window) and per shard
+# of a router's fan-out — never one per request.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; exported methods; options; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -174,6 +178,18 @@ fi
 views=$(grep -rnoE '(U64View|F64View)\(' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/buf/' || true)
 if echo "$views" | grep -vE '^(\./internal/core/levels\.go:[0-9]+:U64View|\./internal/fragment/fragment\.go:[0-9]+:F64View)\($|^$'; then
     echo "a buffer view is taken outside its one home (U64View in internal/core/levels.go, F64View in internal/fragment/fragment.go): a view into a pooled buffer is overwritten when the buffer is reused" >&2
+    exit 1
+fi
+spawns=$(grep -nE '^\s*go ' $(find internal/serve -maxdepth 1 -name '*.go' ! -name '*_test.go') |
+    sed -E 's/:[0-9]+:[[:space:]]*/: /' | sort)
+want_spawns='internal/serve/client.go: go c.readLoop()
+internal/serve/router.go: go func(k, i int) {
+internal/serve/server.go: go func() {
+internal/serve/server.go: go s.serveConn(conn)
+internal/serve/server.go: go s.work(j)'
+if [ "$spawns" != "$want_spawns" ]; then
+    echo "internal/serve starts goroutines other than its listener closer, connection readers, workers and router fan-out (a request runs on a worker: Server.dispatch):" >&2
+    echo "$spawns" >&2
     exit 1
 fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
