@@ -137,7 +137,6 @@ func runServe(args []string) error {
 	shapeSpec := fs.String("shape", "", "tensor shape for -create, comma-separated")
 	tileSpec := fs.String("tile", "", "tile extents for -create, comma-separated (chunked store)")
 	maxInflight := fs.Int("max-inflight", 0, "bound on concurrently executing data requests (0: default)")
-	warm := fs.Int("warm", 0, "pre-fill the reader cache with the newest K fragments on open")
 	readall := fs.Bool("readall", false, "run one whole-tensor region read after opening, under a sampled trace, so the scrape shows read-path metrics and spans")
 	slowlog := fs.String("slowlog", "", "slow-query threshold in ms — queries at least this slow land in /debug/slowlog (0 logs every query; empty: off)")
 	slowlogFile := fs.String("slowlog-file", "", "also append slow-query JSONL lines to this file")
@@ -155,9 +154,6 @@ func runServe(args []string) error {
 	opts, err := cacheOptions()
 	if err != nil {
 		return err
-	}
-	if *warm > 0 {
-		opts = append(opts, store.WithWarmFragments(*warm))
 	}
 	backend, closeStore, err := openServeBackend(*dir, opts, *create, *shapeSpec, *tileSpec)
 	if err != nil {

@@ -82,15 +82,15 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr := startServe(t, dir, "-warm", "1", "-readall")
+	addr := startServe(t, dir, "-readall")
 
 	// /metrics parses as strict Prometheus exposition and shows the
-	// warming and the -readall traffic.
+	// -readall traffic: one read, whose one fragment loads cold.
 	text := fetch(t, "http://"+addr+"/metrics")
 	if _, err := export.ParsePrometheus(text); err != nil {
 		t.Fatalf("/metrics not well-formed: %v\n%s", err, text)
 	}
-	for _, want := range []string{"fragcache_warmed_total", "store_read_count_total"} {
+	for _, want := range []string{"fragcache_misses_total", "store_read_count_total"} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %s:\n%s", want, text)
 		}
@@ -101,15 +101,8 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/snapshot: %v", err)
 	}
-	var warmed int64
-	for name, v := range snap.Counters {
-		// Exact family: "fragcache.warmed{kind=K}", not warmed_bytes.
-		if strings.HasPrefix(name, "fragcache.warmed{") {
-			warmed += v
-		}
-	}
-	if warmed != 1 {
-		t.Errorf("fragcache.warmed = %d, want 1", warmed)
+	if misses := snap.Counters["fragcache.misses"]; misses != 1 {
+		t.Errorf("fragcache.misses = %d, want 1", misses)
 	}
 
 	// /trace is a Chrome trace with the read spans from -readall.

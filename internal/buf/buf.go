@@ -16,6 +16,9 @@ import (
 // ErrTruncated reports a read past the end of the buffer.
 var ErrTruncated = errors.New("buf: truncated buffer")
 
+// ErrTrailing reports bytes left over after a complete message.
+var ErrTrailing = errors.New("buf: trailing bytes")
+
 // Writer accumulates a little-endian binary buffer.
 type Writer struct {
 	b []byte
@@ -120,6 +123,15 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }
+
+// End is a decoder's last check: the first error, or ErrTrailing when
+// the message is complete but bytes remain unread.
+func (r *Reader) End() error {
+	if r.err == nil && r.off < len(r.b) {
+		return fmt.Errorf("%w: %d after offset %d", ErrTrailing, len(r.b)-r.off, r.off)
+	}
+	return r.err
+}
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }

@@ -113,6 +113,30 @@ func TestTruncationIsSticky(t *testing.T) {
 	}
 }
 
+// TestEnd: End is nil once every byte is read, ErrTrailing while bytes
+// remain, and the sticky error after a failed read.
+func TestEnd(t *testing.T) {
+	w := NewWriter(0)
+	w.U32(7)
+	w.U8(1)
+	r := NewReader(w.Bytes())
+	r.U32()
+	if err := r.End(); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("one byte left: End = %v, want ErrTrailing", err)
+	}
+	r.U8()
+	if err := r.End(); err != nil {
+		t.Fatalf("all read: End = %v", err)
+	}
+	r.U8()
+	if err := r.End(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("read past the end: End = %v, want ErrTruncated", err)
+	}
+	if err := NewReader(nil).End(); err != nil {
+		t.Fatalf("empty buffer: End = %v", err)
+	}
+}
+
 func TestVectorHugeCountRejected(t *testing.T) {
 	// A length prefix far beyond the buffer must fail cleanly rather
 	// than attempt a giant allocation.

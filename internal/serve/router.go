@@ -499,6 +499,9 @@ func (r *Router) DeleteRegion(ctx context.Context, region tensor.Region) (*store
 // partials sum exactly because shard tiles are disjoint. SpMV and TTV
 // need cross-tile accumulators and are rejected, as on Chunked.
 func (r *Router) Kernel(ctx context.Context, req store.KernelRequest) (*store.KernelResult, error) {
+	if err := req.Validate(r.tiling.Shape.Dims()); err != nil {
+		return nil, err
+	}
 	sp, ctx := r.reg.StartCtx(ctx, obsRouterKernel)
 	if sp.Sampled() {
 		sp.SetAttrStr("kernel", req.Op.String())
@@ -512,19 +515,16 @@ func (r *Router) Kernel(ctx context.Context, req store.KernelRequest) (*store.Ke
 	return res, err
 }
 
-// kernelAt dispatches the routed kernel under the router.kernel span.
+// kernelAt dispatches a validated routed kernel under the router.kernel
+// span.
 func (r *Router) kernelAt(ctx context.Context, req store.KernelRequest) (*store.KernelResult, error) {
 	switch req.Op {
-	case store.KernelSumAll, store.KernelLiveNNZ, store.KernelNNZPerSlice:
-	case store.KernelSumRegion:
+	case store.KernelSumAll, store.KernelSumRegion, store.KernelLiveNNZ, store.KernelNNZPerSlice:
 	default:
 		return nil, fmt.Errorf("serve: %w: kernel %v is not supported on routed stores", store.ErrBadRequest, req.Op)
 	}
 	shards := r.allShards()
-	if req.Op == store.KernelSumRegion && req.Region != nil {
-		if req.Region.Dims() != r.tiling.Shape.Dims() {
-			return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", store.ErrShapeMismatch, req.Region.Dims(), r.tiling.Shape.Dims())
-		}
+	if req.Region != nil {
 		shards = r.regionShards(*req.Region)
 	}
 	results := make([]*store.KernelResult, len(r.clients))

@@ -453,6 +453,9 @@ func (s *Server) handle(req *wire.Frame, tc obs.TraceContext) (*buf.Writer, erro
 		return out, nil
 
 	case wire.MsgPing:
+		if _, err := wire.DecodeDeadline(req.Payload); err != nil {
+			return nil, badPayload(err)
+		}
 		return wire.NewFrame(0), nil
 
 	default:

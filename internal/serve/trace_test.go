@@ -71,7 +71,6 @@ func TestTracedQueryByteIdentical(t *testing.T) {
 				{Region: &region, AsOf: store.AsOfLatest, Strategy: store.StrategyScan},
 				{Region: &region, AsOf: store.AsOfLatest, Strategy: store.StrategyAuto},
 				{Probe: region.Coords(), AsOf: store.AsOfLatest},
-				{Probe: region.Coords(), AsOf: store.AsOfLatest, Workers: 3},
 			}
 			for i, req := range reqs {
 				want, _, err := st.Query(plain, req)

@@ -101,10 +101,10 @@ func TestQueryContextCanceled(t *testing.T) {
 			t.Fatalf("strategy %v: err = %v, want context.Canceled", strat, err)
 		}
 	}
-	// Parallel probe path too.
-	_, _, err = st.Query(ctx, QueryRequest{Region: &region, AsOf: AsOfLatest, Workers: 4})
+	// The probe path too.
+	_, _, err = st.Query(ctx, QueryRequest{Probe: region.Coords(), AsOf: AsOfLatest})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel: err = %v, want context.Canceled", err)
+		t.Fatalf("probe: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestKernelContextCanceled(t *testing.T) {
 	if _, err := st.Kernel(ctx, KernelRequest{Op: KernelSumAll}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sum: err = %v, want context.Canceled", err)
 	}
-	if _, err := st.Kernel(ctx, KernelRequest{Op: KernelLiveNNZ, Workers: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := st.Kernel(ctx, KernelRequest{Op: KernelLiveNNZ}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("nnz: err = %v, want context.Canceled", err)
 	}
 }

@@ -49,7 +49,7 @@ func (c *Chunked) queryTiles(ctx context.Context, req QueryRequest) (*Result, *R
 	dir := c.dir.Load()
 	if req.Probe != nil {
 		if e := c.probeTile(dir, req.Probe); e != nil {
-			sub := QueryRequest{Probe: c.localProbe(req.Probe, e.idx), AsOf: AsOfLatest, Workers: req.Workers}
+			sub := QueryRequest{Probe: c.localProbe(req.Probe, e.idx), AsOf: AsOfLatest}
 			return c.queryTile(ctx, e.store, e.idx, sub)
 		}
 	}
@@ -65,7 +65,7 @@ func (c *Chunked) queryTiles(ctx context.Context, req QueryRequest) (*Result, *R
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		sub := QueryRequest{Probe: t.coords, AsOf: AsOfLatest, Strategy: req.Strategy, Workers: req.Workers}
+		sub := QueryRequest{Probe: t.coords, AsOf: AsOfLatest, Strategy: req.Strategy}
 		if req.Region != nil {
 			sub.Region = &t.clip
 		}
@@ -149,6 +149,9 @@ func (c *Chunked) localProbe(probe *tensor.Coords, idx []uint64) *tensor.Coords 
 // TTV are rejected — their operand indexing is global, and the paper's
 // chunked remedy targets storage, not contraction.
 func (c *Chunked) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, error) {
+	if err := req.Validate(c.tiling.Shape.Dims()); err != nil {
+		return nil, err
+	}
 	reg := c.obsReg()
 	sp, ctx := reg.StartCtx(ctx, obsKernel)
 	if sp.Sampled() {
@@ -163,8 +166,8 @@ func (c *Chunked) Kernel(ctx context.Context, req KernelRequest) (*KernelResult,
 	return res, err
 }
 
-// kernelAt runs the kernel on every tile the request touches and folds
-// the tile answers, in tile-key order.
+// kernelAt runs a validated kernel on every tile the request touches
+// and folds the tile answers, in tile-key order.
 func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, error) {
 	dims := c.tiling.Shape.Dims()
 	total := &KernelResult{Values: []float64{0}, Report: &PushReport{}}
@@ -174,17 +177,8 @@ func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResul
 	switch req.Op {
 	case KernelSumAll, KernelLiveNNZ:
 	case KernelSumRegion:
-		if req.Region == nil {
-			return nil, fmt.Errorf("store: %w: kernel %v needs a region", ErrBadRequest, req.Op)
-		}
-		if req.Region.Dims() != dims {
-			return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
-		}
 		region = *req.Region
 	case KernelNNZPerSlice:
-		if req.Mode < 0 || req.Mode >= dims {
-			return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, req.Mode, dims)
-		}
 		var err error
 		if total.Values, err = kernelValues(req.Op, c.tiling.Shape[req.Mode]); err != nil {
 			return nil, err
@@ -202,7 +196,7 @@ func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResul
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sub := KernelRequest{Op: req.Op, Mode: req.Mode, Workers: req.Workers}
+		sub := KernelRequest{Op: req.Op, Mode: req.Mode}
 		if req.Op == KernelSumRegion {
 			sub.Region = &t.clip
 		}

@@ -220,27 +220,18 @@ func testConcurrentHammer(t *testing.T, opts []Option) {
 					p := make([]uint64, shape.Dims())
 					for iter := 0; !done.Load(); iter++ {
 						switch iter % 5 {
-						case 0, 1: // point probes: Read, ReadParallel
+						case 0, 1: // point probes
 							probe, _ := randomPoints(rng, shape, 10)
 							probed := make(map[uint64]bool, probe.Len())
 							for i := 0; i < probe.Len(); i++ {
 								probed[lin.Linearize(probe.At(i))] = true
 							}
-							var res *Result
-							var rep *ReadReport
-							var err error
-							op := "Read"
-							if iter%5 == 0 {
-								res, rep, err = readProbe(st, probe)
-							} else {
-								op = "ReadParallel"
-								res, rep, err = readPooled(st, probe, 4)
-							}
+							res, rep, err := readProbe(st, probe)
 							if err != nil {
-								t.Errorf("%s: %v", op, err)
+								t.Errorf("Read: %v", err)
 								return
 							}
-							checkHammerResult(t, op, res, rep, oracle.stateAt(rep.Epoch), lin,
+							checkHammerResult(t, "Read", res, rep, oracle.stateAt(rep.Epoch), lin,
 								func(addr uint64) bool { return probed[addr] })
 						default: // region reads: ReadRegion, ReadRegionScan, ReadRegionAuto
 							region := randomRegion(t, rng, shape, 8)

@@ -53,11 +53,6 @@ func readRegion(q querier, region tensor.Region, strategy Strategy) (*Result, *R
 	return q.Query(context.Background(), QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: strategy})
 }
 
-// readPooled is readProbe on a pool of workers fragment workers.
-func readPooled(q querier, probe *tensor.Coords, workers int) (*Result, *ReadReport, error) {
-	return q.Query(context.Background(), QueryRequest{Probe: probe, AsOf: AsOfLatest, Workers: workers})
-}
-
 // readAsOf looks probe up in the store's state after its first version
 // fragments.
 func readAsOf(q querier, probe *tensor.Coords, version int) (*Result, *ReadReport, error) {
@@ -77,4 +72,20 @@ func readPoints(q querier, probe *tensor.Coords) ([]float64, []bool, *ReadReport
 // kernel runs one push-down kernel.
 func kernel(st *Store, req KernelRequest) (*KernelResult, error) {
 	return st.Kernel(context.Background(), req)
+}
+
+// writeBand writes one fragment covering rows {2i, 2i+1} of an 8x8
+// store, the same banding as the cache tests.
+func writeBand(t *testing.T, st *Store, i uint64) {
+	t.Helper()
+	c := tensor.NewCoords(2, 0)
+	var vals []float64
+	for col := uint64(0); col < 8; col++ {
+		c.Append(2*i, col)
+		c.Append(2*i+1, col)
+		vals = append(vals, float64(i), float64(i)+0.5)
+	}
+	if _, err := st.Write(c, vals); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -74,11 +74,31 @@ type KernelRequest struct {
 	Mode int
 	// Vec is the operand vector for KernelSpMV (x) and KernelTTV.
 	Vec []float64
-	// Workers bounds the fragment worker pool exactly as
-	// QueryRequest.Workers does: 0 or 1 reads fragments serially, n > 1
-	// uses n workers, negative uses every core. The answer does not
-	// depend on it.
-	Workers int
+}
+
+// Validate rejects a kernel request that is structurally bad for a
+// dims-dimensional store, before any view is pinned or shard asked: an
+// unknown op, a region on any op but KernelSumRegion or none on it, a
+// region of another rank, a mode outside the store's, or SpMV on a
+// store that is not 2-dim. It is the one kernel validator: Store,
+// Chunked and serve.Router call it, and add only their own op support
+// and the operand lengths that need the shape.
+func (req *KernelRequest) Validate(dims int) error {
+	switch {
+	case req.Op < KernelSumAll || req.Op > KernelTTV:
+		return fmt.Errorf("store: %w: unknown kernel op %d", ErrBadRequest, uint8(req.Op))
+	case req.Op == KernelSumRegion && req.Region == nil:
+		return fmt.Errorf("store: %w: kernel %v needs a region", ErrBadRequest, req.Op)
+	case req.Op != KernelSumRegion && req.Region != nil:
+		return fmt.Errorf("store: %w: kernel %v takes no region", ErrBadRequest, req.Op)
+	case req.Region != nil && req.Region.Dims() != dims:
+		return fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
+	case (req.Op == KernelNNZPerSlice || req.Op == KernelTTV) && (req.Mode < 0 || req.Mode >= dims):
+		return fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, req.Mode, dims)
+	case req.Op == KernelSpMV && dims != 2:
+		return fmt.Errorf("store: %w: SpMV needs a 2-dim store, got %d dims", ErrBadRequest, dims)
+	}
+	return nil
 }
 
 // KernelResult carries any kernel's answer in one shape: scalar
@@ -95,8 +115,8 @@ type KernelResult struct {
 // locally and over the wire. Cancellation is checked per fragment by
 // the READ loop underneath.
 func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, error) {
-	if req.Region != nil && req.Op != KernelSumRegion {
-		return nil, fmt.Errorf("store: %w: kernel %v takes no region", ErrBadRequest, req.Op)
+	if err := req.Validate(s.shape.Dims()); err != nil {
+		return nil, err
 	}
 	reg := s.obsReg()
 	sp, ctx := reg.StartCtx(ctx, obsKernel)
@@ -119,8 +139,9 @@ func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, e
 	return res, err
 }
 
-// kernelAt picks the kernel's fold (pushdown.go) and runs it over the
-// live cells; the read's report comes back for cost attribution.
+// kernelAt picks a validated request's fold (pushdown.go) and runs it
+// over the live cells; the read's report comes back for cost
+// attribution.
 func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, *ReadReport, error) {
 	res := &KernelResult{Values: []float64{0}}
 	sum := func(_ []uint64, val float64) bool { res.Values[0] += val; return true }
@@ -129,10 +150,8 @@ func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult,
 		err  error
 	)
 	switch req.Op {
-	case KernelSumAll:
+	case KernelSumAll, KernelSumRegion:
 		fold = sum
-	case KernelSumRegion:
-		fold, err = sum, s.checkKernelRegion(req.Region)
 	case KernelLiveNNZ: // a count in a float64 — exact to 2⁵³
 		fold = func([]uint64, float64) bool { res.Values[0]++; return true }
 	case KernelNNZPerSlice:
@@ -141,14 +160,12 @@ func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult,
 		fold, err = s.spmvFold(res, req.Vec)
 	case KernelTTV:
 		fold, err = s.ttvFold(res, req.Mode, req.Vec)
-	default:
-		err = fmt.Errorf("store: %w: unknown kernel op %d", ErrBadRequest, uint8(req.Op))
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	var read *ReadReport
-	res.Report, read, err = s.foldLive(ctx, req.Op.String(), req.Region, req.Workers, fold)
+	res.Report, read, err = s.foldLive(ctx, req.Op.String(), req.Region, fold)
 	if err != nil {
 		return nil, nil, err
 	}

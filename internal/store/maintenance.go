@@ -29,7 +29,7 @@ func (s *Store) ExportAll() (*tensor.Coords, []float64, error) {
 // exportView materializes the live contents of a view: a READ whose
 // target is everything, every fragment scanned in full.
 func (s *Store) exportView(v *readView) (*tensor.Coords, []float64, error) {
-	res, _, _, err := s.readView(context.Background(), v, len(v.frags), s.scanPlan(nil), 0, nil)
+	res, _, _, err := s.readView(context.Background(), v, len(v.frags), s.scanPlan(nil), nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -247,3 +247,15 @@ func TestReadFaultCountedNoSpanLeak(t *testing.T) {
 		t.Errorf("%d spans leaked by the failed reads", snap.InFlight)
 	}
 }
+
+func TestStoreObsAccessor(t *testing.T) {
+	fs := newSim(t)
+	reg := obs.New()
+	st, err := Create(fs, "t", core.GCSR, tensor.Shape{8, 8}, WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Obs() != reg {
+		t.Fatal("Store.Obs() does not return the injected registry")
+	}
+}

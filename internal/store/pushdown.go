@@ -15,8 +15,8 @@ import (
 // it does for a Query and hands each live cell, once, in ascending
 // linear address, to the kernel's accumulator. No Result is built and
 // nothing is exported; the fold runs on the calling goroutine, so an
-// answer is a pure function of the pinned snapshot — bit-identical
-// whatever Workers says, float data included.
+// answer is a pure function of the pinned snapshot, float data
+// included.
 //
 // Memory is that of any read: O(hits in the target) — one 24-byte hit
 // per stored cell the scan reaches, live or not — held until the merge
@@ -60,10 +60,10 @@ func (r *PushReport) Add(o *PushReport) {
 // go to emit. The push report is that read's accounting; the read's
 // own report comes back beside it for cost attribution. Cancellation
 // is checked before each fragment, as for any read.
-func (s *Store) foldLive(ctx context.Context, op string, region *tensor.Region, workers int, emit emitFunc) (*PushReport, *ReadReport, error) {
+func (s *Store) foldLive(ctx context.Context, op string, region *tensor.Region, emit emitFunc) (*PushReport, *ReadReport, error) {
 	v := s.acquireView()
 	defer v.release()
-	_, rep, live, err := s.readView(ctx, v, len(v.frags), s.scanPlan(region), workers, emit)
+	_, rep, live, err := s.readView(ctx, v, len(v.frags), s.scanPlan(region), emit)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -92,21 +92,19 @@ func (s *Store) foldLive(ctx context.Context, op string, region *tensor.Region, 
 // walk early (the report then covers the visited prefix). A deadline
 // stops the scan at a fragment boundary, before any cell is visited.
 func (s *Store) ScanLive(ctx context.Context, region *tensor.Region, visit func(p []uint64, val float64) bool) (*PushReport, error) {
-	rep, _, err := s.foldLive(ctx, "scan", region, 0, visit)
+	rep, _, err := s.foldLive(ctx, "scan", region, visit)
 	return rep, err
 }
 
-// The kernel folds kernelAt (kernel.go) hands to foldLive. Each
-// validates its operands, sizes res.Values, and returns the function
-// that accumulates one live cell into it.
+// The kernel folds kernelAt (kernel.go) hands to foldLive. Each checks
+// the operand lengths KernelRequest.Validate cannot (they need the
+// shape), sizes res.Values, and returns the function that accumulates
+// one live cell into it.
 
 // spmvFold computes y = A·x over the stored 2D tensor without exporting
 // it: y[i] += A[i,j]·x[j] per live cell. x must have length Shape[1]; y
 // has length Shape[0].
 func (s *Store) spmvFold(res *KernelResult, x []float64) (emitFunc, error) {
-	if s.shape.Dims() != 2 {
-		return nil, fmt.Errorf("store: %w: SpMV needs a 2-dim store, got %d dims", ErrBadRequest, s.shape.Dims())
-	}
 	if uint64(len(x)) != s.shape[1] {
 		return nil, fmt.Errorf("store: %w: x has %d entries for %d columns", ErrShapeMismatch, len(x), s.shape[1])
 	}
@@ -122,9 +120,6 @@ func (s *Store) spmvFold(res *KernelResult, x []float64) (emitFunc, error) {
 // the number of live cells with coordinate k along that mode — the
 // slice histogram load balancers and format advisors want.
 func (s *Store) nnzPerSliceFold(res *KernelResult, mode int) (emitFunc, error) {
-	if mode < 0 || mode >= s.shape.Dims() {
-		return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, mode, s.shape.Dims())
-	}
 	out, err := kernelValues(KernelNNZPerSlice, s.shape[mode])
 	if err != nil {
 		return nil, err
@@ -133,27 +128,12 @@ func (s *Store) nnzPerSliceFold(res *KernelResult, mode int) (emitFunc, error) {
 	return func(p []uint64, _ float64) bool { out[p[mode]]++; return true }, nil
 }
 
-// checkKernelRegion validates KernelSumRegion's window: present and of
-// the store's rank. Its extent is clipped to the shape by the scan plan.
-func (s *Store) checkKernelRegion(region *tensor.Region) error {
-	if region == nil {
-		return fmt.Errorf("store: %w: kernel %v needs a region", ErrBadRequest, KernelSumRegion)
-	}
-	if region.Dims() != s.shape.Dims() {
-		return fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), s.shape.Dims())
-	}
-	return nil
-}
-
 // ttvFold contracts the stored tensor with a vector along one mode,
 // Y[i_0,…,î_mode,…] = Σ_k T[…,k,…]·v[k], leaving the dense result in
 // row-major order over the remaining modes together with its shape —
 // the in-store counterpart of linalg.Tensor.TTV.
 func (s *Store) ttvFold(res *KernelResult, mode int, vec []float64) (emitFunc, error) {
 	d := s.shape.Dims()
-	if mode < 0 || mode >= d {
-		return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, mode, d)
-	}
 	if uint64(len(vec)) != s.shape[mode] {
 		return nil, fmt.Errorf("store: %w: vector has %d entries for extent %d", ErrShapeMismatch, len(vec), s.shape[mode])
 	}

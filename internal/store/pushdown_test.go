@@ -102,8 +102,7 @@ func pushKinds() []core.Kind {
 // TestPushdownDifferential is the acceptance property for in-store
 // kernels: over a store with overwrites and live tombstones, every
 // push-down kernel agrees exactly with the corresponding linalg kernel
-// run over the materialized ExportAll — across every organization kind,
-// serial and parallel.
+// run over the materialized ExportAll — across every organization kind.
 func TestPushdownDifferential(t *testing.T) {
 	shape := tensor.Shape{16, 12, 10}
 	for _, kind := range pushKinds() {
@@ -119,96 +118,94 @@ func TestPushdownDifferential(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(99))
 
-			for _, workers := range []int{1, 4} {
-				// LiveNNZ ≡ the export's cardinality.
-				kres, err := kernel(st, KernelRequest{Op: KernelLiveNNZ, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				nnz, rep := int64(kres.Values[0]), kres.Report
-				if nnz != int64(coords.Len()) {
-					t.Fatalf("workers=%d: LiveNNZ=%d, ExportAll has %d", workers, nnz, coords.Len())
-				}
-				if rep.Cells != nnz {
-					t.Fatalf("workers=%d: report says %d cells for %d live", workers, rep.Cells, nnz)
-				}
+			// LiveNNZ ≡ the export's cardinality.
+			kres, err := kernel(st, KernelRequest{Op: KernelLiveNNZ})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nnz, rep := int64(kres.Values[0]), kres.Report
+			if nnz != int64(coords.Len()) {
+				t.Fatalf("LiveNNZ=%d, ExportAll has %d", nnz, coords.Len())
+			}
+			if rep.Cells != nnz {
+				t.Fatalf("report says %d cells for %d live", rep.Cells, nnz)
+			}
 
-				// SumAll ≡ summing the export.
-				kres, err = kernel(st, KernelRequest{Op: KernelSumAll, Workers: workers})
+			// SumAll ≡ summing the export.
+			kres, err = kernel(st, KernelRequest{Op: KernelSumAll})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := kres.Values[0]
+			var want float64
+			for _, v := range vals {
+				want += v
+			}
+			if sum != want {
+				t.Fatalf("SumAll=%v, export sums to %v", sum, want)
+			}
+
+			// SumRegion ≡ filtering the export, over windows that
+			// cover tombstoned space, interior space, and everything.
+			regions := [][2][]uint64{
+				{{0, 0, 0}, {16, 12, 10}},
+				{{0, 0, 0}, {4, 3, 2}}, // inside the first tombstone
+				{{5, 4, 3}, {6, 5, 4}},
+			}
+			for _, rg := range regions {
+				region, err := tensor.NewRegion(shape, rg[0], rg[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				sum := kres.Values[0]
+				kres, err := kernel(st, KernelRequest{Op: KernelSumRegion, Region: &region})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := kres.Values[0]
 				var want float64
-				for _, v := range vals {
-					want += v
+				for i, n := 0, coords.Len(); i < n; i++ {
+					if region.Contains(coords.At(i)) {
+						want += vals[i]
+					}
 				}
-				if sum != want {
-					t.Fatalf("workers=%d: SumAll=%v, export sums to %v", workers, sum, want)
+				if got != want {
+					t.Fatalf("SumRegion(%v)=%v, want %v", rg, got, want)
 				}
+			}
 
-				// SumRegion ≡ filtering the export, over windows that
-				// cover tombstoned space, interior space, and everything.
-				regions := [][2][]uint64{
-					{{0, 0, 0}, {16, 12, 10}},
-					{{0, 0, 0}, {4, 3, 2}}, // inside the first tombstone
-					{{5, 4, 3}, {6, 5, 4}},
+			// NNZPerSlice ≡ the export's per-mode histogram.
+			for mode := 0; mode < shape.Dims(); mode++ {
+				kres, err := kernel(st, KernelRequest{Op: KernelNNZPerSlice, Mode: mode})
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, rg := range regions {
-					region, err := tensor.NewRegion(shape, rg[0], rg[1])
-					if err != nil {
-						t.Fatal(err)
-					}
-					kres, err := kernel(st, KernelRequest{Op: KernelSumRegion, Region: &region, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := kres.Values[0]
-					var want float64
-					for i, n := 0, coords.Len(); i < n; i++ {
-						if region.Contains(coords.At(i)) {
-							want += vals[i]
-						}
-					}
-					if got != want {
-						t.Fatalf("workers=%d: SumRegion(%v)=%v, want %v", workers, rg, got, want)
-					}
+				got := kres.Values
+				want := make([]float64, shape[mode])
+				for i, n := 0, coords.Len(); i < n; i++ {
+					want[coords.At(i)[mode]]++
 				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("NNZPerSlice(%d)=%v, want %v", mode, got, want)
+				}
+			}
 
-				// NNZPerSlice ≡ the export's per-mode histogram.
-				for mode := 0; mode < shape.Dims(); mode++ {
-					kres, err := kernel(st, KernelRequest{Op: KernelNNZPerSlice, Mode: mode, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := kres.Values
-					want := make([]float64, shape[mode])
-					for i, n := 0, coords.Len(); i < n; i++ {
-						want[coords.At(i)[mode]]++
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("workers=%d: NNZPerSlice(%d)=%v, want %v", workers, mode, got, want)
-					}
+			// TTV ≡ linalg over the export, every mode.
+			for mode := 0; mode < shape.Dims(); mode++ {
+				vec := intVec(rng, int(shape[mode]))
+				kres, err := kernel(st, KernelRequest{Op: KernelTTV, Mode: mode, Vec: vec})
+				if err != nil {
+					t.Fatal(err)
 				}
-
-				// TTV ≡ linalg over the export, every mode.
-				for mode := 0; mode < shape.Dims(); mode++ {
-					vec := intVec(rng, int(shape[mode]))
-					kres, err := kernel(st, KernelRequest{Op: KernelTTV, Mode: mode, Vec: vec, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, gotShape := kres.Values, kres.Shape
-					want, wantShape, err := ref.TTV(mode, vec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(gotShape, wantShape) {
-						t.Fatalf("TTV(%d) shape %v, want %v", mode, gotShape, wantShape)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("workers=%d: TTV(%d) disagrees with linalg", workers, mode)
-					}
+				got, gotShape := kres.Values, kres.Shape
+				want, wantShape, err := ref.TTV(mode, vec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotShape, wantShape) {
+					t.Fatalf("TTV(%d) shape %v, want %v", mode, gotShape, wantShape)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("TTV(%d) disagrees with linalg", mode)
 				}
 			}
 		})
@@ -234,28 +231,26 @@ func TestPushdownSpMVDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 3} {
-			kres, err := kernel(st, KernelRequest{Op: KernelSpMV, Vec: x, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, rep := kres.Values, kres.Report
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v workers=%d: SpMV disagrees with linalg", kind, workers)
-			}
-			if rep.Cells != int64(coords.Len()) {
-				t.Fatalf("%v: SpMV visited %d cells for %d live", kind, rep.Cells, coords.Len())
-			}
+		kres, err := kernel(st, KernelRequest{Op: KernelSpMV, Vec: x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rep := kres.Values, kres.Report
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: SpMV disagrees with linalg", kind)
+		}
+		if rep.Cells != int64(coords.Len()) {
+			t.Fatalf("%v: SpMV visited %d cells for %d live", kind, rep.Cells, coords.Len())
 		}
 	}
 
 	// Shape validation.
 	st := messyStore(t, core.COO, tensor.Shape{8, 8, 8}, 1)
-	if _, err := kernel(st, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 8), Workers: 1}); err == nil {
+	if _, err := kernel(st, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 8)}); err == nil {
 		t.Fatal("SpMV accepted a 3-dim store")
 	}
 	st2 := messyStore(t, core.COO, shape, 1)
-	if _, err := kernel(st2, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 7), Workers: 1}); err == nil {
+	if _, err := kernel(st2, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 7)}); err == nil {
 		t.Fatal("SpMV accepted a mis-sized vector")
 	}
 }
@@ -333,10 +328,10 @@ func TestScanLiveMatchesExport(t *testing.T) {
 // live cells in ascending linear address, so on a store with
 // cross-fragment overwrites, duplicate points inside one fragment and
 // tombstones — non-integer values throughout — every kernel and
-// ScanLive is bit-identical across Workers and equal to folding the
-// whole-store scan Query / ExportAll in address order, and the push
-// report is that read's accounting: Cells = the result's length,
-// Shadowed / Dead = what store.merge.* counted for it.
+// ScanLive is equal to folding the whole-store scan Query / ExportAll
+// in address order, and the push report is that read's accounting:
+// Cells = the result's length, Shadowed / Dead = what store.merge.*
+// counted for it.
 func TestKernelFoldDeterministic(t *testing.T) {
 	shape := tensor.Shape{24, 20}
 	whole := tensor.Region{Start: []uint64{0, 0}, Size: shape}
@@ -419,32 +414,29 @@ func TestKernelFoldDeterministic(t *testing.T) {
 				}
 				overwritten := reg.Counter("store.merge.overwritten", "kind", kind.String())
 				tombDead := reg.Counter("store.merge.tombstone_dead", "kind", kind.String())
-				for _, workers := range []int{0, 1, 4, -1} {
-					for _, req := range reqs {
-						req.Workers = workers
-						ow, td := overwritten.Value(), tombDead.Value()
-						kres, err := kernel(st, req)
-						if err != nil {
-							t.Fatalf("%v workers=%d: %v", req.Op, workers, err)
-						}
-						if !reflect.DeepEqual(kres.Values, want[req.Op]) {
-							t.Fatalf("%v workers=%d: %v, want the address-order fold %v", req.Op, workers, kres.Values, want[req.Op])
-						}
-						cells := coords.Len()
-						if req.Op == KernelSumRegion {
-							cells = inWindow
-						}
-						rep := kres.Report
-						if rep.Cells != int64(cells) {
-							t.Fatalf("%v workers=%d: report says %d cells, the result has %d", req.Op, workers, rep.Cells, cells)
-						}
-						if rep.Shadowed != overwritten.Value()-ow || rep.Dead != tombDead.Value()-td {
-							t.Fatalf("%v workers=%d: report shadowed=%d dead=%d, store.merge.* counted %d and %d",
-								req.Op, workers, rep.Shadowed, rep.Dead, overwritten.Value()-ow, tombDead.Value()-td)
-						}
-						if req.Region == nil && (rep.Shadowed == 0 || rep.Dead == 0) {
-							t.Fatalf("%v: the store exercises no overwrite (%d) or no tombstone (%d)", req.Op, rep.Shadowed, rep.Dead)
-						}
+				for _, req := range reqs {
+					ow, td := overwritten.Value(), tombDead.Value()
+					kres, err := kernel(st, req)
+					if err != nil {
+						t.Fatalf("%v: %v", req.Op, err)
+					}
+					if !reflect.DeepEqual(kres.Values, want[req.Op]) {
+						t.Fatalf("%v: %v, want the address-order fold %v", req.Op, kres.Values, want[req.Op])
+					}
+					cells := coords.Len()
+					if req.Op == KernelSumRegion {
+						cells = inWindow
+					}
+					rep := kres.Report
+					if rep.Cells != int64(cells) {
+						t.Fatalf("%v: report says %d cells, the result has %d", req.Op, rep.Cells, cells)
+					}
+					if rep.Shadowed != overwritten.Value()-ow || rep.Dead != tombDead.Value()-td {
+						t.Fatalf("%v: report shadowed=%d dead=%d, store.merge.* counted %d and %d",
+							req.Op, rep.Shadowed, rep.Dead, overwritten.Value()-ow, tombDead.Value()-td)
+					}
+					if req.Region == nil && (rep.Shadowed == 0 || rep.Dead == 0) {
+						t.Fatalf("%v: the store exercises no overwrite (%d) or no tombstone (%d)", req.Op, rep.Shadowed, rep.Dead)
 					}
 				}
 
@@ -472,14 +464,14 @@ func TestPushdownEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kres, err := kernel(st, KernelRequest{Op: KernelLiveNNZ, Workers: 4})
+	kres, err := kernel(st, KernelRequest{Op: KernelLiveNNZ})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nnz, rep := kres.Values[0], kres.Report; nnz != 0 || rep.Fragments != 0 {
 		t.Fatalf("empty store: nnz=%v fragments=%d", nnz, rep.Fragments)
 	}
-	kres, err = kernel(st, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 8), Workers: 2})
+	kres, err = kernel(st, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}

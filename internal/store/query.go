@@ -90,10 +90,6 @@ type QueryRequest struct {
 	AsOf int64
 	// Strategy picks the region execution mode; see Strategy.
 	Strategy Strategy
-	// Workers bounds the fragment worker pool, whatever the strategy: 0
-	// or 1 reads fragments serially, n > 1 uses n workers, negative
-	// uses every core.
-	Workers int
 }
 
 // Validate rejects a request that is structurally bad or whose target

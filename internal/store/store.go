@@ -183,10 +183,6 @@ type Store struct {
 	// Create/Open/NewChunked.
 	optErr error
 
-	// Fragcache warming (warm.go): how many of the newest fragments
-	// Open pre-loads into the reader cache.
-	warmFrags int
-
 	// Manifest-log state (see manifest.go): the checkpoint cadence
 	// (WithManifestCheckpointEvery; <= 0 is the adaptive policy), the
 	// number of records currently in MANIFEST.LOG, and the fragment
@@ -209,6 +205,12 @@ func (s *Store) obsReg() *obs.Registry {
 	}
 	return obs.Global()
 }
+
+// Obs returns the registry this store reports to: the injected one
+// (WithObs) or the process-global registry. Callers mounting an HTTP
+// telemetry endpoint (internal/obs/serve) bind it to this registry so
+// the scrape sees exactly this store's traffic.
+func (s *Store) Obs() *obs.Registry { return s.obsReg() }
 
 // Observability metric and span names emitted by the store. The write
 // phases mirror the rows of the paper's Table III; the read phases
@@ -389,9 +391,6 @@ func Open(fs fsim.FS, prefix string, opts ...Option) (*Store, error) {
 	// write — then publish the first snapshot.
 	s.gcOrphans()
 	s.initViews()
-	// Warm after the log replays: the log's fragments are the newest,
-	// exactly the ones warming targets.
-	s.warmCache()
 	return s, nil
 }
 
@@ -626,10 +625,10 @@ type ReadReport struct {
 // Sum returns the total read time.
 func (r ReadReport) Sum() time.Duration { return r.IO + r.Extract + r.Probe + r.Merge }
 
-// Add folds another read's report into r: a pool worker's fragment, a
-// chunked store's tile, a router's shard. Every duration and count
-// sums, epochs included (a change counter, as Chunked.Epoch is).
-// Shards is left alone: fan-out is the folding caller's to state.
+// Add folds another read's report into r: a chunked store's tile, a
+// router's shard. Every duration and count sums, epochs included (a
+// change counter, as Chunked.Epoch is). Shards is left alone: fan-out
+// is the folding caller's to state.
 func (r *ReadReport) Add(o *ReadReport) {
 	r.IO += o.IO
 	r.Extract += o.Extract
@@ -764,8 +763,7 @@ func (pl *readPlan) mayHold(fr *fragRef, lin *tensor.Linearizer) bool {
 }
 
 // scans decides how fr is extracted, materializing the region's cells
-// the first time a fragment is to be probed. It runs on the loop's own
-// goroutine, before any worker sees the plan.
+// the first time a fragment is to be probed.
 func (pl *readPlan) scans(s *Store, fr *fragRef) bool {
 	if pl.region == nil {
 		return pl.probe == nil
@@ -779,8 +777,8 @@ func (pl *readPlan) scans(s *Store, fr *fragRef) bool {
 	return false
 }
 
-// readAcc is where per-fragment extraction lands: an inline read has
-// one for the request, a pooled read one per worker call.
+// readAcc is where a read's per-fragment extraction lands, one per
+// request.
 type readAcc struct {
 	hits []hit
 	rep  ReadReport
@@ -822,44 +820,6 @@ func (s *Store) readFragment(root *obs.Span, fi int, fr *fragRef, pl *readPlan, 
 	return nil
 }
 
-// readPool runs readFragment on a bounded set of goroutines — the
-// multi-fragment analogue of parallel I/O on an HPC node. Each call
-// extracts into its own accumulator, folded into the pool's as it
-// finishes: phase durations therefore sum work across workers, not
-// elapsed time. Workers share the store's reader cache, so concurrent
-// misses on one fragment coalesce into a single load.
-type readPool struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-	mu  sync.Mutex
-	acc readAcc
-	err error // first failure
-}
-
-// run hands one fragment to the pool, blocking while every worker slot
-// is taken. The plan is copied: the loop keeps planning while workers
-// read theirs.
-func (p *readPool) run(s *Store, root *obs.Span, fi int, fr *fragRef, pl readPlan, scan bool) {
-	p.wg.Add(1)
-	p.sem <- struct{}{}
-	go func() {
-		defer p.wg.Done()
-		defer func() { <-p.sem }()
-		var local readAcc
-		err := s.readFragment(root, fi, fr, &pl, scan, &local)
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if err != nil {
-			if p.err == nil {
-				p.err = err
-			}
-			return
-		}
-		p.acc.hits = append(p.acc.hits, local.hits...)
-		p.acc.rep.Add(&local.rep)
-	}()
-}
-
 // read answers a validated request against a pinned view of the
 // store's version the request names.
 func (s *Store) read(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
@@ -872,7 +832,7 @@ func (s *Store) read(ctx context.Context, req QueryRequest) (*Result, *ReadRepor
 		}
 		limit = int(req.AsOf)
 	}
-	res, rep, _, err := s.readView(ctx, v, limit, s.planRead(req), req.Workers, nil)
+	res, rep, _, err := s.readView(ctx, v, limit, s.planRead(req), nil)
 	return res, rep, err
 }
 
@@ -883,13 +843,11 @@ func (s *Store) read(ctx context.Context, req QueryRequest) (*Result, *ReadRepor
 // address — newest fragment wins, cells under a later tombstone are
 // dead — handing each live cell to emit (a nil emit collects them in
 // the returned Result). What varies is the readPlan and the emitter;
-// fragments run inline unless workers (QueryRequest.Workers) asks for a
-// pool.
+// the fragments are read one after another on the calling goroutine.
 //
-// Cancellation is checked once per candidate fragment. A pooled read
-// lets fragments already handed to a worker finish, hands out no more,
-// and returns ctx.Err().
-func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPlan, workers int, emit emitFunc) (*Result, *ReadReport, liveCounts, error) {
+// Cancellation is checked once per candidate fragment: a canceled read
+// fetches no further fragment and returns ctx.Err().
+func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPlan, emit emitFunc) (*Result, *ReadReport, liveCounts, error) {
 	acc := &readAcc{rep: ReadReport{Epoch: v.epoch}}
 	rep := &acc.rep
 	s.takeCost()
@@ -899,10 +857,6 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 	defer root.End()
 	if pl.probe != nil && pl.probe.Len() == 0 {
 		return &Result{Coords: tensor.NewCoords(s.shape.Dims(), 0)}, rep, liveCounts{}, nil
-	}
-	var pool *readPool
-	if n := psort.Workers(workers); n > 1 && workers != 0 {
-		pool = &readPool{sem: make(chan struct{}, n)}
 	}
 
 	// The candidates are the fragments whose box meets the target's: a
@@ -932,20 +886,9 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 			continue
 		}
 		rep.Fragments++
-		scan := pl.scans(s, fr)
-		if pool != nil {
-			pool.run(s, root, fi, fr, pl, scan)
-		} else if err = s.readFragment(root, fi, fr, &pl, scan, acc); err != nil {
+		if err = s.readFragment(root, fi, fr, &pl, pl.scans(s, fr), acc); err != nil {
 			break
 		}
-	}
-	if pool != nil {
-		pool.wg.Wait()
-		if err == nil {
-			err = pool.err
-		}
-		acc.hits = pool.acc.hits
-		rep.Add(&pool.acc.rep)
 	}
 	reg.Counter("store.index.probes", "kind", kind).Inc()
 	reg.Counter("store.index.candidates", "kind", kind).Add(int64(rep.Candidates))
@@ -973,14 +916,13 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 }
 
 // sortHits returns the permutation that orders hits by (addr, frag,
-// index). The order must be total: a pooled read appends hits in
-// nondeterministic worker order, so ties on (addr, frag) fall through
-// to the index. Such ties are a point probed twice (equal values) or a
-// point written twice into one fragment, which a scan extracts in
-// payload order: the later entry is the later write, and it wins, as a
-// probe's Lookup answers with it. A plain SortPermByKey on the address
-// would lose the fragment-recency tie-break that newest-wins depends
-// on.
+// index). Ties on (addr, frag) fall through to the index, the order
+// the fragment was extracted in. Such ties are a point probed twice
+// (equal values) or a point written twice into one fragment, which a
+// scan extracts in payload order: the later entry is the later write,
+// and it wins, as a probe's Lookup answers with it. A plain
+// SortPermByKey on the address would lose the fragment-recency
+// tie-break that newest-wins depends on.
 func sortHits(hits []hit) []int {
 	return psort.SortPerm(len(hits), 0, func(a, b int) bool {
 		if hits[a].addr != hits[b].addr {

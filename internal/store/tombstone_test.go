@@ -88,11 +88,11 @@ func TestDeleteRegionAcrossKinds(t *testing.T) {
 			}
 			expectContents(t, auto, want)
 
-			par, _, err := readPooled(st, region.Coords(), 4)
+			probed, _, err := readProbe(st, region.Coords())
 			if err != nil {
 				t.Fatal(err)
 			}
-			expectContents(t, par, want)
+			expectContents(t, probed, want)
 
 			coords, vals, err := st.ExportAll()
 			if err != nil {

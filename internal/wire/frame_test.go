@@ -129,9 +129,9 @@ func TestHostileCountsAllocateNothing(t *testing.T) {
 	wrap := buf.NewWriter(64)
 	(&Query{Req: store.QueryRequest{Probe: mustCoords(t, 2, 1, 2)}}).AppendTo(wrap)
 	hostile := append([]byte(nil), wrap.Bytes()...)
-	// The probe's count sits after deadline, flags, as-of, strategy,
-	// workers and dims: 1<<63 two-dim points make n*dims wrap to 0.
-	binary.LittleEndian.PutUint64(hostile[8+1+8+1+8+2:], 1<<63)
+	// The probe's count sits after deadline, flags, as-of, strategy
+	// and dims: 1<<63 two-dim points make n*dims wrap to 0.
+	binary.LittleEndian.PutUint64(hostile[8+1+8+1+2:], 1<<63)
 	cases := []struct {
 		name   string
 		decode func() error
@@ -231,19 +231,14 @@ func encodeDecoded[T any](decode func([]byte) (T, error), p []byte, encode func(
 	return encode(v), true
 }
 
-// FuzzDecoders: arbitrary bytes, offered to any of the protocol's
-// decoders, either fail to decode or decode to a message whose encoding
-// is a fixed point — decode → encode → decode → encode yields the same
-// bytes (compared as bytes, so NaN values equal themselves) — and the
-// append form and the Encode form of one decoded message agree byte for
-// byte.
-func FuzzDecoders(f *testing.F) {
+// codecSeeds is one well-formed payload per entry of codecs, by name.
+func codecSeeds(t testing.TB) map[string][]byte {
 	reg := tensor.Region{Start: []uint64{1, 2}, Size: []uint64{3, 4}}
 	rep := &store.WriteReport{Build: 1, Reorg: 2, Write: 3, Others: 4, Bytes: 5, NNZ: 6, Name: "frag-7", Epoch: 8}
-	seeds := map[string][]byte{
-		"query":         (&Query{Deadline: time.Second, Req: store.QueryRequest{Probe: mustCoords(f, 2, 1, 2, 3, 4), Region: &reg, AsOf: store.AsOfLatest, Workers: 2}}).Encode(),
-		"query result":  (&QueryResult{Result: &store.Result{Coords: mustCoords(f, 2, 1, 2), Values: []float64{math.NaN()}}, Report: &store.ReadReport{Found: 1, Epoch: 3}}).Encode(),
-		"write batch":   (&WriteBatch{Deadline: 1, Workers: 2, Batches: []store.Batch{{Coords: mustCoords(f, 2, 5, 6), Values: []float64{7}}}}).Encode(),
+	return map[string][]byte{
+		"query":         (&Query{Deadline: time.Second, Req: store.QueryRequest{Probe: mustCoords(t, 2, 1, 2, 3, 4), Region: &reg, AsOf: store.AsOfLatest}}).Encode(),
+		"query result":  (&QueryResult{Result: &store.Result{Coords: mustCoords(t, 2, 1, 2), Values: []float64{math.NaN()}}, Report: &store.ReadReport{Found: 1, Epoch: 3}}).Encode(),
+		"write batch":   (&WriteBatch{Deadline: 1, Workers: 2, Batches: []store.Batch{{Coords: mustCoords(t, 2, 5, 6), Values: []float64{7}}}}).Encode(),
 		"write reports": EncodeWriteReports([]*store.WriteReport{rep, rep}),
 		"write report":  EncodeWriteReport(rep),
 		"delete":        (&Delete{Deadline: 3, Region: reg}).Encode(),
@@ -253,8 +248,98 @@ func FuzzDecoders(f *testing.F) {
 		"deadline":      EncodeDeadline(time.Minute),
 		"error":         EncodeError(ErrOverloaded),
 	}
+}
+
+// TestDecodersRefuseTrailingBytes: every decoder reads its payload to
+// the end, so a well-formed payload with one more byte is refused as
+// ErrTrailing — and so is a request framed by an older peer that still
+// sent a fragment worker count in Query and Kernel.
+func TestDecodersRefuseTrailingBytes(t *testing.T) {
+	seeds := codecSeeds(t)
+	for _, c := range codecs {
+		if _, ok := c.appendForm(seeds[c.name]); !ok {
+			t.Fatalf("%s: the seed does not decode", c.name)
+		}
+	}
+	decoders := map[string]func([]byte) error{
+		"query":         func(p []byte) error { _, err := DecodeQuery(p); return err },
+		"query result":  func(p []byte) error { _, err := DecodeQueryResult(p); return err },
+		"write batch":   func(p []byte) error { _, err := DecodeWriteBatch(p); return err },
+		"write reports": func(p []byte) error { _, err := DecodeWriteReports(p); return err },
+		"write report":  func(p []byte) error { _, err := DecodeWriteReport(p); return err },
+		"delete":        func(p []byte) error { _, err := DecodeDelete(p); return err },
+		"kernel":        func(p []byte) error { _, err := DecodeKernel(p); return err },
+		"kernel result": func(p []byte) error { _, err := DecodeKernelResult(p); return err },
+		"info":          func(p []byte) error { _, err := DecodeInfo(p); return err },
+		"deadline":      func(p []byte) error { _, err := DecodeDeadline(p); return err },
+		"error":         func(p []byte) error { _, err := decodeErr(p); return err },
+	}
+	if len(decoders) != len(codecs) {
+		t.Fatalf("%d decoders for %d codecs", len(decoders), len(codecs))
+	}
+	for name, decode := range decoders {
+		if err := decode(append(seeds[name], 0)); !errors.Is(err, buf.ErrTrailing) {
+			t.Errorf("%s plus one byte: err = %v, want buf.ErrTrailing", name, err)
+		}
+	}
+	for _, stale := range [][]byte{
+		staleQuery(&Query{Req: store.QueryRequest{Probe: mustCoords(t, 2, 1, 2), AsOf: store.AsOfLatest}}, 0),
+		staleQuery(&Query{Req: store.QueryRequest{Probe: mustCoords(t, 2, 1, 2), AsOf: store.AsOfLatest}}, 4),
+		staleKernel(&Kernel{Req: store.KernelRequest{Op: store.KernelLiveNNZ}}, 0),
+		staleKernel(&Kernel{Req: store.KernelRequest{Op: store.KernelTTV, Mode: 1, Vec: []float64{1, 2}}}, 4),
+	} {
+		if decoders["query"](stale) == nil && decoders["kernel"](stale) == nil {
+			t.Errorf("a request carrying a worker count decoded: %x", stale)
+		}
+	}
+}
+
+// TestDecodersRefuseUnknownMarkers: a Query flag bit or a Kernel region
+// marker the protocol does not define is refused, not dropped.
+func TestDecodersRefuseUnknownMarkers(t *testing.T) {
+	q := (&Query{Req: store.QueryRequest{Probe: mustCoords(t, 2, 1, 2), AsOf: store.AsOfLatest}}).Encode()
+	q[8] |= 1 << 2 // the flags byte follows the deadline
+	if _, err := DecodeQuery(q); err == nil {
+		t.Error("a query with an unknown flag bit decoded")
+	}
+	k := (&Kernel{Req: store.KernelRequest{Op: store.KernelLiveNNZ}}).Encode()
+	k[len(k)-1] = 2 // the region marker ends a region-less kernel payload
+	if _, err := DecodeKernel(k); err == nil {
+		t.Error("a kernel with region marker 2 decoded")
+	}
+}
+
+// withWorkers is payload with a u64 fragment worker count inserted at
+// off: the request layout of peers from before the count was dropped.
+func withWorkers(payload []byte, off int, workers uint64) []byte {
+	out := append([]byte(nil), payload[:off]...)
+	out = binary.LittleEndian.AppendUint64(out, workers)
+	return append(out, payload[off:]...)
+}
+
+// staleQuery is q as an older peer framed it: the worker count followed
+// the deadline, flags, as-of and strategy.
+func staleQuery(q *Query, workers uint64) []byte {
+	return withWorkers(q.Encode(), 8+1+8+1, workers)
+}
+
+// staleKernel is k as an older peer framed it: the worker count
+// followed the deadline, op and mode.
+func staleKernel(k *Kernel, workers uint64) []byte {
+	return withWorkers(k.Encode(), 8+1+8, workers)
+}
+
+// FuzzDecoders: arbitrary bytes, offered to any of the protocol's
+// decoders, either fail to decode or decode to a message whose encoding
+// is a fixed point — decode → encode → decode → encode yields the same
+// bytes (compared as bytes, so NaN values equal themselves) — and the
+// append form and the Encode form of one decoded message agree byte for
+// byte; and a payload that decodes no longer does with a byte appended.
+func FuzzDecoders(f *testing.F) {
+	seeds := codecSeeds(f)
 	for i, c := range codecs {
 		f.Add(uint8(i), seeds[c.name])
+		f.Add(uint8(i), append(seeds[c.name], 0))
 		f.Add(uint8(i), []byte{})
 	}
 	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
@@ -262,6 +347,9 @@ func FuzzDecoders(f *testing.F) {
 		enc, ok := c.appendForm(payload)
 		if !ok {
 			return
+		}
+		if _, ok := c.appendForm(append(payload[:len(payload):len(payload)], 0)); ok {
+			t.Fatalf("%s: decoded with a trailing byte", c.name)
 		}
 		enc2, ok := c.appendForm(enc)
 		if !ok {

@@ -14,7 +14,9 @@ import (
 // relative deadline (nanoseconds, 0 = none); the structs below carry
 // it alongside the store-layer request types, which the protocol
 // serializes directly — QueryRequest and KernelRequest on the wire are
-// the same structs Store.Query and Store.Kernel execute.
+// the same structs Store.Query and Store.Kernel execute. Every decoder
+// ends with buf.Reader.End, so a payload with bytes left over after its
+// message is refused, not half-read.
 
 // putCoords serializes a coordinate buffer (dims, count, flat data).
 func putCoords(w *buf.Writer, c *tensor.Coords) {
@@ -105,7 +107,6 @@ func (q *Query) AppendTo(w *buf.Writer) {
 	w.U8(flags)
 	w.U64(uint64(q.Req.AsOf))
 	w.U8(uint8(q.Req.Strategy))
-	w.U64(uint64(int64(q.Req.Workers)))
 	if q.Req.Probe != nil {
 		putCoords(w, q.Req.Probe)
 	}
@@ -121,9 +122,11 @@ func DecodeQuery(payload []byte) (*Query, error) {
 	flags := r.U8()
 	q.Req.AsOf = int64(r.U64())
 	q.Req.Strategy = store.Strategy(r.U8())
-	q.Req.Workers = int(int64(r.U64()))
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("wire: bad query payload: %w", err)
+	}
+	if flags&^(queryHasProbe|queryHasRegion) != 0 {
+		return nil, fmt.Errorf("wire: bad query payload: unknown flags %#x", flags)
 	}
 	if flags&queryHasProbe != 0 {
 		probe, err := getCoords(r)
@@ -138,6 +141,9 @@ func DecodeQuery(payload []byte) (*Query, error) {
 			return nil, fmt.Errorf("wire: bad query region: %w", err)
 		}
 		q.Req.Region = &reg
+	}
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("wire: bad query payload: %w", err)
 	}
 	return q, nil
 }
@@ -225,7 +231,7 @@ func DecodeQueryResult(payload []byte) (*QueryResult, error) {
 	}{}
 	box.res = store.Result{Coords: coords, Values: r.F64s()}
 	getReadReport(r, &box.rep)
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("wire: bad query result: %w", err)
 	}
 	if len(box.res.Values) != coords.Len() {
@@ -273,7 +279,7 @@ func EncodeWriteReport(rep *store.WriteReport) []byte {
 func DecodeWriteReport(payload []byte) (*store.WriteReport, error) {
 	r := buf.NewReader(payload)
 	rep := getWriteReport(r)
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("wire: bad write report: %w", err)
 	}
 	return rep, nil
@@ -336,6 +342,9 @@ func DecodeWriteBatch(payload []byte) (*WriteBatch, error) {
 		}
 		m.Batches = append(m.Batches, store.Batch{Coords: coords, Values: values})
 	}
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("wire: bad batch payload: %w", err)
+	}
 	return m, nil
 }
 
@@ -365,7 +374,7 @@ func DecodeWriteReports(payload []byte) ([]*store.WriteReport, error) {
 	for i := uint32(0); i < n; i++ {
 		reps = append(reps, getWriteReport(r))
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("wire: bad report list: %w", err)
 	}
 	return reps, nil
@@ -395,6 +404,9 @@ func DecodeDelete(payload []byte) (*Delete, error) {
 	r := buf.NewReader(payload)
 	m := &Delete{Deadline: time.Duration(r.U64())}
 	reg, err := getRegion(r)
+	if err == nil {
+		err = r.End()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("wire: bad delete payload: %w", err)
 	}
@@ -421,7 +433,6 @@ func (m *Kernel) AppendTo(w *buf.Writer) {
 	w.U64(uint64(m.Deadline))
 	w.U8(uint8(m.Req.Op))
 	w.U64(uint64(int64(m.Req.Mode)))
-	w.U64(uint64(int64(m.Req.Workers)))
 	w.F64s(m.Req.Vec)
 	if m.Req.Region != nil {
 		w.U8(1)
@@ -437,11 +448,13 @@ func DecodeKernel(payload []byte) (*Kernel, error) {
 	m := &Kernel{Deadline: time.Duration(r.U64())}
 	m.Req.Op = store.KernelOp(r.U8())
 	m.Req.Mode = int(int64(r.U64()))
-	m.Req.Workers = int(int64(r.U64()))
 	m.Req.Vec = r.F64s()
 	hasRegion := r.U8()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("wire: bad kernel payload: %w", err)
+	}
+	if hasRegion > 1 {
+		return nil, fmt.Errorf("wire: bad kernel payload: region marker %d", hasRegion)
 	}
 	if hasRegion != 0 {
 		reg, err := getRegion(r)
@@ -449,6 +462,9 @@ func DecodeKernel(payload []byte) (*Kernel, error) {
 			return nil, fmt.Errorf("wire: bad kernel region: %w", err)
 		}
 		m.Req.Region = &reg
+	}
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("wire: bad kernel payload: %w", err)
 	}
 	return m, nil
 }
@@ -497,7 +513,7 @@ func DecodeKernelResult(payload []byte) (*store.KernelResult, error) {
 		res.Shape = tensor.Shape(shape)
 	}
 	res.Report = getPushReport(r)
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("wire: bad kernel result: %w", err)
 	}
 	return res, nil
@@ -541,7 +557,7 @@ func DecodeInfo(payload []byte) (*Info, error) {
 	m.Fragments = r.U64()
 	m.Epoch = r.U64()
 	m.Tiles = r.U32()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("wire: bad info payload: %w", err)
 	}
 	return m, nil
@@ -566,7 +582,7 @@ func DecodeDeadline(payload []byte) (time.Duration, error) {
 	}
 	r := buf.NewReader(payload)
 	d := time.Duration(r.U64())
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return 0, fmt.Errorf("wire: bad deadline payload: %w", err)
 	}
 	return d, nil

@@ -395,7 +395,7 @@ func DecodeError(payload []byte) error {
 	r := buf.NewReader(payload)
 	code := Code(r.U16())
 	msg := string(r.Bytes32())
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return fmt.Errorf("wire: bad error payload: %w", err)
 	}
 	return &Error{Code: code, Msg: msg}

@@ -116,9 +116,9 @@ func TestQueryRoundTrip(t *testing.T) {
 	reg := tensor.Region{Start: []uint64{5, 6}, Size: []uint64{10, 20}}
 	cases := []Query{
 		{Deadline: 250 * time.Millisecond, Req: store.QueryRequest{
-			Probe: mustCoords(t, 2, 1, 2, 3, 4), AsOf: store.AsOfLatest, Workers: -1}},
+			Probe: mustCoords(t, 2, 1, 2, 3, 4), AsOf: store.AsOfLatest}},
 		{Req: store.QueryRequest{Region: &reg, AsOf: store.AsOfLatest,
-			Strategy: store.StrategyAuto, Workers: 4}},
+			Strategy: store.StrategyAuto}},
 		{Req: store.QueryRequest{Probe: mustCoords(t, 3, 0, 0, 0), AsOf: 7}},
 	}
 	for i, q := range cases {
@@ -127,7 +127,7 @@ func TestQueryRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if got.Deadline != q.Deadline || got.Req.AsOf != q.Req.AsOf ||
-			got.Req.Strategy != q.Req.Strategy || got.Req.Workers != q.Req.Workers {
+			got.Req.Strategy != q.Req.Strategy {
 			t.Fatalf("case %d: scalar mismatch: %+v", i, got)
 		}
 		if (got.Req.Probe == nil) != (q.Req.Probe == nil) {
@@ -226,14 +226,13 @@ func TestDeleteKernelInfoRoundTrip(t *testing.T) {
 	reg := tensor.Region{Start: []uint64{0, 0}, Size: []uint64{4, 4}}
 	k := &Kernel{Deadline: time.Second, Req: store.KernelRequest{
 		Op: store.KernelSumRegion, Region: &reg, Mode: 1,
-		Vec: []float64{1, 2, 3}, Workers: 2,
+		Vec: []float64{1, 2, 3},
 	}}
 	gotK, err := DecodeKernel(k.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotK.Req.Op != k.Req.Op || gotK.Req.Mode != k.Req.Mode ||
-		gotK.Req.Workers != k.Req.Workers ||
 		!reflect.DeepEqual(gotK.Req.Vec, k.Req.Vec) ||
 		!reflect.DeepEqual(*gotK.Req.Region, reg) {
 		t.Fatalf("kernel mismatch: %+v", gotK)
@@ -279,7 +278,7 @@ func TestDeleteKernelInfoRoundTrip(t *testing.T) {
 // count as equal to themselves).
 func FuzzDecodeKernel(f *testing.F) {
 	reg := tensor.Region{Start: []uint64{0, 3}, Size: []uint64{4, 1}}
-	f.Add((&Kernel{Deadline: time.Second, Req: store.KernelRequest{Op: store.KernelSumRegion, Region: &reg, Workers: -1}}).Encode())
+	f.Add((&Kernel{Deadline: time.Second, Req: store.KernelRequest{Op: store.KernelSumRegion, Region: &reg}}).Encode())
 	f.Add((&Kernel{Req: store.KernelRequest{Op: store.KernelTTV, Mode: 2, Vec: []float64{1, math.NaN(), 3}}}).Encode())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -46,8 +46,11 @@ go build ./...
 # Format.Build in one place, encodes a fragment in one place and builds
 # a key filter in one place (prepareBatch — Write, WriteBatch, the
 # chunked ingest, compaction and Convert all go through it); and Algorithm 3's READ exists once, so a fragment
-# is fetched from two places only (readFragment on the READ loop, and
-# warmCache) and internal/core offers one walk (Iterator.Each and
+# is fetched from one place only (readFragment on the READ loop), a
+# read runs its fragments on the caller's goroutine — internal/store
+# starts goroutines for the ingest driver and background compaction
+# and nothing else, so no per-request fragment pool comes back behind a
+# knob — and internal/core offers one walk (Iterator.Each and
 # RegionScanner.ScanRegion — no iter.Seq2 twin of them); and the tile
 # grid is declared once (store.Tiling, internal/store/tiling.go: index,
 # name, extent, clip, range, walk), so neither Chunked nor Router spells
@@ -86,7 +89,7 @@ go build ./...
 # of a router's fan-out — never one per request.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; exported methods; options; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -109,8 +112,17 @@ if [ "$keybuilds" -ne 1 ] || [ "$keyprep" -ne 1 ]; then
     exit 1
 fi
 fetches=$(grep -hE 'fetchFragment\(' $store_src | grep -cvE '^func |^\s*//' || true)
-if [ "$fetches" -ne 2 ]; then
-    echo "internal/store fetches a fragment from $fetches places (want 2: readFragment and warmCache — read through readView)" >&2
+if [ "$fetches" -ne 1 ]; then
+    echo "internal/store fetches a fragment from $fetches places (want 1: readFragment — read through readView)" >&2
+    exit 1
+fi
+store_spawns=$(grep -nE '^\s*go ' $store_src | sed -E 's/:[0-9]+:[[:space:]]*/: /' | sort)
+want_store_spawns='internal/store/ingest.go: go func() {
+internal/store/ingest.go: go func() {
+internal/store/maintenance.go: go func() {'
+if [ "$store_spawns" != "$want_store_spawns" ]; then
+    echo "internal/store starts goroutines other than the ingest driver's (its prepare workers and feeder, ingest.go) and background compaction's (maintenance.go) — a read runs its fragments on the caller's goroutine:" >&2
+    echo "$store_spawns" >&2
     exit 1
 fi
 if grep -rnE 'iter\.Seq2|\) Points\(\)|RegionPoints\(' --include='*.go' --exclude='*_test.go' internal/core; then
@@ -239,8 +251,8 @@ go test -race -run 'TestConcurrentHammer|TestNoMixedEpochReads|TestChunkedConcur
 # Live-endpoint smoke: import a scratch store, serve its telemetry, and
 # cross-check its two encodings end to end — /metrics through the strict
 # Prometheus parser against /snapshot through obs.DecodeSnapshot, on the
-# expected counter families. The -warm and -readall flags guarantee the
-# scrape carries cache-warming and read-path counters to assert on.
+# expected counter families. The -readall flag guarantees the scrape
+# carries read-path counters and the cold load's cache miss to assert on.
 step "serve smoke (live /metrics ≡ /snapshot cross-check)"
 SMOKE_DIR=$(mktemp -d)
 SERVE_PID=""
@@ -250,7 +262,7 @@ printf '# shape: 16 16\n1 2 10\n3 4 20\n5 6 30\n' > "$SMOKE_DIR/ds.txt"
 go build -o "$SMOKE_DIR/sparsestore" ./cmd/sparsestore
 "$SMOKE_DIR/sparsestore" import -dir "$SMOKE_DIR/store" -kind GCSR++ -in "$SMOKE_DIR/ds.txt"
 "$SMOKE_DIR/sparsestore" serve -dir "$SMOKE_DIR/store" -addr 127.0.0.1:0 \
-    -addr-file "$SMOKE_DIR/addr" -warm 1 -readall &
+    -addr-file "$SMOKE_DIR/addr" -readall &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
     [ -s "$SMOKE_DIR/addr" ] && break
@@ -259,7 +271,7 @@ for _ in $(seq 1 100); do
 done
 [ -s "$SMOKE_DIR/addr" ] || { echo "serve never wrote its address" >&2; exit 1; }
 go run ./scripts/checkmetrics -addr "$(cat "$SMOKE_DIR/addr")" \
-    -expect fragcache.warmed -expect store.read.count
+    -expect fragcache.misses -expect store.read.count
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""

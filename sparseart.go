@@ -142,10 +142,6 @@ func WithBackgroundCompaction(minFragments int) StoreOption {
 	return store.WithBackgroundCompaction(minFragments)
 }
 
-// WithWarmFragments makes Open pre-fill the fragment-reader cache with
-// the newest k data fragments.
-func WithWarmFragments(k int) StoreOption { return store.WithWarmFragments(k) }
-
 // ConvertStore writes a store's full logical contents into a new store
 // under another organization or codec. A store's organization is fixed
 // at creation; this is the one way to change it. The contents stream
