@@ -519,7 +519,7 @@ func runImport(args []string) error {
 			return err
 		}
 		fmt.Printf("imported %d points into chunked %v store at %s (%d tiles, %d fragments, %d bytes)\n",
-			t.Coords.Len(), kind, *dir, ch.Tiles(), len(reps), bytes)
+			t.Coords.Len(), kind, *dir, ch.Tiles(), ch.Fragments(), bytes)
 		return nil
 	}
 	st, err := store.Create(osfs, "tensor", kind, shape, opts...)

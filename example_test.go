@@ -10,7 +10,7 @@ import (
 
 // Example is the README quickstart: a 64x64x64 tensor stored as a
 // Compressed Sparse Fiber tree, written once directly and once through
-// the streaming ingest pipeline, then read back with one Query.
+// the batched ingest pipeline, then read back with one Query.
 func Example() {
 	shape := sparseart.Shape{64, 64, 64}
 	st, err := sparseart.CreateStoreOn(sparseart.NewPerlmutterSim(), "mytensor", sparseart.CSF, shape)
@@ -25,23 +25,20 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	// Streaming ingest: many fragments prepared on a worker pool,
-	// committed in order, each report delivered as it lands. Write
-	// above is the one-batch spelling of the same pipeline, so the
-	// bytes on disk do not depend on how batches arrive.
+	// Batched ingest: many fragments prepared on a worker pool,
+	// committed in order, one report per batch. Write above is the
+	// one-batch spelling of the same pipeline, so the bytes on disk do
+	// not depend on how batches arrive.
 	more := sparseart.NewCoords(3, 0)
 	more.Append(5, 6, 7)
 	more.Append(40, 40, 40)
 	batches := []sparseart.Batch{{Coords: more, Values: []float64{3.5, 4.5}}}
-	err = st.WriteBatchContext(context.Background(), batches, 4,
-		func(i int, rep *sparseart.WriteReport, err error) error {
-			if err == nil {
-				fmt.Printf("batch %d committed: %d points\n", i, rep.NNZ)
-			}
-			return err
-		})
+	reps, err := st.WriteBatchContext(context.Background(), batches, 4)
 	if err != nil {
 		log.Fatal(err)
+	}
+	for i, rep := range reps {
+		fmt.Printf("batch %d committed: %d points\n", i, rep.NNZ)
 	}
 
 	// Every read is one context-aware Query: a probe list or a

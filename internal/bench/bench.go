@@ -252,14 +252,12 @@ func (r *Runner) runCell(ds *Dataset, kind core.Kind) (Measurement, error) {
 		return Measurement{}, err
 	}
 	// A one-batch ingest writes exactly the bytes of a Write.
-	var wrep *store.WriteReport
 	batch := []store.Batch{{Coords: ds.Data.Coords, Values: ds.Data.Values}}
-	if err := st.WriteBatchContext(ctx, batch, 1, func(_ int, rep *store.WriteReport, _ error) error {
-		wrep = rep
-		return nil
-	}); err != nil {
+	wreps, err := st.WriteBatchContext(ctx, batch, 1)
+	if err != nil {
 		return Measurement{}, err
 	}
+	wrep := wreps[0]
 	probe := ds.Region.Coords()
 	scale := 1.0
 	if r.ProbeLimit > 0 && probe.Len() > r.ProbeLimit {

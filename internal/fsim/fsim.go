@@ -160,7 +160,6 @@ type SimFS struct {
 	model   CostModel
 	stats   Stats
 	pending Cost
-	obs     *obs.Registry
 }
 
 // NewSimFS returns a SimFS with the given cost model.
@@ -180,31 +179,16 @@ func NewPerlmutterSim() *SimFS {
 	return fs
 }
 
-// SetObs binds the backend to a specific observability registry; nil
-// (the default) falls back to the process-wide obs.Global().
-func (s *SimFS) SetObs(r *obs.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs = r
-}
-
-// reg resolves the backend's registry under s.mu.
-func (s *SimFS) reg() *obs.Registry {
-	if s.obs != nil {
-		return s.obs
-	}
-	return obs.Global()
-}
-
 func (s *SimFS) charge(c Cost) {
 	s.pending.add(c)
 	s.stats.Modeled.add(c)
 }
 
 // observeOp records one operation's wall time next to its modeled cost
-// (the "per-op modeled vs. wall latency" pair) and its byte traffic.
+// (the "per-op modeled vs. wall latency" pair) and its byte traffic, in
+// the process-wide registry.
 func (s *SimFS) observeOp(op string, start time.Time, modeled Cost, bytes int64) {
-	reg := s.reg()
+	reg := obs.Global()
 	if reg == nil {
 		return
 	}

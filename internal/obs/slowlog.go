@@ -71,14 +71,6 @@ func (l *SlowLog) SetThreshold(d time.Duration) {
 	}
 }
 
-// Threshold returns the current threshold (negative = disabled).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return -1
-	}
-	return time.Duration(l.threshold.Load())
-}
-
 // SetSink streams every recorded entry to w as one JSON line, in
 // addition to the ring. Pass nil to stop streaming.
 func (l *SlowLog) SetSink(w io.Writer) {

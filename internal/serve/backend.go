@@ -50,7 +50,7 @@ func (b storeBackend) Query(ctx context.Context, req store.QueryRequest) (*store
 }
 
 func (b storeBackend) WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error) {
-	return collectBatch(ctx, batches, workers, b.s.WriteBatchContext)
+	return b.s.WriteBatchContext(ctx, batches, workers)
 }
 
 func (b storeBackend) DeleteRegion(ctx context.Context, region tensor.Region) (*store.WriteReport, error) {
@@ -91,7 +91,7 @@ func (b chunkedBackend) Query(ctx context.Context, req store.QueryRequest) (*sto
 }
 
 func (b chunkedBackend) WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error) {
-	return collectBatch(ctx, batches, workers, b.c.WriteBatchContext)
+	return b.c.WriteBatchContext(ctx, batches, workers)
 }
 
 func (b chunkedBackend) DeleteRegion(ctx context.Context, region tensor.Region) (*store.WriteReport, error) {
@@ -107,28 +107,6 @@ func (b chunkedBackend) Kernel(ctx context.Context, req store.KernelRequest) (*s
 
 func (b chunkedBackend) ObsSnapshot(context.Context) ([]byte, error) {
 	return b.c.Obs().Snapshot().JSON()
-}
-
-// collectBatch runs a WriteBatchContext-shaped ingest and returns one
-// report per batch, in request order: a chunked store reports a batch
-// once per tile it touches, and those fragments fold into the batch's
-// report by the index fn receives (an empty batch keeps a zero report).
-// On error the reports cover what was committed before it.
-func collectBatch(ctx context.Context, batches []store.Batch, workers int,
-	run func(ctx context.Context, batches []store.Batch, workers int, fn func(i int, rep *store.WriteReport, err error) error) error,
-) ([]*store.WriteReport, error) {
-	reps := make([]*store.WriteReport, len(batches))
-	for i := range reps {
-		reps[i] = &store.WriteReport{}
-	}
-	err := run(ctx, batches, workers, func(i int, rep *store.WriteReport, err error) error {
-		if err != nil {
-			return err
-		}
-		reps[i].Add(rep)
-		return nil
-	})
-	return reps, err
 }
 
 // errUnsupportedOp builds the ErrBadRequest wrap for ops a backend

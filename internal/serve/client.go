@@ -219,7 +219,7 @@ func (c *Client) Query(ctx context.Context, req store.QueryRequest) (*store.Resu
 	return res.Result, res.Report, nil
 }
 
-// WriteBatch runs the streaming ingest remotely.
+// WriteBatch runs the batched ingest remotely: one report per batch.
 func (c *Client) WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error) {
 	d, err := deadlineOf(ctx)
 	if err != nil {

@@ -30,7 +30,7 @@ const (
 // presents the same Backend surface a single store does: scatter-
 // gather region reads merge in linear-address order (byte-identical to
 // one local Chunked store over the same writes), WriteBatch fans out
-// per shard over the streaming ingest API, and telemetry scrapes
+// per shard and folds one report per batch, and telemetry scrapes
 // absorb every shard's counters. Each shard must host a Chunked store
 // with the same global shape, tile extents, and kind — the router
 // checks at construction.
@@ -419,11 +419,12 @@ func partShards(parts []*pointPart) []int {
 	return shards
 }
 
-// WriteBatch fans the batches out per shard over the streaming ingest
-// API: each shard receives its slice of every batch as one WriteBatch
-// call (batch order preserved) and answers one report per sub-batch;
-// the returned reports are one per caller batch, in request order, each
-// the fold of its per-shard pieces (a zero report for an empty batch).
+// WriteBatch fans the batches out per shard: each shard receives its
+// slice of every batch as one WriteBatch call (batch order preserved)
+// and answers one report per sub-batch; the returned reports are one
+// per caller batch, in request order, each the fold of its per-shard
+// pieces (a zero report for an empty batch). On error no reports are
+// returned; what a shard committed before it stays durable there.
 func (r *Router) WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error) {
 	type shardBatch struct {
 		src     []int // original batch index per sub-batch
@@ -459,6 +460,9 @@ func (r *Router) WriteBatch(ctx context.Context, batches []store.Batch, workers 
 	var mu sync.Mutex
 	err := r.scatter(ctx, shards, "write_batch", func(ctx context.Context, i int) error {
 		reps, err := r.clients[i].WriteBatch(ctx, perShard[i].batches, workers)
+		if err != nil {
+			return err
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		for k, rep := range reps {
@@ -466,9 +470,12 @@ func (r *Router) WriteBatch(ctx context.Context, batches []store.Batch, workers 
 				out[perShard[i].src[k]].Add(rep)
 			}
 		}
-		return err
+		return nil
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // DeleteRegion broadcasts the tombstone to every shard owning an

@@ -673,10 +673,13 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 	}
 }
 
-// TestWriteBatchOneReportPerBatch: the network's write op answers one
-// report per batch, in request order, whatever the batches' spread over
-// tiles and shards — a batch spanning several tiles folds its fragments
-// into one report, an empty batch in the middle keeps a zero report.
+// TestWriteBatchOneReportPerBatch: every write layer — a flat store, a
+// chunked store, a client of a served chunked store, and a router over
+// one or three shards — answers one report per batch, in request order,
+// whatever the batches' spread over tiles and shards: a batch spanning
+// several tiles folds its fragments into one report, an empty batch in
+// the middle keeps a zero report. When a fragment fails to commit, each
+// layer returns the error and no reports.
 func TestWriteBatchOneReportPerBatch(t *testing.T) {
 	shape, tile := tensor.Shape{24, 24}, tensor.Shape{8, 8}
 	batches := []store.Batch{
@@ -685,18 +688,53 @@ func TestWriteBatchOneReportPerBatch(t *testing.T) {
 		{Coords: tensor.NewCoords(2, 0)},                                                                 // empty
 		{Coords: mustCoords(t, 2, 3, 3, 3, 20, 20, 3, 20, 20, 12, 12), Values: []float64{5, 6, 7, 8, 9}}, // five tiles
 	}
-	for _, nshards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("%d-shard", nshards), func(t *testing.T) {
-			addrs := make([]string, nshards)
-			for i := range addrs {
-				addrs[i] = newShard(t, core.CSF, shape, tile)
-			}
-			router, err := serve.NewRouter(addrs, obs.New())
+	ctx := context.Background()
+	newChunked := func(t *testing.T, fs fsim.FS) *store.Chunked {
+		c, err := store.NewChunked(fs, "c", core.CSF, shape, tile, store.WithObs(obs.New()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	newRouter := func(t *testing.T, addrs []string) *serve.Router {
+		router, err := serve.NewRouter(addrs, obs.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { router.Close() })
+		return router
+	}
+	// Each layer writes the batches into a fresh store over fs.
+	layers := map[string]func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error){
+		"flat-store": func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error) {
+			st, err := store.Create(fs, "s", core.CSF, shape, store.WithObs(obs.New()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { router.Close() })
-			reps, err := router.WriteBatch(context.Background(), batches, 2)
+			return st.WriteBatchContext(ctx, batches, 2)
+		},
+		"chunked": func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error) {
+			return newChunked(t, fs).WriteBatchContext(ctx, batches, 2)
+		},
+		"client-chunked": func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error) {
+			_, c, _ := startServer(t, serve.ChunkedBackend(newChunked(t, fs)), serve.Config{})
+			return c.WriteBatch(ctx, batches, 2)
+		},
+		"1-shard": func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error) {
+			_, _, addr := startServer(t, serve.ChunkedBackend(newChunked(t, fs)), serve.Config{})
+			return newRouter(t, []string{addr}).WriteBatch(ctx, batches, 2)
+		},
+		"3-shard": func(t *testing.T, _ fsim.FS) ([]*store.WriteReport, error) {
+			addrs := make([]string, 3)
+			for i := range addrs {
+				addrs[i] = newShard(t, core.CSF, shape, tile)
+			}
+			return newRouter(t, addrs).WriteBatch(ctx, batches, 2)
+		},
+	}
+	for name, write := range layers {
+		t.Run(name, func(t *testing.T) {
+			reps, err := write(t, fsim.NewPerlmutterSim())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -707,9 +745,27 @@ func TestWriteBatchOneReportPerBatch(t *testing.T) {
 				if rep.NNZ != batches[i].Coords.Len() {
 					t.Errorf("report %d credits %d points, batch holds %d", i, rep.NNZ, batches[i].Coords.Len())
 				}
-				if (rep.Bytes > 0) != (rep.NNZ > 0) {
+				// A flat store writes an empty batch as an empty fragment; a
+				// tiled layer writes no fragment for it.
+				if rep.NNZ > 0 && rep.Bytes == 0 || rep.NNZ == 0 && rep.Bytes > 0 && name != "flat-store" {
 					t.Errorf("report %d: %d bytes for %d points", i, rep.Bytes, rep.NNZ)
 				}
+			}
+		})
+	}
+	// The second fragment of a store (a chunked store's first tile) fails
+	// its file write: the first stays durable, and the call answers the
+	// error alone.
+	for _, name := range []string{"flat-store", "chunked", "1-shard"} {
+		t.Run("fault/"+name, func(t *testing.T) {
+			ff := fsim.NewFaultFS(fsim.NewPerlmutterSim())
+			ff.FailOn = "frag-000001"
+			reps, err := layers[name](t, ff)
+			if err == nil {
+				t.Fatal("injected commit failure not reported")
+			}
+			if reps != nil {
+				t.Fatalf("%d reports returned beside the error %v, want none", len(reps), err)
 			}
 		})
 	}

@@ -38,79 +38,121 @@ func tracedShard(t *testing.T, kind core.Kind, shape, tile tensor.Shape) (string
 	return ln.Addr().String(), reg
 }
 
+// tracedTarget is the request surface Store and Chunked share.
+type tracedTarget interface {
+	Write(coords *tensor.Coords, vals []float64) (*store.WriteReport, error)
+	DeleteRegion(region tensor.Region) (*store.WriteReport, error)
+	Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error)
+	Kernel(ctx context.Context, req store.KernelRequest) (*store.KernelResult, error)
+}
+
 // TestTracedQueryByteIdentical is the differential satellite: for every
-// storage kind, a query issued under a sampled trace (with the slow-log
-// set to log everything) must return exactly the bytes an untraced
-// query returns — observation must never change an answer.
+// storage kind, flat and tiled, a query issued under a sampled trace
+// (with the slow-log set to log everything) must return exactly the
+// bytes an untraced query returns — observation must never change an
+// answer. Each request, however many tiles it spans, leaves exactly one
+// slow-log line and one store.query / store.kernel observation.
 func TestTracedQueryByteIdentical(t *testing.T) {
 	shape := tensor.Shape{16, 16}
 	for _, kind := range append(core.PaperKinds(), core.COOSorted, core.BCOO) {
 		t.Run(kind.String(), func(t *testing.T) {
 			reg := obs.New()
-			reg.SlowLog().SetThreshold(0) // log every query
 			st, err := store.Create(fsim.NewPerlmutterSim(), "s", kind, shape, store.WithObs(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(7))
-			for round := 0; round < 3; round++ {
-				coords, values := randomPoints(rng, shape, 30)
-				if _, err := st.Write(coords, values); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := st.DeleteRegion(tensor.Region{Start: []uint64{4, 4}, Size: []uint64{5, 6}}); err != nil {
-				t.Fatal(err)
-			}
-
-			plain := context.Background()
-			traced := obs.ContextWithTrace(plain, obs.NewTrace(true))
-			region := tensor.Region{Start: []uint64{2, 1}, Size: []uint64{11, 13}}
-			reqs := []store.QueryRequest{
-				{Region: &region, AsOf: store.AsOfLatest},
-				{Region: &region, AsOf: store.AsOfLatest, Strategy: store.StrategyScan},
-				{Region: &region, AsOf: store.AsOfLatest, Strategy: store.StrategyAuto},
-				{Probe: region.Coords(), AsOf: store.AsOfLatest},
-			}
-			for i, req := range reqs {
-				want, _, err := st.Query(plain, req)
-				if err != nil {
-					t.Fatalf("req %d untraced: %v", i, err)
-				}
-				got, _, err := st.Query(traced, req)
-				if err != nil {
-					t.Fatalf("req %d traced: %v", i, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("req %d: traced result differs from untraced", i)
-				}
-			}
-			if n := len(reg.Snapshot().TraceSpans); n == 0 {
-				t.Fatal("no trace spans recorded for sampled queries")
-			}
-			if n := len(reg.SlowLog().Entries()); n < len(reqs) {
-				t.Fatalf("%d slow-log entries, want at least %d", n, len(reqs))
-			}
-
-			// A kernel is a read too: its slow-log line carries what the
-			// read underneath fetched, next to the push-down counts.
-			kres, err := st.Kernel(traced, store.KernelRequest{Op: store.KernelSumRegion, Region: &region})
+			checkTracedRequests(t, reg, st)
+		})
+		t.Run("chunked-"+kind.String(), func(t *testing.T) {
+			reg := obs.New()
+			c, err := store.NewChunked(fsim.NewPerlmutterSim(), "c", kind, shape, tensor.Shape{8, 8}, store.WithObs(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			entries := reg.SlowLog().Entries()
-			cost := entries[len(entries)-1].Cost
-			if op := entries[len(entries)-1].Op; op != "store.kernel" {
-				t.Fatalf("last slow-log entry is %q, want store.kernel", op)
-			}
-			if cost["fragments"] != int64(kres.Report.Fragments) || cost["fragments"] == 0 ||
-				cost["cache_hits"]+cost["cache_misses"] != cost["fragments"] {
-				t.Fatalf("kernel cost %v: want cache_hits + cache_misses = fragments = %d", cost, kres.Report.Fragments)
-			}
-			if _, ok := cost["bytes_read"]; !ok {
-				t.Fatalf("kernel cost %v carries no bytes_read", cost)
-			}
+			checkTracedRequests(t, reg, c)
 		})
+	}
+}
+
+// checkTracedRequests writes st (reporting to reg), then runs reads and
+// a kernel traced and untraced, checking the answers agree and that
+// each request is recorded once.
+func checkTracedRequests(t *testing.T, reg *obs.Registry, st tracedTarget) {
+	t.Helper()
+	reg.SlowLog().SetThreshold(0) // log every request
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 3; round++ {
+		coords, values := randomPoints(rng, tensor.Shape{16, 16}, 30)
+		if _, err := st.Write(coords, values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.DeleteRegion(tensor.Region{Start: []uint64{4, 4}, Size: []uint64{5, 6}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// once runs one request and checks it left one slow-log line and
+	// one observation of op; it returns the line.
+	once := func(what, op string, request func() error) obs.SlowEntry {
+		t.Helper()
+		lines, seen := len(reg.SlowLog().Entries()), reg.Histogram(op).Count()
+		if err := request(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		entries := reg.SlowLog().Entries()
+		if n := len(entries) - lines; n != 1 {
+			t.Fatalf("%s: %d slow-log lines, want 1", what, n)
+		}
+		if n := reg.Histogram(op).Count() - seen; n != 1 {
+			t.Fatalf("%s: %d %s observations, want 1", what, n, op)
+		}
+		if got := entries[len(entries)-1].Op; got != op {
+			t.Fatalf("%s: slow-log line is %q, want %s", what, got, op)
+		}
+		return entries[len(entries)-1]
+	}
+
+	plain := context.Background()
+	traced := obs.ContextWithTrace(plain, obs.NewTrace(true))
+	region := tensor.Region{Start: []uint64{2, 1}, Size: []uint64{11, 13}}
+	reqs := []store.QueryRequest{
+		{Region: &region, AsOf: store.AsOfLatest},
+		{Region: &region, AsOf: store.AsOfLatest, Strategy: store.StrategyScan},
+		{Region: &region, AsOf: store.AsOfLatest, Strategy: store.StrategyAuto},
+		{Probe: region.Coords(), AsOf: store.AsOfLatest},
+	}
+	for i, req := range reqs {
+		var want, got *store.Result
+		once(fmt.Sprintf("req %d untraced", i), "store.query", func() (err error) {
+			want, _, err = st.Query(plain, req)
+			return err
+		})
+		once(fmt.Sprintf("req %d traced", i), "store.query", func() (err error) {
+			got, _, err = st.Query(traced, req)
+			return err
+		})
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("req %d: traced result differs from untraced", i)
+		}
+	}
+	if n := len(reg.Snapshot().TraceSpans); n == 0 {
+		t.Fatal("no trace spans recorded for sampled queries")
+	}
+
+	// A kernel is a read too: its slow-log line carries what the reads
+	// underneath fetched, next to the push-down counts.
+	var kres *store.KernelResult
+	line := once("kernel", "store.kernel", func() (err error) {
+		kres, err = st.Kernel(traced, store.KernelRequest{Op: store.KernelSumRegion, Region: &region})
+		return err
+	})
+	cost := line.Cost
+	if cost["fragments"] != int64(kres.Report.Fragments) || cost["fragments"] == 0 ||
+		cost["cache_hits"]+cost["cache_misses"] != cost["fragments"] {
+		t.Fatalf("kernel cost %v: want cache_hits + cache_misses = fragments = %d", cost, kres.Report.Fragments)
+	}
+	if _, ok := cost["bytes_read"]; !ok {
+		t.Fatalf("kernel cost %v carries no bytes_read", cost)
 	}
 }
 

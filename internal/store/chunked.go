@@ -337,8 +337,8 @@ func (c *Chunked) partition(dir *tileDir, coords *tensor.Coords, vals []float64)
 
 // Write partitions the points by tile and writes one fragment per
 // non-empty tile, translating to tile-local coordinates so every linear
-// address stays within uint64: a one-batch cross-tile ingest whose
-// per-tile reports fold into one.
+// address stays within uint64: a one-batch cross-tile ingest, whose
+// one report folds its tiles'.
 func (c *Chunked) Write(coords *tensor.Coords, vals []float64) (*WriteReport, error) {
 	root := c.obsReg().Start(obsChunkedWrite)
 	defer root.End()
@@ -346,11 +346,7 @@ func (c *Chunked) Write(coords *tensor.Coords, vals []float64) (*WriteReport, er
 	if err != nil {
 		return nil, err
 	}
-	total := &WriteReport{}
-	for _, rep := range reps {
-		total.Add(rep)
-	}
-	return total, nil
+	return reps[0], nil
 }
 
 // DeleteRegion writes tombstones over the region in every existing tile

@@ -31,25 +31,25 @@ type tileWork struct {
 	items []tileFrag
 }
 
-// WriteBatchContext ingests the batches across every tile they touch,
-// streaming per-fragment reports. A batch spanning k tiles yields k
-// fragments; fn receives each with the batch's index (rep.Name carries
-// the tile prefix), after the fragment is durable in its tile's
-// manifest. Commit order is sorted tile names outer, batch order inner —
+// WriteBatchContext ingests the batches across every tile they touch
+// and returns one report per batch, in batch order: a batch spanning k
+// tiles writes k fragments, whose reports fold into its one (rep.Name
+// is its first fragment's), and a batch of no points keeps a zero
+// report. Commit order is sorted tile names outer, batch order inner —
 // the order of one one-batch ingest per (tile, batch) — and the on-disk
 // result is byte-identical to that loop. workers bounds the shared
-// CPU-stage pool (< 1 means all cores). Error, early-stop and
-// cancellation semantics match Store.WriteBatchContext: the committed
-// prefix stays durable, and fn sees at most one non-nil error. When ctx
-// carries a sampled trace, the ingest's spans join it.
-func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, workers int, fn func(i int, rep *WriteReport, err error) error) error {
+// CPU-stage pool (< 1 means all cores). Error and cancellation
+// semantics match Store.WriteBatchContext: the committed prefix stays
+// durable, and no reports are returned. When ctx carries a sampled
+// trace, the ingest's spans join it.
+func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, workers int) ([]*WriteReport, error) {
 	// Validate every batch before any I/O, so a failure (a point outside
 	// the shape) rejects the whole call with nothing committed.
 	if err := ValidateBatches(batches, c.tiling.Shape); err != nil {
-		return err
+		return nil, err
 	}
 	if len(batches) == 0 {
-		return nil
+		return nil, nil
 	}
 	byName := map[string]*tileWork{}
 	var works []*tileWork
@@ -77,7 +77,7 @@ func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, worker
 	// order.
 	dir, setup, err := c.materialize(works)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	frags := make([]tileFrag, 0, len(batches))
 	for _, w := range works {
@@ -92,23 +92,20 @@ func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, worker
 
 	workers = resolveIngestWorkers(workers, len(frags))
 	reg.Gauge("store.chunked.ingest.workers", "kind", kind).Set(int64(workers))
-	committed, err := ingest(ctx, frags, workers, root, fn)
+	reps, err := ingest(ctx, frags, len(batches), workers, root)
 	if err != nil {
 		reg.Counter("store.write.errors", "kind", kind).Inc()
-		return err
+		return nil, err
 	}
 	reg.Counter("store.chunked.ingest.count", "kind", kind).Inc()
-	reg.Counter("store.chunked.ingest.fragments", "kind", kind).Add(int64(committed))
+	reg.Counter("store.chunked.ingest.fragments", "kind", kind).Add(int64(len(frags)))
 	reg.Counter("store.chunked.ingest.tiles", "kind", kind).Add(int64(len(works)))
-	return nil
+	return reps, nil
 }
 
-// WriteBatch is the collecting form of the cross-tile ingest: the
-// per-fragment reports in commit order (a batch spanning k tiles
-// contributes k reports; rep.Name identifies the tile). On error no
-// report list is returned (the committed prefix is durable regardless).
+// WriteBatch is WriteBatchContext without a context.
 func (c *Chunked) WriteBatch(batches []Batch, workers int) ([]*WriteReport, error) {
-	return collectReports(batches, workers, c.WriteBatchContext)
+	return c.WriteBatchContext(context.Background(), batches, workers)
 }
 
 // takeCost drains the backend's modeled cost (zero when the FS has no

@@ -96,11 +96,12 @@ func TestChunkedWriteBatchMatchesSerialWrites(t *testing.T) {
 	}
 }
 
-// TestChunkedWriteBatchStreaming pins the streaming contract of the
-// cross-tile ingest: fn sees every (batch, tile) fragment with its
-// logical batch index, tile keys arrive in sorted order with batch
-// order inside each tile, and everything delivered is already durable.
-func TestChunkedWriteBatchStreaming(t *testing.T) {
+// TestChunkedWriteBatchReportsPerBatch pins what the cross-tile ingest
+// answers: one report per batch, in batch order, each the fold of the
+// batch's tile fragments — its points, and the name of its first
+// fragment in commit order — and everything reported is already
+// durable.
+func TestChunkedWriteBatchReportsPerBatch(t *testing.T) {
 	shape := tensor.Shape{16, 16}
 	tile := tensor.Shape{8, 8}
 	sim := newSim(t)
@@ -109,8 +110,7 @@ func TestChunkedWriteBatchStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two batches, each with one point in tile t-0-0 and one in t-1-1:
-	// commit order must be (t-0-0, batch 0), (t-0-0, batch 1),
-	// (t-1-1, batch 0), (t-1-1, batch 1).
+	// four fragments, two reports.
 	mk := func(seed float64) Batch {
 		c := tensor.NewCoords(2, 0)
 		c.Append(1, 1)
@@ -118,31 +118,20 @@ func TestChunkedWriteBatchStreaming(t *testing.T) {
 		return Batch{Coords: c, Values: []float64{seed, seed + 1}}
 	}
 	batches := []Batch{mk(1), mk(3)}
-	var gotIdx []int
-	var gotTiles []string
-	err = st.WriteBatchContext(context.Background(), batches, 2, func(i int, rep *WriteReport, err error) error {
-		if err != nil {
-			t.Fatalf("streamed error: %v", err)
-		}
-		gotIdx = append(gotIdx, i)
-		gotTiles = append(gotTiles, rep.Name)
-		return nil
-	})
+	reps, err := st.WriteBatchContext(context.Background(), batches, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantIdx := []int{0, 1, 0, 1}
-	wantTile := []string{"t-0-0", "t-0-0", "t-1-1", "t-1-1"}
-	if len(gotIdx) != len(wantIdx) {
-		t.Fatalf("streamed %d fragments, want %d", len(gotIdx), len(wantIdx))
+	if len(reps) != len(batches) {
+		t.Fatalf("%d reports for %d batches", len(reps), len(batches))
 	}
-	for i := range wantIdx {
-		if gotIdx[i] != wantIdx[i] || !strings.Contains(gotTiles[i], wantTile[i]) {
-			t.Fatalf("fragment %d: idx=%d name=%s, want idx=%d tile=%s",
-				i, gotIdx[i], gotTiles[i], wantIdx[i], wantTile[i])
+	for i, rep := range reps {
+		if rep.NNZ != 2 || !strings.Contains(rep.Name, "t-0-0") || rep.Bytes == 0 {
+			t.Fatalf("report %d: nnz=%d name=%s bytes=%d, want 2 points, first fragment in t-0-0",
+				i, rep.NNZ, rep.Name, rep.Bytes)
 		}
 	}
-	// Everything streamed is durable: fresh opens of both tiles see both
+	// Everything reported is durable: fresh opens of both tiles see both
 	// fragments each.
 	for _, key := range []string{"t-0-0", "t-1-1"} {
 		tileSt, err := Open(sim, "s/"+key)
@@ -152,47 +141,6 @@ func TestChunkedWriteBatchStreaming(t *testing.T) {
 		if tileSt.Fragments() != 2 {
 			t.Fatalf("tile %s: %d fragments, want 2", key, tileSt.Fragments())
 		}
-	}
-}
-
-// TestChunkedWriteBatchEarlyStop: a consumer error stops the ingest;
-// what was already delivered stays durable and the store remains
-// usable.
-func TestChunkedWriteBatchEarlyStop(t *testing.T) {
-	shape := tensor.Shape{32, 32}
-	tile := tensor.Shape{8, 8}
-	st, err := NewChunked(newSim(t), "s", core.COO, shape, tile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	batches := ingestBatches(rng, shape, 6, 60)
-	var seen int
-	stop := errors.New("consumer has seen enough")
-	err = st.WriteBatchContext(context.Background(), batches, 2, func(_ int, rep *WriteReport, err error) error {
-		if err != nil {
-			t.Fatalf("streamed error: %v", err)
-		}
-		if rep == nil {
-			t.Fatal("nil report without error")
-		}
-		seen++
-		if seen == 2 {
-			return stop
-		}
-		return nil
-	})
-	if err != stop {
-		t.Fatalf("ingest returned %v, want the consumer's error", err)
-	}
-	if seen != 2 {
-		t.Fatalf("consumed %d reports, want 2", seen)
-	}
-	// The delivered prefix is readable and the store accepts more writes.
-	c := tensor.NewCoords(2, 0)
-	c.Append(0, 0)
-	if _, err := st.Write(c, []float64{7}); err != nil {
-		t.Fatalf("store unusable after early break: %v", err)
 	}
 }
 
@@ -271,7 +219,7 @@ func TestChunkedGroupCommitAppendCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteBatchContext(context.Background(), batches, 2, func(int, *WriteReport, error) error { return nil }); err != nil {
+	if _, err := st.WriteBatchContext(context.Background(), batches, 2); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -300,24 +248,17 @@ func TestChunkedGroupAppendFailure(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	batches := ingestBatches(rng, shape, 3, 40)
 	ff.FailOn = manifestLogName
-	var streamedErr error
-	err = st.WriteBatchContext(context.Background(), batches, 2, func(_ int, rep *WriteReport, err error) error {
-		if err != nil {
-			streamedErr = err
-			return nil
-		}
-		t.Fatalf("report %s delivered despite failed group flush", rep.Name)
-		return nil
-	})
+	reps, err := st.WriteBatchContext(context.Background(), batches, 2)
 	if err == nil {
 		t.Fatal("injected group-append failure not reported")
 	}
-	if streamedErr == nil {
-		t.Fatal("fn never saw the terminal error")
+	if reps != nil {
+		t.Fatalf("%d reports returned beside the error, want none", len(reps))
 	}
 	ff.FailOn = ""
-	// Nothing was delivered, so nothing may be visible: every tile that
-	// was materialized reopens empty.
+	// The first group flush failed and the ingest stopped there, so
+	// nothing may be visible: every tile that was materialized reopens
+	// empty.
 	for _, e := range st.dir.Load().sorted {
 		tileSt, err := Open(sim, "f/"+e.name)
 		if err != nil {
@@ -328,7 +269,7 @@ func TestChunkedGroupAppendFailure(t *testing.T) {
 		}
 	}
 	// The same handles stay writable once the fault clears.
-	if err := st.WriteBatchContext(context.Background(), batches, 2, func(int, *WriteReport, error) error { return nil }); err != nil {
+	if _, err := st.WriteBatchContext(context.Background(), batches, 2); err != nil {
 		t.Fatalf("retry after fault: %v", err)
 	}
 }

@@ -109,7 +109,7 @@ func TestQueryContextCanceled(t *testing.T) {
 }
 
 // TestWriteBatchContextCanceled: a pre-canceled context commits
-// nothing; the store is unchanged.
+// nothing and reports nothing; the store is unchanged.
 func TestWriteBatchContextCanceled(t *testing.T) {
 	st, err := Create(newSim(t), "s", core.COO, tensor.Shape{20, 20})
 	if err != nil {
@@ -119,19 +119,12 @@ func TestWriteBatchContextCanceled(t *testing.T) {
 	batches := ingestBatches(rng, tensor.Shape{20, 20}, 4, 30)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var reports int
-	err = st.WriteBatchContext(ctx, batches, 2, func(i int, rep *WriteReport, err error) error {
-		if err != nil {
-			return err
-		}
-		reports++
-		return nil
-	})
+	reps, err := st.WriteBatchContext(ctx, batches, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if reports != 0 || st.Fragments() != 0 {
-		t.Fatalf("canceled ingest committed %d batches, %d fragments", reports, st.Fragments())
+	if len(reps) != 0 || st.Fragments() != 0 {
+		t.Fatalf("canceled ingest returned %d reports, committed %d fragments", len(reps), st.Fragments())
 	}
 }
 

@@ -10,10 +10,12 @@ import (
 
 // The chunked store's request surface. Probe targets partition by
 // tile; region targets intersect the region with each materialized
-// tile and run the tile-local sub-region through the tile store's Query
+// tile and run the tile-local sub-region through the tile store's read
 // — so scan and auto strategies work per tile, and a region read
 // touches only the tiles it covers instead of materializing every
-// global cell. Results are sorted by global row-major order, which
+// global cell. A tile is not a caller: the request is validated, spanned
+// and slow-logged once, here, and each tile runs only its share of the
+// work. Results are sorted by global row-major order, which
 // equals linear-address order: byte-identical to the flat store's
 // merge, and the order the router's scatter-gather reproduces across
 // shard processes.
@@ -86,7 +88,7 @@ func (c *Chunked) queryTiles(ctx context.Context, req QueryRequest) (*Result, *R
 // tile's result is this call's to consume: it shifts to the global
 // frame in place.
 func (c *Chunked) queryTile(ctx context.Context, st *Store, idx []uint64, sub QueryRequest) (*Result, *ReadReport, error) {
-	res, rep, err := st.Query(ctx, sub)
+	res, rep, err := st.read(ctx, sub)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -157,18 +159,15 @@ func (c *Chunked) Kernel(ctx context.Context, req KernelRequest) (*KernelResult,
 	if sp.Sampled() {
 		sp.SetAttrStr("kernel", req.Op.String())
 	}
-	res, err := c.kernelAt(ctx, req)
-	var rep *PushReport
-	if res != nil {
-		rep = res.Report
-	}
-	FinishRequestSpan(reg, ctx, sp, obsKernel, c.kind.String(), PushCost(rep), err)
+	res, read, err := c.kernelAt(ctx, req)
+	FinishRequestSpan(reg, ctx, sp, obsKernel, c.kind.String(), kernelCost(res, read), err)
 	return res, err
 }
 
 // kernelAt runs a validated kernel on every tile the request touches
-// and folds the tile answers, in tile-key order.
-func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, error) {
+// and folds the tile answers, in tile-key order; the tiles' read
+// reports come back summed, for cost attribution.
+func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, *ReadReport, error) {
 	dims := c.tiling.Shape.Dims()
 	total := &KernelResult{Values: []float64{0}, Report: &PushReport{}}
 	fold := func(_ *tilePart, r *KernelResult) { total.Values[0] += r.Values[0] }
@@ -181,7 +180,7 @@ func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResul
 	case KernelNNZPerSlice:
 		var err error
 		if total.Values, err = kernelValues(req.Op, c.tiling.Shape[req.Mode]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		fold = func(t *tilePart, r *KernelResult) {
 			origin := c.tiling.Origin(t.idx, req.Mode)
@@ -190,22 +189,24 @@ func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResul
 			}
 		}
 	default:
-		return nil, fmt.Errorf("store: %w: kernel %v is not supported on chunked stores", ErrBadRequest, req.Op)
+		return nil, nil, fmt.Errorf("store: %w: kernel %v is not supported on chunked stores", ErrBadRequest, req.Op)
 	}
+	read := &ReadReport{}
 	for _, t := range c.tilesIn(c.dir.Load(), region) {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sub := KernelRequest{Op: req.Op, Mode: req.Mode}
 		if req.Op == KernelSumRegion {
 			sub.Region = &t.clip
 		}
-		r, err := t.store.Kernel(ctx, sub)
+		r, tr, err := t.store.kernelAt(ctx, sub)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		fold(t, r)
 		total.Report.Add(r.Report)
+		read.Add(tr)
 	}
-	return total, nil
+	return total, read, nil
 }

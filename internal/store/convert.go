@@ -98,7 +98,7 @@ func (s *Store) convertInto(ctx context.Context, dst *Store, chunkPoints, worker
 		if len(wave) == 0 {
 			return nil
 		}
-		if err := dst.WriteBatchContext(ctx, wave, workers, func(int, *WriteReport, error) error { return nil }); err != nil {
+		if _, err := dst.WriteBatchContext(ctx, wave, workers); err != nil {
 			return err
 		}
 		rep.Chunks += len(wave)

@@ -101,18 +101,10 @@ func ValidateDeleteRegion(region tensor.Region, shape tensor.Shape) error {
 }
 
 // WriteBatchContext ingests many fragments through the parallel build
-// pipeline, streaming results instead of materializing them. Fragments
+// pipeline and returns one report per batch, in batch order. Fragments
 // are numbered and committed in batch order, so the on-disk result is
 // byte-identical to calling Write once per batch; workers bounds the
 // CPU-phase concurrency (values < 1 mean all cores).
-//
-// fn runs on the caller's goroutine: once per fragment, in batch order,
-// with (index, report, nil) — called only after the fragment is durable
-// (its manifest record flushed, under group commit possibly together
-// with its neighbors') — and at most once more with (index, nil, err)
-// if ingestion stops on an error. Returning a non-nil error from fn
-// stops the ingest after the fragments already committed; that error is
-// what WriteBatchContext returns.
 //
 // Reporting semantics under concurrency match a pooled read: each
 // WriteReport's phase durations measure that fragment's aggregate work
@@ -122,19 +114,18 @@ func ValidateDeleteRegion(region tensor.Region, shape tensor.Shape) error {
 // the file system. Under group commit the flush's metadata cost lands
 // on the fragment whose commit triggered it.
 //
-// On error, ingestion stops: fragments committed before the failure
-// remain durable and visible, exactly as if that prefix of Writes had
-// run. Cancellation is one such error: it is checked before each
-// fragment's commit (and by the prepare workers before each build), and
-// the ingest returns ctx.Err() after reporting it through fn with
-// (index, nil, err). When ctx carries a sampled trace, the ingest's
-// spans join it.
-func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers int, fn func(i int, rep *WriteReport, err error) error) error {
+// On error, ingestion stops and no reports are returned: fragments
+// committed before the failure remain durable and visible, exactly as
+// if that prefix of Writes had run. Cancellation is one such error: it
+// is checked before each fragment's commit (and by the prepare workers
+// before each build), and the ingest returns ctx.Err(). When ctx
+// carries a sampled trace, the ingest's spans join it.
+func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers int) ([]*WriteReport, error) {
 	if err := ValidateBatches(batches, s.shape); err != nil {
-		return err
+		return nil, err
 	}
 	if len(batches) == 0 {
-		return nil
+		return nil, nil
 	}
 	workers = resolveIngestWorkers(workers, len(batches))
 	s.takeCost() // discard any cost accrued outside this call
@@ -150,47 +141,27 @@ func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers 
 	for i, b := range batches {
 		frags[i] = tileFrag{store: s, idx: i, batch: b, final: i == len(batches)-1}
 	}
-	committed, err := ingest(ctx, frags, workers, root, fn)
+	reps, err := ingest(ctx, frags, len(batches), workers, root)
 	reg.Gauge("store.fragments", "kind", kind).Set(int64(s.Fragments()))
 	if err != nil {
 		reg.Counter("store.write.errors", "kind", kind).Inc()
-		return err
-	}
-	reg.Counter("store.ingest.count", "kind", kind).Inc()
-	reg.Counter("store.ingest.fragments", "kind", kind).Add(int64(committed))
-	return nil
-}
-
-// WriteBatch is the collecting form of WriteBatchContext, for callers
-// that want every report at once rather than as fragments become
-// durable. On error no report list is returned (the committed prefix is
-// durable regardless).
-func (s *Store) WriteBatch(batches []Batch, workers int) ([]*WriteReport, error) {
-	return collectReports(batches, workers, s.WriteBatchContext)
-}
-
-// collectReports runs a WriteBatchContext-shaped ingest to completion
-// and returns its reports in batch order.
-func collectReports(batches []Batch, workers int,
-	ingest func(context.Context, []Batch, int, func(int, *WriteReport, error) error) error) ([]*WriteReport, error) {
-	var reports []*WriteReport
-	err := ingest(context.Background(), batches, workers, func(_ int, rep *WriteReport, err error) error {
-		if err == nil {
-			reports = append(reports, rep)
-		}
-		return nil
-	})
-	if err != nil {
 		return nil, err
 	}
-	return reports, nil
+	reg.Counter("store.ingest.count", "kind", kind).Inc()
+	reg.Counter("store.ingest.fragments", "kind", kind).Add(int64(len(frags)))
+	return reps, nil
+}
+
+// WriteBatch is WriteBatchContext without a context.
+func (s *Store) WriteBatch(batches []Batch, workers int) ([]*WriteReport, error) {
+	return s.WriteBatchContext(context.Background(), batches, workers)
 }
 
 // tileFrag is one fragment of an ingest, in commit order: a batch (or
 // the slice of one that lands in a tile) and the store it commits to.
 type tileFrag struct {
 	store *Store
-	idx   int // logical batch index, reported to fn
+	idx   int // logical batch index: the report it folds into
 	batch Batch
 	// final marks the store's last fragment of this ingest and forces
 	// its group flush: the committer never leaves a store with records
@@ -210,11 +181,12 @@ type tileFrag struct {
 // goroutine and no channel. The commit stage runs on the caller's
 // goroutine in frags order: one file write per fragment, manifest
 // records group-committed, each store's writer lock held across its
-// span of fragments — the ingest is one mutation stream per store, so
-// fn must not call a store's mutating methods (reads are fine: they
-// serve from published snapshots). Returns how many reports fn
-// accepted and the first error.
-func ingest(ctx context.Context, frags []tileFrag, workers int, root *obs.Span, fn func(int, *WriteReport, error) error) (int, error) {
+// span of fragments — the ingest is one mutation stream per store.
+// It returns one report per logical batch (batches of them, each the
+// fold of its fragments' reports; a batch with none keeps a zero
+// report), or the first error and no reports — a caller sees the whole
+// answer or none.
+func ingest(ctx context.Context, frags []tileFrag, batches, workers int, root *obs.Span) ([]*WriteReport, error) {
 	jobs := make([]ingestJob, len(frags))
 	// abort lets workers skip useless work once the committer has seen
 	// a failure.
@@ -251,7 +223,7 @@ func ingest(ctx context.Context, frags []tileFrag, workers int, root *obs.Span, 
 		}()
 	}
 
-	ic := &ingestCommitter{root: root, fn: fn}
+	ic := &ingestCommitter{root: root, reps: make([]*WriteReport, batches)}
 	var locked *Store
 	for i := range jobs {
 		j, st := &jobs[i], frags[i].store
@@ -275,9 +247,9 @@ func ingest(ctx context.Context, frags []tileFrag, workers int, root *obs.Span, 
 			// The worker may have skipped the prepare for the same
 			// reason; either way the fragment never reaches the log.
 			recycleJob(j)
-			ic.failPrepared(st, frags[i].idx, err)
+			ic.failPrepared(st, err)
 		} else if j.err != nil {
-			ic.failPrepared(st, frags[i].idx, j.err)
+			ic.failPrepared(st, j.err)
 		} else {
 			ic.commit(&frags[i], j)
 		}
@@ -289,12 +261,19 @@ func ingest(ctx context.Context, frags []tileFrag, workers int, root *obs.Span, 
 		locked.writeMu.Unlock()
 	}
 	wg.Wait()
-	return ic.committed, ic.firstErr
+	if ic.firstErr != nil {
+		return nil, ic.firstErr
+	}
+	for i, rep := range ic.reps {
+		if rep == nil {
+			ic.reps[i] = &WriteReport{}
+		}
+	}
+	return ic.reps, nil
 }
 
 // queuedReport is a committed-but-not-yet-durable fragment's report,
-// held back until its group's flush so callers never see a report the
-// log could still lose.
+// held back until its group's flush publishes the epoch it carries.
 type queuedReport struct {
 	idx int
 	rep *WriteReport
@@ -321,42 +300,36 @@ const (
 
 // ingestCommitter is the commit stage's state: it applies prepared
 // fragments in deterministic order, holds reports back until their
-// manifest records are durable, and streams them through fn. Reports
-// are only ever queued against the store currently committing, because
-// each store flushes (tileFrag.final) before the committer moves to the
-// next. Methods run on one goroutine — the ingest caller's.
+// manifest records are durable, and folds each into its batch's report.
+// Reports are only ever queued against the store currently committing,
+// because each store flushes (tileFrag.final) before the committer
+// moves to the next. Methods run on one goroutine — the ingest caller's.
 type ingestCommitter struct {
-	root      *obs.Span
-	fn        func(int, *WriteReport, error) error
-	queued    []queuedReport
-	committed int
-	firstErr  error
+	root     *obs.Span
+	reps     []*WriteReport // one per logical batch; nil until a fragment lands
+	queued   []queuedReport
+	firstErr error
 }
 
-// deliver streams the queued reports — now durable — to fn in order,
-// stamping each with st's current epoch (the one their flush
-// published). If fn asks to stop, remaining reports are dropped (their
-// fragments stay durable) and firstErr records the stop.
+// deliver folds the queued reports — now durable — into their batches'
+// reports, stamping each with st's current epoch (the one their flush
+// published).
 func (ic *ingestCommitter) deliver(st *Store) {
 	epoch := st.currentEpoch()
 	for _, q := range ic.queued {
 		q.rep.Epoch = epoch
-		if ic.firstErr == nil {
-			if err := ic.fn(q.idx, q.rep, nil); err != nil {
-				ic.firstErr = err
-			} else {
-				ic.committed++
-			}
+		if r := ic.reps[q.idx]; r != nil {
+			r.Add(q.rep)
+		} else {
+			ic.reps[q.idx] = q.rep
 		}
 	}
 	ic.queued = ic.queued[:0]
 }
 
-// abort reports the terminal error to fn (unless fn already stopped the
-// ingest itself) and records it.
-func (ic *ingestCommitter) abort(idx int, err error) {
+// fail records the ingest's terminal error; the first one wins.
+func (ic *ingestCommitter) fail(err error) {
 	if ic.firstErr == nil {
-		ic.fn(idx, nil, err)
 		ic.firstErr = err
 	}
 }
@@ -364,40 +337,36 @@ func (ic *ingestCommitter) abort(idx int, err error) {
 // failPrepared handles a fragment that failed before its manifest
 // commit (a prepare error or fragment-file write error): the staged
 // prefix, if any, is flushed so fragments committed before the failure
-// stay visible, then the failure is reported.
-func (ic *ingestCommitter) failPrepared(st *Store, idx int, err error) {
-	if rolledBack, ferr := st.flushStaged(); ferr != nil {
-		if rolledBack {
-			ic.queued = ic.queued[:0]
-		} else {
-			ic.deliver(st) // records landed; only the checkpoint fold failed
-		}
-		// The original failure still wins over the flush error.
+// stay durable, then the failure is recorded.
+func (ic *ingestCommitter) failPrepared(st *Store, err error) {
+	if rolledBack, ferr := st.flushStaged(); ferr != nil && rolledBack {
+		ic.queued = ic.queued[:0]
 	} else {
-		ic.deliver(st)
+		ic.deliver(st) // the records landed, even if a checkpoint fold failed
 	}
-	ic.abort(idx, err)
+	// The original failure wins over any flush error.
+	ic.fail(err)
 }
 
-// commit persists one prepared fragment into its store and streams
+// commit persists one prepared fragment into its store and folds
 // whatever became durable.
 func (ic *ingestCommitter) commit(f *tileFrag, j *ingestJob) {
-	st, idx := f.store, f.idx
+	st := f.store
 	rep, outcome, err := st.commitPrepared(j, ic.root, f.final, f.setup)
 	switch outcome {
 	case commitStaged:
-		ic.queued = append(ic.queued, queuedReport{idx: idx, rep: rep})
+		ic.queued = append(ic.queued, queuedReport{idx: f.idx, rep: rep})
 	case commitDurable:
-		ic.queued = append(ic.queued, queuedReport{idx: idx, rep: rep})
+		ic.queued = append(ic.queued, queuedReport{idx: f.idx, rep: rep})
 		ic.deliver(st)
 		if err != nil { // the checkpoint fold failed after a durable flush
-			ic.abort(idx, err)
+			ic.fail(err)
 		}
 	case commitRolledBack:
 		ic.queued = ic.queued[:0]
-		ic.abort(idx, err)
+		ic.fail(err)
 	case commitFailed:
-		ic.failPrepared(st, idx, err)
+		ic.failPrepared(st, err)
 	}
 }
 

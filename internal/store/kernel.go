@@ -124,19 +124,24 @@ func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, e
 		sp.SetAttrStr("kernel", req.Op.String())
 	}
 	res, read, err := s.kernelAt(ctx, req)
-	var cost func() map[string]int64
-	if err == nil {
-		// The push report's counts plus what the read underneath fetched.
-		cost = func() map[string]int64 {
-			m := PushCost(res.Report)()
-			m["cache_hits"] = int64(read.CacheHits)
-			m["cache_misses"] = int64(read.CacheMisses)
-			m["bytes_read"] = read.BytesRead
-			return m
-		}
-	}
-	FinishRequestSpan(reg, ctx, sp, obsKernel, s.kind.String(), cost, err)
+	FinishRequestSpan(reg, ctx, sp, obsKernel, s.kind.String(), kernelCost(res, read), err)
 	return res, err
+}
+
+// kernelCost is a store kernel's cost attribution, flat or chunked: the
+// push report's counts plus what the reads underneath fetched. nil for
+// a failed kernel.
+func kernelCost(res *KernelResult, read *ReadReport) func() map[string]int64 {
+	if res == nil {
+		return nil
+	}
+	return func() map[string]int64 {
+		m := PushCost(res.Report)()
+		m["cache_hits"] = int64(read.CacheHits)
+		m["cache_misses"] = int64(read.CacheMisses)
+		m["bytes_read"] = read.BytesRead
+		return m
+	}
 }
 
 // kernelAt picks a validated request's fold (pushdown.go) and runs it

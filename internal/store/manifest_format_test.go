@@ -290,9 +290,7 @@ func TestKeyFiltersHaveNoFalseNegatives(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireKeysHold(t, "after Write", st)
-				err = st.WriteBatchContext(context.Background(), []Batch{batch(120), batch(90), batch(60)}, 2,
-					func(int, *WriteReport, error) error { return nil })
-				if err != nil {
+				if _, err := st.WriteBatchContext(context.Background(), []Batch{batch(120), batch(90), batch(60)}, 2); err != nil {
 					t.Fatal(err)
 				}
 				region, err := tensor.NewRegion(shape, []uint64{2, 3, 4}, []uint64{5, 6, 7})

@@ -86,7 +86,7 @@ func TestWriteBatchContextJoinsTrace(t *testing.T) {
 	c, vals := twoPoints()
 	tc := obs.NewTrace(true)
 	ctx := obs.ContextWithTrace(context.Background(), tc)
-	if err := st.WriteBatchContext(ctx, []Batch{{Coords: c, Values: vals}}, 1, func(int, *WriteReport, error) error { return nil }); err != nil {
+	if _, err := st.WriteBatchContext(ctx, []Batch{{Coords: c, Values: vals}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	var root obs.TraceSpan

@@ -15,8 +15,7 @@ import (
 // This file is the store's request surface, the only way to read: a
 // read varies in which target it takes (probe list or region), which
 // strategy executes it (probe every cell, scan fragments, or the Table
-// I cost model), how many workers read fragments, and which version
-// bound applies. QueryRequest carries those axes as one serializable
+// I cost model), and which version bound applies. QueryRequest carries those axes as one serializable
 // value — the exact struct the wire protocol (internal/wire) carries —
 // and Query threads a context.Context through the fragment loop
 // (Store.read) so a server-side deadline stops in-store work instead

@@ -86,10 +86,16 @@ go build ./...
 # and a server executes requests on pooled workers that keep their
 # grown stacks, so internal/serve starts a goroutine per listener, per
 # connection, per worker (at most the in-flight window) and per shard
-# of a router's fan-out — never one per request.
+# of a router's fan-out — never one per request; and a tile is not a
+# caller — an ingest answers one report per batch on every layer, so no
+# WriteBatchContext takes a per-fragment callback and no collector
+# (collectReports, collectBatch) folds fragments back into batches, and
+# a chunked read or kernel runs each tile's internal read or kernelAt,
+# never the tile's public Query or Kernel, so a request is validated,
+# spanned and slow-logged once.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; exported methods; options; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; one report per batch, one record per request; exported methods; options; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -202,6 +208,19 @@ internal/serve/server.go: go s.work(j)'
 if [ "$spawns" != "$want_spawns" ]; then
     echo "internal/serve starts goroutines other than its listener closer, connection readers, workers and router fan-out (a request runs on a worker: Server.dispatch):" >&2
     echo "$spawns" >&2
+    exit 1
+fi
+if grep -rnE '^func (\([^)]*\) )?WriteBatchContext\([^)]*func\(' --include='*.go' .; then
+    echo "a WriteBatchContext takes a function parameter (an ingest returns one report per batch; there is no per-fragment callback)" >&2
+    exit 1
+fi
+if grep -rnwE 'collectReports|collectBatch' --include='*.go' .; then
+    echo "a report collector is back (every layer's ingest returns one report per batch itself)" >&2
+    exit 1
+fi
+chunked_src=$(find internal/store -maxdepth 1 -name 'chunked*.go' ! -name '*_test.go')
+if grep -nE '\.(Query|Kernel)\(' $chunked_src | grep -vE '^[^:]+:[0-9]+:\s*//'; then
+    echo "internal/store/chunked*.go calls a tile's Query or Kernel (call its read or kernelAt: the chunked entry validates, spans and slow-logs the request once)" >&2
     exit 1
 fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
@@ -329,6 +348,18 @@ go run ./scripts/checktrace -file "$SMOKE_DIR/trace.json" \
 kill $SMOKE_PIDS 2>/dev/null || true
 wait $SMOKE_PIDS 2>/dev/null || true
 SMOKE_PIDS=""
+
+# Examples: each examples/* program is a runnable walkthrough of the
+# library surface. go build only compiles them; this step runs each one
+# (in the scratch directory, about 2 s for all of them) and fails on a
+# non-zero exit.
+step "examples (run every examples/* program)"
+for ex in examples/*/; do
+    name=$(basename "$ex")
+    go build -o "$SMOKE_DIR/example-$name" "./$ex"
+    (cd "$SMOKE_DIR" && "./example-$name" > "example-$name.log" 2>&1) ||
+        { cat "$SMOKE_DIR/example-$name.log" >&2; echo "example $name exited non-zero" >&2; exit 1; }
+done
 
 # Benchmark smoke and count-metric gate: benchmark/ is frozen to most
 # changes (BENCHMARK.json lists it under paths) yet compiles and runs

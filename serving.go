@@ -18,7 +18,7 @@ import (
 // take — and exactly what the wire protocol serializes.
 type (
 	// QueryRequest describes one read: a probe list or a region, an
-	// as-of version bound, an execution strategy, and a worker budget.
+	// as-of version bound, and an execution strategy.
 	QueryRequest = store.QueryRequest
 	// QueryStrategy selects how a region query executes.
 	QueryStrategy = store.Strategy

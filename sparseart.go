@@ -109,25 +109,21 @@ type (
 	ConvertReport = store.ConvertReport
 )
 
-// Streaming ingest is the primary batched-write surface. Both Store and
-// ChunkedStore expose it in two forms:
+// Batched ingest is the primary write surface. Store and ChunkedStore
+// both take it in one form, with one report per batch:
 //
-//	err := st.WriteBatchContext(ctx, batches, workers, func(i int, rep *sparseart.WriteReport, err error) error {
-//		// Called in commit order, after each fragment is durable.
-//		return nil
-//	})
+//	reps, err := st.WriteBatchContext(ctx, batches, workers)
 //
-//	reps, err := st.WriteBatch(batches, workers) // collecting form
-//
-// Both leave the file system byte-identical to a serial loop of Write;
+// WriteBatch(batches, workers) is the same call without a context. It
+// leaves the file system byte-identical to a serial loop of Write;
 // ChunkedStore additionally fans one logical batch list out across
 // every tile it touches, preparing all tiles' fragments on one shared
-// worker pool. Prefer the streaming form for large ingests — it doesn't
-// hold O(batches) reports alive.
+// worker pool, and folds each batch's tile fragments into the batch's
+// one report. On error no reports come back; the committed prefix
+// stays durable.
 
-// Option misuse (a compaction threshold below 2, a negative warm count)
-// surfaces from the constructors as a typed error matching
-// ErrBadOption.
+// Option misuse (a compaction threshold below 2) surfaces from the
+// constructors as a typed error matching ErrBadOption.
 var ErrBadOption = store.ErrBadOption
 
 // OptionError reports which store option was misused and why.
