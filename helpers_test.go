@@ -7,7 +7,7 @@ import (
 )
 
 // querier is the read surface Store and ChunkedStore share; the helpers
-// below only spell the requests most tests and benchmarks make.
+// below only spell the requests most tests make.
 type querier interface {
 	Query(ctx context.Context, req sparseart.QueryRequest) (*sparseart.Result, *sparseart.ReadReport, error)
 }

@@ -678,8 +678,8 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 // one or three shards — answers one report per batch, in request order,
 // whatever the batches' spread over tiles and shards: a batch spanning
 // several tiles folds its fragments into one report, an empty batch in
-// the middle keeps a zero report. When a fragment fails to commit, each
-// layer returns the error and no reports.
+// the middle keeps a zero report and writes no fragment. When a fragment
+// fails to commit, each layer returns the error and no reports.
 func TestWriteBatchOneReportPerBatch(t *testing.T) {
 	shape, tile := tensor.Shape{24, 24}, tensor.Shape{8, 8}
 	batches := []store.Batch{
@@ -704,6 +704,11 @@ func TestWriteBatchOneReportPerBatch(t *testing.T) {
 		t.Cleanup(func() { router.Close() })
 		return router
 	}
+	// An in-process store holds one fragment per (batch, tile) with
+	// points: the flat store's one tile is the whole shape, and the
+	// chunked store's batches touch 3, 1, 0 and 5 tiles.
+	wantFragments := map[string]int{"flat-store": 3, "chunked": 9}
+	fragments := map[string]func() int{}
 	// Each layer writes the batches into a fresh store over fs.
 	layers := map[string]func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error){
 		"flat-store": func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error) {
@@ -711,10 +716,13 @@ func TestWriteBatchOneReportPerBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			fragments["flat-store"] = st.Fragments
 			return st.WriteBatchContext(ctx, batches, 2)
 		},
 		"chunked": func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error) {
-			return newChunked(t, fs).WriteBatchContext(ctx, batches, 2)
+			c := newChunked(t, fs)
+			fragments["chunked"] = c.Fragments
+			return c.WriteBatchContext(ctx, batches, 2)
 		},
 		"client-chunked": func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error) {
 			_, c, _ := startServer(t, serve.ChunkedBackend(newChunked(t, fs)), serve.Config{})
@@ -745,11 +753,12 @@ func TestWriteBatchOneReportPerBatch(t *testing.T) {
 				if rep.NNZ != batches[i].Coords.Len() {
 					t.Errorf("report %d credits %d points, batch holds %d", i, rep.NNZ, batches[i].Coords.Len())
 				}
-				// A flat store writes an empty batch as an empty fragment; a
-				// tiled layer writes no fragment for it.
-				if rep.NNZ > 0 && rep.Bytes == 0 || rep.NNZ == 0 && rep.Bytes > 0 && name != "flat-store" {
+				if rep.NNZ > 0 && rep.Bytes == 0 || rep.NNZ == 0 && rep.Bytes > 0 {
 					t.Errorf("report %d: %d bytes for %d points", i, rep.Bytes, rep.NNZ)
 				}
+			}
+			if n, ok := fragments[name]; ok && n() != wantFragments[name] {
+				t.Errorf("%d fragments after the write, want %d", n(), wantFragments[name])
 			}
 		})
 	}

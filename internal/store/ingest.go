@@ -127,7 +127,19 @@ func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers 
 	if len(batches) == 0 {
 		return nil, nil
 	}
-	workers = resolveIngestWorkers(workers, len(batches))
+	// The flat store is the one-tile case of the ingest driver: a batch
+	// of no points lands in no tile, so it writes no fragment and keeps
+	// a zero report.
+	frags := make([]tileFrag, 0, len(batches))
+	for i, b := range batches {
+		if b.Coords.Len() > 0 {
+			frags = append(frags, tileFrag{store: s, idx: i, batch: b})
+		}
+	}
+	if len(frags) > 0 {
+		frags[len(frags)-1].final = true
+	}
+	workers = resolveIngestWorkers(workers, len(frags))
 	s.takeCost() // discard any cost accrued outside this call
 
 	reg := s.obsReg()
@@ -135,12 +147,6 @@ func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers 
 	root, _ := reg.StartCtx(ctx, obsIngest)
 	defer root.End()
 	reg.Gauge("store.ingest.workers", "kind", kind).Set(int64(workers))
-
-	// The flat store is the one-tile case of the ingest driver.
-	frags := make([]tileFrag, len(batches))
-	for i, b := range batches {
-		frags[i] = tileFrag{store: s, idx: i, batch: b, final: i == len(batches)-1}
-	}
 	reps, err := ingest(ctx, frags, len(batches), workers, root)
 	reg.Gauge("store.fragments", "kind", kind).Set(int64(s.Fragments()))
 	if err != nil {

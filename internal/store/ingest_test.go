@@ -124,6 +124,18 @@ func TestWriteBatchValidation(t *testing.T) {
 	if st.Fragments() != 0 {
 		t.Fatalf("rejected batches left %d fragments", st.Fragments())
 	}
+	// A batch of no points commits nothing, through either entry point.
+	empty := tensor.NewCoords(2, 0)
+	if rep, err := st.Write(empty, nil); err != nil || *rep != (WriteReport{}) {
+		t.Fatalf("empty Write: %+v, %v", rep, err)
+	}
+	reps, err := st.WriteBatch([]Batch{{Coords: empty}, {Coords: empty}}, 2)
+	if err != nil || len(reps) != 2 || *reps[0] != (WriteReport{}) || *reps[1] != (WriteReport{}) {
+		t.Fatalf("empty batches: %v, %v", reps, err)
+	}
+	if st.Fragments() != 0 || st.Epoch() != 0 {
+		t.Fatalf("empty batches left %d fragments at epoch %d", st.Fragments(), st.Epoch())
+	}
 }
 
 // TestWriteBatchPartialFailure: when a mid-batch commit fails, the

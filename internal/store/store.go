@@ -532,10 +532,14 @@ func (s *Store) takeCost() (fsim.Cost, bool) {
 // of the ingest pipeline (ingest.go), prepared inline on the caller's
 // goroutine. Writes are serialized by the store's writer lock;
 // concurrent reads proceed against their pinned snapshots throughout.
+// A batch of no points commits nothing and answers a zero report.
 func (s *Store) Write(c *tensor.Coords, vals []float64) (*WriteReport, error) {
 	b := Batch{Coords: c, Values: vals}
 	if err := ValidateBatches([]Batch{b}, s.shape); err != nil {
 		return nil, err
+	}
+	if c.Len() == 0 {
+		return &WriteReport{}, nil
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()

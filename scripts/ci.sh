@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# ci.sh — the full verification gate: formatting, vet, build, the test
-# suite under the race detector, and a short fuzz smoke of every fuzz
-# target. CI invokes this script (see .github/workflows/ci.yml); run it
-# locally before sending a change.
+# ci.sh — the full verification gate: formatting, vet, build, a doc
+# check, the test suite under the race detector, and a short fuzz smoke
+# of every fuzz target. CI invokes this script (see
+# .github/workflows/ci.yml); run it locally before sending a change.
 #
 # Usage: scripts/ci.sh [fuzz-seconds]
 #   fuzz-seconds  per-target fuzz budget (default 10; 0 skips fuzzing)
@@ -37,6 +37,13 @@ go vet ./...
 
 step "go build"
 go build ./...
+
+# Doc check: every test, benchmark, example and fuzz function,
+# internal/<pkg>.<Name> and .go path that README.md, DESIGN.md and
+# docs/*.md name in backticks exists in the parsed tree, so a rename or a
+# deletion cannot leave the docs pointing at nothing.
+step "docs (backticked code references resolve)"
+go run ./scripts/checkdocs
 
 # Surface gate: Query/Kernel are the only read and compute entry points,
 # so nothing superseded may linger behind a Deprecated: marker — delete
@@ -92,10 +99,12 @@ go build ./...
 # (collectReports, collectBatch) folds fragments back into batches, and
 # a chunked read or kernel runs each tile's internal read or kernelAt,
 # never the tile's public Query or Kernel, so a request is validated,
-# spanned and slow-logged once.
+# spanned and slow-logged once; and each number the paper reproduction
+# records is measured once, by internal/bench under sparsebench, so the
+# root package carries no testing.B twin of a table, figure or ablation.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; one report per batch, one record per request; exported methods; options; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; one report per batch, one record per request; one harness for the paper's numbers; exported methods; options; benchmarks; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -223,6 +232,10 @@ if grep -nE '\.(Query|Kernel)\(' $chunked_src | grep -vE '^[^:]+:[0-9]+:\s*//'; 
     echo "internal/store/chunked*.go calls a tile's Query or Kernel (call its read or kernelAt: the chunked entry validates, spans and slow-logs the request once)" >&2
     exit 1
 fi
+if grep -nE '^func Benchmark' ./*_test.go; then
+    echo "the root package declares a testing.B benchmark (internal/bench, run by sparsebench, is the one harness for the paper's tables, figures and ablations: add a study there)" >&2
+    exit 1
+fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
 echo "  methods of serve.Backend: $n"
 for recv in Store Chunked; do
@@ -232,6 +245,8 @@ for recv in Store Chunked; do
 done
 n=$(find internal/store -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 grep -hE '^func With[A-Z]' | wc -l)
 echo "  store.With* options: $n"
+n=$(grep -rhE '^func Benchmark' --include='*_test.go' . | wc -l)
+echo "  func Benchmark, module-wide: $n"
 lines=$(find internal/store internal/serve internal/wire -name '*.go' ! -name '*_test.go' -print0 |
     xargs -0 cat | grep -cvE '^\s*(//.*)?$')
 echo "  non-blank non-comment lines, internal/{store,serve,wire}: $lines"
