@@ -66,19 +66,18 @@ func inspect(path string, payload bool) error {
 		}
 		return inspectManifest(path, data)
 	}
-	// Ranged open: this reads only the header; the body sections are
-	// fetched (and checksummed) by Materialize below.
-	lz, err := fragment.OpenAt(file, info.Size())
+	// One read of the whole file, every section checksummed.
+	raw, err := fragment.OpenAt(file, info.Size())
 	if err != nil {
 		return err
 	}
-	frag, err := lz.Materialize()
+	frag, err := raw.Materialize()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s:\n", path)
-	fmt.Printf("  layout:       v%d (sectioned, ranged reads)\n", fragment.Version)
-	for _, s := range lz.Sections() {
+	fmt.Printf("  layout:       v%d (sectioned)\n", fragment.Version)
+	for _, s := range raw.Sections() {
 		fmt.Printf("    %-8s off=%-8d len=%-8d crc32=%08x\n", s.Name, s.Offset, s.Len, s.CRC)
 	}
 	fmt.Printf("  organization: %v\n", frag.Kind)

@@ -160,8 +160,8 @@ func TestLegacyFilterSectionOpensUnread(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if src.reads != 2 {
-			t.Fatalf("opening cost %d reads, want 2 (the header probe, then payload and values)", src.reads)
+		if src.reads != 1 {
+			t.Fatalf("opening cost %d reads, want 1 (the whole file)", src.reads)
 		}
 		want.Bytes = int64(len(data))
 		if !reflect.DeepEqual(got, want) {

@@ -11,13 +11,13 @@
 // One layout exists on disk (docs/FORMATS.md §1 is the byte-level spec):
 // a fixed-size preamble records the length and CRC32 of each
 // independently checksummed section — header/bbox, payload, values —
-// and OpenAt decodes the header from one small ranged read and fetches
-// payload and values lazily, in one ranged read (they are adjacent).
-// The preamble also has room for a trailing filter section, which
-// earlier writers filled with the fragment's coordinate filter; a
-// fragment's filters now live in the store's manifest only, so Encode
-// writes none, and a file that carries one opens with it size-checked
-// and listed by Sections but never read.
+// and OpenAt reads the whole file in one ranged read and verifies every
+// section before it returns. The preamble also has room for a trailing
+// filter section, which earlier writers filled with the fragment's
+// coordinate filter; a fragment's filters now live in the store's
+// manifest only, so Encode writes none, and a file that carries one
+// opens with it size-checked and listed by Sections but never checked
+// or decoded.
 //
 // The payload section is self-describing (compress.EncodeSection), so a
 // section can be decoded without consulting any other section.
@@ -30,7 +30,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
 
 	"sparseart/internal/buf"
 	"sparseart/internal/compress"
@@ -47,10 +46,14 @@ const (
 	// docs/FORMATS.md §1 lists the fields.
 	preambleSize = 60
 
-	// openReadSize is the speculative first ranged read of OpenAt: large
-	// enough to cover the preamble plus the header section of any
-	// fragment up to ~20 dimensions in a single round trip.
-	openReadSize = 512
+	// headerFixed is the header section's size before its 24 bytes per
+	// dimension (shape, bbox min, bbox max).
+	headerFixed = 14
+
+	// maxSection bounds a section's length, a structural check against
+	// nonsense lengths; maxFile bounds a whole file the same way.
+	maxSection = 1 << 40
+	maxFile    = preambleSize + 4*maxSection
 )
 
 // Version is the one layout Encode writes and OpenAt reads.
@@ -60,8 +63,8 @@ const Version = 3
 // validation.
 var ErrCorrupt = fmt.Errorf("fragment: corrupt fragment")
 
-// Header is the fragment metadata, available without reading the payload
-// or values sections.
+// Header is the fragment metadata: what the header section and the
+// section table record.
 type Header struct {
 	Kind  core.Kind
 	Codec compress.ID
@@ -89,7 +92,7 @@ type Fragment struct {
 // encodeHeaderSection serializes the header section.
 func encodeHeaderSection(f *Fragment) ([]byte, error) {
 	d := f.Shape.Dims()
-	w := buf.NewWriter(14 + 24*d)
+	w := buf.NewWriter(headerFixed + 24*d)
 	var flags uint16
 	if f.Tombstone {
 		flags |= 1
@@ -242,7 +245,6 @@ func parsePreamble(b []byte) (*preamble, error) {
 		filterLen:  int64(binary.LittleEndian.Uint64(b[44:])),
 		filterCRC:  binary.LittleEndian.Uint32(b[52:]),
 	}
-	const maxSection = 1 << 40 // generous structural bound against nonsense lengths
 	if p.headerLen < 0 || p.payloadLen < 1 || p.valuesLen < 0 || p.valuesLen%8 != 0 ||
 		p.filterLen < 0 || p.headerLen > maxSection || p.payloadLen > maxSection ||
 		p.valuesLen > maxSection || p.filterLen > maxSection {
@@ -251,24 +253,16 @@ func parsePreamble(b []byte) (*preamble, error) {
 	return p, nil
 }
 
-// Lazy is a fragment opened for ranged access: the header is decoded,
-// but payload and values are fetched and verified only when first asked
-// for. A Lazy does not own the underlying reader; callers must keep it
-// open until the sections they need are loaded (LoadSections or
-// Materialize make that point explicit). Methods are safe for concurrent
-// use.
-type Lazy struct {
+// Raw is a fragment read whole and verified but not yet decoded: the
+// header is parsed, and the payload and values sections are
+// CRC-checked views of the one buffer OpenAt filled. It is immutable,
+// so its methods are safe for concurrent use.
+type Raw struct {
 	Header
 
-	src io.ReaderAt
-	pre preamble
-
-	mu         sync.Mutex
-	rawPayload []byte // stored payload section (verified)
-	rawValues  []byte // stored values section (verified)
-	payload    []byte // decompressed payload
-	values     []float64
-	bytesRead  int64
+	pre        preamble
+	rawPayload []byte // stored payload section, codec-ID byte first
+	rawValues  []byte // stored values section
 }
 
 // SectionInfo locates one section inside the fragment file, for
@@ -282,52 +276,61 @@ type SectionInfo struct {
 
 // Sections returns the section table in file order. A filter entry
 // appears only for a file an earlier writer left with one; its bytes are
-// never read.
-func (l *Lazy) Sections() []SectionInfo {
+// never checked or decoded.
+func (r *Raw) Sections() []SectionInfo {
 	s := []SectionInfo{
-		{"header", preambleSize, l.pre.headerLen, l.pre.headerCRC},
-		{"payload", preambleSize + l.pre.headerLen, l.pre.payloadLen, l.pre.payloadCRC},
-		{"values", preambleSize + l.pre.headerLen + l.pre.payloadLen, l.pre.valuesLen, l.pre.valuesCRC},
+		{"header", preambleSize, r.pre.headerLen, r.pre.headerCRC},
+		{"payload", preambleSize + r.pre.headerLen, r.pre.payloadLen, r.pre.payloadCRC},
+		{"values", preambleSize + r.pre.headerLen + r.pre.payloadLen, r.pre.valuesLen, r.pre.valuesCRC},
 	}
-	if l.pre.filterLen > 0 {
-		s = append(s, SectionInfo{"filter", preambleSize + l.pre.headerLen + l.pre.payloadLen + l.pre.valuesLen, l.pre.filterLen, l.pre.filterCRC})
+	if r.pre.filterLen > 0 {
+		s = append(s, SectionInfo{"filter", preambleSize + r.pre.headerLen + r.pre.payloadLen + r.pre.valuesLen, r.pre.filterLen, r.pre.filterCRC})
 	}
 	return s
 }
 
-// OpenAt decodes a fragment header from a ranged reader with (typically)
-// one small read; the payload/values sections are deferred until
-// LoadSections, Payload, Values, or Materialize.
-func OpenAt(src io.ReaderAt, size int64) (*Lazy, error) {
-	if size < 6 {
+// OpenAt reads a size-byte fragment from src with one ReadAt and
+// verifies all of it: magic, version, the preamble, header, payload and
+// values checksums, and a section table that adds up to exactly size.
+// The read asks for one byte more than size, so a file longer than size
+// is refused as well as a shorter one. A store passes the size its
+// manifest recorded for the file.
+func OpenAt(src io.ReaderAt, size int64) (*Raw, error) {
+	if size < preambleSize || size > maxFile {
 		return nil, fmt.Errorf("%w: %d-byte file", ErrCorrupt, size)
 	}
-	first := make([]byte, min(size, openReadSize))
-	if _, err := io.ReadFull(io.NewSectionReader(src, 0, size), first); err != nil {
-		return nil, fmt.Errorf("fragment: read header: %w", err)
+	// One buffer, placed so that the payload body after its codec-ID
+	// byte starts on a word. That body sits at file offset
+	// preambleSize + headerFixed + 24·dims + 1, which is 3 (mod 8) for
+	// every rank. Every payload header and vector is a multiple of 8
+	// bytes, so an index opened over a raw payload reads its vectors
+	// where they lie, and so do Values when the stored payload is
+	// 1 (mod 8) bytes long.
+	b := buf.Aligned(int(size)+1, preambleSize+headerFixed+1)
+	n, err := src.ReadAt(b, 0)
+	switch {
+	case err != nil && err != io.EOF:
+		return nil, fmt.Errorf("fragment: read: %w", err)
+	case int64(n) < size:
+		return nil, fmt.Errorf("%w: file has %d bytes, want %d", ErrCorrupt, n, size)
+	case int64(n) > size:
+		return nil, fmt.Errorf("%w: file is longer than %d bytes", ErrCorrupt, size)
 	}
-	if binary.LittleEndian.Uint32(first) != magic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(first))
+	b = b[:size:size]
+	if binary.LittleEndian.Uint32(b) != magic {
+		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(b))
 	}
-	if ver := binary.LittleEndian.Uint16(first[4:]); ver != Version {
+	if ver := binary.LittleEndian.Uint16(b[4:]); ver != Version {
 		return nil, fmt.Errorf("%w: unsupported layout version %d (this build reads version %d only)", ErrCorrupt, ver, Version)
 	}
-	p, err := parsePreamble(first)
+	p, err := parsePreamble(b)
 	if err != nil {
 		return nil, err
 	}
 	if p.totalSize() != size {
 		return nil, fmt.Errorf("%w: section table says %d bytes, file has %d", ErrCorrupt, p.totalSize(), size)
 	}
-	header := make([]byte, p.headerLen)
-	n := copy(header, first[preambleSize:])
-	read := int64(len(first))
-	if int64(n) < p.headerLen {
-		if _, err := src.ReadAt(header[n:], preambleSize+int64(n)); err != nil {
-			return nil, fmt.Errorf("fragment: read header section: %w", err)
-		}
-		read = preambleSize + p.headerLen
-	}
+	header := b[preambleSize : preambleSize+p.headerLen]
 	if got := crc32.ChecksumIEEE(header); got != p.headerCRC {
 		return nil, fmt.Errorf("%w: header checksum mismatch (got %#x want %#x)", ErrCorrupt, got, p.headerCRC)
 	}
@@ -338,109 +341,46 @@ func OpenAt(src io.ReaderAt, size int64) (*Lazy, error) {
 	if p.valuesLen != int64(8*h.NNZ) {
 		return nil, fmt.Errorf("%w: values section %d bytes for %d points", ErrCorrupt, p.valuesLen, h.NNZ)
 	}
+	off := preambleSize + p.headerLen
+	payload := b[off : off+p.payloadLen]
+	values := b[off+p.payloadLen : off+p.payloadLen+p.valuesLen]
+	if got := crc32.ChecksumIEEE(payload); got != p.payloadCRC {
+		return nil, fmt.Errorf("%w: payload checksum mismatch (got %#x want %#x)", ErrCorrupt, got, p.payloadCRC)
+	}
+	if got := crc32.ChecksumIEEE(values); got != p.valuesCRC {
+		return nil, fmt.Errorf("%w: values checksum mismatch (got %#x want %#x)", ErrCorrupt, got, p.valuesCRC)
+	}
 	h.Bytes = size
 	h.Stored.Payload = p.payloadLen
 	h.Stored.Values = p.valuesLen
-	return &Lazy{Header: *h, src: src, pre: *p, bytesRead: read}, nil
+	return &Raw{Header: *h, pre: *p, rawPayload: payload, rawValues: values}, nil
 }
 
-// BytesRead returns the raw bytes fetched from the underlying reader so
-// far (header probe plus any loaded sections).
-func (l *Lazy) BytesRead() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytesRead
-}
-
-// LoadSections fetches and CRC-verifies the payload and values sections
-// (one contiguous ranged read — they are adjacent on disk) without
-// decompressing anything. It is idempotent. After LoadSections returns,
-// the underlying reader is no longer touched by Payload or Values.
-func (l *Lazy) LoadSections() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.loadSectionsLocked()
-}
-
-func (l *Lazy) loadSectionsLocked() error {
-	if l.rawPayload != nil {
-		return nil
-	}
-	// One buffer, aligned so that the payload body after its codec-ID
-	// byte starts on a word: every payload header and vector is a
-	// multiple of 8 bytes, so an index opened over a raw payload reads
-	// its vectors where they lie, and so do Values when the stored
-	// payload is 1 (mod 8) bytes long.
-	both := buf.Aligned(int(l.pre.payloadLen+l.pre.valuesLen), 1)
-	off := preambleSize + l.pre.headerLen
-	if _, err := l.src.ReadAt(both, off); err != nil {
-		return fmt.Errorf("fragment: read sections: %w", err)
-	}
-	l.bytesRead += int64(len(both))
-	payload := both[:l.pre.payloadLen]
-	values := both[l.pre.payloadLen:]
-	if got := crc32.ChecksumIEEE(payload); got != l.pre.payloadCRC {
-		return fmt.Errorf("%w: payload checksum mismatch (got %#x want %#x)", ErrCorrupt, got, l.pre.payloadCRC)
-	}
-	if got := crc32.ChecksumIEEE(values); got != l.pre.valuesCRC {
-		return fmt.Errorf("%w: values checksum mismatch (got %#x want %#x)", ErrCorrupt, got, l.pre.valuesCRC)
-	}
-	l.rawPayload = payload
-	l.rawValues = values
-	return nil
-}
-
-// Payload returns the decompressed organization payload, loading and
-// decoding the payload section on first use. Under the None codec it is
+// Payload decodes the organization payload. Under the None codec it is
 // a view of the section, which an index opened over it keeps views of
 // in turn; callers must not mutate it.
-func (l *Lazy) Payload() ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.payload != nil {
-		return l.payload, nil
-	}
-	if err := l.loadSectionsLocked(); err != nil {
-		return nil, err
-	}
-	payload, id, err := compress.DecodeSection(l.rawPayload)
+func (r *Raw) Payload() ([]byte, error) {
+	payload, id, err := compress.DecodeSection(r.rawPayload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
-	if id != l.Codec {
-		return nil, fmt.Errorf("%w: payload codec %d, header says %d", ErrCorrupt, id, l.Codec)
+	if id != r.Codec {
+		return nil, fmt.Errorf("%w: payload codec %d, header says %d", ErrCorrupt, id, r.Codec)
 	}
-	l.payload = payload
 	return payload, nil
 }
 
-// Values returns the value buffer, loading the values section on first
-// use. It is a view of the section where the section is word-aligned,
-// so callers must not mutate it.
-func (l *Lazy) Values() ([]float64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.values == nil {
-		if err := l.loadSectionsLocked(); err != nil {
-			return nil, err
-		}
-		l.values = buf.F64View(l.rawValues)
-	}
-	return l.values, nil
-}
+// Values returns the value buffer. It is a view of the section where
+// the section is word-aligned, so callers must not mutate it.
+func (r *Raw) Values() []float64 { return buf.F64View(r.rawValues) }
 
-// Materialize loads the payload and values sections and returns the
-// fully decoded fragment.
-func (l *Lazy) Materialize() (*Fragment, error) {
-	payload, err := l.Payload()
+// Materialize returns the fully decoded fragment.
+func (r *Raw) Materialize() (*Fragment, error) {
+	payload, err := r.Payload()
 	if err != nil {
 		return nil, err
 	}
-	values, err := l.Values()
-	if err != nil {
-		return nil, err
-	}
-	return &Fragment{Header: l.Header, Payload: payload, Values: values}, nil
+	return &Fragment{Header: r.Header, Payload: payload, Values: r.Values()}, nil
 }
 
 // Decode parses and verifies a full in-memory fragment.

@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzDecode checks that no input makes the fragment decoder panic or
-// hang, and that anything it accepts re-encodes to an equivalent
-// fragment.
+// hang, that anything it accepts re-encodes to an equivalent fragment,
+// and that OpenAt refuses it at a size one byte off its length.
 func FuzzDecode(f *testing.F) {
 	good, err := Encode(sample())
 	if err != nil {
@@ -24,6 +24,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add(fixture(f, "v1-linear.frag")) // a retired layout: must be refused, never parsed
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, size := range []int64{int64(len(data)) - 1, int64(len(data)) + 1} {
+			if _, err := OpenAt(bytes.NewReader(data), size); err == nil {
+				t.Fatalf("OpenAt accepted %d bytes as a %d-byte file", len(data), size)
+			}
+		}
 		frag, err := Decode(data)
 		if err != nil {
 			return

@@ -3,7 +3,6 @@ package fragment
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"sparseart/internal/compress"
@@ -15,7 +14,8 @@ import (
 type countingReaderAt struct {
 	r     *bytes.Reader
 	reads int
-	bytes int64
+	asked int64 // bytes the reads asked for
+	bytes int64 // bytes they returned
 }
 
 func newCountingReaderAt(b []byte) *countingReaderAt {
@@ -25,12 +25,12 @@ func newCountingReaderAt(b []byte) *countingReaderAt {
 func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	n, err := c.r.ReadAt(p, off)
 	c.reads++
+	c.asked += int64(len(p))
 	c.bytes += int64(n)
 	return n, err
 }
 
-// bulky returns a fragment whose payload+values dwarf the header, so
-// header-only opens are distinguishable by byte counts.
+// bulky returns a fragment whose payload+values dwarf the header.
 func bulky(t *testing.T) (*Fragment, []byte) {
 	t.Helper()
 	f := sample()
@@ -45,20 +45,19 @@ func bulky(t *testing.T) (*Fragment, []byte) {
 	return f, data
 }
 
-// TestOpenAtHeaderOnly: opening a fragment must cost one small ranged
-// read; the payload/values sections transfer only on demand.
-func TestOpenAtHeaderOnly(t *testing.T) {
+// TestOpenAtOneRead: opening a fragment is one ranged read of the whole
+// file plus one byte, and decoding it afterwards touches the source no
+// more.
+func TestOpenAtOneRead(t *testing.T) {
 	f, data := bulky(t)
 	src := newCountingReaderAt(data)
 	l, err := OpenAt(src, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.reads != 1 {
-		t.Errorf("OpenAt issued %d reads, want 1", src.reads)
-	}
-	if src.bytes > openReadSize {
-		t.Errorf("OpenAt transferred %d bytes, want <= %d", src.bytes, openReadSize)
+	if src.reads != 1 || src.asked != int64(len(data))+1 || src.bytes != int64(len(data)) {
+		t.Errorf("OpenAt issued %d reads asking %d bytes and got %d, want 1 read asking %d and getting %d",
+			src.reads, src.asked, src.bytes, len(data)+1, len(data))
 	}
 	if l.Kind != f.Kind || l.NNZ != f.NNZ || !l.Shape.Equal(f.Shape) {
 		t.Fatalf("header mismatch: %+v", l.Header)
@@ -67,27 +66,13 @@ func TestOpenAtHeaderOnly(t *testing.T) {
 		t.Errorf("Bytes = %d, want %d", l.Bytes, len(data))
 	}
 
-	if err := l.LoadSections(); err != nil {
-		t.Fatal(err)
-	}
-	if src.reads != 2 {
-		t.Errorf("LoadSections issued %d extra reads, want 1", src.reads-1)
-	}
-	if l.BytesRead() != src.bytes {
-		t.Errorf("BytesRead = %d, source saw %d", l.BytesRead(), src.bytes)
-	}
-
-	before := src.reads
 	payload, err := l.Payload()
 	if err != nil {
 		t.Fatal(err)
 	}
-	values, err := l.Values()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.reads != before {
-		t.Error("Payload/Values after LoadSections touched the source")
+	values := l.Values()
+	if src.reads != 1 {
+		t.Error("Payload/Values touched the source")
 	}
 	if !bytes.Equal(payload, f.Payload) {
 		t.Error("payload mismatch")
@@ -101,6 +86,28 @@ func TestOpenAtHeaderOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenAtRefusesWrongSize: a size one byte off the file's, either
+// way, is refused as corrupt; the file alone would pass.
+func TestOpenAtRefusesWrongSize(t *testing.T) {
+	_, data := bulky(t)
+	for _, size := range []int64{int64(len(data)) - 1, int64(len(data)) + 1, 0, preambleSize - 1} {
+		if _, err := OpenAt(bytes.NewReader(data), size); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("size %d of a %d-byte file: err = %v, want ErrCorrupt", size, len(data), err)
+		}
+	}
+	// The reader's own error, not a verdict on the bytes, when the read
+	// itself fails.
+	if _, err := OpenAt(failingReaderAt{}, int64(len(data))); !errors.Is(err, errRead) {
+		t.Errorf("failing reader: err = %v, want its error", err)
+	}
+}
+
+var errRead = errors.New("read failed")
+
+type failingReaderAt struct{}
+
+func (failingReaderAt) ReadAt([]byte, int64) (int, error) { return 0, errRead }
 
 // TestOpenAtMatchesDecode across every codec and an empty fragment.
 func TestOpenAtMatchesDecode(t *testing.T) {
@@ -145,48 +152,17 @@ func TestOpenAtMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestLazySectionCorruption: a flipped byte in a lazy section must be
-// caught when that section loads, while the header stays readable.
-func TestLazySectionCorruption(t *testing.T) {
+// TestOpenAtSectionCorruption: a flipped bit in any section, or in the
+// preamble, is refused by OpenAt itself.
+func TestOpenAtSectionCorruption(t *testing.T) {
 	_, data := bulky(t)
-	// Payload section starts right after the header section.
-	hdrLen := int64(14 + 24*2)
+	hdrLen := int64(headerFixed + 24*2)
 	payloadStart := preambleSize + hdrLen
-	for _, off := range []int64{payloadStart + 10, int64(len(data)) - 4} {
+	for _, off := range []int64{9, preambleSize + 3, payloadStart + 10, int64(len(data)) - 4} {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x01
-		l, err := OpenAt(bytes.NewReader(bad), int64(len(bad)))
-		if err != nil {
-			t.Fatalf("flip at %d broke the header open: %v", off, err)
-		}
-		if err := l.LoadSections(); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("flip at %d: LoadSections err = %v, want ErrCorrupt", off, err)
+		if _, err := OpenAt(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("flip at %d: err = %v, want ErrCorrupt", off, err)
 		}
 	}
-}
-
-// TestLazyConcurrent hammers one Lazy from many goroutines; run with
-// -race in CI.
-func TestLazyConcurrent(t *testing.T) {
-	f, data := bulky(t)
-	l, err := OpenAt(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p, err := l.Payload()
-			if err != nil || !bytes.Equal(p, f.Payload) {
-				t.Error("concurrent payload mismatch")
-			}
-			v, err := l.Values()
-			if err != nil || len(v) != len(f.Values) {
-				t.Error("concurrent values mismatch")
-			}
-		}()
-	}
-	wg.Wait()
 }

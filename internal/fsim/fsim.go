@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"sparseart/internal/obs"
@@ -46,8 +47,8 @@ type FS interface {
 	// equivalent to Open + one ReadAt of the whole file.
 	ReadFile(name string) ([]byte, error)
 	// Open returns a ranged-read handle on a file. The caller must
-	// Close it. Sectioned fragment readers use this to fetch only the
-	// byte ranges a query touches.
+	// Close it. A cold fragment load is one Open, one ReadAt of the
+	// whole file and one Close.
 	Open(name string) (File, error)
 	// List returns, sorted, the names of all files whose name starts
 	// with prefix.
@@ -60,8 +61,7 @@ type FS interface {
 
 // File is an open ranged-read handle: a seekable view of one file that
 // transfers only the ranges actually read. On cost-modeled backends each
-// ReadAt charges bytes-over-bandwidth for its range alone, which is what
-// makes header-only fragment opens cheap.
+// ReadAt charges bytes-over-bandwidth for its range alone.
 type File interface {
 	io.ReaderAt
 	io.Closer
@@ -255,9 +255,8 @@ func (s *SimFS) ReadFile(name string) ([]byte, error) {
 }
 
 // Open implements FS. The open itself charges one metadata latency (the
-// open RPC); each subsequent ReadAt charges transfer time for its range
-// alone, so a header-only open of a large fragment costs latency plus a
-// few hundred bytes of bandwidth instead of the whole file.
+// open RPC); each subsequent ReadAt charges transfer time for the bytes
+// it returns alone.
 func (s *SimFS) Open(name string) (File, error) {
 	start := time.Now()
 	s.mu.Lock()
@@ -458,30 +457,79 @@ func (o *OSFS) ReadFile(name string) ([]byte, error) {
 	return os.ReadFile(o.path(name))
 }
 
-// Open implements FS.
+// Open implements FS with one openat: the descriptor is read-only and
+// close-on-exec, and unlike os.Open it is not registered with the
+// runtime's poller (a regular file never blocks there), carries no
+// finalizer and is not stat'ed. The caller must Close it.
 func (o *OSFS) Open(name string) (File, error) {
-	f, err := os.Open(o.path(name))
-	if err != nil {
-		return nil, err
+	p := o.path(name)
+	for {
+		fd, err := syscall.Open(p, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return nil, &fs.PathError{Op: "open", Path: p, Err: err}
+		}
+		return &osFile{fd: fd, path: p}, nil
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &osFile{f: f, size: fi.Size()}, nil
 }
 
-// osFile adapts *os.File to the File interface with a size captured at
-// open time (fragments are immutable once published).
+// osFile is a raw read-only descriptor: a ReadAt is one pread (more
+// only past maxPread or after EINTR) and Close is one close. A removed file stays readable through it until
+// Close, as through any POSIX descriptor.
 type osFile struct {
-	f    *os.File
-	size int64
+	fd   int
+	path string
 }
 
-func (f *osFile) ReadAt(p []byte, off int64) (int, error) { return f.f.ReadAt(p, off) }
-func (f *osFile) Size() int64                             { return f.size }
-func (f *osFile) Close() error                            { return f.f.Close() }
+// maxPread bounds one pread; Linux transfers at most just under 2 GiB a
+// call, so a larger range takes several.
+const maxPread = 1 << 30
+
+// ReadAt implements io.ReaderAt. A pread that returns fewer bytes than
+// it asked for means end of file, so a read that runs past the end costs
+// one pread, not a second one to see zero bytes.
+func (f *osFile) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, &fs.PathError{Op: "read", Path: f.path, Err: fmt.Errorf("negative offset %d", off)}
+	}
+	done := 0
+	for done < len(p) {
+		want := min(len(p)-done, maxPread)
+		n, err := syscall.Pread(f.fd, p[done:done+want], off+int64(done))
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return done, &fs.PathError{Op: "read", Path: f.path, Err: err}
+		}
+		done += n
+		if n < want {
+			return done, io.EOF
+		}
+	}
+	return done, nil
+}
+
+// Size fstats the descriptor; the fragment loader never asks, since the
+// manifest records every fragment's size. It returns -1 if the fstat
+// fails.
+func (f *osFile) Size() int64 {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(f.fd, &st); err != nil {
+		return -1
+	}
+	return st.Size
+}
+
+// Close implements io.Closer. A handle must be closed exactly once.
+func (f *osFile) Close() error {
+	if err := syscall.Close(f.fd); err != nil {
+		return &fs.PathError{Op: "close", Path: f.path, Err: err}
+	}
+	return nil
+}
 
 // List implements FS.
 func (o *OSFS) List(prefix string) ([]string, error) {

@@ -109,8 +109,8 @@ func TestSimFSOpenCostPerRange(t *testing.T) {
 		t.Fatalf("stats after ranged read = %+v", st)
 	}
 
-	// The whole-file baseline costs the full transfer; the header-only
-	// open path must be far cheaper.
+	// The whole-file baseline costs the full transfer; a small range
+	// must be far cheaper.
 	if _, err := f.ReadFile("frag"); err != nil {
 		t.Fatal(err)
 	}
@@ -199,4 +199,70 @@ func TestFaultFSOpenAndRangedReads(t *testing.T) {
 		t.Fatalf("disarmed ReadAt = %v", err)
 	}
 	h.Close()
+}
+
+// TestOSFSHandleOutlivesRemove: an open handle keeps reading the file
+// after Remove, which the store's deferred removal of retired fragments
+// relies on.
+func TestOSFSHandleOutlivesRemove(t *testing.T) {
+	f, err := NewOSFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteFile("x", []byte("contents")); err != nil {
+		t.Fatal(err)
+	}
+	h, err := f.Open("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Remove("x"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 9)
+	if n, err := h.ReadAt(buf, 0); n != 8 || err != io.EOF || string(buf[:n]) != "contents" {
+		t.Fatalf("ReadAt after Remove = %d %q %v, want 8 \"contents\" EOF", n, buf[:n], err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOSFSCloseReleasesDescriptor: open, read and close cycles leave the
+// process's descriptor count where it was.
+func TestOSFSCloseReleasesDescriptor(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	f, err := NewOSFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteFile("x", make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	before := fds()
+	buf := make([]byte, 101)
+	for i := 0; i < 1000; i++ {
+		h, err := f.Open("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := h.ReadAt(buf, 0); n != 100 || err != io.EOF {
+			t.Fatalf("ReadAt = %d, %v", n, err)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := fds(); after != before {
+		t.Fatalf("%d descriptors open after 1000 open/read/close cycles, %d before", after, before)
+	}
 }

@@ -11,15 +11,14 @@ import (
 )
 
 // This file is the single entry point every read path uses to turn a
-// fragRef into a probeable fragment. The cold path is ranged: the file
-// is opened (fsim.FS.Open), the header decoded from one small read, and
-// only the payload/values sections transferred — the overlap search
-// itself never touches fragment files because bounding boxes live in
-// the manifest. The warm path is a fragcache hit and performs no file
-// system operations at all.
+// fragRef into a probeable fragment. The cold path is one fsim.FS.Open,
+// one ReadAt of the whole file (its size is the manifest's record) and
+// one Close; the overlap search itself never touches fragment files
+// because bounding boxes live in the manifest. The warm path is a
+// fragcache hit and performs no file system operations at all.
 
-// loadFragment performs a cold fragment load over ranged I/O, charging
-// the IO span/phase for the section transfers and the Extract span for
+// loadFragment performs a cold fragment load, charging the IO
+// span/phase for the open and the read and the Extract span for
 // decompression and index opening. rep must be non-nil; root may be nil
 // (spans are nil-safe).
 func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*fragcache.Entry, error) {
@@ -34,10 +33,7 @@ func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*frag
 		reg.Counter("store.read.errors", "kind", kind).Inc()
 		return nil, fmt.Errorf("store: open fragment %s: %w", fr.name, err)
 	}
-	lz, err := fragment.OpenAt(f, f.Size())
-	if err == nil {
-		err = lz.LoadSections()
-	}
+	raw, err := fragment.OpenAt(f, fr.bytes)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -55,16 +51,13 @@ func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*frag
 		rep.IO += wall
 	}
 	sp.End()
-	reg.Counter("store.read.bytes", "kind", kind).Add(lz.BytesRead())
-	rep.BytesRead += lz.BytesRead()
+	reg.Counter("store.read.bytes", "kind", kind).Add(raw.Bytes)
+	rep.BytesRead += raw.Bytes
 
 	sp = root.Child(obsReadExtract)
 	t = time.Now()
-	payload, err := lz.Payload()
-	var values []float64
-	if err == nil {
-		values, err = lz.Values()
-	}
+	payload, err := raw.Payload()
+	values := raw.Values()
 	// Open with the format named by the fragment's own header, not the
 	// store's organization. This build writes every fragment in the
 	// store's kind, but the bytes on disk may come from an earlier one
@@ -75,7 +68,7 @@ func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*frag
 	var reader core.Reader
 	if err == nil {
 		format := s.format
-		if fk := lz.Header.Kind; fk != format.Kind() && fk.Valid() {
+		if fk := raw.Header.Kind; fk != format.Kind() && fk.Valid() {
 			format, err = core.Get(fk)
 		}
 		if err == nil {
@@ -92,11 +85,11 @@ func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*frag
 
 	return &fragcache.Entry{
 		Name:   fr.name,
-		Header: lz.Header,
+		Header: raw.Header,
 		Reader: reader,
 		Values: values,
-		// Footprint estimate: an entry pins the one section buffer
-		// LoadSections filled (the reader's vectors and, where aligned,
+		// Footprint estimate: an entry pins the one file buffer
+		// OpenAt filled (the reader's vectors and, where aligned,
 		// the values are views of it), plus the decoded payload under a
 		// codec other than None, plus fixed overhead.
 		Bytes: int64(len(payload)) + int64(8*len(values)) + 128,

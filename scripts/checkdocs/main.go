@@ -8,8 +8,9 @@
 //     names a function some _test.go file declares;
 //   - `internal/<pkg>.<Name>` names a function, method or type that
 //     package declares;
-//   - a span ending in .go is a file of the repository: a path from its
-//     root, or a bare file name found anywhere in it.
+//   - a span ending in .go is a file of the repository, as a path from
+//     its root: a bare file name is a file of the root package, never
+//     one of that name in some other directory.
 //
 // EXPERIMENTS.md is a record of past measurements and is not checked.
 // Run it from the module root (scripts/ci.sh does):
@@ -52,7 +53,6 @@ type tree struct {
 	tests map[string]bool            // test-file function names
 	decls map[string]map[string]bool // package directory → functions, methods, types
 	files map[string]bool            // .go paths from the root
-	bases map[string]bool            // .go file names
 }
 
 func main() {
@@ -129,14 +129,11 @@ func spans(doc string) []span {
 func (t *tree) resolve(s string) (ok, checked bool) {
 	switch {
 	case goFile.MatchString(s):
-		if strings.Contains(s, "/") {
-			if strings.Contains(s, "*") {
-				matches, _ := filepath.Glob(s)
-				return len(matches) > 0, true
-			}
-			return t.files[s], true
+		if strings.Contains(s, "*") {
+			matches, _ := filepath.Glob(s)
+			return len(matches) > 0, true
 		}
-		return t.bases[s], true
+		return t.files[s], true
 	case testFunc.MatchString(s):
 		m := testFunc.FindStringSubmatch(s)
 		if m[2] == "" {
@@ -161,7 +158,6 @@ func parseTree(root string) (*tree, error) {
 		tests: map[string]bool{},
 		decls: map[string]map[string]bool{},
 		files: map[string]bool{},
-		bases: map[string]bool{},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -179,7 +175,7 @@ func parseTree(root string) (*tree, error) {
 			return nil
 		}
 		p = filepath.ToSlash(p)
-		t.files[p], t.bases[name] = true, true
+		t.files[p] = true
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err

@@ -85,7 +85,7 @@ go run ./scripts/checkdocs
 # filters live in its manifest record only, so internal/fragment does
 # not depend on internal/filter and a fragment file carries no filter;
 # and a cold fragment load copies once, from the file into one aligned
-# section buffer that the index and the values are views of, so unsafe
+# file buffer that the index and the values are views of, so unsafe
 # lives in internal/buf alone and only the level parser (U64View, in
 # internal/core/levels.go) and the fragment's values (F64View, in
 # internal/fragment/fragment.go) take views — a view into a pooled
