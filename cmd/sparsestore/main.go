@@ -67,7 +67,8 @@ var ckptFlag string
 
 // bgCompactFlag holds the global -bg-compact=N value: every store the
 // command opens compacts itself in the background once N fragments
-// accumulate (N >= 2). Empty disables the trigger.
+// accumulate (N >= 2). Empty keeps the library default: a chunked
+// store's tiles compact at 64 fragments, a flat store never.
 var bgCompactFlag string
 
 // listenFlag holds the global -listen=ADDR value: when set, the
@@ -188,7 +189,9 @@ global flags (before the command):
                     fold the manifest delta log into a checkpoint every
                     K fragment commits (1 = rewrite per write)
   -bg-compact=N     compact in the background whenever a store opened by
-                    the command accumulates N fragments (N >= 2)
+                    the command accumulates N fragments (N >= 2;
+                    default: a chunked store's tiles at 64, a flat
+                    store never)
   -listen=ADDR      serve live telemetry (/metrics, /snapshot, /trace,
                     /debug/pprof/) on ADDR while the command runs
 

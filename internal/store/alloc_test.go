@@ -65,9 +65,11 @@ func tileFragments(t *testing.T, w func(*tensor.Coords, []float64) (*WriteReport
 // overlapping CSF fragments allocates its reply — the result and its
 // report — the tile-local probe and its one hit: no partition of the
 // probe by tile, no candidate list, no probe bounds, no sort of a
-// single run, no merge across tiles.
+// single run, no merge across tiles. The threshold keeps the 64
+// fragments unconsolidated (a tile compacts itself at 64 by default),
+// and no background compaction allocates while the probe is measured.
 func TestChunkedProbeAllocs(t *testing.T) {
-	c, err := NewChunked(newSim(t), "c", core.CSF, tensor.Shape{64, 64, 64}, tensor.Shape{16, 16, 16})
+	c, err := NewChunked(newSim(t), "c", core.CSF, tensor.Shape{64, 64, 64}, tensor.Shape{16, 16, 16}, WithBackgroundCompaction(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,6 +44,11 @@ type Chunked struct {
 	// caching is off (WithReaderCache(0), which the tiles are forwarded
 	// too).
 	cache *fragcache.Cache
+	// compactGate admits one tile's background compaction at a time
+	// (withTile): a bulk ingest that takes every tile past the threshold
+	// together compacts them one after another, so their exports never
+	// pile up in memory at once.
+	compactGate sync.Mutex
 }
 
 // tileEntry is one materialized tile: its name (the directory under the
@@ -222,13 +227,11 @@ func (c *Chunked) TotalBytes() int64 {
 }
 
 // tileStore opens or creates the store of tile e — the one place a tile
-// Store comes into being, so every tile gets the parent's options and,
-// when caching is on, the shared cache under its own scope.
+// Store comes into being, so every tile gets the parent's options, the
+// shared cache (when caching is on) under its own scope, and the shared
+// compaction gate.
 func (c *Chunked) tileStore(e *tileEntry, create bool) (err error) {
-	opts := c.opts
-	if c.cache != nil {
-		opts = append(opts[:len(opts):len(opts)], withTileCache(c.cache, e.name))
-	}
+	opts := append(c.opts[:len(c.opts):len(c.opts)], withTile(c, e.name))
 	if create {
 		e.store, err = Create(c.fs, c.prefix+"/"+e.name, c.kind, c.tiling.Extent(e.idx), opts...)
 	} else {

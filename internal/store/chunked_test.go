@@ -111,6 +111,8 @@ func testChunkedMatchesFlatStore(t *testing.T, opts []Option) {
 
 			// Reopened without a Close: both sides replay whatever their
 			// cadence left in the manifest logs.
+			settle(flat)
+			settleChunked(chunked)
 			if flat, err = Open(flatFS, "flat", opts...); err != nil {
 				t.Fatal(err)
 			}

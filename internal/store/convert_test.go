@@ -98,17 +98,31 @@ func TestConvertStreamedDifferential(t *testing.T) {
 }
 
 // TestConvertStreamedDeterministic: same source snapshot, same config →
-// byte-identical destination stores.
+// byte-identical destination stores, one fragment per chunk. The small
+// chunk cuts more chunks than a tile's default compaction threshold: a
+// flat destination is not compacted behind the conversion's back.
 func TestConvertStreamedDeterministic(t *testing.T) {
+	for _, chunk := range []int{50, 4} {
+		testConvertStreamedDeterministic(t, chunk)
+	}
+}
+
+func testConvertStreamedDeterministic(t *testing.T, chunk int) {
 	st := messyStore(t, core.GCSR, tensor.Shape{16, 12, 10}, 47)
 	files := func() map[string][]byte {
 		fs := newSim(t)
-		dst, _, err := Convert(context.Background(), st, fs, "d", core.CSF, ConvertConfig{ChunkPoints: 50})
+		dst, rep, err := Convert(context.Background(), st, fs, "d", core.CSF, ConvertConfig{ChunkPoints: chunk})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if chunk == 4 && rep.Chunks < defaultCompactAt {
+			t.Fatalf("chunk=%d cut %d chunks, want at least %d", chunk, rep.Chunks, defaultCompactAt)
+		}
 		if err := dst.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if dst.Fragments() != rep.Chunks {
+			t.Fatalf("chunk=%d: destination has %d fragments for %d chunks", chunk, dst.Fragments(), rep.Chunks)
 		}
 		names, err := fs.List("d")
 		if err != nil {
@@ -134,7 +148,7 @@ func TestConvertStreamedDeterministic(t *testing.T) {
 			t.Fatalf("second run missing %s", n)
 		}
 		if string(ab) != string(bb) {
-			t.Fatalf("file %s differs between identical runs", n)
+			t.Fatalf("chunk=%d: file %s differs between identical runs", chunk, n)
 		}
 	}
 }

@@ -99,9 +99,16 @@ func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*frag
 // fetchFragment resolves a fragment through the reader cache (when
 // enabled), falling back to a direct load. On a cache hit or a
 // coalesced fill nothing is attributed to rep's IO/Extract phases —
-// only the goroutine that actually performs the load pays for it.
-func (s *Store) fetchFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*fragcache.Entry, error) {
-	if s.cache == nil {
+// only the goroutine that actually performs the load pays for it. A
+// plan that reads retiring fragments (a compaction's export) takes a
+// resident entry as it is and loads the rest without inserting them or
+// touching the cache's counters: they would only evict what readers use.
+func (s *Store) fetchFragment(root *obs.Span, fr fragRef, pl *readPlan, rep *ReadReport) (*fragcache.Entry, error) {
+	if s.cache == nil || pl.retiring {
+		if e := s.cache.Peek(fr.name); e != nil {
+			rep.CacheHits++
+			return e, nil
+		}
 		rep.CacheMisses++
 		return s.loadFragment(root, fr, rep)
 	}

@@ -174,6 +174,23 @@ func (c *Cache) GetScoped(scope, name string, fill func() (*Entry, error)) (*Ent
 	return fl.e, fl.err
 }
 
+// Peek returns the resident entry for name, or nil, and changes
+// nothing: no counter, no recency, no fill. It is how a reader whose
+// fragments are about to be retired (compaction) uses what is already
+// resident without filling the cache with what it loads, as RocksDB's
+// fill_cache=false read option does.
+func (c *Cache) Peek(name string) *Entry {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[name]; ok {
+		return el.Value.(*Entry)
+	}
+	return nil
+}
+
 // evictLocked removes least-recently-used entries until the size fits
 // the budget. The admission guard keeps any single entry at or below
 // half the budget, so eviction only ever trims the LRU tail — it never

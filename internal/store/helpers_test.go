@@ -12,8 +12,9 @@ import (
 // all-kinds differential oracle, the race hammer, the FaultFS crash
 // sweeps and the chunked ≡ flat test take it as one more input
 // (eachStoreConfig), so a defect that only shows with the reader cache
-// off or evicting on every insert, or with the manifest log folded on
-// every commit or never folded, fails a named subtest. A new
+// off or evicting on every insert, with the manifest log folded on
+// every commit or never folded, or with background compaction firing
+// whenever a second fragment lands (DESIGN §9.4), fails a named subtest. A new
 // behaviour-preserving option earns a row here, not a CI re-run.
 var storeConfigs = []struct {
 	name string
@@ -24,6 +25,7 @@ var storeConfigs = []struct {
 	{"cache-1B", []Option{WithReaderCache(1)}},
 	{"ckpt-every-1", []Option{WithManifestCheckpointEvery(1)}},
 	{"ckpt-never", []Option{WithManifestCheckpointEvery(1 << 20)}},
+	{"compact-every-2", []Option{WithBackgroundCompaction(2)}},
 }
 
 // eachStoreConfig runs fn once per storeConfigs row, as a subtest named
@@ -31,6 +33,20 @@ var storeConfigs = []struct {
 func eachStoreConfig(t *testing.T, fn func(t *testing.T, opts []Option)) {
 	for _, cfg := range storeConfigs {
 		t.Run(cfg.name, func(t *testing.T) { fn(t, cfg.opts) })
+	}
+}
+
+// settle waits for st's background compaction worker, if one is
+// running, as Close does but without Close's checkpoint. A test settles
+// a store before it opens a second handle on the same files (a worker
+// still running would retire files that handle lists) and before it
+// counts fragments or merge work that a compaction would change.
+func settle(st *Store) { st.bgWG.Wait() }
+
+// settleChunked settles every tile of c.
+func settleChunked(c *Chunked) {
+	for _, e := range c.dir.Load().sorted {
+		settle(e.store)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"time"
 
 	"sparseart/internal/tensor"
 )
@@ -13,8 +14,11 @@ import (
 // export. Compact runs under the writer lock but never blocks readers:
 // it builds the consolidated fragment off to the side, swaps it in as a
 // new snapshot epoch, and defers deleting the superseded files until
-// the last reader pinning an older epoch drains (see view.go).
-// WithBackgroundCompaction moves the pass onto a background worker.
+// the last reader pinning an older epoch drains (see view.go). A Chunked
+// store's tile runs the pass on a background worker once it holds
+// defaultCompactAt fragments, one tile at a time per Chunked store;
+// WithBackgroundCompaction moves the threshold, and turns the worker on
+// for a flat store.
 
 // ExportAll returns the store's full logical contents — every live
 // cell after overlap and tombstone resolution — sorted by linear
@@ -23,13 +27,13 @@ import (
 func (s *Store) ExportAll() (*tensor.Coords, []float64, error) {
 	v := s.acquireView()
 	defer v.release()
-	return s.exportView(v)
+	return s.exportView(v, s.scanPlan(nil))
 }
 
-// exportView materializes the live contents of a view: a READ whose
-// target is everything, every fragment scanned in full.
-func (s *Store) exportView(v *readView) (*tensor.Coords, []float64, error) {
-	res, _, _, err := s.readView(context.Background(), v, len(v.frags), s.scanPlan(nil), nil)
+// exportView materializes the live contents of a view: a READ under a
+// whole-store scan plan (scanPlan(nil)), every fragment scanned in full.
+func (s *Store) exportView(v *readView, pl readPlan) (*tensor.Coords, []float64, error) {
+	res, _, _, err := s.readView(context.Background(), v, len(v.frags), pl, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -55,12 +59,21 @@ type CompactReport struct {
 // published, and the superseded files are physically deleted only when
 // the last view pinning an older epoch drains.
 func (s *Store) Compact() (*CompactReport, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
 	reg := s.obsReg()
+	kind := s.kind.String()
+	inflight := reg.Gauge("store.compact.inflight", "kind", kind)
+	inflight.Add(1)
+	defer inflight.Add(-1)
+	s.writeMu.Lock()
+	locked := time.Now()
+	defer func() {
+		held := time.Since(locked)
+		s.writeMu.Unlock()
+		reg.Counter("store.compact.lock_us", "kind", kind).Add(held.Microseconds())
+	}()
 	root := reg.Start("store.compact")
 	defer root.End()
-	reg.Counter("store.compact.count", "kind", s.kind.String()).Inc()
+	reg.Counter("store.compact.count", "kind", kind).Inc()
 	rep := &CompactReport{
 		FragmentsBefore: len(s.frags),
 		BytesBefore:     totalFragBytes(s.frags),
@@ -77,7 +90,11 @@ func (s *Store) Compact() (*CompactReport, error) {
 	// A view over the writer's working list needs no pin: the writer
 	// lock is held, so nothing retires these files before this pass does.
 	working := &readView{s: s, frags: s.frags, tombs: countTombs(s.frags)}
-	coords, vals, err := s.exportView(working)
+	// The export's inputs are about to be retired: it takes what the
+	// reader cache holds of them and inserts none of what it loads.
+	pl := s.scanPlan(nil)
+	pl.retiring = true
+	coords, vals, err := s.exportView(working, pl)
 	if err != nil {
 		return nil, err
 	}
@@ -121,13 +138,15 @@ func (s *Store) Compact() (*CompactReport, error) {
 }
 
 // maybeCompactBackground spawns the background compaction worker when
-// the just-published snapshot has accumulated enough fragments
-// (WithBackgroundCompaction) and no worker is already running. Called
-// from publishLocked; the worker blocks on the writer lock until the
-// publishing mutation finishes, then runs Compact — so back-to-back
-// triggers coalesce into one pass over the final fragment set.
+// the just-published snapshot holds compactAt fragments or more and no
+// worker is already running. Called from publishLocked; a tile's
+// worker waits for the compaction gate its Chunked store's tiles share
+// (one compaction at a time per store tree), then for the writer lock,
+// which the publishing mutation holds, then runs Compact — so triggers
+// that arrive while it waits coalesce into one pass over the fragment
+// set it finds.
 func (s *Store) maybeCompactBackground(frags int) {
-	if s.bgMinFrags <= 0 || frags < s.bgMinFrags {
+	if s.compactAt == 0 || frags < s.compactAt {
 		return
 	}
 	if !s.bgRunning.CompareAndSwap(false, true) {
@@ -138,6 +157,10 @@ func (s *Store) maybeCompactBackground(frags int) {
 	go func() {
 		defer s.bgWG.Done()
 		defer s.bgRunning.Store(false)
+		if g := s.compactGate; g != nil {
+			g.Lock()
+			defer g.Unlock()
+		}
 		reg := s.obsReg()
 		kind := s.kind.String()
 		reg.Counter("store.compact.background.runs", "kind", kind).Inc()

@@ -3,11 +3,17 @@ package store
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sparseart/internal/compress"
 	"sparseart/internal/core"
 	_ "sparseart/internal/core/all"
+	"sparseart/internal/fsim"
+	"sparseart/internal/obs"
 	"sparseart/internal/tensor"
 )
 
@@ -243,5 +249,256 @@ func TestReadRegionScanValidation(t *testing.T) {
 	bad := tensor.Region{Start: []uint64{0}, Size: []uint64{1}}
 	if _, _, err := readRegion(st, bad, StrategyScan); err == nil {
 		t.Fatal("rank mismatch accepted")
+	}
+}
+
+// TestChunkedCompactsByDefault: with no option set, a tile store
+// compacts itself once it holds 64 fragments. 64 one-batch writes
+// across every tile of a chunked CSF store leave each tile one fragment
+// after Close, on SimFS and on OSFS; a whole-store read is
+// byte-identical to the same writes with compaction out of reach, and
+// every stored point passes its fragment's key filter and answers a
+// one-point probe.
+func TestChunkedCompactsByDefault(t *testing.T) {
+	shape, tile := tensor.Shape{16, 16, 12}, tensor.Shape{8, 8, 6}
+	whole := tensor.Region{Start: []uint64{0, 0, 0}, Size: shape}
+	for _, backend := range []string{"sim", "os"} {
+		t.Run(backend, func(t *testing.T) {
+			newFS := func() fsim.FS {
+				if backend == "sim" {
+					return newSim(t)
+				}
+				ofs, err := fsim.NewOSFS(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ofs
+			}
+			st, err := NewChunked(newFS(), "c", core.CSF, shape, tile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewChunked(newFS(), "c", core.CSF, shape, tile, WithBackgroundCompaction(1<<30))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(64))
+			for i := 0; i < 64; i++ {
+				c, vals := randomPoints(rng, shape, 80) // every tile, every write
+				for _, s := range []*Chunked{st, ref} {
+					if _, err := s.Write(c, vals); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, s := range []*Chunked{st, ref} {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st.Tiles() != 8 {
+				t.Fatalf("%d tiles, want 8", st.Tiles())
+			}
+			for _, e := range st.dir.Load().sorted {
+				if n := e.store.Fragments(); n != 1 {
+					t.Fatalf("tile %s holds %d fragments after Close, want 1", e.name, n)
+				}
+				requireKeysHold(t, "tile "+e.name, e.store)
+			}
+			if n := ref.Fragments(); n != 8*64 {
+				t.Fatalf("reference store holds %d fragments, want %d", n, 8*64)
+			}
+			for _, strategy := range []Strategy{StrategyScan, StrategyAuto} {
+				got, _, err := readRegion(st, whole, strategy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := readRegion(ref, whole, strategy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v: the compacted store reads %d points, the reference %d, or values differ", strategy, got.Coords.Len(), want.Coords.Len())
+				}
+				if strategy != StrategyScan {
+					continue
+				}
+				for i, n := 0, got.Coords.Len(); i < n; i++ {
+					probe := tensor.NewCoords(3, 1)
+					probe.AppendFlat(got.Coords.At(i))
+					res, _, err := readProbe(st, probe)
+					if err != nil || res.Coords.Len() != 1 || res.Values[0] != got.Values[i] {
+						t.Fatalf("probe of stored point %v: %v (%v), want %v", got.Coords.At(i), res, err, got.Values[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCompactionLeavesReaderCacheAlone: compaction reads its inputs
+// without filling the reader cache. A window read warms the cache of a
+// two-tile store; compacting one tile then loads only its non-resident
+// inputs, and leaves the cache's entries, bytes, hits and misses as
+// they were, less the compacted tile's entries, which retire with its
+// inputs.
+func TestCompactionLeavesReaderCacheAlone(t *testing.T) {
+	shape, tile := tensor.Shape{8, 16}, tensor.Shape{8, 8}
+	reg := obs.New()
+	fs := &countingFS{FS: newSim(t)}
+	c, err := NewChunked(fs, "c", core.GCSR, shape, tile, WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 4; i++ { // four row bands, each across both tiles
+		band := tensor.NewCoords(2, 0)
+		var vals []float64
+		for col := uint64(0); col < 16; col++ {
+			band.Append(2*i, col)
+			band.Append(2*i+1, col)
+			vals = append(vals, float64(i), float64(col))
+		}
+		if _, err := c.Write(band, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The window meets two bands: half of each tile's fragments become
+	// resident.
+	window := tensor.Region{Start: []uint64{2, 0}, Size: []uint64{4, 16}}
+	if _, _, err := readRegion(c, window, StrategyScan); err != nil {
+		t.Fatal(err)
+	}
+	cache := c.SharedCache()
+	type state struct{ entries, bytes, hits, misses int64 }
+	now := func() state {
+		return state{int64(cache.Len()), cache.SizeBytes(), reg.Counter("fragcache.hits").Value(), reg.Counter("fragcache.misses").Value()}
+	}
+	before := now()
+	if before.entries != 4 {
+		t.Fatalf("the window read left %d entries resident, want 4", before.entries)
+	}
+	first := c.dir.Load().sorted[0].store
+	var resident int64
+	for _, fr := range first.currentFrags() {
+		if e := cache.Peek(fr.name); e != nil {
+			resident += e.Bytes
+		}
+	}
+	fs.n = fsCalls{}
+	rep, err := first.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FragmentsBefore != 4 || rep.FragmentsAfter != 1 {
+		t.Fatalf("compact report %+v", rep)
+	}
+	if fs.n.opens != 2 {
+		t.Fatalf("compaction opened %d fragment files, want the 2 not resident", fs.n.opens)
+	}
+	want := state{before.entries - 2, before.bytes - resident, before.hits, before.misses}
+	if got := now(); got != want {
+		t.Fatalf("cache after compaction %+v, want %+v", got, want)
+	}
+}
+
+// gateWitnessFS records, at every file open, how many compactions its
+// registry has in flight, and stretches each open so that compactions
+// running together would overlap one. Only compaction's export opens
+// fragment files here: the ingest writes them, and nothing else reads.
+type gateWitnessFS struct {
+	fsim.FS
+	inflight *obs.Gauge
+	max      atomic.Int64
+}
+
+func (w *gateWitnessFS) Open(name string) (fsim.File, error) {
+	for n := w.inflight.Value(); n > w.max.Load(); n = w.inflight.Value() {
+		w.max.CompareAndSwap(w.max.Load(), n)
+	}
+	time.Sleep(2 * time.Millisecond)
+	return w.FS.Open(name)
+}
+
+// TestChunkedCompactsOneTileAtATime: sixteen tiles that cross the
+// threshold in one ingest compact one after another — never more than
+// one compaction in flight (store.compact.inflight) — and Close returns
+// with every worker gone.
+func TestChunkedCompactsOneTileAtATime(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	shape, tile := tensor.Shape{16, 16}, tensor.Shape{4, 4}
+	reg := obs.New()
+	fs := &gateWitnessFS{FS: newSim(t), inflight: reg.Gauge("store.compact.inflight", "kind", "COO")}
+	c, err := NewChunked(fs, "c", core.COO, shape, tile, WithBackgroundCompaction(4), WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(16))
+	batches := make([]Batch, 4)
+	for i := range batches {
+		c, vals := randomPoints(rng, shape, 200) // all sixteen tiles
+		batches[i] = Batch{Coords: c, Values: vals}
+	}
+	// Three fragments per tile, then one ingest that gives every tile its
+	// fourth: sixteen workers are spawned within one short commit loop.
+	for _, part := range [][]Batch{batches[:3], batches[3:]} {
+		if _, err := c.WriteBatch(part, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Tiles() != 16 || c.Fragments() != 16 {
+		t.Fatalf("%d tiles hold %d fragments, want 16 and 16", c.Tiles(), c.Fragments())
+	}
+	if runs := reg.Counter("store.compact.background.runs", "kind", "COO").Value(); runs != 16 {
+		t.Fatalf("%d background compactions, want 16", runs)
+	}
+	if m := fs.max.Load(); m != 1 {
+		t.Fatalf("at most %d compactions were in flight at an open, want 1", m)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the store", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlatStoreKeepsHistoryByDefault: with no option set, a flat store
+// never compacts behind the caller's back — only a Chunked store's
+// tiles take the default threshold — so past 64 writes every as-of
+// version still answers the state after its first k fragments.
+func TestFlatStoreKeepsHistoryByDefault(t *testing.T) {
+	st, err := Create(newSim(t), "t", core.CSF, tensor.Shape{4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writes = defaultCompactAt + 8
+	for i := 1; i <= writes; i++ {
+		c := tensor.NewCoords(2, 1)
+		c.Append(1, 2)
+		if _, err := st.Write(c, []float64{float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(st)
+	if n := st.Fragments(); n != writes {
+		t.Fatalf("%d fragments after %d writes, want %d", n, writes, writes)
+	}
+	probe := tensor.NewCoords(2, 1)
+	probe.Append(1, 2)
+	for _, k := range []int{1, defaultCompactAt / 2, defaultCompactAt, writes} {
+		res, _, err := readAsOf(st, probe, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Coords.Len() != 1 || res.Values[0] != float64(k) {
+			t.Fatalf("as of version %d: %v, want value %d", k, res.Values, k)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -300,6 +300,7 @@ func TestKeyFiltersHaveNoFalseNegatives(t *testing.T) {
 				if _, err := st.DeleteRegion(region); err != nil {
 					t.Fatal(err)
 				}
+				settle(st)
 				requireKeysHold(t, "after WriteBatchContext", st)
 				re, err := Open(fs, "t", opts...)
 				if err != nil {

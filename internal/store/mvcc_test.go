@@ -237,7 +237,7 @@ func TestCompactDeferredDeletion(t *testing.T) {
 		t.Fatalf("store.gc.pending = %d, want 1", g)
 	}
 	// The pinned view still reads the old fragment set coherently.
-	oldCoords, _, err := st.exportView(v)
+	oldCoords, _, err := st.exportView(v, st.scanPlan(nil))
 	if err != nil {
 		t.Fatalf("pinned-view read: %v", err)
 	}
@@ -371,6 +371,7 @@ func testCompactCrashSweep(t *testing.T, opts []Option) {
 				delete(ref.data, addr)
 			}
 		}
+		settle(st)
 		return sim, ref
 	}
 	verify := func(st *Store, ref *model, when string) {

@@ -361,6 +361,14 @@ func TestKernelFoldDeterministic(t *testing.T) {
 						}
 					}
 				}
+				// A configuration that compacts in the background has
+				// folded the fragments into one, resolving the overwrites
+				// and tombstones before any kernel reads them.
+				settle(st)
+				compacted := reg.Counter("store.compact.count", "kind", kind.String()).Value() > 0
+				if compacted && st.Fragments() != 1 {
+					t.Fatalf("background compaction left %d fragments, want 1", st.Fragments())
+				}
 
 				coords, vals, err := st.ExportAll()
 				if err != nil {
@@ -435,7 +443,7 @@ func TestKernelFoldDeterministic(t *testing.T) {
 						t.Fatalf("%v: report shadowed=%d dead=%d, store.merge.* counted %d and %d",
 							req.Op, rep.Shadowed, rep.Dead, overwritten.Value()-ow, tombDead.Value()-td)
 					}
-					if req.Region == nil && (rep.Shadowed == 0 || rep.Dead == 0) {
+					if req.Region == nil && !compacted && (rep.Shadowed == 0 || rep.Dead == 0) {
 						t.Fatalf("%v: the store exercises no overwrite (%d) or no tombstone (%d)", req.Op, rep.Shadowed, rep.Dead)
 					}
 				}

@@ -172,39 +172,58 @@ func appendPointKey(dst []byte, p []uint64) []byte {
 // frame — a chunked store's tiles, a router's shards — into one Result
 // ordered by coordinate tuple. That is row-major linear-address order,
 // so the outcome is byte-identical to what one flat store holding all
-// the cells would return. nil parts are skipped; parts may be consumed.
+// the cells would return. Each part is already in that order, so the
+// parts are merged, not sorted: a binary min-heap of the parts keyed by
+// their next point, which a 32³ window over 32³ tiles keeps at ≤ 8
+// entries. nil parts are skipped; parts may be consumed.
 func MergeResults(dims int, parts []*Result) *Result {
-	var only *Result
-	nonEmpty, total := 0, 0
+	var runs []*Result
+	total := 0
 	for _, res := range parts {
 		if res != nil && res.Coords.Len() > 0 {
-			only = res
-			nonEmpty++
+			runs = append(runs, res)
 			total += res.Coords.Len()
 		}
 	}
-	if nonEmpty == 1 {
-		return only // already sorted
+	if len(runs) == 1 {
+		return runs[0]
 	}
-	flat := make([]uint64, 0, total*dims)
-	values := make([]float64, 0, total)
-	for _, res := range parts {
-		if res != nil {
-			flat = append(flat, res.Coords.Flat()...)
-			values = append(values, res.Values...)
+	out := &Result{Coords: tensor.NewCoords(dims, total), Values: make([]float64, 0, total)}
+	next := make([]int, len(runs)) // per run, the index of its next point
+	less := func(a, b int) bool {
+		return slices.Compare(runs[a].Coords.At(next[a]), runs[b].Coords.At(next[b])) < 0
+	}
+	heap := make([]int, len(runs)) // run indices; heap[0] holds the least next point
+	for i := range heap {
+		heap[i] = i
+	}
+	down := func(i int) {
+		for {
+			least := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(heap) && less(heap[c], heap[least]) {
+					least = c
+				}
+			}
+			if least == i {
+				return
+			}
+			heap[i], heap[least] = heap[least], heap[i]
+			i = least
 		}
 	}
-	order := make([]int, total)
-	for i := range order {
-		order[i] = i
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		return slices.Compare(flat[a*dims:(a+1)*dims], flat[b*dims:(b+1)*dims])
-	})
-	out := &Result{Coords: tensor.NewCoords(dims, total), Values: make([]float64, 0, total)}
-	for _, i := range order {
-		out.Coords.AppendFlat(flat[i*dims : (i+1)*dims])
-		out.Values = append(out.Values, values[i])
+	for len(heap) > 0 {
+		r := heap[0]
+		out.Coords.AppendFlat(runs[r].Coords.At(next[r]))
+		out.Values = append(out.Values, runs[r].Values[next[r]])
+		if next[r]++; next[r] == runs[r].Coords.Len() {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
 	}
 	return out
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +32,6 @@ import (
 	"sparseart/internal/fragment"
 	"sparseart/internal/fsim"
 	"sparseart/internal/obs"
-	"sparseart/internal/psort"
 	"sparseart/internal/store/fragcache"
 	"sparseart/internal/tensor"
 )
@@ -162,12 +162,15 @@ type Store struct {
 	viewRefs  int
 	gcPending []pendingGC
 
-	// Background compaction (maintenance.go): when bgMinFrags > 0,
+	// Background compaction (maintenance.go): when compactAt > 0,
 	// publishing a view with at least that many fragments spawns one
-	// compaction worker (bgRunning dedupes). Close waits on bgWG.
-	bgMinFrags int
-	bgRunning  atomic.Bool
-	bgWG       sync.WaitGroup
+	// compaction worker (bgRunning dedupes); a Chunked store's tiles
+	// share compactGate, so one of them compacts at a time (nil for a
+	// flat store). Close waits on bgWG.
+	compactAt   int
+	compactGate *sync.Mutex
+	bgRunning   atomic.Bool
+	bgWG        sync.WaitGroup
 
 	// cache holds decoded fragment readers; nil when disabled.
 	// cacheBudget sizes the store's own cache (WithReaderCache;
@@ -676,6 +679,10 @@ type readPlan struct {
 	region *tensor.Region // window to scan; nil for lookup-only reads and exports
 	auto   bool           // choose lookup or scan per fragment by preferScan
 	vol    uint64         // region volume: preferScan's n_read
+	// retiring marks a read of fragments about to be retired (a
+	// compaction's export): it uses resident cache entries but inserts
+	// none of what it loads.
+	retiring bool
 }
 
 // planRead derives the plan from a validated request.
@@ -791,7 +798,7 @@ type readAcc struct {
 // readFragment fetches one fragment and extracts the plan's target
 // from it into acc, by scan or by point lookup.
 func (s *Store) readFragment(root *obs.Span, fi int, fr *fragRef, pl *readPlan, scan bool, acc *readAcc) error {
-	e, err := s.fetchFragment(root, *fr, &acc.rep)
+	e, err := s.fetchFragment(root, *fr, pl, &acc.rep)
 	if err != nil {
 		return err
 	}
@@ -867,6 +874,15 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 	// linear scan of the boxes. The sub-linear step is one level up,
 	// where Chunked's tiling finds a request's tiles arithmetically and
 	// each tile's view holds only that tile's fragments.
+	if pl.region == nil && pl.probe == nil {
+		// A whole-store scan (an export, a compaction, a whole-store
+		// kernel) extracts every stored point: size the hits once.
+		var n uint64
+		for fi := range v.frags[:limit] {
+			n += v.frags[fi].nnz
+		}
+		acc.hits = make([]hit, 0, n)
+	}
 	var err error
 	var tombs []tombstoneRef
 	for fi := range v.frags[:limit] {
@@ -919,24 +935,57 @@ func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPla
 	return res, rep, live, nil
 }
 
-// sortHits returns the permutation that orders hits by (addr, frag,
-// index). Ties on (addr, frag) fall through to the index, the order
-// the fragment was extracted in. Such ties are a point probed twice
-// (equal values) or a point written twice into one fragment, which a
-// scan extracts in payload order: the later entry is the later write,
-// and it wins, as a probe's Lookup answers with it. A plain
-// SortPermByKey on the address would lose the fragment-recency
-// tie-break that newest-wins depends on.
-func sortHits(hits []hit) []int {
-	return psort.SortPerm(len(hits), 0, func(a, b int) bool {
-		if hits[a].addr != hits[b].addr {
-			return hits[a].addr < hits[b].addr
+// radixBits is the digit width of orderHits' address sort: 2¹¹
+// counters fit in L1, and a 64³ tile's 18-bit addresses take two passes.
+const radixBits = 11
+
+// orderHits returns hits ordered by linear address, stably. readView
+// appends hits fragment by fragment, oldest first, each fragment's in
+// the order it was extracted, so a stable order by address is the
+// (addr, frag, extraction index) order newest-wins depends on: among a
+// cell's hits the newest fragment's comes last, and within one fragment
+// the later of two writes of a cell, which a scan extracts in payload
+// order (COO keeps a batch's duplicates) and a probe's Lookup answers
+// with. Hits already in order (one run, as a point probe's are) come
+// back as they lie; others take an LSD radix sort over radixBits-bit
+// digits, as many passes as the largest address needs, ping-ponging
+// between hits and one scratch buffer. No comparison is made.
+func orderHits(hits []hit) []hit {
+	var span uint64
+	sorted := true
+	for i := range hits {
+		span |= hits[i].addr
+		if i > 0 && hits[i-1].addr > hits[i].addr {
+			sorted = false
 		}
-		if hits[a].frag != hits[b].frag {
-			return hits[a].frag < hits[b].frag
+	}
+	if sorted {
+		return hits
+	}
+	const mask = 1<<radixBits - 1
+	var count [1 << radixBits]int
+	src, dst := hits, make([]hit, len(hits))
+	for shift := 0; shift < bits.Len64(span); shift += radixBits {
+		clear(count[:])
+		for i := range src {
+			count[src[i].addr>>shift&mask]++
 		}
-		return a < b
-	})
+		if count[src[0].addr>>shift&mask] == len(src) {
+			continue // every hit has this digit: the pass would move nothing
+		}
+		at := 0
+		for d, n := range count {
+			count[d] = at
+			at += n
+		}
+		for i := range src {
+			d := src[i].addr >> shift & mask
+			dst[count[d]] = src[i]
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // emitFunc receives a read's live cells one at a time, in ascending
@@ -952,31 +1001,15 @@ type liveCounts struct {
 }
 
 // mergeHits implements Algorithm 3 line 12 and is the only place a
-// stored cell is judged live: order hits by linear address (ties by
-// fragment recency, then extraction order), keep the last value per
-// cell, drop cells whose last write precedes a covering tombstone,
+// stored cell is judged live: order hits by linear address (orderHits:
+// ties by fragment recency, then extraction order), keep the last value
+// per cell, drop cells whose last write precedes a covering tombstone,
 // and hand what is left to emit in address order. With a nil emit the
 // live cells are appended to the returned Result; a kernel passes its
-// fold and no Result exists. Hits that already lie in that order — one
-// run, as a point probe's are — merge where they lie; others go
-// through a psort permutation sort, so large merges (region reads
-// pulling millions of hits) use every core and small ones stay serial
-// under psort's cutoff.
+// fold and no Result exists.
 func mergeHits(s *Store, hits []hit, tombs []tombstoneRef, emit emitFunc) (*Result, liveCounts, time.Duration) {
 	t := time.Now()
-	var perm []int
-	for i := 1; i < len(hits); i++ {
-		if a, b := &hits[i-1], &hits[i]; a.addr > b.addr || (a.addr == b.addr && a.frag > b.frag) {
-			perm = sortHits(hits)
-			break
-		}
-	}
-	at := func(i int) *hit {
-		if perm != nil {
-			return &hits[perm[i]]
-		}
-		return &hits[i]
-	}
+	hits = orderHits(hits)
 	var out *Result
 	if emit == nil {
 		out = &Result{Coords: tensor.NewCoords(s.shape.Dims(), len(hits))}
@@ -989,8 +1022,8 @@ func mergeHits(s *Store, hits []hit, tombs []tombstoneRef, emit emitFunc) (*Resu
 	p := make([]uint64, s.shape.Dims())
 	var live liveCounts
 	for i := range hits {
-		h := at(i)
-		if i+1 < len(hits) && at(i+1).addr == h.addr {
+		h := &hits[i]
+		if i+1 < len(hits) && hits[i+1].addr == h.addr {
 			live.overwritten++
 			continue // a newer fragment overwrote this cell
 		}

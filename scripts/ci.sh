@@ -42,8 +42,18 @@ go build ./...
 # internal/<pkg>.<Name> and .go path that README.md, DESIGN.md and
 # docs/*.md name in backticks exists in the parsed tree, so a rename or a
 # deletion cannot leave the docs pointing at nothing.
-step "docs (backticked code references resolve)"
+step "docs (backticked code references resolve; DESIGN.md size ratchet)"
 go run ./scripts/checkdocs
+# DESIGN.md describes HEAD, one section per layer; history lives in
+# CHANGES.md. Its size may only fall: a change that rewrites its layers'
+# sections to HEAD lowers DESIGN_MAX_BYTES to the new size.
+DESIGN_MAX_BYTES=77954
+design_bytes=$(wc -c < DESIGN.md)
+echo "DESIGN.md: $design_bytes bytes (ceiling $DESIGN_MAX_BYTES)"
+if [ "$design_bytes" -gt "$DESIGN_MAX_BYTES" ]; then
+    echo "DESIGN.md grew past $DESIGN_MAX_BYTES bytes: rewrite the sections you touched to HEAD and move their history to CHANGES.md" >&2
+    exit 1
+fi
 
 # Surface gate: Query/Kernel are the only read and compute entry points,
 # so nothing superseded may linger behind a Deprecated: marker — delete
@@ -129,6 +139,12 @@ fi
 fetches=$(grep -hE 'fetchFragment\(' $store_src | grep -cvE '^func |^\s*//' || true)
 if [ "$fetches" -ne 1 ]; then
     echo "internal/store fetches a fragment from $fetches places (want 1: readFragment — read through readView)" >&2
+    exit 1
+fi
+merge_sorts=$( (sed -n '/^func orderHits(/,/^}/p; /^func mergeHits(/,/^}/p' internal/store/store.go
+    sed -n '/^func MergeResults(/,/^}/p' internal/store/query.go) | grep -cE '[sS]ort[A-Z(.]' || true)
+if [ "$merge_sorts" -ne 0 ]; then
+    echo "mergeHits or MergeResults calls a sort (order hits by orderHits' radix pass; merge the parts, which are each in row-major order)" >&2
     exit 1
 fi
 store_spawns=$(grep -nE '^\s*go ' $store_src | sed -E 's/:[0-9]+:[[:space:]]*/: /' | sort)

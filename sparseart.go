@@ -131,9 +131,11 @@ type OptionError = store.OptionError
 
 // WithBackgroundCompaction makes the store compact itself on a
 // background worker once a mutation leaves at least minFragments
-// fragments behind (minFragments >= 2). Reads are never blocked: they
-// serve from MVCC snapshots while the worker consolidates, and the swap
-// is atomic. Store.Compact runs one such pass on demand.
+// fragments behind (minFragments >= 2). Without it a chunked store's
+// tiles do so at 64 fragments and a flat store never does. Reads
+// are never blocked: they serve from MVCC snapshots while the worker
+// consolidates, and the swap is atomic. Store.Compact runs one such
+// pass on demand.
 func WithBackgroundCompaction(minFragments int) StoreOption {
 	return store.WithBackgroundCompaction(minFragments)
 }
