@@ -42,13 +42,14 @@ func Example() {
 	}
 
 	// Every read is one context-aware Query: a probe list or a
-	// region, an as-of bound, a strategy.
+	// region, and an as-of bound. A region read is planned per
+	// fragment by the Table I cost model.
 	region, err := sparseart.NewRegion(shape, []uint64{0, 0, 0}, []uint64{16, 32, 32})
 	if err != nil {
 		log.Fatal(err)
 	}
 	res, rep, err := st.Query(context.Background(), sparseart.QueryRequest{
-		Region: &region, AsOf: sparseart.AsOfLatest, Strategy: sparseart.StrategyAuto,
+		Region: &region, AsOf: sparseart.AsOfLatest,
 	})
 	if err != nil {
 		log.Fatal(err)

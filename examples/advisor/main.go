@@ -91,7 +91,7 @@ func measureBest(shape sparseart.Shape, ds *sparseart.Dataset) (sparseart.Kind, 
 		if err != nil {
 			return 0, err
 		}
-		_, rrep, err := st.Query(context.Background(), sparseart.QueryRequest{Region: &region, AsOf: sparseart.AsOfLatest})
+		_, rrep, err := st.Query(context.Background(), sparseart.QueryRequest{Probe: region.Coords(), AsOf: sparseart.AsOfLatest})
 		if err != nil {
 			return 0, err
 		}

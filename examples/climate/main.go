@@ -102,7 +102,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, arep, err := flat.Query(context.Background(), sparseart.QueryRequest{Region: &lr, AsOf: sparseart.AsOfLatest, Strategy: sparseart.StrategyAuto})
+		_, arep, err := flat.Query(context.Background(), sparseart.QueryRequest{Region: &lr, AsOf: sparseart.AsOfLatest})
 		if err != nil {
 			log.Fatal(err)
 		}

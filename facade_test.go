@@ -1,6 +1,7 @@
 package sparseart_test
 
 import (
+	"context"
 	"testing"
 
 	"sparseart"
@@ -126,12 +127,12 @@ func TestFacadeCompactAndScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanRes, _, err := queryRegion(st, region, sparseart.StrategyScan)
-	if err != nil || scanRes.Coords.Len() != 3 {
-		t.Fatalf("scan via facade: %v, %v", scanRes, err)
+	probeRes, _, err := queryProbe(st, region.Coords())
+	if err != nil || probeRes.Coords.Len() != 3 {
+		t.Fatalf("window probe via facade: %v, %v", probeRes, err)
 	}
-	autoRes, _, err := queryRegion(st, region, sparseart.StrategyAuto)
-	if err != nil || autoRes.Coords.Len() != 3 {
-		t.Fatalf("auto via facade: %v, %v", autoRes, err)
+	planned, _, err := st.Query(context.Background(), sparseart.QueryRequest{Region: &region, AsOf: sparseart.AsOfLatest})
+	if err != nil || planned.Coords.Len() != 3 {
+		t.Fatalf("planned region read via facade: %v, %v", planned, err)
 	}
 }

@@ -17,12 +17,6 @@ func queryProbe(q querier, probe *sparseart.Coords) (*sparseart.Result, *sparsea
 	return q.Query(context.Background(), sparseart.QueryRequest{Probe: probe, AsOf: sparseart.AsOfLatest})
 }
 
-// queryRegion reads region from the latest version with the given
-// strategy.
-func queryRegion(q querier, region sparseart.Region, strategy sparseart.QueryStrategy) (*sparseart.Result, *sparseart.ReadReport, error) {
-	return q.Query(context.Background(), sparseart.QueryRequest{Region: &region, AsOf: sparseart.AsOfLatest, Strategy: strategy})
-}
-
 // queryPoints is queryProbe laid out along the probe by AlignPoints.
 func queryPoints(q querier, probe *sparseart.Coords) ([]float64, []bool, error) {
 	res, _, err := queryProbe(q, probe)

@@ -199,19 +199,20 @@ func AblationScanVsProbe(scale gen.Scale, seed uint64) (string, error) {
 		if _, err := st.Write(ds.Data.Coords, ds.Data.Values); err != nil {
 			return "", err
 		}
-		read := func(strategy store.Strategy) (*store.ReadReport, error) {
-			_, rep, err := st.Query(context.Background(), store.QueryRequest{Region: &ds.Region, AsOf: store.AsOfLatest, Strategy: strategy})
+		read := func(req store.QueryRequest) (*store.ReadReport, error) {
+			req.AsOf = store.AsOfLatest
+			_, rep, err := st.Query(context.Background(), req)
 			return rep, err
 		}
-		prep, err := read(store.StrategyDefault)
+		prep, err := read(store.QueryRequest{Probe: ds.Region.Coords()})
 		if err != nil {
 			return "", err
 		}
-		srep, err := read(store.StrategyScan)
+		srep, err := read(store.QueryRequest{Region: &ds.Region, Strategy: store.StrategyScan})
 		if err != nil {
 			return "", err
 		}
-		arep, err := read(store.StrategyAuto)
+		arep, err := read(store.QueryRequest{Region: &ds.Region})
 		if err != nil {
 			return "", err
 		}
@@ -372,7 +373,7 @@ func AblationReaderCache(scale gen.Scale, seed uint64) (string, error) {
 				}
 			}
 			read := func() (time.Duration, error) {
-				_, rep, err := st.Query(context.Background(), store.QueryRequest{Region: &ds.Region, AsOf: store.AsOfLatest})
+				_, rep, err := st.Query(context.Background(), store.QueryRequest{Probe: ds.Region.Coords(), AsOf: store.AsOfLatest})
 				if err != nil {
 					return 0, err
 				}
@@ -626,7 +627,7 @@ func AblationCompact(scale gen.Scale, seed uint64) (string, error) {
 				return "", err
 			}
 		}
-		_, rep, err := st.Query(context.Background(), store.QueryRequest{Region: &ds.Region, AsOf: store.AsOfLatest})
+		_, rep, err := st.Query(context.Background(), store.QueryRequest{Probe: ds.Region.Coords(), AsOf: store.AsOfLatest})
 		if err != nil {
 			return "", err
 		}

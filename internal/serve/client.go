@@ -204,8 +204,14 @@ func deadlineOf(ctx context.Context) (time.Duration, error) {
 	return d, nil
 }
 
-// Query answers a store.QueryRequest remotely.
+// Query answers a store.QueryRequest remotely. The wire carries no
+// strategy, so the server plans every region read; a request that
+// forces one is refused before anything is sent, with the typed error
+// a server would have sent, which a router passes on as it is.
 func (c *Client) Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
+	if req.Strategy != store.StrategyAuto {
+		return nil, nil, &wire.Error{Code: wire.CodeBadRequest, Msg: "serve: bad request: a served read is planned; a forced plan cannot be sent"}
+	}
 	d, err := deadlineOf(ctx)
 	if err != nil {
 		return nil, nil, err

@@ -289,9 +289,6 @@ func (r *Router) Info(ctx context.Context) (*wire.Info, error) {
 // what one local Chunked store would return.
 func (r *Router) Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
 	sp, ctx := r.reg.StartCtx(ctx, obsRouterQuery)
-	if sp.Sampled() {
-		sp.SetAttrStr("strategy", req.Strategy.String())
-	}
 	res, rep, err := r.queryAt(ctx, req)
 	store.FinishRequestSpan(r.reg, ctx, sp, obsRouterQuery, r.kindName(), store.ReadCost(rep), err)
 	return res, rep, err

@@ -114,9 +114,9 @@ func TestServerRoundTrip(t *testing.T) {
 	if _, err := c.DeleteRegion(ctx, tensor.Region{Start: []uint64{5, 5}, Size: []uint64{1, 1}}); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	res, _, err = c.Query(ctx, store.QueryRequest{Region: &region, AsOf: store.AsOfLatest, Strategy: store.StrategyScan})
+	res, _, err = c.Query(ctx, store.QueryRequest{Region: &region, AsOf: store.AsOfLatest})
 	if err != nil {
-		t.Fatalf("scan query: %v", err)
+		t.Fatalf("region query after the delete: %v", err)
 	}
 	if res.Coords.Len() != 3 {
 		t.Fatalf("after delete found %d points, want 3", res.Coords.Len())
@@ -494,7 +494,7 @@ func newShard(t *testing.T, kind core.Kind, shape, tile tensor.Shape) string {
 // TestRouterMatchesLocalChunked is the acceptance-criteria
 // differential: every read served by a 3-shard router must be
 // byte-identical to a single-process Chunked store given the same
-// writes, across all seven storage kinds, all strategies, probes,
+// writes, across all seven storage kinds, both plans, probes,
 // deletes, and the additive kernels.
 func TestRouterMatchesLocalChunked(t *testing.T) {
 	shape := tensor.Shape{24, 24}
@@ -549,11 +549,11 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 				t.Fatalf("local delete: %v", err)
 			}
 
-			// Region reads: every strategy, a tile-spanning window and
-			// the full tensor, must match point for point — and so must
-			// the regions only the tiling's clamp makes sense of: an
-			// extent that overflows uint64, one reaching past the shape,
-			// an empty one.
+			// Region reads: a routed read is planned, and it must match
+			// the local store under each plan point for point — on a
+			// tile-spanning window, the full tensor, and the regions only
+			// the tiling's clamp makes sense of: an extent that overflows
+			// uint64, one reaching past the shape, an empty one.
 			regions := []tensor.Region{
 				{Start: []uint64{0, 0}, Size: []uint64{24, 24}},
 				{Start: []uint64{5, 3}, Size: []uint64{13, 17}},
@@ -563,16 +563,14 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 				{Start: []uint64{3, 3}, Size: []uint64{0, 5}},
 			}
 			for _, region := range regions {
-				for _, strat := range []store.Strategy{store.StrategyDefault, store.StrategyScan, store.StrategyAuto} {
-					region := region
-					req := store.QueryRequest{Region: &region, AsOf: store.AsOfLatest, Strategy: strat}
-					want, _, err := local.Query(ctx, req)
+				got, _, err := router.Query(ctx, store.QueryRequest{Region: &region, AsOf: store.AsOfLatest})
+				if err != nil {
+					t.Fatalf("router query %v: %v", region, err)
+				}
+				for _, strat := range []store.Strategy{store.StrategyAuto, store.StrategyScan} {
+					want, _, err := local.Query(ctx, store.QueryRequest{Region: &region, AsOf: store.AsOfLatest, Strategy: strat})
 					if err != nil {
 						t.Fatalf("local query %v/%v: %v", region, strat, err)
-					}
-					got, _, err := router.Query(ctx, req)
-					if err != nil {
-						t.Fatalf("router query %v/%v: %v", region, strat, err)
 					}
 					if !reflect.DeepEqual(got.Coords.Flat(), want.Coords.Flat()) ||
 						!reflect.DeepEqual(got.Values, want.Values) {
@@ -656,7 +654,7 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 				if !errors.Is(lerr, store.ErrShapeMismatch) || !errors.Is(rerr, store.ErrShapeMismatch) {
 					t.Fatalf("delete %v: router %v, local %v, want ErrShapeMismatch from both", del, rerr, lerr)
 				}
-				req := store.QueryRequest{Region: &regions[0], AsOf: store.AsOfLatest, Strategy: store.StrategyScan}
+				req := store.QueryRequest{Region: &regions[0], AsOf: store.AsOfLatest}
 				want, _, err := local.Query(ctx, req)
 				if err != nil {
 					t.Fatal(err)
@@ -883,7 +881,7 @@ func TestConcurrentHammerChunkedBackend(t *testing.T) {
 		}
 	}
 	whole := tensor.Region{Start: []uint64{0, 0}, Size: shape}
-	res, _, err := cl.Query(ctx, store.QueryRequest{Region: &whole, AsOf: store.AsOfLatest, Strategy: store.StrategyScan})
+	res, _, err := cl.Query(ctx, store.QueryRequest{Region: &whole, AsOf: store.AsOfLatest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1000,16 +998,20 @@ func TestRouterMatchesLocalChunked4D(t *testing.T) {
 
 // randomPoints draws n distinct coordinates in shape with values.
 func randomPoints(rng *rand.Rand, shape tensor.Shape, n int) (*tensor.Coords, []float64) {
-	seen := map[[2]uint64]bool{}
+	seen := map[string]bool{}
 	coords := tensor.NewCoords(len(shape), n)
 	var values []float64
+	p := make([]uint64, len(shape))
 	for len(values) < n {
-		p := [2]uint64{rng.Uint64() % shape[0], rng.Uint64() % shape[1]}
-		if seen[p] {
+		for d, extent := range shape {
+			p[d] = rng.Uint64() % extent
+		}
+		key := fmt.Sprint(p)
+		if seen[key] {
 			continue
 		}
-		seen[p] = true
-		coords.Append(p[0], p[1])
+		seen[key] = true
+		coords.Append(p...)
 		values = append(values, float64(rng.Intn(1000))/8)
 	}
 	return coords, values

@@ -118,7 +118,6 @@ func checkTracedRequests(t *testing.T, reg *obs.Registry, st tracedTarget) {
 	reqs := []store.QueryRequest{
 		{Region: &region, AsOf: store.AsOfLatest},
 		{Region: &region, AsOf: store.AsOfLatest, Strategy: store.StrategyScan},
-		{Region: &region, AsOf: store.AsOfLatest, Strategy: store.StrategyAuto},
 		{Probe: region.Coords(), AsOf: store.AsOfLatest},
 	}
 	for i, req := range reqs {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -108,8 +109,9 @@ func TestKernelValidationOneWord(t *testing.T) {
 
 // TestTrailingBytesRefused: a request of any type whose payload runs
 // past its message is refused as a bad request, not half-read, and the
-// connection keeps serving. So is a Query or Kernel framed by an older
-// peer that still sent a fragment worker count.
+// connection keeps serving. So is a Query framed by an older peer that
+// still sent a strategy byte, and a Query or Kernel framed by one that
+// still sent a fragment worker count.
 func TestTrailingBytesRefused(t *testing.T) {
 	st, err := store.Create(fsim.NewPerlmutterSim(), "s", core.COO, tensor.Shape{4, 4})
 	if err != nil {
@@ -130,11 +132,16 @@ func TestTrailingBytesRefused(t *testing.T) {
 	region := tensor.Region{Start: []uint64{0, 0}, Size: []uint64{4, 4}}
 	query := (&wire.Query{Req: store.QueryRequest{Probe: probe, AsOf: store.AsOfLatest}}).Encode()
 	kernel := (&wire.Kernel{Req: store.KernelRequest{Op: store.KernelLiveNNZ}}).Encode()
+	// Peers from before the wire dropped the strategy byte framed it
+	// after the deadline, flags and as-of; older ones followed it with
+	// a fragment worker count.
+	withStrategy := func(p []byte) []byte { return slices.Insert(slices.Clone(p), 8+1+8, 0) }
 	withWorkers := func(p []byte, off int) []byte {
 		out := append([]byte(nil), p[:off]...)
 		out = binary.LittleEndian.AppendUint64(out, 4)
 		return append(out, p[off:]...)
 	}
+	regionQuery := (&wire.Query{Req: store.QueryRequest{Region: &region, AsOf: store.AsOfLatest}}).Encode()
 	frames := []struct {
 		name    string
 		typ     uint8
@@ -147,7 +154,9 @@ func TestTrailingBytesRefused(t *testing.T) {
 		{"info", wire.MsgInfo, append(wire.EncodeDeadline(0), 0)},
 		{"obs", wire.MsgObs, append(wire.EncodeDeadline(0), 0)},
 		{"ping", wire.MsgPing, append(wire.EncodeDeadline(0), 0)},
-		{"query with a worker count", wire.MsgQuery, withWorkers(query, 8+1+8+1)},
+		{"probe query with a strategy byte", wire.MsgQuery, withStrategy(query)},
+		{"region query with a strategy byte", wire.MsgQuery, withStrategy(regionQuery)},
+		{"query with a worker count", wire.MsgQuery, withWorkers(withStrategy(query), 8+1+8+1)},
 		{"kernel with a worker count", wire.MsgKernel, withWorkers(kernel, 8+1+8)},
 	}
 	for i, f := range frames {

@@ -29,7 +29,7 @@ func TestReadRegionAutoMatchesBothStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := readRegion(st, region, StrategyDefault)
+			want, _, err := readProbe(st, region.Coords())
 			if err != nil {
 				t.Fatal(err)
 			}

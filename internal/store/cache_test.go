@@ -156,7 +156,7 @@ func TestColdReadOpensOnlyOverlappingFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.ResetStats()
-	res, rep, err := readRegion(st, region, StrategyDefault)
+	res, rep, err := readProbe(st, region.Coords())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestColdReadOpensOnlyOverlappingFragments(t *testing.T) {
 	// Warm repeat: both fragments are cache-resident, so the identical
 	// read answers with zero file-system traffic of any kind.
 	fs.ResetStats()
-	res2, _, err := readRegion(st, region, StrategyDefault)
+	res2, _, err := readProbe(st, region.Coords())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,11 +76,11 @@ func TestChunkedWriteBatchMatchesSerialWrites(t *testing.T) {
 					t.Fatalf("%s differs: %d vs %d bytes", n, len(da), len(db))
 				}
 			}
-			resA, _, err := readRegion(a, region, StrategyDefault)
+			resA, _, err := readProbe(a, region.Coords())
 			if err != nil {
 				t.Fatal(err)
 			}
-			resB, _, err := readRegion(b, region, StrategyDefault)
+			resB, _, err := readProbe(b, region.Coords())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestChunkedSharedCacheBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := readRegion(st, region, StrategyDefault); err != nil {
+				if _, _, err := readProbe(st, region.Coords()); err != nil {
 					t.Fatal(err)
 				}
 				if got, budget := shared.SizeBytes(), shared.Budget(); got > budget {

@@ -95,7 +95,7 @@ func TestQueryContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	region := tensor.Region{Start: []uint64{0, 0}, Size: []uint64{10, 10}}
-	for _, strat := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
+	for _, strat := range []Strategy{StrategyScan, StrategyAuto} {
 		_, _, err := st.Query(ctx, QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: strat})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("strategy %v: err = %v, want context.Canceled", strat, err)

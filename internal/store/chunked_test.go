@@ -13,13 +13,14 @@ import (
 )
 
 // TestChunkedMatchesFlatStore: a chunked store answers a region read
-// and a KernelSumRegion exactly as a flat store of the same data does,
-// under every strategy, for every paper organization under every store
-// configuration (storeConfigs) — the options are forwarded to each
-// tile, the cache budget to the one cache the tiles share. Besides an
-// interior window, the windows include the edge cases a request may
-// carry: a zero extent (no cell), an extent that wraps past MaxUint64
-// and one that reaches past the shape (both clip to the shape's edge).
+// (planned, scanned, or as a probe list of its cells) and a
+// KernelSumRegion exactly as a flat store of the same data does, for
+// every paper organization under every store configuration
+// (storeConfigs) — the options are forwarded to each tile, the cache
+// budget to the one cache the tiles share. Besides an interior window,
+// the windows include the edge cases a request may carry: a zero extent
+// (no cell), an extent that wraps past MaxUint64 and one that reaches
+// past the shape (both clip to the shape's edge).
 func TestChunkedMatchesFlatStore(t *testing.T) {
 	eachStoreConfig(t, testChunkedMatchesFlatStore)
 }
@@ -57,18 +58,25 @@ func testChunkedMatchesFlatStore(t *testing.T, opts []Option) {
 			same := func(when string) {
 				t.Helper()
 				for _, w := range windows {
-					for _, strategy := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
-						fres, _, err := readRegion(flat, w, strategy)
+					reqs := map[string]QueryRequest{
+						"planned": {Region: &w, AsOf: AsOfLatest},
+						"scan":    {Region: &w, AsOf: AsOfLatest, Strategy: StrategyScan},
+					}
+					if cells, ok := (Tiling{Shape: shape, Tile: shape}).Clip(w, make([]uint64, 2)); ok {
+						reqs["cell probe"] = QueryRequest{Probe: cells.Coords(), AsOf: AsOfLatest}
+					}
+					for name, req := range reqs {
+						fres, _, err := flat.Query(context.Background(), req)
 						if err != nil {
-							t.Fatalf("%s: flat %v read of %v: %v", when, strategy, w, err)
+							t.Fatalf("%s: flat %s read of %v: %v", when, name, w, err)
 						}
-						cres, _, err := readRegion(chunked, w, strategy)
+						cres, _, err := chunked.Query(context.Background(), req)
 						if err != nil {
-							t.Fatalf("%s: chunked %v read of %v: %v", when, strategy, w, err)
+							t.Fatalf("%s: chunked %s read of %v: %v", when, name, w, err)
 						}
 						if !sameResult(fres, cres) {
-							t.Fatalf("%s: %v read of %v: flat read %d points, chunked %d, or values differ",
-								when, strategy, w, fres.Coords.Len(), cres.Coords.Len())
+							t.Fatalf("%s: %s read of %v: flat read %d points, chunked %d, or values differ",
+								when, name, w, fres.Coords.Len(), cres.Coords.Len())
 						}
 					}
 					req := KernelRequest{Op: KernelSumRegion, Region: &w}

@@ -83,7 +83,7 @@ func TestDuplicateInBatchLastWins(t *testing.T) {
 				check("scan", res, err)
 				res, _, err = readRegion(st.q, window, StrategyAuto)
 				check("auto", res, err)
-				res, _, err = readRegion(st.q, window, StrategyDefault)
+				res, _, err = readProbe(st.q, window.Coords())
 				check("region probe", res, err)
 				if sum, err := st.sum(window); err != nil || sum != 3 {
 					t.Errorf("kernel sums the window to %v (%v), want 3", sum, err)

@@ -242,7 +242,7 @@ func testConcurrentHammer(t *testing.T, opts []Option) {
 							switch iter % 5 {
 							case 2:
 								op = "ReadRegion"
-								res, rep, err = readRegion(st, region, StrategyDefault)
+								res, rep, err = readProbe(st, region.Coords())
 							case 3:
 								op = "ReadRegionScan"
 								res, rep, err = readRegion(st, region, StrategyScan)
@@ -278,7 +278,7 @@ func testConcurrentHammer(t *testing.T, opts []Option) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, rep, err := readRegion(st, full, StrategyDefault)
+			res, rep, err := readProbe(st, full.Coords())
 			if err != nil {
 				t.Fatal(err)
 			}

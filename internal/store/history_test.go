@@ -119,7 +119,7 @@ func TestRandomizedHistoryAgainstModel(t *testing.T) {
 			if _, err := st.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			res, _, err := readRegion(st, full, StrategyDefault)
+			res, _, err := readProbe(st, full.Coords())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,11 +47,12 @@ func requireOracle(t *testing.T, label string, lin *tensor.Linearizer, res *Resu
 
 // TestDifferentialReadOracle is the acceptance property of the one READ
 // loop over its whole input space: Strategy × {probe, as-of probe,
-// region}, under every store configuration (storeConfigs), across all
-// organization kinds, over a store with overwrites, tombstones, a
-// checkpoint, and a replayed log suffix. Every valid combination must
-// return exactly the map oracle's cells — hence byte-identical results
-// across strategies and configurations.
+// region, the probe list of a region's cells}, under every store
+// configuration (storeConfigs), across all organization kinds, over a
+// store with overwrites, tombstones, a checkpoint, and a replayed log
+// suffix. Every valid combination must return exactly the map oracle's
+// cells — hence byte-identical results across strategies and
+// configurations.
 func TestDifferentialReadOracle(t *testing.T) {
 	eachStoreConfig(t, testDifferentialReadOracle)
 }
@@ -178,17 +179,19 @@ func testDifferentialReadOracle(t *testing.T, opts []Option) {
 						want[a] = v
 					}
 				}
-				targets = append(targets, target{fmt.Sprintf("region%v", rg), QueryRequest{Region: &region, AsOf: AsOfLatest}, want})
+				targets = append(targets,
+					target{fmt.Sprintf("region%v", rg), QueryRequest{Region: &region, AsOf: AsOfLatest}, want},
+					target{fmt.Sprintf("window%v", rg), QueryRequest{Probe: region.Coords(), AsOf: AsOfLatest}, want})
 			}
 
 			for _, tg := range targets {
-				for _, strategy := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
+				for _, strategy := range []Strategy{StrategyAuto, StrategyScan} {
 					for hi, handle := range handles {
 						req := tg.req
 						req.Strategy = strategy
 						label := fmt.Sprintf("%s/%v/reopened=%v", tg.name, strategy, hi == 1)
 						res, _, err := handle.Query(context.Background(), req)
-						if req.Probe != nil && strategy != StrategyDefault {
+						if req.Probe != nil && strategy != StrategyAuto {
 							if !errors.Is(err, ErrBadRequest) {
 								t.Fatalf("%s: err = %v, want ErrBadRequest", label, err)
 							}

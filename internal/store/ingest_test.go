@@ -81,11 +81,11 @@ func TestWriteBatchMatchesSerialWrites(t *testing.T) {
 						t.Fatalf("%s differs: %d vs %d bytes", n, len(da), len(db))
 					}
 				}
-				resA, _, err := readRegion(a, region, StrategyDefault)
+				resA, _, err := readProbe(a, region.Coords())
 				if err != nil {
 					t.Fatal(err)
 				}
-				resB, _, err := readRegion(b, region, StrategyDefault)
+				resB, _, err := readProbe(b, region.Coords())
 				if err != nil {
 					t.Fatal(err)
 				}

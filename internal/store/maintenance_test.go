@@ -217,7 +217,7 @@ func TestReadRegionScanMatchesProbeRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			probe, prep, err := readRegion(st, region, StrategyDefault)
+			probe, prep, err := readProbe(st, region.Coords())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -249,7 +249,7 @@ func requireStoreMatchesOracle(t *testing.T, st *Store, oracle map[uint64]float6
 	}
 	requireOracle(t, "all-cells probe", st.lin, res, oracle)
 	whole := tensor.Region{Start: []uint64{0, 0}, Size: shape}
-	for _, strategy := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
+	for _, strategy := range []Strategy{StrategyScan, StrategyAuto} {
 		res, _, err := readRegion(st, whole, strategy)
 		if err != nil {
 			t.Fatal(err)

@@ -104,7 +104,7 @@ func TestMergeHitsMatchesComparisonMerge(t *testing.T) {
 			for _, pl := range []readPlan{
 				st.scanPlan(nil),
 				st.scanPlan(&window),
-				st.planRead(QueryRequest{Region: &window, Strategy: StrategyDefault}),
+				st.planRead(QueryRequest{Probe: window.Coords()}),
 				st.planRead(QueryRequest{Region: &whole, Strategy: StrategyAuto}),
 			} {
 				acc := &readAcc{}

@@ -98,7 +98,7 @@ func TestReadsDoNotBlockOnWriterLock(t *testing.T) {
 	st.writeMu.Lock() // a writer (or compaction) is mid-mutation
 	done := make(chan error, 1)
 	go func() {
-		res, _, err := readRegion(st, region, StrategyDefault)
+		res, _, err := readProbe(st, region.Coords())
 		if err == nil && res.Coords.Len() != 20 {
 			err = errors.New("read under writer lock returned wrong contents")
 		}
@@ -166,7 +166,7 @@ func TestNoMixedEpochReads(t *testing.T) {
 					return
 				default:
 				}
-				res, rep, err := readRegion(st, region, StrategyDefault)
+				res, rep, err := readProbe(st, region.Coords())
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return

@@ -13,11 +13,11 @@ import (
 )
 
 // This file is the store's request surface, the only way to read: a
-// read varies in which target it takes (probe list or region), which
-// strategy executes it (probe every cell, scan fragments, or the Table
-// I cost model), and which version bound applies. QueryRequest carries those axes as one serializable
-// value — the exact struct the wire protocol (internal/wire) carries —
-// and Query threads a context.Context through the fragment loop
+// read varies in which target it takes (probe list or region) and
+// which version bound applies; a region read is planned per fragment
+// by the Table I cost model. QueryRequest carries those axes as one
+// value — the struct the wire protocol (internal/wire) carries — and
+// Query threads a context.Context through the fragment loop
 // (Store.read) so a server-side deadline stops in-store work instead
 // of letting it run to completion.
 
@@ -37,33 +37,29 @@ var (
 	ErrShapeMismatch = errors.New("shape mismatch")
 )
 
-// Strategy selects how a region query executes. Probe-every-cell is
-// the paper's benchmark form; scan enumerates each fragment's stored
-// points; auto applies the Table I cost model per fragment.
+// Strategy selects how a region read executes. The zero value plans:
+// the Table I cost model picks probe or scan per fragment. The paper's
+// probe-every-cell form is a probe list of the window's cells,
+// QueryRequest{Probe: region.Coords()}.
 type Strategy uint8
 
 const (
-	// StrategyDefault probes every region cell (or the given probe
-	// list) with the organization's point-read algorithm.
-	StrategyDefault Strategy = iota
-	// StrategyScan enumerates each overlapping fragment's stored
-	// points and filters by region containment (region targets only).
-	StrategyScan
 	// StrategyAuto chooses probe or scan per fragment by the Table I
-	// complexity model (region targets only).
-	StrategyAuto
+	// complexity model.
+	StrategyAuto Strategy = iota
+	// StrategyScan forces a scan of each overlapping fragment's stored
+	// points, filtered by region containment (region targets only).
+	StrategyScan
 	strategyEnd // sentinel for validation; keep last
 )
 
 // String names the strategy for logs and metric labels.
 func (st Strategy) String() string {
 	switch st {
-	case StrategyDefault:
-		return "probe"
-	case StrategyScan:
-		return "scan"
 	case StrategyAuto:
 		return "auto"
+	case StrategyScan:
+		return "scan"
 	default:
 		return fmt.Sprintf("strategy(%d)", uint8(st))
 	}
@@ -74,10 +70,8 @@ func (st Strategy) String() string {
 const AsOfLatest = -1
 
 // QueryRequest describes one read. Exactly one of Probe or Region must
-// be set. The zero value of the remaining fields means "latest
-// version, default strategy, serial execution" — note AsOf zero is the
-// empty store, so callers wanting the current state must set
-// AsOfLatest.
+// be set. A zero Strategy plans the read; a zero AsOf is the empty
+// store, so callers wanting the current state set AsOfLatest.
 type QueryRequest struct {
 	// Probe lists exact points to look up.
 	Probe *tensor.Coords
@@ -87,7 +81,8 @@ type QueryRequest struct {
 	// fragments (0 = empty store, Fragments() = everything);
 	// AsOfLatest follows the live head. Probe targets only.
 	AsOf int64
-	// Strategy picks the region execution mode; see Strategy.
+	// Strategy forces a region read's execution; zero plans it. See
+	// Strategy.
 	Strategy Strategy
 }
 
@@ -102,7 +97,7 @@ func (req *QueryRequest) Validate(dims int) error {
 	if req.Strategy >= strategyEnd {
 		return fmt.Errorf("store: %w: unknown strategy %d", ErrBadRequest, req.Strategy)
 	}
-	if req.Probe != nil && req.Strategy != StrategyDefault {
+	if req.Probe != nil && req.Strategy != StrategyAuto {
 		return fmt.Errorf("store: %w: strategy %v needs a region target", ErrBadRequest, req.Strategy)
 	}
 	if req.AsOf < AsOfLatest {

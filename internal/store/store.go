@@ -598,10 +598,10 @@ type ReadReport struct {
 	Probe     time.Duration // organization-specific existence queries
 	Merge     time.Duration // sorting results by linear address
 	Fragments int           // fragments overlapping the query
-	Probed    int           // points probed (n_read × overlapping fragments)
+	Probed    int           // points looked up, plus stored points a scan visited in the window
 	Found     int
-	// Scans counts fragments answered by scan mode (StrategyScan always;
-	// StrategyAuto when the cost model preferred scanning).
+	// Scans counts fragments answered by scan: every fragment under
+	// StrategyScan, those the cost model sent to scan otherwise.
 	Scans int
 	// Epoch is the manifest epoch this read pinned: the snapshot it
 	// executed against. Concurrent mutations never change a pinned
@@ -668,14 +668,13 @@ type hit struct {
 
 // readPlan is everything that differs between reads, as data: the
 // target's bounding box, which filter predicate dismisses a fragment,
-// and how a fetched fragment is extracted. A point read (and a
-// StrategyDefault region read, whose cells are its probe list) looks
-// every probe point up; StrategyScan walks the fragment's stored points
-// inside the region; StrategyAuto picks one of the two per fragment;
-// an export, with neither probe nor region, walks every stored point.
+// and how a fetched fragment is extracted. A probe read looks every
+// probe point up; a region read picks lookup or scan per fragment
+// (StrategyScan forces the scan); an export, with neither probe nor
+// region, walks every stored point.
 type readPlan struct {
 	box    tensor.BBox
-	probe  *tensor.Coords // points to look up; under StrategyAuto nil until a fragment probes
+	probe  *tensor.Coords // points to look up; for a region read, nil until a fragment probes
 	region *tensor.Region // window to scan; nil for lookup-only reads and exports
 	auto   bool           // choose lookup or scan per fragment by preferScan
 	vol    uint64         // region volume: preferScan's n_read
@@ -701,16 +700,10 @@ func (s *Store) planRead(req QueryRequest) (pl readPlan) {
 	if !ok {
 		return s.readsNothing()
 	}
-	pl.box = region.BBox()
-	if req.Strategy == StrategyScan {
-		pl.region = region
-		return pl
-	}
-	pl.vol, _ = region.Volume() // a window of a shape whose volume fits
+	pl.box, pl.region = region.BBox(), region
 	if req.Strategy == StrategyAuto {
-		pl.region, pl.auto = region, true
-	} else {
-		pl.probe = region.Coords()
+		pl.vol, _ = region.Volume() // a window of a shape whose volume fits
+		pl.auto = true
 	}
 	return pl
 }

@@ -93,7 +93,7 @@ func TestWriteReadAllKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, rrep, err := readRegion(st, region, StrategyDefault)
+			res, rrep, err := readProbe(st, region.Coords())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +198,7 @@ func TestEmptyProbeAndEmptyStore(t *testing.T) {
 		t.Fatalf("empty probe: %v %v %v", res, rep, err)
 	}
 	region, _ := tensor.NewRegion(shape, []uint64{0, 0}, []uint64{4, 4})
-	res, _, err = readRegion(st, region, StrategyDefault)
+	res, _, err = readProbe(st, region.Coords())
 	if err != nil || res.Coords.Len() != 0 {
 		t.Fatalf("empty store read: %d found, err %v", res.Coords.Len(), err)
 	}
@@ -440,7 +440,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, _, err := readRegion(st, region, StrategyDefault)
+				res, _, err := readProbe(st, region.Coords())
 				if err != nil {
 					t.Fatal(err)
 				}

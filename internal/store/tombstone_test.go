@@ -70,7 +70,7 @@ func TestDeleteRegionAcrossKinds(t *testing.T) {
 			st := tombstoneFixture(t, kind)
 			region, _ := tensor.NewRegion(st.Shape(), []uint64{0, 0}, []uint64{8, 8})
 
-			res, _, err := readRegion(st, region, StrategyDefault)
+			res, _, err := readProbe(st, region.Coords())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +152,7 @@ func TestCompactFoldsTombstones(t *testing.T) {
 		t.Fatalf("compact report: %+v", rep)
 	}
 	region, _ := tensor.NewRegion(st.Shape(), []uint64{0, 0}, []uint64{8, 8})
-	res, _, err := readRegion(st, region, StrategyDefault)
+	res, _, err := readProbe(st, region.Coords())
 	if err != nil {
 		t.Fatal(err)
 	}

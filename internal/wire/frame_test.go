@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -129,9 +130,9 @@ func TestHostileCountsAllocateNothing(t *testing.T) {
 	wrap := buf.NewWriter(64)
 	(&Query{Req: store.QueryRequest{Probe: mustCoords(t, 2, 1, 2)}}).AppendTo(wrap)
 	hostile := append([]byte(nil), wrap.Bytes()...)
-	// The probe's count sits after deadline, flags, as-of, strategy
-	// and dims: 1<<63 two-dim points make n*dims wrap to 0.
-	binary.LittleEndian.PutUint64(hostile[8+1+8+1+2:], 1<<63)
+	// The probe's count sits after deadline, flags, as-of and dims:
+	// 1<<63 two-dim points make n*dims wrap to 0.
+	binary.LittleEndian.PutUint64(hostile[8+1+8+2:], 1<<63)
 	cases := []struct {
 		name   string
 		decode func() error
@@ -253,7 +254,8 @@ func codecSeeds(t testing.TB) map[string][]byte {
 // TestDecodersRefuseTrailingBytes: every decoder reads its payload to
 // the end, so a well-formed payload with one more byte is refused as
 // ErrTrailing — and so is a request framed by an older peer that still
-// sent a fragment worker count in Query and Kernel.
+// sent a fragment worker count in Query and Kernel, or a strategy byte
+// in Query.
 func TestDecodersRefuseTrailingBytes(t *testing.T) {
 	seeds := codecSeeds(t)
 	for _, c := range codecs {
@@ -282,14 +284,23 @@ func TestDecodersRefuseTrailingBytes(t *testing.T) {
 			t.Errorf("%s plus one byte: err = %v, want buf.ErrTrailing", name, err)
 		}
 	}
+	probe := &Query{Req: store.QueryRequest{Probe: mustCoords(t, 2, 1, 2), AsOf: store.AsOfLatest}}
 	for _, stale := range [][]byte{
-		staleQuery(&Query{Req: store.QueryRequest{Probe: mustCoords(t, 2, 1, 2), AsOf: store.AsOfLatest}}, 0),
-		staleQuery(&Query{Req: store.QueryRequest{Probe: mustCoords(t, 2, 1, 2), AsOf: store.AsOfLatest}}, 4),
+		staleQuery(probe, 0),
+		staleQuery(probe, 4),
 		staleKernel(&Kernel{Req: store.KernelRequest{Op: store.KernelLiveNNZ}}, 0),
 		staleKernel(&Kernel{Req: store.KernelRequest{Op: store.KernelTTV, Mode: 1, Vec: []float64{1, 2}}}, 4),
 	} {
 		if decoders["query"](stale) == nil && decoders["kernel"](stale) == nil {
 			t.Errorf("a request carrying a worker count decoded: %x", stale)
+		}
+	}
+	region := &Query{Req: store.QueryRequest{Region: &tensor.Region{Start: []uint64{1, 2}, Size: []uint64{3, 4}}, AsOf: store.AsOfLatest}}
+	for _, q := range []*Query{probe, region} {
+		for _, strategy := range []uint8{0, 1, 2} {
+			if stale := withStrategy(q.Encode(), strategy); decoders["query"](stale) == nil {
+				t.Errorf("a query carrying strategy byte %d decoded: %x", strategy, stale)
+			}
 		}
 	}
 }
@@ -317,10 +328,17 @@ func withWorkers(payload []byte, off int, workers uint64) []byte {
 	return append(out, payload[off:]...)
 }
 
+// withStrategy is a query payload with a strategy byte after the
+// deadline, flags and as-of: the request layout of peers from before
+// the wire stopped carrying a strategy.
+func withStrategy(payload []byte, strategy uint8) []byte {
+	return slices.Insert(slices.Clone(payload), 8+1+8, strategy)
+}
+
 // staleQuery is q as an older peer framed it: the worker count followed
 // the deadline, flags, as-of and strategy.
 func staleQuery(q *Query, workers uint64) []byte {
-	return withWorkers(q.Encode(), 8+1+8+1, workers)
+	return withWorkers(withStrategy(q.Encode(), 0), 8+1+8+1, workers)
 }
 
 // staleKernel is k as an older peer framed it: the worker count
@@ -341,6 +359,9 @@ func FuzzDecoders(f *testing.F) {
 		f.Add(uint8(i), seeds[c.name])
 		f.Add(uint8(i), append(seeds[c.name], 0))
 		f.Add(uint8(i), []byte{})
+		if c.name == "query" {
+			f.Add(uint8(i), withStrategy(seeds[c.name], 0))
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
 		c := codecs[int(which)%len(codecs)]

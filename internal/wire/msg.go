@@ -74,8 +74,9 @@ func getRegion(r *buf.Reader) (tensor.Region, error) {
 	return tensor.Region{Start: start, Size: size}, nil
 }
 
-// Query is the MsgQuery request: a deadline and the exact
-// store.QueryRequest the server executes.
+// Query is the MsgQuery request: a deadline and the store.QueryRequest
+// the server executes. It carries no strategy: a served region read is
+// always planned.
 type Query struct {
 	Deadline time.Duration // relative; 0 = none
 	Req      store.QueryRequest
@@ -106,7 +107,6 @@ func (q *Query) AppendTo(w *buf.Writer) {
 	}
 	w.U8(flags)
 	w.U64(uint64(q.Req.AsOf))
-	w.U8(uint8(q.Req.Strategy))
 	if q.Req.Probe != nil {
 		putCoords(w, q.Req.Probe)
 	}
@@ -121,7 +121,6 @@ func DecodeQuery(payload []byte) (*Query, error) {
 	q := &Query{Deadline: time.Duration(r.U64())}
 	flags := r.U8()
 	q.Req.AsOf = int64(r.U64())
-	q.Req.Strategy = store.Strategy(r.U8())
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("wire: bad query payload: %w", err)
 	}

@@ -112,22 +112,32 @@ func mustCoords(t testing.TB, dims int, flat ...uint64) *tensor.Coords {
 	return c
 }
 
+// TestQueryRoundTrip pins MsgQuery's layout as well as its round trip:
+// a u64 deadline, the flags byte and the u64 as-of, then the target —
+// no strategy byte, so the server plans every region read.
 func TestQueryRoundTrip(t *testing.T) {
 	reg := tensor.Region{Start: []uint64{5, 6}, Size: []uint64{10, 20}}
-	cases := []Query{
-		{Deadline: 250 * time.Millisecond, Req: store.QueryRequest{
-			Probe: mustCoords(t, 2, 1, 2, 3, 4), AsOf: store.AsOfLatest}},
-		{Req: store.QueryRequest{Region: &reg, AsOf: store.AsOfLatest,
-			Strategy: store.StrategyAuto}},
-		{Req: store.QueryRequest{Probe: mustCoords(t, 3, 0, 0, 0), AsOf: 7}},
+	const header = 8 + 1 + 8
+	cases := []struct {
+		q    Query
+		size int
+	}{
+		{Query{Deadline: 250 * time.Millisecond, Req: store.QueryRequest{
+			Probe: mustCoords(t, 2, 1, 2, 3, 4), AsOf: store.AsOfLatest}}, header + 2 + 8 + 4*8},
+		{Query{Req: store.QueryRequest{Region: &reg, AsOf: store.AsOfLatest}}, header + 2 + 2*2*8},
+		{Query{Req: store.QueryRequest{Probe: mustCoords(t, 3, 0, 0, 0), AsOf: 7}}, header + 2 + 8 + 3*8},
 	}
-	for i, q := range cases {
-		got, err := DecodeQuery(q.Encode())
+	for i, c := range cases {
+		q, enc := c.q, c.q.Encode()
+		if len(enc) != c.size {
+			t.Fatalf("case %d: %d payload bytes, want %d", i, len(enc), c.size)
+		}
+		got, err := DecodeQuery(enc)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if got.Deadline != q.Deadline || got.Req.AsOf != q.Req.AsOf ||
-			got.Req.Strategy != q.Req.Strategy {
+			got.Req.Strategy != store.StrategyAuto {
 			t.Fatalf("case %d: scalar mismatch: %+v", i, got)
 		}
 		if (got.Req.Probe == nil) != (q.Req.Probe == nil) {

@@ -1,6 +1,6 @@
 // Command checkdocs checks that the code the documentation names
 // exists. In README.md, DESIGN.md and docs/*.md it reads every
-// backticked span outside fenced code blocks and resolves three kinds of
+// backticked span outside fenced code blocks and resolves four kinds of
 // reference against the module's Go source, parsed with go/parser:
 //
 //   - a span that starts with a test, benchmark, example or fuzz
@@ -10,7 +10,12 @@
 //     package declares;
 //   - a span ending in .go is a file of the repository, as a path from
 //     its root: a bare file name is a file of the root package, never
-//     one of that name in some other directory.
+//     one of that name in some other directory;
+//   - `Type.Member`, where Type is a type some package declares, names
+//     a method, interface method or field of a type of that name — its
+//     own, an embedded type's, or an alias target's. A span whose first
+//     part is not a declared type (`MANIFEST.LOG`, `store.Tiling`) is
+//     not a reference.
 //
 // EXPERIMENTS.md is a record of past measurements and is not checked.
 // Run it from the module root (scripts/ci.sh does):
@@ -44,6 +49,8 @@ var (
 	pkgName = regexp.MustCompile(`^(internal(?:/\w+)+)\.([A-Za-z_]\w*)`)
 	// goFile is a span that names a Go file.
 	goFile = regexp.MustCompile(`^[\w./*-]+\.go$`)
+	// typeMember is `Type.Member`, perhaps followed by more.
+	typeMember = regexp.MustCompile(`^([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\W|$)`)
 	// codeSpan is one backticked span; it may wrap a line.
 	codeSpan = regexp.MustCompile("`([^`]+)`")
 )
@@ -53,6 +60,11 @@ type tree struct {
 	tests map[string]bool            // test-file function names
 	decls map[string]map[string]bool // package directory → functions, methods, types
 	files map[string]bool            // .go paths from the root
+	// members maps a type name, in any package, to its methods, fields
+	// and interface methods; embeds maps it to the names of the types
+	// it embeds or aliases, whose members it has too.
+	members map[string]map[string]bool
+	embeds  map[string][]string
 }
 
 func main() {
@@ -148,16 +160,90 @@ func (t *tree) resolve(s string) (ok, checked bool) {
 	case pkgName.MatchString(s):
 		m := pkgName.FindStringSubmatch(s)
 		return t.decls[m[1]][m[2]], true
+	case typeMember.MatchString(s):
+		m := typeMember.FindStringSubmatch(s)
+		if _, declared := t.members[m[1]]; !declared {
+			return false, false
+		}
+		return t.hasMember(m[1], m[2], map[string]bool{}), true
 	}
 	return false, false
+}
+
+// hasMember reports whether a type named typ, or a type it embeds or
+// aliases, has a member named member.
+func (t *tree) hasMember(typ, member string, seen map[string]bool) bool {
+	if seen[typ] {
+		return false
+	}
+	seen[typ] = true
+	if t.members[typ][member] {
+		return true
+	}
+	for _, e := range t.embeds[typ] {
+		if t.hasMember(e, member, seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// typeName is the name of the type an expression denotes, through
+// pointers, package qualifiers and type arguments; "" if it has none.
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.IndexExpr:
+		return typeName(e.X)
+	case *ast.IndexListExpr:
+		return typeName(e.X)
+	}
+	return ""
+}
+
+// addType records a type declaration's members and embedded types.
+func (t *tree) addType(ts *ast.TypeSpec) {
+	name := ts.Name.Name
+	if t.members[name] == nil {
+		t.members[name] = map[string]bool{}
+	}
+	var fields *ast.FieldList
+	switch typ := ts.Type.(type) {
+	case *ast.StructType:
+		fields = typ.Fields
+	case *ast.InterfaceType:
+		fields = typ.Methods
+	default:
+		if ts.Assign.IsValid() {
+			t.embeds[name] = append(t.embeds[name], typeName(typ))
+		}
+		return
+	}
+	for _, f := range fields.List {
+		if len(f.Names) == 0 { // embedded: its name is a field, its members promote
+			e := typeName(f.Type)
+			t.members[name][e] = true
+			t.embeds[name] = append(t.embeds[name], e)
+		}
+		for _, n := range f.Names {
+			t.members[name][n.Name] = true
+		}
+	}
 }
 
 // parseTree parses every Go file under root.
 func parseTree(root string) (*tree, error) {
 	t := &tree{
-		tests: map[string]bool{},
-		decls: map[string]map[string]bool{},
-		files: map[string]bool{},
+		tests:   map[string]bool{},
+		decls:   map[string]map[string]bool{},
+		files:   map[string]bool{},
+		members: map[string]map[string]bool{},
+		embeds:  map[string][]string{},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -191,10 +277,18 @@ func parseTree(root string) (*tree, error) {
 				if decl.Recv == nil && strings.HasSuffix(name, "_test.go") {
 					t.tests[decl.Name.Name] = true
 				}
+				if decl.Recv != nil {
+					recv := typeName(decl.Recv.List[0].Type)
+					if t.members[recv] == nil {
+						t.members[recv] = map[string]bool{}
+					}
+					t.members[recv][decl.Name.Name] = true
+				}
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
 					if ts, ok := spec.(*ast.TypeSpec); ok {
 						t.decls[dir][ts.Name.Name] = true
+						t.addType(ts)
 					}
 				}
 			}

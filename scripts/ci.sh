@@ -47,7 +47,7 @@ go run ./scripts/checkdocs
 # DESIGN.md describes HEAD, one section per layer; history lives in
 # CHANGES.md. Its size may only fall: a change that rewrites its layers'
 # sections to HEAD lowers DESIGN_MAX_BYTES to the new size.
-DESIGN_MAX_BYTES=77954
+DESIGN_MAX_BYTES=77916
 design_bytes=$(wc -c < DESIGN.md)
 echo "DESIGN.md: $design_bytes bytes (ceiling $DESIGN_MAX_BYTES)"
 if [ "$design_bytes" -gt "$DESIGN_MAX_BYTES" ]; then
@@ -111,10 +111,15 @@ fi
 # never the tile's public Query or Kernel, so a request is validated,
 # spanned and slow-logged once; and each number the paper reproduction
 # records is measured once, by internal/bench under sparsebench, so the
-# root package carries no testing.B twin of a table, figure or ablation.
+# root package carries no testing.B twin of a table, figure or ablation;
+# and every region read is planned — the zero Strategy runs Table I's
+# planner and the paper's probe-every-cell read is a probe list — so no
+# StrategyDefault comes back, and the wire carries no strategy: non-test
+# internal/wire and internal/serve name one only where Client.Query
+# refuses a forced plan before sending.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; one report per batch, one record per request; one harness for the paper's numbers; exported methods; options; benchmarks; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; one report per batch, one record per request; one harness for the paper's numbers; planned reads; exported methods; options; benchmarks; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -246,6 +251,16 @@ fi
 chunked_src=$(find internal/store -maxdepth 1 -name 'chunked*.go' ! -name '*_test.go')
 if grep -nE '\.(Query|Kernel)\(' $chunked_src | grep -vE '^[^:]+:[0-9]+:\s*//'; then
     echo "internal/store/chunked*.go calls a tile's Query or Kernel (call its read or kernelAt: the chunked entry validates, spans and slow-logs the request once)" >&2
+    exit 1
+fi
+if grep -rnw 'StrategyDefault' --include='*.go' . || grep -nw 'StrategyDefault' README.md DESIGN.md docs/*.md; then
+    echo "StrategyDefault is named (a region read is planned; the paper's probe-every-cell read is QueryRequest{Probe: region.Coords()})" >&2
+    exit 1
+fi
+strategy_refs=$(grep -rnE 'Strategy' --include='*.go' --exclude='*_test.go' internal/wire internal/serve | sed -E 's/:[0-9]+:[[:space:]]*/: /')
+if [ "$strategy_refs" != 'internal/serve/client.go: if req.Strategy != store.StrategyAuto {' ]; then
+    echo "non-test internal/wire or internal/serve names a strategy other than Client.Query's refusal of a forced plan (the wire carries none; a served read is planned):" >&2
+    echo "$strategy_refs" >&2
     exit 1
 fi
 if grep -nE '^func Benchmark' ./*_test.go; then

@@ -17,11 +17,10 @@ import (
 // ChunkedStore.Query, DataClient.Query, and ShardRouter.Query all
 // take — and exactly what the wire protocol serializes.
 type (
-	// QueryRequest describes one read: a probe list or a region, an
-	// as-of version bound, and an execution strategy.
+	// QueryRequest describes one read: a probe list or a region, and
+	// an as-of version bound. A region read is planned per fragment by
+	// the Table I cost model.
 	QueryRequest = store.QueryRequest
-	// QueryStrategy selects how a region query executes.
-	QueryStrategy = store.Strategy
 	// KernelRequest names an in-store push-down kernel and its
 	// arguments.
 	KernelRequest = store.KernelRequest
@@ -31,17 +30,8 @@ type (
 	KernelOp = store.KernelOp
 )
 
-// Query strategies and the as-of sentinel.
-const (
-	// StrategyDefault probes every region cell.
-	StrategyDefault = store.StrategyDefault
-	// StrategyScan enumerates fragment points and filters.
-	StrategyScan = store.StrategyScan
-	// StrategyAuto picks probe or scan per fragment (Table I model).
-	StrategyAuto = store.StrategyAuto
-	// AsOfLatest reads the store's current version.
-	AsOfLatest = store.AsOfLatest
-)
+// AsOfLatest reads the store's current version.
+const AsOfLatest = store.AsOfLatest
 
 // Push-down kernel identifiers.
 const (

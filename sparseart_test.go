@@ -35,7 +35,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, rrep, err := queryRegion(st, region, sparseart.StrategyDefault)
+			res, rrep, err := queryProbe(st, region.Coords())
 			if err != nil {
 				t.Fatal(err)
 			}
