@@ -2,7 +2,7 @@
 // with one wire-protocol endpoint. Tile coordinates are consistent-
 // hashed across the shards: writes partition per owning shard, region
 // reads scatter to the shards owning overlapping tiles and gather in
-// linear-address order (byte-identical to a single-process chunked
+// linear-address order (byte-identical to a single-process tiled
 // store), and the additive push-down kernels sum per-shard partials.
 // The router's /metrics endpoint absorbs every shard's counters on
 // each scrape, so one scrape sees the whole fleet.

@@ -28,7 +28,7 @@ func startShard(t *testing.T, shape, tile tensor.Shape) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServer(serve.ChunkedBackend(c), serve.Config{Obs: reg})
+	srv := serve.NewServer(serve.StoreBackend(c), serve.Config{Obs: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -213,9 +213,9 @@ commands:
            non-zero on any disagreement`)
 }
 
-// openStore opens the store rooted at dir (stores created by the
-// library facade live under the "tensor" prefix), applying the global
-// -cache flag.
+// openStore opens the store rooted at dir, flat or tiled (stores
+// created by the library facade live under the "tensor" prefix),
+// applying the global -cache flag.
 func openStore(dir string) (*store.Store, error) {
 	fs, err := fsim.NewOSFS(dir)
 	if err != nil {
@@ -226,6 +226,19 @@ func openStore(dir string) (*store.Store, error) {
 		return nil, err
 	}
 	return store.Open(fs, "tensor", opts...)
+}
+
+// createStore makes the store under the "tensor" prefix: tiled with
+// tile extents tileSpec, flat when it is empty.
+func createStore(fs fsim.FS, kind core.Kind, shape tensor.Shape, tileSpec string, opts []store.Option) (*store.Store, error) {
+	if tileSpec == "" {
+		return store.Create(fs, "tensor", kind, shape, opts...)
+	}
+	tile, err := parseShape(tileSpec)
+	if err != nil {
+		return nil, err
+	}
+	return store.NewChunked(fs, "tensor", kind, shape, tile, opts...)
 }
 
 // cacheOptions translates the global -cache and -checkpoint-every
@@ -275,16 +288,20 @@ func runInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	vol, _ := st.Shape().Volume()
 	stats := st.Stats()
 	fmt.Printf("store:        %s\n", *dir)
 	fmt.Printf("organization: %v\n", st.Kind())
 	fmt.Printf("shape:        %v\n", st.Shape())
+	fmt.Printf("tiles:        %d of extent %v\n", st.Tiles(), st.Tile())
 	fmt.Printf("fragments:    %d (%d bytes, %d tombstones)\n",
 		stats.Fragments, stats.Bytes, stats.Tombstones)
 	fmt.Printf("written:      %d points across all fragments\n", stats.WrittenPoints)
+	vol := 1.0 // in float64: a tiled shape's volume may overflow uint64
+	for _, n := range st.Shape() {
+		vol *= float64(n)
+	}
 	fmt.Printf("live cells:   %d (density %.4f%%)\n", coords.Len(),
-		100*float64(coords.Len())/float64(vol))
+		100*float64(coords.Len())/vol)
 	return nil
 }
 
@@ -498,58 +515,30 @@ func runImport(args []string) error {
 	if err != nil {
 		return err
 	}
+	// A tiled import's batches fan out across tiles through the
+	// cross-tile ingest, and the -cache budget is one shared reader-cache
+	// budget for the whole store.
+	st, err := createStore(osfs, kind, shape, *tileSpec, opts)
+	if err != nil {
+		return err
+	}
+	reps, err := st.WriteBatch(splitBatches(t.Coords, t.Values, fragments), *workers)
+	if err != nil {
+		return err
+	}
+	var bytes int64
+	for _, rep := range reps {
+		bytes += rep.Bytes
+	}
+	if err := st.Close(); err != nil {
+		return err
+	}
+	layout := ""
 	if *tileSpec != "" {
-		// Chunked import: the batches fan out across tiles through the
-		// cross-tile ingest, and the -cache budget becomes one shared
-		// reader-cache budget for the whole chunked store.
-		tile, err := parseShape(*tileSpec)
-		if err != nil {
-			return err
-		}
-		ch, err := store.NewChunked(osfs, "tensor", kind, shape, tile, opts...)
-		if err != nil {
-			return err
-		}
-		reps, err := ch.WriteBatch(splitBatches(t.Coords, t.Values, fragments), *workers)
-		if err != nil {
-			return err
-		}
-		var bytes int64
-		for _, rep := range reps {
-			bytes += rep.Bytes
-		}
-		if err := ch.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("imported %d points into chunked %v store at %s (%d tiles, %d fragments, %d bytes)\n",
-			t.Coords.Len(), kind, *dir, ch.Tiles(), ch.Fragments(), bytes)
-		return nil
+		layout = "chunked "
 	}
-	st, err := store.Create(osfs, "tensor", kind, shape, opts...)
-	if err != nil {
-		return err
-	}
-	if fragments > 1 {
-		reps, err := st.WriteBatch(splitBatches(t.Coords, t.Values, fragments), *workers)
-		if err != nil {
-			return err
-		}
-		var points int
-		var bytes int64
-		for _, rep := range reps {
-			points += rep.NNZ
-			bytes += rep.Bytes
-		}
-		fmt.Printf("imported %d points into %v store at %s (%d fragments, %d bytes)\n",
-			points, kind, *dir, len(reps), bytes)
-		return nil
-	}
-	rep, err := st.Write(t.Coords, t.Values)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("imported %d points into %v store at %s (%d bytes)\n",
-		rep.NNZ, kind, *dir, rep.Bytes)
+	fmt.Printf("imported %d points into %s%v store at %s (%d tiles, %d fragments, %d bytes)\n",
+		t.Coords.Len(), layout, kind, *dir, st.Tiles(), st.Fragments(), bytes)
 	return nil
 }
 

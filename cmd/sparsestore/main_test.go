@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sparseart/internal/store"
 )
 
 func capture(t *testing.T, f func() error) (string, error) {
@@ -343,5 +346,42 @@ func TestImportChunkedTile(t *testing.T) {
 	if err := runImport([]string{"-dir", filepath.Join(t.TempDir(), "x"), "-in", ds,
 		"-tile", "bad"}); err == nil {
 		t.Error("bad -tile value accepted")
+	}
+}
+
+// TestTiledStoreLifecycle: one Open reads either layout, so the
+// commands that open a store — info, compact, export — take a store
+// that import -tile made, and convert refuses it as a request that
+// needs one address space.
+func TestTiledStoreLifecycle(t *testing.T) {
+	ds := writeBigDataset(t, 300)
+	dir := filepath.Join(t.TempDir(), "store")
+	if _, err := capture(t, func() error {
+		return runImport([]string{"-dir", dir, "-in", ds, "-kind", "CSF", "-tile", "16,16", "-fragments", "4"})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := capture(t, func() error { return runInfo([]string{"-dir", dir}) })
+	if err != nil || !strings.Contains(out, "live cells:   300") {
+		t.Fatalf("info on a tiled store (%v):\n%s", err, out)
+	}
+	out, err = capture(t, func() error { return runCompact([]string{"-dir", dir}) })
+	if err != nil || !strings.Contains(out, "points:    300 -> 300") {
+		t.Fatalf("compact on a tiled store (%v):\n%s", err, out)
+	}
+	exported := filepath.Join(t.TempDir(), "out.txt")
+	if _, err := capture(t, func() error { return runExport([]string{"-dir", dir, "-o", exported}) }); err != nil {
+		t.Fatalf("export on a tiled store: %v", err)
+	}
+	data, err := os.ReadFile(exported)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n") - strings.Count(string(data), "#"); lines != 300 {
+		t.Fatalf("export wrote %d points, want 300", lines)
+	}
+	err = runConvert([]string{"-dir", dir, "-out", filepath.Join(t.TempDir(), "conv"), "-to", "COO"})
+	if !errors.Is(err, store.ErrBadRequest) {
+		t.Fatalf("convert of a tiled store: err = %v, want ErrBadRequest", err)
 	}
 }

@@ -68,14 +68,15 @@ func writeAddrFile(path, addr string) error {
 }
 
 // openServeBackend opens (or creates) the store under dir and wraps it
-// as a serve.Backend. A CHUNKED manifest under the prefix selects the
-// chunked open path; -create with a -tile builds a chunked store,
-// -create without one a flat store.
+// as a serve.Backend: -create with a -tile builds a tiled store,
+// -create without one a flat store, and without -create Open reads
+// whichever layout is there.
 func openServeBackend(dir string, opts []store.Option, create, shapeSpec, tileSpec string) (serve.Backend, func() error, error) {
 	osfs, err := fsim.NewOSFS(dir)
 	if err != nil {
 		return nil, nil, err
 	}
+	var st *store.Store
 	if create != "" {
 		kind, err := core.ParseKind(create)
 		if err != nil {
@@ -88,32 +89,11 @@ func openServeBackend(dir string, opts []store.Option, create, shapeSpec, tileSp
 		if err != nil {
 			return nil, nil, err
 		}
-		if tileSpec != "" {
-			tile, err := parseShape(tileSpec)
-			if err != nil {
-				return nil, nil, err
-			}
-			ch, err := store.NewChunked(osfs, "tensor", kind, shape, tile, opts...)
-			if err != nil {
-				return nil, nil, err
-			}
-			return serve.ChunkedBackend(ch), ch.Close, nil
-		}
-		st, err := store.Create(osfs, "tensor", kind, shape, opts...)
+		st, err = createStore(osfs, kind, shape, tileSpec, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		return serve.StoreBackend(st), st.Close, nil
-	}
-	if _, err := osfs.Size("tensor/CHUNKED"); err == nil {
-		ch, err := store.OpenChunked(osfs, "tensor", opts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return serve.ChunkedBackend(ch), ch.Close, nil
-	}
-	st, err := store.Open(osfs, "tensor", opts...)
-	if err != nil {
+	} else if st, err = store.Open(osfs, "tensor", opts...); err != nil {
 		return nil, nil, err
 	}
 	return serve.StoreBackend(st), st.Close, nil

@@ -6,8 +6,8 @@ import (
 	"sparseart"
 )
 
-// querier is the read surface Store and ChunkedStore share; the helpers
-// below only spell the requests most tests make.
+// querier is the read surface Store, DataClient and ShardRouter share;
+// the helpers below only spell the requests most tests make.
 type querier interface {
 	Query(ctx context.Context, req sparseart.QueryRequest) (*sparseart.Result, *sparseart.ReadReport, error)
 }

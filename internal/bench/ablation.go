@@ -655,20 +655,14 @@ func AblationIngest(scale gen.Scale, seed uint64) (string, error) {
 		tile[d] = (shape[d] + 1) / 2
 	}
 	batches := splitBatches(ds, 16)
-	// writer is the one write surface Store and Chunked share.
-	type writer interface {
-		Write(*tensor.Coords, []float64) (*store.WriteReport, error)
-		WriteBatch([]store.Batch, int) ([]*store.WriteReport, error)
-		Fragments() int
-	}
 	stores := []struct {
 		name string
-		open func() (writer, error)
+		open func() (*store.Store, error)
 	}{
-		{"flat", func() (writer, error) {
+		{"flat", func() (*store.Store, error) {
 			return store.Create(fsim.NewPerlmutterSim(), "in", core.GCSR, shape)
 		}},
-		{"chunked", func() (writer, error) {
+		{"chunked", func() (*store.Store, error) {
 			return store.NewChunked(fsim.NewPerlmutterSim(), "in", core.GCSR, shape, tile)
 		}},
 	}
@@ -678,7 +672,7 @@ func AblationIngest(scale gen.Scale, seed uint64) (string, error) {
 		for _, workers := range []int{0, 1, 4, 8} {
 			// Each trial writes every batch into a fresh store; the
 			// last one's fragments and reports are the row's.
-			var w writer
+			var w *store.Store
 			var reps []*store.WriteReport
 			wall, err := fastest(5, func() (time.Duration, error) {
 				var err error

@@ -8,7 +8,7 @@
 //
 // The linear-address overflow risk the paper flags is handled the way
 // the paper suggests — block decomposition with per-block local
-// boundaries — by internal/store.Chunked; this package itself refuses
+// boundaries — by internal/store.Store; this package itself refuses
 // shapes whose volume does not fit in uint64.
 package linearfmt
 

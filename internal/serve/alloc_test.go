@@ -94,7 +94,7 @@ func TestRoutedProbeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs = append(addrs, serveQuiet(t, serve.ChunkedBackend(c)))
+		addrs = append(addrs, serveQuiet(t, serve.StoreBackend(c)))
 	}
 	router, err := serve.NewRouter(addrs, nil)
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 
 // Backend is what a Server serves: the unified context-aware request
 // surface of internal/store, plus identity (Info) and telemetry
-// (ObsSnapshot). Store, Chunked, and Router all satisfy it through the
-// adapters below.
+// (ObsSnapshot). A Store satisfies it through StoreBackend, and Router
+// itself.
 type Backend interface {
 	Info(ctx context.Context) (*wire.Info, error)
 	Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error)
@@ -30,18 +30,26 @@ type Backend interface {
 	ObsSnapshot(ctx context.Context) ([]byte, error)
 }
 
-// storeBackend adapts a flat *store.Store.
+// storeBackend adapts a *store.Store, flat or tiled.
 type storeBackend struct{ s *store.Store }
 
-// StoreBackend serves a flat (untiled) store.
+// StoreBackend serves a store.
 func StoreBackend(s *store.Store) Backend { return storeBackend{s} }
 
+// ChunkedBackend is StoreBackend, under the name benchmark/fleet.go
+// uses.
+var ChunkedBackend = StoreBackend
+
+// Info describes the store; Tile is its tile extents, the shape itself
+// for a flat store.
 func (b storeBackend) Info(context.Context) (*wire.Info, error) {
 	return &wire.Info{
 		Kind:      b.s.Kind(),
 		Shape:     b.s.Shape(),
+		Tile:      b.s.Tile(),
 		Fragments: uint64(b.s.Fragments()),
 		Epoch:     b.s.Epoch(),
+		Tiles:     uint32(b.s.Tiles()),
 	}, nil
 }
 
@@ -66,47 +74,6 @@ func (b storeBackend) Kernel(ctx context.Context, req store.KernelRequest) (*sto
 
 func (b storeBackend) ObsSnapshot(context.Context) ([]byte, error) {
 	return b.s.Obs().Snapshot().JSON()
-}
-
-// chunkedBackend adapts a tiled *store.Chunked — the shard-side
-// backend.
-type chunkedBackend struct{ c *store.Chunked }
-
-// ChunkedBackend serves a chunked (tiled) store.
-func ChunkedBackend(c *store.Chunked) Backend { return chunkedBackend{c} }
-
-func (b chunkedBackend) Info(context.Context) (*wire.Info, error) {
-	return &wire.Info{
-		Kind:      b.c.Kind(),
-		Shape:     b.c.Shape(),
-		Tile:      b.c.Tile(),
-		Fragments: uint64(b.c.Fragments()),
-		Epoch:     b.c.Epoch(),
-		Tiles:     uint32(b.c.Tiles()),
-	}, nil
-}
-
-func (b chunkedBackend) Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
-	return b.c.Query(ctx, req)
-}
-
-func (b chunkedBackend) WriteBatch(ctx context.Context, batches []store.Batch, workers int) ([]*store.WriteReport, error) {
-	return b.c.WriteBatchContext(ctx, batches, workers)
-}
-
-func (b chunkedBackend) DeleteRegion(ctx context.Context, region tensor.Region) (*store.WriteReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return b.c.DeleteRegion(region)
-}
-
-func (b chunkedBackend) Kernel(ctx context.Context, req store.KernelRequest) (*store.KernelResult, error) {
-	return b.c.Kernel(ctx, req)
-}
-
-func (b chunkedBackend) ObsSnapshot(context.Context) ([]byte, error) {
-	return b.c.Obs().Snapshot().JSON()
 }
 
 // errUnsupportedOp builds the ErrBadRequest wrap for ops a backend

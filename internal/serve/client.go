@@ -204,13 +204,23 @@ func deadlineOf(ctx context.Context) (time.Duration, error) {
 	return d, nil
 }
 
-// Query answers a store.QueryRequest remotely. The wire carries no
-// strategy, so the server plans every region read; a request that
+// sendable refuses a read the wire cannot carry: the wire carries no
+// strategy, so the server plans every region read, and a request that
 // forces one is refused before anything is sent, with the typed error
-// a server would have sent, which a router passes on as it is.
-func (c *Client) Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
+// a server would have sent. Client.Query and Router.Query both ask it
+// first, so a router books no scatter for a request that never leaves.
+func sendable(req store.QueryRequest) error {
 	if req.Strategy != store.StrategyAuto {
-		return nil, nil, &wire.Error{Code: wire.CodeBadRequest, Msg: "serve: bad request: a served read is planned; a forced plan cannot be sent"}
+		return &wire.Error{Code: wire.CodeBadRequest, Msg: "serve: bad request: a served read is planned; a forced plan cannot be sent"}
+	}
+	return nil
+}
+
+// Query answers a store.QueryRequest remotely; see sendable for what
+// is refused before sending.
+func (c *Client) Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
+	if err := sendable(req); err != nil {
+		return nil, nil, err
 	}
 	d, err := deadlineOf(ctx)
 	if err != nil {

@@ -30,7 +30,7 @@ func TestServedReadIsPlanned(t *testing.T) {
 	shape, tile := tensor.Shape{64, 64, 64}, tensor.Shape{32, 32, 32}
 	window := tensor.Region{Start: []uint64{16, 8, 20}, Size: []uint64{32, 32, 32}}
 	ctx := context.Background()
-	newStore := func() *store.Chunked {
+	newStore := func() *store.Store {
 		c, err := store.NewChunked(fsim.NewPerlmutterSim(), "s", core.CSF, shape, tile)
 		if err != nil {
 			t.Fatal(err)
@@ -40,11 +40,11 @@ func TestServedReadIsPlanned(t *testing.T) {
 
 	one := newStore()
 	reg := obs.New()
-	_, client, _ := startServer(t, serve.ChunkedBackend(one), serve.Config{Obs: reg})
-	shards := []*store.Chunked{newStore(), newStore()}
+	_, client, _ := startServer(t, serve.StoreBackend(one), serve.Config{Obs: reg})
+	shards := []*store.Store{newStore(), newStore()}
 	var addrs []string
 	for _, sh := range shards {
-		_, _, addr := startServer(t, serve.ChunkedBackend(sh), serve.Config{})
+		_, _, addr := startServer(t, serve.StoreBackend(sh), serve.Config{})
 		addrs = append(addrs, addr)
 	}
 	router, err := serve.NewRouter(addrs, obs.New())
@@ -64,7 +64,7 @@ func TestServedReadIsPlanned(t *testing.T) {
 	}
 
 	planned := store.QueryRequest{Region: &window, AsOf: store.AsOfLatest}
-	local := func(stores ...*store.Chunked) *store.ReadReport {
+	local := func(stores ...*store.Store) *store.ReadReport {
 		sum := &store.ReadReport{}
 		for _, st := range stores {
 			_, rep, err := st.Query(ctx, store.QueryRequest{Region: &window, AsOf: store.AsOfLatest, Strategy: store.StrategyAuto})
@@ -107,5 +107,28 @@ func TestServedReadIsPlanned(t *testing.T) {
 	}
 	if n := served.Count() - before; n != 0 {
 		t.Fatalf("the server handled %d queries for a refused forced scan", n)
+	}
+}
+
+// TestRouterRefusesForcedPlanItself: a routed read that forces a plan
+// is refused by the router with the client's typed error before any
+// shard is asked, so neither router.scatter{op=query} nor
+// router.shard.errors{op=query} counts a request that never left it.
+func TestRouterRefusesForcedPlanItself(t *testing.T) {
+	shape, tile := tensor.Shape{16, 16}, tensor.Shape{8, 8}
+	reg := obs.New()
+	router, err := serve.NewRouter([]string{newShard(t, core.CSF, shape, tile), newShard(t, core.CSF, shape, tile)}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	scatter, shardErrs := reg.Counter("router.scatter", "op", "query"), reg.Counter("router.shard.errors", "op", "query")
+	window := tensor.Region{Start: []uint64{2, 2}, Size: []uint64{10, 10}}
+	_, _, err = router.Query(context.Background(), store.QueryRequest{Region: &window, AsOf: store.AsOfLatest, Strategy: store.StrategyScan})
+	if !errors.Is(err, store.ErrBadRequest) || wire.CodeOf(err) != wire.CodeBadRequest {
+		t.Fatalf("a forced scan answered err = %v, want CodeBadRequest", err)
+	}
+	if n, e := scatter.Value(), shardErrs.Value(); n != 0 || e != 0 {
+		t.Fatalf("router.scatter{op=query} = %d, router.shard.errors{op=query} = %d for a refused request, want 0 and 0", n, e)
 	}
 }

@@ -29,11 +29,12 @@ const (
 // Router consistent-hashes tile coordinates across shard servers and
 // presents the same Backend surface a single store does: scatter-
 // gather region reads merge in linear-address order (byte-identical to
-// one local Chunked store over the same writes), WriteBatch fans out
-// per shard and folds one report per batch, and telemetry scrapes
-// absorb every shard's counters. Each shard must host a Chunked store
-// with the same global shape, tile extents, and kind — the router
-// checks at construction.
+// one local store over the same writes), WriteBatch fans out per shard
+// and folds one report per batch, and telemetry scrapes absorb every
+// shard's counters. Each shard must host a store with the same global
+// shape, tile extents, and kind — the router checks at construction. A
+// flat store's tile is its shape: over flat shards, every request goes
+// to the shard that owns the one tile.
 type Router struct {
 	tiling store.Tiling // every shard's global shape and tile extents
 	kind   uint8        // core.Kind of every shard
@@ -82,10 +83,6 @@ func NewRouter(addrs []string, reg *obs.Registry) (*Router, error) {
 		if err != nil {
 			r.closeClients()
 			return nil, fmt.Errorf("serve: shard %d (%s) info: %w", i, addr, err)
-		}
-		if len(info.Tile) == 0 {
-			r.closeClients()
-			return nil, fmt.Errorf("serve: %w: shard %d (%s) hosts an untiled store", store.ErrBadRequest, i, addr)
 		}
 		if i == 0 {
 			r.tiling, r.kind = store.Tiling{Shape: info.Shape, Tile: info.Tile}, uint8(info.Kind)
@@ -286,7 +283,7 @@ func (r *Router) Info(ctx context.Context) (*wire.Info, error) {
 // owning tile; region targets broadcast the whole region to every
 // shard owning an overlapping tile — each shard answers from the tiles
 // it materialized, which are disjoint, so the merged result is exactly
-// what one local Chunked store would return.
+// what one local store would return.
 func (r *Router) Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
 	sp, ctx := r.reg.StartCtx(ctx, obsRouterQuery)
 	res, rep, err := r.queryAt(ctx, req)
@@ -297,6 +294,9 @@ func (r *Router) Query(ctx context.Context, req store.QueryRequest) (*store.Resu
 // queryAt dispatches the routed read under the router.query span.
 func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
 	if err := req.Validate(r.tiling.Shape.Dims()); err != nil {
+		return nil, nil, err
+	}
+	if err := sendable(req); err != nil {
 		return nil, nil, err
 	}
 	if req.AsOf != store.AsOfLatest {
@@ -347,7 +347,7 @@ func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Re
 	}
 	rep.Shards = len(shards)
 	// Shard tiles are disjoint, so the row-major merge matches a single
-	// local Chunked read exactly.
+	// local store's read exactly.
 	return store.MergeResults(r.tiling.Shape.Dims(), results), rep, nil
 }
 
@@ -501,7 +501,8 @@ func (r *Router) DeleteRegion(ctx context.Context, region tensor.Region) (*store
 
 // Kernel scatter-gathers the additive push-down kernels; per-shard
 // partials sum exactly because shard tiles are disjoint. SpMV and TTV
-// need cross-tile accumulators and are rejected, as on Chunked.
+// need cross-tile accumulators and are rejected, as on a store of
+// more than one tile.
 func (r *Router) Kernel(ctx context.Context, req store.KernelRequest) (*store.KernelResult, error) {
 	if err := req.Validate(r.tiling.Shape.Dims()); err != nil {
 		return nil, err

@@ -213,14 +213,14 @@ func TestWriteSideTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cl, _ := startServer(t, serve.ChunkedBackend(c), serve.Config{})
-	shards := make([]*store.Chunked, 3)
+	_, cl, _ := startServer(t, serve.StoreBackend(c), serve.Config{})
+	shards := make([]*store.Store, 3)
 	addrs := make([]string, len(shards))
 	for i := range shards {
 		if shards[i], err = store.NewChunked(fsim.NewPerlmutterSim(), "shard", core.CSF, shape, tile); err != nil {
 			t.Fatal(err)
 		}
-		_, _, addrs[i] = startServer(t, serve.ChunkedBackend(shards[i]), serve.Config{})
+		_, _, addrs[i] = startServer(t, serve.StoreBackend(shards[i]), serve.Config{})
 	}
 	router, err := serve.NewRouter(addrs, obs.New())
 	if err != nil {
@@ -477,11 +477,11 @@ func TestBackpressure(t *testing.T) {
 func newShard(t *testing.T, kind core.Kind, shape, tile tensor.Shape) string {
 	t.Helper()
 	reg := obs.New()
-	c, err := store.NewChunked(fsim.NewPerlmutterSim(), "shard", kind, shape, tile, store.WithObs(reg))
+	c, err := newStore(kind, shape, tile, store.WithObs(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServer(serve.ChunkedBackend(c), serve.Config{Obs: reg})
+	srv := serve.NewServer(serve.StoreBackend(c), serve.Config{Obs: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -489,6 +489,88 @@ func newShard(t *testing.T, kind core.Kind, shape, tile tensor.Shape) string {
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return ln.Addr().String()
+}
+
+// newStore creates an in-memory store: tiled with tile extents tile,
+// flat when tile is nil.
+func newStore(kind core.Kind, shape, tile tensor.Shape, opts ...store.Option) (*store.Store, error) {
+	if tile == nil {
+		return store.Create(fsim.NewPerlmutterSim(), "shard", kind, shape, opts...)
+	}
+	return store.NewChunked(fsim.NewPerlmutterSim(), "shard", kind, shape, tile, opts...)
+}
+
+// TestRouterOverFlatShards: a flat store is the one-tile case, and its
+// Info reports its shape as its tile, so a router fronts flat shards as
+// it does tiled ones — the one tile lives on the shard that owns it —
+// and answers writes, deletes, region reads, probes and the additive
+// kernels exactly as the same requests run on a local flat store.
+func TestRouterOverFlatShards(t *testing.T) {
+	shape := tensor.Shape{20, 20}
+	ctx := context.Background()
+	router, err := serve.NewRouter([]string{newShard(t, core.GCSR, shape, nil), newShard(t, core.GCSR, shape, nil)}, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	local, err := newStore(core.GCSR, shape, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := router.Info(ctx)
+	if err != nil || !info.Tile.Equal(shape) {
+		t.Fatalf("router info %+v (%v): want tile %v", info, err, shape)
+	}
+	rng := rand.New(rand.NewSource(45))
+	var batches []store.Batch
+	for b := 0; b < 3; b++ {
+		coords, values := randomPoints(rng, shape, 60)
+		batches = append(batches, store.Batch{Coords: coords, Values: values})
+	}
+	del := tensor.Region{Start: []uint64{4, 5}, Size: []uint64{7, 6}}
+	for name, w := range map[string]interface {
+		batchWriter
+		DeleteRegion(context.Context, tensor.Region) (*store.WriteReport, error)
+	}{"router": router, "local": serve.StoreBackend(local)} {
+		if _, err := w.WriteBatch(ctx, batches, 2); err != nil {
+			t.Fatalf("%s batch: %v", name, err)
+		}
+		if _, err := w.DeleteRegion(ctx, del); err != nil {
+			t.Fatalf("%s delete: %v", name, err)
+		}
+	}
+	probe, _ := randomPoints(rng, shape, 40)
+	reqs := []store.QueryRequest{
+		{Probe: probe, AsOf: store.AsOfLatest},
+		{Region: &tensor.Region{Start: []uint64{0, 0}, Size: []uint64{20, 20}}, AsOf: store.AsOfLatest},
+		{Region: &tensor.Region{Start: []uint64{3, 2}, Size: []uint64{math.MaxUint64, 9}}, AsOf: store.AsOfLatest},
+	}
+	for i, req := range reqs {
+		got, _, err := router.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("request %d: router: %v", i, err)
+		}
+		want, _, err := local.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("request %d: local: %v", i, err)
+		}
+		if !reflect.DeepEqual(got.Coords.Flat(), want.Coords.Flat()) || !reflect.DeepEqual(got.Values, want.Values) {
+			t.Fatalf("request %d: router read %d points, local %d, or values differ", i, got.Coords.Len(), want.Coords.Len())
+		}
+	}
+	for _, kreq := range []store.KernelRequest{{Op: store.KernelSumAll}, {Op: store.KernelLiveNNZ}, {Op: store.KernelNNZPerSlice, Mode: 1}} {
+		got, err := router.Kernel(ctx, kreq)
+		if err != nil {
+			t.Fatalf("router kernel %v: %v", kreq.Op, err)
+		}
+		want, err := local.Kernel(ctx, kreq)
+		if err != nil {
+			t.Fatalf("local kernel %v: %v", kreq.Op, err)
+		}
+		if !reflect.DeepEqual(got.Values, want.Values) {
+			t.Fatalf("kernel %v: router %v, local %v", kreq.Op, got.Values, want.Values)
+		}
+	}
 }
 
 // TestRouterMatchesLocalChunked is the acceptance-criteria
@@ -687,7 +769,7 @@ func TestWriteBatchOneReportPerBatch(t *testing.T) {
 		{Coords: mustCoords(t, 2, 3, 3, 3, 20, 20, 3, 20, 20, 12, 12), Values: []float64{5, 6, 7, 8, 9}}, // five tiles
 	}
 	ctx := context.Background()
-	newChunked := func(t *testing.T, fs fsim.FS) *store.Chunked {
+	newChunked := func(t *testing.T, fs fsim.FS) *store.Store {
 		c, err := store.NewChunked(fs, "c", core.CSF, shape, tile, store.WithObs(obs.New()))
 		if err != nil {
 			t.Fatal(err)
@@ -723,11 +805,11 @@ func TestWriteBatchOneReportPerBatch(t *testing.T) {
 			return c.WriteBatchContext(ctx, batches, 2)
 		},
 		"client-chunked": func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error) {
-			_, c, _ := startServer(t, serve.ChunkedBackend(newChunked(t, fs)), serve.Config{})
+			_, c, _ := startServer(t, serve.StoreBackend(newChunked(t, fs)), serve.Config{})
 			return c.WriteBatch(ctx, batches, 2)
 		},
 		"1-shard": func(t *testing.T, fs fsim.FS) ([]*store.WriteReport, error) {
-			_, _, addr := startServer(t, serve.ChunkedBackend(newChunked(t, fs)), serve.Config{})
+			_, _, addr := startServer(t, serve.StoreBackend(newChunked(t, fs)), serve.Config{})
 			return newRouter(t, []string{addr}).WriteBatch(ctx, batches, 2)
 		},
 		"3-shard": func(t *testing.T, _ fsim.FS) ([]*store.WriteReport, error) {
@@ -790,7 +872,7 @@ func TestConcurrentHammerChunkedBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, addr := startServer(t, serve.ChunkedBackend(c), serve.Config{})
+	_, _, addr := startServer(t, serve.StoreBackend(c), serve.Config{})
 	dial := func() *serve.Client {
 		cl, err := serve.Dial(addr)
 		if err != nil {
@@ -900,7 +982,7 @@ func TestConcurrentHammerChunkedBackend(t *testing.T) {
 // checkAligned queries probe through the router and the local store
 // and lays both results out with AlignPoints: the layouts must agree
 // with each other and, point by point, with the local result.
-func checkAligned(t *testing.T, ctx context.Context, probe *tensor.Coords, router *serve.Router, local *store.Chunked) ([]float64, []bool) {
+func checkAligned(t *testing.T, ctx context.Context, probe *tensor.Coords, router *serve.Router, local *store.Store) ([]float64, []bool) {
 	t.Helper()
 	req := store.QueryRequest{Probe: probe, AsOf: store.AsOfLatest}
 	want, _, err := local.Query(ctx, req)
@@ -1080,7 +1162,7 @@ func TestKernelDenseResultBoundedServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cl, _ := startServer(t, serve.ChunkedBackend(c), serve.Config{})
+	_, cl, _ := startServer(t, serve.StoreBackend(c), serve.Config{})
 	ctx := context.Background()
 	p := mustCoords(t, 2, 5, 1)
 	if _, err := writeOne(ctx, cl, p, []float64{3}); err != nil {

@@ -28,7 +28,7 @@ func tracedShard(t *testing.T, kind core.Kind, shape, tile tensor.Shape) (string
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServer(serve.ChunkedBackend(c), serve.Config{Obs: reg})
+	srv := serve.NewServer(serve.StoreBackend(c), serve.Config{Obs: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -277,12 +277,12 @@ func TestTracedWriteBatchReachesShardStores(t *testing.T) {
 			}
 			byName[ts.Name] = append(byName[ts.Name], ts)
 		}
-		if len(byName[serveSpan]) != 1 || len(byName["store.chunked.ingest"]) != 1 {
-			t.Fatalf("shard %d: want one %s and one store.chunked.ingest span, got %v", i, serveSpan, byName)
+		if len(byName[serveSpan]) != 1 || len(byName["store.ingest"]) != 1 {
+			t.Fatalf("shard %d: want one %s and one store.ingest span, got %v", i, serveSpan, byName)
 		}
-		srv, ingest := byName[serveSpan][0], byName["store.chunked.ingest"][0]
+		srv, ingest := byName[serveSpan][0], byName["store.ingest"][0]
 		if ingest.ParentID != srv.SpanID {
-			t.Fatalf("shard %d: store.chunked.ingest parent %016x, want the serve span %016x", i, ingest.ParentID, srv.SpanID)
+			t.Fatalf("shard %d: store.ingest parent %016x, want the serve span %016x", i, ingest.ParentID, srv.SpanID)
 		}
 		for _, phase := range []string{"store.write.build", "store.write.reorg", "store.write.write", "store.write.others"} {
 			if len(byName[phase]) == 0 {
@@ -324,7 +324,7 @@ func wrapShard(t *testing.T, shape, tile tensor.Shape, wrap func(serve.Backend) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServer(wrap(serve.ChunkedBackend(c)), serve.Config{Obs: reg})
+	srv := serve.NewServer(wrap(serve.StoreBackend(c)), serve.Config{Obs: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestKernelValidationOneWord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, client, _ := startServer(t, serve.ChunkedBackend(served), serve.Config{})
+	_, client, _ := startServer(t, serve.StoreBackend(served), serve.Config{})
 	addrs := []string{newShard(t, core.CSF, shape, tile), newShard(t, core.CSF, shape, tile)}
 	router, err := serve.NewRouter(addrs, obs.New())
 	if err != nil {

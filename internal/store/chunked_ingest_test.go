@@ -223,7 +223,7 @@ func TestChunkedGroupCommitAppendCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if frags := snap.Counters[obs.Name("store.chunked.ingest.fragments", "kind", core.Linear.String())]; frags != 20 {
+	if frags := snap.Counters[obs.Name("store.ingest.fragments", "kind", core.Linear.String())]; frags != 20 {
 		t.Fatalf("%d fragments, want 20", frags)
 	}
 	if appends := snap.Counters[obs.Name("store.manifest.log.appends", "kind", core.Linear.String())]; appends != 4 {

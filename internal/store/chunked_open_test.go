@@ -38,7 +38,7 @@ func TestOpenChunkedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenChunked(fs, "c")
+	re, err := Open(fs, "c")
 	if err != nil {
 		t.Fatalf("open chunked: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestOpenChunkedRoundTrip(t *testing.T) {
 // TestOpenChunkedMissingManifest rejects prefixes NewChunked never
 // touched.
 func TestOpenChunkedMissingManifest(t *testing.T) {
-	if _, err := OpenChunked(newSim(t), "nope"); err == nil {
+	if _, err := Open(newSim(t), "nope"); err == nil {
 		t.Fatal("opened a chunked store with no manifest")
 	}
 }

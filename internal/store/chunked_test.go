@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sparseart/internal/core"
@@ -117,17 +118,160 @@ func testChunkedMatchesFlatStore(t *testing.T, opts []Option) {
 			}
 			same("after delete")
 
-			// Reopened without a Close: both sides replay whatever their
-			// cadence left in the manifest logs.
-			settle(flat)
-			settleChunked(chunked)
-			if flat, err = Open(flatFS, "flat", opts...); err != nil {
-				t.Fatal(err)
+			// Reopened through the one Open without a Close: both sides
+			// replay whatever their cadence left in the manifest logs.
+			reopen := func() {
+				t.Helper()
+				settle(flat)
+				settle(chunked)
+				if flat, err = Open(flatFS, "flat", opts...); err != nil {
+					t.Fatal(err)
+				}
+				if chunked, err = Open(chunkFS, "chunked", opts...); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if chunked, err = OpenChunked(chunkFS, "chunked", opts...); err != nil {
-				t.Fatal(err)
-			}
+			reopen()
 			same("reopened")
+			sameExport(t, "reopened", flat, chunked)
+
+			// Compact and Checkpoint fold over the tiles: each tile keeps
+			// one fragment of its live cells, the tombstones fold in, and
+			// every read, the export and a reopen agree with the flat
+			// store's.
+			for _, st := range []*Store{flat, chunked} {
+				if _, err := st.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				settle(st)
+			}
+			same("compacted")
+			live := sameExport(t, "compacted", flat, chunked)
+			for name, st := range map[string]*Store{"flat": flat, "chunked": chunked} {
+				if got := st.Stats(); got.Fragments != st.Tiles() || got.Tombstones != 0 || got.WrittenPoints != live {
+					t.Fatalf("%s: stats %+v after Compact over %d tiles, want a fragment a tile, no tombstone, %d points", name, got, st.Tiles(), live)
+				}
+			}
+			reopen()
+			same("compacted, reopened")
+			sameExport(t, "compacted, reopened", flat, chunked)
+		})
+	}
+}
+
+// sameExport checks that flat and chunked export the same cells and
+// returns how many.
+func sameExport(t *testing.T, when string, flat, chunked *Store) int {
+	t.Helper()
+	fc, fv, err := flat.ExportAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, cv, err := chunked.ExportAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameResult(&Result{Coords: fc, Values: fv}, &Result{Coords: cc, Values: cv}) {
+		t.Fatalf("%s: flat exports %d cells, chunked %d, or values differ", when, fc.Len(), cc.Len())
+	}
+	return fc.Len()
+}
+
+// TestOneAddressSpace: as-of reads, SpMV, TTV, ScanLive and Convert
+// need one address space. They run on a flat store and on a tiled
+// store whose one tile covers the shape — written or not — with the
+// same answers, and a store of more than one tile refuses each with
+// ErrBadRequest.
+func TestOneAddressSpace(t *testing.T) {
+	shape := tensor.Shape{12, 10}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(19))
+	coords, vals := randomPoints(rng, shape, 40)
+	probe := coords
+	type answer struct {
+		asOf, spmv, ttv []float64
+		scanned         int
+	}
+	run := func(t *testing.T, st *Store) (answer, map[string]error) {
+		var a answer
+		errs := map[string]error{}
+		var res *Result
+		if res, _, errs["as-of"] = readAsOf(st, probe, 1); res != nil {
+			a.asOf = res.Values
+		}
+		var k *KernelResult
+		if k, errs["spmv"] = st.Kernel(ctx, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 10)}); k != nil {
+			a.spmv = k.Values
+		}
+		vec := make([]float64, 12)
+		for i := range vec {
+			vec[i] = float64(i)
+		}
+		if k, errs["ttv"] = st.Kernel(ctx, KernelRequest{Op: KernelTTV, Mode: 0, Vec: vec}); k != nil {
+			a.ttv = k.Values
+		}
+		_, errs["scan"] = st.ScanLive(ctx, nil, func([]uint64, float64) bool { a.scanned++; return true })
+		var dst *Store
+		if dst, _, errs["convert"] = Convert(ctx, st, newSim(t), "dst", core.COO, ConvertConfig{}); dst != nil {
+			if n := dst.Stats().WrittenPoints; n != a.scanned {
+				t.Fatalf("converted %d points, scanned %d", n, a.scanned)
+			}
+		}
+		return a, errs
+	}
+	var want answer
+	for _, tc := range []struct {
+		name  string
+		tile  tensor.Shape // nil: flat
+		empty bool
+		one   bool
+	}{
+		{"flat", nil, false, true},
+		{"one tile", tensor.Shape{16, 16}, false, true},
+		{"one tile, empty", tensor.Shape{12, 10}, true, true},
+		{"four tiles", tensor.Shape{6, 5}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var st *Store
+			var err error
+			if tc.tile == nil {
+				st, err = Create(newSim(t), "s", core.GCSR, shape)
+			} else {
+				st, err = NewChunked(newSim(t), "s", core.GCSR, shape, tc.tile)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.empty {
+				if _, err := st.Write(coords, vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, errs := run(t, st)
+			for op, err := range errs {
+				if tc.one && err != nil && !(tc.empty && op == "as-of") {
+					t.Fatalf("%s: %v", op, err)
+				}
+				if !tc.one && !errors.Is(err, ErrBadRequest) {
+					t.Fatalf("%s on %d tiles: err = %v, want ErrBadRequest", op, st.Tiles(), err)
+				}
+			}
+			switch {
+			case tc.name == "flat":
+				want = got
+			case tc.empty:
+				if got.scanned != 0 || len(got.spmv) != 12 || len(got.ttv) != 10 {
+					t.Fatalf("empty one-tile store: scanned %d, spmv %d values, ttv %d", got.scanned, len(got.spmv), len(got.ttv))
+				}
+				if !errors.Is(errs["as-of"], ErrBadRequest) {
+					t.Fatalf("as-of version 1 of an empty store: err = %v, want ErrBadRequest", errs["as-of"])
+				}
+			case tc.one && !reflect.DeepEqual(got, want):
+				t.Fatalf("one-tile store answers %+v, flat store %+v", got, want)
+			}
 		})
 	}
 }

@@ -62,6 +62,9 @@ type ConvertReport struct {
 // any background worker drained — so the committed prefix of whole
 // chunks remains a valid, reopenable store.
 func Convert(ctx context.Context, src *Store, fs fsim.FS, prefix string, kind core.Kind, cfg ConvertConfig, opts ...Option) (*Store, *ConvertReport, error) {
+	if err := src.oneSpace("Convert is"); err != nil {
+		return nil, nil, err
+	}
 	chunk := cfg.ChunkPoints
 	if chunk < 1 {
 		chunk = DefaultConvertChunk
@@ -90,7 +93,7 @@ func Convert(ctx context.Context, src *Store, fs fsim.FS, prefix string, kind co
 // ingest so the CPU stages of a wave's chunks overlap while the walk
 // continues only after the wave is durable.
 func (s *Store) convertInto(ctx context.Context, dst *Store, chunkPoints, workers int, rep *ConvertReport) error {
-	dims := s.shape.Dims()
+	dims := s.tiling.Shape.Dims()
 	waveSize := resolveIngestWorkers(workers, 1<<30)
 	var wave []Batch
 

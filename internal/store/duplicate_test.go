@@ -60,11 +60,7 @@ func TestDuplicateInBatchLastWins(t *testing.T) {
 					return 0, err
 				}
 				return res.Values[0], nil
-			}, func() (*tensor.Coords, []float64, error) {
-				// A tile exports in its own frame; (1,1) lies in tile
-				// t-0-0, whose frame is the global one.
-				return tiled.dir.Load().byName["t-0-0"].store.ExportAll()
-			}},
+			}, tiled.ExportAll},
 		} {
 			t.Run(kind.String()+"/"+st.name, func(t *testing.T) {
 				check := func(path string, res *Result, err error) {

@@ -21,7 +21,7 @@ import (
 // span/phase for the open and the read and the Extract span for
 // decompression and index opening. rep must be non-nil; root may be nil
 // (spans are nil-safe).
-func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*fragcache.Entry, error) {
+func (s *tile) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*fragcache.Entry, error) {
 	reg := s.obsReg()
 	kind := s.kind.String()
 
@@ -103,7 +103,7 @@ func (s *Store) loadFragment(root *obs.Span, fr fragRef, rep *ReadReport) (*frag
 // plan that reads retiring fragments (a compaction's export) takes a
 // resident entry as it is and loads the rest without inserting them or
 // touching the cache's counters: they would only evict what readers use.
-func (s *Store) fetchFragment(root *obs.Span, fr fragRef, pl *readPlan, rep *ReadReport) (*fragcache.Entry, error) {
+func (s *tile) fetchFragment(root *obs.Span, fr fragRef, pl *readPlan, rep *ReadReport) (*fragcache.Entry, error) {
 	if s.cache == nil || pl.retiring {
 		if e := s.cache.Peek(fr.name); e != nil {
 			rep.CacheHits++
@@ -112,10 +112,10 @@ func (s *Store) fetchFragment(root *obs.Span, fr fragRef, pl *readPlan, rep *Rea
 		rep.CacheMisses++
 		return s.loadFragment(root, fr, rep)
 	}
-	// cacheScope labels this store's traffic (a chunked store sets it to
-	// the tile key) so a shared cache's hit rates stay attributable.
+	// scope labels this tile's traffic (a tiled store's tile by its
+	// name) so a shared cache's hit rates stay attributable.
 	loaded := false
-	e, err := s.cache.GetScoped(s.cacheScope, fr.name, func() (*fragcache.Entry, error) {
+	e, err := s.cache.GetScoped(s.scope, fr.name, func() (*fragcache.Entry, error) {
 		loaded = true
 		return s.loadFragment(root, fr, rep)
 	})

@@ -142,10 +142,10 @@ func TestColdLoadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeCube(t, st, 300)
-	fr := st.currentFrags()[0]
+	fr := only(st).currentFrags()[0]
 	var rep ReadReport
 	got := testing.AllocsPerRun(100, func() {
-		if _, err := st.loadFragment(nil, fr, &rep); err != nil {
+		if _, err := only(st).loadFragment(nil, fr, &rep); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -190,7 +190,7 @@ func TestColdLoadRefusesDamagedFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := st.currentFrags()[0].name
+			name := only(st).currentFrags()[0].name
 			good, err := fs.ReadFile(name)
 			if err != nil {
 				t.Fatal(err)

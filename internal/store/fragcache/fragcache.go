@@ -18,7 +18,7 @@
 // cannot evict a hot working set of small fragments. Such fills count
 // as fragcache.rejected rather than churning the LRU.
 //
-// A cache may be shared by several stores — the tiles of a Chunked
+// A cache may be shared by several stores — the tiles of a tiled
 // store budget against one Cache. GetScoped labels the hit/miss
 // counters with the caller's scope (the tile key) so per-tile hit
 // rates stay observable even though residency is pooled.
@@ -106,7 +106,7 @@ func (c *Cache) Get(name string, fill func() (*Entry, error)) (*Entry, error) {
 // count increments the unlabeled counter for family and, when the
 // caller declared a scope, its scope-labeled twin. The unlabeled family
 // stays the cache-wide total; the labeled one attributes traffic to one
-// sharer (a Chunked tile) of a shared cache.
+// sharer (a store's tile) of a shared cache.
 func (c *Cache) count(reg *obs.Registry, family, scope string) {
 	reg.Counter(family).Inc()
 	if scope != "" {
@@ -115,7 +115,7 @@ func (c *Cache) count(reg *obs.Registry, family, scope string) {
 }
 
 // GetScoped is Get with a scope label on the hit/miss/coalesced
-// counters, so sharers of one cache (the tiles of a Chunked store) keep
+// counters, so sharers of one cache (the tiles of a store) keep
 // individually observable hit rates. scope "" is plain Get. Residency
 // and eviction are cache-wide regardless of scope — names must be
 // unique across sharers (fragment names embed the tile prefix).

@@ -36,24 +36,33 @@ func eachStoreConfig(t *testing.T, fn func(t *testing.T, opts []Option)) {
 	}
 }
 
-// settle waits for st's background compaction worker, if one is
-// running, as Close does but without Close's checkpoint. A test settles
-// a store before it opens a second handle on the same files (a worker
-// still running would retire files that handle lists) and before it
-// counts fragments or merge work that a compaction would change.
-func settle(st *Store) { st.bgWG.Wait() }
-
-// settleChunked settles every tile of c.
-func settleChunked(c *Chunked) {
-	for _, e := range c.dir.Load().sorted {
-		settle(e.store)
+// settle waits for the background compaction workers of st's tiles,
+// if any is running, as Close does but without Close's checkpoint. A
+// test settles a store before it opens a second handle on the same
+// files (a worker still running would retire files that handle lists)
+// and before it counts fragments or merge work that a compaction would
+// change.
+func settle(st *Store) {
+	for _, e := range st.dir.Load().sorted {
+		e.tile.bgWG.Wait()
 	}
+}
+
+// only returns the one tile of a flat store, for the tests that look
+// at its manifest, log or views.
+func only(st *Store) *tile {
+	d := st.dir.Load()
+	if !st.flat || len(d.sorted) != 1 {
+		panic("store: only: not a flat store")
+	}
+	return d.sorted[0].tile
 }
 
 // The tests below read through the request API; these helpers only
 // spell the requests most of them make.
 
-// querier is the read surface Store and Chunked share.
+// querier is the read surface of Store (and of a serve.Client or
+// Router).
 type querier interface {
 	Query(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error)
 }

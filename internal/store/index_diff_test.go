@@ -86,7 +86,7 @@ func testDifferentialReadOracle(t *testing.T, opts []Option) {
 				// oracle folds its versions alike, so as-of reads keep
 				// their meaning.
 				settle(st)
-				if n := len(st.currentFrags()); n < len(versions)-1 {
+				if n := len(only(st).currentFrags()); n < len(versions)-1 {
 					versions = append(versions[:1:1], next)
 				}
 			}
@@ -127,7 +127,7 @@ func testDifferentialReadOracle(t *testing.T, opts []Option) {
 			// must replay them over the checkpoint.
 			del([]uint64{12, 12, 0}, []uint64{6, 6, 24})
 			write()
-			nfrags := len(st.frags)
+			nfrags := len(only(st).frags)
 			if nfrags != len(versions)-1 {
 				t.Fatalf("store has %d fragments, oracle %d versions", nfrags, len(versions)-1)
 			}
@@ -520,8 +520,8 @@ func checkManifestFixture(t *testing.T, dir string, kind core.Kind, tail, batche
 	}
 	wantCoords := tensor.NewCoords(2, 0)
 	wantCoords.AppendFlat(live)
-	if st.Fragments() != wantFrags || st.logRecords != wantLog {
-		t.Fatalf("fixture opened with %d fragments, %d log records; want %d and %d", st.Fragments(), st.logRecords, wantFrags, wantLog)
+	if st.Fragments() != wantFrags || only(st).logRecords != wantLog {
+		t.Fatalf("fixture opened with %d fragments, %d log records; want %d and %d", st.Fragments(), only(st).logRecords, wantFrags, wantLog)
 	}
 	coords, vals, err := st.ExportAll()
 	if err != nil {

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,10 +20,10 @@ import (
 // prepareBatch builds one fragment (format Build, value Reorg, fragment
 // Encode — the CPU phases, no file-system access), commitPrepared makes
 // it durable (file write, then its manifest record, group-committed),
-// and ingest drives the two for one batch or many, in one store or
-// across a chunked store's tiles: prepares run on a bounded worker
-// pool while the caller's goroutine commits in deterministic fragment
-// order. Store.Write is the one-batch spelling and compaction builds
+// and ingest drives the two for one batch or many, across the tiles
+// the batches touch: prepares run on a bounded worker pool while the
+// caller's goroutine commits in deterministic fragment order.
+// Store.Write is the one-batch spelling and compaction builds
 // its consolidated fragment through the same two calls, so every entry
 // point leaves the same bytes: same fragment names, same file contents,
 // same manifest state. Only the committer touches the file system,
@@ -70,9 +72,9 @@ func resolveIngestWorkers(requested, jobs int) int {
 	return min(psort.Workers(requested), jobs)
 }
 
-// ValidateBatches is the one write validator — Store, Chunked and
-// serve.Router run it over a whole call before anything is built, sent
-// or committed: every batch has coordinates of the shape's rank, one
+// ValidateBatches is the one write validator — Store and serve.Router
+// run it over a whole call before anything is built, sent or
+// committed: every batch has coordinates of the shape's rank, one
 // value per point, and no point outside the shape.
 func ValidateBatches(batches []Batch, shape tensor.Shape) error {
 	for i, b := range batches {
@@ -100,11 +102,25 @@ func ValidateDeleteRegion(region tensor.Region, shape tensor.Shape) error {
 	return nil
 }
 
-// WriteBatchContext ingests many fragments through the parallel build
-// pipeline and returns one report per batch, in batch order. Fragments
-// are numbered and committed in batch order, so the on-disk result is
-// byte-identical to calling Write once per batch; workers bounds the
-// CPU-phase concurrency (values < 1 mean all cores).
+// tileWork is one tile's span of an ingest: the tile and its fragments
+// in batch order.
+type tileWork struct {
+	name  string
+	idx   []uint64
+	items []tileFrag
+}
+
+// WriteBatchContext ingests the batches across every tile they touch
+// through the parallel build pipeline and returns one report per batch,
+// in batch order: a batch spanning k tiles writes k fragments, whose
+// reports fold into its one (rep.Name is its first fragment's), and a
+// batch of no points keeps a zero report. Each batch is partitioned by
+// tile, and the per-tile fragments commit in sorted tile names outer,
+// batch order inner — the order of one Write per (tile, batch) — so
+// the on-disk result is byte-identical to that loop; all tiles'
+// fragments prepare on one shared worker pool, and each tile's
+// manifest log takes one Append per checkpoint interval. workers
+// bounds the CPU-phase concurrency (values < 1 mean all cores).
 //
 // Reporting semantics under concurrency match a pooled read: each
 // WriteReport's phase durations measure that fragment's aggregate work
@@ -112,49 +128,73 @@ func ValidateDeleteRegion(region tensor.Region, shape tensor.Shape) error {
 // committer), not elapsed wall time, and on a cost-modeled backend the
 // modeled I/O is attributed exactly because only the committer touches
 // the file system. Under group commit the flush's metadata cost lands
-// on the fragment whose commit triggered it.
+// on the fragment whose commit triggered it; a tile's creation cost on
+// its first fragment.
 //
-// On error, ingestion stops and no reports are returned: fragments
+// Every batch is validated before any I/O, so a point outside the
+// shape rejects the whole call with nothing committed. On a later
+// error, ingestion stops and no reports are returned: fragments
 // committed before the failure remain durable and visible, exactly as
 // if that prefix of Writes had run. Cancellation is one such error: it
 // is checked before each fragment's commit (and by the prepare workers
 // before each build), and the ingest returns ctx.Err(). When ctx
 // carries a sampled trace, the ingest's spans join it.
 func (s *Store) WriteBatchContext(ctx context.Context, batches []Batch, workers int) ([]*WriteReport, error) {
-	if err := ValidateBatches(batches, s.shape); err != nil {
+	if err := ValidateBatches(batches, s.tiling.Shape); err != nil {
 		return nil, err
 	}
 	if len(batches) == 0 {
 		return nil, nil
 	}
-	// The flat store is the one-tile case of the ingest driver: a batch
-	// of no points lands in no tile, so it writes no fragment and keeps
-	// a zero report.
-	frags := make([]tileFrag, 0, len(batches))
+	byName := map[string]*tileWork{}
+	var works []*tileWork
 	for i, b := range batches {
-		if b.Coords.Len() > 0 {
-			frags = append(frags, tileFrag{store: s, idx: i, batch: b})
+		for _, p := range s.partition(nil, b.Coords, b.Values) {
+			w, ok := byName[p.name]
+			if !ok {
+				w = &tileWork{name: p.name, idx: p.idx}
+				byName[p.name] = w
+				works = append(works, w)
+			}
+			w.items = append(w.items, tileFrag{idx: i, batch: Batch{Coords: p.coords, Values: p.vals}})
 		}
 	}
-	if len(frags) > 0 {
-		frags[len(frags)-1].final = true
-	}
-	workers = resolveIngestWorkers(workers, len(frags))
-	s.takeCost() // discard any cost accrued outside this call
+	slices.SortFunc(works, func(a, b *tileWork) int { return cmp.Compare(a.name, b.name) })
 
 	reg := s.obsReg()
 	kind := s.kind.String()
 	root, _ := reg.StartCtx(ctx, obsIngest)
 	defer root.End()
+
+	// Materialize every touched tile up front, in commit order; each
+	// creation's modeled cost is charged to that tile's first fragment,
+	// and the flat fragment list comes out in (tile, batch) order.
+	dir, setup, err := s.materialize(works)
+	if err != nil {
+		return nil, err
+	}
+	frags := make([]tileFrag, 0, len(batches))
+	for _, w := range works {
+		t := dir.byName[w.name].tile
+		for n := range w.items {
+			w.items[n].tile = t
+			w.items[n].final = n == len(w.items)-1
+		}
+		w.items[0].setup = setup[w.name]
+		frags = append(frags, w.items...)
+	}
+
+	workers = resolveIngestWorkers(workers, len(frags))
 	reg.Gauge("store.ingest.workers", "kind", kind).Set(int64(workers))
+	s.takeCost() // discard any cost accrued outside this call
 	reps, err := ingest(ctx, frags, len(batches), workers, root)
-	reg.Gauge("store.fragments", "kind", kind).Set(int64(s.Fragments()))
 	if err != nil {
 		reg.Counter("store.write.errors", "kind", kind).Inc()
 		return nil, err
 	}
 	reg.Counter("store.ingest.count", "kind", kind).Inc()
 	reg.Counter("store.ingest.fragments", "kind", kind).Add(int64(len(frags)))
+	reg.Counter("store.ingest.tiles", "kind", kind).Add(int64(len(works)))
 	return reps, nil
 }
 
@@ -163,31 +203,30 @@ func (s *Store) WriteBatch(batches []Batch, workers int) ([]*WriteReport, error)
 	return s.WriteBatchContext(context.Background(), batches, workers)
 }
 
-// tileFrag is one fragment of an ingest, in commit order: a batch (or
-// the slice of one that lands in a tile) and the store it commits to.
+// tileFrag is one fragment of an ingest, in commit order: the slice of
+// a batch that lands in a tile, and the tile it commits to.
 type tileFrag struct {
-	store *Store
+	tile  *tile
 	idx   int // logical batch index: the report it folds into
 	batch Batch
-	// final marks the store's last fragment of this ingest and forces
-	// its group flush: the committer never leaves a store with records
-	// staged, so queued reports always belong to the store currently
+	// final marks the tile's last fragment of this ingest and forces
+	// its group flush: the committer never leaves a tile with records
+	// staged, so queued reports always belong to the tile currently
 	// committing.
 	final bool
-	// setup is the tile store's creation cost, charged to the Others
-	// phase of the tile's first fragment (a serial loop pays it inside
-	// tileStore on first touch).
+	// setup is the tile's creation cost, charged to the Others phase of
+	// the tile's first fragment (a serial loop pays it on first touch).
 	setup time.Duration
 }
 
 // ingest is the driver every WRITE entry point shares. The CPU stage
-// prepares each fragment against its own store (tile shapes are
+// prepares each fragment against its own tile (tile shapes are
 // edge-clipped, so Build must see the right local shape) on a pool of
 // workers goroutines; a single fragment is prepared inline, with no
 // goroutine and no channel. The commit stage runs on the caller's
 // goroutine in frags order: one file write per fragment, manifest
-// records group-committed, each store's writer lock held across its
-// span of fragments — the ingest is one mutation stream per store.
+// records group-committed, each tile's writer lock held across its
+// span of fragments — the ingest is one mutation stream per tile.
 // It returns one report per logical batch (batches of them, each the
 // fold of its fragments' reports; a batch with none keeps a zero
 // report), or the first error and no reports — a caller sees the whole
@@ -199,7 +238,7 @@ func ingest(ctx context.Context, frags []tileFrag, batches, workers int, root *o
 	var abort atomic.Bool
 	prepare := func(i int) {
 		if !abort.Load() && ctx.Err() == nil {
-			frags[i].store.prepareBatch(&jobs[i], frags[i].batch, root)
+			frags[i].tile.prepareBatch(&jobs[i], frags[i].batch, root)
 		}
 	}
 	var wg sync.WaitGroup
@@ -230,9 +269,9 @@ func ingest(ctx context.Context, frags []tileFrag, batches, workers int, root *o
 	}
 
 	ic := &ingestCommitter{root: root, reps: make([]*WriteReport, batches)}
-	var locked *Store
+	var locked *tile
 	for i := range jobs {
-		j, st := &jobs[i], frags[i].store
+		j, st := &jobs[i], frags[i].tile
 		if j.done == nil {
 			prepare(i)
 		} else {
@@ -320,7 +359,7 @@ type ingestCommitter struct {
 // deliver folds the queued reports — now durable — into their batches'
 // reports, stamping each with st's current epoch (the one their flush
 // published).
-func (ic *ingestCommitter) deliver(st *Store) {
+func (ic *ingestCommitter) deliver(st *tile) {
 	epoch := st.currentEpoch()
 	for _, q := range ic.queued {
 		q.rep.Epoch = epoch
@@ -344,7 +383,7 @@ func (ic *ingestCommitter) fail(err error) {
 // commit (a prepare error or fragment-file write error): the staged
 // prefix, if any, is flushed so fragments committed before the failure
 // stay durable, then the failure is recorded.
-func (ic *ingestCommitter) failPrepared(st *Store, err error) {
+func (ic *ingestCommitter) failPrepared(st *tile, err error) {
 	if rolledBack, ferr := st.flushStaged(); ferr != nil && rolledBack {
 		ic.queued = ic.queued[:0]
 	} else {
@@ -357,7 +396,7 @@ func (ic *ingestCommitter) failPrepared(st *Store, err error) {
 // commit persists one prepared fragment into its store and folds
 // whatever became durable.
 func (ic *ingestCommitter) commit(f *tileFrag, j *ingestJob) {
-	st := f.store
+	st := f.tile
 	rep, outcome, err := st.commitPrepared(j, ic.root, f.final, f.setup)
 	switch outcome {
 	case commitStaged:
@@ -383,7 +422,7 @@ func (ic *ingestCommitter) commit(f *tileFrag, j *ingestJob) {
 // manifest record only; the fragment file carries neither. No
 // file-system access happens here — that is what makes the committer's
 // cost attribution exact.
-func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
+func (s *tile) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 	reg := s.obsReg()
 	kind := s.kind.String()
 	rep := &WriteReport{NNZ: b.Coords.Len()}
@@ -448,7 +487,7 @@ func (s *Store) prepareBatch(j *ingestJob, b Batch, root *obs.Span) {
 // one-batch writes checkpoints, which is what keeps the on-disk bytes
 // identical however the batches arrive. setup (tileFrag.setup) is
 // charged to the Others phase. The caller holds writeMu.
-func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool, setup time.Duration) (*WriteReport, commitOutcome, error) {
+func (s *tile) commitPrepared(j *ingestJob, root *obs.Span, final bool, setup time.Duration) (*WriteReport, commitOutcome, error) {
 	reg := s.obsReg()
 	kind := s.kind.String()
 	rep := j.rep
@@ -516,12 +555,12 @@ func (s *Store) commitPrepared(j *ingestJob, root *obs.Span, final bool, setup t
 	return rep, outcome, commitErr
 }
 
-// writeOne is the pipeline for a single fragment under a lock already
-// held: Store.Write's body, and how compaction builds its consolidated
+// writeOne is the pipeline for a single fragment under the tile's
+// writer lock, already held: how compaction builds its consolidated
 // fragment. Prepare and commit run back to back on the caller's
 // goroutine under one store.write root span; the record is a group of
 // one, flushed before the report is returned.
-func (s *Store) writeOne(b Batch) (*WriteReport, error) {
+func (s *tile) writeOne(b Batch) (*WriteReport, error) {
 	s.takeCost() // discard any cost accrued outside this call
 	reg := s.obsReg()
 	kind := s.kind.String()
@@ -539,7 +578,6 @@ func (s *Store) writeOne(b Batch) (*WriteReport, error) {
 		return nil, err
 	}
 	rep.Epoch = s.currentEpoch()
-	reg.Gauge("store.fragments", "kind", kind).Set(int64(len(s.frags)))
 	return rep, nil
 }
 

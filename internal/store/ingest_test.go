@@ -408,18 +408,18 @@ func TestManifestAdaptiveCheckpoint(t *testing.T) {
 		if _, err := st.Write(c, v); err != nil {
 			t.Fatal(err)
 		}
-		bound := st.lastCkptFrags
+		bound := only(st).lastCkptFrags
 		if bound < defaultCheckpointMin {
 			bound = defaultCheckpointMin
 		}
-		if st.logRecords > bound {
-			t.Fatalf("write %d: log has %d records, bound %d", i, st.logRecords, bound)
+		if only(st).logRecords > bound {
+			t.Fatalf("write %d: log has %d records, bound %d", i, only(st).logRecords, bound)
 		}
 	}
-	if st.lastCkptFrags == 0 {
+	if only(st).lastCkptFrags == 0 {
 		t.Fatal("no checkpoint ever folded")
 	}
-	if st.lastCkptFrags == writes {
+	if only(st).lastCkptFrags == writes {
 		t.Fatal("checkpointed on every write; adaptive cadence not in effect")
 	}
 	st2, err := Open(sim, "t")

@@ -80,9 +80,9 @@ type KernelRequest struct {
 // dims-dimensional store, before any view is pinned or shard asked: an
 // unknown op, a region on any op but KernelSumRegion or none on it, a
 // region of another rank, a mode outside the store's, or SpMV on a
-// store that is not 2-dim. It is the one kernel validator: Store,
-// Chunked and serve.Router call it, and add only their own op support
-// and the operand lengths that need the shape.
+// store that is not 2-dim. It is the one kernel validator: Store and
+// serve.Router call it, and add only their own op support and the
+// operand lengths that need the shape.
 func (req *KernelRequest) Validate(dims int) error {
 	switch {
 	case req.Op < KernelSumAll || req.Op > KernelTTV:
@@ -112,10 +112,13 @@ type KernelResult struct {
 }
 
 // Kernel executes one KernelRequest — the only compute entry point,
-// locally and over the wire. Cancellation is checked per fragment by
-// the READ loop underneath.
+// locally and over the wire. The additive kernels run per tile and
+// their partials fold, which is exact because tiles hold disjoint
+// cells; SpMV and TTV index their operands globally, so they need one
+// address space and are refused on a store of more than one tile.
+// Cancellation is checked per fragment by the READ loop underneath.
 func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, error) {
-	if err := req.Validate(s.shape.Dims()); err != nil {
+	if err := req.Validate(s.tiling.Shape.Dims()); err != nil {
 		return nil, err
 	}
 	reg := s.obsReg()
@@ -128,8 +131,60 @@ func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, e
 	return res, err
 }
 
-// kernelCost is a store kernel's cost attribution, flat or chunked: the
-// push report's counts plus what the reads underneath fetched. nil for
+// kernelAt runs a validated kernel on every tile the request touches
+// and folds the tile answers, in tile-key order; the tiles' read
+// reports come back summed, for cost attribution. SpMV and TTV run on
+// the one tile.
+func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, *ReadReport, error) {
+	dims := s.tiling.Shape.Dims()
+	total := &KernelResult{Values: []float64{0}, Report: &PushReport{}}
+	fold := func(_ *tilePart, r *KernelResult) { total.Values[0] += r.Values[0] }
+	// Kernels over the whole store visit the tiles of the whole shape.
+	region := tensor.Region{Start: make([]uint64, dims), Size: s.tiling.Shape}
+	switch req.Op {
+	case KernelSumAll, KernelLiveNNZ:
+	case KernelSumRegion:
+		region = *req.Region
+	case KernelNNZPerSlice:
+		var err error
+		if total.Values, err = kernelValues(req.Op, s.tiling.Shape[req.Mode]); err != nil {
+			return nil, nil, err
+		}
+		fold = func(t *tilePart, r *KernelResult) {
+			origin := s.tiling.Origin(t.idx, req.Mode)
+			for i, v := range r.Values {
+				total.Values[origin+uint64(i)] += v
+			}
+		}
+	default: // SpMV, TTV
+		t, err := s.sole(fmt.Sprintf("kernel %v is", req.Op))
+		if err != nil {
+			return nil, nil, err
+		}
+		return t.kernelAt(ctx, req)
+	}
+	read := &ReadReport{}
+	for _, t := range s.tilesIn(s.dir.Load(), region) {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		sub := KernelRequest{Op: req.Op, Mode: req.Mode}
+		if req.Op == KernelSumRegion {
+			sub.Region = &t.clip
+		}
+		r, tr, err := t.tile.kernelAt(ctx, sub)
+		if err != nil {
+			return nil, nil, err
+		}
+		fold(t, r)
+		total.Report.Add(r.Report)
+		read.Add(tr)
+	}
+	return total, read, nil
+}
+
+// kernelCost is a store kernel's cost attribution: the push report's
+// counts plus what the reads underneath fetched. nil for
 // a failed kernel.
 func kernelCost(res *KernelResult, read *ReadReport) func() map[string]int64 {
 	if res == nil {
@@ -145,9 +200,9 @@ func kernelCost(res *KernelResult, read *ReadReport) func() map[string]int64 {
 }
 
 // kernelAt picks a validated request's fold (pushdown.go) and runs it
-// over the live cells; the read's report comes back for cost
+// over the tile's live cells; the read's report comes back for cost
 // attribution.
-func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, *ReadReport, error) {
+func (s *tile) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, *ReadReport, error) {
 	res := &KernelResult{Values: []float64{0}}
 	sum := func(_ []uint64, val float64) bool { res.Values[0] += val; return true }
 	var (

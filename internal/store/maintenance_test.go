@@ -285,13 +285,13 @@ func TestChunkedCompactsByDefault(t *testing.T) {
 			rng := rand.New(rand.NewSource(64))
 			for i := 0; i < 64; i++ {
 				c, vals := randomPoints(rng, shape, 80) // every tile, every write
-				for _, s := range []*Chunked{st, ref} {
+				for _, s := range []*Store{st, ref} {
 					if _, err := s.Write(c, vals); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			for _, s := range []*Chunked{st, ref} {
+			for _, s := range []*Store{st, ref} {
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -300,10 +300,10 @@ func TestChunkedCompactsByDefault(t *testing.T) {
 				t.Fatalf("%d tiles, want 8", st.Tiles())
 			}
 			for _, e := range st.dir.Load().sorted {
-				if n := e.store.Fragments(); n != 1 {
+				if n := e.tile.fragments(); n != 1 {
 					t.Fatalf("tile %s holds %d fragments after Close, want 1", e.name, n)
 				}
-				requireKeysHold(t, "tile "+e.name, e.store)
+				requireKeysHold(t, "tile "+e.name, e.tile)
 			}
 			if n := ref.Fragments(); n != 8*64 {
 				t.Fatalf("reference store holds %d fragments, want %d", n, 8*64)
@@ -377,7 +377,7 @@ func TestCompactionLeavesReaderCacheAlone(t *testing.T) {
 	if before.entries != 4 {
 		t.Fatalf("the window read left %d entries resident, want 4", before.entries)
 	}
-	first := c.dir.Load().sorted[0].store
+	first := c.dir.Load().sorted[0].tile
 	var resident int64
 	for _, fr := range first.currentFrags() {
 		if e := cache.Peek(fr.name); e != nil {
@@ -385,7 +385,7 @@ func TestCompactionLeavesReaderCacheAlone(t *testing.T) {
 		}
 	}
 	fs.n = fsCalls{}
-	rep, err := first.Compact()
+	rep, err := first.compact()
 	if err != nil {
 		t.Fatal(err)
 	}

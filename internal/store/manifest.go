@@ -68,14 +68,14 @@ func WithManifestCheckpointEvery(k int) Option {
 }
 
 // logName returns the store's manifest-log path.
-func (s *Store) logName() string { return s.prefix + "/" + manifestLogName }
+func (s *tile) logName() string { return s.prefix + "/" + manifestLogName }
 
 // cadence returns the checkpoint threshold in log records: the explicit
 // WithManifestCheckpointEvery value, or the adaptive policy — let the
 // log grow to the checkpoint's size before paying an O(fragments) fold,
 // so per-write metadata cost stays amortized O(1) no matter how many
 // fragments accumulate.
-func (s *Store) cadence() int {
+func (s *tile) cadence() int {
 	k := s.ckptEvery
 	if k <= 0 {
 		k = s.lastCkptFrags
@@ -87,7 +87,7 @@ func (s *Store) cadence() int {
 }
 
 // checkpointDue reports whether the log has grown past the cadence.
-func (s *Store) checkpointDue() bool {
+func (s *tile) checkpointDue() bool {
 	return s.logRecords >= s.cadence()
 }
 
@@ -212,7 +212,7 @@ func appendFramedRecord(dst []byte, fr fragRef, id uint64, dims int) []byte {
 // record is just not durable yet. Returns the framed record's size in
 // bytes (DeleteRegion reports it as the tombstone's footprint). The
 // caller holds writeMu.
-func (s *Store) stageFragment(fr fragRef) int {
+func (s *tile) stageFragment(fr fragRef) int {
 	id := s.nextID
 	s.nextID++
 	s.frags = append(s.frags, fr)
@@ -226,7 +226,7 @@ func (s *Store) stageFragment(fr fragRef) int {
 // checkpoint cadence. Flushing exactly when (durable + staged) records
 // hit the threshold keeps checkpoint timing — and therefore the final
 // on-disk bytes — identical to a serial per-fragment commit loop.
-func (s *Store) groupFlushDue() bool {
+func (s *tile) groupFlushDue() bool {
 	return s.logRecords+s.stagedRecs >= s.cadence()
 }
 
@@ -241,7 +241,7 @@ func (s *Store) groupFlushDue() bool {
 // published as soon as the records are durable, so a checkpoint-fold
 // failure after that surfaces as an error (rolledBack false) but the
 // commit itself stands — the next Open simply replays the records.
-func (s *Store) flushStaged() (rolledBack bool, err error) {
+func (s *tile) flushStaged() (rolledBack bool, err error) {
 	if s.stagedRecs == 0 {
 		return false, nil
 	}
@@ -272,7 +272,7 @@ func (s *Store) flushStaged() (rolledBack bool, err error) {
 // A crash between the two steps is safe: the stale log records all
 // carry ids below the new checkpoint's nextID and are skipped on
 // replay.
-func (s *Store) checkpoint() error {
+func (s *tile) checkpoint() error {
 	if err := s.writeManifest(); err != nil {
 		return err
 	}
@@ -293,7 +293,7 @@ func (s *Store) checkpoint() error {
 // whose frame fails to verify — ends the replay and is truncated away
 // so future appends land after a clean prefix. Records older than the
 // checkpoint (an interrupted fold) are skipped.
-func (s *Store) replayLog() error {
+func (s *tile) replayLog() error {
 	data, err := s.fs.ReadFile(s.logName())
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
@@ -351,7 +351,7 @@ func (s *Store) replayLog() error {
 
 // Tombstone region sanity for replayed records: a region with the wrong
 // rank would poison later reads, so validate like DeleteRegion does.
-func (s *Store) validateReplayedTombstone(fr fragRef) error {
+func (s *tile) validateReplayedTombstone(fr fragRef) error {
 	if !fr.tomb {
 		return nil
 	}

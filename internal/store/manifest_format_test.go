@@ -110,8 +110,8 @@ func TestSMN2StoreUpgradesOnOpen(t *testing.T) {
 			if _, err := fs.ReadFile("t/" + manifestLogName); err == nil {
 				t.Fatal("the SMN2 log survived the fold")
 			}
-			old := len(st.currentFrags())
-			for _, fr := range st.currentFrags() {
+			old := len(only(st).currentFrags())
+			for _, fr := range only(st).currentFrags() {
 				if fr.keys != nil {
 					t.Fatalf("%s has a key filter an SMN2 store never wrote", fr.name)
 				}
@@ -123,7 +123,7 @@ func TestSMN2StoreUpgradesOnOpen(t *testing.T) {
 			}
 			oracle := map[uint64]float64{}
 			for i := range wantV {
-				oracle[st.lin.Linearize(wantC.At(i))] = wantV[i]
+				oracle[only(st).lin.Linearize(wantC.At(i))] = wantV[i]
 			}
 			b := tensor.NewCoords(2, 0)
 			b.AppendFlat([]uint64{3, 4, 9, 9, 0, 15, 15, 15, 1, 1})
@@ -132,7 +132,7 @@ func TestSMN2StoreUpgradesOnOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, v := range vals {
-				oracle[st.lin.Linearize(b.At(i))] = v
+				oracle[only(st).lin.Linearize(b.At(i))] = v
 			}
 
 			re, err := Open(fs, "t")
@@ -140,10 +140,10 @@ func TestSMN2StoreUpgradesOnOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireCheckpointMagic(t, fs, "SMN3")
-			frags := re.currentFrags()
-			if re.logRecords != 1 || len(frags) != old+1 || frags[old].keys == nil {
+			frags := only(re).currentFrags()
+			if only(re).logRecords != 1 || len(frags) != old+1 || frags[old].keys == nil {
 				t.Fatalf("reopened with %d log records and %d fragments (newest keyed %v), want 1, %d, true",
-					re.logRecords, len(frags), frags[len(frags)-1].keys != nil, old+1)
+					only(re).logRecords, len(frags), frags[len(frags)-1].keys != nil, old+1)
 			}
 			requireStoreMatchesOracle(t, re, oracle)
 		})
@@ -167,7 +167,7 @@ func TestKeylessFragmentsAnswerProbesByBox(t *testing.T) {
 		read, skipped int
 	}{
 		{[]uint64{5, 5}, map[uint64]float64{}, 3, 0},
-		{[]uint64{3, 4}, map[uint64]float64{st.lin.Linearize([]uint64{3, 4}): 9}, 3, 0},
+		{[]uint64{3, 4}, map[uint64]float64{only(st).lin.Linearize([]uint64{3, 4}): 9}, 3, 0},
 		// The probes' box overlaps three data fragments; no box holds a probe.
 		{[]uint64{0, 0, 9, 14}, map[uint64]float64{}, 0, 3},
 	} {
@@ -177,7 +177,7 @@ func TestKeylessFragmentsAnswerProbesByBox(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireOracle(t, fmt.Sprint("probe ", tc.pts), st.lin, res, tc.want)
+		requireOracle(t, fmt.Sprint("probe ", tc.pts), only(st).lin, res, tc.want)
 		if rep.Fragments != tc.read || rep.FilterSkipped != tc.skipped {
 			t.Fatalf("probe %v read %d fragments and skipped %d; want %d and %d", tc.pts, rep.Fragments, rep.FilterSkipped, tc.read, tc.skipped)
 		}
@@ -237,24 +237,24 @@ func requireStoreMatchesOracle(t *testing.T, st *Store, oracle map[uint64]float6
 				t.Fatal(err)
 			}
 			want := map[uint64]float64{}
-			if v, ok := oracle[st.lin.Linearize([]uint64{x, y})]; ok {
-				want[st.lin.Linearize([]uint64{x, y})] = v
+			if v, ok := oracle[only(st).lin.Linearize([]uint64{x, y})]; ok {
+				want[only(st).lin.Linearize([]uint64{x, y})] = v
 			}
-			requireOracle(t, "point read", st.lin, res, want)
+			requireOracle(t, "point read", only(st).lin, res, want)
 		}
 	}
 	res, _, err := readProbe(st, all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireOracle(t, "all-cells probe", st.lin, res, oracle)
+	requireOracle(t, "all-cells probe", only(st).lin, res, oracle)
 	whole := tensor.Region{Start: []uint64{0, 0}, Size: shape}
 	for _, strategy := range []Strategy{StrategyScan, StrategyAuto} {
 		res, _, err := readRegion(st, whole, strategy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireOracle(t, "region read", st.lin, res, oracle)
+		requireOracle(t, "region read", only(st).lin, res, oracle)
 	}
 }
 
@@ -289,7 +289,7 @@ func TestKeyFiltersHaveNoFalseNegatives(t *testing.T) {
 				if _, err := st.Write(b.Coords, b.Values); err != nil {
 					t.Fatal(err)
 				}
-				requireKeysHold(t, "after Write", st)
+				requireKeysHold(t, "after Write", only(st))
 				if _, err := st.WriteBatchContext(context.Background(), []Batch{batch(120), batch(90), batch(60)}, 2); err != nil {
 					t.Fatal(err)
 				}
@@ -301,23 +301,23 @@ func TestKeyFiltersHaveNoFalseNegatives(t *testing.T) {
 					t.Fatal(err)
 				}
 				settle(st)
-				requireKeysHold(t, "after WriteBatchContext", st)
+				requireKeysHold(t, "after WriteBatchContext", only(st))
 				re, err := Open(fs, "t", opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireKeysHold(t, "after a reopen from the log", re)
+				requireKeysHold(t, "after a reopen from the log", only(re))
 				if _, err := st.Compact(); err != nil {
 					t.Fatal(err)
 				}
-				requireKeysHold(t, "after Compact", st)
+				requireKeysHold(t, "after Compact", only(st))
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}
 				if re, err = Open(fs, "t", opts...); err != nil {
 					t.Fatal(err)
 				}
-				requireKeysHold(t, "after a reopen from the checkpoint", re)
+				requireKeysHold(t, "after a reopen from the checkpoint", only(re))
 			})
 		})
 	}
@@ -326,7 +326,7 @@ func TestKeyFiltersHaveNoFalseNegatives(t *testing.T) {
 // requireKeysHold walks every stored point of every data fragment of st
 // and asks the fragment's key filter, then a one-point read's plan,
 // about it.
-func requireKeysHold(t *testing.T, label string, st *Store) {
+func requireKeysHold(t *testing.T, label string, st *tile) {
 	t.Helper()
 	for _, fr := range st.currentFrags() {
 		if fr.tomb || fr.nnz == 0 {

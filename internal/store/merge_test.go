@@ -98,14 +98,15 @@ func TestMergeHitsMatchesComparisonMerge(t *testing.T) {
 					}
 				}
 			}
-			v := st.acquireView()
+			tl := only(st)
+			v := tl.acquireView()
 			defer v.release()
 			tombs := tombstonesUpTo(v.frags, len(v.frags))
 			for _, pl := range []readPlan{
-				st.scanPlan(nil),
-				st.scanPlan(&window),
-				st.planRead(QueryRequest{Probe: window.Coords()}),
-				st.planRead(QueryRequest{Region: &whole, Strategy: StrategyAuto}),
+				tl.scanPlan(nil),
+				tl.scanPlan(&window),
+				tl.planRead(QueryRequest{Probe: window.Coords()}),
+				tl.planRead(QueryRequest{Region: &whole, Strategy: StrategyAuto}),
 			} {
 				acc := &readAcc{}
 				for fi := range v.frags {
@@ -113,12 +114,12 @@ func TestMergeHitsMatchesComparisonMerge(t *testing.T) {
 					if fr.tomb || fr.nnz == 0 || !fr.bbox.Overlaps(pl.box) {
 						continue
 					}
-					if err := st.readFragment(nil, fi, fr, &pl, pl.scans(st, fr), acc); err != nil {
+					if err := tl.readFragment(nil, fi, fr, &pl, pl.scans(tl, fr), acc); err != nil {
 						t.Fatal(err)
 					}
 				}
-				want, wantLive, _ := mergeHits(st, comparisonOrder(acc.hits), tombs, nil)
-				got, gotLive, _ := mergeHits(st, acc.hits, tombs, nil)
+				want, wantLive, _ := mergeHits(tl, comparisonOrder(acc.hits), tombs, nil)
+				got, gotLive, _ := mergeHits(tl, acc.hits, tombs, nil)
 				if !sameResult(got, want) || gotLive != wantLive {
 					t.Fatalf("radix merge %+v differs from the comparison merge %+v", gotLive, wantLive)
 				}

@@ -94,7 +94,7 @@ func TestMixedKindFixture(t *testing.T) {
 	if st.Fragments() != 1 {
 		t.Fatalf("compact left %d fragments", st.Fragments())
 	}
-	b, err := fs.ReadFile(st.currentFrags()[0].name)
+	b, err := fs.ReadFile(only(st).currentFrags()[0].name)
 	if err != nil {
 		t.Fatal(err)
 	}

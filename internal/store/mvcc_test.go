@@ -95,7 +95,7 @@ func TestReadsDoNotBlockOnWriterLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.writeMu.Lock() // a writer (or compaction) is mid-mutation
+	only(st).writeMu.Lock() // a writer (or compaction) is mid-mutation
 	done := make(chan error, 1)
 	go func() {
 		res, _, err := readProbe(st, region.Coords())
@@ -112,7 +112,7 @@ func TestReadsDoNotBlockOnWriterLock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("read blocked behind the writer lock")
 	}
-	st.writeMu.Unlock()
+	only(st).writeMu.Unlock()
 }
 
 // TestNoMixedEpochReads: while a writer rewrites the full domain with a
@@ -222,7 +222,7 @@ func TestCompactDeferredDeletion(t *testing.T) {
 	if n := fragFiles(); n != 3 {
 		t.Fatalf("%d fragment files before compact, want 3", n)
 	}
-	v := st.acquireView() // a long-running read pins the pre-compaction epoch
+	v := only(st).acquireView() // a long-running read pins the pre-compaction epoch
 	rep, err := st.Compact()
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestCompactDeferredDeletion(t *testing.T) {
 		t.Fatalf("store.gc.pending = %d, want 1", g)
 	}
 	// The pinned view still reads the old fragment set coherently.
-	oldCoords, _, err := st.exportView(v, st.scanPlan(nil))
+	oldCoords, _, err := only(st).exportView(v, only(st).scanPlan(nil))
 	if err != nil {
 		t.Fatalf("pinned-view read: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestOpenCollectsOrphans(t *testing.T) {
 		}
 		ref.write(c, v)
 	}
-	v := st.acquireView()
+	v := only(st).acquireView()
 	if _, err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}

@@ -139,10 +139,11 @@ func TestWriteFaultCountedNoSpanLeak(t *testing.T) {
 	}
 }
 
-// TestChunkedAndAutoSpanCoverage: the composite operations — the
-// chunked store's Write/Read/DeleteRegion and the cost-model-driven
-// ReadRegionAuto — each open a root span, feed the same-named latency
-// histogram, and leak nothing.
+// TestChunkedAndAutoSpanCoverage: the composite operations — a tiled
+// store's Write/Query/DeleteRegion across tiles and a flat store's
+// planned region read — each open one request span under the store's
+// one set of names, feed the same-named latency histogram, and leak
+// nothing.
 func TestChunkedAndAutoSpanCoverage(t *testing.T) {
 	reg := obs.New()
 	ch, err := NewChunked(fsim.NewPerlmutterSim(), "t", core.GCSR,
@@ -167,6 +168,9 @@ func TestChunkedAndAutoSpanCoverage(t *testing.T) {
 	if _, err := ch.DeleteRegion(region); err != nil {
 		t.Fatal(err)
 	}
+	if got := reg.Snapshot().Gauges[obs.Name("store.tiles", "kind", core.GCSR.String())]; got != 2 {
+		t.Errorf("store.tiles = %d, want 2", got)
+	}
 
 	st, err := Create(fsim.NewPerlmutterSim(), "a", core.GCSR, tensor.Shape{8, 8}, WithObs(reg))
 	if err != nil {
@@ -185,16 +189,16 @@ func TestChunkedAndAutoSpanCoverage(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	for _, name := range []string{
-		obsChunkedWrite, obsChunkedRead, obsChunkedDelete,
-		obsRead, // ReadRegionAuto's root span (also fired by the tile reads)
+	for name, want := range map[string]int64{
+		obsWrite:  2, // the tiled Write and the flat one
+		obsIngest: 2, // one under each Write
+		obsDelete: 1,
+		obsQuery:  2, // the tiled probe and the flat region read
+		obsRead:   3, // one per tile read: two tiles probed, one flat tile
 	} {
-		if snap.Histograms[name].Count == 0 {
-			t.Errorf("span histogram %s not populated", name)
+		if got := snap.Histograms[name].Count; got != want {
+			t.Errorf("span histogram %s has %d observations, want %d", name, got, want)
 		}
-	}
-	if got := snap.Gauges[obs.Name("store.chunked.tiles", "kind", core.GCSR.String())]; got != 2 {
-		t.Errorf("store.chunked.tiles = %d, want 2", got)
 	}
 	if snap.InFlight != 0 {
 		t.Errorf("%d spans leaked by the composite operations", snap.InFlight)

@@ -21,7 +21,7 @@ import (
 // Memory is that of any read: O(hits in the target) — one 24-byte hit
 // per stored cell the scan reaches, live or not — held until the merge
 // has run. A whole-store kernel or ScanLive therefore holds as much as
-// ExportAll and compaction do; on a Chunked store a tile bounds it.
+// ExportAll and compaction do; a tile bounds it.
 
 // PushReport summarizes one push-down execution, in the read's own
 // accounting.
@@ -43,9 +43,9 @@ type PushReport struct {
 	Epoch uint64
 }
 
-// Add folds another execution's report into r: a chunked store's
-// tile, a router's shard. Epochs sum like the counts (a change
-// counter, as Chunked.Epoch is).
+// Add folds another execution's report into r: a store's tile, a
+// router's shard. Epochs sum like the counts (a change counter, as
+// Store.Epoch is).
 func (r *PushReport) Add(o *PushReport) {
 	r.Fragments += o.Fragments
 	r.Skipped += o.Skipped
@@ -60,7 +60,7 @@ func (r *PushReport) Add(o *PushReport) {
 // go to emit. The push report is that read's accounting; the read's
 // own report comes back beside it for cost attribution. Cancellation
 // is checked before each fragment, as for any read.
-func (s *Store) foldLive(ctx context.Context, op string, region *tensor.Region, emit emitFunc) (*PushReport, *ReadReport, error) {
+func (s *tile) foldLive(ctx context.Context, op string, region *tensor.Region, emit emitFunc) (*PushReport, *ReadReport, error) {
 	v := s.acquireView()
 	defer v.release()
 	_, rep, live, err := s.readView(ctx, v, len(v.frags), s.scanPlan(region), emit)
@@ -87,12 +87,26 @@ func (s *Store) foldLive(ctx context.Context, op string, region *tensor.Region, 
 }
 
 // ScanLive hands every live cell of the store (or of a region, when
-// non-nil) to visit in ascending linear address — deterministic, so
-// Convert builds its chunks on it. Returning false from visit stops the
-// walk early (the report then covers the visited prefix). A deadline
-// stops the scan at a fragment boundary, before any cell is visited.
+// non-nil; it ends at the shape's edge) to visit in ascending linear
+// address — deterministic, so Convert builds its chunks on it.
+// Returning false from visit stops the walk early (the report then
+// covers the visited prefix). A deadline stops the scan at a fragment
+// boundary, before any cell is visited. One address order needs one
+// address space: ScanLive is refused on a store of more than one tile.
 func (s *Store) ScanLive(ctx context.Context, region *tensor.Region, visit func(p []uint64, val float64) bool) (*PushReport, error) {
-	rep, _, err := s.foldLive(ctx, "scan", region, visit)
+	t, err := s.sole("ScanLive is")
+	if err != nil {
+		return nil, err
+	}
+	if region != nil {
+		_, idx := s.origin()
+		clip, ok := s.tiling.Clip(*region, idx)
+		if !ok {
+			return &PushReport{Epoch: t.currentEpoch()}, nil
+		}
+		region = &clip
+	}
+	rep, _, err := t.foldLive(ctx, "scan", region, visit)
 	return rep, err
 }
 
@@ -104,7 +118,7 @@ func (s *Store) ScanLive(ctx context.Context, region *tensor.Region, visit func(
 // spmvFold computes y = A·x over the stored 2D tensor without exporting
 // it: y[i] += A[i,j]·x[j] per live cell. x must have length Shape[1]; y
 // has length Shape[0].
-func (s *Store) spmvFold(res *KernelResult, x []float64) (emitFunc, error) {
+func (s *tile) spmvFold(res *KernelResult, x []float64) (emitFunc, error) {
 	if uint64(len(x)) != s.shape[1] {
 		return nil, fmt.Errorf("store: %w: x has %d entries for %d columns", ErrShapeMismatch, len(x), s.shape[1])
 	}
@@ -119,7 +133,7 @@ func (s *Store) spmvFold(res *KernelResult, x []float64) (emitFunc, error) {
 // nnzPerSliceFold counts live cells per index of one mode: out[k] is
 // the number of live cells with coordinate k along that mode — the
 // slice histogram load balancers and format advisors want.
-func (s *Store) nnzPerSliceFold(res *KernelResult, mode int) (emitFunc, error) {
+func (s *tile) nnzPerSliceFold(res *KernelResult, mode int) (emitFunc, error) {
 	out, err := kernelValues(KernelNNZPerSlice, s.shape[mode])
 	if err != nil {
 		return nil, err
@@ -132,7 +146,7 @@ func (s *Store) nnzPerSliceFold(res *KernelResult, mode int) (emitFunc, error) {
 // Y[i_0,…,î_mode,…] = Σ_k T[…,k,…]·v[k], leaving the dense result in
 // row-major order over the remaining modes together with its shape —
 // the in-store counterpart of linalg.Tensor.TTV.
-func (s *Store) ttvFold(res *KernelResult, mode int, vec []float64) (emitFunc, error) {
+func (s *tile) ttvFold(res *KernelResult, mode int, vec []float64) (emitFunc, error) {
 	d := s.shape.Dims()
 	if uint64(len(vec)) != s.shape[mode] {
 		return nil, fmt.Errorf("store: %w: vector has %d entries for extent %d", ErrShapeMismatch, len(vec), s.shape[mode])

@@ -266,12 +266,12 @@ func TestScanLiveMatchesExport(t *testing.T) {
 	}
 	want := map[uint64]float64{}
 	for i, n := 0, coords.Len(); i < n; i++ {
-		want[st.lin.Linearize(coords.At(i))] = vals[i]
+		want[only(st).lin.Linearize(coords.At(i))] = vals[i]
 	}
 
 	got := map[uint64]float64{}
 	rep, err := st.ScanLive(context.Background(), nil, func(p []uint64, val float64) bool {
-		a := st.lin.Linearize(p)
+		a := only(st).lin.Linearize(p)
 		if _, dup := got[a]; dup {
 			t.Fatalf("ScanLive emitted %v twice", p)
 		}
@@ -309,12 +309,12 @@ func TestScanLiveMatchesExport(t *testing.T) {
 	wantRegion := map[uint64]float64{}
 	for i, n := 0, coords.Len(); i < n; i++ {
 		if region.Contains(coords.At(i)) {
-			wantRegion[st.lin.Linearize(coords.At(i))] = vals[i]
+			wantRegion[only(st).lin.Linearize(coords.At(i))] = vals[i]
 		}
 	}
 	gotRegion := map[uint64]float64{}
 	if _, err := st.ScanLive(context.Background(), &region, func(p []uint64, val float64) bool {
-		gotRegion[st.lin.Linearize(p)] = val
+		gotRegion[only(st).lin.Linearize(p)] = val
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -17,8 +17,8 @@ import (
 // which version bound applies; a region read is planned per fragment
 // by the Table I cost model. QueryRequest carries those axes as one
 // value — the struct the wire protocol (internal/wire) carries — and
-// Query threads a context.Context through the fragment loop
-// (Store.read) so a server-side deadline stops in-store work instead
+// Query threads a context.Context through each tile's fragment loop
+// (tile.read) so a server-side deadline stops in-store work instead
 // of letting it run to completion.
 
 // Typed request errors. They satisfy errors.Is through fmt.Errorf
@@ -88,8 +88,8 @@ type QueryRequest struct {
 
 // Validate rejects a request that is structurally bad or whose target
 // is not dims-dimensional, before any view is pinned or shard asked. It
-// is the one read validator: Store, Chunked and serve.Router call it and
-// add only their own as-of rule.
+// is the one read validator: Store and serve.Router call it and add
+// only their own as-of rule.
 func (req *QueryRequest) Validate(dims int) error {
 	if (req.Probe == nil) == (req.Region == nil) {
 		return fmt.Errorf("store: %w: exactly one of Probe or Region must be set", ErrBadRequest)
@@ -115,12 +115,22 @@ func (req *QueryRequest) Validate(dims int) error {
 	return nil
 }
 
-// Query answers one QueryRequest against a pinned MVCC view — the
-// entry point applications, the facade, and the wire protocol share.
-// Cancellation is checked once per fragment: a canceled ctx stops
-// before the next fetch/probe/scan and returns ctx.Err().
+// Query answers one QueryRequest — the entry point applications, the
+// facade, and the wire protocol share. Probe targets partition by tile;
+// region targets intersect the region with each materialized tile and
+// run the tile-local sub-region through the tile's read, so a region
+// read touches only the tiles it covers. A tile is not a caller: the
+// request is validated, spanned and slow-logged once, here, and each
+// tile runs only its share of the work, against a pinned MVCC view.
+// Results are sorted by global row-major order, which equals
+// linear-address order, the order the router's scatter-gather
+// reproduces across shard processes. An as-of read needs one address
+// space (a version counts one tile's fragments), so it is refused on a
+// store of more than one tile. Cancellation is checked once per
+// fragment: a canceled ctx stops before the next fetch/probe/scan and
+// returns ctx.Err().
 func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
-	if err := req.Validate(s.shape.Dims()); err != nil {
+	if err := req.Validate(s.tiling.Shape.Dims()); err != nil {
 		return nil, nil, err
 	}
 	reg := s.obsReg()
@@ -128,16 +138,149 @@ func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, *ReadRepo
 	if sp.Sampled() {
 		sp.SetAttrStr("strategy", req.Strategy.String())
 	}
-	res, rep, err := s.read(ctx, req)
+	res, rep, err := s.queryTiles(ctx, req)
 	FinishRequestSpan(reg, ctx, sp, obsQuery, s.kind.String(), ReadCost(rep), err)
 	return res, rep, err
+}
+
+// queryTiles answers the request tile by tile — each tile's share as a
+// tile-local query against its store — and merges the answers, taken
+// back to global coordinates, in row-major order. A probe inside one
+// tile, as a point probe always is, goes to that tile whole: there is
+// nothing to partition and nothing to merge, and at the origin tile
+// nothing to translate either.
+func (s *Store) queryTiles(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
+	if req.AsOf != AsOfLatest {
+		t, err := s.sole("as-of reads are")
+		if err != nil {
+			return nil, nil, err
+		}
+		return t.read(ctx, req)
+	}
+	dir := s.dir.Load()
+	if req.Probe != nil {
+		if e := s.probeTile(dir, req.Probe); e != nil {
+			if !isOrigin(e.idx) {
+				req = QueryRequest{Probe: s.localProbe(req.Probe, e.idx), AsOf: AsOfLatest}
+			}
+			return s.queryTile(ctx, e.tile, e.idx, req)
+		}
+	}
+	var tiles []*tilePart
+	if req.Region != nil {
+		tiles = s.tilesIn(dir, *req.Region)
+	} else {
+		tiles = s.partition(dir, req.Probe, nil)
+	}
+	rep := &ReadReport{}
+	parts := make([]*Result, 0, len(tiles))
+	for _, t := range tiles {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		sub := QueryRequest{Probe: t.coords, AsOf: AsOfLatest, Strategy: req.Strategy}
+		if req.Region != nil {
+			sub.Region = &t.clip
+		}
+		res, r, err := s.queryTile(ctx, t.tile, t.idx, sub)
+		if err != nil {
+			return nil, nil, err
+		}
+		rep.Add(r)
+		parts = append(parts, res)
+	}
+	t := time.Now()
+	res := MergeResults(s.tiling.Shape.Dims(), parts)
+	rep.Merge += time.Since(t)
+	return res, rep, nil
+}
+
+// queryTile answers a tile-local request from the tile at idx. The
+// tile's result is this call's to consume: it shifts to the global
+// frame in place (the origin tile's frame is the global one).
+func (s *Store) queryTile(ctx context.Context, t *tile, idx []uint64, sub QueryRequest) (*Result, *ReadReport, error) {
+	res, rep, err := t.read(ctx, sub)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.toGlobal(res.Coords, idx)
+	return res, rep, nil
+}
+
+// toGlobal shifts tile-local points of the tile at idx to the global
+// frame in place; the origin tile's need no shift.
+func (s *Store) toGlobal(c *tensor.Coords, idx []uint64) {
+	if isOrigin(idx) {
+		return
+	}
+	flat := c.Flat()
+	for i := range flat {
+		flat[i] += s.tiling.Origin(idx, i%len(idx))
+	}
+}
+
+// isOrigin reports whether idx is the tile at the origin, whose frame
+// is the global one.
+func isOrigin(idx []uint64) bool {
+	for _, v := range idx {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// probeTile returns the materialized tile that holds every point of
+// probe, or nil when there is none: the points span tiles, leave the
+// shape, lie in a tile never written, or there are none. Its buffers
+// live on the stack, so it allocates nothing.
+func (s *Store) probeTile(dir *tileDir, probe *tensor.Coords) *tileEntry {
+	n, dims := probe.Len(), probe.Dims()
+	if n == 0 {
+		return nil
+	}
+	var ib [8]uint64
+	idx := ib[:]
+	if dims > len(ib) {
+		idx = make([]uint64, dims)
+	}
+	idx = idx[:dims]
+	for i := 0; i < n; i++ {
+		p := probe.At(i)
+		if !s.tiling.Shape.Contains(p) {
+			return nil
+		}
+		if i == 0 {
+			s.tiling.Index(idx, p)
+			continue
+		}
+		for d, v := range p {
+			if v/s.tiling.Tile[d] != idx[d] {
+				return nil
+			}
+		}
+	}
+	var nb [64]byte
+	return dir.byName[string(s.tiling.AppendName(nb[:0], idx))]
+}
+
+// localProbe is probe in the frame of the tile at idx, which holds all
+// its points.
+func (s *Store) localProbe(probe *tensor.Coords, idx []uint64) *tensor.Coords {
+	local := tensor.NewCoords(probe.Dims(), probe.Len())
+	local.AppendFlat(probe.Flat())
+	flat := local.Flat()
+	for i := range flat {
+		flat[i] -= s.tiling.Origin(idx, i%len(idx))
+	}
+	return local
 }
 
 // AlignPoints lays a probe query's result out along its probe: vals[i]
 // and found[i] answer probe point i, whatever order and multiplicity
 // the probe has. It is a pure function of the two, keyed on the
-// coordinate tuple, so it serves a Result from a Store, a Chunked, a
-// client or a router alike — including shapes whose linear address
+// coordinate tuple, so it serves a Result from a Store, a client or a
+// router alike — including shapes whose linear address
 // overflows uint64.
 func AlignPoints(probe *tensor.Coords, res *Result) (vals []float64, found []bool) {
 	byPoint := make(map[string]float64, res.Coords.Len())
@@ -164,7 +307,7 @@ func appendPointKey(dst []byte, p []uint64) []byte {
 }
 
 // MergeResults joins results over disjoint cell sets in one coordinate
-// frame — a chunked store's tiles, a router's shards — into one Result
+// frame — a store's tiles, a router's shards — into one Result
 // ordered by coordinate tuple. That is row-major linear-address order,
 // so the outcome is byte-identical to what one flat store holding all
 // the cells would return. Each part is already in that order, so the

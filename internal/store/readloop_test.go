@@ -80,8 +80,8 @@ func TestQueryPropagatesFetchErrors(t *testing.T) {
 			t.Fatalf("strategy %v: injected fragment failure not propagated", req.Strategy)
 		}
 	}
-	if st.viewRefs != 0 {
-		t.Fatalf("%d views still pinned after failed queries", st.viewRefs)
+	if only(st).viewRefs != 0 {
+		t.Fatalf("%d views still pinned after failed queries", only(st).viewRefs)
 	}
 }
 
@@ -120,8 +120,8 @@ func TestQueryCancelBetweenFragments(t *testing.T) {
 		if got := ctx.calls.Load(); got != 4 {
 			t.Fatalf("strategy %v: loop asked the context %d times, want 4", req.Strategy, got)
 		}
-		if st.viewRefs != 0 {
-			t.Fatalf("%d views still pinned after a canceled query", st.viewRefs)
+		if only(st).viewRefs != 0 {
+			t.Fatalf("%d views still pinned after a canceled query", only(st).viewRefs)
 		}
 	}
 	if res, _, err := readProbe(st, probe); err != nil || res.Coords.Len() == 0 {

@@ -15,20 +15,16 @@
 package store
 
 import (
-	"context"
-	"encoding/binary"
-	"errors"
+	"cmp"
 	"fmt"
-	"hash/crc32"
-	"math/bits"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sparseart/internal/buf"
-	"sparseart/internal/compress"
 	"sparseart/internal/core"
-	"sparseart/internal/filter"
 	"sparseart/internal/fragment"
 	"sparseart/internal/fsim"
 	"sparseart/internal/obs"
@@ -36,196 +32,94 @@ import (
 	"sparseart/internal/tensor"
 )
 
-const (
-	manifestName = "MANIFEST"
-	// A checkpoint starts with "SMN" plus the format version as an
-	// ASCII digit. docs/FORMATS.md §2 is the byte-level spec. SMN3 is
-	// the one written; SMN2 (no key filters, no CRC) still opens, and
-	// Open folds it to SMN3 before anything is appended beside it.
-	manifestMagicV2 = 0x324e4d53 // "SMN2"
-	manifestMagicV3 = 0x334e4d53 // "SMN3"
-)
-
-// ErrNotFound reports a missing store.
-var ErrNotFound = errors.New("store: store not found")
-
-// Option configures a store at creation.
-type Option func(*Store)
-
-// WithCodec compresses fragment payloads with the given codec.
-func WithCodec(id compress.ID) Option {
-	return func(s *Store) { s.codec = id }
+// Store is a fragment store of one sparse tensor in one organization,
+// laid over a grid of tiles: the paper's remedy for linear-address
+// overflow (§II-B), "break large tensors into small blocks" and
+// linearize against each block's local boundary. Each materialized
+// tile is a fragment store of its own (tile), in tile-local
+// coordinates; the Store partitions requests by tile, translates
+// between the global frame and each tile's, and merges the answers.
+// Only each tile's volume must fit in uint64, so the global shape may
+// be far beyond it.
+//
+// A flat store (Create) is the one-tile case: its tile is its shape,
+// and the tile's files lie at the prefix itself. A tiled store
+// (NewChunked) records its tiling in a CHUNKED manifest and keeps each
+// tile in a directory named after it. Open reads either layout. The
+// operations that need one address space — as-of reads, SpMV and TTV,
+// ScanLive (and so Convert) — run on a store of one tile and are
+// refused with ErrBadRequest on a store of more.
+type Store struct {
+	*config
+	prefix string
+	tiling Tiling
+	// flat marks the one-tile layout Create writes: no CHUNKED manifest,
+	// the tile's files directly under prefix.
+	flat bool
+	// dir is the tile directory. Each version is immutable and a request
+	// loads it once; creating tiles replaces it copy-on-write under
+	// createMu — the idiom the tiles' epoch publish uses — so reads
+	// never lock and two writers never create one tile twice.
+	dir      atomic.Pointer[tileDir]
+	createMu sync.Mutex
 }
 
-// WithObs binds the store to a specific observability registry instead
-// of the process-wide obs.Global(). The benchmark harness uses this to
-// capture one store's phase breakdown in isolation.
-func WithObs(r *obs.Registry) Option {
-	return func(s *Store) { s.obs = r }
+// Chunked is Store, under the name benchmark/fleet.go uses.
+type Chunked = Store
+
+// tileEntry is one materialized tile: its name (the directory under
+// the prefix of a tiled store, and the key every per-tile order sorts
+// by), its per-dimension index, and its fragment store. Immutable once
+// published in a tileDir.
+type tileEntry struct {
+	name string
+	idx  []uint64
+	tile *tile
 }
 
-// DefaultCacheBudget is the fragment-reader cache's byte budget unless
-// WithReaderCache says otherwise.
-const DefaultCacheBudget = 256 << 20
-
-// WithReaderCache sets the fragment-reader cache's byte budget. The
-// cache keeps decoded fragment indexes (reader + values) resident so
-// warm reads skip the file system entirely; see internal/store/fragcache.
-// A budget of 0 (or below) disables caching.
-func WithReaderCache(budget int64) Option {
-	return func(s *Store) { s.cacheBudget = budget }
+// tileDir is one version of the tile directory: the materialized tiles
+// by name and in name order — the order every per-tile fold (float
+// kernel partials among them), commit and Close takes.
+type tileDir struct {
+	byName map[string]*tileEntry
+	sorted []*tileEntry
 }
 
-// initCache builds the reader cache after options are applied. A
-// Chunked parent's cache takes precedence over any per-store budget.
-func (s *Store) initCache() {
-	if s.tileCache != nil {
-		s.cache = s.tileCache
-		return
-	}
-	if s.cacheBudget > 0 {
-		s.cache = fragcache.New(s.cacheBudget, s.obsReg)
-	}
-}
-
-type fragRef struct {
-	name  string
-	nnz   uint64
-	bytes int64
-	bbox  tensor.BBox // undefined when nnz == 0 and not a tombstone
-	// filter and keys are the fragment's two filters, built at write
-	// time (prepareBatch) and stored in its manifest record only, so a
-	// read dismisses bbox false positives without opening the fragment
-	// file: a window asks filter, the per-dimension coordinate
-	// summaries; a probe asks keys, the joint-key filter over its
-	// points' linear addresses. Both are nil for tombstones and empty
-	// fragments, and keys is nil for fragments an SMN2 checkpoint or its
-	// log listed; a read treats nil as "maybe".
-	filter *filter.Filter
-	keys   *filter.Keys
-	// tomb marks a deletion fragment covering tombRegion: cells inside
-	// it are dead unless rewritten by a later fragment.
-	tomb       bool
-	tombRegion tensor.Region
-}
-
-// tombstoneRef is a deletion fragment's position in the write order.
-type tombstoneRef struct {
-	idx    int
-	region tensor.Region
-}
-
-// tombstonesBefore lists the deletion fragments among the first limit
-// fragments of the current snapshot.
-func (s *Store) tombstonesBefore(limit int) []tombstoneRef {
-	return tombstonesUpTo(s.currentFrags(), limit)
-}
-
-// tombstonesUpTo lists the deletion fragments among the first limit
-// entries of frags.
-func tombstonesUpTo(frags []fragRef, limit int) []tombstoneRef {
-	var out []tombstoneRef
-	for i := 0; i < limit && i < len(frags); i++ {
-		if frags[i].tomb {
-			out = append(out, tombstoneRef{idx: i, region: frags[i].tombRegion})
+// holds reports whether every tile of want is materialized in d.
+func (d *tileDir) holds(want []*tileWork) bool {
+	for _, w := range want {
+		if d.byName[w.name] == nil {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
-// Store is a single-tensor fragment store bound to one organization.
-// kind and format are fixed by Create (or read from the manifest by
-// Open) and never change: Convert writes a new store to change them.
-type Store struct {
-	fs     fsim.FS
-	prefix string
-	kind   core.Kind
-	format core.Format
-	shape  tensor.Shape
-	lin    *tensor.Linearizer
-	codec  compress.ID
-	obs    *obs.Registry
-	// frags is the writer's working fragment list, guarded by writeMu.
-	// Readers never touch it: they go through the published snapshot
-	// (see view.go). Every durable mutation ends with publishLocked.
-	frags  []fragRef
-	nextID uint64
-
-	// MVCC state (view.go). writeMu serializes all mutations — Write,
-	// DeleteRegion, WriteBatch commits, Compact, Checkpoint. viewMu
-	// guards the snapshot pointer, pin counts, and the deferred-GC
-	// queue; lock order is writeMu before viewMu, never the reverse.
-	writeMu   sync.Mutex
-	viewMu    sync.Mutex
-	cur       *readView
-	pinned    map[*readView]struct{}
-	viewRefs  int
-	gcPending []pendingGC
-
-	// Background compaction (maintenance.go): when compactAt > 0,
-	// publishing a view with at least that many fragments spawns one
-	// compaction worker (bgRunning dedupes); a Chunked store's tiles
-	// share compactGate, so one of them compacts at a time (nil for a
-	// flat store). Close waits on bgWG.
-	compactAt   int
-	compactGate *sync.Mutex
-	bgRunning   atomic.Bool
-	bgWG        sync.WaitGroup
-
-	// cache holds decoded fragment readers; nil when disabled.
-	// cacheBudget sizes the store's own cache (WithReaderCache;
-	// DefaultCacheBudget otherwise). tileCache is a Chunked parent's
-	// cache, used instead; cacheScope labels this tile's traffic on it
-	// (per-tile hit metrics).
-	cache       *fragcache.Cache
-	tileCache   *fragcache.Cache
-	cacheScope  string
-	cacheBudget int64
-
-	// optErr holds the first option misuse (options.go), surfaced by
-	// Create/Open/NewChunked.
-	optErr error
-
-	// Manifest-log state (see manifest.go): the checkpoint cadence
-	// (WithManifestCheckpointEvery; <= 0 is the adaptive policy), the
-	// number of records currently in MANIFEST.LOG, and the fragment
-	// count at the last checkpoint (the adaptive cadence's threshold).
-	// staged buffers framed records awaiting a group-commit flush
-	// (stagedRecs fragments' worth, appended in one fs.Append).
-	ckptEvery     int
-	logRecords    int
-	lastCkptFrags int
-	staged        []byte
-	stagedRecs    int
-}
-
-// obsReg resolves the store's registry: the injected one if any,
-// otherwise the process-wide registry (nil when observation is off —
-// every obs call below is a no-op then).
-func (s *Store) obsReg() *obs.Registry {
-	if s.obs != nil {
-		return s.obs
+// with returns a directory holding d's tiles and added.
+func (d *tileDir) with(added []*tileEntry) *tileDir {
+	next := &tileDir{
+		byName: make(map[string]*tileEntry, len(d.sorted)+len(added)),
+		sorted: append(d.sorted[:len(d.sorted):len(d.sorted)], added...),
 	}
-	return obs.Global()
+	slices.SortFunc(next.sorted, func(a, b *tileEntry) int { return cmp.Compare(a.name, b.name) })
+	for _, e := range next.sorted {
+		next.byName[e.name] = e
+	}
+	return next
 }
-
-// Obs returns the registry this store reports to: the injected one
-// (WithObs) or the process-global registry. Callers mounting an HTTP
-// telemetry endpoint (internal/obs/serve) bind it to this registry so
-// the scrape sees exactly this store's traffic.
-func (s *Store) Obs() *obs.Registry { return s.obsReg() }
 
 // Observability metric and span names emitted by the store. The write
 // phases mirror the rows of the paper's Table III; the read phases
 // mirror the READ breakdown. All are labeled with the store's
 // organization ("kind").
 const (
-	obsWrite       = "store.write"        // root span per Write
+	obsWrite       = "store.write"        // root span per Write (and per compaction's consolidated write)
 	obsWriteBuild  = "store.write.build"  // phase span + histogram
 	obsWriteReorg  = "store.write.reorg"  // phase span + histogram
 	obsWriteWrite  = "store.write.write"  // phase span + histogram (wall + modeled I/O)
 	obsWriteOthers = "store.write.others" // phase span + histogram (manifest + metadata)
-	obsRead        = "store.read"         // root span per Read
+	obsDelete      = "store.delete"       // root span per DeleteRegion
+	obsRead        = "store.read"         // root span per tile read
 	obsReadIO      = "store.read.io"      // per-fragment fetch
 	obsReadExtract = "store.read.extract" // per-fragment decode + open
 	obsReadProbe   = "store.read.probe"   // per-fragment probe pass
@@ -234,232 +128,251 @@ const (
 	obsKernel      = "store.kernel"       // request span per Kernel
 )
 
-// Create initializes an empty store under prefix on fs. The shape's
-// volume must fit in uint64 (use Chunked past that).
+// Create makes an empty flat store under prefix on fs: one tile, the
+// whole shape, whose volume must fit in uint64 (NewChunked tiles a
+// larger one). Its tile is created up front, so an empty store opens.
 func Create(fs fsim.FS, prefix string, kind core.Kind, shape tensor.Shape, opts ...Option) (*Store, error) {
-	f, err := core.Get(kind)
+	s, err := newStore(fs, prefix, kind, shape, shape, true, opts)
 	if err != nil {
 		return nil, err
 	}
-	lin, err := tensor.NewLinearizer(shape, tensor.RowMajor)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s := &Store{fs: fs, prefix: prefix, kind: kind, format: f, shape: shape.Clone(), lin: lin}
-	if err := s.applyOptions(opts); err != nil {
+	name, idx := s.origin()
+	if _, _, err := s.materialize([]*tileWork{{name: name, idx: idx}}); err != nil {
 		return nil, err
 	}
-	if _, err := compress.Get(s.codec); err != nil {
-		return nil, err
-	}
-	s.initCache()
-	if err := s.writeManifest(); err != nil {
-		return nil, err
-	}
-	s.initViews()
 	return s, nil
 }
 
-// manifestState is a decoded checkpoint: its format version, the
-// store's persisted properties and fragment list.
-type manifestState struct {
-	version int // 2 or 3
-	kind    core.Kind
-	codec   compress.ID
-	shape   tensor.Shape
-	nextID  uint64
-	frags   []fragRef
+// NewChunked makes an empty tiled store with the given tile extents.
+// Each tile's volume must fit in uint64. The tiling parameters are
+// persisted in a small CHUNKED manifest under prefix; tiles materialize
+// on first write. Its tiles compact themselves in the background at
+// defaultCompactAt fragments unless WithBackgroundCompaction says
+// otherwise.
+func NewChunked(fs fsim.FS, prefix string, kind core.Kind, shape, tile tensor.Shape, opts ...Option) (*Store, error) {
+	s, err := newStore(fs, prefix, kind, shape, tile, false, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.writeChunkedManifest(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// decodeManifest parses a checkpoint. Used by Open and by
-// DecodeManifestInfo (the sparseinspect surface). Every structural
-// failure — a CRC mismatch included — wraps fragment.ErrCorrupt, so a
-// caller can tell a damaged or unsupported store from a missing one
-// (ErrNotFound).
-func decodeManifest(data []byte) (*manifestState, error) {
-	m := &manifestState{}
-	r := buf.NewReader(data)
-	switch magic := r.U32(); {
-	case magic == manifestMagicV3:
-		body := len(data) - 4
-		if body < 4 || crc32.ChecksumIEEE(data[:body]) != binary.LittleEndian.Uint32(data[body:]) {
-			return nil, fmt.Errorf("store: manifest: %w: checksum mismatch", fragment.ErrCorrupt)
-		}
-		m.version = 3
-		r = buf.NewReader(data[4:body])
-	case magic == manifestMagicV2:
-		m.version = 2
-	case isManifestMagic(magic):
-		return nil, fmt.Errorf("store: manifest: %w: unsupported format SMN%c (this build reads SMN2 and SMN3)", fragment.ErrCorrupt, rune(magic>>24))
-	default:
-		return nil, fmt.Errorf("store: manifest: %w: bad magic %08x", fragment.ErrCorrupt, magic)
-	}
-	m.kind = core.Kind(r.U8())
-	m.codec = compress.ID(r.U8())
-	dims := int(r.U16())
-	m.shape = tensor.Shape(r.RawU64s(uint64(dims)))
-	m.nextID = r.U64()
-	count := r.U64()
-	// Each manifest entry takes well over one byte, so a count beyond
-	// the remaining payload is corruption — and must not drive the
-	// decode loop below (a fuzzer-found hang).
-	if count > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("store: manifest: %w: declares %d fragments in %d bytes", fragment.ErrCorrupt, count, r.Remaining())
-	}
-	m.frags = make([]fragRef, 0, count)
-	for i := uint64(0); i < count && r.Err() == nil; i++ {
-		var fr fragRef
-		fr.name = string(r.Bytes32())
-		fr.nnz = r.U64()
-		fr.bytes = int64(r.U64())
-		fr.bbox.Min = r.RawU64s(uint64(dims))
-		fr.bbox.Max = r.RawU64s(uint64(dims))
-		flags := r.U8()
-		if flags&1 != 0 {
-			fr.tomb = true
-			fr.tombRegion.Start = r.RawU64s(uint64(dims))
-			fr.tombRegion.Size = r.RawU64s(uint64(dims))
-		}
-		if err := fr.readFilters(r, flags); err != nil {
-			return nil, fmt.Errorf("store: manifest: %w: fragment %s: %v", fragment.ErrCorrupt, fr.name, err)
-		}
-		m.frags = append(m.frags, fr)
-	}
-	// A present index section (docs/FORMATS.md §2) comes from an older
-	// writer: it is skipped unread.
-	if r.Err() == nil && r.U8() != 0 {
-		r.Bytes32()
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("store: manifest: %w: %v", fragment.ErrCorrupt, err)
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("store: manifest: %w: %d trailing bytes", fragment.ErrCorrupt, r.Remaining())
-	}
-	return m, nil
-}
-
-// isManifestMagic reports whether magic is "SMN" followed by any
-// version byte — a checkpoint of this family, current or not.
-func isManifestMagic(magic uint32) bool {
-	return magic&0x00ffffff == manifestMagicV2&0x00ffffff
-}
-
-// Open loads an existing store's manifest from fs. Options that set
-// persisted properties (codec) are ignored in favor of the manifest;
-// runtime options (obs registry, build options, reader cache) apply.
+// Open reopens a store of either layout: a CHUNKED manifest under
+// prefix names a tiled store, whose tiling it restores and whose tile
+// directories it opens; otherwise prefix's own MANIFEST is a flat
+// store's one tile. Options that set persisted properties (codec) are
+// ignored in favor of the manifests; runtime options (obs registry,
+// reader cache, checkpoint cadence, compaction) apply.
 func Open(fs fsim.FS, prefix string, opts ...Option) (*Store, error) {
-	data, err := fs.ReadFile(prefix + "/" + manifestName)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, err)
+	if data, err := fs.ReadFile(chunkedManifestPath(prefix)); err == nil {
+		return openTiled(fs, prefix, data, opts)
 	}
-	m, err := decodeManifest(data)
+	m, err := readManifest(fs, prefix)
 	if err != nil {
 		return nil, err
 	}
-	kind, codec, shape := m.kind, m.codec, m.shape
-	f, err := core.Get(kind)
-	if err != nil {
+	if _, err := core.Get(m.kind); err != nil {
 		return nil, fmt.Errorf("store: manifest: %w: %w", fragment.ErrCorrupt, err)
 	}
-	lin, err := tensor.NewLinearizer(shape, tensor.RowMajor)
-	if err != nil {
+	if _, err := tensor.NewLinearizer(m.shape, tensor.RowMajor); err != nil {
 		return nil, fmt.Errorf("store: manifest: %w: %w", fragment.ErrCorrupt, err)
 	}
-	s := &Store{
-		fs: fs, prefix: prefix, kind: kind, format: f, shape: shape,
-		lin: lin, codec: codec, frags: m.frags, nextID: m.nextID,
-	}
-	if err := s.applyOptions(opts); err != nil {
+	s, err := newStore(fs, prefix, m.kind, m.shape, m.shape, true, opts)
+	if err != nil {
 		return nil, err
 	}
-	s.codec = codec // the manifest's codec is authoritative
-	s.initCache()
-	s.lastCkptFrags = len(s.frags)
-	// The checkpoint reflects the last fold; fragments committed since
-	// live in the delta log. After a Close there is no log file.
-	if err := s.replayLog(); err != nil {
+	name, idx := s.origin()
+	e, err := s.openTile(m, name, idx)
+	if err != nil {
 		return nil, err
 	}
-	// An SMN2 checkpoint is folded to SMN3 before any key-carrying
-	// record can join its log: a build that reads SMN2 only refuses the
-	// store by name instead of truncating those records as a torn tail.
-	if m.version == 2 {
-		if err := s.checkpoint(); err != nil {
-			return nil, err
-		}
-	}
-	// With the manifest settled, sweep fragment files it does not
-	// reference — crash debris from a compaction swap or a rolled-back
-	// write — then publish the first snapshot.
-	s.gcOrphans()
-	s.initViews()
+	s.publish(s.dir.Load().with([]*tileEntry{e}))
 	return s, nil
 }
 
-// writeManifest writes the full-state checkpoint (SMN3, docs/FORMATS.md
-// §2): the store's properties, one entry per fragment with a flags byte
-// (bit 0 tombstone, bit 1 coordinate filter present, bit 2 key filter
-// present, each filter blob following in that order), an
-// index-presence byte of 0 (no index section), and the CRC32 of every
-// byte before it.
-func (s *Store) writeManifest() error {
-	w := buf.GetWriter(64 + len(s.frags)*(48+16*s.shape.Dims()))
-	defer buf.PutWriter(w)
-	w.U32(manifestMagicV3)
-	w.U8(uint8(s.kind))
-	w.U8(uint8(s.codec))
-	w.U16(uint16(s.shape.Dims()))
-	w.RawU64s(s.shape)
-	w.U64(s.nextID)
-	w.U64(uint64(len(s.frags)))
-	for _, fr := range s.frags {
-		w.Bytes32([]byte(fr.name))
-		w.U64(fr.nnz)
-		w.U64(uint64(fr.bytes))
-		if fr.nnz > 0 || fr.tomb {
-			w.RawU64s(fr.bbox.Min)
-			w.RawU64s(fr.bbox.Max)
-		} else {
-			w.RawU64s(make([]uint64, 2*s.shape.Dims()))
-		}
-		w.U8(fr.entryFlags())
-		if fr.tomb {
-			w.RawU64s(fr.tombRegion.Start)
-			w.RawU64s(fr.tombRegion.Size)
-		}
-		fr.appendFilters(w)
+// OpenChunked is Open, under the name benchmark/fleet.go uses.
+var OpenChunked = Open
+
+// openTiled restores a tiled store from its CHUNKED manifest data and
+// opens every tile directory found under the prefix.
+func openTiled(fs fsim.FS, prefix string, data []byte, opts []Option) (*Store, error) {
+	kind, shape, tiling, err := decodeChunkedManifest(data)
+	if err != nil {
+		return nil, err
 	}
-	w.U8(0)
-	w.U32(crc32.ChecksumIEEE(w.Bytes()))
-	return s.fs.WriteFile(s.prefix+"/"+manifestName, w.Bytes())
+	s, err := newStore(fs, prefix, kind, shape, tiling, false, opts)
+	if err != nil {
+		return nil, err
+	}
+	var tiles []*tileEntry
+	for _, name := range listTileDirs(fs, prefix) {
+		idx, ok := s.tiling.ParseName(name)
+		if !ok {
+			continue
+		}
+		m, err := readManifest(fs, prefix+"/"+name)
+		var e *tileEntry
+		if err == nil {
+			e, err = s.openTile(m, name, idx)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: open tile %s: %w", name, err)
+		}
+		tiles = append(tiles, e)
+	}
+	s.publish(s.dir.Load().with(tiles))
+	return s, nil
 }
 
-// Kind returns the store's organization.
+// newStore validates the tiling and builds the store of the given
+// layout with no tiles, its options applied once for every tile it
+// will hold.
+func newStore(fs fsim.FS, prefix string, kind core.Kind, shape, tile tensor.Shape, flat bool, opts []Option) (*Store, error) {
+	if err := shape.Validate(); err != nil {
+		return nil, err
+	}
+	if err := tile.Validate(); err != nil {
+		return nil, err
+	}
+	if len(tile) != len(shape) {
+		return nil, fmt.Errorf("store: tile rank %d != shape rank %d", len(tile), len(shape))
+	}
+	if _, ok := tile.Volume(); !ok {
+		return nil, fmt.Errorf("store: %w: tile %v", tensor.ErrOverflow, tile)
+	}
+	cfg, err := newConfig(fs, kind, flat, opts)
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{config: cfg, prefix: prefix, tiling: Tiling{Shape: shape.Clone(), Tile: tile.Clone()}, flat: flat}
+	s.dir.Store(&tileDir{})
+	return s, nil
+}
+
+// Chunked-store persistence: NewChunked records the tiling parameters
+// (kind, shape, tile extents) in one small CHUNKED manifest, and Open
+// restores the store from it — discovering the materialized tiles by
+// listing the prefix and opening each tile's own manifest.
+const (
+	chunkedManifestName  = "CHUNKED"
+	chunkedManifestMagic = uint32(0x53434b31) // "SCK1"
+)
+
+// chunkedManifestPath returns the manifest's name under the prefix.
+func chunkedManifestPath(prefix string) string {
+	return prefix + "/" + chunkedManifestName
+}
+
+// writeChunkedManifest persists the tiling parameters.
+func (s *Store) writeChunkedManifest() error {
+	w := buf.GetWriter(64)
+	defer buf.PutWriter(w)
+	w.U32(chunkedManifestMagic)
+	w.U8(uint8(s.kind))
+	w.U16(uint16(s.tiling.Shape.Dims()))
+	w.RawU64s(s.tiling.Shape)
+	w.RawU64s(s.tiling.Tile)
+	if err := s.fs.WriteFile(chunkedManifestPath(s.prefix), w.Bytes()); err != nil {
+		return fmt.Errorf("store: write chunked manifest: %w", err)
+	}
+	return nil
+}
+
+// decodeChunkedManifest parses a CHUNKED manifest.
+func decodeChunkedManifest(data []byte) (kind core.Kind, shape, tile tensor.Shape, err error) {
+	r := buf.NewReader(data)
+	if magic := r.U32(); magic != chunkedManifestMagic {
+		return 0, nil, nil, fmt.Errorf("store: bad chunked manifest magic %#x", magic)
+	}
+	kind = core.Kind(r.U8())
+	dims := uint64(r.U16())
+	shape = tensor.Shape(r.RawU64s(dims))
+	tile = tensor.Shape(r.RawU64s(dims))
+	if err := r.Err(); err != nil {
+		return 0, nil, nil, fmt.Errorf("store: chunked manifest: %w", err)
+	}
+	return kind, shape, tile, nil
+}
+
+// listTileDirs lists the directory names under prefix, in sorted
+// order; the caller keeps the ones that parse as tile names. fs.List
+// walks recursively, so tile payloads surface their directory.
+func listTileDirs(fs fsim.FS, prefix string) []string {
+	names, err := fs.List(prefix + "/")
+	if err != nil {
+		return nil
+	}
+	var dirs []string
+	for _, name := range names {
+		rest := strings.TrimPrefix(name, prefix+"/")
+		slash := strings.IndexByte(rest, '/')
+		if slash < 0 {
+			continue // a file directly under the prefix, not a directory
+		}
+		// names are sorted, so one directory's files are adjacent
+		if dir := rest[:slash]; len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+			dirs = append(dirs, dir)
+		}
+	}
+	return dirs
+}
+
+// SharedCache returns the reader cache all tiles share, or nil when
+// caching is off. The property tests use it to assert the one-budget
+// invariant.
+func (s *Store) SharedCache() *fragcache.Cache { return s.cache }
+
+// Obs returns the registry this store (and every tile) reports to: the
+// injected one (WithObs) or the process-global registry. Callers
+// mounting an HTTP telemetry endpoint (internal/obs/serve) bind it to
+// this registry so the scrape sees exactly this store's traffic.
+func (s *Store) Obs() *obs.Registry { return s.obsReg() }
+
+// Shape returns the global shape.
+func (s *Store) Shape() tensor.Shape { return s.tiling.Shape }
+
+// Kind returns the store's organization, which every tile writes. It
+// is fixed by Create or NewChunked: Convert writes a new store to
+// change it.
 func (s *Store) Kind() core.Kind { return s.kind }
 
-// Shape returns the tensor shape.
-func (s *Store) Shape() tensor.Shape { return s.shape }
+// Tile returns the tile extents (interior tiles; edge tiles clip). A
+// flat store's tile is its shape.
+func (s *Store) Tile() tensor.Shape { return s.tiling.Tile }
 
-// Fragments returns the number of fragments in the current snapshot.
-func (s *Store) Fragments() int { return len(s.currentFrags()) }
+// Tiles returns the number of materialized tiles.
+func (s *Store) Tiles() int { return len(s.dir.Load().sorted) }
 
-// Epoch returns the store's current manifest epoch: it starts at 0 and
+// Fragments sums the tiles' fragments in their current snapshots.
+func (s *Store) Fragments() int {
+	var total int
+	for _, e := range s.dir.Load().sorted {
+		total += e.tile.fragments()
+	}
+	return total
+}
+
+// Epoch sums the tile manifest epochs: a monotonic change counter that
 // increments on every published mutation (write, delete, ingest flush,
-// compaction swap). Reads pin the epoch they execute against and report
-// it in ReadReport.Epoch.
-func (s *Store) Epoch() uint64 { return s.currentEpoch() }
+// compaction swap). On a flat store it is the one tile's epoch, which
+// reads pin and report in ReadReport.Epoch.
+func (s *Store) Epoch() uint64 {
+	var total uint64
+	for _, e := range s.dir.Load().sorted {
+		total += e.tile.currentEpoch()
+	}
+	return total
+}
 
 // TotalBytes returns the cumulative encoded size of all fragments — the
 // "size of the result files" of the paper's Figure 4.
 func (s *Store) TotalBytes() int64 {
-	return totalFragBytes(s.currentFrags())
-}
-
-func totalFragBytes(frags []fragRef) int64 {
 	var total int64
-	for _, fr := range frags {
-		total += fr.bytes
+	for _, e := range s.dir.Load().sorted {
+		total += totalFragBytes(e.tile.currentFrags())
 	}
 	return total
 }
@@ -475,572 +388,272 @@ type StoreStats struct {
 	Bytes         int64
 }
 
-// Stats summarizes the store from its manifest alone (no fragment
+// Stats summarizes the store from its manifests alone (no fragment
 // reads).
 func (s *Store) Stats() StoreStats {
-	frags := s.currentFrags()
-	st := StoreStats{Fragments: len(frags), Bytes: totalFragBytes(frags)}
-	for _, fr := range frags {
-		if fr.tomb {
-			st.Tombstones++
-		}
-		st.WrittenPoints += int(fr.nnz)
+	var st StoreStats
+	for _, e := range s.dir.Load().sorted {
+		t := e.tile.stats()
+		st.Fragments += t.Fragments
+		st.Tombstones += t.Tombstones
+		st.WrittenPoints += t.WrittenPoints
+		st.Bytes += t.Bytes
 	}
 	return st
 }
 
-// WriteReport is the per-phase breakdown of one WRITE, matching the rows
-// of the paper's Table III.
-type WriteReport struct {
-	Build  time.Duration // packaging the coordinates (the BUILD call)
-	Reorg  time.Duration // permuting the value buffer by the map vector
-	Write  time.Duration // serializing and storing the fragment
-	Others time.Duration // manifest and metadata upkeep
-	Bytes  int64         // encoded fragment size (for a log tombstone: record size)
-	NNZ    int
-	Name   string // fragment file name ("" for a log-structured tombstone)
-	Epoch  uint64 // manifest epoch this mutation published
-}
-
-// Sum returns the total write time.
-func (r WriteReport) Sum() time.Duration { return r.Build + r.Reorg + r.Write + r.Others }
-
-// Add folds another write's report into r — a chunked write's tiles, a
-// router's shards. Everything sums, epochs included (a change counter,
-// as Chunked.Epoch is); Name keeps the first fragment named.
-func (r *WriteReport) Add(o *WriteReport) {
-	r.Build += o.Build
-	r.Reorg += o.Reorg
-	r.Write += o.Write
-	r.Others += o.Others
-	r.Bytes += o.Bytes
-	r.NNZ += o.NNZ
-	r.Epoch += o.Epoch
-	if r.Name == "" {
-		r.Name = o.Name
-	}
-}
-
-// takeCost drains modeled I/O cost when the FS has a cost model,
-// otherwise returns zero and ok=false.
-func (s *Store) takeCost() (fsim.Cost, bool) {
-	if cr, ok := s.fs.(fsim.CostReporter); ok {
-		return cr.TakeCost(), true
-	}
-	return fsim.Cost{}, false
-}
-
-// Write implements Algorithm 3's WRITE: package coords, reorganize
-// values, concatenate, and persist one fragment — the one-batch spelling
-// of the ingest pipeline (ingest.go), prepared inline on the caller's
-// goroutine. Writes are serialized by the store's writer lock;
-// concurrent reads proceed against their pinned snapshots throughout.
-// A batch of no points commits nothing and answers a zero report.
-func (s *Store) Write(c *tensor.Coords, vals []float64) (*WriteReport, error) {
-	b := Batch{Coords: c, Values: vals}
-	if err := ValidateBatches([]Batch{b}, s.shape); err != nil {
-		return nil, err
-	}
-	if c.Len() == 0 {
-		return &WriteReport{}, nil
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	return s.writeOne(b)
-}
-
-// DeleteRegion marks every cell of the region as deleted. The deletion
-// is log-structured: it appends a tombstone record to the manifest delta
-// log (MANIFEST.LOG) — no fragment file is written. Earlier data stays
-// on disk (and remains visible to as-of queries) until Compact folds the
-// tombstone in. The report's Write phase is the log append; Bytes is
-// the framed record's size.
-func (s *Store) DeleteRegion(region tensor.Region) (*WriteReport, error) {
-	if err := ValidateDeleteRegion(region, s.shape); err != nil {
-		return nil, err
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	rep := &WriteReport{}
-	s.takeCost()
-
-	reg := s.obsReg()
-	kind := s.kind.String()
-	root := reg.Start("store.delete")
-	defer root.End()
-
-	// A fragRef with an empty name is a log-structured tombstone — the
-	// record IS the mutation, no file backs it: a group of one.
-	t := time.Now()
-	n := s.stageFragment(fragRef{bbox: region.BBox(), tomb: true, tombRegion: region})
-	if _, err := s.flushStaged(); err != nil {
-		reg.Counter("store.write.errors", "kind", kind).Inc()
-		return nil, err
-	}
-	wall := time.Since(t)
-	if cost, ok := s.takeCost(); ok {
-		rep.Write = wall + cost.Write + cost.Read
-		rep.Others += cost.Meta
-	} else {
-		rep.Write = wall
-	}
-	rep.Bytes = int64(n)
-	rep.Epoch = s.currentEpoch()
-	reg.Counter("store.tombstone.count", "kind", kind).Inc()
-	reg.Gauge("store.fragments", "kind", kind).Set(int64(len(s.frags)))
-	return rep, nil
-}
-
-// ReadReport is the per-phase breakdown of one READ.
-type ReadReport struct {
-	IO        time.Duration // fetching fragment files
-	Extract   time.Duration // decoding fragments and unpacking indexes
-	Probe     time.Duration // organization-specific existence queries
-	Merge     time.Duration // sorting results by linear address
-	Fragments int           // fragments overlapping the query
-	Probed    int           // points looked up, plus stored points a scan visited in the window
-	Found     int
-	// Scans counts fragments answered by scan: every fragment under
-	// StrategyScan, those the cost model sent to scan otherwise.
-	Scans int
-	// Epoch is the manifest epoch this read pinned: the snapshot it
-	// executed against. Concurrent mutations never change a pinned
-	// snapshot, so the result is exactly the store's state at Epoch.
-	Epoch uint64
-
-	// Per-query cost attribution, fed into span attributes and the
-	// slow-query log. Candidates counts the fragments whose bounding box
-	// meets the target (Fragments = Candidates - tombstones - FilterSkipped);
-	// FilterSkipped counts candidates the per-fragment filters dismissed
-	// without a fetch: for a probe the box and then the key filter, for
-	// a window the coordinate filter.
-	Candidates    int
-	FilterSkipped int
-	// CacheHits / CacheMisses split fragment fetches by whether the
-	// reader cache answered (a coalesced fill counts as a hit: this
-	// request performed no load). BytesRead is the bytes transferred by
-	// this request's cold loads.
-	CacheHits   int
-	CacheMisses int
-	BytesRead   int64
-	// Shards is the scatter-gather fan-out that produced this report:
-	// set by the router when merging shard reports, zero for local
-	// reads.
-	Shards int
-}
-
-// Sum returns the total read time.
-func (r ReadReport) Sum() time.Duration { return r.IO + r.Extract + r.Probe + r.Merge }
-
-// Add folds another read's report into r: a chunked store's tile, a
-// router's shard. Every duration and count sums, epochs included (a
-// change counter, as Chunked.Epoch is). Shards is left alone: fan-out
-// is the folding caller's to state.
-func (r *ReadReport) Add(o *ReadReport) {
-	r.IO += o.IO
-	r.Extract += o.Extract
-	r.Probe += o.Probe
-	r.Merge += o.Merge
-	r.Fragments += o.Fragments
-	r.Probed += o.Probed
-	r.Found += o.Found
-	r.Scans += o.Scans
-	r.Epoch += o.Epoch
-	r.Candidates += o.Candidates
-	r.FilterSkipped += o.FilterSkipped
-	r.CacheHits += o.CacheHits
-	r.CacheMisses += o.CacheMisses
-	r.BytesRead += o.BytesRead
-}
-
-// Result is a read's output: the found points and their values, sorted
-// by row-major linear address (Algorithm 3 line 12).
-type Result struct {
-	Coords *tensor.Coords
-	Values []float64
-}
-
-type hit struct {
-	addr uint64
-	frag int
-	val  float64
-}
-
-// readPlan is everything that differs between reads, as data: the
-// target's bounding box, which filter predicate dismisses a fragment,
-// and how a fetched fragment is extracted. A probe read looks every
-// probe point up; a region read picks lookup or scan per fragment
-// (StrategyScan forces the scan); an export, with neither probe nor
-// region, walks every stored point.
-type readPlan struct {
-	box    tensor.BBox
-	probe  *tensor.Coords // points to look up; for a region read, nil until a fragment probes
-	region *tensor.Region // window to scan; nil for lookup-only reads and exports
-	auto   bool           // choose lookup or scan per fragment by preferScan
-	vol    uint64         // region volume: preferScan's n_read
-	// retiring marks a read of fragments about to be retired (a
-	// compaction's export): it uses resident cache entries but inserts
-	// none of what it loads.
-	retiring bool
-}
-
-// planRead derives the plan from a validated request.
-func (s *Store) planRead(req QueryRequest) (pl readPlan) {
-	if req.Probe != nil {
-		pl.probe = req.Probe
-		if req.Probe.Len() == 1 {
-			p := req.Probe.At(0) // a point is its own box
-			pl.box = tensor.BBox{Min: p, Max: p}
-		} else {
-			pl.box, _ = req.Probe.Bounds() // an empty probe reads nothing, see readView
-		}
-		return pl
-	}
-	region, ok := s.clip(req.Region)
-	if !ok {
-		return s.readsNothing()
-	}
-	pl.box, pl.region = region.BBox(), region
-	if req.Strategy == StrategyAuto {
-		pl.vol, _ = region.Volume() // a window of a shape whose volume fits
-		pl.auto = true
-	}
-	return pl
-}
-
-// scanPlan is the plan of a read that walks stored points instead of
-// probing: every point of every fragment when region is nil (exports,
-// compaction, whole-store kernels), the points inside region otherwise.
-func (s *Store) scanPlan(region *tensor.Region) readPlan {
-	if region == nil {
-		whole := tensor.Region{Start: make([]uint64, s.shape.Dims()), Size: s.shape}
-		return readPlan{box: whole.BBox()}
-	}
-	clip, ok := s.clip(region)
-	if !ok {
-		return s.readsNothing()
-	}
-	return readPlan{box: clip.BBox(), region: clip}
-}
-
-// clip intersects a request's region with the store's shape — the
-// one-tile case of Tiling.Clip, so a flat store reads a window exactly
-// as Chunked and serve.Router do: an extent that wraps past MaxUint64
-// or reaches past the shape ends at the shape's edge. ok is false when
-// no cell is left. A region already inside the shape (every tile's
-// share of a chunked request) comes back as is, allocating nothing.
-func (s *Store) clip(region *tensor.Region) (*tensor.Region, bool) {
-	for d, n := range s.shape {
-		if start, size := region.Start[d], region.Size[d]; size == 0 || start >= n || size > n-start {
-			clip, ok := Tiling{Shape: s.shape, Tile: s.shape}.Clip(*region, make([]uint64, len(s.shape)))
-			return &clip, ok
-		}
-	}
-	return region, true
-}
-
-// readsNothing is the plan of a window that covers no cell: an empty
-// probe, which readView answers without looking at a fragment.
-func (s *Store) readsNothing() readPlan {
-	return readPlan{probe: tensor.NewCoords(s.shape.Dims(), 0)}
-}
-
-// mayHold asks fr whether the fragment can hold any of the target: a
-// window asks the coordinate filter for its range; a probe point asks
-// the bounding box, then the key filter by its linear address under
-// lin. A missing filter answers "maybe". Filters have no false
-// negatives, so false lets the loop skip the fragment without a fetch.
-func (pl *readPlan) mayHold(fr *fragRef, lin *tensor.Linearizer) bool {
-	switch {
-	case pl.region != nil:
-		return fr.filter == nil || fr.filter.MayOverlapRegion(*pl.region)
-	case pl.probe != nil:
-		for i, n := 0, pl.probe.Len(); i < n; i++ {
-			p := pl.probe.At(i)
-			if fr.bbox.Contains(p) && (fr.keys == nil || fr.keys.MayContain(lin.Linearize(p))) {
-				return true
+// eachTile runs fn on every materialized tile in name order and stops
+// at the first error, which names the tile in a tiled store.
+func (s *Store) eachTile(fn func(t *tile) error) error {
+	for _, e := range s.dir.Load().sorted {
+		if err := fn(e.tile); err != nil {
+			if s.flat {
+				return err
 			}
+			return fmt.Errorf("store: tile %s: %w", e.name, err)
 		}
-		return false
 	}
-	return true
-}
-
-// scans decides how fr is extracted, materializing the region's cells
-// the first time a fragment is to be probed.
-func (pl *readPlan) scans(s *Store, fr *fragRef) bool {
-	if pl.region == nil {
-		return pl.probe == nil
-	}
-	if !pl.auto || preferScan(s.kind, s.shape, fr.nnz, pl.vol) {
-		return true
-	}
-	if pl.probe == nil {
-		pl.probe = pl.region.Coords()
-	}
-	return false
-}
-
-// readAcc is where a read's per-fragment extraction lands, one per
-// request.
-type readAcc struct {
-	hits []hit
-	rep  ReadReport
-}
-
-// readFragment fetches one fragment and extracts the plan's target
-// from it into acc, by scan or by point lookup.
-func (s *Store) readFragment(root *obs.Span, fi int, fr *fragRef, pl *readPlan, scan bool, acc *readAcc) error {
-	e, err := s.fetchFragment(root, *fr, pl, &acc.rep)
-	if err != nil {
-		return err
-	}
-	sp := root.Child(obsReadProbe)
-	t := time.Now()
-	if scan {
-		scanFragment(e.Reader, pl.region, func(p []uint64, slot int) bool {
-			acc.rep.Probed++
-			acc.hits = append(acc.hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
-			return true
-		})
-		acc.rep.Scans++
-	} else {
-		hits, probed := acc.hits, 0
-		for i, n := 0, pl.probe.Len(); i < n; i++ {
-			p := pl.probe.At(i)
-			if !fr.bbox.Contains(p) {
-				continue
-			}
-			probed++
-			if slot, ok := e.Reader.Lookup(p); ok {
-				hits = append(hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
-			}
-		}
-		acc.hits = hits
-		acc.rep.Probed += probed
-	}
-	sp.End()
-	acc.rep.Probe += time.Since(t)
 	return nil
 }
 
-// read answers a validated request against a pinned view of the
-// store's version the request names.
-func (s *Store) read(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
-	v := s.acquireView()
-	defer v.release()
-	limit := len(v.frags)
-	if req.AsOf != AsOfLatest {
-		if req.AsOf > int64(len(v.frags)) {
-			return nil, nil, fmt.Errorf("store: %w: version %d outside [0, %d]", ErrBadRequest, req.AsOf, len(v.frags))
-		}
-		limit = int(req.AsOf)
-	}
-	res, rep, _, err := s.readView(ctx, v, limit, s.planRead(req), nil)
-	return res, rep, err
+// origin returns the name and index of the tile at the origin, the one
+// tile of a one-tile store.
+func (s *Store) origin() (string, []uint64) {
+	idx := make([]uint64, s.tiling.Shape.Dims())
+	return string(s.tiling.AppendName(nil, idx)), idx
 }
 
-// readView is Algorithm 3's READ and the store's only fragment loop:
-// among the first limit fragments of v, take those whose bounding box
-// overlaps the target, skip those the fragment filters rule out,
-// fetch and extract each survivor, then merge the hits by linear
-// address — newest fragment wins, cells under a later tombstone are
-// dead — handing each live cell to emit (a nil emit collects them in
-// the returned Result). What varies is the readPlan and the emitter;
-// the fragments are read one after another on the calling goroutine.
-//
-// Cancellation is checked once per candidate fragment: a canceled read
-// fetches no further fragment and returns ctx.Err().
-func (s *Store) readView(ctx context.Context, v *readView, limit int, pl readPlan, emit emitFunc) (*Result, *ReadReport, liveCounts, error) {
-	acc := &readAcc{rep: ReadReport{Epoch: v.epoch}}
-	rep := &acc.rep
-	s.takeCost()
-	reg := s.obsReg()
-	kind := s.kind.String()
-	root, _ := reg.StartCtx(ctx, obsRead)
-	defer root.End()
-	if pl.probe != nil && pl.probe.Len() == 0 {
-		return &Result{Coords: tensor.NewCoords(s.shape.Dims(), 0)}, rep, liveCounts{}, nil
+// oneSpace refuses, with ErrBadRequest, an operation that needs the
+// store's one address space — an as-of read, SpMV or TTV, ScanLive —
+// on a store of more than one tile. what names the operation.
+func (s *Store) oneSpace(what string) error {
+	if s.tiling.Single() {
+		return nil
 	}
+	return fmt.Errorf("store: %w: %s not supported on chunked stores", ErrBadRequest, what)
+}
 
-	// The candidates are the fragments whose box meets the target's: a
-	// linear scan of the boxes. The sub-linear step is one level up,
-	// where Chunked's tiling finds a request's tiles arithmetically and
-	// each tile's view holds only that tile's fragments.
-	if pl.region == nil && pl.probe == nil {
-		// A whole-store scan (an export, a compaction, a whole-store
-		// kernel) extracts every stored point: size the hits once.
-		var n uint64
-		for fi := range v.frags[:limit] {
-			n += v.frags[fi].nnz
-		}
-		acc.hits = make([]hit, 0, n)
+// sole returns the one tile of a one-tile store for an operation that
+// needs one address space (oneSpace refuses it otherwise). A tile not
+// written yet answers as an empty tile that never reaches the disk.
+func (s *Store) sole(what string) (*tile, error) {
+	if err := s.oneSpace(what); err != nil {
+		return nil, err
 	}
-	var err error
-	var tombs []tombstoneRef
-	for fi := range v.frags[:limit] {
-		fr := &v.frags[fi]
-		if (fr.nnz == 0 && !fr.tomb) || !fr.bbox.Overlaps(pl.box) {
+	if d := s.dir.Load(); len(d.sorted) == 1 {
+		return d.sorted[0].tile, nil
+	}
+	t := &tile{config: s.config, shape: s.tiling.Shape}
+	t.lin, _ = tensor.NewLinearizer(t.shape, tensor.RowMajor) // a tile's volume fits
+	t.initViews()
+	return t, nil
+}
+
+// newTile returns tile name's fragment store, not yet created or
+// opened: its files lie at the prefix itself in a flat store, in the
+// directory named after it in a tiled one, where its cache traffic is
+// labeled with its name.
+func (s *Store) newTile(name string) *tile {
+	if s.flat {
+		return &tile{config: s.config, prefix: s.prefix, codec: s.codec}
+	}
+	return &tile{config: s.config, prefix: s.prefix + "/" + name, scope: name, codec: s.codec}
+}
+
+// openTile opens the tile called name, at idx, from its decoded
+// checkpoint.
+func (s *Store) openTile(m *manifestState, name string, idx []uint64) (*tileEntry, error) {
+	e := &tileEntry{name: name, idx: idx, tile: s.newTile(name)}
+	if err := e.tile.open(m); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// publish makes dir the current tile directory.
+func (s *Store) publish(dir *tileDir) {
+	s.dir.Store(dir)
+	s.obsReg().Gauge("store.tiles", "kind", s.kind.String()).Set(int64(len(dir.sorted)))
+}
+
+// materialize returns a directory holding every tile of want (in commit
+// order), creating the missing ones under the creation mutex and
+// publishing them in one copy-on-write step. setup maps each tile it
+// created to the creation's modeled cost.
+func (s *Store) materialize(want []*tileWork) (dir *tileDir, setup map[string]time.Duration, err error) {
+	if dir = s.dir.Load(); dir.holds(want) {
+		return dir, nil, nil
+	}
+	s.createMu.Lock()
+	defer s.createMu.Unlock()
+	dir = s.dir.Load()
+	var added []*tileEntry
+	setup = map[string]time.Duration{}
+	s.takeCost() // discard any cost accrued outside the creations
+	for _, w := range want {
+		if dir.byName[w.name] != nil {
 			continue
 		}
-		rep.Candidates++
-		if fr.tomb {
-			// A tombstone's box is its region's, so every tombstone that
-			// can kill a hit is among the candidates. It joins at the
-			// merge, not the fragment loop.
-			tombs = append(tombs, tombstoneRef{idx: fi, region: fr.tombRegion})
+		e := &tileEntry{name: w.name, idx: w.idx, tile: s.newTile(w.name)}
+		e.tile.shape = s.tiling.Extent(e.idx)
+		if err = e.tile.create(); err != nil {
+			break // the tiles created so far exist on disk: publish them
+		}
+		cost, _ := s.takeCost()
+		setup[e.name] = cost.Total()
+		added = append(added, e)
+	}
+	if len(added) > 0 {
+		dir = dir.with(added)
+		s.publish(dir)
+	}
+	return dir, setup, err
+}
+
+// tilePart is one tile's share of a request, in tile-local coordinates:
+// the points that fall in it (with their values, for a write) or the
+// region clipped to its frame. tile is nil for a tile not materialized
+// yet, which only a write's partition lists.
+type tilePart struct {
+	name   string
+	idx    []uint64
+	tile   *tile
+	clip   tensor.Region
+	coords *tensor.Coords
+	vals   []float64
+}
+
+// partition splits global points (and their values, when given) into
+// per-tile parts with tile-local coordinates, in tile-name order,
+// preserving input order within each part. With a directory it is a
+// probe's partition: points outside the shape or in tiles never written
+// are simply not found, and dropped. Without one it is a write's: every
+// point is kept (ValidateBatches has put them inside the shape), and
+// in a one-tile store the points are the one part as they are. The
+// per-point work is divide, append digits, look the bytes up; only a
+// tile's first point allocates.
+func (s *Store) partition(dir *tileDir, coords *tensor.Coords, vals []float64) []*tilePart {
+	if dir == nil && s.tiling.Single() {
+		if coords.Len() == 0 {
+			return nil
+		}
+		name, idx := s.origin()
+		return []*tilePart{{name: name, idx: idx, coords: coords, vals: vals}}
+	}
+	dims := coords.Dims()
+	parts := map[string]*tilePart{}
+	var out []*tilePart
+	idx := make([]uint64, dims)
+	local := make([]uint64, dims)
+	name := make([]byte, 0, 64)
+	for i, n := 0, coords.Len(); i < n; i++ {
+		p := coords.At(i)
+		if dir != nil && !s.tiling.Shape.Contains(p) {
 			continue
 		}
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		if !pl.mayHold(fr, s.lin) {
-			rep.FilterSkipped++
-			continue
-		}
-		rep.Fragments++
-		if err = s.readFragment(root, fi, fr, &pl, pl.scans(s, fr), acc); err != nil {
-			break
-		}
-	}
-	reg.Counter("store.index.probes", "kind", kind).Inc()
-	reg.Counter("store.index.candidates", "kind", kind).Add(int64(rep.Candidates))
-	if err != nil {
-		return nil, nil, liveCounts{}, err
-	}
-	if rep.FilterSkipped > 0 {
-		reg.Counter("store.filter.skipped", "kind", kind).Add(int64(rep.FilterSkipped))
-	}
-
-	sp := root.Child(obsReadMerge)
-	res, live, mergeDur := mergeHits(s, acc.hits, tombs, emit)
-	sp.End()
-	acc.hits = nil // the report outlives the read; the hits need not
-	rep.Merge = mergeDur
-	rep.Found = int(live.cells)
-	reg.Counter("store.read.count", "kind", kind).Inc()
-	reg.Counter("store.read.fragments", "kind", kind).Add(int64(rep.Fragments))
-	if rep.Scans > 0 {
-		reg.Counter("store.read.scans", "kind", kind).Add(int64(rep.Scans))
-	}
-	reg.Counter("store.read.probed", "kind", kind).Add(int64(rep.Probed))
-	reg.Counter("store.read.found", "kind", kind).Add(int64(rep.Found))
-	return res, rep, live, nil
-}
-
-// radixBits is the digit width of orderHits' address sort: 2¹¹
-// counters fit in L1, and a 64³ tile's 18-bit addresses take two passes.
-const radixBits = 11
-
-// orderHits returns hits ordered by linear address, stably. readView
-// appends hits fragment by fragment, oldest first, each fragment's in
-// the order it was extracted, so a stable order by address is the
-// (addr, frag, extraction index) order newest-wins depends on: among a
-// cell's hits the newest fragment's comes last, and within one fragment
-// the later of two writes of a cell, which a scan extracts in payload
-// order (COO keeps a batch's duplicates) and a probe's Lookup answers
-// with. Hits already in order (one run, as a point probe's are) come
-// back as they lie; others take an LSD radix sort over radixBits-bit
-// digits, as many passes as the largest address needs, ping-ponging
-// between hits and one scratch buffer. No comparison is made.
-func orderHits(hits []hit) []hit {
-	var span uint64
-	sorted := true
-	for i := range hits {
-		span |= hits[i].addr
-		if i > 0 && hits[i-1].addr > hits[i].addr {
-			sorted = false
-		}
-	}
-	if sorted {
-		return hits
-	}
-	const mask = 1<<radixBits - 1
-	var count [1 << radixBits]int
-	src, dst := hits, make([]hit, len(hits))
-	for shift := 0; shift < bits.Len64(span); shift += radixBits {
-		clear(count[:])
-		for i := range src {
-			count[src[i].addr>>shift&mask]++
-		}
-		if count[src[0].addr>>shift&mask] == len(src) {
-			continue // every hit has this digit: the pass would move nothing
-		}
-		at := 0
-		for d, n := range count {
-			count[d] = at
-			at += n
-		}
-		for i := range src {
-			d := src[i].addr >> shift & mask
-			dst[count[d]] = src[i]
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
-
-// emitFunc receives a read's live cells one at a time, in ascending
-// linear address. p is reused between calls; returning false ends the
-// read there.
-type emitFunc func(p []uint64, val float64) bool
-
-// liveCounts is what mergeHits decided about a read's hits.
-type liveCounts struct {
-	cells       int64 // live: handed to the emitter
-	overwritten int64 // lost to a later write of the same cell
-	dead        int64 // newest write lies under a later tombstone
-}
-
-// mergeHits implements Algorithm 3 line 12 and is the only place a
-// stored cell is judged live: order hits by linear address (orderHits:
-// ties by fragment recency, then extraction order), keep the last value
-// per cell, drop cells whose last write precedes a covering tombstone,
-// and hand what is left to emit in address order. With a nil emit the
-// live cells are appended to the returned Result; a kernel passes its
-// fold and no Result exists.
-func mergeHits(s *Store, hits []hit, tombs []tombstoneRef, emit emitFunc) (*Result, liveCounts, time.Duration) {
-	t := time.Now()
-	hits = orderHits(hits)
-	var out *Result
-	if emit == nil {
-		out = &Result{Coords: tensor.NewCoords(s.shape.Dims(), len(hits))}
-		emit = func(p []uint64, val float64) bool {
-			out.Coords.Append(p...)
-			out.Values = append(out.Values, val)
-			return true
-		}
-	}
-	p := make([]uint64, s.shape.Dims())
-	var live liveCounts
-	for i := range hits {
-		h := &hits[i]
-		if i+1 < len(hits) && hits[i+1].addr == h.addr {
-			live.overwritten++
-			continue // a newer fragment overwrote this cell
-		}
-		s.lin.Delinearize(h.addr, p)
-		dead := false
-		for _, tb := range tombs {
-			if tb.idx > h.frag && tb.region.Contains(p) {
-				dead = true
-				break
+		s.tiling.Index(idx, p)
+		name = s.tiling.AppendName(name[:0], idx)
+		g, ok := parts[string(name)]
+		if !ok {
+			if dir == nil {
+				g = &tilePart{name: string(name), idx: append([]uint64(nil), idx...)}
+			} else if e := dir.byName[string(name)]; e != nil {
+				g = &tilePart{name: e.name, idx: e.idx, tile: e.tile}
+			} else {
+				continue
 			}
+			g.coords = tensor.NewCoords(dims, 0)
+			parts[g.name] = g
+			out = append(out, g)
 		}
-		if dead {
-			live.dead++
-			continue
+		for d := range p {
+			local[d] = p[d] - s.tiling.Origin(idx, d)
 		}
-		live.cells++
-		if !emit(p, h.val) {
-			break
+		g.coords.Append(local...)
+		if vals != nil {
+			g.vals = append(g.vals, vals[i])
 		}
 	}
-	if reg := s.obsReg(); reg != nil {
-		kind := s.kind.String()
-		reg.Counter("store.merge.overwritten", "kind", kind).Add(live.overwritten)
-		reg.Counter("store.merge.tombstone_dead", "kind", kind).Add(live.dead)
+	slices.SortFunc(out, func(a, b *tilePart) int { return cmp.Compare(a.name, b.name) })
+	return out
+}
+
+// Write implements Algorithm 3's WRITE for one batch: it partitions the
+// points by tile and writes one fragment per non-empty tile, in
+// tile-local coordinates so every linear address stays within uint64 —
+// a one-batch ingest (ingest.go), whose one report folds its tiles'.
+// Writes to a tile are serialized by its writer lock; concurrent reads
+// proceed against their pinned snapshots throughout. A batch of no
+// points commits nothing and answers a zero report.
+func (s *Store) Write(coords *tensor.Coords, vals []float64) (*WriteReport, error) {
+	root := s.obsReg().Start(obsWrite)
+	defer root.End()
+	reps, err := s.WriteBatch([]Batch{{Coords: coords, Values: vals}}, 0)
+	if err != nil {
+		return nil, err
 	}
-	return out, live, time.Since(t)
+	return reps[0], nil
+}
+
+// DeleteRegion marks every cell of the region as deleted, with one
+// log-structured tombstone in every materialized tile the region meets
+// (tiles with no data need none); tilesIn finds them without visiting
+// every tile the store has ever materialized. Earlier data stays on
+// disk (and visible to as-of reads) until a compaction folds the
+// tombstone in. The report's Write phase is the log appends; Bytes is
+// the framed records' size.
+func (s *Store) DeleteRegion(region tensor.Region) (*WriteReport, error) {
+	if err := ValidateDeleteRegion(region, s.tiling.Shape); err != nil {
+		return nil, err
+	}
+	root := s.obsReg().Start(obsDelete)
+	defer root.End()
+	total := &WriteReport{}
+	for _, t := range s.tilesIn(s.dir.Load(), region) {
+		rep, err := t.tile.deleteRegion(t.clip)
+		if err != nil {
+			return nil, err
+		}
+		total.Add(rep)
+	}
+	return total, nil
+}
+
+// tilesIn lists the materialized tiles that region intersects, each
+// with the region clipped to its frame, in tile-name order: every
+// region a request carries reaches a tile through here, so an extent
+// that wraps past MaxUint64 or reaches past the shape ends at the
+// shape's edge, and a tile reads only windows inside it. The tiles are
+// found arithmetically: the region maps to a hyper-rectangle of tile
+// indices, each looked up by name, so a small region in a store of
+// many tiles touches only the tiles it covers. Only when the
+// hyper-rectangle holds more candidates than tiles exist does the walk
+// go over the existing tiles instead.
+func (s *Store) tilesIn(dir *tileDir, region tensor.Region) []*tilePart {
+	lo, hi, ok := s.tiling.Range(region)
+	if !ok {
+		return nil
+	}
+	var out []*tilePart
+	add := func(e *tileEntry) {
+		if clip, ok := s.tiling.Clip(region, e.idx); ok {
+			out = append(out, &tilePart{name: e.name, idx: e.idx, tile: e.tile, clip: clip})
+		}
+	}
+	if !s.tiling.Within(lo, hi, uint64(len(dir.sorted))) {
+		for _, e := range dir.sorted {
+			add(e)
+		}
+		return out
+	}
+	name := make([]byte, 0, 64)
+	idx := append([]uint64(nil), lo...)
+	for more := true; more; more = s.tiling.Next(idx, lo, hi) {
+		name = s.tiling.AppendName(name[:0], idx)
+		if e := dir.byName[string(name)]; e != nil {
+			add(e)
+		}
+	}
+	slices.SortFunc(out, func(a, b *tilePart) int { return cmp.Compare(a.name, b.name) })
+	return out
 }

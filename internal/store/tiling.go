@@ -11,7 +11,7 @@ import (
 // remapping p → (tile, offset) over a fixed grid of tiles. It answers
 // every geometric question the tiled layers ask — which tile holds a
 // point, what that tile is called, how far it extends, which tiles a
-// region covers — so Chunked (tiles of one process) and serve.Router
+// region covers — so Store (tiles of one process) and serve.Router
 // (tiles across shard processes) derive from one declaration and cannot
 // drift. A tile's identity is its name ("t-i-j-k", the per-dimension
 // indices): the name is the tile's directory on disk and its key on the
@@ -24,6 +24,17 @@ import (
 type Tiling struct {
 	Shape tensor.Shape // global extents
 	Tile  tensor.Shape // interior tile extents; edge tiles clip to Shape
+}
+
+// Single reports whether the grid is one tile: every extent covers
+// the shape, so the tile's frame is the global one.
+func (t Tiling) Single() bool {
+	for d, n := range t.Shape {
+		if t.Tile[d] < n {
+			return false
+		}
+	}
+	return true
 }
 
 // Index writes the per-dimension tile index of global point p into idx.

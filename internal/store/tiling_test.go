@@ -258,7 +258,7 @@ func TestChunkedConcurrentTileCreation(t *testing.T) {
 		bandPoints.Values = append(bandPoints.Values, float64(j))
 	}
 	whole := tensor.Region{Start: []uint64{0, 0}, Size: shape}
-	export := func(st *Chunked) *Result {
+	export := func(st *Store) *Result {
 		res, _, err := readRegion(st, whole, StrategyScan)
 		if err != nil {
 			t.Fatal(err)
@@ -346,11 +346,11 @@ func TestChunkedConcurrentTileCreation(t *testing.T) {
 	if want.Coords.Len() != writers*rounds*8 {
 		t.Fatalf("serial replay holds %d cells, want %d", want.Coords.Len(), writers*rounds*8)
 	}
-	reopened, err := OpenChunked(fs, "race")
+	reopened, err := Open(fs, "race")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, got := range map[string]*Chunked{"live": st, "reopened": reopened} {
+	for name, got := range map[string]*Store{"live": st, "reopened": reopened} {
 		if res := export(got); !res.Coords.Equal(want.Coords) || !reflect.DeepEqual(res.Values, want.Values) {
 			t.Errorf("%s store: %d cells, serial replay %d (or values differ)", name, res.Coords.Len(), want.Coords.Len())
 		}

@@ -287,7 +287,7 @@ func TestReplayRejectsWrappingTombstone(t *testing.T) {
 		tomb:       true,
 		tombRegion: wrappingRegion,
 	}
-	if err := sim.Append("t/"+manifestLogName, appendFramedRecord(nil, fr, st.nextID, 2)); err != nil {
+	if err := sim.Append("t/"+manifestLogName, appendFramedRecord(nil, fr, only(st).nextID, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(sim, "t"); !errors.Is(err, fragment.ErrCorrupt) {

@@ -157,7 +157,7 @@ func TestCompactFoldsTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectContents(t, res, map[[2]uint64]float64{{2, 2}: 99, {6, 6}: 30})
-	if len(st.tombstonesBefore(st.Fragments())) != 0 {
+	if len(only(st).tombstonesBefore(st.Fragments())) != 0 {
 		t.Fatal("tombstones survived compaction")
 	}
 }

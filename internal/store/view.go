@@ -37,7 +37,7 @@ import (
 // can skip the tombstone overlap scan entirely on tombstone-free
 // stores.
 type readView struct {
-	s     *Store
+	s     *tile
 	epoch uint64
 	frags []fragRef
 	tombs int
@@ -64,7 +64,7 @@ type pendingGC struct {
 
 // acquireView pins the current snapshot for one read. The caller must
 // release it (views drain deferred deletions).
-func (s *Store) acquireView() *readView {
+func (s *tile) acquireView() *readView {
 	s.viewMu.Lock()
 	v := s.cur
 	v.refs++
@@ -97,7 +97,7 @@ func (v *readView) release() {
 
 // initViews installs the first snapshot. Called once by Create/Open
 // before the store is shared.
-func (s *Store) initViews() {
+func (s *tile) initViews() {
 	s.pinned = map[*readView]struct{}{}
 	frags := append([]fragRef(nil), s.frags...)
 	s.cur = &readView{s: s, epoch: 0, frags: frags, tombs: countTombs(frags)}
@@ -106,7 +106,7 @@ func (s *Store) initViews() {
 // publishLocked snapshots s.frags as the new current view under a fresh
 // epoch. Caller holds writeMu; the previous view stays valid for the
 // readers still holding it. Returns the new epoch.
-func (s *Store) publishLocked() uint64 {
+func (s *tile) publishLocked() uint64 {
 	frags := append([]fragRef(nil), s.frags...)
 	v := &readView{s: s, frags: frags, tombs: countTombs(frags)}
 	s.viewMu.Lock()
@@ -114,14 +114,16 @@ func (s *Store) publishLocked() uint64 {
 	v.epoch = epoch
 	s.cur = v
 	s.viewMu.Unlock()
-	s.obsReg().Gauge("store.epoch", "kind", s.kind.String()).Set(int64(epoch))
+	reg, kind := s.obsReg(), s.kind.String()
+	reg.Gauge("store.epoch", "kind", kind).Set(int64(epoch))
+	reg.Gauge("store.fragments", "kind", kind).Set(int64(len(frags)))
 	s.maybeCompactBackground(len(frags))
 	return epoch
 }
 
 // currentEpoch returns the epoch of the current view — the epoch a read
 // issued now would pin.
-func (s *Store) currentEpoch() uint64 {
+func (s *tile) currentEpoch() uint64 {
 	s.viewMu.Lock()
 	defer s.viewMu.Unlock()
 	return s.cur.epoch
@@ -129,7 +131,7 @@ func (s *Store) currentEpoch() uint64 {
 
 // currentFrags returns the published fragment list (the snapshot a read
 // issued now would see). The slice is immutable.
-func (s *Store) currentFrags() []fragRef {
+func (s *tile) currentFrags() []fragRef {
 	s.viewMu.Lock()
 	defer s.viewMu.Unlock()
 	return s.cur.frags
@@ -139,7 +141,7 @@ func (s *Store) currentFrags() []fragRef {
 // manifest at the current epoch, so they are deletable once every view
 // pinning an older epoch drains — immediately, when none is live.
 // Caller holds writeMu.
-func (s *Store) retire(names []string) {
+func (s *tile) retire(names []string) {
 	if len(names) == 0 {
 		return
 	}
@@ -154,7 +156,7 @@ func (s *Store) retire(names []string) {
 // still reference: those whose swap epoch is at or below the oldest
 // pinned epoch. Caller holds viewMu; exactly one caller receives each
 // batch, so deletions never race.
-func (s *Store) collectDueLocked() []pendingGC {
+func (s *tile) collectDueLocked() []pendingGC {
 	if len(s.gcPending) == 0 {
 		return nil
 	}
@@ -183,7 +185,7 @@ func (s *Store) collectDueLocked() []pendingGC {
 // removed. A missing file is fine (another handle or Open's orphan
 // collection got there first); other removal errors leave the file as
 // an orphan for the next Open and are counted.
-func (s *Store) runGC(batches []pendingGC) {
+func (s *tile) runGC(batches []pendingGC) {
 	if len(batches) == 0 {
 		return
 	}
@@ -207,7 +209,7 @@ func (s *Store) runGC(batches []pendingGC) {
 // Best-effort: called by Open after the log replays, before the first
 // view publishes; a failure to list or remove leaves the orphan for the
 // next Open.
-func (s *Store) gcOrphans() {
+func (s *tile) gcOrphans() {
 	names, err := s.fs.List(s.prefix + "/frag-")
 	if err != nil {
 		return

@@ -23,7 +23,7 @@ type Shape []uint64
 // ErrOverflow reports that a linear address or volume does not fit in a
 // uint64. The paper (§II-B) names this as the principal risk of the
 // LINEAR organization; callers are expected to fall back to block
-// decomposition (see internal/store.Chunked) when they hit it.
+// decomposition (see internal/store.Store) when they hit it.
 var ErrOverflow = errors.New("tensor: linear address overflows uint64")
 
 // ErrShape reports an invalid shape (no dimensions, or a zero extent).

@@ -47,7 +47,7 @@ go run ./scripts/checkdocs
 # DESIGN.md describes HEAD, one section per layer; history lives in
 # CHANGES.md. Its size may only fall: a change that rewrites its layers'
 # sections to HEAD lowers DESIGN_MAX_BYTES to the new size.
-DESIGN_MAX_BYTES=77916
+DESIGN_MAX_BYTES=77865
 design_bytes=$(wc -c < DESIGN.md)
 echo "DESIGN.md: $design_bytes bytes (ceiling $DESIGN_MAX_BYTES)"
 if [ "$design_bytes" -gt "$DESIGN_MAX_BYTES" ]; then
@@ -62,7 +62,7 @@ fi
 # environment; and Algorithm 3's WRITE exists once, so the store calls
 # Format.Build in one place, encodes a fragment in one place and builds
 # a key filter in one place (prepareBatch — Write, WriteBatch, the
-# chunked ingest, compaction and Convert all go through it); and Algorithm 3's READ exists once, so a fragment
+# cross-tile ingest, compaction and Convert all go through it); and Algorithm 3's READ exists once, so a fragment
 # is fetched from one place only (readFragment on the READ loop), a
 # read runs its fragments on the caller's goroutine — internal/store
 # starts goroutines for the ingest driver and background compaction
@@ -70,7 +70,7 @@ fi
 # knob — and internal/core offers one walk (Iterator.Each and
 # RegionScanner.ScanRegion — no iter.Seq2 twin of them); and the tile
 # grid is declared once (store.Tiling, internal/store/tiling.go: index,
-# name, extent, clip, range, walk), so neither Chunked nor Router spells
+# name, extent, clip, range, walk), so neither Store nor Router spells
 # a tile name or index of its own, and the per-point name is appended
 # digits, never fmt; and a Snapshot leaves the process in two encodings,
 # one per kind of reader (Prometheus text for scrapers, the Snapshot
@@ -89,7 +89,7 @@ fi
 # into a new store, the one way to change organization — no in-place
 # re-organization, asynchronous compaction handle or second conversion
 # entry point comes back, and the store does not consult the advisor;
-# and the tiling is the spatial index — Chunked and the router find a
+# and the tiling is the spatial index — Store and the router find a
 # request's tiles arithmetically, and a tile's view scans its fragments'
 # boxes — so no spatial grid comes back below it; and a fragment's
 # filters live in its manifest record only, so internal/fragment does
@@ -107,9 +107,12 @@ fi
 # caller — an ingest answers one report per batch on every layer, so no
 # WriteBatchContext takes a per-fragment callback and no collector
 # (collectReports, collectBatch) folds fragments back into batches, and
-# a chunked read or kernel runs each tile's internal read or kernelAt,
-# never the tile's public Query or Kernel, so a request is validated,
-# spanned and slow-logged once; and each number the paper reproduction
+# a read or kernel runs each tile's read or kernelAt — a tile has no
+# Query or Kernel — so a request is validated, spanned and slow-logged
+# once; and there is one store type: a flat store is the one-tile case,
+# so internal/store declares Query and Kernel on Store alone (Chunked,
+# OpenChunked and serve.ChunkedBackend are aliases the frozen benchmark
+# names) and internal/serve adapts a store through StoreBackend alone; and each number the paper reproduction
 # records is measured once, by internal/bench under sparsebench, so the
 # root package carries no testing.B twin of a table, figure or ablation;
 # and every region read is planned — the zero Strategy runs Table I's
@@ -119,7 +122,7 @@ fi
 # refuses a forced plan before sending.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; one report per batch, one record per request; one harness for the paper's numbers; planned reads; exported methods; options; benchmarks; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; one report per batch, one record per request; one store type; one harness for the paper's numbers; planned reads; exported methods; options; benchmarks; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -136,7 +139,7 @@ if [ "$builds" -ne 1 ] || [ "$encodes" -ne 1 ]; then
     exit 1
 fi
 keybuilds=$(grep -hE 'BuildKeys\(' $store_src | grep -cvE '^\s*//' || true)
-keyprep=$(sed -n '/^func (s \*Store) prepareBatch(/,/^}/p' internal/store/ingest.go | grep -cE 'filter\.BuildKeys\(' || true)
+keyprep=$(sed -n '/^func (s \*tile) prepareBatch(/,/^}/p' internal/store/ingest.go | grep -cE 'filter\.BuildKeys\(' || true)
 if [ "$keybuilds" -ne 1 ] || [ "$keyprep" -ne 1 ]; then
     echo "internal/store builds key filters in $keybuilds places, $keyprep of them in prepareBatch (want 1 and 1: every fragment's key filter comes from prepareBatch)" >&2
     exit 1
@@ -146,7 +149,7 @@ if [ "$fetches" -ne 1 ]; then
     echo "internal/store fetches a fragment from $fetches places (want 1: readFragment — read through readView)" >&2
     exit 1
 fi
-merge_sorts=$( (sed -n '/^func orderHits(/,/^}/p; /^func mergeHits(/,/^}/p' internal/store/store.go
+merge_sorts=$( (sed -n '/^func orderHits(/,/^}/p; /^func mergeHits(/,/^}/p' internal/store/tile.go
     sed -n '/^func MergeResults(/,/^}/p' internal/store/query.go) | grep -cE '[sS]ort[A-Z(.]' || true)
 if [ "$merge_sorts" -ne 0 ]; then
     echo "mergeHits or MergeResults calls a sort (order hits by orderHits' radix pass; merge the parts, which are each in row-major order)" >&2
@@ -248,9 +251,28 @@ if grep -rnwE 'collectReports|collectBatch' --include='*.go' .; then
     echo "a report collector is back (every layer's ingest returns one report per batch itself)" >&2
     exit 1
 fi
-chunked_src=$(find internal/store -maxdepth 1 -name 'chunked*.go' ! -name '*_test.go')
-if grep -nE '\.(Query|Kernel)\(' $chunked_src | grep -vE '^[^:]+:[0-9]+:\s*//'; then
-    echo "internal/store/chunked*.go calls a tile's Query or Kernel (call its read or kernelAt: the chunked entry validates, spans and slow-logs the request once)" >&2
+query_types=$(grep -hoE '^func \([a-z]+ \*[A-Za-z]+\) (Query|Kernel)\(' $store_src | sed -E 's/^func \([a-z]+ \*([A-Za-z]+)\).*/\1/' | sort -u | tr '\n' ' ')
+if [ "$query_types" != "Store " ]; then
+    echo "internal/store declares Query or Kernel on types other than Store ($query_types): one store type, and a tile answers through its read and kernelAt, so a request is validated, spanned and slow-logged once" >&2
+    exit 1
+fi
+# The frozen benchmark names store.Chunked, store.OpenChunked and
+# serve.ChunkedBackend: each stays, as an alias and nothing more.
+aliases=$(grep -hE '^(type Chunked|(func|var) OpenChunked|(func|var) ChunkedBackend)\b' $store_src $(find internal/serve -maxdepth 1 -name '*.go' ! -name '*_test.go') || true)
+want_aliases='type Chunked = Store
+var OpenChunked = Open
+var ChunkedBackend = StoreBackend'
+if [ "$aliases" != "$want_aliases" ]; then
+    echo "store.Chunked, store.OpenChunked or serve.ChunkedBackend is more than an alias of Store, Open or StoreBackend:" >&2
+    echo "$aliases" >&2
+    exit 1
+fi
+adapters=$(grep -hE '^func [A-Za-z]+\([a-z]+ \*store\.[A-Za-z]+\)|^type [A-Za-z]+ struct\{ *[a-z]+ \*store\.' $(find internal/serve -maxdepth 1 -name '*.go' ! -name '*_test.go') || true)
+want_adapters='type storeBackend struct{ s *store.Store }
+func StoreBackend(s *store.Store) Backend { return storeBackend{s} }'
+if [ "$adapters" != "$want_adapters" ]; then
+    echo "internal/serve adapts a store other than through StoreBackend (one store type, one adapter):" >&2
+    echo "$adapters" >&2
     exit 1
 fi
 if grep -rnw 'StrategyDefault' --include='*.go' . || grep -nw 'StrategyDefault' README.md DESIGN.md docs/*.md; then
@@ -269,11 +291,8 @@ if grep -nE '^func Benchmark' ./*_test.go; then
 fi
 n=$(sed -n '/^type Backend interface {/,/^}/p' internal/serve/backend.go | grep -cE '^\s+[A-Z][A-Za-z]*\(')
 echo "  methods of serve.Backend: $n"
-for recv in Store Chunked; do
-    n=$(find internal/store -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 |
-        xargs -0 grep -hE "^func \\((s|c) \\*${recv}\\) [A-Z]" | wc -l)
-    echo "  exported methods of *${recv}: $n"
-done
+n=$(grep -hE '^func \([a-z]+ \*Store\) [A-Z]' $store_src | wc -l)
+echo "  exported methods of *Store: $n"
 n=$(find internal/store -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 grep -hE '^func With[A-Z]' | wc -l)
 echo "  store.With* options: $n"
 n=$(grep -rhE '^func Benchmark' --include='*_test.go' . | wc -l)
@@ -305,7 +324,7 @@ go test -race ./...
 # one store per organization under the race detector while every result
 # is differentially verified against an epoch-indexed oracle; and two
 # writers race to create the same tiles of a chunked store — directly,
-# and as clients of one served ChunkedBackend — beside region reads,
+# and as clients of one served StoreBackend — beside region reads,
 # probes, kernels and deletions. The suite above already runs both once
 # at the default scale; this tier repeats them with more iterations
 # (HAMMER_COUNT, default 3) so interleavings vary.
@@ -388,7 +407,7 @@ done
     -trace-out "$SMOKE_DIR/trace.json"
 go run ./scripts/checkmetrics -addr "$(cat "$SMOKE_DIR/router.metrics")" \
     -expect router.scatter \
-    -expect store.read.count -expect store.chunked.ingest.count
+    -expect store.read.count -expect store.ingest.count
 go run ./scripts/checktrace -file "$SMOKE_DIR/trace.json" \
     -addr "$(cat "$SMOKE_DIR/router.metrics")"
 kill $SMOKE_PIDS 2>/dev/null || true

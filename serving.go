@@ -14,8 +14,8 @@ import (
 )
 
 // Unified request surface. QueryRequest is what Store.Query,
-// ChunkedStore.Query, DataClient.Query, and ShardRouter.Query all
-// take — and exactly what the wire protocol serializes.
+// DataClient.Query, and ShardRouter.Query all take — and exactly what
+// the wire protocol serializes.
 type (
 	// QueryRequest describes one read: a probe list or a region, and
 	// an as-of version bound. A region read is planned per fragment by
@@ -59,20 +59,13 @@ var (
 
 // AlignPoints lays a probe query's Result out along its probe: vals[i]
 // and found[i] answer probe point i. It works on a Result from a
-// Store, a ChunkedStore, a DataClient or a ShardRouter alike.
+// Store, a DataClient or a ShardRouter alike.
 func AlignPoints(probe *Coords, res *Result) (vals []float64, found []bool) {
 	return store.AlignPoints(probe, res)
 }
 
-// OpenChunkedStore reopens a chunked store created by
-// CreateChunkedStore from its CHUNKED manifest, rediscovering every
-// materialized tile.
-func OpenChunkedStore(fs FS, prefix string, opts ...StoreOption) (*ChunkedStore, error) {
-	return store.OpenChunked(fs, prefix, opts...)
-}
-
-// Serving layer: a DataServer exposes any Backend (a Store, a
-// ChunkedStore, or a ShardRouter) over the length-prefixed wire
+// Serving layer: a DataServer exposes any Backend (a Store or a
+// ShardRouter) over the length-prefixed wire
 // protocol; a DataClient drives it with pipelined, deadline-carrying
 // requests.
 type (
@@ -93,12 +86,8 @@ type (
 	BackendInfo = wire.Info
 )
 
-// StoreBackend adapts a flat Store for serving.
+// StoreBackend adapts a Store, flat or tiled, for serving.
 func StoreBackend(s *Store) Backend { return serve.StoreBackend(s) }
-
-// ChunkedBackend adapts a ChunkedStore for serving — the shard-side
-// backend.
-func ChunkedBackend(c *ChunkedStore) Backend { return serve.ChunkedBackend(c) }
 
 // NewDataServer builds a wire-protocol server over backend. Serve it
 // with DataServer.Serve or DataServer.ListenAndServe.

@@ -75,11 +75,10 @@ func ParseKind(s string) (Kind, error) { return core.ParseKind(s) }
 
 // Storage engine types (Algorithm 3).
 type (
-	// Store is a single-tensor fragment store.
+	// Store is the fragment store of one sparse tensor: flat (one
+	// tile, CreateStore) or tiled for tensors whose linear addresses
+	// would overflow uint64 (CreateChunkedStore).
 	Store = store.Store
-	// ChunkedStore tiles tensors whose linear addresses would
-	// overflow uint64.
-	ChunkedStore = store.Chunked
 	// WriteReport is the Table III-style write breakdown.
 	WriteReport = store.WriteReport
 	// ReadReport is the read-phase breakdown.
@@ -109,18 +108,17 @@ type (
 	ConvertReport = store.ConvertReport
 )
 
-// Batched ingest is the primary write surface. Store and ChunkedStore
-// both take it in one form, with one report per batch:
+// Batched ingest is the primary write surface, with one report per
+// batch:
 //
 //	reps, err := st.WriteBatchContext(ctx, batches, workers)
 //
 // WriteBatch(batches, workers) is the same call without a context. It
-// leaves the file system byte-identical to a serial loop of Write;
-// ChunkedStore additionally fans one logical batch list out across
-// every tile it touches, preparing all tiles' fragments on one shared
-// worker pool, and folds each batch's tile fragments into the batch's
-// one report. On error no reports come back; the committed prefix
-// stays durable.
+// leaves the file system byte-identical to a serial loop of Write; on a
+// tiled store it fans one logical batch list out across every tile it
+// touches, preparing all tiles' fragments on one shared worker pool,
+// and folds each batch's tile fragments into the batch's one report.
+// On error no reports come back; the committed prefix stays durable.
 
 // Option misuse (a compaction threshold below 2) surfaces from the
 // constructors as a typed error matching ErrBadOption.
@@ -131,7 +129,7 @@ type OptionError = store.OptionError
 
 // WithBackgroundCompaction makes the store compact itself on a
 // background worker once a mutation leaves at least minFragments
-// fragments behind (minFragments >= 2). Without it a chunked store's
+// fragments behind (minFragments >= 2). Without it a tiled store's
 // tiles do so at 64 fragments and a flat store never does. Reads
 // are never blocked: they serve from MVCC snapshots while the worker
 // consolidates, and the swap is atomic. Store.Compact runs one such
@@ -239,14 +237,16 @@ func CreateStoreOn(fs FS, prefix string, kind Kind, shape Shape, opts ...StoreOp
 	return store.Create(fs, prefix, kind, shape, opts...)
 }
 
-// OpenStoreOn opens a store on an explicit backend.
+// OpenStoreOn opens a store on an explicit backend, flat or tiled
+// (CreateChunkedStore).
 func OpenStoreOn(fs FS, prefix string) (*Store, error) {
 	return store.Open(fs, prefix)
 }
 
 // CreateChunkedStore creates a tiled store for tensors beyond uint64
 // linear addressing, the paper's block-decomposition remedy (§II-B).
-func CreateChunkedStore(fs FS, prefix string, kind Kind, shape, tile Shape, opts ...StoreOption) (*ChunkedStore, error) {
+// OpenStoreOn reopens it.
+func CreateChunkedStore(fs FS, prefix string, kind Kind, shape, tile Shape, opts ...StoreOption) (*Store, error) {
 	return store.NewChunked(fs, prefix, kind, shape, tile, opts...)
 }
 
