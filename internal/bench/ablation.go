@@ -182,50 +182,88 @@ func AblationCSFDescent(scale gen.Scale, seed uint64) (string, error) {
 	return "Ablation: CSF descent strategy (the linear scan causes the paper's 2D exception)\n" + t.String(), nil
 }
 
-// AblationScanVsProbe compares the paper's per-cell probing against
-// scan-mode region reads through the storage engine.
-func AblationScanVsProbe(scale gen.Scale, seed uint64) (string, error) {
-	ds, err := MakeDataset(Case{Pattern: gen.GSP, Dims: 3}, scale, seed, 0)
+// AblationScanVsProbe measures the planner's choice (StrategyAuto)
+// against both of its sides. The store is one 64³ tile holding one
+// fragment of ≈ 16 000 uniform GSP points, read with a warm cache
+// through centred cubic windows of edge 1 to 32. Per organization and
+// edge the table prints the µs of the paper's probe of every cell (a
+// probe list), of the forced scan, and which one the planner picks. A
+// window of over 1 000 cells probes an even subsample of them and
+// scales the time up, as Runner.ProbeLimit does: Table I prices every
+// probe linearly in n_read. The scale argument is unused: the study's
+// setup is the one TestAutoStrategySelection pins.
+func AblationScanVsProbe(_ gen.Scale, seed uint64) (string, error) {
+	shape := tensor.Shape{64, 64, 64}
+	data, err := gen.Generate(gen.Config{Pattern: gen.GSP, Shape: shape, Seed: seed, Prob: 16000.0 / (64 * 64 * 64)})
 	if err != nil {
 		return "", err
 	}
-	t := &table{header: []string{"Format", "Probe", "Scan", "Auto picks"}}
-	for _, kind := range []core.Kind{core.COO, core.Linear, core.GCSR, core.CSF} {
-		fs := fsim.NewPerlmutterSim()
-		st, err := store.Create(fs, "ab", kind, ds.Data.Config.Shape)
-		if err != nil {
-			return "", err
-		}
-		if _, err := st.Write(ds.Data.Coords, ds.Data.Values); err != nil {
-			return "", err
-		}
-		read := func(req store.QueryRequest) (*store.ReadReport, error) {
-			req.AsOf = store.AsOfLatest
-			_, rep, err := st.Query(context.Background(), req)
-			return rep, err
-		}
-		prep, err := read(store.QueryRequest{Probe: ds.Region.Coords()})
-		if err != nil {
-			return "", err
-		}
-		srep, err := read(store.QueryRequest{Region: &ds.Region, Strategy: store.StrategyScan})
-		if err != nil {
-			return "", err
-		}
-		arep, err := read(store.QueryRequest{Region: &ds.Region})
-		if err != nil {
-			return "", err
-		}
-		pick := "probe"
-		if arep.Scans > 0 {
-			pick = "scan"
-		}
-		t.add(kind.String(),
-			fmt.Sprintf("%.2fms", prep.Probe.Seconds()*1e3),
-			fmt.Sprintf("%.2fms", srep.Probe.Seconds()*1e3),
-			pick)
+	values := make([]float64, data.NNZ())
+	for i := range values {
+		values[i] = gen.ValueAt(data.Coords.At(i))
 	}
-	return "Ablation: probe vs scan region reads (3D GSP, paper window)\n" + t.String(), nil
+	t := &table{header: []string{"Format", "Window", "Probe us", "Scan us", "Planner picks", "Faster"}}
+	for _, kind := range []core.Kind{core.COO, core.Linear, core.GCSR, core.GCSC, core.CSF, core.COOSorted, core.BCOO} {
+		st, err := store.Create(fsim.NewPerlmutterSim(), "ab", kind, shape)
+		if err != nil {
+			return "", err
+		}
+		if _, err := st.Write(data.Coords, values); err != nil {
+			return "", err
+		}
+		// µs of the fastest of up to five reads, fewer once they have
+		// taken 100 ms (COO and LINEAR probing a large window).
+		read := func(req store.QueryRequest) (float64, error) {
+			req.AsOf = store.AsOfLatest
+			var best, spent time.Duration
+			for i := 0; i < 5 && spent < 100*time.Millisecond; i++ {
+				t0 := time.Now()
+				if _, _, err := st.Query(context.Background(), req); err != nil {
+					return 0, err
+				}
+				d := time.Since(t0)
+				if spent += d; i == 0 || d < best {
+					best = d
+				}
+			}
+			return float64(best.Nanoseconds()) / 1e3, nil
+		}
+		for edge := uint64(1); edge <= 32; edge *= 2 {
+			start := (64 - edge) / 2
+			region, err := tensor.NewRegion(shape, []uint64{start, start, start}, []uint64{edge, edge, edge})
+			if err != nil {
+				return "", err
+			}
+			if _, err := read(store.QueryRequest{Region: &region}); err != nil { // warms the cache
+				return "", err
+			}
+			cells := region.Coords()
+			sample := subsample(cells, 1000)
+			probe, err := read(store.QueryRequest{Probe: sample})
+			if err != nil {
+				return "", err
+			}
+			probe *= float64(cells.Len()) / float64(sample.Len())
+			scan, err := read(store.QueryRequest{Region: &region, Strategy: store.StrategyScan})
+			if err != nil {
+				return "", err
+			}
+			_, arep, err := st.Query(context.Background(), store.QueryRequest{Region: &region, AsOf: store.AsOfLatest})
+			if err != nil {
+				return "", err
+			}
+			pick, faster := "probe", "probe"
+			if arep.Scans > 0 {
+				pick = "scan"
+			}
+			if scan < probe {
+				faster = "scan"
+			}
+			t.add(kind.String(), fmt.Sprintf("%d^3", edge),
+				fmt.Sprintf("%.1f", probe), fmt.Sprintf("%.1f", scan), pick, faster)
+		}
+	}
+	return fmt.Sprintf("Ablation: probe vs scan region reads and the planner's pick (64³ tile, one fragment of %d GSP points, warm cache; probes past 1 000 cells extrapolated)\n", data.NNZ()) + t.String(), nil
 }
 
 // AblationProbeOrder tests the trade-off §II-C declines to take:

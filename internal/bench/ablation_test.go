@@ -46,10 +46,21 @@ func TestAblationScanVsProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Probe", "Scan", "Auto picks", "scan"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q:\n%s", want, out)
-		}
+	header, rows := tableRows(t, out)
+	if strings.Join(header, "|") != "Format|Window|Probe us|Scan us|Planner picks|Faster" {
+		t.Fatalf("header %q:\n%s", header, out)
+	}
+	if len(rows) != 7*6 {
+		t.Fatalf("%d rows, want 7 organizations × 6 window edges:\n%s", len(rows), out)
+	}
+	// The picks are deterministic (the timings are not): the planner
+	// scans CSF's 32³ window and probes GCSR++'s single cell.
+	picks := map[string]string{}
+	for _, r := range rows {
+		picks[r[0]+" "+r[1]] = r[4]
+	}
+	if picks["CSF 32^3"] != "scan" || picks["GCSR++ 1^3"] != "probe" {
+		t.Fatalf("picks %v:\n%s", picks, out)
 	}
 }
 

@@ -80,6 +80,50 @@ func TestWalkAllocations(t *testing.T) {
 	}
 }
 
+// TestScanShareAllKinds pins what each organization's region walk
+// reports it reaches of a fragment's box: r's share along every
+// component the walk seeks and stops on — every coordinate for CSF,
+// the leading one for COO-sorted — and the whole box for the walks
+// that visit every point (COO's unordered level; LINEAR's, GCS's and
+// BCOO's remapped keys). A window that misses the box reaches nothing
+// on a pruned walk.
+func TestScanShareAllKinds(t *testing.T) {
+	shape := tensor.Shape{40, 30, 20}
+	c := tensor.NewCoords(3, 0)
+	c.Append(0, 0, 0)
+	c.Append(39, 29, 19)
+	box, _ := c.Bounds()
+	window := tensor.Region{Start: []uint64{4, 3, 2}, Size: []uint64{20, 15, 10}}
+	beyond := tensor.Region{Start: []uint64{35, 0, 0}, Size: []uint64{100, 30, 20}} // reaches past the shape: clipped to [35, 39]
+	want := map[core.Kind][2]float64{
+		core.CSF:       {0.125, 5.0 / 40},
+		core.COOSorted: {0.5, 5.0 / 40},
+		core.COO:       {1, 1},
+		core.Linear:    {1, 1},
+		core.GCSR:      {1, 1},
+		core.GCSC:      {1, 1},
+		core.BCOO:      {1, 1},
+	}
+	for _, f := range core.Registered() {
+		built, err := f.Build(c, shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := f.Open(built.Payload, shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := r.(core.RegionScanner)
+		if got := [2]float64{rs.ScanShare(window, box), rs.ScanShare(beyond, box)}; got != want[f.Kind()] {
+			t.Errorf("%v: ScanShare = %v, want %v", f.Kind(), got, want[f.Kind()])
+		}
+		inner := tensor.BBox{Min: []uint64{30, 20, 10}, Max: []uint64{39, 29, 19}}
+		if got, pruned := rs.ScanShare(window, inner), want[f.Kind()][0] < 1; (got == 0) != pruned {
+			t.Errorf("%v: a window missing the box reaches %v of it", f.Kind(), got)
+		}
+	}
+}
+
 // BenchmarkScanRegionWindow walks a 1 % window — a 110³ cube of a 512³
 // tensor holding 100 000 uniform points — with ScanRegion, the read
 // loop's scan extractor, for the organizations whose region walk prunes

@@ -152,8 +152,12 @@ type Iterator interface {
 // ScanRegion visits exactly the steps of Each whose point lies inside
 // the region, in the same order, pruning at every level the region
 // bounds (the CSF tree descends only subtrees intersecting it).
+// ScanShare estimates the share of the points inside box that walk
+// reaches, were they spread uniformly over box: the price of a scan
+// that a read planner weighs against probing every cell.
 type RegionScanner interface {
 	ScanRegion(r tensor.Region, visit func(p []uint64, slot int) bool)
+	ScanShare(r tensor.Region, box tensor.BBox) float64
 }
 
 var (

@@ -653,6 +653,38 @@ func (x *Index) ScanRegion(r tensor.Region, visit func(p []uint64, slot int) boo
 	}
 }
 
+// ScanShare implements RegionScanner: r's share of box along the
+// leading key component of every ordered level — each one a component
+// a ScanRegion walk seeks to and stops past — multiplied together.
+// CSF's levels each lead with one coordinate; COO-sorted's one level
+// leads with the first. An unordered level (COO) is walked whole, and a
+// remapped key (LINEAR, GCS, BCOO) tests every point the walk visits,
+// so their share is 1.
+func (x *Index) ScanShare(r tensor.Region, box tensor.BBox) float64 {
+	share := 1.0
+	if x.decl.Map != MapPermute {
+		return share
+	}
+	for _, lv := range x.levels {
+		if !lv.ordered {
+			continue
+		}
+		d := lv.slot
+		if r.Size[d] == 0 || r.Start[d] > box.Max[d] {
+			return 0
+		}
+		lo, hi := max(r.Start[d], box.Min[d]), box.Max[d]
+		if r.Size[d]-1 < hi-r.Start[d] {
+			hi = r.Start[d] + r.Size[d] - 1
+		}
+		if lo > hi {
+			return 0
+		}
+		share *= float64(hi-lo+1) / float64(box.Max[d]-box.Min[d]+1)
+	}
+	return share
+}
+
 // scan runs one walk. The point it visits is its one allocation, since
 // visit sees it; the key tuple and the key bounds live on the stack,
 // the bounds admitting every key unless a region narrows them.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -502,9 +503,10 @@ func newStore(kind core.Kind, shape, tile tensor.Shape, opts ...store.Option) (*
 
 // TestRouterOverFlatShards: a flat store is the one-tile case, and its
 // Info reports its shape as its tile, so a router fronts flat shards as
-// it does tiled ones — the one tile lives on the shard that owns it —
-// and answers writes, deletes, region reads, probes and the additive
-// kernels exactly as the same requests run on a local flat store.
+// it does tiled ones — the one tile lives on the shard that owns it, and
+// Info counts only the tiles that hold data — and answers writes,
+// deletes, region reads, probes and the additive kernels exactly as the
+// same requests run on a local flat store.
 func TestRouterOverFlatShards(t *testing.T) {
 	shape := tensor.Shape{20, 20}
 	ctx := context.Background()
@@ -538,6 +540,11 @@ func TestRouterOverFlatShards(t *testing.T) {
 		if _, err := w.DeleteRegion(ctx, del); err != nil {
 			t.Fatalf("%s delete: %v", name, err)
 		}
+	}
+	// Each flat shard made its one tile at Create, but the shape is one
+	// tile, owned by one shard: one tile holds data.
+	if info, err := router.Info(ctx); err != nil || info.Tiles != 1 {
+		t.Fatalf("router info %+v (%v): want 1 tile holding data", info, err)
 	}
 	probe, _ := randomPoints(rng, shape, 40)
 	reqs := []store.QueryRequest{
@@ -644,20 +651,31 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 				{Start: []uint64{0, 0}, Size: []uint64{100, 100}},
 				{Start: []uint64{3, 3}, Size: []uint64{0, 5}},
 			}
+			// The local arms are the planned read, the forced scan and the
+			// paper's probe of every cell the region covers in the shape.
+			whole := store.Tiling{Shape: shape, Tile: shape}
 			for _, region := range regions {
 				got, _, err := router.Query(ctx, store.QueryRequest{Region: &region, AsOf: store.AsOfLatest})
 				if err != nil {
 					t.Fatalf("router query %v: %v", region, err)
 				}
-				for _, strat := range []store.Strategy{store.StrategyAuto, store.StrategyScan} {
-					want, _, err := local.Query(ctx, store.QueryRequest{Region: &region, AsOf: store.AsOfLatest, Strategy: strat})
+				cells := tensor.NewCoords(2, 0)
+				if in, ok := whole.Clip(region, []uint64{0, 0}); ok {
+					cells = in.Coords()
+				}
+				for _, arm := range []store.QueryRequest{
+					{Region: &region, AsOf: store.AsOfLatest},
+					{Region: &region, AsOf: store.AsOfLatest, Strategy: store.StrategyScan},
+					{Probe: cells, AsOf: store.AsOfLatest},
+				} {
+					want, _, err := local.Query(ctx, arm)
 					if err != nil {
-						t.Fatalf("local query %v/%v: %v", region, strat, err)
+						t.Fatalf("local query %v/%+v: %v", region, arm, err)
 					}
-					if !reflect.DeepEqual(got.Coords.Flat(), want.Coords.Flat()) ||
-						!reflect.DeepEqual(got.Values, want.Values) {
-						t.Fatalf("%v/%v: router and local disagree:\n got %v %v\nwant %v %v",
-							region, strat, got.Coords.Flat(), got.Values, want.Coords.Flat(), want.Values)
+					if !slices.Equal(got.Coords.Flat(), want.Coords.Flat()) ||
+						!slices.EqualFunc(got.Values, want.Values, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+						t.Fatalf("%v/%+v: router and local disagree:\n got %v %v\nwant %v %v",
+							region, arm, got.Coords.Flat(), got.Values, want.Coords.Flat(), want.Values)
 					}
 				}
 			}

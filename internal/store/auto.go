@@ -6,13 +6,15 @@ import (
 	"sparseart/internal/tensor"
 )
 
-// This file holds the scan side of a region read and the choice
-// StrategyAuto makes per fragment (both plugged into Store.read): the
-// Table I complexity model decides between the paper's probe strategy
-// (one existence query per region cell) and the scan strategy (one pass
-// over the fragment's stored points). Probing wins when the region is
-// small relative to the fragment; scanning wins for the scan-read
-// organizations (COO, LINEAR) on any sizable window.
+// This file holds the scan side of a region read and the price a
+// planned read (StrategyAuto) puts on each side, per fragment, once the
+// fragment is open (readPlan.scans): probing the window cell by cell,
+// the paper's strategy, costs Table I's read slope times the window's
+// cells; scanning costs the stored points the reader's pruned walk
+// reaches (core.RegionScanner.ScanShare). CSF and COO-sorted walks seek
+// and stop on the window's coordinates, so they scan all but the
+// smallest windows; the remapped walks (LINEAR, GCS, BCOO) and unordered
+// COO visit the whole fragment, so they probe small windows.
 
 // scanFragment walks one fragment's stored points inside region — all
 // of them when region is nil — in scan mode. Every reader prunes a
@@ -26,21 +28,15 @@ func scanFragment(reader core.Reader, region *tensor.Region, visit func(p []uint
 	reader.(core.RegionScanner).ScanRegion(*region, visit)
 }
 
-// preferScan applies Table I: compare the model's marginal probe cost
-// for nRead queries against the O(n) scan pass over one fragment of n
-// points. The marginal cost is taken as the slope of the model's read
-// formula (its n_read-independent terms, like GCS's one-off transform
-// pass, belong to both strategies).
-//
-// The decision is deliberately the *worst-case* Table I slope: GCS row
-// probes usually early-exit well before n/min{m} comparisons, so the
-// model errs toward scanning for mid-sized windows. That conservatism
-// is cheap — a scan is never catastrophic, while quadratic probing of a
-// large window is.
-func preferScan(kind core.Kind, shape tensor.Shape, n, nRead uint64) bool {
+// preferScan applies Table I to one fragment of kind holding n points:
+// it compares the model's marginal cost of probing nRead cells with a
+// scan that reaches share of the n points. The marginal cost is the
+// slope of the model's read formula (its n_read-independent terms, like
+// GCS's one-off transform pass, belong to both strategies).
+func preferScan(kind core.Kind, shape tensor.Shape, n, nRead uint64, share float64) bool {
 	params := complexity.Params{
-		N:        float64(max64(n, 1)),
-		NRead:    float64(max64(nRead, 1)),
+		N:        float64(max(n, 1)),
+		NRead:    float64(max(nRead, 1)),
 		Shape:    shape,
 		CSFShare: 0.5,
 	}
@@ -54,12 +50,5 @@ func preferScan(kind core.Kind, shape tensor.Shape, n, nRead uint64) bool {
 		return false
 	}
 	probeCost := e2.Read - e1.Read // slope × nRead
-	return probeCost > float64(n)
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return probeCost > float64(n)*share
 }

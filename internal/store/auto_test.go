@@ -52,76 +52,59 @@ func TestReadRegionAutoMatchesBothStrategies(t *testing.T) {
 	}
 }
 
-// TestAutoStrategySelection pins the cost-model decisions: the scan
-// organizations must scan on a large window, and GCSR++ must probe on
-// a tiny one.
+// TestAutoStrategySelection pins the planner's pick per organization
+// and window edge, on one 64³ tile holding one fragment of 16 000
+// uniform points. The probe price is Table I's slope times the window's
+// cells; the scan price is the points the pruned walk reaches. CSF and
+// COO-sorted walks seek on the window, so they scan all but tiny
+// windows; GCS's and BCOO's remapped walks visit every point, so they
+// probe small windows; COO and LINEAR probe by scanning, so two cells
+// already favour one pass. Cells left out sit near a tie.
 func TestAutoStrategySelection(t *testing.T) {
-	shape := tensor.Shape{32, 32}
-	rng := rand.New(rand.NewSource(13))
-	coords, vals := randomPoints(rng, shape, 200)
-
-	bigRegion, err := tensor.NewRegion(shape, []uint64{0, 0}, []uint64{32, 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tinyRegion, err := tensor.NewRegion(shape, []uint64{5, 5}, []uint64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	shape := tensor.Shape{64, 64, 64}
+	coords, vals := randomPoints(rand.New(rand.NewSource(13)), shape, 16000)
 	cases := []struct {
-		kind     core.Kind
-		region   tensor.Region
-		wantScan bool
+		kind        core.Kind
+		probe, scan []uint64 // window edges
 	}{
-		{core.COO, bigRegion, true},    // O(n·n_read) probing is hopeless
-		{core.Linear, bigRegion, true}, // same
-		{core.COO, tinyRegion, false},  // one probe beats a full scan
-		{core.GCSR, tinyRegion, false}, // row slice beats a full scan
-		{core.CSF, tinyRegion, false},  // descent beats a full scan
-		{core.GCSR, bigRegion, true},   // 1024 probes × row scans > one pass
+		{core.CSF, nil, []uint64{4, 8, 16, 32}},
+		{core.COOSorted, nil, []uint64{8, 16, 32}},
+		{core.GCSR, []uint64{1, 2, 4}, []uint64{16, 32}},
+		{core.GCSC, []uint64{1, 2, 4}, []uint64{16, 32}},
+		{core.BCOO, []uint64{1, 2, 4, 8}, []uint64{32}},
+		{core.COO, nil, []uint64{2, 4, 8, 16, 32}},
+		{core.Linear, nil, []uint64{2, 4, 8, 16, 32}},
 	}
 	for _, tc := range cases {
-		fs := newSim(t)
-		st, err := Create(fs, "t", tc.kind, shape)
+		st, err := Create(newSim(t), "t", tc.kind, shape)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.Write(coords, vals); err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := readRegion(st, tc.region, StrategyAuto)
-		if err != nil {
-			t.Fatal(err)
+		for _, pick := range []struct {
+			edges []uint64
+			scan  bool
+		}{{tc.probe, false}, {tc.scan, true}} {
+			for _, edge := range pick.edges {
+				start := (64 - edge) / 2
+				region, err := tensor.NewRegion(shape, []uint64{start, start, start}, []uint64{edge, edge, edge})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, rep, err := readRegion(st, region, StrategyAuto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Fragments != 1 {
+					t.Fatalf("%v: read %d fragments, want 1", tc.kind, rep.Fragments)
+				}
+				if got := rep.Scans > 0; got != pick.scan {
+					t.Errorf("%v over a %d³ window: scan=%v, want %v", tc.kind, edge, got, pick.scan)
+				}
+			}
 		}
-		gotScan := rep.Scans > 0
-		if gotScan != tc.wantScan {
-			t.Errorf("%v over %v cells: scan=%v, want %v",
-				tc.kind, tc.region.Size, gotScan, tc.wantScan)
-		}
-	}
-}
-
-func TestPreferScanModel(t *testing.T) {
-	shape := tensor.Shape{512, 512, 512}
-	// COO: probe cost n·n_read always exceeds a scan for n_read > 1.
-	if !preferScan(core.COO, shape, 100000, 2) {
-		t.Error("COO with 2 probes should scan")
-	}
-	if preferScan(core.COO, shape, 100000, 0) {
-		t.Error("COO with <=1 effective probe should probe")
-	}
-	// CSF probes cost ~d each: scanning only pays off for enormous
-	// regions.
-	if preferScan(core.CSF, shape, 100000, 10) {
-		t.Error("CSF with 10 probes should probe")
-	}
-	if !preferScan(core.CSF, shape, 1000, 10000) {
-		t.Error("CSF with 10000 probes over 1000 points should scan")
-	}
-	// Unknown organizations keep the paper's probing strategy.
-	if preferScan(core.Kind(99), shape, 1000, 1000000) {
-		t.Error("unknown kind should not scan")
 	}
 }
 

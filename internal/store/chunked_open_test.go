@@ -94,17 +94,17 @@ func TestQueryContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	// Each arm of a region read: planned, forced to scan, and the probe
+	// list of its cells.
 	region := tensor.Region{Start: []uint64{0, 0}, Size: []uint64{10, 10}}
-	for _, strat := range []Strategy{StrategyScan, StrategyAuto} {
-		_, _, err := st.Query(ctx, QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: strat})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("strategy %v: err = %v, want context.Canceled", strat, err)
+	for _, req := range []QueryRequest{
+		{Region: &region, AsOf: AsOfLatest},
+		{Region: &region, AsOf: AsOfLatest, Strategy: StrategyScan},
+		{Probe: region.Coords(), AsOf: AsOfLatest},
+	} {
+		if _, _, err := st.Query(ctx, req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%+v: err = %v, want context.Canceled", req, err)
 		}
-	}
-	// The probe path too.
-	_, _, err = st.Query(ctx, QueryRequest{Probe: region.Coords(), AsOf: AsOfLatest})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("probe: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -2,6 +2,8 @@ package store
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"sparseart/internal/tensor"
@@ -76,6 +78,38 @@ func readProbe(q querier, probe *tensor.Coords) (*Result, *ReadReport, error) {
 // strategy.
 func readRegion(q querier, region tensor.Region, strategy Strategy) (*Result, *ReadReport, error) {
 	return q.Query(context.Background(), QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: strategy})
+}
+
+// regionArms runs the region request req three ways — planned
+// (StrategyAuto), forced to scan (StrategyScan) and the paper's probe
+// of every cell of the region (QueryRequest{Probe: region.Coords()}) —
+// and fails unless the three answers agree byte for byte. It returns
+// the planned answer.
+func regionArms(t *testing.T, label string, q querier, req QueryRequest) *Result {
+	t.Helper()
+	arms := []QueryRequest{req, req, {Probe: req.Region.Coords(), AsOf: req.AsOf}}
+	arms[0].Strategy, arms[1].Strategy = StrategyAuto, StrategyScan
+	var out [3]*Result
+	for i, arm := range arms {
+		res, _, err := q.Query(context.Background(), arm)
+		if err != nil {
+			t.Fatalf("%s: arm %d: %v", label, i, err)
+		}
+		out[i] = res
+	}
+	for i, name := range []string{"forced scan", "probe list"} {
+		if !sameBytes(out[0], out[i+1]) {
+			t.Fatalf("%s: the planned read (%d points) and the %s (%d points) differ", label, out[0].Coords.Len(), name, out[i+1].Coords.Len())
+		}
+	}
+	return out[0]
+}
+
+// sameBytes reports whether a and b hold the same coordinates and the
+// same value bits, in the same order.
+func sameBytes(a, b *Result) bool {
+	return slices.Equal(a.Coords.Flat(), b.Coords.Flat()) &&
+		slices.EqualFunc(a.Values, b.Values, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // readAsOf looks probe up in the store's state after its first version

@@ -179,28 +179,28 @@ func testDifferentialReadOracle(t *testing.T, opts []Option) {
 						want[a] = v
 					}
 				}
-				targets = append(targets,
-					target{fmt.Sprintf("region%v", rg), QueryRequest{Region: &region, AsOf: AsOfLatest}, want},
-					target{fmt.Sprintf("window%v", rg), QueryRequest{Probe: region.Coords(), AsOf: AsOfLatest}, want})
+				targets = append(targets, target{fmt.Sprintf("region%v", rg), QueryRequest{Region: &region, AsOf: AsOfLatest}, want})
 			}
 
+			// A region is read planned, forced to scan and as the probe
+			// list of its cells, which must agree byte for byte; a probe
+			// is read planned, and a forced plan on it is refused.
 			for _, tg := range targets {
-				for _, strategy := range []Strategy{StrategyAuto, StrategyScan} {
-					for hi, handle := range handles {
-						req := tg.req
-						req.Strategy = strategy
-						label := fmt.Sprintf("%s/%v/reopened=%v", tg.name, strategy, hi == 1)
-						res, _, err := handle.Query(context.Background(), req)
-						if req.Probe != nil && strategy != StrategyAuto {
-							if !errors.Is(err, ErrBadRequest) {
-								t.Fatalf("%s: err = %v, want ErrBadRequest", label, err)
-							}
-							continue
-						}
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						requireOracle(t, label, lin, res, tg.want)
+				for hi, handle := range handles {
+					label := fmt.Sprintf("%s/reopened=%v", tg.name, hi == 1)
+					if tg.req.Region != nil {
+						requireOracle(t, label, lin, regionArms(t, label, handle, tg.req), tg.want)
+						continue
+					}
+					res, _, err := handle.Query(context.Background(), tg.req)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					requireOracle(t, label, lin, res, tg.want)
+					forced := tg.req
+					forced.Strategy = StrategyScan
+					if _, _, err := handle.Query(context.Background(), forced); !errors.Is(err, ErrBadRequest) {
+						t.Fatalf("%s/%v: err = %v, want ErrBadRequest", label, forced.Strategy, err)
 					}
 				}
 			}

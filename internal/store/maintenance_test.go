@@ -308,28 +308,17 @@ func TestChunkedCompactsByDefault(t *testing.T) {
 			if n := ref.Fragments(); n != 8*64 {
 				t.Fatalf("reference store holds %d fragments, want %d", n, 8*64)
 			}
-			for _, strategy := range []Strategy{StrategyScan, StrategyAuto} {
-				got, _, err := readRegion(st, whole, strategy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _, err := readRegion(ref, whole, strategy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v: the compacted store reads %d points, the reference %d, or values differ", strategy, got.Coords.Len(), want.Coords.Len())
-				}
-				if strategy != StrategyScan {
-					continue
-				}
-				for i, n := 0, got.Coords.Len(); i < n; i++ {
-					probe := tensor.NewCoords(3, 1)
-					probe.AppendFlat(got.Coords.At(i))
-					res, _, err := readProbe(st, probe)
-					if err != nil || res.Coords.Len() != 1 || res.Values[0] != got.Values[i] {
-						t.Fatalf("probe of stored point %v: %v (%v), want %v", got.Coords.At(i), res, err, got.Values[i])
-					}
+			req := QueryRequest{Region: &whole, AsOf: AsOfLatest}
+			got, want := regionArms(t, "compacted", st, req), regionArms(t, "reference", ref, req)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("the compacted store reads %d points, the reference %d, or values differ", got.Coords.Len(), want.Coords.Len())
+			}
+			for i, n := 0, got.Coords.Len(); i < n; i++ {
+				probe := tensor.NewCoords(3, 1)
+				probe.AppendFlat(got.Coords.At(i))
+				res, _, err := readProbe(st, probe)
+				if err != nil || res.Coords.Len() != 1 || res.Values[0] != got.Values[i] {
+					t.Fatalf("probe of stored point %v: %v (%v), want %v", got.Coords.At(i), res, err, got.Values[i])
 				}
 			}
 		})

@@ -221,17 +221,15 @@ func TestWritesLeaveNoFilterSection(t *testing.T) {
 }
 
 // requireStoreMatchesOracle reads every cell of a 2-dim store one point
-// read at a time, then all cells in one probe, then the whole shape by
-// each region strategy, against the oracle.
+// read at a time, then the whole shape planned, forced to scan and as
+// one probe of all cells (regionArms), against the oracle.
 func requireStoreMatchesOracle(t *testing.T, st *Store, oracle map[uint64]float64) {
 	t.Helper()
 	shape := st.Shape()
-	all := tensor.NewCoords(2, 0)
 	for x := uint64(0); x < shape[0]; x++ {
 		for y := uint64(0); y < shape[1]; y++ {
 			p := tensor.NewCoords(2, 0)
 			p.Append(x, y)
-			all.Append(x, y)
 			res, _, err := readProbe(st, p)
 			if err != nil {
 				t.Fatal(err)
@@ -243,19 +241,8 @@ func requireStoreMatchesOracle(t *testing.T, st *Store, oracle map[uint64]float6
 			requireOracle(t, "point read", only(st).lin, res, want)
 		}
 	}
-	res, _, err := readProbe(st, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireOracle(t, "all-cells probe", only(st).lin, res, oracle)
 	whole := tensor.Region{Start: []uint64{0, 0}, Size: shape}
-	for _, strategy := range []Strategy{StrategyScan, StrategyAuto} {
-		res, _, err := readRegion(st, whole, strategy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireOracle(t, "region read", only(st).lin, res, oracle)
-	}
+	requireOracle(t, "region read", only(st).lin, regionArms(t, "region read", st, QueryRequest{Region: &whole, AsOf: AsOfLatest}), oracle)
 }
 
 // TestKeyFiltersHaveNoFalseNegatives: every stored point of every data

@@ -114,7 +114,7 @@ func TestMergeHitsMatchesComparisonMerge(t *testing.T) {
 					if fr.tomb || fr.nnz == 0 || !fr.bbox.Overlaps(pl.box) {
 						continue
 					}
-					if err := tl.readFragment(nil, fi, fr, &pl, pl.scans(tl, fr), acc); err != nil {
+					if err := tl.readFragment(nil, fi, fr, &pl, acc); err != nil {
 						t.Fatal(err)
 					}
 				}

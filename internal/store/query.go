@@ -15,7 +15,7 @@ import (
 // This file is the store's request surface, the only way to read: a
 // read varies in which target it takes (probe list or region) and
 // which version bound applies; a region read is planned per fragment
-// by the Table I cost model. QueryRequest carries those axes as one
+// (auto.go). QueryRequest carries those axes as one
 // value — the struct the wire protocol (internal/wire) carries — and
 // Query threads a context.Context through each tile's fragment loop
 // (tile.read) so a server-side deadline stops in-store work instead
@@ -38,14 +38,14 @@ var (
 )
 
 // Strategy selects how a region read executes. The zero value plans:
-// the Table I cost model picks probe or scan per fragment. The paper's
+// each fragment, once open, is probed at Table I's price or scanned at
+// the price of the points its pruned walk reaches (auto.go). The paper's
 // probe-every-cell form is a probe list of the window's cells,
 // QueryRequest{Probe: region.Coords()}.
 type Strategy uint8
 
 const (
-	// StrategyAuto chooses probe or scan per fragment by the Table I
-	// complexity model.
+	// StrategyAuto chooses probe or scan per fragment by preferScan.
 	StrategyAuto Strategy = iota
 	// StrategyScan forces a scan of each overlapping fragment's stored
 	// points, filtered by region containment (region targets only).

@@ -343,8 +343,17 @@ func (s *Store) Kind() core.Kind { return s.kind }
 // flat store's tile is its shape.
 func (s *Store) Tile() tensor.Shape { return s.tiling.Tile }
 
-// Tiles returns the number of materialized tiles.
-func (s *Store) Tiles() int { return len(s.dir.Load().sorted) }
+// Tiles returns the number of tiles that hold a fragment: a flat
+// store's one tile, made at Create, counts once something is written.
+func (s *Store) Tiles() int {
+	n := 0
+	for _, e := range s.dir.Load().sorted {
+		if e.tile.fragments() > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // Fragments sums the tiles' fragments in their current snapshots.
 func (s *Store) Fragments() int {

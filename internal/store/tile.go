@@ -18,6 +18,7 @@ import (
 	"sparseart/internal/fragment"
 	"sparseart/internal/fsim"
 	"sparseart/internal/obs"
+	"sparseart/internal/store/fragcache"
 	"sparseart/internal/tensor"
 )
 
@@ -494,7 +495,7 @@ type readPlan struct {
 	box    tensor.BBox
 	probe  *tensor.Coords // points to look up; for a region read, nil until a fragment probes
 	region *tensor.Region // window to scan; nil for lookup-only reads and exports
-	auto   bool           // choose lookup or scan per fragment by preferScan
+	auto   bool           // choose lookup or scan per fetched fragment by preferScan
 	vol    uint64         // region volume: preferScan's n_read
 	// retiring marks a read of fragments about to be retired (a
 	// compaction's export): it uses resident cache entries but inserts
@@ -554,13 +555,20 @@ func (pl *readPlan) mayHold(fr *fragRef, lin *tensor.Linearizer) bool {
 	return true
 }
 
-// scans decides how fr is extracted, materializing the region's cells
-// the first time a fragment is to be probed.
-func (pl *readPlan) scans(s *tile, fr *fragRef) bool {
+// scans decides how the fetched fragment e is extracted, materializing
+// the region's cells the first time a fragment is to be probed. A
+// planned read prices both sides on the fragment actually opened: its
+// own kind and point count, and the share of its box the reader's
+// region walk reaches.
+func (pl *readPlan) scans(s *tile, fr *fragRef, e *fragcache.Entry) bool {
 	if pl.region == nil {
 		return pl.probe == nil
 	}
-	if !pl.auto || preferScan(s.kind, s.shape, fr.nnz, pl.vol) {
+	if !pl.auto {
+		return true
+	}
+	share := e.Reader.(core.RegionScanner).ScanShare(*pl.region, fr.bbox)
+	if preferScan(e.Header.Kind, s.shape, uint64(e.Reader.NNZ()), pl.vol, share) {
 		return true
 	}
 	if pl.probe == nil {
@@ -577,12 +585,13 @@ type readAcc struct {
 }
 
 // readFragment fetches one fragment and extracts the plan's target
-// from it into acc, by scan or by point lookup.
-func (s *tile) readFragment(root *obs.Span, fi int, fr *fragRef, pl *readPlan, scan bool, acc *readAcc) error {
+// from it into acc, by scan or by point lookup as pl.scans decides.
+func (s *tile) readFragment(root *obs.Span, fi int, fr *fragRef, pl *readPlan, acc *readAcc) error {
 	e, err := s.fetchFragment(root, *fr, pl, &acc.rep)
 	if err != nil {
 		return err
 	}
+	scan := pl.scans(s, fr, e)
 	sp := root.Child(obsReadProbe)
 	t := time.Now()
 	if scan {
@@ -688,7 +697,7 @@ func (s *tile) readView(ctx context.Context, v *readView, limit int, pl readPlan
 			continue
 		}
 		rep.Fragments++
-		if err = s.readFragment(root, fi, fr, &pl, pl.scans(s, fr), acc); err != nil {
+		if err = s.readFragment(root, fi, fr, &pl, acc); err != nil {
 			break
 		}
 	}

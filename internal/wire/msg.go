@@ -522,10 +522,10 @@ func DecodeKernelResult(payload []byte) (*store.KernelResult, error) {
 type Info struct {
 	Kind      core.Kind
 	Shape     tensor.Shape
-	Tile      tensor.Shape // nil for a flat (untiled) store
+	Tile      tensor.Shape // tile extents; the shape itself for a flat store
 	Fragments uint64       // live fragments (summed over tiles)
 	Epoch     uint64       // manifest epoch (summed over tiles/shards)
-	Tiles     uint32       // materialized tiles (0 for a flat store)
+	Tiles     uint32       // tiles that hold a fragment
 }
 
 // Encode serializes the response.

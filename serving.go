@@ -18,8 +18,8 @@ import (
 // the wire protocol serializes.
 type (
 	// QueryRequest describes one read: a probe list or a region, and
-	// an as-of version bound. A region read is planned per fragment by
-	// the Table I cost model.
+	// an as-of version bound. A region read is planned per fragment:
+	// probe each cell or scan the points the pruned walk reaches.
 	QueryRequest = store.QueryRequest
 	// KernelRequest names an in-store push-down kernel and its
 	// arguments.
