@@ -2,8 +2,6 @@ package store
 
 import (
 	"context"
-	"math"
-	"slices"
 	"testing"
 
 	"sparseart/internal/tensor"
@@ -98,18 +96,11 @@ func regionArms(t *testing.T, label string, q querier, req QueryRequest) *Result
 		out[i] = res
 	}
 	for i, name := range []string{"forced scan", "probe list"} {
-		if !sameBytes(out[0], out[i+1]) {
+		if !sameResult(out[0], out[i+1]) {
 			t.Fatalf("%s: the planned read (%d points) and the %s (%d points) differ", label, out[0].Coords.Len(), name, out[i+1].Coords.Len())
 		}
 	}
 	return out[0]
-}
-
-// sameBytes reports whether a and b hold the same coordinates and the
-// same value bits, in the same order.
-func sameBytes(a, b *Result) bool {
-	return slices.Equal(a.Coords.Flat(), b.Coords.Flat()) &&
-		slices.EqualFunc(a.Values, b.Values, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // readAsOf looks probe up in the store's state after its first version
