@@ -108,6 +108,34 @@ func TestAutoStrategySelection(t *testing.T) {
 	}
 }
 
+func TestPreferScanModel(t *testing.T) {
+	shape := tensor.Shape{512, 512, 512}
+	// COO: probe cost n·n_read always exceeds a scan for n_read > 1.
+	if !preferScan(core.COO, shape, 100000, 2, 1) {
+		t.Error("COO with 2 probes should scan")
+	}
+	if preferScan(core.COO, shape, 100000, 0, 1) {
+		t.Error("COO with <=1 effective probe should probe")
+	}
+	// CSF probes cost ~d each: a scan of the whole fragment only pays
+	// off for enormous regions.
+	if preferScan(core.CSF, shape, 100000, 10, 1) {
+		t.Error("CSF with 10 probes should probe")
+	}
+	if !preferScan(core.CSF, shape, 1000, 10000, 1) {
+		t.Error("CSF with 10000 probes over 1000 points should scan")
+	}
+	// A scan that reaches only a sliver of the fragment is priced by
+	// that sliver.
+	if !preferScan(core.CSF, shape, 100000, 10, 1e-6) {
+		t.Error("CSF with 10 probes against a scan reaching 0.1 points should scan")
+	}
+	// Unknown organizations keep the paper's probing strategy.
+	if preferScan(core.Kind(99), shape, 1000, 1000000, 1) {
+		t.Error("unknown kind should not scan")
+	}
+}
+
 func TestReadRegionAutoValidation(t *testing.T) {
 	fs := newSim(t)
 	st, err := Create(fs, "t", core.COO, tensor.Shape{4, 4})
