@@ -2,15 +2,12 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"sparseart/internal/store"
 )
 
 func capture(t *testing.T, f func() error) (string, error) {
@@ -350,9 +347,8 @@ func TestImportChunkedTile(t *testing.T) {
 }
 
 // TestTiledStoreLifecycle: one Open reads either layout, so the
-// commands that open a store — info, compact, export — take a store
-// that import -tile made, and convert refuses it as a request that
-// needs one address space.
+// commands that open a store — info, compact, export, convert — take a
+// store that import -tile made, and convert's result keeps every cell.
 func TestTiledStoreLifecycle(t *testing.T) {
 	ds := writeBigDataset(t, 300)
 	dir := filepath.Join(t.TempDir(), "store")
@@ -380,8 +376,12 @@ func TestTiledStoreLifecycle(t *testing.T) {
 	if lines := strings.Count(string(data), "\n") - strings.Count(string(data), "#"); lines != 300 {
 		t.Fatalf("export wrote %d points, want 300", lines)
 	}
-	err = runConvert([]string{"-dir", dir, "-out", filepath.Join(t.TempDir(), "conv"), "-to", "COO"})
-	if !errors.Is(err, store.ErrBadRequest) {
-		t.Fatalf("convert of a tiled store: err = %v, want ErrBadRequest", err)
+	conv := filepath.Join(t.TempDir(), "conv")
+	if _, err := capture(t, func() error { return runConvert([]string{"-dir", dir, "-out", conv, "-to", "COO"}) }); err != nil {
+		t.Fatalf("convert of a tiled store: %v", err)
+	}
+	out, err = capture(t, func() error { return runInfo([]string{"-dir", conv}) })
+	if err != nil || !strings.Contains(out, "live cells:   300") {
+		t.Fatalf("info on the converted store (%v):\n%s", err, out)
 	}
 }

@@ -499,10 +499,10 @@ func (r *Router) DeleteRegion(ctx context.Context, region tensor.Region) (*store
 	return out, nil
 }
 
-// Kernel scatter-gathers the additive push-down kernels; per-shard
-// partials sum exactly because shard tiles are disjoint. SpMV and TTV
-// need cross-tile accumulators and are rejected, as on a store of
-// more than one tile.
+// Kernel scatter-gathers any push-down kernel. Each shard answers over
+// its own tiles, in global coordinates, and the dense answers sum
+// element by element: shard tiles are disjoint, so every kernel —
+// SpMV's y and TTV's Y included — is the sum of its shards' answers.
 func (r *Router) Kernel(ctx context.Context, req store.KernelRequest) (*store.KernelResult, error) {
 	if err := req.Validate(r.tiling.Shape.Dims()); err != nil {
 		return nil, err
@@ -523,11 +523,6 @@ func (r *Router) Kernel(ctx context.Context, req store.KernelRequest) (*store.Ke
 // kernelAt dispatches a validated routed kernel under the router.kernel
 // span.
 func (r *Router) kernelAt(ctx context.Context, req store.KernelRequest) (*store.KernelResult, error) {
-	switch req.Op {
-	case store.KernelSumAll, store.KernelSumRegion, store.KernelLiveNNZ, store.KernelNNZPerSlice:
-	default:
-		return nil, fmt.Errorf("serve: %w: kernel %v is not supported on routed stores", store.ErrBadRequest, req.Op)
-	}
 	shards := r.allShards()
 	if req.Region != nil {
 		shards = r.regionShards(*req.Region)

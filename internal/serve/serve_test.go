@@ -584,7 +584,7 @@ func TestRouterOverFlatShards(t *testing.T) {
 // differential: every read served by a 3-shard router must be
 // byte-identical to a single-process Chunked store given the same
 // writes, across all seven storage kinds, both plans, probes,
-// deletes, and the additive kernels.
+// deletes, and every kernel.
 func TestRouterMatchesLocalChunked(t *testing.T) {
 	shape := tensor.Shape{24, 24}
 	tile := tensor.Shape{8, 8}
@@ -711,12 +711,19 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 				t.Fatalf("deleted cells aligned as %v %v", vals, found)
 			}
 
-			// Additive kernels: exact for counts, tolerance for sums
-			// (per-shard partials associate differently).
+			// Every kernel: exact for counts, tolerance for sums (per-shard
+			// partials associate differently).
+			x := make([]float64, 24)
+			for i := range x {
+				x[i] = float64(i) - 7.5
+			}
 			kreqs := []store.KernelRequest{
 				{Op: store.KernelSumAll},
 				{Op: store.KernelLiveNNZ},
 				{Op: store.KernelNNZPerSlice, Mode: 0},
+				{Op: store.KernelSpMV, Vec: x},
+				{Op: store.KernelTTV, Mode: 0, Vec: x},
+				{Op: store.KernelTTV, Mode: 1, Vec: x},
 			}
 			for i := range regions {
 				kreqs = append(kreqs, store.KernelRequest{Op: store.KernelSumRegion, Region: &regions[i]})
@@ -730,18 +737,14 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 				if err != nil {
 					t.Fatalf("router kernel %v: %v", kreq.Op, err)
 				}
-				if len(gotK.Values) != len(wantK.Values) {
-					t.Fatalf("kernel %v: %d values, want %d", kreq.Op, len(gotK.Values), len(wantK.Values))
+				if len(gotK.Values) != len(wantK.Values) || !slices.Equal(gotK.Shape, wantK.Shape) {
+					t.Fatalf("kernel %v: %d values of shape %v, want %d of %v", kreq.Op, len(gotK.Values), gotK.Shape, len(wantK.Values), wantK.Shape)
 				}
 				for i, want := range wantK.Values {
 					if math.Abs(gotK.Values[i]-want) > 1e-9*(1+math.Abs(want)) {
 						t.Fatalf("kernel %v[%d]: router %v local %v", kreq.Op, i, gotK.Values[i], want)
 					}
 				}
-			}
-			// SpMV needs cross-tile accumulation and must be rejected.
-			if _, err := router.Kernel(ctx, store.KernelRequest{Op: store.KernelSpMV, Vec: make([]float64, 24)}); !errors.Is(err, store.ErrBadRequest) {
-				t.Fatalf("spmv on router = %v, want ErrBadRequest", err)
 			}
 
 			// Deletions over the same regions: a deletion is not clipped,

@@ -180,100 +180,192 @@ func sameExport(t *testing.T, when string, flat, chunked *Store) int {
 	return fc.Len()
 }
 
-// TestOneAddressSpace: as-of reads, SpMV, TTV, ScanLive and Convert
-// need one address space. They run on a flat store and on a tiled
-// store whose one tile covers the shape — written or not — with the
-// same answers, and a store of more than one tile refuses each with
-// ErrBadRequest.
+// TestOneAddressSpace: a store of any tiling computes what a flat
+// store of the same data computes. For every organization, a tiled
+// store whose one tile covers the shape — written or not — and a store
+// of four tiles answer SpMV, TTV along both modes, NNZPerSlice, SumAll,
+// LiveNNZ, ScanLive and Convert as the flat store does: the one-tile
+// store bit for bit, the four-tile store with exact counts and sums
+// within 1e-9·(1+|want|). ScanLive visits ExportAll's cells, each
+// tile's contiguous and ascending, in tile-name order; Convert keeps the
+// source's tiling and writes one fragment per chunk. Only an as-of read
+// is refused on four tiles, with ErrBadRequest.
 func TestOneAddressSpace(t *testing.T) {
 	shape := tensor.Shape{12, 10}
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(19))
 	coords, vals := randomPoints(rng, shape, 40)
-	probe := coords
-	type answer struct {
-		asOf, spmv, ttv []float64
-		scanned         int
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(i) - 2.5
+		}
+		return v
 	}
-	run := func(t *testing.T, st *Store) (answer, map[string]error) {
-		var a answer
-		errs := map[string]error{}
-		var res *Result
-		if res, _, errs["as-of"] = readAsOf(st, probe, 1); res != nil {
+	kreqs := map[string]KernelRequest{
+		"spmv":    {Op: KernelSpMV, Vec: vec(10)},
+		"ttv0":    {Op: KernelTTV, Mode: 0, Vec: vec(12)},
+		"ttv1":    {Op: KernelTTV, Mode: 1, Vec: vec(10)},
+		"slices0": {Op: KernelNNZPerSlice, Mode: 0},
+		"slices1": {Op: KernelNNZPerSlice, Mode: 1},
+		"sum":     {Op: KernelSumAll},
+		"nnz":     {Op: KernelLiveNNZ},
+	}
+	type answer struct {
+		asOf    []float64
+		kernels map[string][]float64
+		scanned *Result
+	}
+	run := func(t *testing.T, st *Store) (answer, error) {
+		t.Helper()
+		a := answer{kernels: map[string][]float64{}}
+		res, _, asOfErr := readAsOf(st, coords, 1)
+		if res != nil {
 			a.asOf = res.Values
 		}
-		var k *KernelResult
-		if k, errs["spmv"] = st.Kernel(ctx, KernelRequest{Op: KernelSpMV, Vec: make([]float64, 10)}); k != nil {
-			a.spmv = k.Values
-		}
-		vec := make([]float64, 12)
-		for i := range vec {
-			vec[i] = float64(i)
-		}
-		if k, errs["ttv"] = st.Kernel(ctx, KernelRequest{Op: KernelTTV, Mode: 0, Vec: vec}); k != nil {
-			a.ttv = k.Values
-		}
-		_, errs["scan"] = st.ScanLive(ctx, nil, func([]uint64, float64) bool { a.scanned++; return true })
-		var dst *Store
-		if dst, _, errs["convert"] = Convert(ctx, st, newSim(t), "dst", core.COO, ConvertConfig{}); dst != nil {
-			if n := dst.Stats().WrittenPoints; n != a.scanned {
-				t.Fatalf("converted %d points, scanned %d", n, a.scanned)
+		for name, req := range kreqs {
+			k, err := st.Kernel(ctx, req)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			a.kernels[name] = k.Values
 		}
-		return a, errs
+		// ScanLive: each tile's cells contiguous and ascending, the tiles
+		// in name order.
+		a.scanned = &Result{Coords: tensor.NewCoords(2, 0)}
+		idx := make([]uint64, 2)
+		var last []byte
+		if _, err := st.ScanLive(ctx, nil, func(p []uint64, val float64) bool {
+			st.tiling.Index(idx, p)
+			name := st.tiling.AppendName(nil, idx)
+			if n := a.scanned.Coords.Len(); n > 0 {
+				prev := a.scanned.Coords.At(n - 1)
+				switch c := string(name); {
+				case c < string(last):
+					t.Fatalf("scan left tile %s for earlier tile %s at %v", last, name, p)
+				case c == string(last) && (prev[0] > p[0] || prev[0] == p[0] && prev[1] >= p[1]):
+					t.Fatalf("scan in tile %s: %v after %v", name, p, prev)
+				}
+			}
+			last = name
+			a.scanned.Coords.Append(p...)
+			a.scanned.Values = append(a.scanned.Values, val)
+			return true
+		}); err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		ec, ev, err := st.ExportAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCells(a.scanned, &Result{Coords: ec, Values: ev}) {
+			t.Fatalf("scan visited %d cells, ExportAll has %d, or they differ", a.scanned.Coords.Len(), ec.Len())
+		}
+		// Convert keeps the tiling; each chunk is one fragment.
+		dst, rep, err := Convert(ctx, st, newSim(t), "dst", core.COO, ConvertConfig{ChunkPoints: 7})
+		if err != nil {
+			t.Fatalf("convert: %v", err)
+		}
+		if dst.flat != st.flat || !dst.Tile().Equal(st.Tile()) {
+			t.Fatalf("converted into tile %v (flat %v), source %v (flat %v)", dst.Tile(), dst.flat, st.Tile(), st.flat)
+		}
+		if rep.Chunks != dst.Fragments() || rep.Points != int64(ec.Len()) {
+			t.Fatalf("convert reports %d chunks of %d points; destination holds %d fragments, source %d cells", rep.Chunks, rep.Points, dst.Fragments(), ec.Len())
+		}
+		sameExport(t, "converted", st, dst)
+		return a, asOfErr
 	}
-	var want answer
+	kinds := append(core.PaperKinds(), core.COOSorted, core.BCOO)
+	want := map[core.Kind]answer{}
 	for _, tc := range []struct {
 		name  string
 		tile  tensor.Shape // nil: flat
 		empty bool
-		one   bool
 	}{
-		{"flat", nil, false, true},
-		{"one tile", tensor.Shape{16, 16}, false, true},
-		{"one tile, empty", tensor.Shape{12, 10}, true, true},
-		{"four tiles", tensor.Shape{6, 5}, false, false},
+		{"flat", nil, false},
+		{"one tile", tensor.Shape{16, 16}, false},
+		{"one tile, empty", tensor.Shape{12, 10}, true},
+		{"four tiles", tensor.Shape{6, 5}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var st *Store
-			var err error
-			if tc.tile == nil {
-				st, err = Create(newSim(t), "s", core.GCSR, shape)
-			} else {
-				st, err = NewChunked(newSim(t), "s", core.GCSR, shape, tc.tile)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tc.empty {
-				if _, err := st.Write(coords, vals); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, errs := run(t, st)
-			for op, err := range errs {
-				if tc.one && err != nil && !(tc.empty && op == "as-of") {
-					t.Fatalf("%s: %v", op, err)
-				}
-				if !tc.one && !errors.Is(err, ErrBadRequest) {
-					t.Fatalf("%s on %d tiles: err = %v, want ErrBadRequest", op, st.Tiles(), err)
-				}
-			}
-			switch {
-			case tc.name == "flat":
-				want = got
-			case tc.empty:
-				if got.scanned != 0 || len(got.spmv) != 12 || len(got.ttv) != 10 {
-					t.Fatalf("empty one-tile store: scanned %d, spmv %d values, ttv %d", got.scanned, len(got.spmv), len(got.ttv))
-				}
-				if !errors.Is(errs["as-of"], ErrBadRequest) {
-					t.Fatalf("as-of version 1 of an empty store: err = %v, want ErrBadRequest", errs["as-of"])
-				}
-			case tc.one && !reflect.DeepEqual(got, want):
-				t.Fatalf("one-tile store answers %+v, flat store %+v", got, want)
+			for _, kind := range kinds {
+				t.Run(kind.String(), func(t *testing.T) {
+					var st *Store
+					var err error
+					if tc.tile == nil {
+						st, err = Create(newSim(t), "s", kind, shape)
+					} else {
+						st, err = NewChunked(newSim(t), "s", kind, shape, tc.tile)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !tc.empty {
+						if _, err := st.Write(coords, vals); err != nil {
+							t.Fatal(err)
+						}
+					}
+					got, asOfErr := run(t, st)
+					switch {
+					case tc.name == "flat":
+						if asOfErr != nil {
+							t.Fatalf("as-of: %v", asOfErr)
+						}
+						want[kind] = got
+					case tc.empty:
+						if got.scanned.Coords.Len() != 0 || len(got.kernels["spmv"]) != 12 || len(got.kernels["ttv0"]) != 10 {
+							t.Fatalf("empty one-tile store: scanned %d, spmv %d values, ttv %d", got.scanned.Coords.Len(), len(got.kernels["spmv"]), len(got.kernels["ttv0"]))
+						}
+						if !errors.Is(asOfErr, ErrBadRequest) {
+							t.Fatalf("as-of version 1 of an empty store: err = %v, want ErrBadRequest", asOfErr)
+						}
+					case st.Tiles() == 1:
+						if asOfErr != nil || !reflect.DeepEqual(got, want[kind]) {
+							t.Fatalf("one-tile store answers %+v (as-of %v), flat store %+v", got, asOfErr, want[kind])
+						}
+					default:
+						if !errors.Is(asOfErr, ErrBadRequest) {
+							t.Fatalf("as-of on %d tiles: err = %v, want ErrBadRequest", st.Tiles(), asOfErr)
+						}
+						w := want[kind]
+						for name, vs := range got.kernels {
+							if len(vs) != len(w.kernels[name]) {
+								t.Fatalf("%s: %d values, flat store %d", name, len(vs), len(w.kernels[name]))
+							}
+							for i, v := range vs {
+								if wv := w.kernels[name][i]; math.Abs(v-wv) > 1e-9*(1+math.Abs(wv)) {
+									t.Fatalf("%s[%d] = %v on %d tiles, %v flat", name, i, v, st.Tiles(), wv)
+								}
+							}
+						}
+						if !sameCells(got.scanned, w.scanned) {
+							t.Fatalf("scan on %d tiles visited %d cells, flat %d, or they differ", st.Tiles(), got.scanned.Coords.Len(), w.scanned.Coords.Len())
+						}
+					}
+				})
 			}
 		})
 	}
+}
+
+// sameCells reports whether two results hold the same cells with
+// bit-equal values, in any order.
+func sameCells(a, b *Result) bool {
+	if a.Coords.Len() != b.Coords.Len() {
+		return false
+	}
+	cells := map[[2]uint64]float64{}
+	for i, n := 0, a.Coords.Len(); i < n; i++ {
+		p := a.Coords.At(i)
+		cells[[2]uint64{p[0], p[1]}] = a.Values[i]
+	}
+	for i, n := 0, b.Coords.Len(); i < n; i++ {
+		p := b.Coords.At(i)
+		if v, ok := cells[[2]uint64{p[0], p[1]}]; !ok || math.Float64bits(v) != math.Float64bits(b.Values[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestChunkedHandlesOverflowShape(t *testing.T) {
@@ -327,6 +419,53 @@ func TestChunkedHandlesOverflowShape(t *testing.T) {
 	res, _, err = readProbe(st, miss)
 	if err != nil || res.Coords.Len() != 0 {
 		t.Fatalf("absent probe: %d found, %v", res.Coords.Len(), err)
+	}
+	// Convert keeps the tiling, so a shape past uint64 converts.
+	ctx := context.Background()
+	dst, rep, err := Convert(ctx, st, newSim(t), "converted", core.COO, ConvertConfig{})
+	if err != nil {
+		t.Fatalf("convert: %v", err)
+	}
+	if rep.Points != 4 || rep.Chunks != dst.Fragments() {
+		t.Fatalf("convert: %+v into %d fragments", rep, dst.Fragments())
+	}
+	sameExport(t, "converted", st, dst)
+
+	// Every kernel runs in global coordinates: a TTV whose output
+	// (2⁴⁰)³ passes uint64 is refused, typed, and the sums, the count and
+	// the scan see the written cells where they were written.
+	narrow, err := NewChunked(newSim(t), "narrow", core.CSF, tensor.Shape{big, big, big, 4}, tensor.Shape{1 << 15, 1 << 15, 1 << 15, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := tensor.NewCoords(4, 0)
+	cells.Append(1, 2, 3, 0)
+	cells.Append(big-1, 1<<20, 5, 3)
+	cells.Append(1<<30, big-1, big-1, 2)
+	if _, err := narrow.Write(cells, []float64{1.5, 2, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := narrow.Kernel(ctx, KernelRequest{Op: KernelTTV, Mode: 3, Vec: []float64{1, 1, 1, 1}}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("ttv into (2^40)^3 values: err = %v, want ErrBadRequest", err)
+	}
+	for _, k := range []struct {
+		op   KernelOp
+		want float64
+	}{{KernelSumAll, 7.5}, {KernelLiveNNZ, 3}} {
+		if res, err := narrow.Kernel(ctx, KernelRequest{Op: k.op}); err != nil || res.Values[0] != k.want {
+			t.Fatalf("kernel %v = %v, %v; want %v", k.op, res, err, k.want)
+		}
+	}
+	scanned := map[[4]uint64]float64{}
+	if _, err := narrow.ScanLive(ctx, nil, func(p []uint64, val float64) bool {
+		scanned[[4]uint64{p[0], p[1], p[2], p[3]}] = val
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[[4]uint64]float64{{1, 2, 3, 0}: 1.5, {big - 1, 1 << 20, 5, 3}: 2, {1 << 30, big - 1, big - 1, 2}: 4}
+	if !reflect.DeepEqual(scanned, want) {
+		t.Fatalf("scan visited %v, want %v", scanned, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"sparseart/internal/core"
 	"sparseart/internal/fsim"
@@ -10,14 +11,14 @@ import (
 )
 
 // Format conversion without an exported tensor: the source store's
-// live cells come off one READ (ScanLive — a scan-plan read whose live
-// cells go to a callback instead of a Result) into bounded chunks that
-// the destination's batched ingest pipeline builds and commits in
-// waves. The source side holds what any read of everything holds — the
-// hits of its fragments until the merge has run, as ExportAll and
-// compaction do; what stays bounded is the destination side, O(Workers
-// × ChunkPoints), because no coordinate buffer of the whole tensor is
-// built between the two.
+// live cells come off its tiles' READs (ScanLive — scan-plan reads
+// whose live cells go to a callback instead of a Result) into bounded
+// chunks that the destination's batched ingest pipeline builds and
+// commits in waves. The source side holds what any read of a whole
+// tile holds — the hits of its fragments until the merge has run, as
+// ExportAll and compaction do; what stays bounded is the destination
+// side, O(Workers × ChunkPoints), because no coordinate buffer of the
+// whole tensor is built between the two.
 
 // DefaultConvertChunk is the per-fragment point budget of a streaming
 // conversion when the config leaves ChunkPoints unset.
@@ -51,25 +52,32 @@ type ConvertReport struct {
 
 // Convert writes src's live contents into a new store at prefix under
 // the given organization (or codec) — the one way to change a store's
-// organization, which is otherwise fixed at Create. Live cells stream
-// through bounded chunks instead of an exported tensor. Chunks are cut
-// in ScanLive's order, ascending linear address, so they cover disjoint
-// address ranges and the destination's bytes are a pure function of the
-// source snapshot; its logical contents (ExportAll) equal the source's
-// exactly. ctx bounds the source read and every destination wave. The
-// destination is returned open; on any failure, cancellation included,
-// it is closed before returning — its manifest log checkpointed and
-// any background worker drained — so the committed prefix of whole
-// chunks remains a valid, reopenable store.
+// organization, which is otherwise fixed at Create. The destination
+// keeps the source's tiling: a flat source gives a flat store (Create),
+// a tiled one a tiled store of the same tile extents (NewChunked). Live
+// cells stream through bounded chunks instead of an exported tensor.
+// Chunks are cut in ScanLive's order — tile by tile, ascending linear
+// address within a tile — and at every change of tile, so each chunk
+// is one destination fragment over a disjoint address range, and the
+// destination's bytes are a pure function of the source snapshot; its
+// logical contents (ExportAll) equal the source's exactly. ctx bounds
+// the source read and every destination wave. The destination is
+// returned open; on any failure, cancellation included, it is closed
+// before returning — its manifest log checkpointed and any background
+// worker drained — so the committed prefix of whole chunks remains a
+// valid, reopenable store.
 func Convert(ctx context.Context, src *Store, fs fsim.FS, prefix string, kind core.Kind, cfg ConvertConfig, opts ...Option) (*Store, *ConvertReport, error) {
-	if err := src.oneSpace("Convert is"); err != nil {
-		return nil, nil, err
-	}
 	chunk := cfg.ChunkPoints
 	if chunk < 1 {
 		chunk = DefaultConvertChunk
 	}
-	dst, err := Create(fs, prefix, kind, src.Shape(), opts...)
+	var dst *Store
+	var err error
+	if src.flat {
+		dst, err = Create(fs, prefix, kind, src.Shape(), opts...)
+	} else {
+		dst, err = NewChunked(fs, prefix, kind, src.Shape(), src.Tile(), opts...)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,7 +134,15 @@ func (s *Store) convertInto(ctx context.Context, dst *Store, chunkPoints, worker
 	}
 
 	var walkErr error
+	idx, at := make([]uint64, dims), make([]uint64, dims)
 	prep, err := s.ScanLive(ctx, nil, func(p []uint64, val float64) bool {
+		if s.tiling.Index(at, p); !slices.Equal(at, idx) {
+			// A new tile: a chunk never spans two, so it is one fragment.
+			if walkErr = cut(); walkErr != nil {
+				return false
+			}
+			copy(idx, at)
+		}
 		if cur.Coords == nil {
 			cur.Coords = tensor.NewCoords(dims, chunkPoints)
 		}

@@ -112,10 +112,10 @@ type KernelResult struct {
 }
 
 // Kernel executes one KernelRequest — the only compute entry point,
-// locally and over the wire. The additive kernels run per tile and
-// their partials fold, which is exact because tiles hold disjoint
-// cells; SpMV and TTV index their operands globally, so they need one
-// address space and are refused on a store of more than one tile.
+// locally and over the wire. Every kernel is one fold over the live
+// cells of the tiles the request touches, in global coordinates and
+// tile-name order (foldTiles), into one dense result. Counts are exact;
+// a sum over several tiles adds its cells in that order.
 // Cancellation is checked per fragment by the READ loop underneath.
 func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, error) {
 	if err := req.Validate(s.tiling.Shape.Dims()); err != nil {
@@ -131,56 +131,36 @@ func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, e
 	return res, err
 }
 
-// kernelAt runs a validated kernel on every tile the request touches
-// and folds the tile answers, in tile-key order; the tiles' read
-// reports come back summed, for cost attribution. SpMV and TTV run on
-// the one tile.
+// kernelAt picks a validated request's fold (pushdown.go) and runs it
+// over the live cells foldTiles walks; the tiles' read reports come
+// back summed, for cost attribution.
 func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, *ReadReport, error) {
-	dims := s.tiling.Shape.Dims()
-	total := &KernelResult{Values: []float64{0}, Report: &PushReport{}}
-	fold := func(_ *tilePart, r *KernelResult) { total.Values[0] += r.Values[0] }
-	// Kernels over the whole store visit the tiles of the whole shape.
-	region := tensor.Region{Start: make([]uint64, dims), Size: s.tiling.Shape}
+	res := &KernelResult{Values: []float64{0}}
+	var (
+		fold emitFunc
+		err  error
+	)
 	switch req.Op {
-	case KernelSumAll, KernelLiveNNZ:
-	case KernelSumRegion:
-		region = *req.Region
+	case KernelSumAll, KernelSumRegion:
+		fold = func(_ []uint64, val float64) bool { res.Values[0] += val; return true }
+	case KernelLiveNNZ: // a count in a float64 — exact to 2⁵³
+		fold = func([]uint64, float64) bool { res.Values[0]++; return true }
 	case KernelNNZPerSlice:
-		var err error
-		if total.Values, err = kernelValues(req.Op, s.tiling.Shape[req.Mode]); err != nil {
-			return nil, nil, err
-		}
-		fold = func(t *tilePart, r *KernelResult) {
-			origin := s.tiling.Origin(t.idx, req.Mode)
-			for i, v := range r.Values {
-				total.Values[origin+uint64(i)] += v
-			}
-		}
-	default: // SpMV, TTV
-		t, err := s.sole(fmt.Sprintf("kernel %v is", req.Op))
-		if err != nil {
-			return nil, nil, err
-		}
-		return t.kernelAt(ctx, req)
+		fold, err = s.nnzPerSliceFold(res, req.Mode)
+	case KernelSpMV:
+		fold, err = s.spmvFold(res, req.Vec)
+	case KernelTTV:
+		fold, err = s.ttvFold(res, req.Mode, req.Vec)
 	}
-	read := &ReadReport{}
-	for _, t := range s.tilesIn(s.dir.Load(), region) {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		sub := KernelRequest{Op: req.Op, Mode: req.Mode}
-		if req.Op == KernelSumRegion {
-			sub.Region = &t.clip
-		}
-		r, tr, err := t.tile.kernelAt(ctx, sub)
-		if err != nil {
-			return nil, nil, err
-		}
-		fold(t, r)
-		total.Report.Add(r.Report)
-		read.Add(tr)
+	if err != nil {
+		return nil, nil, err
 	}
-	return total, read, nil
+	var read *ReadReport
+	res.Report, read, err = s.foldTiles(ctx, req.Op.String(), req.Region, fold)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, read, nil
 }
 
 // kernelCost is a store kernel's cost attribution: the push report's
@@ -197,37 +177,4 @@ func kernelCost(res *KernelResult, read *ReadReport) func() map[string]int64 {
 		m["bytes_read"] = read.BytesRead
 		return m
 	}
-}
-
-// kernelAt picks a validated request's fold (pushdown.go) and runs it
-// over the tile's live cells; the read's report comes back for cost
-// attribution.
-func (s *tile) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, *ReadReport, error) {
-	res := &KernelResult{Values: []float64{0}}
-	sum := func(_ []uint64, val float64) bool { res.Values[0] += val; return true }
-	var (
-		fold emitFunc
-		err  error
-	)
-	switch req.Op {
-	case KernelSumAll, KernelSumRegion:
-		fold = sum
-	case KernelLiveNNZ: // a count in a float64 — exact to 2⁵³
-		fold = func([]uint64, float64) bool { res.Values[0]++; return true }
-	case KernelNNZPerSlice:
-		fold, err = s.nnzPerSliceFold(res, req.Mode)
-	case KernelSpMV:
-		fold, err = s.spmvFold(res, req.Vec)
-	case KernelTTV:
-		fold, err = s.ttvFold(res, req.Mode, req.Vec)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	var read *ReadReport
-	res.Report, read, err = s.foldLive(ctx, req.Op.String(), req.Region, fold)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, read, nil
 }

@@ -3,17 +3,19 @@ package store
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"sparseart/internal/tensor"
 )
 
 // Compute push-down: kernels and maintenance passes that run WHERE the
 // data lives instead of exporting it first. Every operation here is a
-// READ (Store.readView) with a scan plan — every stored point, or the
-// stored points inside a region — whose live cells go to a fold instead
-// of a Result: mergeHits resolves overwrites and tombstones exactly as
-// it does for a Query and hands each live cell, once, in ascending
-// linear address, to the kernel's accumulator. No Result is built and
+// READ (tile.readView) per tile with a scan plan — every stored point,
+// or the stored points inside a region — whose live cells go to a fold
+// instead of a Result: mergeHits resolves overwrites and tombstones
+// exactly as it does for a Query and hands each live cell, once, in
+// ascending linear address, to the kernel's accumulator, tile by tile
+// and in global coordinates (Store.foldTiles). No Result is built and
 // nothing is exported; the fold runs on the calling goroutine, so an
 // answer is a pure function of the pinned snapshot, float data
 // included.
@@ -55,9 +57,9 @@ func (r *PushReport) Add(o *PushReport) {
 	r.Epoch += o.Epoch
 }
 
-// foldLive is the body of every kernel and of ScanLive: one scan-plan
-// READ over a pinned view whose live cells (of region, when non-nil)
-// go to emit. The push report is that read's accounting; the read's
+// foldLive is one tile's share of every kernel and of ScanLive: one
+// scan-plan READ over a pinned view whose live cells (of region, when
+// non-nil) go to emit, in tile-local coordinates. The push report is that read's accounting; the read's
 // own report comes back beside it for cost attribution. Cancellation
 // is checked before each fragment, as for any read.
 func (s *tile) foldLive(ctx context.Context, op string, region *tensor.Region, emit emitFunc) (*PushReport, *ReadReport, error) {
@@ -86,43 +88,82 @@ func (s *tile) foldLive(ctx context.Context, op string, region *tensor.Region, e
 	return push, rep, nil
 }
 
+// foldTiles is the body of every kernel and of ScanLive: foldLive on
+// each tile region meets (nil: the whole store), in tile-name order,
+// its live cells handed to emit in global coordinates — each tile's
+// origin added into one scratch point. A whole-store fold hands each
+// tile a nil region, so the tile scans unfiltered with its hits
+// presized. emit returning false ends the walk there. The tiles' push
+// and read reports come back summed.
+func (s *Store) foldTiles(ctx context.Context, op string, region *tensor.Region, emit emitFunc) (*PushReport, *ReadReport, error) {
+	dims := s.tiling.Shape.Dims()
+	target := tensor.Region{Start: make([]uint64, dims), Size: s.tiling.Shape}
+	if region != nil {
+		target = *region
+	}
+	origin, g := make([]uint64, dims), make([]uint64, dims)
+	stopped := false
+	global := func(p []uint64, val float64) bool {
+		for d, c := range p {
+			g[d] = origin[d] + c
+		}
+		stopped = !emit(g, val)
+		return !stopped
+	}
+	push, read := &PushReport{}, &ReadReport{}
+	for _, t := range s.tilesIn(s.dir.Load(), target) {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		for d := range origin {
+			origin[d] = s.tiling.Origin(t.idx, d)
+		}
+		var clip *tensor.Region
+		if region != nil {
+			clip = &t.clip
+		}
+		r, tr, err := t.tile.foldLive(ctx, op, clip, global)
+		if err != nil {
+			return nil, nil, err
+		}
+		push.Add(r)
+		read.Add(tr)
+		if stopped {
+			break
+		}
+	}
+	return push, read, nil
+}
+
 // ScanLive hands every live cell of the store (or of a region, when
-// non-nil; it ends at the shape's edge) to visit in ascending linear
-// address — deterministic, so Convert builds its chunks on it.
+// non-nil; it ends at the shape's edge) to visit, in global
+// coordinates: tile by tile in tile-name order, and within a tile in
+// ascending linear address — deterministic, so Convert builds its
+// chunks on it. On a one-tile store that is ascending linear address.
 // Returning false from visit stops the walk early (the report then
 // covers the visited prefix). A deadline stops the scan at a fragment
-// boundary, before any cell is visited. One address order needs one
-// address space: ScanLive is refused on a store of more than one tile.
+// boundary with ctx's error; the cells of tiles already folded have
+// been visited by then.
 func (s *Store) ScanLive(ctx context.Context, region *tensor.Region, visit func(p []uint64, val float64) bool) (*PushReport, error) {
-	t, err := s.sole("ScanLive is")
-	if err != nil {
-		return nil, err
-	}
-	if region != nil {
-		_, idx := s.origin()
-		clip, ok := s.tiling.Clip(*region, idx)
-		if !ok {
-			return &PushReport{Epoch: t.currentEpoch()}, nil
-		}
-		region = &clip
-	}
-	rep, _, err := t.foldLive(ctx, "scan", region, visit)
+	rep, _, err := s.foldTiles(ctx, "scan", region, visit)
 	return rep, err
 }
 
-// The kernel folds kernelAt (kernel.go) hands to foldLive. Each checks
-// the operand lengths KernelRequest.Validate cannot (they need the
-// shape), sizes res.Values, and returns the function that accumulates
-// one live cell into it.
+// The kernel folds kernelAt (kernel.go) hands to foldTiles. Each
+// checks the operand lengths KernelRequest.Validate cannot (they need
+// the shape), sizes res.Values by the global shape, and returns the
+// function that accumulates one live cell, in global coordinates, into
+// it.
 
 // spmvFold computes y = A·x over the stored 2D tensor without exporting
 // it: y[i] += A[i,j]·x[j] per live cell. x must have length Shape[1]; y
 // has length Shape[0].
-func (s *tile) spmvFold(res *KernelResult, x []float64) (emitFunc, error) {
-	if uint64(len(x)) != s.shape[1] {
-		return nil, fmt.Errorf("store: %w: x has %d entries for %d columns", ErrShapeMismatch, len(x), s.shape[1])
+func (s *Store) spmvFold(res *KernelResult, x []float64) (emitFunc, error) {
+	shape := s.tiling.Shape
+	if uint64(len(x)) != shape[1] {
+		return nil, fmt.Errorf("store: %w: x has %d entries for %d columns", ErrShapeMismatch, len(x), shape[1])
 	}
-	y, err := kernelValues(KernelSpMV, s.shape[0])
+	y, err := kernelValues(KernelSpMV, shape[0])
 	if err != nil {
 		return nil, err
 	}
@@ -133,8 +174,8 @@ func (s *tile) spmvFold(res *KernelResult, x []float64) (emitFunc, error) {
 // nnzPerSliceFold counts live cells per index of one mode: out[k] is
 // the number of live cells with coordinate k along that mode — the
 // slice histogram load balancers and format advisors want.
-func (s *tile) nnzPerSliceFold(res *KernelResult, mode int) (emitFunc, error) {
-	out, err := kernelValues(KernelNNZPerSlice, s.shape[mode])
+func (s *Store) nnzPerSliceFold(res *KernelResult, mode int) (emitFunc, error) {
+	out, err := kernelValues(KernelNNZPerSlice, s.tiling.Shape[mode])
 	if err != nil {
 		return nil, err
 	}
@@ -146,13 +187,14 @@ func (s *tile) nnzPerSliceFold(res *KernelResult, mode int) (emitFunc, error) {
 // Y[i_0,…,î_mode,…] = Σ_k T[…,k,…]·v[k], leaving the dense result in
 // row-major order over the remaining modes together with its shape —
 // the in-store counterpart of linalg.Tensor.TTV.
-func (s *tile) ttvFold(res *KernelResult, mode int, vec []float64) (emitFunc, error) {
-	d := s.shape.Dims()
-	if uint64(len(vec)) != s.shape[mode] {
-		return nil, fmt.Errorf("store: %w: vector has %d entries for extent %d", ErrShapeMismatch, len(vec), s.shape[mode])
+func (s *Store) ttvFold(res *KernelResult, mode int, vec []float64) (emitFunc, error) {
+	shape := s.tiling.Shape
+	d := shape.Dims()
+	if uint64(len(vec)) != shape[mode] {
+		return nil, fmt.Errorf("store: %w: vector has %d entries for extent %d", ErrShapeMismatch, len(vec), shape[mode])
 	}
 	outShape := make(tensor.Shape, 0, d-1)
-	for i, m := range s.shape {
+	for i, m := range shape {
 		if i != mode {
 			outShape = append(outShape, m)
 		}
@@ -160,7 +202,10 @@ func (s *tile) ttvFold(res *KernelResult, mode int, vec []float64) (emitFunc, er
 	if len(outShape) == 0 {
 		outShape = tensor.Shape{1}
 	}
-	vol, _ := outShape.Volume() // a sub-shape of a shape whose volume fits
+	vol, ok := outShape.Volume()
+	if !ok {
+		vol = math.MaxUint64 // past uint64: kernelValues refuses it
+	}
 	out, err := kernelValues(KernelTTV, vol)
 	if err != nil {
 		return nil, err

@@ -151,7 +151,7 @@ func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, *ReadRepo
 // nothing to translate either.
 func (s *Store) queryTiles(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
 	if req.AsOf != AsOfLatest {
-		t, err := s.sole("as-of reads are")
+		t, err := s.sole()
 		if err != nil {
 			return nil, nil, err
 		}

@@ -45,10 +45,10 @@ import (
 // A flat store (Create) is the one-tile case: its tile is its shape,
 // and the tile's files lie at the prefix itself. A tiled store
 // (NewChunked) records its tiling in a CHUNKED manifest and keeps each
-// tile in a directory named after it. Open reads either layout. The
-// operations that need one address space — as-of reads, SpMV and TTV,
-// ScanLive (and so Convert) — run on a store of one tile and are
-// refused with ErrBadRequest on a store of more.
+// tile in a directory named after it. Open reads either layout. Every
+// kernel, ScanLive and Convert runs on any tiling; only an as-of read,
+// which needs one version sequence, is refused with ErrBadRequest on a
+// store of more than one tile.
 type Store struct {
 	*config
 	prefix string
@@ -432,22 +432,13 @@ func (s *Store) origin() (string, []uint64) {
 	return string(s.tiling.AppendName(nil, idx)), idx
 }
 
-// oneSpace refuses, with ErrBadRequest, an operation that needs the
-// store's one address space — an as-of read, SpMV or TTV, ScanLive —
-// on a store of more than one tile. what names the operation.
-func (s *Store) oneSpace(what string) error {
-	if s.tiling.Single() {
-		return nil
-	}
-	return fmt.Errorf("store: %w: %s not supported on chunked stores", ErrBadRequest, what)
-}
-
-// sole returns the one tile of a one-tile store for an operation that
-// needs one address space (oneSpace refuses it otherwise). A tile not
-// written yet answers as an empty tile that never reaches the disk.
-func (s *Store) sole(what string) (*tile, error) {
-	if err := s.oneSpace(what); err != nil {
-		return nil, err
+// sole returns the one tile of a one-tile store for an as-of read,
+// which needs one version sequence, and refuses it with ErrBadRequest
+// on a store of more. A tile not written yet answers as an empty tile
+// that never reaches the disk.
+func (s *Store) sole() (*tile, error) {
+	if !s.tiling.Single() {
+		return nil, fmt.Errorf("store: %w: as-of reads are not supported on chunked stores", ErrBadRequest)
 	}
 	if d := s.dir.Load(); len(d.sorted) == 1 {
 		return d.sorted[0].tile, nil

@@ -64,7 +64,7 @@ go run ./scripts/checkdocs
 # DESIGN.md describes HEAD, one section per layer; history lives in
 # CHANGES.md. Its size may only fall: a change that rewrites its layers'
 # sections to HEAD lowers DESIGN_MAX_BYTES to the new size.
-DESIGN_MAX_BYTES=77813
+DESIGN_MAX_BYTES=77811
 design_bytes=$(wc -c < DESIGN.md)
 echo "DESIGN.md: $design_bytes bytes (ceiling $DESIGN_MAX_BYTES)"
 if [ "$design_bytes" -gt "$DESIGN_MAX_BYTES" ]; then
@@ -124,9 +124,13 @@ fi
 # caller — an ingest answers one report per batch on every layer, so no
 # WriteBatchContext takes a per-fragment callback and no collector
 # (collectReports, collectBatch) folds fragments back into batches, and
-# a read or kernel runs each tile's read or kernelAt — a tile has no
-# Query or Kernel — so a request is validated, spanned and slow-logged
-# once; and there is one store type: a flat store is the one-tile case,
+# a read runs each tile's read and a kernel each tile's foldLive — a
+# tile has no Query or Kernel — so a request is validated, spanned and
+# slow-logged once; and every kernel, ScanLive and Convert is one fold
+# over the tiles in global coordinates (Store.foldTiles), so no
+# one-address-space refusal (oneSpace), per-tile kernelAt or routed
+# kernel-op refusal comes back — only as-of reads stay refused on more
+# than one tile; and there is one store type: a flat store is the one-tile case,
 # so internal/store declares Query and Kernel on Store alone (Chunked,
 # OpenChunked and serve.ChunkedBackend are aliases the frozen benchmark
 # names) and internal/serve adapts a store through StoreBackend alone; and each number the paper reproduction
@@ -139,7 +143,7 @@ fi
 # refuses a forced plan before sending.
 # The numbers printed are the baseline the next simplicity change is
 # measured against.
-step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; one report per batch, one record per request; one store type; one harness for the paper's numbers; planned reads; exported methods; options; benchmarks; code lines)"
+step "surface (no Deprecated: markers; no environment reads; one Build, one Encode, one key filter; one fetch, inline reads, one walk; one tiling; two telemetry encodings; one span record; pooled framing; one descent and walk in core; one Compact, one Convert; no spatial grid below the tiling; no filter in a fragment file; one unsafe view; pooled request execution; one report per batch, one record per request; kernels on any tiling; one store type; one harness for the paper's numbers; planned reads; exported methods; options; benchmarks; code lines)"
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal ./*.go; then
     echo "Deprecated: markers remain in non-test Go (delete what they mark)" >&2
     exit 1
@@ -270,7 +274,17 @@ if grep -rnwE 'collectReports|collectBatch' --include='*.go' .; then
 fi
 query_types=$(grep -hoE '^func \([a-z]+ \*[A-Za-z]+\) (Query|Kernel)\(' $store_src | sed -E 's/^func \([a-z]+ \*([A-Za-z]+)\).*/\1/' | sort -u | tr '\n' ' ')
 if [ "$query_types" != "Store " ]; then
-    echo "internal/store declares Query or Kernel on types other than Store ($query_types): one store type, and a tile answers through its read and kernelAt, so a request is validated, spanned and slow-logged once" >&2
+    echo "internal/store declares Query or Kernel on types other than Store ($query_types): one store type, and a tile answers through its read and foldLive, so a request is validated, spanned and slow-logged once" >&2
+    exit 1
+fi
+if grep -nE '^func \([a-z]+ \*(Store|tile)\) oneSpace\(|^func \([a-z]+ \*tile\) kernelAt\(' $store_src; then
+    echo "internal/store refuses a kernel on more than one tile (oneSpace) or runs one per tile (tile.kernelAt): every kernel, ScanLive and Convert is one fold over the tiles, Store.foldTiles" >&2
+    exit 1
+fi
+routed_refusals=$(grep -nE 'not supported on routed stores' $(find internal/serve -maxdepth 1 -name '*.go' ! -name '*_test.go') | grep -v 'as-of reads are not supported on routed stores' || true)
+if [ -n "$routed_refusals" ]; then
+    echo "internal/serve refuses a request the shards can answer (only as-of reads are refused on routed stores; a kernel's shard answers sum element by element):" >&2
+    echo "$routed_refusals" >&2
     exit 1
 fi
 # The frozen benchmark names store.Chunked, store.OpenChunked and

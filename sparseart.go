@@ -139,8 +139,9 @@ func WithBackgroundCompaction(minFragments int) StoreOption {
 }
 
 // ConvertStore writes a store's full logical contents into a new store
-// under another organization or codec. A store's organization is fixed
-// at creation; this is the one way to change it. The contents stream
+// under another organization or codec, keeping its tiling. A store's
+// organization is fixed at creation; this is the one way to change it.
+// The contents stream
 // through bounded chunks (never an exported tensor): cfg caps the points
 // per destination fragment and the ingest worker pool (zero values mean
 // the defaults), and the report says how many points and chunks
